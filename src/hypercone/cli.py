@@ -26,14 +26,15 @@ import os
 import sys
 from fractions import Fraction
 
-from . import corrdyn, fareycomb, multicone, render, symdyn, twoshift, witness
+from . import (__version__, corrdyn, fareycomb, multicone, render, symdyn,
+               twoshift, witness)
 from .errors import (ClosureBudgetExceeded, HyperconeError,
                      SearchBudgetExceeded)
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
 from .symdyn import Sft, render_word
 from .tolerances import DEFAULT, Tolerances
 
-VERSION = "0.1.0"
+VERSION = __version__
 
 EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -197,11 +198,16 @@ def _order_svg(family, title: str) -> str:
 
 
 def cmd_describe(args, tol: Tolerances) -> int:
-    frac = fareycomb.j_of_fword(args.fword)
+    fword = args.fword
+    if not isinstance(fword, str):
+        # argparse strips a value that is exactly "--", so --fword=-- arrives
+        # as an empty list of values
+        fword = "--"
+    frac = fareycomb.j_of_fword(fword)
     family = fareycomb.build_order(frac)
     table = fareycomb.action_table(frac)
     verdict = {
-        "fword": args.fword,
+        "fword": fword,
         "fraction": f"{frac.numerator}/{frac.denominator}",
         "order": family.words(),
         "lex_first": family.lex_first,
@@ -212,7 +218,7 @@ def cmd_describe(args, tol: Tolerances) -> int:
     if args.svg:
         _write_svg(args.svg, _order_svg(
             family, f"component {frac.numerator}/{frac.denominator}"))
-    digest = hashlib.sha256(args.fword.encode()).hexdigest()
+    digest = hashlib.sha256(fword.encode()).hexdigest()
     sys.stdout.write(envelope("describe", digest, [verdict], tol))
     return EXIT_OK
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput,
                      NoConvergence, SearchBudgetExceeded)
-from .projgeom import (PI, ArcP1, MultiCone, Span, angle_dist, angle_gap,
-                       arcs_of_spans, contraction_factor, density_extremes,
-                       hilbert_density, merge_spans, span_containment_margin,
-                       spans_of_arcs)
+from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
+                       angle_dist, angle_gap, arcs_of_spans, contraction_factor,
+                       density_extremes, hilbert_density, merge_spans,
+                       span_containment_margin, spans_of_arcs)
 from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, periodic_words, product
+from .symdyn import Sft, necklace_products, periodic_words, product
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -143,11 +143,11 @@ def certify(mats, sft: Sft, fam: MulticoneFamily,
                     c_max = max(c_max, hilbert_density(comp, s))
                     continue
                 inner = ArcP1.from_angles(s, s + ln)
-                lam = min(lam, contraction_factor(comp, inner, tol))
+                lam = min(lam, contraction_factor(comp, inner))
                 _, hi = density_extremes(comp, inner)
                 c_max = max(c_max, hi)
     if lam == float("inf"):
-        lam = 1.0 / tol.contraction_safety  # all images point-like
+        lam = POINT_CONTRACTION  # all images point-like
     comparability = c_max / c_min
     return CertifyReport(ok=True, contraction=lam, comparability=comparability,
                          witness=None, margin=worst)
@@ -464,7 +464,9 @@ def core_criterion(mats, cores: CoreSet, tol: Tolerances = DEFAULT,
     excludes +-identity products of every length (such a product would act as
     the identity on components, and then no power of it could be constant);
     short products are additionally tested entrywise when the alphabet size
-    makes that cheap.
+    makes that cheap: every necklace of length up to min(rank, 12), exactly.
+    At rank 1 the component action is constant from the start, so the scan
+    is the only +-identity test there, and it covers single letters only.
     """
     reasons = []
     if not _alternating(cores.u_arcs, cores.s_arcs):
@@ -488,20 +490,12 @@ def core_criterion(mats, cores: CoreSet, tol: Tolerances = DEFAULT,
 
     # direct +-identity scan (powers included: a product equal to +-id is
     # conjugation invariant, so one representative per rotation class suffices)
-    n = len(mats)
     depth = min(cores.rank, 12)
-    if n ** depth <= id_word_cap:
-        from itertools import product as iproduct
-
-        from .symdyn import min_rotation
-        for length in range(1, depth + 1):
-            for w in iproduct(range(n), repeat=length):
-                if w != min_rotation(w):
-                    continue
-                p = product(mats, w)
-                if p.dist_to_pm_identity() <= tol.identity:
-                    reasons.append(f"IdentityProduct: word {w} is +-identity")
-                    return CriterionReport(ok=False, reasons=tuple(reasons))
+    if len(mats) ** depth <= id_word_cap:
+        for w, p in necklace_products(mats, depth):
+            if p.dist_to_pm_identity() <= tol.identity:
+                reasons.append(f"IdentityProduct: word {w} is +-identity")
+                return CriterionReport(ok=False, reasons=tuple(reasons))
     return CriterionReport(ok=True, reasons=(), constancy_length=max(ell_u, ell_s))
 
 

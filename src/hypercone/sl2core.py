@@ -251,7 +251,7 @@ def canonical_form(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT) -> CanonicalPair
 # bounded conjugation of tuples with bounded traces
 
 
-def c1_bound(C: float) -> float:
+def c1_bound(C: float, rotation_stage: bool = False) -> float:
     """Explicit entry bound achieved by normalize_tuple under trace bound C.
 
     The chain below follows the two-stage construction.  Rotation stage, for
@@ -269,6 +269,8 @@ def c1_bound(C: float) -> float:
       |y_i z_j + y_j z_i| <= C + C2^2 + (C2 + C)^2,
       |y_i z_j| <= C4  for all i, j  (quadratic in the symmetric bound),
     and the balancing conjugation makes max|y|, max|z| <= sqrt(C4).
+    With rotation_stage, the chain stops at C2, the corner-entry bound that
+    normalize_tuple checks after its rotation stage.
     """
     c13 = 2.0 * C
     c15 = c13 + C
@@ -280,25 +282,13 @@ def c1_bound(C: float) -> float:
     C8 = max(C7 + C + c22, 2.0 * c13 + C)
     C2big = 0.5 * ((C + 2.0 * C8) + math.sqrt((C + 2.0 * C8) ** 2 + 4.0 * (1.0 + 2.0 * C8)))
     C2 = max(2.0 * C6, C2big)
+    if rotation_stage:
+        return C2
     C3p = C2 + C
     C3pp = C2 * C3p + 1.0
     C3ppp = C + C2 * C2 + C3p * C3p
     C4 = max(C3pp, 0.5 * (C3ppp + math.sqrt(C3ppp * C3ppp + 4.0 * C3pp * C3pp)))
     return max(C2, C3p, math.sqrt(C4), 1.0)
-
-
-def _x_bound_after_rotation(C: float) -> float:
-    """The C2 constant of the chain in c1_bound (rotation-stage output)."""
-    c13 = 2.0 * C
-    c15 = c13 + C
-    c16 = 1.0 + c13 * c15
-    C5 = c13 * c13 + c16 + c15 * c15
-    C6 = math.sqrt(C5)
-    C7 = c16 + C6 * math.sqrt(c16)
-    c22 = c15 * C
-    C8 = max(C7 + C + c22, 2.0 * c13 + C)
-    C2big = 0.5 * ((C + 2.0 * C8) + math.sqrt((C + 2.0 * C8) ** 2 + 4.0 * (1.0 + 2.0 * C8)))
-    return max(2.0 * C6, C2big)
 
 
 def _conjugate_all(R: Mat2, mats) -> list[Mat2]:
@@ -329,7 +319,7 @@ def normalize_tuple(mats, C: float, tol: Tolerances = DEFAULT) -> tuple[Mat2, li
     work = list(mats)
 
     # rotation stage, skipped when the balancing-stage hypothesis holds already
-    x_cap = _x_bound_after_rotation(C)
+    x_cap = c1_bound(C, rotation_stage=True)
     if max(abs(m.a) for m in work) > x_cap:
         k = max(range(len(work)), key=lambda i: work[i].frobenius_sq())
         m = work[k]

@@ -112,6 +112,28 @@ def product(mats, w: Word, sft: Sft | None = None,
     return out
 
 
+def necklace_products(mats, depth: int):
+    """(word, product) for every necklace of length 1..depth, in shortlex order.
+
+    A necklace is a word that is the least of its rotations, powers included
+    (the words the filter w == min_rotation(w) keeps).  They are generated
+    level by level along the prenecklace tree (Fredricksen-Maiorana): a
+    prenecklace w whose longest Lyndon prefix has length p extends by
+    w[-p], keeping p, or by any larger symbol, which makes it Lyndon; it is
+    a necklace when p divides its length.  Each product costs one matmul,
+    mats[s] @ product(parent).
+    """
+    n = len(mats)
+    level = [((s,), 1, mats[s]) for s in range(n)]
+    for length in range(1, depth + 1):
+        for w, p, m in level:
+            if length % p == 0:
+                yield w, m
+        if length < depth:
+            level = [(w + (s,), p if s == w[-p] else length + 1, mats[s] @ m)
+                     for w, p, m in level for s in range(w[-p], n)]
+
+
 def min_rotation(w: Word) -> Word:
     return min(w[i:] + w[:i] for i in range(len(w)))
 

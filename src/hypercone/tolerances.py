@@ -22,8 +22,6 @@ class Tolerances:
     parabolic: float = 1e-7     # ||tr| - 2| for parabolic witnesses
     heteroclinic: float = 1e-9  # angular residual of a connection
     margin: float = 1e-8        # minimal compact-containment margin, radians
-    contraction_grid: int = 1024   # grid size for the metric-ratio infimum
-    contraction_safety: float = 1e-6  # multiplicative safety cut on the ratio
 
     def as_dict(self) -> dict:
         return asdict(self)

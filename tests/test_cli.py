@@ -110,6 +110,16 @@ def test_describe_component(tmp_path, capsys):
     assert v["action"]["BABAA"]["A"]["to"] == "ABABA"
 
 
+def test_describe_double_minus_word(tmp_path, capsys):
+    # argparse drops a value that is exactly "--"; the command must still
+    # report the word it was given
+    code, doc = run(capsys, ["describe", "--fword=--"])
+    assert code == 0
+    v = doc["verdicts"][0]
+    assert v["fword"] == "--"
+    assert v["fraction"] == "3/4"
+
+
 def test_winding_command(tmp_path, capsys):
     path = write_spec(tmp_path, FREE_SPEC)
     code, doc = run(capsys, ["winding", "--input", path, "--word", "AB"])

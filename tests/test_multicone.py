@@ -138,6 +138,18 @@ def test_core_criterion_on_model_cores(free_pair):
     assert rep.constancy_length == 1
 
 
+def test_core_criterion_rank_one_minus_identity_letter():
+    # rank-1 cores: the component action is constant, so only the scan of
+    # single letters can see that the second letter is -id
+    A = Mat2(2, 0, 0, 0.5)
+    cores = CoreSet(u_arcs=(arc(math.pi - 0.3, 0.3),),
+                    s_arcs=(arc(math.pi / 2 - 0.3, math.pi / 2 + 0.3),))
+    assert core_criterion((A,), cores).ok
+    rep = core_criterion((A, -Mat2.identity()), cores)
+    assert not rep.ok
+    assert rep.reasons == ("IdentityProduct: word (1,) is +-identity",)
+
+
 def test_core_criterion_rejects_overlap():
     cores = CoreSet(u_arcs=(arc(0.0, 0.6),), s_arcs=(arc(0.5, 1.0),))
     rep = core_criterion((Mat2(2, 0, 0, 0.5),), cores)

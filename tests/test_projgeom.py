@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercone.errors import DegenerateInput, OutOfArc
-from hypercone.projgeom import (PI, ArcP1, MultiCone, ProjPoint, angle_dist,
-                                contraction_factor, cross_ratio, cyclic_between,
-                                cyclically_ordered, hilbert_density,
-                                hilbert_dist, merge_spans)
+from hypercone.projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone,
+                                ProjPoint, angle_dist, contraction_factor,
+                                cross_ratio, cyclic_between, cyclically_ordered,
+                                hilbert_density, hilbert_dist, merge_spans,
+                                same_angle)
 from hypercone.sl2core import Mat2
 
 
@@ -91,6 +92,78 @@ def test_nested_arc_metric_inequality():
             continue
         x, y = ProjPoint(a), ProjPoint(b)
         assert hilbert_dist(inner, x, y) >= lam * hilbert_dist(outer, x, y)
+
+
+def fine_min_density_ratio(outer, inner, cells=64, steps=200):
+    """inf of hilbert_density(inner) / hilbert_density(outer) by grid + ternary."""
+    def ratio(t):
+        return hilbert_density(inner, t) / hilbert_density(outer, t)
+
+    a, ln = inner.start.angle, inner.length
+    k = min(range(cells), key=lambda k: ratio(a + ln * (k + 0.5) / cells))
+    lo, hi = a + ln * max(k - 1, 0) / cells, a + ln * min(k + 2, cells) / cells
+    for _ in range(steps):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if ratio(m1) < ratio(m2):
+            hi = m2
+        else:
+            lo = m1
+    return ratio(0.5 * (lo + hi))
+
+
+@given(st.floats(0.0, math.pi), st.floats(0.01, 3.0),
+       st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+                 st.floats(0.01, 1.0)))
+@settings(max_examples=200, deadline=None)
+def test_contraction_factor_is_the_density_ratio_infimum(start, length, weights):
+    off, ln, _ = (length * w / sum(weights) for w in weights)
+    outer = ArcP1.from_angles(start, start + length)
+    inner = ArcP1.from_angles(start + off, start + off + ln)
+    lam = contraction_factor(outer, inner)
+    best = fine_min_density_ratio(outer, inner)
+    assert lam <= best
+    assert lam >= best * (1.0 - 1e-9)
+
+
+def test_contraction_factor_below_ratio_where_the_grid_overstated():
+    # a sampled infimum (1024 midpoints, cut by 1e-6) read 1.6e-5 too high here
+    start, length = 1.5946912976367613, 2.685345795366144
+    off, ln = 0.004796069441116481, 1.548076951645154
+    outer = ArcP1.from_angles(start, start + length)
+    inner = ArcP1.from_angles(start + off, start + off + ln)
+    assert contraction_factor(outer, inner) <= fine_min_density_ratio(outer, inner)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+def test_contraction_factor_bound_across_thin_gaps(gap):
+    # every gap here is an exact float difference (same binade), so the
+    # reference evaluates the cross-ratio on the true arc lengths; a thin
+    # gap computed from rounded offsets loses its relative accuracy and can
+    # overstate lambda
+    def reference(o0, o1, i0, i1):
+        delta = math.log1p(math.sin(o1 - o0) * math.sin(i1 - i0)
+                           / (math.sin(i0 - o0) * math.sin(o1 - i1)))
+        return 1.0 / math.tanh(0.25 * delta)
+
+    o0, o1 = 0.3, 1.2
+    for i0, i1 in ((o0 + gap, 0.9), (0.6, o1 - gap)):
+        outer, inner = ArcP1.from_angles(o0, o1), ArcP1.from_angles(i0, i1)
+        ref = reference(o0, o1, inner.start.angle, inner.end.angle)
+        lam = contraction_factor(outer, inner)
+        assert ref * (1.0 - 2e-12) <= lam <= ref
+
+
+def test_contraction_factor_of_point_like_inner_arcs():
+    outer = ArcP1.from_angles(0.2, 2.9)
+    for a, b in ((1.0, 1.0 + 1e-13), (1.0, math.nextafter(1.0, 2.0))):
+        inner = ArcP1.from_angles(a, b)
+        assert same_angle(inner.start.angle, inner.end.angle)
+        lam = contraction_factor(outer, inner)
+        assert 1.0 < lam < math.inf
+    # the Hilbert diameter of a one-ulp arc at angle 0 rounds to 0
+    wide = ArcP1.from_angles(PI - 1.5, 1.5)
+    assert contraction_factor(wide, ArcP1.from_angles(0.0, 5e-324)) \
+        == POINT_CONTRACTION
 
 
 def test_hilbert_metric_comparable_with_angle_metric_on_compact_subarc():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypercone.errors import DegenerateInput, InadmissibleWord
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import (Sft, hyperbolicity_rate, is_primitive,
-                              min_rotation, parse_word, periodic_words,
-                              product, render_word)
+                              min_rotation, necklace_products, parse_word,
+                              periodic_words, product, render_word)
 
 
 def test_full_shift_and_dual():
@@ -104,6 +104,19 @@ def test_brute_force_class_count():
                 classes.add(min_rotation(w))
         got = [w for w in periodic_words(sft, n) if len(w) == n]
         assert set(got) == classes
+
+
+@pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
+def test_necklace_products_match_min_rotation_filter(n, depth):
+    import itertools
+    mats = [Mat2(1, k + 1, 0, 1) @ Mat2(1, 0, -k, 1) for k in range(n)]
+    expected = [w for length in range(1, depth + 1)
+                for w in itertools.product(range(n), repeat=length)
+                if w == min_rotation(w)]
+    got = list(necklace_products(mats, depth))
+    assert [w for w, _ in got] == expected
+    for w, p in got[::7]:
+        assert p == product(mats, w)
 
 
 def test_rate_single_diagonal():
