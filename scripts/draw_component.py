@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
-from hypercone.render import svg_diagram
+from hypercone.render import component_diagram
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import Sft
 from hypercone.twoshift import apply_fword_inverse
@@ -45,21 +45,12 @@ def main(argv=None):
     cone = fatten_cores(pair, model.cores)
     report = certify(pair, Sft.full(2), MulticoneFamily.constant(cone, 2))
 
-    points = {f"u({w})": p.angle for w, p in model.u_points.items()}
-    points.update({f"s({w})": p.angle for w, p in model.s_points.items()})
-    arrows = []
-    for w, row in model.table.items():
-        for gen, (target, _) in row.items():
-            if w != target:
-                arrows.append((model.u_points[w].angle,
-                               model.u_points[target].angle, gen))
-    frac = model.fraction
-    title = (f"component {frac.numerator}/{frac.denominator}   "
-             f"rank {model.cores.rank}   lambda {report.contraction:.4f}")
+    note = f"   rank {model.cores.rank}   lambda {report.contraction:.4f}"
+    svg = component_diagram(model, cone, note)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg_diagram(cores=model.cores, cone=cone, points=points,
-                             arrows=arrows, title=title))
-    print(f"wrote {args.out}: {title}")
+        fh.write(svg)
+    frac = model.fraction
+    print(f"wrote {args.out}: component {frac.numerator}/{frac.denominator}{note}")
     return 0
 
 

@@ -13,7 +13,8 @@ order.  Every command prints a deterministic JSON envelope (sorted keys,
 shortest round-trip floats) carrying the verdict together with the
 tolerances and budgets it was decided under.
 
-Exit codes: 0 ok, 1 input error, 2 degenerate verdict, 3 budget exceeded.
+Exit codes: 0 ok, 1 input error (usage errors included), 2 degenerate
+verdict, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -134,26 +135,9 @@ def cmd_classify2(args, tol: Tolerances) -> int:
             model = fareycomb.component_model(
                 mats[0] if c.sign_pair[0] > 0 else -mats[0],
                 mats[1] if c.sign_pair[1] > 0 else -mats[1], c.fword, tol)
-            _write_svg(args.svg, _model_svg(model))
+            _write_svg(args.svg, render.component_diagram(model))
     sys.stdout.write(envelope("classify2", digest, verdicts, tol))
     return worst
-
-
-def _model_svg(model) -> str:
-    points = {}
-    for w, p in model.u_points.items():
-        points[f"u({w})"] = p.angle
-    for w, p in model.s_points.items():
-        points[f"s({w})"] = p.angle
-    arrows = []
-    for w, row in model.table.items():
-        for g, (target, _) in row.items():
-            if w != target:
-                arrows.append((model.u_points[w].angle,
-                               model.u_points[target].angle, g))
-    frac = model.fraction
-    return render.svg_diagram(cores=model.cores, points=points, arrows=arrows,
-                              title=f"component {frac.numerator}/{frac.denominator}")
 
 
 def cmd_certify(args, tol: Tolerances) -> int:
@@ -203,6 +187,8 @@ def cmd_describe(args, tol: Tolerances) -> int:
         # argparse strips a value that is exactly "--", so --fword=-- arrives
         # as an empty list of values
         fword = "--"
+    if set(fword) - {"+", "-"}:
+        raise InputError(f"sign word {fword!r} has characters other than '+' and '-'")
     frac = fareycomb.j_of_fword(fword)
     family = fareycomb.build_order(frac)
     table = fareycomb.action_table(frac)
@@ -293,10 +279,18 @@ def cmd_rate(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hypercone",
-                                 description="uniform hyperbolicity toolkit for "
-                                             "finite SL(2,R) families")
+    ap = _Parser(prog="hypercone",
+                 description="uniform hyperbolicity toolkit for "
+                             "finite SL(2,R) families")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_input=True):
@@ -320,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("describe", help="combinatorics of a component by sign word")
-    p.add_argument("--fword", required=True, help="sign word such as '+-+' "
-                                                  "(empty for the free level)")
+    p.add_argument("--fword", required=True, help="sign word over '+' and '-' "
+                                                  "such as '+-+' (empty for the "
+                                                  "free level)")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_describe)
 
@@ -354,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol = _tolerances()
         return args.func(args, tol)
     except InputError as exc:

@@ -24,13 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (AmbiguousIncidence, ClosureBudgetExceeded,
-                     EllipticAlongWord, HeightUndefined, NoInvariantDirection,
-                     NotMonotonic, StructureViolation)
+from .errors import (ClosureBudgetExceeded, EllipticAlongWord, HeightUndefined,
+                     NoInvariantDirection, NotMonotonic, StructureViolation)
 from .fareycomb import farey_interval
-from .multicone import CoreSet, image_span
-from .projgeom import (PI, ProjPoint, cross_ratio, cyclically_ordered,
-                       span_containment_margin)
+from .multicone import CoreSet, component_map
+from .projgeom import PI, ProjPoint, cross_ratio, cyclically_ordered
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
 from .tolerances import DEFAULT, Tolerances
@@ -327,33 +325,13 @@ def induced_morphism(mats, cores: CoreSet, tol: Tolerances = DEFAULT) -> Morphis
         if arcs[i][1] == arcs[(i + 1) % len(arcs)][1]:
             raise StructureViolation("induced", "core components do not alternate")
     mc = CombMulticone(rank=len(cores.u_arcs), even_is_u=arcs[0][1] == 0)
-    label_arc = [a for (_, _, a) in arcs]
-
-    def find(img_span, src_len: float, want_u: bool) -> int:
-        best, best_e = -4.0, None
-        for e, arc in enumerate(label_arc):
-            if mc.is_u(e) != want_u:
-                continue
-            m = span_containment_margin(arc, img_span)
-            if m > best:
-                best, best_e = m, e
-        slack = tol.angle + 1e-14 * (1.0 + img_span[1] / max(src_len, 1e-300))
-        if best < -slack:
-            raise AmbiguousIncidence(
-                f"image arc not inside a single component (margin {best:.3e})")
-        return best_e
-
+    # the j-th arc of each half, in label order, carries slot j
+    u_arcs = tuple(a for (_, tag, a) in arcs if tag == 0)
+    s_arcs = tuple(a for (_, tag, a) in arcs if tag == 1)
     gens = []
     for m in mats:
-        minv = m.inverse()
-        u, s = [], []
-        for e in range(mc.size):
-            arc = label_arc[e]
-            span = (arc.start.angle, arc.length)
-            if mc.is_u(e):
-                u.append(find(image_span(m, span), span[1], True))
-            else:
-                s.append(find(image_span(minv, span), span[1], False))
+        u = (mc.u_label(j) for j in component_map(m, u_arcs, u_arcs, tol))
+        s = (mc.s_label(j) for j in component_map(m.inverse(), s_arcs, s_arcs, tol))
         gens.append(validate(mc, tuple(u), tuple(s)))
     return Morphism(mc=mc, gens=tuple(gens))
 

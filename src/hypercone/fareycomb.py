@@ -109,17 +109,6 @@ class OrderedFamily:
     def words(self) -> list[str]:
         return [fw.word for fw in self.order]
 
-    def successor_in_plus_order(self, word: str) -> str:
-        """Neighbor in the forward cyclic order (reverse of emission order)."""
-        ws = self.words()
-        i = ws.index(word)
-        return ws[(i - 1) % len(ws)]
-
-    def predecessor_in_plus_order(self, word: str) -> str:
-        ws = self.words()
-        i = ws.index(word)
-        return ws[(i + 1) % len(ws)]
-
 
 def build_order(f: Fraction) -> OrderedFamily:
     p, q = f.numerator, f.denominator

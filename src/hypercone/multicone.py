@@ -22,12 +22,26 @@ from dataclasses import dataclass
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput,
                      NoConvergence, SearchBudgetExceeded)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
-                       angle_dist, angle_gap, arcs_of_spans, contraction_factor,
-                       density_extremes, hilbert_density, merge_spans,
-                       span_containment_margin, spans_of_arcs)
+                       angle_dist, angle_gap, arcs_of_spans, containment_margin,
+                       contraction_factor, density_extremes, hilbert_density,
+                       merge_spans, spans_of_arcs)
 from .sl2core import Mat2, eigen_data
 from .symdyn import Sft, necklace_products, periodic_words, product
 from .tolerances import DEFAULT, Tolerances
+
+# half-width of the arcs seeded around periodic directions, and the longest
+# periodic word seeded
+SEED_RADIUS = 1e-3
+SEED_LEN = 6
+# the exact +-identity scan runs while (alphabet size)^depth stays below this
+ID_WORD_CAP = 4096
+# longest product length eventual_constancy composes
+CONSTANCY_BUDGET = 64
+# fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
+# spent from the cycle deficit, and the radius halvings tried
+HILBERT_EPS = 0.25
+BOOST = 0.05
+MAX_HALVINGS = 60
 
 
 def image_span(m: Mat2, span: Span) -> Span:
@@ -38,9 +52,37 @@ def image_span(m: Mat2, span: Span) -> Span:
     return (a1, angle_gap(a1, a2))
 
 
-def image_arc(m: Mat2, arc: ArcP1) -> ArcP1:
-    s, ln = image_span(m, (arc.start.angle, arc.length))
-    return ArcP1.from_angles(s, s + ln)
+def best_target(img: Span, targets) -> tuple[int | None, float]:
+    """(index, margin) of the target arc holding the span by the largest
+    containment margin; the first maximum wins, and (None, -pi) means no
+    margin exceeds -pi."""
+    best, best_j = -PI, None
+    for j, comp in enumerate(targets):
+        mg = containment_margin(comp, img)
+        if mg > best:
+            best, best_j = mg, j
+    return best_j, best
+
+
+def _incidence_slack(tol: Tolerances, src_len: float, img_len: float) -> float:
+    """Allowed negative margin: float noise scales with the local expansion."""
+    expansion = img_len / max(src_len, 1e-300)
+    return tol.angle + 1e-14 * (1.0 + expansion)
+
+
+def component_map(m: Mat2, source, target, tol: Tolerances) -> tuple[int, ...]:
+    """Which target arc absorbs the image of each source arc, within the
+    incidence slack (AmbiguousIncidence otherwise)."""
+    out = []
+    for arc in source:
+        img = image_span(m, arc.span)
+        j, margin = best_target(img, target)
+        if margin < -_incidence_slack(tol, arc.length, img[1]):
+            raise AmbiguousIncidence(
+                f"image of arc at {arc.start.angle:.6f} not inside a single "
+                f"component (margin {margin:.3e})")
+        out.append(j)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,33 +143,22 @@ def certify(mats, sft: Sft, fam: MulticoneFamily,
         for beta in range(n):
             if not sft.ok(alpha, beta):
                 continue
+            targets = fam.cones[beta].arcs
             for ai, arc in enumerate(fam.cones[alpha].arcs):
-                img = image_span(mats[beta], (arc.start.angle, arc.length))
-                best, best_j = -PI, None
-                for j, comp in enumerate(fam.cones[beta].arcs):
-                    m = span_containment_margin(comp, img)
-                    if m > best:
-                        best, best_j = m, j
-                if best_j is None:
-                    return CertifyReport(ok=False, contraction=0.0,
-                                         comparability=0.0, margin=-PI,
-                                         witness={"alpha": alpha, "beta": beta,
-                                                  "component": ai,
-                                                  "margin": best})
+                img = image_span(mats[beta], arc.span)
+                j, best = best_target(img, targets)
                 # the strict-containment floor scales with the target
                 # component: deep components are exponentially thin and a
                 # fixed absolute floor would reject genuine certificates
-                required = max(tol.margin * min(1.0,
-                                                fam.cones[beta].arcs[best_j].length),
-                               4e-14)
-                if best < required:
+                if j is None or best < max(tol.margin * min(1.0, targets[j].length),
+                                           4e-14):
                     witness = {"alpha": alpha, "beta": beta, "component": ai,
                                "margin": best}
                     return CertifyReport(ok=False, contraction=0.0,
                                          comparability=0.0, witness=witness,
                                          margin=best)
                 worst = min(worst, best)
-                images[beta].setdefault(best_j, []).append(img)
+                images[beta].setdefault(j, []).append(img)
 
     lam = float("inf")
     c_max = 0.0
@@ -187,7 +218,7 @@ class CoreSet:
         return out
 
 
-def _seed_spans(mats, sft: Sft, radius: float, max_len: int):
+def _seed_spans(mats, sft: Sft):
     """Fattened unions of periodic unstable/stable directions, per symbol.
 
     Over the full shift the limit sets are global, so every symbol gets the
@@ -196,14 +227,14 @@ def _seed_spans(mats, sft: Sft, radius: float, max_len: int):
     n = sft.n_symbols
     useeds: list[list[Span]] = [[] for _ in range(n)]
     sseeds: list[list[Span]] = [[] for _ in range(n)]
-    for w in periodic_words(sft, max_len):
+    for w in periodic_words(sft, SEED_LEN):
         p = product(mats, w, sft)
         t = abs(float(p.trace()))
         if t < 2.0:
             continue
         (u, _), (s, _) = eigen_data(p)
-        u_span = ((u.angle - radius) % PI, 2 * radius)
-        s_span = ((s.angle - radius) % PI, 2 * radius)
+        u_span = ((u.angle - SEED_RADIUS) % PI, 2 * SEED_RADIUS)
+        s_span = ((s.angle - SEED_RADIUS) % PI, 2 * SEED_RADIUS)
         if sft.is_full:
             for b in range(n):
                 useeds[b].append(u_span)
@@ -300,15 +331,14 @@ def _filled_view(u_cur, s_cur, mats, sft: Sft):
 
 def compute_cores(mats, sft: Sft, depth: int = 48,
                   start: MulticoneFamily | None = None,
-                  tol: Tolerances = DEFAULT,
-                  seed_radius: float = 1e-3, seed_len: int = 6) -> CoreSet:
+                  tol: Tolerances = DEFAULT) -> CoreSet:
     """Outer approximation of the cores by stabilized iterated-image hulls."""
     n = sft.n_symbols
     if start is not None:
         u_cur = [spans_of_arcs(start.cones[a].arcs) for a in range(n)]
         s_cur = [spans_of_arcs(start.cones[a].complement().arcs) for a in range(n)]
     else:
-        u_cur, s_cur = _seed_spans(mats, sft, seed_radius, seed_len)
+        u_cur, s_cur = _seed_spans(mats, sft)
         if not any(u_cur) or not any(s_cur):
             raise NoConvergence("no hyperbolic periodic data to seed the cores")
 
@@ -376,33 +406,7 @@ def compute_cores(mats, sft: Sft, depth: int = 48,
 # component action and the core criterion
 
 
-def _incidence_slack(tol: Tolerances, src_len: float, img_len: float) -> float:
-    """Allowed negative margin: float noise scales with the local expansion."""
-    expansion = img_len / max(src_len, 1e-300)
-    return tol.angle + 1e-14 * (1.0 + expansion)
-
-
-def _component_map(m: Mat2, source: tuple[ArcP1, ...], target: tuple[ArcP1, ...],
-                   tol: Tolerances) -> tuple[int, ...]:
-    """Which target arc absorbs the image of each source arc."""
-    out = []
-    for arc in source:
-        img = image_span(m, (arc.start.angle, arc.length))
-        best, best_j = -PI, None
-        for j, comp in enumerate(target):
-            mg = span_containment_margin(comp, img)
-            if mg > best:
-                best, best_j = mg, j
-        if best < -_incidence_slack(tol, arc.length, img[1]):
-            raise AmbiguousIncidence(
-                f"image of arc at {arc.start.angle:.6f} not inside a single "
-                f"component (margin {best:.3e})")
-        out.append(best_j)
-    return tuple(out)
-
-
-def eventual_constancy(maps: list[tuple[int, ...]],
-                       budget: int = 64) -> tuple[bool, int]:
+def eventual_constancy(maps: list[tuple[int, ...]]) -> tuple[bool, int]:
     """(all long products constant?, least such length).
 
     Products of the maps are composed breadth-first; the search stops when
@@ -419,7 +423,7 @@ def eventual_constancy(maps: list[tuple[int, ...]],
         return True, 1
     cur = set(maps)
     seen_states = set()
-    for k in range(1, budget + 1):
+    for k in range(1, CONSTANCY_BUDGET + 1):
         if all(is_const(f) for f in cur):
             return True, k
         state = frozenset(f for f in cur if not is_const(f))
@@ -427,7 +431,8 @@ def eventual_constancy(maps: list[tuple[int, ...]],
             return False, 0
         seen_states.add(state)
         cur = {compose(f, g) for f in maps for g in cur}
-    raise SearchBudgetExceeded(f"no constancy length found within {budget}")
+    raise SearchBudgetExceeded(
+        f"no constancy length found within {CONSTANCY_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -455,8 +460,8 @@ def _alternating(u_arcs, s_arcs) -> bool:
     return True
 
 
-def core_criterion(mats, cores: CoreSet, tol: Tolerances = DEFAULT,
-                   id_word_cap: int = 4096) -> CriterionReport:
+def core_criterion(mats, cores: CoreSet,
+                   tol: Tolerances = DEFAULT) -> CriterionReport:
     """Structural test implying uniform hyperbolicity of the tuple.
 
     Checks disjoint alternation, forward/backward invariance within
@@ -476,8 +481,8 @@ def core_criterion(mats, cores: CoreSet, tol: Tolerances = DEFAULT,
     u_maps, s_maps = [], []
     try:
         for m in mats:
-            u_maps.append(_component_map(m, cores.u_arcs, cores.u_arcs, tol))
-            s_maps.append(_component_map(m.inverse(), cores.s_arcs, cores.s_arcs, tol))
+            u_maps.append(component_map(m, cores.u_arcs, cores.u_arcs, tol))
+            s_maps.append(component_map(m.inverse(), cores.s_arcs, cores.s_arcs, tol))
     except AmbiguousIncidence as exc:
         reasons.append(f"InvarianceViolation: {exc}")
         return CriterionReport(ok=False, reasons=tuple(reasons))
@@ -491,7 +496,7 @@ def core_criterion(mats, cores: CoreSet, tol: Tolerances = DEFAULT,
     # direct +-identity scan (powers included: a product equal to +-id is
     # conjugation invariant, so one representative per rotation class suffices)
     depth = min(cores.rank, 12)
-    if len(mats) ** depth <= id_word_cap:
+    if len(mats) ** depth <= ID_WORD_CAP:
         for w, p in necklace_products(mats, depth):
             if p.dist_to_pm_identity() <= tol.identity:
                 reasons.append(f"IdentityProduct: word {w} is +-identity")
@@ -506,24 +511,20 @@ def tightness(mats, cone: MultiCone, cores: CoreSet,
                            (cone.complement().arcs, cores.s_arcs)):
         counts = [0 for _ in comp_set]
         for arc in arcs:
-            hit = None
-            for j, comp in enumerate(comp_set):
-                if comp.containment_margin(arc) > -tol.angle:
-                    hit = j
-                    break
-            if hit is None:
+            j, margin = best_target(arc.span, comp_set)
+            if margin <= -tol.angle:
                 return False
-            counts[hit] += 1
+            counts[j] += 1
         if any(c != 1 for c in counts):
             return False
     return True
 
 
 def single_component_length(mats, cone: MultiCone,
-                            tol: Tolerances = DEFAULT, budget: int = 64) -> int:
+                            tol: Tolerances = DEFAULT) -> int:
     """Least k with every length-k product constant on cone components."""
-    maps = [_component_map(m, cone.arcs, cone.arcs, tol) for m in mats]
-    ok, ell = eventual_constancy(maps, budget=budget)
+    maps = [component_map(m, cone.arcs, cone.arcs, tol) for m in mats]
+    ok, ell = eventual_constancy(maps)
     if not ok:
         raise SearchBudgetExceeded("component action cycles without constancy")
     return ell
@@ -582,8 +583,7 @@ def _max_mean_cycle(nodes, edges) -> float:
 
 
 def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
-                 tol: Tolerances = DEFAULT, hilbert_eps: float = 0.25,
-                 boost: float = 0.05, max_halvings: int = 60) -> MultiCone:
+                 tol: Tolerances = DEFAULT) -> MultiCone:
     """Open multicone around U, grown in the Hilbert metrics of the S-gaps.
 
     Each unstable component sits in one component of the complement of S;
@@ -604,11 +604,14 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
     for i, a in enumerate(s_arcs):
         b = s_arcs[(i + 1) % len(s_arcs)]
         gaps.append(ArcP1(a.end, b.start))
+    # first fit within tol.angle, not best_target: U arcs of deep components
+    # (~2e-11 long) also fit, by a negative margin, the gap before their own,
+    # and the best gap there changes how fatten_cores fails
     hosts = []
     for u_arc in cores.u_arcs:
         host = None
         for g in gaps:
-            if g.containment_margin(u_arc) > -tol.angle:
+            if containment_margin(g, u_arc.span) > -tol.angle:
                 host = g
                 break
         if host is None:
@@ -621,16 +624,11 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
     point.update({(j, 1): cores.u_arcs[j].end.angle for j in range(q)})
     raw_edges: dict[tuple, list] = {n: [] for n in nodes}
     for m in mats:
-        for j in range(q):
-            img = image_span(m, (cores.u_arcs[j].start.angle,
-                                 cores.u_arcs[j].length))
-            best, tgt = -PI, None
-            for k in range(q):
-                mg = span_containment_margin(cores.u_arcs[k], img)
-                if mg > best:
-                    best, tgt = mg, k
-            if best < -_incidence_slack(tol, cores.u_arcs[j].length, img[1]):
-                raise DegenerateInput("cores are not invariant; cannot fatten")
+        try:
+            targets = component_map(m, cores.u_arcs, cores.u_arcs, tol)
+        except AmbiguousIncidence as exc:
+            raise DegenerateInput("cores are not invariant; cannot fatten") from exc
+        for j, tgt in enumerate(targets):
             for side in (0, 1):
                 src_angle = point[(j, side)]
                 img_angle = m.act_angle(src_angle)
@@ -639,7 +637,7 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
                 # anything beyond a few fattening radii cannot be overshot
                 slack_h = (angle_dist(img_angle, tgt_angle)
                            * hilbert_density(hosts[tgt], tgt_angle))
-                if slack_h > 8.0 * hilbert_eps:
+                if slack_h > 8.0 * HILBERT_EPS:
                     continue  # genuinely interior; no constraint needed
                 dh = (_angle_derivative(m, src_angle)
                       * hilbert_density(hosts[tgt], img_angle)
@@ -648,20 +646,18 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
                 raw_edges[(j, side)].append(((tgt, side), w))
 
     # spend half the measured cycle deficit as per-edge slack
+    # (an acyclic graph, mean -inf, gets the full BOOST)
     mean_cycle = _max_mean_cycle(nodes, raw_edges)
-    if mean_cycle == float("-inf"):
-        b = boost
-    else:
-        b = min(boost, max(-0.5 * mean_cycle, 1e-12))
+    b = min(BOOST, max(-0.5 * mean_cycle, 1e-12))
     edges = {n: [(t, w + b) for (t, w) in raw_edges[n]] for n in nodes}
 
     P = {n: 0.0 for n in nodes}
     for _ in range(2 * q + 2):
         P = {n: max([0.0] + [w + P[t] for (t, w) in edges[n]]) for n in nodes}
 
-    radius = {n: hilbert_eps * math.exp(-P[n]) for n in nodes}
+    radius = {n: HILBERT_EPS * math.exp(-P[n]) for n in nodes}
     scale = 1.0
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         arcs = []
         ok_build = True
         for j in range(q):

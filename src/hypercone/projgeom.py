@@ -141,6 +141,10 @@ class ArcP1:
         return angle_gap(self.start.angle, self.end.angle)
 
     @property
+    def span(self) -> Span:
+        return (self.start.angle, self.length)
+
+    @property
     def midpoint(self) -> ProjPoint:
         return ProjPoint(self.start.angle + 0.5 * self.length)
 
@@ -163,14 +167,6 @@ class ArcP1:
         """Membership with a signed margin; margin > 0 demands interior depth."""
         off = self.signed_offset_of(p.angle)
         return margin < off < self.length - margin
-
-    def contains_arc(self, other: "ArcP1", margin: float = 0.0) -> bool:
-        return self.containment_margin(other) > margin
-
-    def containment_margin(self, other: "ArcP1") -> float:
-        """min(front gap, back gap) when other sits inside self, else negative."""
-        off = self.signed_offset_of(other.start.angle)
-        return min(off, self.length - off - other.length)
 
 
 def hilbert_density(arc: ArcP1, angle: float) -> float:
@@ -249,7 +245,7 @@ def contraction_factor(outer: ArcP1, inner: ArcP1) -> float:
     _sin_gap from the endpoint angles.  The result is shaded down by
     CONTRACTION_SHADE, well above the few-ulp error of that evaluation.
     """
-    if outer.containment_margin(inner) <= 0.0:
+    if containment_margin(outer, inner.span) <= 0.0:
         raise DegenerateInput("inner arc is not compactly contained in outer arc")
     o0, o1 = outer.start.angle, outer.end.angle
     i0, i1 = inner.start.angle, inner.end.angle
@@ -267,8 +263,9 @@ def contraction_factor(outer: ArcP1, inner: ArcP1) -> float:
 Span = tuple[float, float]  # (start angle, length), length in [0, pi]
 
 
-def span_containment_margin(outer: ArcP1, span: Span) -> float:
-    """Containment margin of a raw span (possibly degenerate) in an arc."""
+def containment_margin(outer: ArcP1, span: Span) -> float:
+    """min(front gap, back gap) when the span (possibly degenerate) sits
+    inside the arc, else negative."""
     off = outer.signed_offset_of(span[0])
     return min(off, outer.length - off - span[1])
 
@@ -310,7 +307,7 @@ def merge_spans(spans: list[Span], eps: float = 0.0) -> list[Span]:
 
 
 def spans_of_arcs(arcs) -> list[Span]:
-    return [(a.start.angle, a.length) for a in arcs]
+    return [a.span for a in arcs]
 
 
 def arcs_of_spans(spans: list[Span]) -> tuple[ArcP1, ...]:
@@ -343,12 +340,6 @@ class MultiCone:
 
     def total_length(self) -> float:
         return sum(a.length for a in self.arcs)
-
-    def component_containing(self, p: ProjPoint) -> int | None:
-        for i, a in enumerate(self.arcs):
-            if a.contains(p):
-                return i
-        return None
 
     def complement(self) -> "MultiCone":
         """The gaps between the arcs, as a multicone (complement of the closure)."""

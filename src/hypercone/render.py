@@ -101,3 +101,17 @@ def svg_diagram(cores: CoreSet | None = None,
                          "</text>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def component_diagram(model, cone: MultiCone | None = None, note: str = "") -> str:
+    """Diagram of a fareycomb.ComponentModel: its cores, the labeled U and S
+    points, and an arrow for each generator that moves a U point; titled by
+    the component's fraction, then the note."""
+    points = {f"u({w})": p.angle for w, p in model.u_points.items()}
+    points.update({f"s({w})": p.angle for w, p in model.s_points.items()})
+    arrows = [(model.u_points[w].angle, model.u_points[target].angle, g)
+              for w, row in model.table.items()
+              for g, (target, _) in row.items() if w != target]
+    frac = model.fraction
+    return svg_diagram(cores=model.cores, cone=cone, points=points, arrows=arrows,
+                       title=f"component {frac.numerator}/{frac.denominator}{note}")

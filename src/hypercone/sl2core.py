@@ -74,9 +74,6 @@ class Mat2:
     def trace(self):
         return self.a + self.d
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def inverse(self) -> "Mat2":
         det = self.det()
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)

@@ -36,6 +36,7 @@ from . import _exact
 from .errors import DegenerateTie, HyperconeError
 from .projgeom import angle_dist, cyclically_ordered
 from .sl2core import Mat2, eigen_data
+from .symdyn import LETTERS
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -93,14 +94,11 @@ def fword_substitution(fword: str) -> tuple[str, str]:
     return wa, wb
 
 
-_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 def eval_string(mats, word: str) -> Mat2:
     """Left-to-right product of the word over mats = (A, B[, ...])."""
     out = None
     for ch in word:
-        m = mats[_LETTERS.index(ch)]
+        m = mats[LETTERS.index(ch)]
         out = m if out is None else out @ m
     return out
 
@@ -324,17 +322,21 @@ def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
 
     t0 = t.x + t.y
     bound = math.floor(t0 / 4) - 1
-    wa, wb = "A", "B"
-    Ak, Bk = A1, B1
     fword = []
     k = 0
     while True:
         step = _step_select_traces(t, band, check)
         if step == Step.FREE:
+            # the walked pair, rebuilt by the same products the walk implies
+            Ak, Bk = A1, B1
+            for sign in fword:
+                step_pair = pair_step_plus if sign == Step.PLUS else pair_step_minus
+                Ak, Bk = step_pair(Ak, Bk)
             orient = orientation_of_free_pair(Ak, Bk, tol)
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:
+            wa, wb = fword_substitution("".join(fword))
             return EllipticWitness(word=wa + wb, trace=float(t.z), iterations=k)
         if k + 1 > bound:
             raise _DegenerateEscape("walk exceeded its termination bound", float(t0))
@@ -345,14 +347,7 @@ def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
             if not exact:
                 assert abs(float(fricke(new_t)) - inv) <= 1e-9 * max(1.0, abs(inv)), \
                     "fricke form drifted"
-        if step == Step.PLUS:
-            t = trace_step_plus(t)
-            Ak, Bk = pair_step_plus(Ak, Bk)
-            wb = wa + wb
-        else:
-            t = trace_step_minus(t)
-            Ak, Bk = pair_step_minus(Ak, Bk)
-            wa = wb + wa
+        t = trace_step_plus(t) if step == Step.PLUS else trace_step_minus(t)
         fword.append(step)
         k += 1
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,21 @@ def test_describe_double_minus_word(tmp_path, capsys):
     assert v["fraction"] == "3/4"
 
 
+@pytest.mark.parametrize("argv", [["--fword=x"], ["--fword=+-x"]])
+def test_describe_rejects_letters_outside_signs(capsys, argv):
+    code = main(["describe", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "sign word" in captured.err
+
+
+def test_usage_error_is_an_input_error(capsys):
+    # "--" ends the options, so --fword has no value: a usage error, which
+    # must not exit 2 (the degenerate-verdict code)
+    code, doc = run(capsys, ["describe", "--fword", "--"])
+    assert code == 1 and doc is None
+
+
 def test_winding_command(tmp_path, capsys):
     path = write_spec(tmp_path, FREE_SPEC)
     code, doc = run(capsys, ["winding", "--input", path, "--word", "AB"])
@@ -231,3 +248,16 @@ def test_witness_on_restricted_shift(tmp_path, capsys):
     code, doc = run(capsys, ["rate", "--input", path, "--depth", "5"])
     assert code == 0
     assert doc["verdicts"][0]["rate"] > 1.0
+
+
+def test_draw_component_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "draw_component.py"
+    spec = importlib.util.spec_from_file_location("draw_component", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "component.svg"
+    assert module.main(["--fword", "+-", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "component 2/5   rank 5   lambda" in text
+    assert "u(BABAA)" in text and 'stroke="#7a7"' in text  # labels and the cone
+    assert capsys.readouterr().out.startswith(f"wrote {out}: component 2/5")
