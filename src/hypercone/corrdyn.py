@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import (ClosureBudgetExceeded, EllipticAlongWord, HeightUndefined,
                      NoInvariantDirection, NotMonotonic, StructureViolation)
 from .fareycomb import farey_interval
-from .multicone import CoreSet, component_map
+from .multicone import CoreSet, alternation, component_map
 from .projgeom import PI, ProjPoint, cross_ratio, cyclically_ordered
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
@@ -317,13 +317,11 @@ def reduce_tight(phi: Morphism) -> Morphism:
 
 def induced_morphism(mats, cores: CoreSet, tol: Tolerances = DEFAULT) -> Morphism:
     """Component incidence of each generator on the core arc systems."""
-    arcs = sorted([(a.start.angle, 0, a) for a in cores.u_arcs] +
-                  [(a.start.angle, 1, a) for a in cores.s_arcs])
-    if len(cores.u_arcs) != len(cores.s_arcs) or not cores.u_arcs:
+    arcs, defect = alternation(cores.u_arcs, cores.s_arcs)
+    if defect == "counts":
         raise StructureViolation("induced", "core component counts differ")
-    for i in range(len(arcs)):
-        if arcs[i][1] == arcs[(i + 1) % len(arcs)][1]:
-            raise StructureViolation("induced", "core components do not alternate")
+    if defect == "order":
+        raise StructureViolation("induced", "core components do not alternate")
     mc = CombMulticone(rank=len(cores.u_arcs), even_is_u=arcs[0][1] == 0)
     # the j-th arc of each half, in label order, carries slot j
     u_arcs = tuple(a for (_, tag, a) in arcs if tag == 0)

@@ -16,6 +16,7 @@ every length).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans, spans_of_arcs)
 from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, necklace_products, periodic_words, product
+from .symdyn import Sft, necklace_products, periodic_products
 from .tolerances import DEFAULT, Tolerances
 
 # half-width of the arcs seeded around periodic directions, and the longest
@@ -227,8 +228,7 @@ def _seed_spans(mats, sft: Sft):
     n = sft.n_symbols
     useeds: list[list[Span]] = [[] for _ in range(n)]
     sseeds: list[list[Span]] = [[] for _ in range(n)]
-    for w in periodic_words(sft, SEED_LEN):
-        p = product(mats, w, sft)
+    for w, p in periodic_products(mats, sft, SEED_LEN):
         t = abs(float(p.trace()))
         if t < 2.0:
             continue
@@ -259,11 +259,17 @@ def _fill_against(spans: list[Span], blockers: list[Span]) -> list[Span]:
     if len(spans) <= 1 or not blockers:
         return spans
     blocked = merge_spans(blockers)
+    starts = [bs for bs, _ in blocked]
 
     def gap_is_blocked(gs: float, gl: float) -> bool:
-        for (bs, bl) in blocked:
-            off = (bs - gs) % PI
-            if off < gl or (gs - bs) % PI < bl:
+        # blocked holds disjoint spans sorted by start: only the first one
+        # starting at or after gs can start inside the gap, and only the one
+        # before it can hold gs (blockers of length 0 leave blocked empty)
+        if not blocked:
+            return False
+        i = bisect.bisect_left(starts, gs)
+        for bs, bl in (blocked[i % len(blocked)], blocked[i - 1]):
+            if (bs - gs) % PI < gl or (gs - bs) % PI < bl:
                 return True
         return False
 
@@ -445,19 +451,21 @@ class CriterionReport:
         return self.ok
 
 
-def _alternating(u_arcs, s_arcs) -> bool:
+def alternation(u_arcs, s_arcs):
+    """(arcs, defect): the U and S arcs as (start, 0 for U / 1 for S, arc)
+    sorted by start, and the first defect of disjoint alternation found --
+    None, "counts" (unequal or no arcs), "order" or "overlap"."""
     tagged = sorted([(a.start.angle, 0, a) for a in u_arcs] +
                     [(a.start.angle, 1, a) for a in s_arcs])
     if len(u_arcs) != len(s_arcs) or not u_arcs:
-        return False
-    for i, (_, tag, arc) in enumerate(tagged):
-        nxt = tagged[(i + 1) % len(tagged)]
-        if nxt[1] == tag:
-            return False
-        if angle_gap(arc.start.angle, arc.end.angle) >= \
-                angle_gap(arc.start.angle, nxt[2].start.angle):
-            return False  # overlap
-    return True
+        return tagged, "counts"
+    pairs = list(zip(tagged, tagged[1:] + tagged[:1]))
+    if any(here[1] == nxt[1] for here, nxt in pairs):
+        return tagged, "order"
+    for (start, _, arc), (nxt_start, _, _) in pairs:
+        if angle_gap(start, arc.end.angle) >= angle_gap(start, nxt_start):
+            return tagged, "overlap"
+    return tagged, None
 
 
 def core_criterion(mats, cores: CoreSet,
@@ -474,7 +482,7 @@ def core_criterion(mats, cores: CoreSet,
     is the only +-identity test there, and it covers single letters only.
     """
     reasons = []
-    if not _alternating(cores.u_arcs, cores.s_arcs):
+    if alternation(cores.u_arcs, cores.s_arcs)[1] is not None:
         reasons.append("DisjointnessViolation: U/S fail to alternate disjointly")
         return CriterionReport(ok=False, reasons=tuple(reasons))
 

@@ -7,8 +7,11 @@ cocycle product of a word therefore has the *last* symbol's matrix leftmost:
 
 Cyclic word enumeration returns one representative per primitive cyclic
 class (powers of shorter words are excluded: their products are powers and
-carry no new spectral information), using the lexicographically minimal
-rotation as representative, in shortlex order.
+carry no new spectral information), in shortlex order.  The representatives
+are the Lyndon words, generated directly along the prenecklace tree
+(Fredricksen-Maiorana; Duval, TCS 60, 1988) with inadmissible transitions
+pruned inside the walk, so no word is built only to be filtered out, and a
+word's product costs one matmul on its parent's.
 """
 
 from __future__ import annotations
@@ -84,13 +87,21 @@ class Sft:
         return all(self.ok(w[i], w[i + 1]) for i in range(len(w) - 1))
 
     def cyclically_admissible(self, w: Word) -> bool:
-        return self.admissible(w) and (len(w) == 1 or self.ok(w[-1], w[0]))
+        """The periodic orbit of w is allowed (a letter needs its self-loop)."""
+        return self.admissible(w) and self.ok(w[-1], w[0])
 
     def to_json(self) -> dict:
         if self.is_full:
             return {"type": "full", "n": self.n_symbols}
         return {"type": "sft",
                 "allowed": [[bool(v) for v in row] for row in self.allowed]}
+
+
+def _check_drift(out: Mat2, length: int, det_tol: float = 1e-6) -> None:
+    """Long float products must stay near determinant 1 (DetDrift otherwise)."""
+    if length > 64 and not out.is_exact():
+        if abs(float(out.det()) - 1.0) > det_tol:
+            raise DetDrift(f"det drifted to {float(out.det())} over {length} factors")
 
 
 def product(mats, w: Word, sft: Sft | None = None,
@@ -106,64 +117,66 @@ def product(mats, w: Word, sft: Sft | None = None,
     out = mats[w[0]]
     for s in w[1:]:
         out = mats[s] @ out
-    if len(w) > 64 and not out.is_exact():
-        if abs(float(out.det()) - 1.0) > det_tol:
-            raise DetDrift(f"det drifted to {float(out.det())} over {len(w)} factors")
+    _check_drift(out, len(w), det_tol)
     return out
+
+
+def _prenecklaces(n: int, depth: int, sft: Sft | None = None, mats=None):
+    """The admissible prenecklaces of length 1..depth, one list per length,
+    each in lexicographic order, as (word, p, product); p is the length of
+    the word's longest Lyndon prefix.
+
+    The tree is walked level by level (Fredricksen-Maiorana): a prenecklace
+    w extends by w[-p], keeping p, or by any larger symbol, which makes it
+    Lyndon.  Over a subshift only allowed transitions are followed; every
+    prefix of an admissible word is admissible, so nothing is lost.  With
+    mats given a node's product is mats[s] @ product(parent), the operation
+    order of product(), so the floats agree bit for bit; without, it is None.
+    """
+    allowed = None if sft is None or sft.is_full else sft.allowed
+    level = [((s,), 1, mats[s] if mats is not None else None) for s in range(n)]
+    for length in range(1, depth + 1):
+        yield level
+        if length == depth:
+            return
+        level = [(w + (s,), p if s == w[-p] else length + 1,
+                  mats[s] @ m if mats is not None else None)
+                 for w, p, m in level for s in range(w[-p], n)
+                 if allowed is None or allowed[w[-1]][s]]
 
 
 def necklace_products(mats, depth: int):
     """(word, product) for every necklace of length 1..depth, in shortlex order.
 
-    A necklace is a word that is the least of its rotations, powers included
-    (the words the filter w == min_rotation(w) keeps).  They are generated
-    level by level along the prenecklace tree (Fredricksen-Maiorana): a
-    prenecklace w whose longest Lyndon prefix has length p extends by
-    w[-p], keeping p, or by any larger symbol, which makes it Lyndon; it is
-    a necklace when p divides its length.  Each product costs one matmul,
-    mats[s] @ product(parent).
+    A necklace is a word that is the least of its rotations, powers included:
+    a prenecklace whose Lyndon prefix length divides its length.
     """
-    n = len(mats)
-    level = [((s,), 1, mats[s]) for s in range(n)]
-    for length in range(1, depth + 1):
+    for level in _prenecklaces(len(mats), depth, mats=mats):
         for w, p, m in level:
-            if length % p == 0:
+            if len(w) % p == 0:
                 yield w, m
-        if length < depth:
-            level = [(w + (s,), p if s == w[-p] else length + 1, mats[s] @ m)
-                     for w, p, m in level for s in range(w[-p], n)]
 
 
-def min_rotation(w: Word) -> Word:
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def is_primitive(w: Word) -> bool:
-    n = len(w)
-    for p in range(1, n):
-        if n % p == 0 and w == w[p:] + w[:p]:
-            return False
-    return True
+def _lyndon(sft: Sft, n_max: int, mats=None):
+    """Cyclically admissible Lyndon words (primitive cyclic classes), shortlex."""
+    for level in _prenecklaces(sft.n_symbols, n_max, sft, mats):
+        for w, p, m in level:
+            if p == len(w) and sft.ok(w[-1], w[0]):
+                yield w, m
 
 
 def periodic_words(sft: Sft, n_max: int):
     """Primitive cyclic classes of length 1..n_max, shortlex by representative."""
-    n = sft.n_symbols
-    for length in range(1, n_max + 1):
-        seen = set()
-        stack = [(s,) for s in range(n - 1, -1, -1)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                if sft.ok(w[-1], w[0]) and is_primitive(w):
-                    r = min_rotation(w)
-                    if r == w and r not in seen:
-                        seen.add(r)
-                        yield r
-                continue
-            for s in range(n - 1, -1, -1):
-                if sft.ok(w[-1], s):
-                    stack.append(w + (s,))
+    for w, _ in _lyndon(sft, n_max):
+        yield w
+
+
+def periodic_products(mats, sft: Sft, n_max: int):
+    """(word, product) for the words of periodic_words(sft, n_max), in order;
+    each product equals product(mats, word, sft), DetDrift check included."""
+    for w, m in _lyndon(sft, n_max, mats):
+        _check_drift(m, len(w))
+        yield w, m
 
 
 @dataclass(frozen=True)
@@ -177,8 +190,7 @@ def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
     """min over cyclic classes of ||product||^(1/n); a finite-depth estimate."""
     best = None
     best_w: Word = ()
-    for w in periodic_words(sft, n_max):
-        v = product(mats, w, sft) if len(w) > 1 else mats[w[0]]
+    for w, v in periodic_products(mats, sft, n_max):
         r = v.norm() ** (1.0 / len(w))
         if best is None or r < best:
             best, best_w = r, w

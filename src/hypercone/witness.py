@@ -7,11 +7,12 @@ re-verified from scratch before being reported.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .projgeom import angle_dist
 from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, Word, periodic_words, product, render_word
+from .symdyn import Sft, Word, periodic_products, product, render_word
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -58,8 +59,7 @@ class BoundaryReport:
 def search_elliptic(mats, sft: Sft, max_len: int,
                     tol: Tolerances = DEFAULT) -> Word | None:
     """First cyclic class (shortlex) whose product trace lies inside (-2, 2)."""
-    for w in periodic_words(sft, max_len):
-        p = product(mats, w, sft)
+    for w, p in periodic_products(mats, sft, max_len):
         if abs(float(p.trace())) < 2.0 - tol.trace:
             assert abs(float(product(mats, w).trace())) < 2.0  # re-verify
             return w
@@ -69,8 +69,7 @@ def search_elliptic(mats, sft: Sft, max_len: int,
 def search_parabolic(mats, sft: Sft, max_len: int,
                      tol: Tolerances = DEFAULT) -> ParabolicHit | None:
     """First cyclic class with ||tr| - 2| <= tol, distinguishing +-identity."""
-    for w in periodic_words(sft, max_len):
-        p = product(mats, w, sft)
+    for w, p in periodic_products(mats, sft, max_len):
         if p.dist_to_pm_identity() <= tol.identity:
             return ParabolicHit(word=w, kind="identity", trace=float(p.trace()))
         if abs(abs(float(p.trace())) - 2.0) <= tol.parabolic:
@@ -78,25 +77,19 @@ def search_parabolic(mats, sft: Sft, max_len: int,
     return None
 
 
-def _hyperbolic_periodic(mats, sft: Sft, max_len: int, tol: Tolerances):
-    out = []
-    for w in periodic_words(sft, max_len):
-        p = product(mats, w, sft)
-        if abs(float(p.trace())) > 2.0 + tol.trace:
-            out.append((w, p))
-    return out
-
-
-def _connectors(sft: Sft, n_max: int):
-    yield ()
-    stack = [(s,) for s in range(sft.n_symbols - 1, -1, -1)]
+def _connectors(mats, sft: Sft, n_max: int):
+    """(connector, product) for the empty connector and every admissible word
+    of length 1..n_max, depth first; products are carried down the tree in
+    product()'s operation order."""
+    yield (), Mat2.identity()
+    stack = [((s,), mats[s]) for s in range(sft.n_symbols - 1, -1, -1)]
     while stack:
-        c = stack.pop()
-        yield c
+        c, P = stack.pop()
+        yield c, P
         if len(c) < n_max:
             for s in range(sft.n_symbols - 1, -1, -1):
                 if sft.ok(c[-1], s):
-                    stack.append(c + (s,))
+                    stack.append((c + (s,), mats[s] @ P))
 
 
 def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
@@ -110,45 +103,44 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
     carried direction costs a bisection plus a short outward scan instead of
     a pass over all targets.
     """
-    import bisect
-
     best: HeteroclinicHit | None = None
-    sources = _hyperbolic_periodic(mats, sft, k_max, tol)
-    targets = _hyperbolic_periodic(mats, sft, ell_max, tol)
-    target_dirs = []
-    for w, p in targets:
-        _, (s, _) = eigen_data(p)
-        target_dirs.append((s.angle, w))
-    target_dirs.sort()
+    # hyperbolic cyclic classes, shortlex: the sources keep that order
+    periodic = [(w, p) for w, p in periodic_products(mats, sft, max(k_max, ell_max))
+                if abs(float(p.trace())) > 2.0 + tol.trace]
+    sources = [(v, eigen_data(pv)[0][0].angle) for v, pv in periodic
+               if len(v) <= k_max]
+    target_dirs = sorted((eigen_data(p)[1][0].angle, w) for w, p in periodic
+                         if len(w) <= ell_max)
     angles = [a for a, _ in target_dirs]
     m_t = len(target_dirs)
+    if m_t == 0:
+        return None
 
     def scan(carried, v, left):
         nonlocal best
-        if m_t == 0:
-            return
+        feeds = sft.allowed[left]
         start = bisect.bisect_left(angles, carried) % m_t
         for off in range(m_t):
-            for idx in {(start + off) % m_t, (start - 1 - off) % m_t}:
-                s_angle, w = target_dirs[idx]
-                r = angle_dist(carried, s_angle)
-                if v == w or not sft.ok(left, w[0]):
+            fwd, bwd = (start + off) % m_t, (start - 1 - off) % m_t
+            r_fwd = angle_dist(carried, angles[fwd])
+            r_bwd = angle_dist(carried, angles[bwd])
+            for idx in {fwd, bwd}:
+                w = target_dirs[idx][1]
+                if v == w or not feeds[w[0]]:
                     continue
+                r = r_fwd if idx == fwd else r_bwd
                 if best is None or r < best.residual:
                     best = HeteroclinicHit(source=v, connector=conn,
                                            target=w, residual=r)
-            gap = min(angle_dist(carried, angles[(start + off) % m_t]),
-                      angle_dist(carried, angles[(start - 1 - off) % m_t]))
-            if best is not None and gap > best.residual and off >= sft.n_symbols:
+            if best is not None and min(r_fwd, r_bwd) > best.residual \
+                    and off >= sft.n_symbols:
                 break
 
-    for conn in _connectors(sft, n_max):
-        P = product(mats, conn, sft) if conn else Mat2.identity()
-        for (v, pv) in sources:
+    for conn, P in _connectors(mats, sft, n_max):
+        for v, u_angle in sources:
             if conn and not sft.ok(v[-1], conn[0]):
                 continue
-            (u, _), _ = eigen_data(pv)
-            carried = P.act_angle(u.angle)
+            carried = P.act_angle(u_angle)
             left = conn[-1] if conn else v[-1]
             scan(carried, v, left)
     return best

@@ -2,14 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercone.errors import BadFamily
 from hypercone.fareycomb import component_model
-from hypercone.multicone import (CoreSet, MulticoneFamily, certify,
-                                 compute_cores, core_criterion,
-                                 eventual_constancy, fatten_cores,
-                                 single_component_length, tightness)
-from hypercone.projgeom import ArcP1, MultiCone
+from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
+                                 alternation, certify, compute_cores,
+                                 core_criterion, eventual_constancy,
+                                 fatten_cores, single_component_length,
+                                 tightness)
+from hypercone.projgeom import PI, ArcP1, MultiCone, merge_spans
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import Sft, periodic_words, product
 from hypercone.witness import search_elliptic
@@ -271,3 +274,58 @@ def test_compute_cores_no_convergence_on_elliptic_tuple():
     rot = Mat2.rotation(0.77)
     with pytest.raises((NoConvergence,) ):
         compute_cores((rot, Mat2.rotation(1.3)), Sft.full(2), depth=24)
+
+
+# _fill_against against the linear scan it replaced
+
+
+def _fill_against_linear(spans, blockers):
+    """Reference: test each gap against every blocker."""
+    spans = merge_spans(spans)
+    if len(spans) <= 1 or not blockers:
+        return spans
+    blocked = merge_spans(blockers)
+
+    def gap_is_blocked(gs, gl):
+        return any((bs - gs) % PI < gl or (gs - bs) % PI < bl
+                   for bs, bl in blocked)
+
+    out = []
+    for i, (s, ln) in enumerate(spans):
+        out.append((s, ln))
+        gap_start = s + ln
+        gap_len = (spans[(i + 1) % len(spans)][0] - gap_start) % PI
+        if not gap_is_blocked(gap_start % PI, gap_len):
+            out.append((gap_start % PI, gap_len))
+    return merge_spans(out)
+
+
+# dyadic starts and lengths add exactly, so gaps often start on a blocker's
+# start or end; lengths up to 2.5 let spans and blockers wrap past pi, and
+# length 0 (dropped by merge_spans) can leave the blocking set empty
+_dyadic_spans = st.lists(st.tuples(st.integers(0, 50).map(lambda k: k / 16),
+                                   st.integers(0, 40).map(lambda k: k / 16)),
+                         max_size=8)
+
+
+@given(_dyadic_spans, _dyadic_spans)
+@settings(max_examples=400, deadline=None)
+@example([(0.0, 0.5), (1.0, 0.5)], [(0.0, PI)])              # whole circle
+@example([(0.0, 0.5), (1.0, 0.5)], [])                        # no blockers
+@example([(0.0, 0.5), (1.0, 0.5)], [(0.7, 0.0)])              # only empty ones
+@example([(0.0, 0.5), (1.0, 0.5)], [(3.0, 0.5)])              # wraps past pi
+@example([(0.0, 0.5), (1.0, 0.5)], [(0.5, 0.25)])             # gap starts on a start
+@example([(0.0, 0.5), (1.0, 0.5)], [(0.25, 0.25)])            # ... and on an end
+@example([(0.5, 0.5), (2.0, 0.5)], [(2.75, 0.5), (0.25, 0.5)])
+def test_fill_against_matches_linear_scan(spans, blockers):
+    assert _fill_against(spans, blockers) == _fill_against_linear(spans, blockers)
+
+
+def test_alternation_defects():
+    u, s = (arc(0.0, 0.4), arc(1.5, 1.9)), (arc(0.6, 1.0), arc(2.1, 2.5))
+    assert [t for _, t, _ in alternation(u, s)[0]] == [0, 1, 0, 1]
+    assert alternation(u, s)[1] is None
+    assert alternation(u, s[:1])[1] == "counts"
+    assert alternation((), ())[1] == "counts"
+    assert alternation((u[0], s[0]), (u[1], s[1]))[1] == "order"
+    assert alternation((arc(0.0, 0.7),) + u[1:], s)[1] == "overlap"

@@ -1,15 +1,31 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercone.errors import DegenerateInput, InadmissibleWord
+from hypercone.errors import DegenerateInput, DetDrift, InadmissibleWord
 from hypercone.sl2core import Mat2
-from hypercone.symdyn import (Sft, hyperbolicity_rate, is_primitive,
-                              min_rotation, necklace_products, parse_word,
-                              periodic_words, product, render_word)
+from hypercone.symdyn import (Sft, hyperbolicity_rate, necklace_products,
+                              parse_word, periodic_products, periodic_words,
+                              product, render_word)
+
+GOLDEN = Sft(2, ((True, True), (True, False)))
+
+
+# brute-force oracles for the Lyndon-word enumeration
+
+
+def min_rotation(w):
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def is_primitive(w):
+    n = len(w)
+    return not any(n % p == 0 and w == w[p:] + w[:p] for p in range(1, n))
 
 
 def test_full_shift_and_dual():
@@ -92,23 +108,71 @@ def test_periodic_words_primitive_and_canonical():
         assert w == min_rotation(w)
 
 
-def test_brute_force_class_count():
+def test_brute_force_class_count(sft4):
     # independent count: all cyclically admissible words, grouped by rotation,
-    # primitive classes only
-    sft = Sft.full(2)
-    for n in range(1, 7):
-        import itertools
-        classes = set()
-        for w in itertools.product((0, 1), repeat=n):
-            if sft.cyclically_admissible(w) and is_primitive(w):
-                classes.add(min_rotation(w))
-        got = [w for w in periodic_words(sft, n) if len(w) == n]
-        assert set(got) == classes
+    # primitive classes only; the restricted shifts exercise the pruning of
+    # forbidden transitions inside the generator
+    for sft, n_max in ((Sft.full(2), 6), (sft4, 6), (GOLDEN, 10)):
+        got = list(periodic_words(sft, n_max))
+        assert got == sorted(got, key=lambda w: (len(w), w))
+        for n in range(1, n_max + 1):
+            classes = set()
+            for w in itertools.product(range(sft.n_symbols), repeat=n):
+                if sft.cyclically_admissible(w) and is_primitive(w):
+                    classes.add(min_rotation(w))
+            assert [w for w in got if len(w) == n] == sorted(classes)
+
+
+def test_golden_mean_single_letters_need_self_loops():
+    assert list(periodic_words(GOLDEN, 3)) == [(0,), (0, 1), (0, 0, 1)]
+    assert not GOLDEN.cyclically_admissible((1,))
+
+
+@pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])
+def test_periodic_products_match_product(shift, sft4, free_pair):
+    A, B = free_pair
+    mats, sft, n_max = {"full2": ((A, B), Sft.full(2), 10),
+                        "sft4": ((A, B, A.inverse(), B.inverse()), sft4, 7),
+                        "golden": ((A, B), GOLDEN, 12)}[shift]
+    pairs = list(periodic_products(mats, sft, n_max))
+    assert [w for w, _ in pairs] == list(periodic_words(sft, n_max))
+    for w, p in pairs[::5] + pairs[-3:]:
+        assert p == product(mats, w, sft)
+
+
+def _cycle_shift(n):
+    """n symbols, each allowed only before its successor mod n: the one
+    primitive cyclic class is 0 1 ... n-1."""
+    return Sft(n, tuple(tuple(j == (i + 1) % n for j in range(n))
+                        for i in range(n)))
+
+
+def test_det_drift_raised_on_long_float_words():
+    sft = _cycle_shift(70)
+    mats = [Mat2(1.0 + 1e-7, 0.0, 0.0, 1.0)] * 70
+    w = tuple(range(70))
+    with pytest.raises(DetDrift):
+        product(mats, w, sft)
+    with pytest.raises(DetDrift):
+        list(periodic_products(mats, sft, 70))
+    # the check starts above 64 letters
+    short = _cycle_shift(64)
+    assert len(list(periodic_products(mats[:64], short, 64))) == 1
+    product(mats[:64], tuple(range(64)), short)
+
+
+def test_det_drift_not_raised_on_exact_words():
+    sft = _cycle_shift(70)
+    mats = [Mat2(Fraction(10 ** 7 + 1, 10 ** 7), Fraction(0), Fraction(0),
+                 Fraction(1))] * 70
+    w = tuple(range(70))
+    p = product(mats, w, sft)
+    assert p.det() == Fraction(10 ** 7 + 1, 10 ** 7) ** 70
+    assert list(periodic_products(mats, sft, 70)) == [(w, p)]
 
 
 @pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
 def test_necklace_products_match_min_rotation_filter(n, depth):
-    import itertools
     mats = [Mat2(1, k + 1, 0, 1) @ Mat2(1, 0, -k, 1) for k in range(n)]
     expected = [w for length in range(1, depth + 1)
                 for w in itertools.product(range(n), repeat=length)

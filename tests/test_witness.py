@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,12 +6,14 @@ import pytest
 
 from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
-from hypercone.sl2core import Mat2
-from hypercone.symdyn import Sft
+from hypercone.projgeom import angle_dist
+from hypercone.sl2core import Mat2, eigen_data
+from hypercone.symdyn import Sft, product
+from hypercone.tolerances import DEFAULT
 from hypercone.witness import (best_heteroclinic, diagnose_boundary,
                                search_elliptic, search_heteroclinic,
                                search_parabolic)
-from tests.conftest import canonical_pair
+from tests.conftest import canonical_pair, group_tuple
 
 
 def test_elliptic_rotation_length_one():
@@ -123,3 +126,51 @@ def test_witness_and_certify_mutually_exclusive():
         rep = certify(pair, sft, MulticoneFamily.constant(cone, 2))
         assert not rep.ok
     assert confirmed > 20
+
+
+def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
+    """First minimum over every admissible (connector, source, target) triple,
+    visited in the order best_heteroclinic documents: connectors depth first
+    (lexicographic, the empty one first), sources shortlex, targets by stable
+    angle.  Cyclic classes come from the brute-force min-rotation filter."""
+    def words(n):
+        return [w for length in range(1, n + 1)
+                for w in itertools.product(range(sft.n_symbols), repeat=length)
+                if sft.cyclically_admissible(w)
+                and w == min(w[i:] + w[:i] for i in range(1, length + 1))
+                and all(length % p or w != w[p:] + w[:p] for p in range(1, length))]
+
+    def hyperbolic(n):
+        return [(w, product(mats, w)) for w in words(n)
+                if abs(float(product(mats, w).trace())) > 2.0 + tol.trace]
+
+    sources = [(v, eigen_data(p)[0][0].angle) for v, p in hyperbolic(k_max)]
+    targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
+    connectors = sorted(c for length in range(n_max + 1)
+                        for c in itertools.product(range(sft.n_symbols), repeat=length)
+                        if sft.admissible(c))
+    best = None
+    for conn in connectors:
+        P = product(mats, conn) if conn else Mat2.identity()
+        for v, u_angle in sources:
+            if conn and not sft.ok(v[-1], conn[0]):
+                continue
+            carried = P.act_angle(u_angle)
+            left = conn[-1] if conn else v[-1]
+            for s_angle, w in targets:
+                r = angle_dist(carried, s_angle)
+                if w != v and sft.ok(left, w[0]) and (best is None or r < best[0]):
+                    best = (r, v, conn, w)
+    return best
+
+
+@pytest.mark.parametrize("case", ["free", "triple", "group"])
+def test_best_heteroclinic_matches_brute_force(case, free_pair, boundary_triple, sft4):
+    mats, sft, budget = {
+        "free": (free_pair, Sft.full(2), (4, 4, 3)),
+        "triple": (boundary_triple, Sft.full(3), (2, 2, 2)),
+        "group": (group_tuple(free_pair), sft4, (3, 3, 2)),
+    }[case]
+    hit = best_heteroclinic(mats, sft, *budget)
+    r, v, conn, w = _brute_heteroclinic(mats, sft, *budget)
+    assert (hit.residual, hit.source, hit.connector, hit.target) == (r, v, conn, w)
