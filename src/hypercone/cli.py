@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import (__version__, corrdyn, fareycomb, multicone, render, symdyn,
                twoshift, witness)
 from .errors import (ClosureBudgetExceeded, HyperconeError,
-                     SearchBudgetExceeded)
+                     SearchBudgetExceeded, WitnessUnverified)
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
 from .symdyn import Sft, render_word
 from .tolerances import DEFAULT, Tolerances
@@ -241,7 +241,7 @@ def cmd_winding(args, tol: Tolerances) -> int:
 
 def cmd_witness(args, tol: Tolerances) -> int:
     specs, digest = load_specs(args.input, args.mode, tol)
-    k, ell, n = (int(x) for x in args.budget.split(","))
+    k, ell, n = args.budget
     verdicts = []
     for mats, sft, _ in specs:
         report = witness.diagnose_boundary(mats, sft, budget=(k, ell, n), tol=tol)
@@ -279,6 +279,25 @@ def cmd_rate(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
+def _depth(text: str) -> int:
+    """A word length of at least 1; argparse reports a non-integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"depth {value} is below 1")
+    return value
+
+
+def _budget(text: str) -> tuple[int, int, int]:
+    """k,l,n: source and target lengths of at least 1 and a connector
+    length of at least 0 (the empty connector); argparse reports a
+    non-integer or a wrong count."""
+    k, ell, n = (int(x) for x in text.split(","))
+    if k < 1 or ell < 1 or n < 0:
+        raise argparse.ArgumentTypeError(
+            f"budget {text!r} needs k >= 1, l >= 1 and n >= 0")
+    return k, ell, n
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors (exit 1), not argparse's exit 2."""
 
@@ -310,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cores", help="iterate core approximations")
     add_common(p)
-    p.add_argument("--depth", type=int, default=48)
+    p.add_argument("--depth", type=_depth, default=48)
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("describe", help="combinatorics of a component by sign word")
@@ -332,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search non-hyperbolicity witnesses")
     add_common(p)
-    p.add_argument("--budget", default="12,12,8", help="k,l,n search depths")
+    p.add_argument("--budget", type=_budget, default="12,12,8",
+                   help="k,l,n search depths")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("normalize", help="conjugate a tuple into bounded entries")
@@ -342,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="finite-depth hyperbolicity rate estimate")
     add_common(p)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_depth, default=12)
     p.set_defaults(func=cmd_rate)
 
     return ap
@@ -362,6 +382,9 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, ClosureBudgetExceeded) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    except WitnessUnverified as exc:
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        return EXIT_DEGENERATE
     except HyperconeError as exc:
         sys.stderr.write(f"degenerate input: {exc}\n")
         return EXIT_DEGENERATE

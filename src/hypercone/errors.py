@@ -90,3 +90,10 @@ class DegenerateTie(HyperconeError):
 
 class DetDrift(HyperconeError):
     """Determinant of a long product drifted away from 1."""
+
+
+class WitnessUnverified(HyperconeError):
+    """A witness failed its re-verification from a product built from scratch.
+
+    The program disagrees with itself, not the input; the CLI reports it as
+    an internal inconsistency with exit code 2."""

@@ -1,16 +1,20 @@
 """Constructive witnesses of non-hyperbolicity and boundary structure.
 
 Searches run over primitive cyclic word classes in shortlex order, so the
-returned witnesses are canonical and reproducible.  Every witness is
-re-verified from scratch before being reported.
+returned witnesses are canonical and reproducible.  Elliptic witnesses
+are re-verified from a product built from scratch before being reported;
+parabolic and heteroclinic witnesses report what the prefix-tree products
+and the carried angles give.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
-from .projgeom import angle_dist
+from .errors import WitnessUnverified
+from .projgeom import PI, angle_dist, angle_gap, norm_angle
 from .sl2core import Mat2, eigen_data
 from .symdyn import Sft, Word, periodic_products, product, render_word
 from .tolerances import DEFAULT, Tolerances
@@ -61,7 +65,11 @@ def search_elliptic(mats, sft: Sft, max_len: int,
     """First cyclic class (shortlex) whose product trace lies inside (-2, 2)."""
     for w, p in periodic_products(mats, sft, max_len):
         if abs(float(p.trace())) < 2.0 - tol.trace:
-            assert abs(float(product(mats, w).trace())) < 2.0  # re-verify
+            trace = float(product(mats, w).trace())
+            if not abs(trace) < 2.0:
+                raise WitnessUnverified(
+                    f"elliptic witness {render_word(w)} has trace {trace} "
+                    "when its product is rebuilt")
             return w
     return None
 
@@ -82,7 +90,8 @@ def _connectors(mats, sft: Sft, n_max: int):
     of length 1..n_max, depth first; products are carried down the tree in
     product()'s operation order."""
     yield (), Mat2.identity()
-    stack = [((s,), mats[s]) for s in range(sft.n_symbols - 1, -1, -1)]
+    stack = ([((s,), mats[s]) for s in range(sft.n_symbols - 1, -1, -1)]
+             if n_max >= 1 else [])
     while stack:
         c, P = stack.pop()
         yield c, P
@@ -92,6 +101,16 @@ def _connectors(mats, sft: Sft, n_max: int):
                     stack.append((c + (s,), mats[s] @ P))
 
 
+def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
+    """Least distance from the positive arc lo -> hi to the sorted, non-empty
+    angles ts; 0 when the arc holds one of them."""
+    k = bisect.bisect_left(ts, lo)
+    before, after = ts[k - 1], ts[k % len(ts)]
+    if angle_gap(lo, after) <= angle_gap(lo, hi):
+        return 0.0
+    return min(angle_dist(x, t) for x in (lo, hi) for t in (before, after))
+
+
 def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
                       tol: Tolerances = DEFAULT) -> HeteroclinicHit | None:
     """Minimal-residual admissible connection, regardless of tolerance.
@@ -99,50 +118,113 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
     Admissibility glue: the last letter of the source feeds the connector
     (or the target directly when the connector is empty) and the connector
     feeds the first letter of the target; source and target must not lie on
-    the same cyclic orbit.  Targets are pre-sorted by stable angle so each
-    carried direction costs a bisection plus a short outward scan instead of
-    a pass over all targets.
+    the same cyclic orbit.  Candidates are visited connector by connector
+    (depth first), then source by source (shortlex), then target by target
+    (by stable angle), and the first strict minimum wins.
+
+    Targets are pre-sorted by stable angle, so a carried direction costs a
+    bisection plus an outward scan.  Every target not yet visited lies on the
+    arc between the two last visited that does not hold the carried angle,
+    so its distance is at least the smaller of theirs: the scan stops as
+    soon as both exceed the best residual, with no floor on the offset.
+
+    Most (connector, source) pairs are never scanned.  A connector P acts on
+    P1 as a homeomorphism that keeps the orientation when det P > 0 and
+    reverses it when det P < 0 (generators of determinant -1 are allowed).
+    So the sources of a block, sorted by unstable angle, are carried into
+    the arc between the images of the block's first and last source.  When
+    that arc holds none of the targets that the connector's last letter may
+    precede, the distance to the nearest of them is a tent on the gap
+    between two of them, and every residual of the block is at least the
+    smaller of the two endpoint distances.  A block whose bound exceeds the
+    best residual by more than 1e-12, which absorbs rounding, is skipped;
+    others are halved.  The surviving sources are scanned in shortlex order,
+    so the visiting order, the ties and the result are those of the full
+    scan.
     """
-    best: HeteroclinicHit | None = None
     # hyperbolic cyclic classes, shortlex: the sources keep that order
-    periodic = [(w, p) for w, p in periodic_products(mats, sft, max(k_max, ell_max))
+    periodic = [(w, eigen_data(p)) for w, p in
+                periodic_products(mats, sft, max(k_max, ell_max))
                 if abs(float(p.trace())) > 2.0 + tol.trace]
-    sources = [(v, eigen_data(pv)[0][0].angle) for v, pv in periodic
-               if len(v) <= k_max]
-    target_dirs = sorted((eigen_data(p)[1][0].angle, w) for w, p in periodic
+    sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
+    target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)
     angles = [a for a, _ in target_dirs]
+    targets = [w for _, w in target_dirs]
     m_t = len(target_dirs)
     if m_t == 0:
         return None
+    # each source's (cos, sin), as act_angle takes them
+    trig = [(math.cos(u), math.sin(u)) for _, u in sources]
+    by_angle = sorted(range(len(sources)), key=lambda i: sources[i][1])
+    # the sources that may precede each first connector letter, by angle,
+    # and the stable angles of the targets each last letter may precede
+    feeding = [[i for i in by_angle if sft.ok(sources[i][0][-1], s)]
+               for s in range(sft.n_symbols)]
+    fed = [[a for a, w in target_dirs if sft.ok(s, w[0])]
+           for s in range(sft.n_symbols)]
 
-    def scan(carried, v, left):
-        nonlocal best
-        feeds = sft.allowed[left]
-        start = bisect.bisect_left(angles, carried) % m_t
-        for off in range(m_t):
-            fwd, bwd = (start + off) % m_t, (start - 1 - off) % m_t
-            r_fwd = angle_dist(carried, angles[fwd])
-            r_bwd = angle_dist(carried, angles[bwd])
-            for idx in {fwd, bwd}:
-                w = target_dirs[idx][1]
-                if v == w or not feeds[w[0]]:
-                    continue
-                r = r_fwd if idx == fwd else r_bwd
-                if best is None or r < best.residual:
-                    best = HeteroclinicHit(source=v, connector=conn,
-                                           target=w, residual=r)
-            if best is not None and min(r_fwd, r_bwd) > best.residual \
-                    and off >= sft.n_symbols:
-                break
-
+    best = None
+    best_r = math.inf
     for conn, P in _connectors(mats, sft, n_max):
-        for v, u_angle in sources:
-            if conn and not sft.ok(v[-1], conn[0]):
+        # the bound may ignore that a target must differ from its source
+        ts = fed[conn[-1]] if conn else angles
+        if not ts:
+            continue
+        group = feeding[conn[0]] if conn else by_angle
+        flip = P.det() < 0
+        # act_angle's arithmetic, with the entries converted once
+        a, b, c, d = float(P.a), float(P.b), float(P.c), float(P.d)
+
+        def carry(i):
+            x, y = trig[i]
+            return norm_angle(math.atan2(c * x + d * y, a * x + b * y))
+
+        # until the first hit best_r is inf, and every source is kept
+        limit = best_r + 1e-12
+        keep = []
+        blocks = [(0, len(group) - 1)] if group else []
+        while blocks:
+            lo, hi = blocks.pop()
+            first, last = carry(group[lo]), carry(group[hi])
+            if flip:
+                first, last = last, first
+            if _arc_bound(first, last, ts) > limit:
                 continue
-            carried = P.act_angle(u_angle)
-            left = conn[-1] if conn else v[-1]
-            scan(carried, v, left)
+            if lo == hi:
+                keep.append(group[lo])
+            else:
+                mid = (lo + hi) // 2
+                blocks.append((lo, mid))
+                blocks.append((mid + 1, hi))
+        keep.sort()
+
+        for i in keep:
+            v = sources[i][0]
+            angle = carry(i)
+            feeds = sft.allowed[conn[-1] if conn else v[-1]]
+            # the first target in angle order among those that beat best_r
+            # by the most; the scan meets equal distances out of that order
+            near_r, near = best_r, None
+            start = bisect.bisect_left(angles, angle) % m_t
+            for off in range(m_t):
+                fwd, bwd = (start + off) % m_t, (start - 1 - off) % m_t
+                g = (angle - angles[fwd]) % PI
+                r_fwd = min(g, PI - g)
+                g = (angle - angles[bwd]) % PI
+                r_bwd = min(g, PI - g)
+                for idx, r in ((fwd, r_fwd), (bwd, r_bwd)):
+                    if r < near_r or (r == near_r and near is not None
+                                      and idx < near):
+                        w = targets[idx]
+                        if v != w and feeds[w[0]]:
+                            near_r, near = r, idx
+                if min(r_fwd, r_bwd) > near_r:
+                    break
+            if near is not None:
+                best_r = near_r
+                best = HeteroclinicHit(source=v, connector=conn,
+                                       target=targets[near], residual=near_r)
     return best
 
 

@@ -261,3 +261,37 @@ def test_draw_component_script(tmp_path, capsys):
     assert "component 2/5   rank 5   lambda" in text
     assert "u(BABAA)" in text and 'stroke="#7a7"' in text  # labels and the cone
     assert capsys.readouterr().out.startswith(f"wrote {out}: component 2/5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--budget=-1,2,2"], ["witness", "--budget=2,0,2"],
+    ["witness", "--budget=2,2,-1"], ["witness", "--budget=2,2"],
+    ["cores", "--depth=0"], ["cores", "--depth=-1"],
+    ["rate", "--depth=0"], ["rate", "--depth=-1"], ["rate", "--depth=x"]])
+def test_bad_depth_is_an_input_error(tmp_path, capsys, argv):
+    path = write_spec(tmp_path, FREE_SPEC)
+    code = main([*argv, "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "input error" in captured.err
+
+
+def test_witness_empty_connector_budget(tmp_path, capsys):
+    # n = 0 leaves only the empty connector, which is a valid budget
+    path = write_spec(tmp_path, FREE_SPEC)
+    code, doc = run(capsys, ["witness", "--input", path, "--budget", "2,2,0"])
+    assert code == 0
+    assert doc["budgets"] == {"k": 2, "l": 2, "n": 0}
+    assert doc["verdicts"][0]["heteroclinic"]["connector"] == ""
+
+
+def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
+    import hypercone.witness as witness_mod
+    from hypercone.sl2core import Mat2
+    path = write_spec(tmp_path, ELLIPTIC_SPEC)
+    # the rebuilt product is hyperbolic, so the elliptic witness fails
+    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    code = main(["witness", "--input", path, "--budget", "3,3,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("internal inconsistency: elliptic witness")

@@ -1,18 +1,20 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from hypercone.errors import HyperconeError, WitnessUnverified
 from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
 from hypercone.projgeom import angle_dist
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import Sft, product
 from hypercone.tolerances import DEFAULT
-from hypercone.witness import (best_heteroclinic, diagnose_boundary,
-                               search_elliptic, search_heteroclinic,
-                               search_parabolic)
+from hypercone.witness import (HeteroclinicHit, best_heteroclinic,
+                               diagnose_boundary, search_elliptic,
+                               search_heteroclinic, search_parabolic)
 from tests.conftest import canonical_pair, group_tuple
 
 
@@ -128,11 +130,11 @@ def test_witness_and_certify_mutually_exclusive():
     assert confirmed > 20
 
 
-def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
-    """First minimum over every admissible (connector, source, target) triple,
-    visited in the order best_heteroclinic documents: connectors depth first
-    (lexicographic, the empty one first), sources shortlex, targets by stable
-    angle.  Cyclic classes come from the brute-force min-rotation filter."""
+def _brute_candidates(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
+    """Every admissible (residual, source, connector, target), visited in the
+    order best_heteroclinic documents: connectors depth first (lexicographic,
+    the empty one first), sources shortlex, targets by stable angle.  Cyclic
+    classes come from the brute-force min-rotation filter."""
     def words(n):
         return [w for length in range(1, n + 1)
                 for w in itertools.product(range(sft.n_symbols), repeat=length)
@@ -149,7 +151,6 @@ def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
     connectors = sorted(c for length in range(n_max + 1)
                         for c in itertools.product(range(sft.n_symbols), repeat=length)
                         if sft.admissible(c))
-    best = None
     for conn in connectors:
         P = product(mats, conn) if conn else Mat2.identity()
         for v, u_angle in sources:
@@ -158,19 +159,102 @@ def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
             carried = P.act_angle(u_angle)
             left = conn[-1] if conn else v[-1]
             for s_angle, w in targets:
-                r = angle_dist(carried, s_angle)
-                if w != v and sft.ok(left, w[0]) and (best is None or r < best[0]):
-                    best = (r, v, conn, w)
+                if w != v and sft.ok(left, w[0]):
+                    yield angle_dist(carried, s_angle), v, conn, w
+
+
+def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
+    """The first minimum of _brute_candidates, or None."""
+    best = None
+    for cand in _brute_candidates(mats, sft, k_max, ell_max, n_max, tol):
+        if best is None or cand[0] < best[0]:
+            best = cand
     return best
 
 
-@pytest.mark.parametrize("case", ["free", "triple", "group"])
+@pytest.mark.parametrize("case", ["free", "triple", "group", "reflection"])
 def test_best_heteroclinic_matches_brute_force(case, free_pair, boundary_triple, sft4):
+    # reflection: a generator of determinant -1, so that connectors through
+    # it reverse the orientation of P1 while the free pair's prune blocks
     mats, sft, budget = {
         "free": (free_pair, Sft.full(2), (4, 4, 3)),
         "triple": (boundary_triple, Sft.full(3), (2, 2, 2)),
         "group": (group_tuple(free_pair), sft4, (3, 3, 2)),
+        "reflection": (free_pair + (Mat2(0.0, 1.0, 1.0, 0.0),), Sft.full(3),
+                       (4, 4, 3)),
     }[case]
     hit = best_heteroclinic(mats, sft, *budget)
     r, v, conn, w = _brute_heteroclinic(mats, sft, *budget)
     assert (hit.residual, hit.source, hit.connector, hit.target) == (r, v, conn, w)
+
+
+ROT4 = Mat2(0, -1, 1, 0)  # elliptic of order 4
+ROT6 = Mat2(0, -1, 1, 1)  # elliptic of order 6
+# golden-mean shifts: B may not follow B
+GOLDEN2 = Sft(2, ((True, True), (True, False)))
+GOLDEN3 = Sft(3, ((True, True, True), (True, False, True), (True, True, True)))
+
+
+def _random_matrix(rng, exact, det=1):
+    while True:
+        if exact:
+            a, b, c = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+        else:
+            a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+        if abs(a) >= 0.25:
+            return Mat2(a, b, c, (det + b * c) / a)
+
+
+@pytest.mark.parametrize("kind", ["random", "rot4", "rot6", "det_minus_one",
+                                  "inverse"])
+def test_best_heteroclinic_differential(kind):
+    """Seeded pairs and triples on the full and golden-mean shifts, float and
+    Fraction entries: elliptic generators of finite order repeat products
+    exactly, an inverse pair puts stable on unstable directions (residual-0
+    ties), and a generator of determinant -1 gives orientation-reversing
+    connectors."""
+    rng = random.Random(f"heteroclinic:{kind}")
+    ties_at_zero = flips = 0
+    for i in range(12):
+        n, exact = 2 + i % 2, i % 4 < 2
+        mats = [_random_matrix(rng, exact) for _ in range(n)]
+        if kind in ("rot4", "rot6"):
+            rot = ROT4 if kind == "rot4" else ROT6
+            mats[-1] = rot if exact else rot.to_float()
+        elif kind == "det_minus_one":
+            mats[0] = _random_matrix(rng, exact, det=-1)
+        elif kind == "inverse":
+            mats[-1] = mats[0].inverse()
+        mats = tuple(mats)
+        sft = (Sft.full(n), GOLDEN2 if n == 2 else GOLDEN3)[i // 2 % 2]
+        budget = (3 + i % 2, 3, i % 4)
+        cands = list(_brute_candidates(mats, sft, *budget))
+        hit = best_heteroclinic(mats, sft, *budget)
+        if not cands:
+            assert hit is None
+            continue
+        r, v, conn, w = _brute_heteroclinic(mats, sft, *budget)
+        assert (hit.residual, hit.source, hit.connector, hit.target) == (r, v, conn, w)
+        ties_at_zero += r == 0.0 and sum(c[0] == r for c in cands) > 1
+        connectors = {c[2] for c in cands if c[2]}
+        flips += any(product(mats, c).det() < 0 for c in connectors)
+    if kind == "inverse":
+        assert ties_at_zero > 0
+    if kind == "det_minus_one":
+        assert flips > 0
+
+
+def test_best_heteroclinic_free_pair_default_budget(free_pair):
+    # the CLI's default budget 12,12,8, pinned to the full scan's answer
+    hit = best_heteroclinic(free_pair, Sft.full(2), 12, 12, 8)
+    assert hit == HeteroclinicHit(source=(0,) + (1,) * 11, connector=(1,) * 8,
+                                  target=(1,), residual=0.16514867741528838)
+
+
+def test_search_elliptic_reverifies_its_witness(monkeypatch):
+    import hypercone.witness as witness_mod
+    pair = canonical_pair(2.0, 2.0, 1.0, -2.0)  # tr AB = 0
+    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    with pytest.raises(WitnessUnverified) as err:
+        search_elliptic(pair, Sft.full(2), 4)
+    assert isinstance(err.value, HyperconeError)
