@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Paired perfbench runs of two checkouts, written as a BENCH_<n>.json file.
+
+Each pair runs `perfbench/run.py` once in the base checkout and once in the
+head checkout, with the same workload, seed and run length, alternating
+which side runs first.  The last line of each run's standard output (the
+runner's JSON result) is kept as it is.  With --tier1 the tier-1 suite's
+wall time is taken once per side as well.  Results are appended to the
+output file, so several workloads can share one file.
+
+Usage:
+  python3 scripts/bench_compare.py BASE HEAD --workload certify \\
+      --seeds 11-20 [--seconds 20] [--trace 0] [--tier1] --out BENCH_6.json
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SIDES = ("base", "head")
+
+
+def seed_list(text: str) -> list[int]:
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def perfbench(root: str, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def tier1_seconds(root: str) -> float:
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                    "no:cacheprovider", "--continue-on-collection-errors"],
+                   cwd=root, env=env, capture_output=True, check=True)
+    return time.perf_counter() - t0
+
+
+def summary(pairs: list[dict], better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the head
+    wins by the metric's better direction (ties count for neither)."""
+    out = {}
+    for name in pairs[0]["base"]["metrics"]:
+        vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
+        row = {}
+        for s in SIDES:
+            v = sorted(vals[s])
+            q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
+            row[s] = {"median": statistics.median(v), "quartiles": [q[0], q[2]]}
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            row["head_wins"] = sum(sign * (h - b) > 0 for b, h in
+                                   zip(vals["base"], vals["head"]))
+            row["pairs"] = len(pairs)
+        out[name] = row
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("head")
+    ap.add_argument("--workload", required=True,
+                    choices=["decide", "certify", "search", "cli"])
+    ap.add_argument("--seeds", type=seed_list, required=True)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    ap.add_argument("--tier1", action="store_true")
+    ap.add_argument("--labels", nargs=2, default=["base", "head"],
+                    help="what the base and head checkouts are, for the file")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    roots = {"base": args.base, "head": args.head}
+    with open(os.path.join(args.head, "BENCHMARK.json")) as f:
+        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    doc = {"sides": dict(zip(SIDES, args.labels)), "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            doc = json.load(f)
+    if args.tier1:
+        doc["tier1_wall_s"] = {s: tier1_seconds(roots[s]) for s in SIDES}
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            pair[side] = perfbench(roots[side], args.workload, seed,
+                                   args.seconds, args.trace)
+            res = pair[side]
+            print(f"{args.workload} seed {seed} {side}: "
+                  f"{res['attempted']}/{res['failed']} throughput "
+                  f"{res['metrics'].get('throughput_per_s', {}).get('value')}",
+                  file=sys.stderr)
+        pairs.append(pair)
+    key = f"{args.workload}{'.trace' if args.trace else ''}"
+    runs = doc["runs"].setdefault(key, {"seconds": args.seconds, "pairs": []})
+    runs["pairs"].extend(pairs)
+    if not args.trace:
+        runs["summary"] = summary(runs["pairs"], better)
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

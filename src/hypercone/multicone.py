@@ -10,8 +10,9 @@ lower bound  ||product|| >= C^(-1/2) lambda^(n/2)  on cyclic words.
 Cores are the canonical minimal forward/backward invariant arc systems; they
 are computed here as stabilized hulls of iterated images, and tested by the
 structural criterion (disjointness, alternation, invariance, and eventual
-constancy of the component action, which rules out +-identity products of
-every length).
+constancy of the component action).  At rank >= 2 eventual constancy rules
+out +-identity products of every length; at rank 1 the action is constant
+from the start, and each letter is checked against +-identity instead.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans, spans_of_arcs)
 from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, necklace_products, periodic_products
+from .symdyn import Sft, periodic_products
 from .tolerances import DEFAULT, Tolerances
 
 # half-width of the arcs seeded around periodic directions, and the longest
 # periodic word seeded
 SEED_RADIUS = 1e-3
 SEED_LEN = 6
-# the exact +-identity scan runs while (alphabet size)^depth stays below this
-ID_WORD_CAP = 4096
 # longest product length eventual_constancy composes
 CONSTANCY_BUDGET = 64
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
@@ -473,42 +472,35 @@ def core_criterion(mats, cores: CoreSet,
     """Structural test implying uniform hyperbolicity of the tuple.
 
     Checks disjoint alternation, forward/backward invariance within
-    tolerance, and eventual constancy of the component action.  The latter
-    excludes +-identity products of every length (such a product would act as
-    the identity on components, and then no power of it could be constant);
-    short products are additionally tested entrywise when the alphabet size
-    makes that cheap: every necklace of length up to min(rank, 12), exactly.
-    At rank 1 the component action is constant from the start, so the scan
-    is the only +-identity test there, and it covers single letters only.
+    tolerance, and eventual constancy of the component action.  At rank >= 2
+    that excludes +-identity products of every length: one would map each
+    core component onto itself, a bijection of two or more components, and
+    no power of that is constant.  This holds while adjacent core components
+    lie farther apart than the _incidence_slack component_map allows,
+    carried along the word.  certify is a second guard: a +-identity product
+    maps a multicone onto itself, not strictly inside it.  At rank 1 the
+    action is constant from the start, so each letter is checked instead.
     """
-    reasons = []
-    if alternation(cores.u_arcs, cores.s_arcs)[1] is not None:
-        reasons.append("DisjointnessViolation: U/S fail to alternate disjointly")
-        return CriterionReport(ok=False, reasons=tuple(reasons))
+    def fail(reason):
+        return CriterionReport(ok=False, reasons=(reason,))
 
+    if alternation(cores.u_arcs, cores.s_arcs)[1] is not None:
+        return fail("DisjointnessViolation: U/S fail to alternate disjointly")
     u_maps, s_maps = [], []
     try:
         for m in mats:
             u_maps.append(component_map(m, cores.u_arcs, cores.u_arcs, tol))
             s_maps.append(component_map(m.inverse(), cores.s_arcs, cores.s_arcs, tol))
     except AmbiguousIncidence as exc:
-        reasons.append(f"InvarianceViolation: {exc}")
-        return CriterionReport(ok=False, reasons=tuple(reasons))
-
+        return fail(f"InvarianceViolation: {exc}")
     ok_u, ell_u = eventual_constancy(u_maps)
     ok_s, ell_s = eventual_constancy(s_maps)
     if not ok_u or not ok_s:
-        reasons.append("IdentityRisk: component action never becomes constant")
-        return CriterionReport(ok=False, reasons=tuple(reasons))
-
-    # direct +-identity scan (powers included: a product equal to +-id is
-    # conjugation invariant, so one representative per rotation class suffices)
-    depth = min(cores.rank, 12)
-    if len(mats) ** depth <= ID_WORD_CAP:
-        for w, p in necklace_products(mats, depth):
-            if p.dist_to_pm_identity() <= tol.identity:
-                reasons.append(f"IdentityProduct: word {w} is +-identity")
-                return CriterionReport(ok=False, reasons=tuple(reasons))
+        return fail("IdentityRisk: component action never becomes constant")
+    if cores.rank == 1:
+        for s, m in enumerate(mats):
+            if m.dist_to_pm_identity() <= tol.identity:
+                return fail(f"IdentityProduct: word {(s,)} is +-identity")
     return CriterionReport(ok=True, reasons=(), constancy_length=max(ell_u, ell_s))
 
 

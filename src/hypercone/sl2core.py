@@ -183,14 +183,6 @@ def invariant_dirs(m: Mat2, tol: Tolerances = DEFAULT) -> tuple[ProjPoint, ProjP
     return u, s
 
 
-def unstable_direction(m: Mat2) -> ProjPoint:
-    return eigen_data(m)[0][0]
-
-
-def stable_direction(m: Mat2) -> ProjPoint:
-    return eigen_data(m)[1][0]
-
-
 @dataclass(frozen=True)
 class CanonicalPair:
     """Upper/lower triangular normal form of a twisted-candidate pair.
@@ -223,8 +215,8 @@ def canonical_form(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT) -> CanonicalPair
     for m in (A, B):
         if m.dist_to_pm_identity() <= tol.identity:
             raise NotCanonicalizable("+-identity member admits no canonical basis")
-    uA = unstable_direction(A)
-    uB = unstable_direction(B)
+    uA = eigen_data(A)[0][0]
+    uB = eigen_data(B)[0][0]
     if same_angle(uA.angle, uB.angle, tol.angle):
         raise NotCanonicalizable("unstable directions coincide")
     va, vb = uA.vector(), uB.vector()

@@ -121,7 +121,7 @@ def product(mats, w: Word, sft: Sft | None = None,
     return out
 
 
-def _prenecklaces(n: int, depth: int, sft: Sft | None = None, mats=None):
+def _prenecklaces(sft: Sft, depth: int, mats=None):
     """The admissible prenecklaces of length 1..depth, one list per length,
     each in lexicographic order, as (word, p, product); p is the length of
     the word's longest Lyndon prefix.
@@ -133,7 +133,8 @@ def _prenecklaces(n: int, depth: int, sft: Sft | None = None, mats=None):
     mats given a node's product is mats[s] @ product(parent), the operation
     order of product(), so the floats agree bit for bit; without, it is None.
     """
-    allowed = None if sft is None or sft.is_full else sft.allowed
+    n = sft.n_symbols
+    allowed = None if sft.is_full else sft.allowed
     level = [((s,), 1, mats[s] if mats is not None else None) for s in range(n)]
     for length in range(1, depth + 1):
         yield level
@@ -145,21 +146,9 @@ def _prenecklaces(n: int, depth: int, sft: Sft | None = None, mats=None):
                  if allowed is None or allowed[w[-1]][s]]
 
 
-def necklace_products(mats, depth: int):
-    """(word, product) for every necklace of length 1..depth, in shortlex order.
-
-    A necklace is a word that is the least of its rotations, powers included:
-    a prenecklace whose Lyndon prefix length divides its length.
-    """
-    for level in _prenecklaces(len(mats), depth, mats=mats):
-        for w, p, m in level:
-            if len(w) % p == 0:
-                yield w, m
-
-
 def _lyndon(sft: Sft, n_max: int, mats=None):
     """Cyclically admissible Lyndon words (primitive cyclic classes), shortlex."""
-    for level in _prenecklaces(sft.n_symbols, n_max, sft, mats):
+    for level in _prenecklaces(sft, n_max, mats):
         for w, p, m in level:
             if p == len(w) and sft.ok(w[-1], w[0]):
                 yield w, m

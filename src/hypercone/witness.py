@@ -1,10 +1,11 @@
 """Constructive witnesses of non-hyperbolicity and boundary structure.
 
 Searches run over primitive cyclic word classes in shortlex order, so the
-returned witnesses are canonical and reproducible.  Elliptic witnesses
-are re-verified from a product built from scratch before being reported;
-parabolic and heteroclinic witnesses report what the prefix-tree products
-and the carried angles give.
+returned witnesses are canonical and reproducible.  Before a witness is
+reported it is re-verified on products rebuilt with symdyn.product, not the
+searches' prefix-tree products and carried angles: the trace (or distance to
++-identity) is re-checked, and a heteroclinic residual recomputed.  A
+witness failing that check raises WitnessUnverified.
 """
 
 from __future__ import annotations
@@ -79,9 +80,18 @@ def search_parabolic(mats, sft: Sft, max_len: int,
     """First cyclic class with ||tr| - 2| <= tol, distinguishing +-identity."""
     for w, p in periodic_products(mats, sft, max_len):
         if p.dist_to_pm_identity() <= tol.identity:
-            return ParabolicHit(word=w, kind="identity", trace=float(p.trace()))
-        if abs(abs(float(p.trace())) - 2.0) <= tol.parabolic:
-            return ParabolicHit(word=w, kind="parabolic", trace=float(p.trace()))
+            kind = "identity"
+        elif abs(abs(float(p.trace())) - 2.0) <= tol.parabolic:
+            kind = "parabolic"
+        else:
+            continue
+        q = product(mats, w)
+        if not (q.dist_to_pm_identity() <= tol.identity if kind == "identity"
+                else abs(abs(float(q.trace())) - 2.0) <= tol.parabolic):
+            raise WitnessUnverified(
+                f"{kind} witness {render_word(w)} has trace {float(q.trace())} "
+                "when its product is rebuilt")
+        return ParabolicHit(word=w, kind=kind, trace=float(p.trace()))
     return None
 
 
@@ -140,7 +150,7 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
     best residual by more than 1e-12, which absorbs rounding, is skipped;
     others are halved.  The surviving sources are scanned in shortlex order,
     so the visiting order, the ties and the result are those of the full
-    scan.
+    scan.  The connection found is re-verified from scratch.
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order
     periodic = [(w, eigen_data(p)) for w, p in
@@ -225,7 +235,23 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
                 best_r = near_r
                 best = HeteroclinicHit(source=v, connector=conn,
                                        target=targets[near], residual=near_r)
+    if best is not None:
+        _reverify_heteroclinic(mats, best, tol)
     return best
+
+
+def _reverify_heteroclinic(mats, hit: HeteroclinicHit, tol: Tolerances) -> None:
+    """Recompute the residual from rebuilt products (WitnessUnverified on a
+    mismatch); the empty connector is the identity."""
+    u = eigen_data(product(mats, hit.source))[0][0].angle
+    s = eigen_data(product(mats, hit.target))[1][0].angle
+    P = product(mats, hit.connector) if hit.connector else Mat2.identity()
+    r = angle_dist(P.act_angle(u), s)
+    if not abs(r - hit.residual) <= tol.heteroclinic:
+        raise WitnessUnverified(
+            f"heteroclinic witness {render_word(hit.source)}, "
+            f"{render_word(hit.connector)}, {render_word(hit.target)} has "
+            f"residual {r} when rebuilt, not {hit.residual}")
 
 
 def search_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,

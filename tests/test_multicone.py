@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercone.errors import BadFamily
+from hypercone.errors import BadFamily, HyperconeError
 from hypercone.fareycomb import component_model
 from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
                                  alternation, certify, compute_cores,
@@ -15,8 +16,12 @@ from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
 from hypercone.projgeom import PI, ArcP1, MultiCone, merge_spans
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import Sft, periodic_words, product
+from hypercone.tolerances import DEFAULT
+from hypercone.twoshift import apply_fword_inverse
 from hypercone.witness import search_elliptic
 from tests.conftest import four_interval_family, group_tuple
+from tests.test_acceptance import REFLECT, _mild_exact_base, _strict_free_pairs
+from tests.test_symdyn import min_rotation
 
 
 def arc(a, b):
@@ -151,6 +156,50 @@ def test_core_criterion_rank_one_minus_identity_letter():
     rep = core_criterion((A, -Mat2.identity()), cores)
     assert not rep.ok
     assert rep.reasons == ("IdentityProduct: word (1,) is +-identity",)
+
+
+# one sign word per rank 2..12: the rank is the denominator of the
+# component's fraction
+RANK_FWORDS = ("", "+", "--", "-+", "----", "--+", "+-+", "+---", "++--",
+               "+-++", "+--+")
+
+
+def _necklaces(n, depth):
+    """Every word of length 1..depth that is the least of its rotations."""
+    for length in range(1, depth + 1):
+        for w in itertools.product(range(n), repeat=length):
+            if w == min_rotation(w):
+                yield w
+
+
+def test_core_criterion_excludes_identity_necklaces():
+    # the entrywise +-identity scan core_criterion ran at every rank, kept as
+    # an oracle: wherever the criterion passes at rank >= 2, eventual
+    # constancy has excluded every +-identity product the scan could find
+    rng = random.Random(606)
+    pairs = [(pair, "") for pair in _strict_free_pairs(1000)[:10]]
+    for fword in RANK_FWORDS:
+        for mirrored in (False, True):
+            A, B = apply_fword_inverse(*_mild_exact_base(rng, len(fword)), fword)
+            if mirrored:
+                A, B = REFLECT @ A @ REFLECT, REFLECT @ B @ REFLECT
+            pairs.append(((A, B), fword))
+    ranks = set()
+    for pair, fword in pairs:
+        try:
+            cores = component_model(*pair, fword).cores
+        except HyperconeError:
+            continue
+        if not core_criterion(pair, cores).ok:
+            continue
+        depth = min(cores.rank, 12)
+        if len(pair) ** depth > 4096:
+            continue
+        ranks.add(cores.rank)
+        for w in _necklaces(len(pair), depth):
+            assert product(pair, w).dist_to_pm_identity() > DEFAULT.identity, \
+                (fword, w)
+    assert ranks == set(range(2, 13))
 
 
 def test_core_criterion_rejects_overlap():

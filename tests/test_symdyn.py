@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hypercone.errors import DegenerateInput, DetDrift, InadmissibleWord
 from hypercone.sl2core import Mat2
-from hypercone.symdyn import (Sft, hyperbolicity_rate, necklace_products,
-                              parse_word, periodic_products, periodic_words,
-                              product, render_word)
+from hypercone.symdyn import (Sft, hyperbolicity_rate, parse_word,
+                              periodic_products, periodic_words, product,
+                              render_word)
 
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -172,12 +172,12 @@ def test_det_drift_not_raised_on_exact_words():
 
 
 @pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
-def test_necklace_products_match_min_rotation_filter(n, depth):
+def test_periodic_products_match_min_rotation_filter(n, depth):
     mats = [Mat2(1, k + 1, 0, 1) @ Mat2(1, 0, -k, 1) for k in range(n)]
     expected = [w for length in range(1, depth + 1)
                 for w in itertools.product(range(n), repeat=length)
-                if w == min_rotation(w)]
-    got = list(necklace_products(mats, depth))
+                if w == min_rotation(w) and is_primitive(w)]
+    got = list(periodic_products(mats, Sft.full(n), depth))
     assert [w for w, _ in got] == expected
     for w, p in got[::7]:
         assert p == product(mats, w)

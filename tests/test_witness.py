@@ -258,3 +258,25 @@ def test_search_elliptic_reverifies_its_witness(monkeypatch):
     with pytest.raises(WitnessUnverified) as err:
         search_elliptic(pair, Sft.full(2), 4)
     assert isinstance(err.value, HyperconeError)
+
+
+@pytest.mark.parametrize("kind, mat", [("parabolic", Mat2(1, 1, 0, 1)),
+                                       ("identity", Mat2.rotation(math.pi))],
+                         ids=["parabolic", "identity"])
+def test_search_parabolic_reverifies_its_witness(monkeypatch, kind, mat):
+    import hypercone.witness as witness_mod
+    assert search_parabolic((mat,), Sft.full(1), 2).kind == kind
+    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    with pytest.raises(WitnessUnverified):
+        search_parabolic((mat,), Sft.full(1), 2)
+
+
+def test_best_heteroclinic_reverifies_its_witness(monkeypatch, boundary_triple):
+    import hypercone.witness as witness_mod
+    hit = best_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
+    assert hit.residual <= 1e-12
+    # every rebuilt product diagonal: the source's unstable direction is 0,
+    # the target's stable direction pi/2, so the residual comes out pi/2
+    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    with pytest.raises(WitnessUnverified):
+        best_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
