@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from . import (__version__, corrdyn, fareycomb, multicone, render, symdyn,
                twoshift, witness)
-from .errors import (ClosureBudgetExceeded, HyperconeError,
-                     SearchBudgetExceeded, WitnessUnverified)
+from .errors import HyperconeError, SearchBudgetExceeded, WitnessUnverified
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
 from .symdyn import Sft, render_word
 from .tolerances import DEFAULT, Tolerances
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (SearchBudgetExceeded, ClosureBudgetExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
     except WitnessUnverified as exc:

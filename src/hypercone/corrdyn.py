@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ClosureBudgetExceeded, EllipticAlongWord, HeightUndefined,
-                     NoInvariantDirection, NotMonotonic, StructureViolation)
+from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
+                     NotMonotonic, StructureViolation)
 from .fareycomb import farey_interval
-from .multicone import CoreSet, alternation, component_map
+from .multicone import CoreSet, alternation, component_map, eventual_constancy
 from .projgeom import PI, ProjPoint, cross_ratio, cyclically_ordered
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
@@ -228,31 +228,19 @@ class Morphism:
         return Morphism(mc=mc, gens=tuple(gens))
 
 
-def morphism_hyperbolic(phi: Morphism, budget: int = 10 ** 6) -> tuple[bool, int | None]:
-    """(are all long words constant?, least length at which they all are)."""
+def morphism_hyperbolic(phi: Morphism) -> tuple[bool, int | None]:
+    """(are all long words constant?, least length at which they all are).
+
+    Constancy reads only the u-half, and a non-constant monotonic
+    correspondence's s-half is fixed by its u-half (solve_s_from_u), so the
+    u-maps alone give the level sets, the cycle and the length that the full
+    correspondences give; eventual_constancy composes them, within its budget.
+    """
     if phi.mc.rank == 1:
         return True, 0
-    level = {g.key(): g for g in phi.gens}
-    seen: set[frozenset] = set()
-    total = len(level)
-    length = 1
-    while True:
-        nonconst = frozenset(k for k, c in level.items() if not c.is_constant)
-        if not nonconst:
-            return True, length
-        if nonconst in seen:
-            return False, None
-        seen.add(nonconst)
-        nxt = {}
-        for g in phi.gens:
-            for c in level.values():
-                cc = compose(g, c)
-                nxt[cc.key()] = cc
-        total += len(nxt)
-        if total > budget:
-            raise ClosureBudgetExceeded(f"semigroup closure passed {budget} elements")
-        level = nxt
-        length += 1
+    slot = phi.mc.slot
+    ok, length = eventual_constancy([tuple(slot(v) for v in g.u) for g in phi.gens])
+    return (True, length) if ok else (False, None)
 
 
 def morphism_tight(phi: Morphism) -> bool:

@@ -43,10 +43,6 @@ class SearchBudgetExceeded(HyperconeError):
     """A bounded combinatorial search ran past its budget."""
 
 
-class ClosureBudgetExceeded(HyperconeError):
-    """Semigroup closure grew past the allowed number of elements."""
-
-
 class NotMonotonic(HyperconeError):
     def __init__(self, clause: str, element):
         super().__init__(f"monotonicity violated ({clause}) at element {element}")

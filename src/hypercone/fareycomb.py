@@ -35,6 +35,7 @@ from .errors import BadBasePoint, NotInterior, OrderViolation
 from .multicone import CoreSet
 from .projgeom import ArcP1, ProjPoint, angle_gap
 from .sl2core import Mat2, eigen_data
+from .symdyn import LETTERS
 from .twoshift import eval_string, fword_substitution
 from .tolerances import DEFAULT, Tolerances
 
@@ -44,9 +45,7 @@ def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
     p, q = f.numerator, f.denominator
     if not 0 < p < q:
         raise NotInterior(f"{f} has no Farey parents")
-    q1 = (-pow(p, -1, q)) % q
-    if q1 == 0:
-        q1 = q  # unreachable for interior fractions; guard
+    q1 = (-pow(p, -1, q)) % q  # in 1..q-1: p is a unit mod q >= 2
     p1 = (1 + p * q1) // q
     p0, q0 = p - p1, q - q1
     left, right = Fraction(p0, q0), Fraction(p1, q1)
@@ -71,22 +70,18 @@ def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:
         return RotWord(letters="A" if p == 0 else "B", base=Fraction(0),
                        rotation=f)
     start = Fraction(start) % 1
-    if (start * q).denominator != 1:
+    k = start * q
+    if k.denominator != 1:
         raise BadBasePoint(f"start {start} is not a multiple of 1/{q}")
-    threshold = 1 - f
-    out = []
-    x = start
-    for _ in range(q):
-        out.append("A" if x < threshold else "B")
-        x = (x + f) % 1
-    return RotWord(letters="".join(out), base=start, rotation=f)
+    # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
+    k = k.numerator
+    letters = "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
+    return RotWord(letters=letters, base=start, rotation=f)
 
 
 def orbit_words(f: Fraction) -> list[RotWord]:
     """All q rotation words of f, by base point 0, 1/q, ..., (q-1)/q."""
     q = f.denominator
-    if q == 1:
-        return [rotation_orbit_word(f, Fraction(0))]
     return [rotation_orbit_word(f, Fraction(i, q)) for i in range(q)]
 
 
@@ -243,6 +238,32 @@ def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
         all(g > 0 for g in gaps)
 
 
+def _family_products(mats, family: OrderedFamily) -> dict:
+    """word -> product over mats of each family word (three cyclic classes).
+
+    Exact input costs one eval_string per class: moving the first letter L
+    to the end conjugates, M(rest + L) = L^-1 M(L + rest) L, exactly equal
+    to eval_string's product.  Float input evaluates every word, since
+    conjugation would move its bits.
+    """
+    if not all(m.is_exact() for m in mats):
+        return {fw.word: eval_string(mats, fw.word) for fw in family.order}
+    # Fraction entries keep the inverse of an integer matrix exact
+    inverses = [Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))).inverse() for m in mats]
+    out: dict[str, Mat2] = {}
+    for fw in family.order:
+        w = fw.word
+        if w in out:
+            continue
+        m = out[w] = eval_string(mats, w)
+        for _ in range(len(w) - 1):
+            i = LETTERS.index(w[0])
+            m = inverses[i] @ m @ mats[i]
+            w = w[1:] + w[0]
+            out[w] = m
+    return out
+
+
 def component_model(A: Mat2, B: Mat2, fword: str,
                     tol: Tolerances = DEFAULT) -> ComponentModel:
     """Cores and action table of the component containing (A, B).
@@ -250,16 +271,17 @@ def component_model(A: Mat2, B: Mat2, fword: str,
     The pair must classify into the component with the given sign word (with
     both traces normalized positive); the computed directions are checked
     against the combinatorial cyclic order and an OrderViolation signals a
-    misclassified or near-boundary pair.
+    misclassified or near-boundary pair.  On exact input the family products
+    are conjugates of one product per cyclic word (_family_products).
     """
     f = j_of_fword(fword)
     family = build_order(f)
-    mats = (A, B)
+    products = _family_products((A, B), family)
 
     u_pts: dict[str, ProjPoint] = {}
     s_pts: dict[str, ProjPoint] = {}
     for fw in family.order:
-        m = eval_string(mats, fw.word)
+        m = products[fw.word]
         if abs(float(m.trace())) <= 2.0:
             raise OrderViolation(f"family word {fw.word} is not hyperbolic")
         (u, _), (s, _) = eigen_data(m)

@@ -46,11 +46,6 @@ class Mat2:
     def diagonal(lam) -> "Mat2":
         return Mat2(lam, 0, 0, 1 / lam if is_exact(lam) else 1.0 / lam)
 
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
-
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
 

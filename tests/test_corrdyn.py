@@ -15,9 +15,11 @@ from hypercone.corrdyn import (CombMulticone, Morphism, all_correspondences,
 from hypercone.errors import (EllipticAlongWord, NotMonotonic,
                               StructureViolation)
 from hypercone.fareycomb import component_model, j_of_fword
+from hypercone.multicone import core_criterion
 from hypercone.projgeom import ProjPoint
 from hypercone.sl2core import Mat2
 from hypercone.twoshift import apply_fword_inverse
+from tests.test_fareycomb import exact_pullbacks
 
 
 def test_identity_and_constant_are_monotonic():
@@ -109,6 +111,61 @@ def test_morphism_with_identity_generator_not_hyperbolic():
                         constant_corr(mc, mc.u_label(0), mc.s_label(0))))
     hyp, ell = morphism_hyperbolic(phi)
     assert not hyp and ell is None
+
+
+def closure_hyperbolic(phi):
+    """The semigroup closure on MonotoneCorr values that morphism_hyperbolic
+    ran before it read the u-maps through eventual_constancy, kept as its
+    oracle: products grow by one letter per level, keyed by both halves."""
+    if phi.mc.rank == 1:
+        return True, 0
+    level = {g.key(): g for g in phi.gens}
+    seen = set()
+    length = 1
+    while True:
+        nonconst = frozenset(k for k, c in level.items() if not c.is_constant)
+        if not nonconst:
+            return True, length
+        if nonconst in seen:
+            return False, None
+        seen.add(nonconst)
+        level = {cc.key(): cc for cc in (compose(g, c) for g in phi.gens
+                                         for c in level.values())}
+        length += 1
+
+
+def test_morphism_hyperbolic_matches_closure_on_induced_morphisms():
+    # the pipeline induces a morphism once core_criterion has passed; the
+    # deep draws it rejects (one per seed here) have no induced morphism
+    ranks = set()
+    for seed in (707, 708):
+        for pair, _, model in exact_pullbacks(seed):
+            if not core_criterion(pair, model.cores).ok:
+                continue
+            phi = induced_morphism(pair, model.cores)
+            ranks.add(phi.mc.rank)
+            assert morphism_hyperbolic(phi) == closure_hyperbolic(phi) == \
+                (True, phi.mc.rank - 1)
+    assert ranks == set(range(2, 21))
+
+
+def test_morphism_hyperbolic_matches_closure_on_all_rank_three_pairs():
+    mc = CombMulticone(rank=3)
+    corrs = list(all_correspondences(mc))
+    outcomes = set()
+    for a in corrs:
+        for b in corrs:
+            phi = Morphism(mc, (a, b))
+            got = morphism_hyperbolic(phi)
+            assert got == closure_hyperbolic(phi), (a.key(), b.key())
+            outcomes.add(got)
+    assert (False, None) in outcomes and {ell for hyp, ell in outcomes if hyp} \
+        == {1, 2}
+
+
+def test_morphism_hyperbolic_matches_closure_on_fixture():
+    phi = nonrealizable_fixture()
+    assert morphism_hyperbolic(phi) == closure_hyperbolic(phi)
 
 
 def test_reduce_tight_collapses_shared_constant():

@@ -1,15 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hypercone.errors import NotInterior, OrderViolation
-from hypercone.fareycomb import (action_table, build_order, component_model,
-                                 farey_interval, j_of_fword, orbit_words,
-                                 rotation_orbit_word, special_words)
+from hypercone.errors import BadBasePoint, HyperconeError, NotInterior, OrderViolation
+from hypercone.fareycomb import (_family_products, action_table, build_order,
+                                 component_model, farey_interval, j_of_fword,
+                                 orbit_words, rotation_orbit_word,
+                                 special_words)
 from hypercone.multicone import core_criterion
-from hypercone.sl2core import Mat2
+from hypercone.sl2core import Mat2, eigen_data
 from hypercone.twoshift import apply_fword_inverse, eval_string
+from tests.conftest import canonical_pair
+from tests.test_acceptance import REFLECT, _mild_exact_base
 
 FIGURE_ORDER_2_5 = ["BABAA", "BA", "ABABA", "AB", "AABAB",
                     "AAB", "ABAAB", "ABA", "BAABA", "BAA"]
@@ -66,6 +70,33 @@ def test_rotation_orbit_words():
     assert rotation_orbit_word(Fraction(2, 5), Fraction(0)).letters == "AABAB"
     assert rotation_orbit_word(Fraction(2, 5), Fraction(2, 5)).letters == "ABABA"
     assert rotation_orbit_word(Fraction(1, 2), Fraction(0)).letters == "AB"
+
+
+def fraction_orbit_word(f: Fraction, start: Fraction) -> str:
+    """Theta(start) by stepping x -> x + f mod 1 in Fractions, kept as the
+    oracle of the integer orbit."""
+    x, out = Fraction(start) % 1, []
+    for _ in range(f.denominator):
+        out.append("A" if x < 1 - f else "B")
+        x = (x + f) % 1
+    return "".join(out)
+
+
+def test_rotation_orbit_word_matches_fraction_orbit():
+    for q in range(2, 41):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            f = Fraction(p, q)
+            for i in range(q):
+                rw = rotation_orbit_word(f, Fraction(i, q))
+                assert rw.letters == fraction_orbit_word(f, Fraction(i, q))
+                assert rw.base == Fraction(i, q)
+            # base points are taken mod 1
+            assert rotation_orbit_word(f, Fraction(q + 1, q)).letters == \
+                fraction_orbit_word(f, Fraction(1, q))
+            with pytest.raises(BadBasePoint):
+                rotation_orbit_word(f, Fraction(1, 2 * q))
 
 
 def test_orbit_words_cardinality_and_letter_counts():
@@ -193,3 +224,57 @@ def test_component_model_mirror(free_pair):
     assert model.orientation == -1
     rep = core_criterion((D @ A @ D, D @ B @ D), model.cores)
     assert rep.ok
+
+
+# one sign word per component rank 2..20 (the rank is the denominator of j)
+PULLBACK_FWORDS = ("", "+", "++", "+-", "++++", "++-", "+-+", "+++-", "++--",
+                   "++-+", "+--+", "+-+-", "+++-+", "++-++", "+---+", "++--+",
+                   "++-+-", "+-++-", "+----+")
+
+
+def exact_pullbacks(seed: int = 707):
+    """(pair, fword, model) per rank 2..20: the acceptance suite's mild exact
+    base pulled back along the rank's sign word, every other rank mirrored;
+    a draw whose component model fails is drawn again (up to 5 times)."""
+    rng = random.Random(seed)
+    out = []
+    for i, fword in enumerate(PULLBACK_FWORDS):
+        for _ in range(5):
+            A, B = apply_fword_inverse(*_mild_exact_base(rng, len(fword)), fword)
+            if i % 2:
+                A, B = REFLECT @ A @ REFLECT, REFLECT @ B @ REFLECT
+            try:
+                out.append(((A, B), fword, component_model(A, B, fword)))
+                break
+            except HyperconeError:
+                continue
+    return out
+
+
+def test_family_products_match_eval_string_exactly():
+    pullbacks = exact_pullbacks()
+    ranks = [model.cores.rank for _, _, model in pullbacks]
+    assert ranks == list(range(2, 21))
+    # integer entries and a determinant other than 1 take the same path
+    extra = [((Mat2(2, 1, 1, 1), Mat2(1, -1, -1, 2)), "+-+"),
+             ((Mat2(Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(2, 3)),
+               Mat2(Fraction(1, 5), Fraction(2), Fraction(1), Fraction(-7))), "++-")]
+    for pair, fword in [(pair, fword) for pair, fword, _ in pullbacks] + extra:
+        family = build_order(j_of_fword(fword))
+        products = _family_products(pair, family)
+        assert set(products) == set(family.words())
+        for w, m in products.items():
+            assert m == eval_string(pair, w), (fword, w)
+            assert m.is_exact()
+
+
+def test_component_model_float_points_are_eval_string_bits():
+    # entries far from dyadic, so a product taken another way moves its bits
+    mu, nu = 1.3, 1.7
+    base = canonical_pair(mu, nu, 1.0, -2.3 - mu / nu - nu / mu)
+    for fword in ("", "+", "+-", "-+-"):
+        pair = apply_fword_inverse(*base, fword)
+        model = component_model(*pair, fword)
+        for fw in model.family.order:
+            (u, _), (s, _) = eigen_data(eval_string(pair, fw.word))
+            assert model.u_points[fw.word] == u and model.s_points[fw.word] == s
