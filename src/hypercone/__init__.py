@@ -6,28 +6,54 @@ multicone inclusions, computes core arc systems and their combinatorial
 shadow (monotonic correspondences and winding numbers), searches for
 boundary witnesses, and conjugates trace-bounded tuples into a compact
 entry range.
+
+The exports below load on first use (PEP 562): `import hypercone` imports
+no submodule, and `hypercone.certify` imports `hypercone.multicone` then.
 """
 
-from .projgeom import ArcP1, MultiCone, ProjPoint, cross_ratio, hilbert_dist
-from .sl2core import (CanonicalPair, Mat2, MatClass, c1_bound, canonical_form,
-                      classify, invariant_dirs, normalize_tuple)
-from .symdyn import RateReport, Sft, hyperbolicity_rate, periodic_words, product
-from .multicone import (CertifyReport, CoreSet, MulticoneFamily, certify,
-                        compute_cores, core_criterion, fatten_cores,
-                        single_component_length, tightness)
-from .twoshift import (Classification2, Degenerate, EllipticWitness,
-                       NonPrincipal, Principal, TraceTriple, classify_pair,
-                       fricke, is_free, is_twisted, trace_step_minus,
-                       trace_step_plus)
-from .fareycomb import (ComponentModel, build_order, component_model,
-                        farey_interval, j_of_fword, orbit_words,
-                        rotation_orbit_word)
-from .corrdyn import (CombMulticone, MonotoneCorr, Morphism,
-                      classify_two_morphism, compose, induced_morphism,
-                      morphism_hyperbolic, morphism_tight, reduce_tight,
-                      validate, winding_comb, winding_matrix)
-from .witness import (BoundaryReport, best_heteroclinic, diagnose_boundary,
-                      search_elliptic, search_heteroclinic, search_parabolic)
-from .tolerances import DEFAULT, Tolerances
+import importlib
 
 __version__ = "0.1.0"
+
+# export name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "projgeom": ("ArcP1", "MultiCone", "ProjPoint", "cross_ratio",
+                 "hilbert_dist"),
+    "sl2core": ("CanonicalPair", "Mat2", "MatClass", "c1_bound",
+                "canonical_form", "classify", "invariant_dirs",
+                "normalize_tuple"),
+    "symdyn": ("RateReport", "Sft", "hyperbolicity_rate", "periodic_words",
+               "product"),
+    "multicone": ("CertifyReport", "CoreSet", "MulticoneFamily", "certify",
+                  "compute_cores", "core_criterion", "fatten_cores",
+                  "single_component_length", "tightness"),
+    "twoshift": ("Classification2", "Degenerate", "EllipticWitness",
+                 "NonPrincipal", "Principal", "TraceTriple", "classify_pair",
+                 "fricke", "is_free", "is_twisted", "trace_step_minus",
+                 "trace_step_plus"),
+    "fareycomb": ("ComponentModel", "build_order", "component_model",
+                  "farey_interval", "j_of_fword", "orbit_words",
+                  "rotation_orbit_word"),
+    "corrdyn": ("CombMulticone", "MonotoneCorr", "Morphism",
+                "classify_two_morphism", "compose", "induced_morphism",
+                "morphism_hyperbolic", "morphism_tight", "reduce_tight",
+                "validate", "winding_comb", "winding_matrix"),
+    "witness": ("BoundaryReport", "best_heteroclinic", "diagnose_boundary",
+                "search_elliptic", "search_heteroclinic", "search_parabolic"),
+    "tolerances": ("DEFAULT", "Tolerances"),
+}.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

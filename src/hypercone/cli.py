@@ -27,11 +27,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import (__version__, corrdyn, fareycomb, multicone, render, symdyn,
-               twoshift, witness)
+from . import __version__
 from .errors import HyperconeError, SearchBudgetExceeded, WitnessUnverified
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
-from .symdyn import Sft, render_word
+from .symdyn import Sft, hyperbolicity_rate, render_word
 from .tolerances import DEFAULT, Tolerances
 
 VERSION = __version__
@@ -68,6 +67,8 @@ def _parse_entry(v, exact: bool):
 
 
 def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
+    if not isinstance(data, dict):
+        raise InputError(f"tuple spec {data!r} is not a JSON object")
     mode = mode_flag or data.get("mode", "float")
     if mode not in ("float", "rational"):
         raise InputError(f"unknown mode {mode!r}")
@@ -76,19 +77,25 @@ def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
         mats = tuple(Mat2(_parse_entry(r[0][0], exact), _parse_entry(r[0][1], exact),
                           _parse_entry(r[1][0], exact), _parse_entry(r[1][1], exact))
                      for r in data["matrices"])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrices field: {exc}") from exc
+    if not mats:
+        raise InputError("the matrices field is empty")
     for m in mats:
         check_unimodular(m, tol)
+    n = len(mats)
     shift = data.get("shift", {"type": "full"})
+    if not isinstance(shift, dict):
+        raise InputError(f"shift {shift!r} is not a JSON object")
     if shift.get("type", "full") == "full":
-        sft = Sft.full(len(mats))
-    else:
+        return mats, Sft.full(n), mode
+    try:
         table = tuple(tuple(bool(v) for v in row) for row in shift["allowed"])
-        sft = Sft(len(mats), table)
-    if sft.n_symbols != len(mats):
-        raise InputError("transition table does not match the tuple size")
-    return mats, sft, mode
+    except TypeError as exc:
+        raise InputError(f"malformed allowed table: {exc}") from exc
+    if len(table) != n or any(len(row) != n for row in table):
+        raise InputError(f"transition table is not {n} by {n} for {n} matrices")
+    return mats, Sft(n, table), mode
 
 
 def load_specs(path: str, mode_flag: str | None, tol: Tolerances):
@@ -97,6 +104,8 @@ def load_specs(path: str, mode_flag: str | None, tol: Tolerances):
     digest = hashlib.sha256(raw).hexdigest()
     data = json.loads(raw)
     specs = data["tuples"] if isinstance(data, dict) and "tuples" in data else [data]
+    if not isinstance(specs, list):
+        raise InputError("the tuples field is not a JSON list")
     return [parse_tuple_spec(d, mode_flag, tol) for d in specs], digest
 
 
@@ -119,6 +128,7 @@ def _write_svg(path: str, text: str):
 
 
 def cmd_classify2(args, tol: Tolerances) -> int:
+    from . import twoshift
     specs, digest = load_specs(args.input, args.mode, tol)
     verdicts = []
     worst = EXIT_OK
@@ -131,6 +141,7 @@ def cmd_classify2(args, tol: Tolerances) -> int:
         if d["variant"] == "degenerate":
             worst = max(worst, EXIT_DEGENERATE)
         if args.svg and d["variant"] == "non_principal":
+            from . import fareycomb, render
             model = fareycomb.component_model(
                 mats[0] if c.sign_pair[0] > 0 else -mats[0],
                 mats[1] if c.sign_pair[1] > 0 else -mats[1], c.fword, tol)
@@ -140,6 +151,7 @@ def cmd_classify2(args, tol: Tolerances) -> int:
 
 
 def cmd_certify(args, tol: Tolerances) -> int:
+    from . import multicone
     specs, digest = load_specs(args.input, args.mode, tol)
     with open(args.multicone, "rb") as fh:
         fam_data = json.loads(fh.read())
@@ -152,6 +164,7 @@ def cmd_certify(args, tol: Tolerances) -> int:
         if not report.ok:
             worst = max(worst, EXIT_DEGENERATE)
         if args.svg:
+            from . import render
             _write_svg(args.svg, render.svg_diagram(cone=fam.cones[0],
                                                     title="certified family"
                                                     if report.ok else "rejected"))
@@ -160,12 +173,14 @@ def cmd_certify(args, tol: Tolerances) -> int:
 
 
 def cmd_cores(args, tol: Tolerances) -> int:
+    from . import multicone
     specs, digest = load_specs(args.input, args.mode, tol)
     verdicts = []
     for mats, sft, _ in specs:
         cores = multicone.compute_cores(mats, sft, depth=args.depth, tol=tol)
         verdicts.append(cores.to_json())
         if args.svg:
+            from . import render
             _write_svg(args.svg, render.svg_diagram(cores=cores, title="cores"))
     sys.stdout.write(envelope("cores", digest, verdicts, tol,
                               budgets={"depth": args.depth}))
@@ -174,6 +189,7 @@ def cmd_cores(args, tol: Tolerances) -> int:
 
 def _order_svg(family, title: str) -> str:
     import math
+    from . import render
     words = family.words()
     n = len(words)
     points = {w: math.pi * i / n for i, w in enumerate(words)}
@@ -181,6 +197,7 @@ def _order_svg(family, title: str) -> str:
 
 
 def cmd_describe(args, tol: Tolerances) -> int:
+    from . import fareycomb
     fword = args.fword
     if not isinstance(fword, str):
         # argparse strips a value that is exactly "--", so --fword=-- arrives
@@ -209,8 +226,8 @@ def cmd_describe(args, tol: Tolerances) -> int:
 
 
 def cmd_farey(args, tol: Tolerances) -> int:
-    p, q = args.pq.split("/")
-    frac = Fraction(int(p), int(q))
+    from . import fareycomb
+    text, frac = args.pq
     family = fareycomb.build_order(frac)
     left, right = family.parents
     verdict = {
@@ -222,13 +239,14 @@ def cmd_farey(args, tol: Tolerances) -> int:
         "lex_last": family.lex_last,
     }
     if args.svg:
-        _write_svg(args.svg, _order_svg(family, f"order of {args.pq}"))
-    digest = hashlib.sha256(args.pq.encode()).hexdigest()
+        _write_svg(args.svg, _order_svg(family, f"order of {text}"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
     sys.stdout.write(envelope("farey", digest, [verdict], tol))
     return EXIT_OK
 
 
 def cmd_winding(args, tol: Tolerances) -> int:
+    from . import corrdyn
     specs, digest = load_specs(args.input, args.mode, tol)
     verdicts = []
     for mats, sft, _ in specs:
@@ -239,6 +257,7 @@ def cmd_winding(args, tol: Tolerances) -> int:
 
 
 def cmd_witness(args, tol: Tolerances) -> int:
+    from . import witness
     specs, digest = load_specs(args.input, args.mode, tol)
     k, ell, n = args.budget
     verdicts = []
@@ -270,7 +289,7 @@ def cmd_rate(args, tol: Tolerances) -> int:
     specs, digest = load_specs(args.input, args.mode, tol)
     verdicts = []
     for mats, sft, _ in specs:
-        rep = symdyn.hyperbolicity_rate(mats, sft, args.depth)
+        rep = hyperbolicity_rate(mats, sft, args.depth)
         verdicts.append({"rate": rep.value, "word": render_word(rep.word),
                          "depth": rep.depth})
     sys.stdout.write(envelope("rate", digest, verdicts, tol,
@@ -284,6 +303,17 @@ def _depth(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"depth {value} is below 1")
     return value
+
+
+def _interior_fraction(text: str) -> tuple[str, Fraction]:
+    """p/q strictly between 0 and 1, with the text it was given as (the
+    envelope digests the text, so 2/4 and 1/2 differ there); argparse
+    reports a non-integer or a wrong count."""
+    p, q = (int(x) for x in text.split("/"))
+    if q == 0 or not 0 < Fraction(p, q) < 1:
+        raise argparse.ArgumentTypeError(
+            f"fraction {text!r} is not strictly between 0 and 1")
+    return text, Fraction(p, q)
 
 
 def _budget(text: str) -> tuple[int, int, int]:
@@ -339,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("farey", help="cyclic order of a rotation family")
-    p.add_argument("--pq", required=True, help="fraction such as 2/5")
+    p.add_argument("--pq", type=_interior_fraction, required=True,
+                   help="fraction strictly between 0 and 1, such as 2/5")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_farey)
 

@@ -66,9 +66,6 @@ class RotWord:
 def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:
     """The coded orbit word Theta(start) of length q."""
     p, q = f.numerator, f.denominator
-    if q == 1:
-        return RotWord(letters="A" if p == 0 else "B", base=Fraction(0),
-                       rotation=f)
     start = Fraction(start) % 1
     k = start * q
     if k.denominator != 1:

@@ -295,3 +295,42 @@ def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("internal inconsistency: elliptic witness")
+
+
+@pytest.mark.parametrize("spec", [
+    [1],
+    "free",
+    {"tuples": 5},
+    {"tuples": [FREE_SPEC, [1]]},
+    {"matrices": []},
+    {"matrices": [[["1/0", "0"], ["0", "1"]]], "mode": "rational"},
+    dict(FREE_SPEC, shift="full"),
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": [[1, 1]]}),
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": [[1, 1], [1]]}),
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": [1, 1]}),
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": 5}),
+], ids=["list", "string", "tuples-int", "tuples-item", "no-matrices",
+        "zero-denominator", "shift-string", "table-rows", "table-columns",
+        "table-flat", "table-int"])
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
+    path = write_spec(tmp_path, spec)
+    code = main(["rate", "--input", path, "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("pq", ["2/0", "0/1", "1/1", "3/2", "-1/2", "1/-2",
+                                "1/2/3", "x"])
+def test_farey_fraction_outside_unit_interval_is_an_input_error(capsys, pq):
+    code = main(["farey", f"--pq={pq}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage:") and "input error" in captured.err
+
+
+def test_farey_reduces_the_fraction(capsys):
+    code, doc = run(capsys, ["farey", "--pq", "2/4"])
+    assert code == 0
+    assert doc["verdicts"][0]["fraction"] == "1/2"
+    assert doc["verdicts"][0]["parents"] == ["0/1", "1/1"]

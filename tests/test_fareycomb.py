@@ -72,6 +72,17 @@ def test_rotation_orbit_words():
     assert rotation_orbit_word(Fraction(1, 2), Fraction(0)).letters == "AB"
 
 
+@pytest.mark.parametrize("f, letters", [(Fraction(0), "A"), (Fraction(1), "B")])
+def test_rotation_orbit_word_integer_rotation(f, letters):
+    # q = 1 runs the integer orbit like every other q: integer starts give
+    # the one-letter word at base 0, and a start off the grid is refused
+    for start in (Fraction(0), Fraction(1), Fraction(-3)):
+        rw = rotation_orbit_word(f, start)
+        assert (rw.letters, rw.base, rw.rotation) == (letters, 0, f)
+    with pytest.raises(BadBasePoint):
+        rotation_orbit_word(f, Fraction(1, 2))
+
+
 def fraction_orbit_word(f: Fraction, start: Fraction) -> str:
     """Theta(start) by stepping x -> x + f mod 1 in Fractions, kept as the
     oracle of the integer orbit."""
