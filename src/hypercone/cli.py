@@ -89,6 +89,10 @@ def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
         raise InputError(f"shift {shift!r} is not a JSON object")
     if shift.get("type", "full") == "full":
         return mats, Sft.full(n), mode
+    if shift["type"] != "sft":
+        raise InputError(f"unknown shift type {shift['type']!r} (expected 'full' or 'sft')")
+    if "allowed" not in shift:
+        raise InputError("an sft shift needs an 'allowed' transition table")
     try:
         table = tuple(tuple(bool(v) for v in row) for row in shift["allowed"])
     except TypeError as exc:

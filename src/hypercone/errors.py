@@ -36,7 +36,7 @@ class BadFamily(HyperconeError):
 
 
 class NoConvergence(HyperconeError):
-    """Component count failed to stabilize during core iteration."""
+    """No hyperbolic periodic data to seed the core iteration."""
 
 
 class SearchBudgetExceeded(HyperconeError):

@@ -8,9 +8,9 @@ and angle metric on the image region; together they give the exponential
 lower bound  ||product|| >= C^(-1/2) lambda^(n/2)  on cyclic words.
 
 Cores are the canonical minimal forward/backward invariant arc systems; they
-are computed here as stabilized hulls of iterated images, and tested by the
-structural criterion (disjointness, alternation, invariance, and eventual
-constancy of the component action).  At rank >= 2 eventual constancy rules
+are computed here as the first certified invariant hull view of the iterated
+images, and tested by the structural criterion (disjointness, alternation,
+invariance, and eventual constancy of the component action).  At rank >= 2 eventual constancy rules
 out +-identity products of every length; at rank 1 the action is constant
 from the start, and each letter is checked against +-identity instead.
 """
@@ -18,6 +18,7 @@ from the start, and each letter is checked against +-identity instead.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput,
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
-                       merge_spans, spans_of_arcs)
+                       merge_spans)
 from .sl2core import Mat2, eigen_data
 from .symdyn import Sft, periodic_products
 from .tolerances import DEFAULT, Tolerances
@@ -42,6 +43,8 @@ CONSTANCY_BUDGET = 64
 HILBERT_EPS = 0.25
 BOOST = 0.05
 MAX_HALVINGS = 60
+# most spans a per-symbol image set keeps; beyond it nearby spans coalesce
+MERGE_CAP = 4096
 
 
 def image_span(m: Mat2, span: Span) -> Span:
@@ -283,19 +286,18 @@ def _fill_against(spans: list[Span], blockers: list[Span]) -> list[Span]:
     return merge_spans(spans2)
 
 
-def _capped_merge(spans: list[Span], cap: int = 4096) -> list[Span]:
+def _capped_merge(spans: list[Span]) -> list[Span]:
     eps = 1e-12
     out = merge_spans(spans, eps)
-    while len(out) > cap:
+    while len(out) > MERGE_CAP:
         eps *= 4.0
         out = merge_spans(out, eps)
     return out
 
 
-def _iterate_cores(prev_u, prev_s, mats, sft: Sft):
+def _iterate_cores(prev_u, prev_s, mats, inv, sft: Sft):
     """One forward/backward image step on the raw limit-set approximations."""
     n = sft.n_symbols
-    inv = [m.inverse() for m in mats]
     next_u: list[list[Span]] = [[] for _ in range(n)]
     next_s: list[list[Span]] = [[] for _ in range(n)]
     for alpha in range(n):
@@ -310,7 +312,7 @@ def _iterate_cores(prev_u, prev_s, mats, sft: Sft):
             [_capped_merge(x) for x in next_s])
 
 
-def _filled_view(u_cur, s_cur, mats, sft: Sft):
+def _filled_view(u_cur, s_cur, mats, inv, sft: Sft):
     """Cores from limit sets: gaps missing the opposite family are absorbed.
 
     Over the full shift the limit sets are global (union over symbols) and
@@ -324,7 +326,6 @@ def _filled_view(u_cur, s_cur, mats, sft: Sft):
         u_glob = _fill_against(u_all, s_all)
         s_glob = _fill_against(s_all, u_all)
         return ([u_glob for _ in range(n)], [s_glob for _ in range(n)])
-    inv = [m.inverse() for m in mats]
     filled_u, filled_s = [], []
     for alpha in range(n):
         s_fwd = [_puffed(image_span(mats[alpha], sp)) for sp in s_cur[alpha]]
@@ -334,77 +335,75 @@ def _filled_view(u_cur, s_cur, mats, sft: Sft):
     return filled_u, filled_s
 
 
-def compute_cores(mats, sft: Sft, depth: int = 48,
-                  start: MulticoneFamily | None = None,
-                  tol: Tolerances = DEFAULT) -> CoreSet:
-    """Outer approximation of the cores by stabilized iterated-image hulls."""
+def _shifts(prev, cur) -> list[tuple[float, float]]:
+    """(start, end) move of each arc of cur from the previous arc whose start
+    lies nearest by angle_dist, so an arc on the 0/pi seam keeps its partner."""
+    out = []
+    for a in cur:
+        p = min(prev, key=lambda q: angle_dist(q.start.angle, a.start.angle))
+        out.append((angle_dist(p.start.angle, a.start.angle),
+                    angle_dist(p.end.angle, a.end.angle)))
+    return out
+
+
+def _invariant(u, s, mats, inv, sft: Sft, tol: Tolerances) -> bool:
+    """Each symbol's U and S arcs alternate, and each allowed a -> b maps U
+    arcs of a into U arcs of b and, backward, S arcs of b into S arcs of a."""
     n = sft.n_symbols
-    if start is not None:
-        u_cur = [spans_of_arcs(start.cones[a].arcs) for a in range(n)]
-        s_cur = [spans_of_arcs(start.cones[a].complement().arcs) for a in range(n)]
-    else:
-        u_cur, s_cur = _seed_spans(mats, sft)
-        if not any(u_cur) or not any(s_cur):
-            raise NoConvergence("no hyperbolic periodic data to seed the cores")
+    if any(alternation(u[a], s[a])[1] is not None for a in range(n)):
+        return False
+    try:
+        for a, b in ((a, b) for a in range(n) for b in range(n) if sft.ok(a, b)):
+            component_map(mats[b], u[a], u[b], tol)
+            component_map(inv[a], s[b], s[a], tol)
+    except AmbiguousIncidence:
+        return False
+    return True
 
-    window = max(depth // 4, 8)
 
-    def fill_counts(f):
-        return (sum(len(x) for x in f[0]), sum(len(x) for x in f[1]))
+def compute_cores(mats, sft: Sft, depth: int = 48,
+                  tol: Tolerances = DEFAULT) -> CoreSet:
+    """Outer approximation of the cores: the first certified invariant hull
+    view of the iterated images, whose per-symbol arcs pass _invariant and
+    whose arcs all moved by at most tol.angle in the last step (the merged
+    arcs' moves are the uncertainties).  depth is a budget of steps."""
+    n = sft.n_symbols
+    u_cur, s_cur = _seed_spans(mats, sft)
+    if not any(u_cur) or not any(s_cur):
+        raise NoConvergence("no hyperbolic periodic data to seed the cores")
+    inv = [m.inverse() for m in mats]
 
-    # phase 1: raw image iteration until consecutive hull views agree (the
-    # seed fattening must shrink below the smallest gap before hulls are
-    # trustworthy); phase 2: feed the hulls back in, which pins the arcs
-    # onto the invariant components
-    feedback = start is not None
-    stable_streak = 0
-    last_counts = None
-    counts: list[tuple[int, int]] = []
-    prev_filled = None
-    filled = None
+    # raw image iteration until the counts hold for three steps from step 5
+    # on (hulls are trustworthy once the seed fattening is below the smallest
+    # gap), then the hulls are fed back, which pins the arcs onto the invariant
+    # components; raw iteration alone never certifies the deep components of
+    # pullback pairs, and feedback from earlier steps never certified them
+    feedback, streak, last, prev = False, 0, None, None
     for step in range(depth):
-        u_cur, s_cur = _iterate_cores(u_cur, s_cur, mats, sft)
-        prev_filled = filled
-        filled = _filled_view(u_cur, s_cur, mats, sft)
-        c = fill_counts(filled)
-        if not feedback:
-            stable_streak = stable_streak + 1 if c == last_counts else 0
-            last_counts = c
-            if stable_streak >= 3 and step >= 5:
-                feedback = True
+        u_cur, s_cur = _iterate_cores(u_cur, s_cur, mats, inv, sft)
+        fu, fs = _filled_view(u_cur, s_cur, mats, inv, sft)
+        if feedback:
+            u_cur, s_cur = fu, fs
         else:
-            u_cur, s_cur = filled
-        counts.append(c)
-    tail = counts[-min(window, len(counts)):]
-    if len(set(tail)) != 1 or not feedback:
-        raise NoConvergence(f"component counts did not stabilize: tail {tail}")
-    fu, fs = filled
-
-    def shifts(prev, cur):
-        out = []
-        for a in range(n):
-            if len(prev[a]) != len(cur[a]):
-                out.extend((PI, PI) for _ in cur[a])
-                continue
-            for (ps, pl), (cs, cl) in zip(sorted(prev[a]), sorted(cur[a])):
-                out.append((min(angle_gap(ps, cs), angle_gap(cs, ps)),
-                            min(angle_gap(ps + pl, cs + cl),
-                                angle_gap(cs + cl, ps + pl))))
-        return out
-
-    u_unc = shifts(prev_filled[0], fu)
-    s_unc = shifts(prev_filled[1], fs)
-
-    u_global = merge_spans([sp for a in range(n) for sp in fu[a]])
-    s_global = merge_spans([sp for a in range(n) for sp in fs[a]])
-    per_symbol = None
-    if not sft.is_full:
-        per_symbol = tuple((arcs_of_spans(fu[a]), arcs_of_spans(fs[a]))
-                           for a in range(n))
-    return CoreSet(u_arcs=arcs_of_spans(u_global), s_arcs=arcs_of_spans(s_global),
-                   u_uncertainty=tuple(u_unc[:len(u_global)]),
-                   s_uncertainty=tuple(s_unc[:len(s_global)]),
-                   per_symbol=per_symbol)
+            counts = (sum(map(len, fu)), sum(map(len, fs)))
+            streak = streak + 1 if counts == last else 0
+            last, feedback = counts, streak >= 3 and step >= 5
+        view = None  # per-symbol arcs, then the merged ones
+        if all(len(x) == len(y) > 0 for x, y in zip(fu, fs)):  # else no alternation
+            with contextlib.suppress(DegenerateInput):  # a whole-circle span
+                view = ([arcs_of_spans(x) for x in (*fu, merge_spans(sum(fu, [])))],
+                        [arcs_of_spans(x) for x in (*fs, merge_spans(sum(fs, [])))])
+        if prev and view and _invariant(*view, mats, inv, sft, tol):
+            moves = [_shifts(p, c) for p, c in zip(prev[0] + prev[1], view[0] + view[1])]
+            if all(max(v) <= tol.angle for m in moves for v in m):
+                break
+        prev = view
+    else:
+        raise SearchBudgetExceeded(f"no certified invariant cores within {depth} steps")
+    u, s = view
+    return CoreSet(u_arcs=u[n], s_arcs=s[n], u_uncertainty=tuple(moves[n]),
+                   s_uncertainty=tuple(moves[-1]),
+                   per_symbol=None if sft.is_full else tuple(zip(u[:n], s[:n])))
 
 
 # ---------------------------------------------------------------------------

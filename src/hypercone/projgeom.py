@@ -306,10 +306,6 @@ def merge_spans(spans: list[Span], eps: float = 0.0) -> list[Span]:
     return out
 
 
-def spans_of_arcs(arcs) -> list[Span]:
-    return [a.span for a in arcs]
-
-
 def arcs_of_spans(spans: list[Span]) -> tuple[ArcP1, ...]:
     return tuple(ArcP1.from_angles(s, s + ln) for s, ln in spans)
 

@@ -172,6 +172,14 @@ def test_cores_command_with_svg(tmp_path, capsys):
     assert text.count("stroke=\"#c33\"") == 2  # two unstable arcs
 
 
+def test_cores_out_of_depth_is_budget_exceeded(tmp_path, capsys):
+    path = write_spec(tmp_path, FREE_SPEC)
+    code = main(["cores", "--input", path, "--depth", "8"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+
+
 def test_certify_command(tmp_path, capsys):
     from hypercone.fareycomb import component_model
     from hypercone.multicone import MulticoneFamily, fatten_cores
@@ -309,15 +317,26 @@ def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
     dict(FREE_SPEC, shift={"type": "sft", "allowed": [[1, 1], [1]]}),
     dict(FREE_SPEC, shift={"type": "sft", "allowed": [1, 1]}),
     dict(FREE_SPEC, shift={"type": "sft", "allowed": 5}),
+    dict(FREE_SPEC, shift={"type": "ful"}),
+    dict(FREE_SPEC, shift={"type": "sft"}),
 ], ids=["list", "string", "tuples-int", "tuples-item", "no-matrices",
         "zero-denominator", "shift-string", "table-rows", "table-columns",
-        "table-flat", "table-int"])
+        "table-flat", "table-int", "shift-type", "no-table"])
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
     path = write_spec(tmp_path, spec)
     code = main(["rate", "--input", path, "--depth", "2"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("shift, named", [
+    ({"type": "ful"}, "unknown shift type 'ful'"),
+    ({"type": "sft"}, "'allowed' transition table")], ids=["type", "no-table"])
+def test_bad_shift_spec_names_the_field(tmp_path, capsys, shift, named):
+    path = write_spec(tmp_path, dict(FREE_SPEC, shift=shift))
+    assert main(["rate", "--input", path, "--depth", "2"]) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pq", ["2/0", "0/1", "1/1", "3/2", "-1/2", "1/-2",

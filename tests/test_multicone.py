@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercone.errors import BadFamily, HyperconeError
+from hypercone.errors import BadFamily, HyperconeError, SearchBudgetExceeded
 from hypercone.fareycomb import component_model
 from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
                                  alternation, certify, compute_cores,
                                  core_criterion, eventual_constancy,
                                  fatten_cores, single_component_length,
                                  tightness)
-from hypercone.projgeom import PI, ArcP1, MultiCone, merge_spans
+from hypercone.projgeom import PI, ArcP1, MultiCone, angle_dist, merge_spans
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import Sft, periodic_words, product
 from hypercone.tolerances import DEFAULT
@@ -109,18 +109,50 @@ def test_compute_cores_free_pair(free_pair):
     assert len(cores.s_arcs) == 2
     assert core_criterion(free_pair, cores).ok
     model = component_model(*free_pair, "")
-    for got, want in zip(cores.u_arcs, model.cores.u_arcs):
-        assert got.start.angle == pytest.approx(want.start.angle, abs=1e-9)
-        assert got.end.angle == pytest.approx(want.end.angle, abs=1e-9)
+    # pair arcs by circle distance: the arc at 0 may start just below pi
+    paired = set()
+    for want in model.cores.u_arcs:
+        got = min(cores.u_arcs,
+                  key=lambda a: angle_dist(a.start.angle, want.start.angle))
+        paired.add(got)
+        assert angle_dist(got.start.angle, want.start.angle) == pytest.approx(
+            0.0, abs=1e-9)
+        assert angle_dist(got.end.angle, want.end.angle) == pytest.approx(
+            0.0, abs=1e-9)
+    assert len(paired) == cores.rank
 
 
-def test_compute_cores_from_certified_multicone(free_pair):
-    model = component_model(*free_pair, "")
-    cone = fatten_cores(free_pair, model.cores)
-    cores = compute_cores(free_pair, Sft.full(2), depth=40,
-                          start=MulticoneFamily.constant(cone, 2))
-    assert cores.rank == 2
-    assert max(max(pair) for pair in cores.u_uncertainty) <= 1e-9
+@pytest.mark.parametrize("table", [None, ((True, True), (True, False))],
+                         ids=["full", "golden"])
+def test_compute_cores_monotone_in_depth(free_pair, table):
+    sft = Sft.full(2) if table is None else Sft(2, table)
+    want = compute_cores(free_pair, sft, depth=48)
+    ok = []
+    for depth in range(6, 48):
+        try:
+            got = compute_cores(free_pair, sft, depth=depth)
+        except SearchBudgetExceeded:
+            continue
+        assert got == want, depth
+        ok.append(depth)
+    assert ok == list(range(ok[0], 48))  # out of budget below the stop only
+
+
+def test_compute_cores_uncertainty_within_tolerance(free_pair_exact):
+    # rank-5 pullback: one U arc sits on the 0/pi seam, where a pairing by
+    # sorted start would match it with a different arc
+    A, B = apply_fword_inverse(*free_pair_exact, "+-")
+    found = []
+    for depth in range(40, 65):
+        try:
+            cores = compute_cores((A, B), Sft.full(2), depth=depth)
+        except SearchBudgetExceeded:
+            continue
+        found.append(cores)
+        assert cores.rank == 5
+        assert max(map(max, cores.u_uncertainty + cores.s_uncertainty)) <= \
+            DEFAULT.angle
+    assert found and all(c == found[0] for c in found)
 
 
 def test_compute_cores_principal_pair():
