@@ -20,10 +20,8 @@ verdict, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,7 +29,7 @@ from . import __version__
 from .errors import HyperconeError, SearchBudgetExceeded, WitnessUnverified
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
 from .symdyn import Sft, hyperbolicity_rate, render_word
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 VERSION = __version__
 
@@ -40,16 +38,6 @@ EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE, EXIT_BUDGET = 0, 1, 2, 3
 
 class InputError(Exception):
     pass
-
-
-def _tolerances() -> Tolerances:
-    env = os.environ.get("HYPERCONE_TOL")
-    if env is None:
-        return DEFAULT
-    try:
-        return dataclasses.replace(DEFAULT, trace=float(env))
-    except ValueError as exc:
-        raise InputError(f"bad HYPERCONE_TOL value {env!r}") from exc
 
 
 def _parse_entry(v, exact: bool):
@@ -66,7 +54,7 @@ def _parse_entry(v, exact: bool):
     return float(v)
 
 
-def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
+def parse_tuple_spec(data: dict, mode_flag: str | None):
     if not isinstance(data, dict):
         raise InputError(f"tuple spec {data!r} is not a JSON object")
     mode = mode_flag or data.get("mode", "float")
@@ -82,7 +70,7 @@ def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
     if not mats:
         raise InputError("the matrices field is empty")
     for m in mats:
-        check_unimodular(m, tol)
+        check_unimodular(m)
     n = len(mats)
     shift = data.get("shift", {"type": "full"})
     if not isinstance(shift, dict):
@@ -102,7 +90,7 @@ def parse_tuple_spec(data: dict, mode_flag: str | None, tol: Tolerances):
     return mats, Sft(n, table), mode
 
 
-def load_specs(path: str, mode_flag: str | None, tol: Tolerances):
+def load_specs(path: str, mode_flag: str | None):
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -110,13 +98,12 @@ def load_specs(path: str, mode_flag: str | None, tol: Tolerances):
     specs = data["tuples"] if isinstance(data, dict) and "tuples" in data else [data]
     if not isinstance(specs, list):
         raise InputError("the tuples field is not a JSON list")
-    return [parse_tuple_spec(d, mode_flag, tol) for d in specs], digest
+    return [parse_tuple_spec(d, mode_flag) for d in specs], digest
 
 
-def envelope(command: str, digest: str, verdicts, tol: Tolerances,
-             budgets: dict | None = None) -> str:
+def envelope(command: str, digest: str, verdicts, budgets: dict | None = None) -> str:
     doc = {"command": command, "input_digest": digest, "version": VERSION,
-           "tolerances": tol.as_dict(), "budgets": budgets or {},
+           "tolerances": DEFAULT.as_dict(), "budgets": budgets or {},
            "verdicts": verdicts}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
@@ -131,15 +118,15 @@ def _write_svg(path: str, text: str):
 # subcommands
 
 
-def cmd_classify2(args, tol: Tolerances) -> int:
+def cmd_classify2(args) -> int:
     from . import twoshift
-    specs, digest = load_specs(args.input, args.mode, tol)
+    specs, digest = load_specs(args.input, args.mode)
     verdicts = []
     worst = EXIT_OK
     for mats, sft, mode in specs:
         if len(mats) != 2 or not sft.is_full:
             raise InputError("classify2 needs exactly two matrices on the full shift")
-        c = twoshift.classify_pair(mats[0], mats[1], tol)
+        c = twoshift.classify_pair(mats[0], mats[1])
         d = twoshift.classification_to_dict(c)
         verdicts.append(d)
         if d["variant"] == "degenerate":
@@ -148,22 +135,22 @@ def cmd_classify2(args, tol: Tolerances) -> int:
             from . import fareycomb, render
             model = fareycomb.component_model(
                 mats[0] if c.sign_pair[0] > 0 else -mats[0],
-                mats[1] if c.sign_pair[1] > 0 else -mats[1], c.fword, tol)
+                mats[1] if c.sign_pair[1] > 0 else -mats[1], c.fword)
             _write_svg(args.svg, render.component_diagram(model))
-    sys.stdout.write(envelope("classify2", digest, verdicts, tol))
+    sys.stdout.write(envelope("classify2", digest, verdicts))
     return worst
 
 
-def cmd_certify(args, tol: Tolerances) -> int:
+def cmd_certify(args) -> int:
     from . import multicone
-    specs, digest = load_specs(args.input, args.mode, tol)
+    specs, digest = load_specs(args.input, args.mode)
     with open(args.multicone, "rb") as fh:
         fam_data = json.loads(fh.read())
     verdicts = []
     worst = EXIT_OK
     for mats, sft, _ in specs:
         fam = multicone.MulticoneFamily.from_json(fam_data)
-        report = multicone.certify(mats, sft, fam, tol)
+        report = multicone.certify(mats, sft, fam)
         verdicts.append(report.to_json())
         if not report.ok:
             worst = max(worst, EXIT_DEGENERATE)
@@ -172,21 +159,21 @@ def cmd_certify(args, tol: Tolerances) -> int:
             _write_svg(args.svg, render.svg_diagram(cone=fam.cones[0],
                                                     title="certified family"
                                                     if report.ok else "rejected"))
-    sys.stdout.write(envelope("certify", digest, verdicts, tol))
+    sys.stdout.write(envelope("certify", digest, verdicts))
     return worst
 
 
-def cmd_cores(args, tol: Tolerances) -> int:
+def cmd_cores(args) -> int:
     from . import multicone
-    specs, digest = load_specs(args.input, args.mode, tol)
+    specs, digest = load_specs(args.input, args.mode)
     verdicts = []
     for mats, sft, _ in specs:
-        cores = multicone.compute_cores(mats, sft, depth=args.depth, tol=tol)
+        cores = multicone.compute_cores(mats, sft, depth=args.depth)
         verdicts.append(cores.to_json())
         if args.svg:
             from . import render
             _write_svg(args.svg, render.svg_diagram(cores=cores, title="cores"))
-    sys.stdout.write(envelope("cores", digest, verdicts, tol,
+    sys.stdout.write(envelope("cores", digest, verdicts,
                               budgets={"depth": args.depth}))
     return EXIT_OK
 
@@ -200,7 +187,7 @@ def _order_svg(family, title: str) -> str:
     return render.svg_diagram(points=points, title=title)
 
 
-def cmd_describe(args, tol: Tolerances) -> int:
+def cmd_describe(args) -> int:
     from . import fareycomb
     fword = args.fword
     if not isinstance(fword, str):
@@ -225,11 +212,11 @@ def cmd_describe(args, tol: Tolerances) -> int:
         _write_svg(args.svg, _order_svg(
             family, f"component {frac.numerator}/{frac.denominator}"))
     digest = hashlib.sha256(fword.encode()).hexdigest()
-    sys.stdout.write(envelope("describe", digest, [verdict], tol))
+    sys.stdout.write(envelope("describe", digest, [verdict]))
     return EXIT_OK
 
 
-def cmd_farey(args, tol: Tolerances) -> int:
+def cmd_farey(args) -> int:
     from . import fareycomb
     text, frac = args.pq
     family = fareycomb.build_order(frac)
@@ -245,58 +232,58 @@ def cmd_farey(args, tol: Tolerances) -> int:
     if args.svg:
         _write_svg(args.svg, _order_svg(family, f"order of {text}"))
     digest = hashlib.sha256(text.encode()).hexdigest()
-    sys.stdout.write(envelope("farey", digest, [verdict], tol))
+    sys.stdout.write(envelope("farey", digest, [verdict]))
     return EXIT_OK
 
 
-def cmd_winding(args, tol: Tolerances) -> int:
+def cmd_winding(args) -> int:
     from . import corrdyn
-    specs, digest = load_specs(args.input, args.mode, tol)
+    specs, digest = load_specs(args.input, args.mode)
     verdicts = []
     for mats, sft, _ in specs:
         n = corrdyn.winding_matrix(mats, args.word.upper())
         verdicts.append({"word": args.word.upper(), "winding": n})
-    sys.stdout.write(envelope("winding", digest, verdicts, tol))
+    sys.stdout.write(envelope("winding", digest, verdicts))
     return EXIT_OK
 
 
-def cmd_witness(args, tol: Tolerances) -> int:
+def cmd_witness(args) -> int:
     from . import witness
-    specs, digest = load_specs(args.input, args.mode, tol)
+    specs, digest = load_specs(args.input, args.mode)
     k, ell, n = args.budget
     verdicts = []
     for mats, sft, _ in specs:
-        report = witness.diagnose_boundary(mats, sft, budget=(k, ell, n), tol=tol)
+        report = witness.diagnose_boundary(mats, sft, budget=(k, ell, n))
         verdicts.append(report.to_json())
-    sys.stdout.write(envelope("witness", digest, verdicts, tol,
+    sys.stdout.write(envelope("witness", digest, verdicts,
                               budgets={"k": k, "l": ell, "n": n}))
     return EXIT_OK
 
 
-def cmd_normalize(args, tol: Tolerances) -> int:
-    specs, digest = load_specs(args.input, args.mode, tol)
+def cmd_normalize(args) -> int:
+    specs, digest = load_specs(args.input, args.mode)
     verdicts = []
     for mats, sft, _ in specs:
-        R, out = normalize_tuple(mats, args.bound, tol)
+        R, out = normalize_tuple(mats, args.bound)
         verdicts.append({
             "bound": args.bound,
             "entry_bound": c1_bound(args.bound),
             "conjugator": [[R.a, R.b], [R.c, R.d]],
             "normalized": [[[m.a, m.b], [m.c, m.d]] for m in out],
         })
-    sys.stdout.write(envelope("normalize", digest, verdicts, tol,
+    sys.stdout.write(envelope("normalize", digest, verdicts,
                               budgets={"bound": args.bound}))
     return EXIT_OK
 
 
-def cmd_rate(args, tol: Tolerances) -> int:
-    specs, digest = load_specs(args.input, args.mode, tol)
+def cmd_rate(args) -> int:
+    specs, digest = load_specs(args.input, args.mode)
     verdicts = []
     for mats, sft, _ in specs:
         rep = hyperbolicity_rate(mats, sft, args.depth)
         verdicts.append({"rate": rep.value, "word": render_word(rep.word),
                          "depth": rep.depth})
-    sys.stdout.write(envelope("rate", digest, verdicts, tol,
+    sys.stdout.write(envelope("rate", digest, verdicts,
                               budgets={"depth": args.depth}))
     return EXIT_OK
 
@@ -405,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        tol = _tolerances()
-        return args.func(args, tol)
+        return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -31,7 +31,7 @@ from .multicone import CoreSet, alternation, component_map, eventual_constancy
 from .projgeom import PI, ProjPoint, cross_ratio, cyclically_ordered
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 from .twoshift import eval_string
 
 
@@ -303,7 +303,7 @@ def reduce_tight(phi: Morphism) -> Morphism:
 # induced morphism from cores
 
 
-def induced_morphism(mats, cores: CoreSet, tol: Tolerances = DEFAULT) -> Morphism:
+def induced_morphism(mats, cores: CoreSet) -> Morphism:
     """Component incidence of each generator on the core arc systems."""
     arcs, defect = alternation(cores.u_arcs, cores.s_arcs)
     if defect == "counts":
@@ -316,8 +316,8 @@ def induced_morphism(mats, cores: CoreSet, tol: Tolerances = DEFAULT) -> Morphis
     s_arcs = tuple(a for (_, tag, a) in arcs if tag == 1)
     gens = []
     for m in mats:
-        u = (mc.u_label(j) for j in component_map(m, u_arcs, u_arcs, tol))
-        s = (mc.s_label(j) for j in component_map(m.inverse(), s_arcs, s_arcs, tol))
+        u = (mc.u_label(j) for j in component_map(m, u_arcs, u_arcs))
+        s = (mc.s_label(j) for j in component_map(m.inverse(), s_arcs, s_arcs))
         gens.append(validate(mc, tuple(u), tuple(s)))
     return Morphism(mc=mc, gens=tuple(gens))
 

@@ -37,7 +37,6 @@ from .projgeom import ArcP1, ProjPoint, angle_gap
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
 from .twoshift import eval_string, fword_substitution
-from .tolerances import DEFAULT, Tolerances
 
 
 def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
@@ -261,8 +260,7 @@ def _family_products(mats, family: OrderedFamily) -> dict:
     return out
 
 
-def component_model(A: Mat2, B: Mat2, fword: str,
-                    tol: Tolerances = DEFAULT) -> ComponentModel:
+def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     """Cores and action table of the component containing (A, B).
 
     The pair must classify into the component with the given sign word (with

@@ -30,7 +30,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        merge_spans)
 from .sl2core import Mat2, eigen_data
 from .symdyn import Sft, periodic_products
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 # half-width of the arcs seeded around periodic directions, and the longest
 # periodic word seeded
@@ -67,20 +67,20 @@ def best_target(img: Span, targets) -> tuple[int | None, float]:
     return best_j, best
 
 
-def _incidence_slack(tol: Tolerances, src_len: float, img_len: float) -> float:
+def _incidence_slack(src_len: float, img_len: float) -> float:
     """Allowed negative margin: float noise scales with the local expansion."""
     expansion = img_len / max(src_len, 1e-300)
-    return tol.angle + 1e-14 * (1.0 + expansion)
+    return DEFAULT.angle + 1e-14 * (1.0 + expansion)
 
 
-def component_map(m: Mat2, source, target, tol: Tolerances) -> tuple[int, ...]:
+def component_map(m: Mat2, source, target) -> tuple[int, ...]:
     """Which target arc absorbs the image of each source arc, within the
     incidence slack (AmbiguousIncidence otherwise)."""
     out = []
     for arc in source:
         img = image_span(m, arc.span)
         j, margin = best_target(img, target)
-        if margin < -_incidence_slack(tol, arc.length, img[1]):
+        if margin < -_incidence_slack(arc.length, img[1]):
             raise AmbiguousIncidence(
                 f"image of arc at {arc.start.angle:.6f} not inside a single "
                 f"component (margin {margin:.3e})")
@@ -129,14 +129,13 @@ class CertifyReport:
                 "margin": self.margin, "witness": self.witness}
 
 
-def certify(mats, sft: Sft, fam: MulticoneFamily,
-            tol: Tolerances = DEFAULT) -> CertifyReport:
+def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
     """Check the strict-inclusion condition and report certificate constants."""
     n = sft.n_symbols
     if len(fam.cones) != n or len(mats) != n:
         raise BadFamily(f"family/tuple size mismatch with {n} symbols")
     for i, cone in enumerate(fam.cones):
-        if cone.total_length() >= PI - tol.angle:
+        if cone.total_length() >= PI - DEFAULT.angle:
             raise BadFamily(f"multicone for symbol {i} is dense")
 
     # images[beta][j] collects spans landing in component j of cone beta
@@ -153,7 +152,7 @@ def certify(mats, sft: Sft, fam: MulticoneFamily,
                 # the strict-containment floor scales with the target
                 # component: deep components are exponentially thin and a
                 # fixed absolute floor would reject genuine certificates
-                if j is None or best < max(tol.margin * min(1.0, targets[j].length),
+                if j is None or best < max(DEFAULT.margin * min(1.0, targets[j].length),
                                            4e-14):
                     witness = {"alpha": alpha, "beta": beta, "component": ai,
                                "margin": best}
@@ -202,7 +201,8 @@ class CoreSet:
 
     u_arcs: tuple[ArcP1, ...]
     s_arcs: tuple[ArcP1, ...]
-    # per arc, (start shift, end shift) over the final iteration
+    # per arc, (start shift, end shift) over the final iteration: the last
+    # step's moves, not a bound on the distance to the converged arcs
     u_uncertainty: tuple[tuple[float, float], ...] = ()
     s_uncertainty: tuple[tuple[float, float], ...] = ()
     per_symbol: tuple[tuple[tuple[ArcP1, ...], tuple[ArcP1, ...]], ...] | None = None
@@ -346,7 +346,7 @@ def _shifts(prev, cur) -> list[tuple[float, float]]:
     return out
 
 
-def _invariant(u, s, mats, inv, sft: Sft, tol: Tolerances) -> bool:
+def _invariant(u, s, mats, inv, sft: Sft) -> bool:
     """Each symbol's U and S arcs alternate, and each allowed a -> b maps U
     arcs of a into U arcs of b and, backward, S arcs of b into S arcs of a."""
     n = sft.n_symbols
@@ -354,19 +354,24 @@ def _invariant(u, s, mats, inv, sft: Sft, tol: Tolerances) -> bool:
         return False
     try:
         for a, b in ((a, b) for a in range(n) for b in range(n) if sft.ok(a, b)):
-            component_map(mats[b], u[a], u[b], tol)
-            component_map(inv[a], s[b], s[a], tol)
+            component_map(mats[b], u[a], u[b])
+            component_map(inv[a], s[b], s[a])
     except AmbiguousIncidence:
         return False
     return True
 
 
-def compute_cores(mats, sft: Sft, depth: int = 48,
-                  tol: Tolerances = DEFAULT) -> CoreSet:
+def compute_cores(mats, sft: Sft, depth: int = 48) -> CoreSet:
     """Outer approximation of the cores: the first certified invariant hull
     view of the iterated images, whose per-symbol arcs pass _invariant and
-    whose arcs all moved by at most tol.angle in the last step (the merged
-    arcs' moves are the uncertainties).  depth is a budget of steps."""
+    whose arcs all moved by at most DEFAULT.angle in the last step.  depth
+    is a budget of steps.
+
+    The merged arcs' last moves are reported as u_uncertainty/s_uncertainty.
+    They are not a bound on the distance to the converged arcs: the moves
+    shrink geometrically and their tail adds up (strict-free pair 19 of the
+    acceptance generator, seed 101, stops with moves <= 9.6e-11 but lies
+    2.9e-10 from the arcs of 100 steps)."""
     n = sft.n_symbols
     u_cur, s_cur = _seed_spans(mats, sft)
     if not any(u_cur) or not any(s_cur):
@@ -393,9 +398,9 @@ def compute_cores(mats, sft: Sft, depth: int = 48,
             with contextlib.suppress(DegenerateInput):  # a whole-circle span
                 view = ([arcs_of_spans(x) for x in (*fu, merge_spans(sum(fu, [])))],
                         [arcs_of_spans(x) for x in (*fs, merge_spans(sum(fs, [])))])
-        if prev and view and _invariant(*view, mats, inv, sft, tol):
+        if prev and view and _invariant(*view, mats, inv, sft):
             moves = [_shifts(p, c) for p, c in zip(prev[0] + prev[1], view[0] + view[1])]
-            if all(max(v) <= tol.angle for m in moves for v in m):
+            if all(max(v) <= DEFAULT.angle for m in moves for v in m):
                 break
         prev = view
     else:
@@ -466,8 +471,7 @@ def alternation(u_arcs, s_arcs):
     return tagged, None
 
 
-def core_criterion(mats, cores: CoreSet,
-                   tol: Tolerances = DEFAULT) -> CriterionReport:
+def core_criterion(mats, cores: CoreSet) -> CriterionReport:
     """Structural test implying uniform hyperbolicity of the tuple.
 
     Checks disjoint alternation, forward/backward invariance within
@@ -488,8 +492,8 @@ def core_criterion(mats, cores: CoreSet,
     u_maps, s_maps = [], []
     try:
         for m in mats:
-            u_maps.append(component_map(m, cores.u_arcs, cores.u_arcs, tol))
-            s_maps.append(component_map(m.inverse(), cores.s_arcs, cores.s_arcs, tol))
+            u_maps.append(component_map(m, cores.u_arcs, cores.u_arcs))
+            s_maps.append(component_map(m.inverse(), cores.s_arcs, cores.s_arcs))
     except AmbiguousIncidence as exc:
         return fail(f"InvarianceViolation: {exc}")
     ok_u, ell_u = eventual_constancy(u_maps)
@@ -498,20 +502,19 @@ def core_criterion(mats, cores: CoreSet,
         return fail("IdentityRisk: component action never becomes constant")
     if cores.rank == 1:
         for s, m in enumerate(mats):
-            if m.dist_to_pm_identity() <= tol.identity:
+            if m.dist_to_pm_identity() <= DEFAULT.identity:
                 return fail(f"IdentityProduct: word {(s,)} is +-identity")
     return CriterionReport(ok=True, reasons=(), constancy_length=max(ell_u, ell_s))
 
 
-def tightness(mats, cone: MultiCone, cores: CoreSet,
-              tol: Tolerances = DEFAULT) -> bool:
+def tightness(mats, cone: MultiCone, cores: CoreSet) -> bool:
     """Each cone component holds one U component; each gap one S component."""
     for comp_set, arcs in ((cone.arcs, cores.u_arcs),
                            (cone.complement().arcs, cores.s_arcs)):
         counts = [0 for _ in comp_set]
         for arc in arcs:
             j, margin = best_target(arc.span, comp_set)
-            if margin <= -tol.angle:
+            if margin <= -DEFAULT.angle:
                 return False
             counts[j] += 1
         if any(c != 1 for c in counts):
@@ -519,10 +522,9 @@ def tightness(mats, cone: MultiCone, cores: CoreSet,
     return True
 
 
-def single_component_length(mats, cone: MultiCone,
-                            tol: Tolerances = DEFAULT) -> int:
+def single_component_length(mats, cone: MultiCone) -> int:
     """Least k with every length-k product constant on cone components."""
-    maps = [component_map(m, cone.arcs, cone.arcs, tol) for m in mats]
+    maps = [component_map(m, cone.arcs, cone.arcs) for m in mats]
     ok, ell = eventual_constancy(maps)
     if not ok:
         raise SearchBudgetExceeded("component action cycles without constancy")
@@ -581,8 +583,7 @@ def _max_mean_cycle(nodes, edges) -> float:
     return best
 
 
-def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
-                 tol: Tolerances = DEFAULT) -> MultiCone:
+def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     """Open multicone around U, grown in the Hilbert metrics of the S-gaps.
 
     Each unstable component sits in one component of the complement of S;
@@ -603,14 +604,14 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
     for i, a in enumerate(s_arcs):
         b = s_arcs[(i + 1) % len(s_arcs)]
         gaps.append(ArcP1(a.end, b.start))
-    # first fit within tol.angle, not best_target: U arcs of deep components
+    # first fit within DEFAULT.angle, not best_target: U arcs of deep components
     # (~2e-11 long) also fit, by a negative margin, the gap before their own,
     # and the best gap there changes how fatten_cores fails
     hosts = []
     for u_arc in cores.u_arcs:
         host = None
         for g in gaps:
-            if containment_margin(g, u_arc.span) > -tol.angle:
+            if containment_margin(g, u_arc.span) > -DEFAULT.angle:
                 host = g
                 break
         if host is None:
@@ -624,7 +625,7 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
     raw_edges: dict[tuple, list] = {n: [] for n in nodes}
     for m in mats:
         try:
-            targets = component_map(m, cores.u_arcs, cores.u_arcs, tol)
+            targets = component_map(m, cores.u_arcs, cores.u_arcs)
         except AmbiguousIncidence as exc:
             raise DegenerateInput("cores are not invariant; cannot fatten") from exc
         for j, tgt in enumerate(targets):
@@ -675,7 +676,7 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None,
             except DegenerateInput:
                 cone = None
             if cone is not None:
-                report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols), tol)
+                report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols))
                 if report.ok:
                     return cone
         scale *= 0.5

@@ -15,7 +15,7 @@ from numbers import Rational
 from .errors import (DegenerateInput, NoInvariantDirection, NotCanonicalizable,
                      PreconditionViolated)
 from .projgeom import ProjPoint, norm_angle, same_angle
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 def is_exact(value) -> bool:
@@ -111,8 +111,8 @@ class Mat2:
         return ProjPoint(self.act_angle(p.angle))
 
 
-def check_unimodular(m: Mat2, tol: Tolerances = DEFAULT) -> Mat2:
-    if abs(float(m.det()) - 1.0) > tol.det:
+def check_unimodular(m: Mat2) -> Mat2:
+    if abs(float(m.det()) - 1.0) > DEFAULT.det:
         raise DegenerateInput(f"matrix determinant {float(m.det())} is not 1")
     return m
 
@@ -124,14 +124,14 @@ class MatClass(Enum):
     PLUS_MINUS_IDENTITY = "pm_identity"
 
 
-def classify(m: Mat2, tol: Tolerances = DEFAULT) -> MatClass:
-    """Trace trichotomy; the band ||tr|-2| <= tol.trace reports parabolic."""
-    if m.dist_to_pm_identity() <= tol.identity:
+def classify(m: Mat2) -> MatClass:
+    """Trace trichotomy; the band ||tr|-2| <= DEFAULT.trace reports parabolic."""
+    if m.dist_to_pm_identity() <= DEFAULT.identity:
         return MatClass.PLUS_MINUS_IDENTITY
     t = abs(float(m.trace()))
-    if t > 2.0 + tol.trace:
+    if t > 2.0 + DEFAULT.trace:
         return MatClass.HYPERBOLIC
-    if t < 2.0 - tol.trace:
+    if t < 2.0 - DEFAULT.trace:
         return MatClass.ELLIPTIC
     return MatClass.PARABOLIC
 
@@ -169,9 +169,9 @@ def eigen_data(m: Mat2):
     return (direction(lam_u), lam_u), (direction(lam_s), lam_s)
 
 
-def invariant_dirs(m: Mat2, tol: Tolerances = DEFAULT) -> tuple[ProjPoint, ProjPoint]:
+def invariant_dirs(m: Mat2) -> tuple[ProjPoint, ProjPoint]:
     """Unstable and stable directions (equal for parabolic input)."""
-    cls = classify(m, tol)
+    cls = classify(m)
     if cls in (MatClass.ELLIPTIC, MatClass.PLUS_MINUS_IDENTITY):
         raise NoInvariantDirection(f"no invariant direction for {cls.value} matrix")
     (u, _), (s, _) = eigen_data(m)
@@ -204,15 +204,15 @@ def gamma_from_traces(x, y, z) -> float:
     return float(z) - 0.5 * (float(x) * float(y) - math.sqrt(max(disc, 0.0)))
 
 
-def canonical_form(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT) -> CanonicalPair:
-    if float(A.trace()) < 2.0 - tol.trace or float(B.trace()) < 2.0 - tol.trace:
+def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
+    if float(A.trace()) < 2.0 - DEFAULT.trace or float(B.trace()) < 2.0 - DEFAULT.trace:
         raise NotCanonicalizable("both traces must be >= 2")
     for m in (A, B):
-        if m.dist_to_pm_identity() <= tol.identity:
+        if m.dist_to_pm_identity() <= DEFAULT.identity:
             raise NotCanonicalizable("+-identity member admits no canonical basis")
     uA = eigen_data(A)[0][0]
     uB = eigen_data(B)[0][0]
-    if same_angle(uA.angle, uB.angle, tol.angle):
+    if same_angle(uA.angle, uB.angle, DEFAULT.angle):
         raise NotCanonicalizable("unstable directions coincide")
     va, vb = uA.vector(), uB.vector()
     det = va[0] * vb[1] - va[1] * vb[0]
@@ -280,7 +280,7 @@ def _conjugate_all(R: Mat2, mats) -> list[Mat2]:
     return [R @ m.to_float() @ Rinv for m in mats]
 
 
-def normalize_tuple(mats, C: float, tol: Tolerances = DEFAULT) -> tuple[Mat2, list[Mat2]]:
+def normalize_tuple(mats, C: float) -> tuple[Mat2, list[Mat2]]:
     """Conjugate the tuple by a single R so every entry is <= c1_bound(C).
 
     Preconditions |tr A_i| <= C and |tr A_i A_j| <= C are checked.  The

@@ -25,6 +25,10 @@ Word = tuple[int, ...]
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# largest | |det| - 1 | a float product of more than 64 factors may reach;
+# generators of determinant -1 are allowed, so the sign is not checked
+DET_DRIFT = 1e-6
+
 
 def render_word(w: Word) -> str:
     return "".join(LETTERS[s] for s in w)
@@ -97,15 +101,14 @@ class Sft:
                 "allowed": [[bool(v) for v in row] for row in self.allowed]}
 
 
-def _check_drift(out: Mat2, length: int, det_tol: float = 1e-6) -> None:
-    """Long float products must stay near determinant 1 (DetDrift otherwise)."""
+def _check_drift(out: Mat2, length: int) -> None:
+    """Long float products must stay near determinant +-1 (DetDrift otherwise)."""
     if length > 64 and not out.is_exact():
-        if abs(float(out.det()) - 1.0) > det_tol:
+        if abs(abs(float(out.det())) - 1.0) > DET_DRIFT:
             raise DetDrift(f"det drifted to {float(out.det())} over {length} factors")
 
 
-def product(mats, w: Word, sft: Sft | None = None,
-            det_tol: float = 1e-6) -> Mat2:
+def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     """Cocycle product along the word (last symbol leftmost)."""
     if not w:
         raise InadmissibleWord("empty word has no product")
@@ -117,7 +120,7 @@ def product(mats, w: Word, sft: Sft | None = None,
     out = mats[w[0]]
     for s in w[1:]:
         out = mats[s] @ out
-    _check_drift(out, len(w), det_tol)
+    _check_drift(out, len(w))
     return out
 
 

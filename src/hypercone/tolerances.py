@@ -1,7 +1,8 @@
 """Numeric tolerances used by the geometric and spectral predicates.
 
-All comparisons against mathematically strict inequalities go through these
-knobs so that every decision is reproducible and self-describing.  The
+All comparisons against mathematically strict inequalities go through one
+fixed table, DEFAULT, which each module reads directly and every CLI envelope
+reports, so that every decision is reproducible and self-describing.  The
 ``band`` half-width is the declared no-man's-land around the trichotomy
 boundaries (|tr| = 2, gamma = 0, ...): inside it classifiers report a
 degenerate outcome instead of guessing.

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from . import _exact
-from .errors import DegenerateTie, HyperconeError
+from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 class TraceTriple(NamedTuple):
@@ -193,13 +193,13 @@ class Step:
     ELLIPTIC = "elliptic"
 
 
-def step_select(A: Mat2, B: Mat2, band: float = 0.0, check: bool = False) -> str:
+def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
     """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
     t = TraceTriple(A.trace(), B.trace(), (A @ B).trace())
-    return _step_select_traces(t, band, check)
+    return _step_select_traces(t, band)
 
 
-def _step_select_traces(t: TraceTriple, band, check: bool) -> str:
+def _step_select_traces(t: TraceTriple, band) -> str:
     x, y, z = t
     if abs(z) < 2 - band:
         return Step.ELLIPTIC
@@ -217,8 +217,6 @@ def _step_select_traces(t: TraceTriple, band, check: bool) -> str:
         raise DegenerateTie("both successor pairs test twisted")
     if plus == _STRAIGHT and minus == _STRAIGHT:
         raise DegenerateTie("neither successor pair tests twisted")
-    if check:
-        assert (plus == _TWISTED) != (minus == _TWISTED)
     return Step.PLUS if plus == _TWISTED else Step.MINUS
 
 
@@ -234,12 +232,12 @@ def _orientation_points(A: Mat2, B: Mat2):
     return uB, uBA, sBA, sA
 
 
-def orientation_of_free_pair(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT) -> int:
+def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
     """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
     pts = _orientation_points(A, B)
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))
-    if min_gap > 100 * tol.angle or not (A.is_exact() and B.is_exact()):
+    if min_gap > 100 * DEFAULT.angle or not (A.is_exact() and B.is_exact()):
         if cyclically_ordered(pts, tol=0.0):
             return +1
         if cyclically_ordered((pts[0], pts[3], pts[2], pts[1]), tol=0.0):
@@ -260,27 +258,24 @@ def orientation_of_free_pair(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT) -> int
 # the decision algorithm
 
 
-def classify_pair(A: Mat2, B: Mat2, tol: Tolerances = DEFAULT,
-                  check: bool = False) -> Classification2:
+def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     """Decide membership and component data for a pair over the full 2-shift.
 
     Exact inputs (int/Fraction entries) are decided with band 0; boundary
     cases then mean genuine boundary points and come back Degenerate.
     """
-    exact = A.is_exact() and B.is_exact()
-    band = 0 if exact else tol.band
+    band = 0 if A.is_exact() and B.is_exact() else DEFAULT.band
     try:
-        return _classify(A, B, band, tol, check, exact)
+        return _classify(A, B, band)
     except _DegenerateEscape as esc:
         return Degenerate(reason=esc.reason, value=esc.value)
     except DegenerateTie as tie:
         return Degenerate(reason=str(tie))
 
 
-def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
-              exact: bool) -> Classification2:
+def _classify(A: Mat2, B: Mat2, band) -> Classification2:
     for name, m in (("A", A), ("B", B)):
-        if m.dist_to_pm_identity() <= tol.identity:
+        if m.dist_to_pm_identity() <= DEFAULT.identity:
             return Degenerate(reason=f"generator {name} is +-identity")
 
     x0, y0 = A.trace(), B.trace()
@@ -306,18 +301,6 @@ def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
     if state == _BOUNDARY:
         raise _DegenerateEscape("initial twist test in the boundary band")
     if state == _STRAIGHT:
-        if check:
-            # geometric cross-check: the unstable directions are not
-            # separated by the stable ones, so a common strictly invariant
-            # interval exists
-            (uA, _), (sA, _) = eigen_data(A1)
-            (uB, _), (sB, _) = eigen_data(B1)
-            try:
-                interleaved = (cyclically_ordered((uA, sA, uB, sB), tol=0.0)
-                               or cyclically_ordered((uA, sB, uB, sA), tol=0.0))
-            except HyperconeError:
-                interleaved = False  # coincident directions: not interleaved
-            assert not interleaved
         return Principal(sign_pair=sign_pair, invariant=inv)
 
     t0 = t.x + t.y
@@ -325,14 +308,14 @@ def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
     fword = []
     k = 0
     while True:
-        step = _step_select_traces(t, band, check)
+        step = _step_select_traces(t, band)
         if step == Step.FREE:
             # the walked pair, rebuilt by the same products the walk implies
             Ak, Bk = A1, B1
             for sign in fword:
                 step_pair = pair_step_plus if sign == Step.PLUS else pair_step_minus
                 Ak, Bk = step_pair(Ak, Bk)
-            orient = orientation_of_free_pair(Ak, Bk, tol)
+            orient = orientation_of_free_pair(Ak, Bk)
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:
@@ -340,13 +323,6 @@ def _classify(A: Mat2, B: Mat2, band, tol: Tolerances, check: bool,
             return EllipticWitness(word=wa + wb, trace=float(t.z), iterations=k)
         if k + 1 > bound:
             raise _DegenerateEscape("walk exceeded its termination bound", float(t0))
-        if check:
-            new_t = trace_step_plus(t) if step == Step.PLUS else trace_step_minus(t)
-            assert float(new_t.z) <= float(max(new_t.x, new_t.y)) + 1e-9, \
-                "product trace failed to decay"
-            if not exact:
-                assert abs(float(fricke(new_t)) - inv) <= 1e-9 * max(1.0, abs(inv)), \
-                    "fricke form drifted"
         t = trace_step_plus(t) if step == Step.PLUS else trace_step_minus(t)
         fword.append(step)
         k += 1

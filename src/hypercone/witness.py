@@ -18,7 +18,7 @@ from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, angle_gap, norm_angle
 from .sl2core import Mat2, eigen_data
 from .symdyn import Sft, Word, periodic_products, product, render_word
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,10 @@ class BoundaryReport:
         return out
 
 
-def search_elliptic(mats, sft: Sft, max_len: int,
-                    tol: Tolerances = DEFAULT) -> Word | None:
+def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
     """First cyclic class (shortlex) whose product trace lies inside (-2, 2)."""
     for w, p in periodic_products(mats, sft, max_len):
-        if abs(float(p.trace())) < 2.0 - tol.trace:
+        if abs(float(p.trace())) < 2.0 - DEFAULT.trace:
             trace = float(product(mats, w).trace())
             if not abs(trace) < 2.0:
                 raise WitnessUnverified(
@@ -75,19 +74,19 @@ def search_elliptic(mats, sft: Sft, max_len: int,
     return None
 
 
-def search_parabolic(mats, sft: Sft, max_len: int,
-                     tol: Tolerances = DEFAULT) -> ParabolicHit | None:
-    """First cyclic class with ||tr| - 2| <= tol, distinguishing +-identity."""
+def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
+    """First cyclic class with ||tr| - 2| <= DEFAULT.parabolic, distinguishing
+    +-identity."""
     for w, p in periodic_products(mats, sft, max_len):
-        if p.dist_to_pm_identity() <= tol.identity:
+        if p.dist_to_pm_identity() <= DEFAULT.identity:
             kind = "identity"
-        elif abs(abs(float(p.trace())) - 2.0) <= tol.parabolic:
+        elif abs(abs(float(p.trace())) - 2.0) <= DEFAULT.parabolic:
             kind = "parabolic"
         else:
             continue
         q = product(mats, w)
-        if not (q.dist_to_pm_identity() <= tol.identity if kind == "identity"
-                else abs(abs(float(q.trace())) - 2.0) <= tol.parabolic):
+        if not (q.dist_to_pm_identity() <= DEFAULT.identity if kind == "identity"
+                else abs(abs(float(q.trace())) - 2.0) <= DEFAULT.parabolic):
             raise WitnessUnverified(
                 f"{kind} witness {render_word(w)} has trace {float(q.trace())} "
                 "when its product is rebuilt")
@@ -121,8 +120,8 @@ def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
     return min(angle_dist(x, t) for x in (lo, hi) for t in (before, after))
 
 
-def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
-                      tol: Tolerances = DEFAULT) -> HeteroclinicHit | None:
+def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
+                      n_max: int) -> HeteroclinicHit | None:
     """Minimal-residual admissible connection, regardless of tolerance.
 
     Admissibility glue: the last letter of the source feeds the connector
@@ -155,7 +154,7 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
     # hyperbolic cyclic classes, shortlex: the sources keep that order
     periodic = [(w, eigen_data(p)) for w, p in
                 periodic_products(mats, sft, max(k_max, ell_max))
-                if abs(float(p.trace())) > 2.0 + tol.trace]
+                if abs(float(p.trace())) > 2.0 + DEFAULT.trace]
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)
@@ -236,35 +235,35 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
                 best = HeteroclinicHit(source=v, connector=conn,
                                        target=targets[near], residual=near_r)
     if best is not None:
-        _reverify_heteroclinic(mats, best, tol)
+        _reverify_heteroclinic(mats, best)
     return best
 
 
-def _reverify_heteroclinic(mats, hit: HeteroclinicHit, tol: Tolerances) -> None:
+def _reverify_heteroclinic(mats, hit: HeteroclinicHit) -> None:
     """Recompute the residual from rebuilt products (WitnessUnverified on a
     mismatch); the empty connector is the identity."""
     u = eigen_data(product(mats, hit.source))[0][0].angle
     s = eigen_data(product(mats, hit.target))[1][0].angle
     P = product(mats, hit.connector) if hit.connector else Mat2.identity()
     r = angle_dist(P.act_angle(u), s)
-    if not abs(r - hit.residual) <= tol.heteroclinic:
+    if not abs(r - hit.residual) <= DEFAULT.heteroclinic:
         raise WitnessUnverified(
             f"heteroclinic witness {render_word(hit.source)}, "
             f"{render_word(hit.connector)}, {render_word(hit.target)} has "
             f"residual {r} when rebuilt, not {hit.residual}")
 
 
-def search_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int, n_max: int,
-                        tol: Tolerances = DEFAULT) -> HeteroclinicHit | None:
+def search_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
+                        n_max: int) -> HeteroclinicHit | None:
     """Best connection when its residual meets the tolerance, else None."""
-    best = best_heteroclinic(mats, sft, k_max, ell_max, n_max, tol)
-    if best is not None and best.residual <= tol.heteroclinic:
+    best = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
+    if best is not None and best.residual <= DEFAULT.heteroclinic:
         return best
     return None
 
 
-def diagnose_boundary(mats, sft: Sft, budget: tuple[int, int, int] = (12, 12, 8),
-                      tol: Tolerances = DEFAULT) -> BoundaryReport:
+def diagnose_boundary(mats, sft: Sft,
+                      budget: tuple[int, int, int] = (12, 12, 8)) -> BoundaryReport:
     """Run the three witness searches under a shared budget.
 
     Near a non-principal component no product may come close to +-identity,
@@ -272,15 +271,15 @@ def diagnose_boundary(mats, sft: Sft, budget: tuple[int, int, int] = (12, 12, 8)
     """
     k_max, ell_max, n_max = budget
     budgets = {"k": k_max, "l": ell_max, "n": n_max}
-    w = search_elliptic(mats, sft, max(k_max, ell_max), tol)
+    w = search_elliptic(mats, sft, max(k_max, ell_max))
     if w is not None:
         return BoundaryReport(kind="elliptic", elliptic=w, budgets=budgets)
-    hit = search_parabolic(mats, sft, max(k_max, ell_max), tol)
+    hit = search_parabolic(mats, sft, max(k_max, ell_max))
     if hit is not None:
         kind = "identity" if hit.kind == "identity" else "parabolic"
         return BoundaryReport(kind=kind, parabolic=hit, budgets=budgets)
-    het = best_heteroclinic(mats, sft, k_max, ell_max, n_max, tol)
-    if het is not None and het.residual <= tol.heteroclinic:
+    het = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
+    if het is not None and het.residual <= DEFAULT.heteroclinic:
         return BoundaryReport(kind="heteroclinic", heteroclinic=het,
                               budgets=budgets)
     return BoundaryReport(kind="none", heteroclinic=het, budgets=budgets)

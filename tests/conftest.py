@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.projgeom import ArcP1, MultiCone
+from hypercone.errors import HyperconeError
+from hypercone.projgeom import ArcP1, MultiCone, cyclically_ordered
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import Sft
+from hypercone.twoshift import (NonPrincipal, Principal, TraceTriple, fricke,
+                                trace_step_minus, trace_step_plus)
 
 
 def canonical_pair(mu, nu, alpha, beta):
@@ -98,3 +101,38 @@ def rand_conj(rng, scale: float = 3.0) -> Mat2:
         c = rng.uniform(-scale, scale)
         if abs(a) > 1e-2:
             return Mat2(a, b, c, (1.0 + b * c) / a)
+
+
+def check_walk(A: Mat2, B: Mat2, c) -> None:
+    """Cross-check a Principal or NonPrincipal verdict of classify_pair(A, B)
+    on the sign-normalized pair.
+
+    Principal: the unstable directions are not separated by the stable
+    ones, so a common strictly invariant interval exists.  NonPrincipal:
+    c.fword replayed on the trace triple steps only from tr AB > 2, decays
+    the product trace at every step, keeps the Fricke form, and ends on a
+    free triple.
+    """
+    A1 = A if A.trace() >= 0 else -A
+    B1 = B if B.trace() >= 0 else -B
+    if isinstance(c, Principal):
+        (uA, _), (sA, _) = eigen_data(A1)
+        (uB, _), (sB, _) = eigen_data(B1)
+        try:
+            interleaved = (cyclically_ordered((uA, sA, uB, sB), tol=0.0)
+                           or cyclically_ordered((uA, sB, uB, sA), tol=0.0))
+        except HyperconeError:
+            interleaved = False  # coincident directions: not interleaved
+        assert not interleaved
+        return
+    assert isinstance(c, NonPrincipal), c
+    t = TraceTriple(A1.trace(), B1.trace(), (A1 @ B1).trace())
+    inv = float(fricke(t))
+    for sign in c.fword:
+        assert t.z > 2, "the walk stepped on from a free or elliptic triple"
+        t = trace_step_plus(t) if sign == "+" else trace_step_minus(t)
+        assert float(t.z) <= float(max(t.x, t.y)) + 1e-9, \
+            "product trace failed to decay"
+        assert abs(float(fricke(t)) - inv) <= 1e-9 * max(1.0, abs(inv)), \
+            "fricke form drifted"
+    assert t.z < -2, "the walk does not end on a free triple"

@@ -30,7 +30,7 @@ from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
                                 eval_string, fricke, trace_step_minus,
                                 trace_step_plus)
 from hypercone.witness import search_heteroclinic
-from tests.conftest import (canonical_pair, exact_canonical_pair,
+from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             four_interval_family, group_tuple)
 
 FULL2 = Sft.full(2)
@@ -128,9 +128,10 @@ def test_c02_pullback_recovery():
     for pair, fword, mirrored in pullback_population(500):
         A, B = pair
         assert A.is_exact() and B.is_exact()
-        c = classify_pair(A, B, check=True)
+        c = classify_pair(A, B)
         assert isinstance(c, NonPrincipal), (fword, c)
         assert c.fword == fword
+        check_walk(A, B, c)
         assert c.orientation == (-1 if mirrored else 1)
         t0 = abs(A.trace()) + abs(B.trace())
         assert c.iterations <= math.floor(t0 / 4) - 1 or c.iterations == 0

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hypercone.cli import main
+from hypercone.tolerances import DEFAULT
 
 FREE_SPEC = {"matrices": [[[2, 1], [0, 0.5]], [[0.5, 0], [-9, 2]]],
              "shift": {"type": "full"}, "mode": "float"}
@@ -70,7 +71,19 @@ def test_classify2_batch_order(tmp_path, capsys):
                                                        "elliptic"]
 
 
-def test_envelope_determinism(tmp_path, capsys):
+def free_family_path(tmp_path):
+    """A certifying multicone family for FREE_SPEC, written as JSON."""
+    from hypercone.fareycomb import component_model
+    from hypercone.multicone import MulticoneFamily, fatten_cores
+    from hypercone.sl2core import Mat2
+    pair = (Mat2(2, 1, 0, 0.5), Mat2(0.5, 0, -9, 2))
+    cone = fatten_cores(pair, component_model(*pair, "").cores)
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(MulticoneFamily.constant(cone, 2).to_json()))
+    return str(fam_path)
+
+
+def test_envelope_determinism(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path, FREE_SPEC)
     main(["classify2", "--input", path])
     first = capsys.readouterr().out
@@ -80,6 +93,20 @@ def test_envelope_determinism(tmp_path, capsys):
     doc = json.loads(first)
     assert set(doc) == {"budgets", "command", "input_digest", "tolerances",
                         "verdicts", "version"}
+    # every subcommand reports the one fixed table; the environment sets none
+    monkeypatch.setenv("HYPERCONE_TOL", "1e-6")
+    for argv in (["classify2", "--input", path],
+                 ["certify", "--input", path, "--multicone", free_family_path(tmp_path)],
+                 ["cores", "--input", path, "--depth", "40"],
+                 ["describe", "--fword", "+-"],
+                 ["farey", "--pq", "2/5"],
+                 ["winding", "--input", path, "--word", "AB"],
+                 ["witness", "--input", path, "--budget", "4,4,2"],
+                 ["normalize", "--input", path, "--bound", "10"],
+                 ["rate", "--input", path, "--depth", "8"]):
+        code, doc = run(capsys, argv)
+        assert code == 0 and doc["command"] == argv[0]
+        assert doc["tolerances"] == DEFAULT.as_dict()
 
 
 def test_input_error_exit_code(tmp_path, capsys):
@@ -181,17 +208,9 @@ def test_cores_out_of_depth_is_budget_exceeded(tmp_path, capsys):
 
 
 def test_certify_command(tmp_path, capsys):
-    from hypercone.fareycomb import component_model
-    from hypercone.multicone import MulticoneFamily, fatten_cores
-    from hypercone.sl2core import Mat2
-    pair = (Mat2(2, 1, 0, 0.5), Mat2(0.5, 0, -9, 2))
-    cone = fatten_cores(pair, component_model(*pair, "").cores)
-    fam = MulticoneFamily.constant(cone, 2)
-    fam_path = tmp_path / "family.json"
-    fam_path.write_text(json.dumps(fam.to_json()))
     path = write_spec(tmp_path, FREE_SPEC)
     code, doc = run(capsys, ["certify", "--input", path,
-                             "--multicone", str(fam_path)])
+                             "--multicone", free_family_path(tmp_path)])
     assert code == 0
     v = doc["verdicts"][0]
     assert v["ok"] and v["contraction"] > 1.0
@@ -211,14 +230,6 @@ def test_rate_command(tmp_path, capsys):
     code, doc = run(capsys, ["rate", "--input", path, "--depth", "8"])
     assert code == 0
     assert doc["verdicts"][0]["rate"] > 1.0
-
-
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCONE_TOL", "1e-6")
-    path = write_spec(tmp_path, FREE_SPEC)
-    code, doc = run(capsys, ["classify2", "--input", path])
-    assert code == 0
-    assert doc["tolerances"]["trace"] == 1e-6
 
 
 def test_farey_svg(tmp_path, capsys):

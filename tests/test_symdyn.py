@@ -161,6 +161,11 @@ def test_det_drift_raised_on_long_float_words():
     product(mats[:64], tuple(range(64)), short)
 
 
+def test_det_drift_allows_determinant_minus_one():
+    # 65 factors of the swap: det -1 exactly, no drift
+    assert product((Mat2(0., 1., 1., 0.),), (0,) * 65).det() == -1.0
+
+
 def test_det_drift_not_raised_on_exact_words():
     sft = _cycle_shift(70)
     mats = [Mat2(Fraction(10 ** 7 + 1, 10 ** 7), Fraction(0), Fraction(0),

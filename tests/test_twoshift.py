@@ -12,7 +12,8 @@ from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
                                 fword_substitution, is_free, is_twisted,
                                 pair_step_minus, pair_step_plus, step_select,
                                 trace_step_minus, trace_step_plus)
-from tests.conftest import canonical_pair, exact_canonical_pair, rand_conj
+from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
+                            rand_conj)
 
 
 def test_trace_steps_printed_examples():
@@ -77,7 +78,13 @@ def test_step_select_exclusivity_on_samples():
         A, B = canonical_pair(mu, nu, 1.0, gamma)
         if not is_twisted(A, B):
             continue
-        step_select(A, B, band=1e-9, check=True)  # asserts exclusivity inside
+        step = step_select(A, B, band=1e-9)
+        if step in ("+", "-"):
+            # exactly the chosen successor pair is twisted
+            assert is_twisted(*pair_step_plus(A, B)) == (step == "+")
+            assert is_twisted(*pair_step_minus(A, B)) == (step == "-")
+        else:
+            assert step in ("free", "elliptic")
 
 
 def test_classify_free_pair_immediately(free_pair):
@@ -98,11 +105,14 @@ def test_classify_elliptic_walk(elliptic_walk_pair):
 
 
 def test_classify_principal():
-    c = classify_pair(Mat2(2, 0, 0, 0.5), Mat2(3, 0.1, 0, 1 / 3), check=True)
+    A, B = Mat2(2, 0, 0, 0.5), Mat2(3, 0.1, 0, 1 / 3)
+    c = classify_pair(A, B)
     assert isinstance(c, Principal)
     assert c.sign_pair == (1, 1)
-    c = classify_pair(-Mat2(2, 0, 0, 0.5), Mat2(3, 0.1, 0, 1 / 3), check=True)
+    check_walk(A, B, c)
+    c = classify_pair(-A, B)
     assert isinstance(c, Principal) and c.sign_pair == (-1, 1)
+    check_walk(-A, B, c)
 
 
 def test_classify_sign_pairs():
@@ -147,9 +157,10 @@ def test_walk_recovers_fwords_exactly(free_pair_exact):
     for _ in range(40):
         fword = "".join(rng.choice("+-") for _ in range(rng.randint(0, 4)))
         A, B = apply_fword_inverse(A0, B0, fword)
-        c = classify_pair(A, B, check=True)
+        c = classify_pair(A, B)
         assert isinstance(c, NonPrincipal)
         assert c.fword == fword
+        check_walk(A, B, c)
         assert c.orientation == 1
         t0 = A.trace() + B.trace()
         assert c.iterations <= t0 / 4 - 1 + 1e-12

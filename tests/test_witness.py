@@ -130,7 +130,7 @@ def test_witness_and_certify_mutually_exclusive():
     assert confirmed > 20
 
 
-def _brute_candidates(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
+def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     """Every admissible (residual, source, connector, target), visited in the
     order best_heteroclinic documents: connectors depth first (lexicographic,
     the empty one first), sources shortlex, targets by stable angle.  Cyclic
@@ -144,7 +144,7 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
 
     def hyperbolic(n):
         return [(w, product(mats, w)) for w in words(n)
-                if abs(float(product(mats, w).trace())) > 2.0 + tol.trace]
+                if abs(float(product(mats, w).trace())) > 2.0 + DEFAULT.trace]
 
     sources = [(v, eigen_data(p)[0][0].angle) for v, p in hyperbolic(k_max)]
     targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
@@ -163,10 +163,10 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
                     yield angle_dist(carried, s_angle), v, conn, w
 
 
-def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max, tol=DEFAULT):
+def _brute_heteroclinic(mats, sft, k_max, ell_max, n_max):
     """The first minimum of _brute_candidates, or None."""
     best = None
-    for cand in _brute_candidates(mats, sft, k_max, ell_max, n_max, tol):
+    for cand in _brute_candidates(mats, sft, k_max, ell_max, n_max):
         if best is None or cand[0] < best[0]:
             best = cand
     return best
