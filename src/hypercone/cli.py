@@ -347,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multicone", required=True, help="multicone family JSON")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("cores", help="iterate core approximations")
+    p = sub.add_parser("cores", help="cores filled from periodic points")
     add_common(p)
-    p.add_argument("--depth", type=_depth, default=48)
+    p.add_argument("--depth", type=_depth, default=12,
+                   help="longest periodic word length tried")
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("describe", help="combinatorics of a component by sign word")

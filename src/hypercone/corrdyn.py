@@ -28,7 +28,7 @@ from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
 from .fareycomb import farey_interval
 from .multicone import CoreSet, alternation, component_map, eventual_constancy
-from .projgeom import PI, ProjPoint, cross_ratio, cyclically_ordered
+from .projgeom import PI
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
 from .tolerances import DEFAULT
@@ -644,16 +644,7 @@ def classify_two_morphism(phi: Morphism) -> tuple[Fraction | None, int]:
 
 
 # ---------------------------------------------------------------------------
-# cross-ratio obstruction and the stock non-realizable morphism
-
-
-def cross_ratio_decreasing(a1: ProjPoint, a: ProjPoint, b: ProjPoint,
-                           b1: ProjPoint, c1: ProjPoint, c: ProjPoint,
-                           d: ProjPoint, d1: ProjPoint) -> bool:
-    """For points in cyclic order a' a b b' c' c d d': [a',b',c',d'] < [a,b,c,d]."""
-    if not cyclically_ordered((a1, a, b, b1, c1, c, d, d1)):
-        raise StructureViolation("cross-ratio", "points are not in the stated order")
-    return cross_ratio(a1, b1, c1, d1) < cross_ratio(a, b, c, d)
+# the stock non-realizable morphism
 
 
 _NR_ORDER = ("alpha", "a", "b", "omega", "c", "d", "beta", "beta_p", "d_p",

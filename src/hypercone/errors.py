@@ -36,7 +36,8 @@ class BadFamily(HyperconeError):
 
 
 class NoConvergence(HyperconeError):
-    """No hyperbolic periodic data to seed the core iteration."""
+    """An admissible cyclic word is not hyperbolic, so the tuple has no cores;
+    the message names the word."""
 
 
 class SearchBudgetExceeded(HyperconeError):

@@ -7,35 +7,34 @@ contraction factor per step, and the comparability constant between Hilbert
 and angle metric on the image region; together they give the exponential
 lower bound  ||product|| >= C^(-1/2) lambda^(n/2)  on cyclic words.
 
-Cores are the canonical minimal forward/backward invariant arc systems; they
-are computed here as the first certified invariant hull view of the iterated
-images, and tested by the structural criterion (disjointness, alternation,
-invariance, and eventual constancy of the component action).  At rank >= 2 eventual constancy rules
-out +-identity products of every length; at rank 1 the action is constant
-from the start, and each letter is checked against +-identity instead.
+Cores are the canonical minimal forward/backward invariant arc systems, with
+endpoints at unstable and stable directions of periodic words.  They are
+computed here by filling the periodic directions of words up to a length L
+against each other and raising L until the filled system is invariant, and
+tested by the structural criterion (disjointness, alternation, invariance,
+and eventual constancy of the component action).  At rank >= 2 eventual
+constancy rules out +-identity products of every length; at rank 1 the
+action is constant from the start, and each letter is checked against
++-identity instead.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput,
-                     NoConvergence, SearchBudgetExceeded)
+                     NoConvergence, NoInvariantDirection, SearchBudgetExceeded)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
 from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, periodic_products
+from .symdyn import LETTERS, Sft, periodic_words, product, render_word
 from .tolerances import DEFAULT
 
-# half-width of the arcs seeded around periodic directions, and the longest
-# periodic word seeded
-SEED_RADIUS = 1e-3
-SEED_LEN = 6
 # longest product length eventual_constancy composes
 CONSTANCY_BUDGET = 64
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
@@ -43,15 +42,14 @@ CONSTANCY_BUDGET = 64
 HILBERT_EPS = 0.25
 BOOST = 0.05
 MAX_HALVINGS = 60
-# most spans a per-symbol image set keeps; beyond it nearby spans coalesce
-MERGE_CAP = 4096
 
 
-def image_span(m: Mat2, span: Span) -> Span:
-    """Image of a circular span under the projective action (orientation kept)."""
+def image_span(m: Mat2, span: Span, pins=(None, None)) -> Span:
+    """Image of a circular span under the projective action (orientation
+    kept); pins gives image endpoints known exactly, None where not."""
     s, ln = span
-    a1 = m.act_angle(s)
-    a2 = m.act_angle(s + ln)
+    a1 = m.act_angle(s) if pins[0] is None else pins[0]
+    a2 = m.act_angle(s + ln) if pins[1] is None else pins[1]
     return (a1, angle_gap(a1, a2))
 
 
@@ -73,12 +71,13 @@ def _incidence_slack(src_len: float, img_len: float) -> float:
     return DEFAULT.angle + 1e-14 * (1.0 + expansion)
 
 
-def component_map(m: Mat2, source, target) -> tuple[int, ...]:
+def component_map(m: Mat2, source, target, pins=None) -> tuple[int, ...]:
     """Which target arc absorbs the image of each source arc, within the
-    incidence slack (AmbiguousIncidence otherwise)."""
+    incidence slack (AmbiguousIncidence otherwise); pins gives, per source
+    arc, image endpoints known exactly (see image_span)."""
     out = []
-    for arc in source:
-        img = image_span(m, arc.span)
+    for i, arc in enumerate(source):
+        img = image_span(m, arc.span, pins[i] if pins else (None, None))
         j, margin = best_target(img, target)
         if margin < -_incidence_slack(arc.length, img[1]):
             raise AmbiguousIncidence(
@@ -201,10 +200,11 @@ class CoreSet:
 
     u_arcs: tuple[ArcP1, ...]
     s_arcs: tuple[ArcP1, ...]
-    # per arc, (start shift, end shift) over the final iteration: the last
-    # step's moves, not a bound on the distance to the converged arcs
-    u_uncertainty: tuple[tuple[float, float], ...] = ()
-    s_uncertainty: tuple[tuple[float, float], ...] = ()
+    # per arc, the names of its (start, end) points, and the word length that
+    # certified them (compute_cores); empty and 0 for cores in closed form
+    u_words: tuple[tuple[str, str], ...] = ()
+    s_words: tuple[tuple[str, str], ...] = ()
+    word_length: int = 0
     per_symbol: tuple[tuple[tuple[ArcP1, ...], tuple[ArcP1, ...]], ...] | None = None
 
     @property
@@ -215,40 +215,19 @@ class CoreSet:
         out = {"u": [[a.start.angle, a.end.angle] for a in self.u_arcs],
                "s": [[a.start.angle, a.end.angle] for a in self.s_arcs],
                "rank": self.rank}
-        if self.u_uncertainty:
-            out["u_uncertainty"] = [list(v) for v in self.u_uncertainty]
-            out["s_uncertainty"] = [list(v) for v in self.s_uncertainty]
+        if self.word_length:
+            out["u_words"] = [list(v) for v in self.u_words]
+            out["s_words"] = [list(v) for v in self.s_words]
+            out["word_length"] = self.word_length
         return out
 
 
-def _seed_spans(mats, sft: Sft):
-    """Fattened unions of periodic unstable/stable directions, per symbol.
-
-    Over the full shift the limit sets are global, so every symbol gets the
-    same seed set.
-    """
-    n = sft.n_symbols
-    useeds: list[list[Span]] = [[] for _ in range(n)]
-    sseeds: list[list[Span]] = [[] for _ in range(n)]
-    for w, p in periodic_products(mats, sft, SEED_LEN):
-        t = abs(float(p.trace()))
-        if t < 2.0:
-            continue
-        (u, _), (s, _) = eigen_data(p)
-        u_span = ((u.angle - SEED_RADIUS) % PI, 2 * SEED_RADIUS)
-        s_span = ((s.angle - SEED_RADIUS) % PI, 2 * SEED_RADIUS)
-        if sft.is_full:
-            for b in range(n):
-                useeds[b].append(u_span)
-                sseeds[b].append(s_span)
-        else:
-            useeds[w[-1]].append(u_span)
-            sseeds[w[0]].append(s_span)
-    return ([merge_spans(x) for x in useeds], [merge_spans(x) for x in sseeds])
+# half-width given to each periodic point before the fill
+PUFF = 1e-15
 
 
-def _puffed(span: Span) -> Span:
-    return (span[0], max(span[1], 1e-15))
+def _puffed(angles) -> list[Span]:
+    return [(x, PUFF) for x in angles]
 
 
 def _fill_against(spans: list[Span], blockers: list[Span]) -> list[Span]:
@@ -286,129 +265,160 @@ def _fill_against(spans: list[Span], blockers: list[Span]) -> list[Span]:
     return merge_spans(spans2)
 
 
-def _capped_merge(spans: list[Span]) -> list[Span]:
-    eps = 1e-12
-    out = merge_spans(spans, eps)
-    while len(out) > MERGE_CAP:
-        eps *= 4.0
-        out = merge_spans(out, eps)
-    return out
-
-
-def _iterate_cores(prev_u, prev_s, mats, inv, sft: Sft):
-    """One forward/backward image step on the raw limit-set approximations."""
-    n = sft.n_symbols
-    next_u: list[list[Span]] = [[] for _ in range(n)]
-    next_s: list[list[Span]] = [[] for _ in range(n)]
-    for alpha in range(n):
-        for beta in range(n):
-            if not sft.ok(alpha, beta):
-                continue
-            for sp in prev_u[alpha]:
-                next_u[beta].append(_puffed(image_span(mats[beta], sp)))
-            for sp in prev_s[beta]:
-                next_s[alpha].append(_puffed(image_span(inv[alpha], sp)))
-    return ([_capped_merge(x) for x in next_u],
-            [_capped_merge(x) for x in next_s])
-
-
-def _filled_view(u_cur, s_cur, mats, inv, sft: Sft):
-    """Cores from limit sets: gaps missing the opposite family are absorbed.
-
-    Over the full shift the limit sets are global (union over symbols) and
-    block each other directly; the per-symbol variant blocks against the
-    one-step transported sets.
+def _filled_view(u_pts, s_pts, mats, inv, sft: Sft):
+    """Per-symbol spans of the filled (angle, name) points.  Over the full
+    shift the points are pooled and block each other directly; on a
+    subshift symbol a's U points block against its S points carried over
+    letter a, and its S points against its U points carried back over it.
     """
     n = sft.n_symbols
     if sft.is_full:
-        u_all = [sp for a in range(n) for sp in u_cur[a]]
-        s_all = [sp for a in range(n) for sp in s_cur[a]]
-        u_glob = _fill_against(u_all, s_all)
-        s_glob = _fill_against(s_all, u_all)
-        return ([u_glob for _ in range(n)], [s_glob for _ in range(n)])
+        u_all, s_all = (_puffed(x for pts in p for x, _ in pts) for p in (u_pts, s_pts))
+        return [_fill_against(u_all, s_all)] * n, [_fill_against(s_all, u_all)] * n
     filled_u, filled_s = [], []
-    for alpha in range(n):
-        s_fwd = [_puffed(image_span(mats[alpha], sp)) for sp in s_cur[alpha]]
-        u_bwd = [_puffed(image_span(inv[alpha], sp)) for sp in u_cur[alpha]]
-        filled_u.append(_fill_against(u_cur[alpha], s_fwd))
-        filled_s.append(_fill_against(s_cur[alpha], u_bwd))
+    for a in range(n):
+        s_fwd = [mats[a].act_angle(x) for x, _ in s_pts[a]]
+        u_bwd = [inv[a].act_angle(x) for x, _ in u_pts[a]]
+        filled_u.append(_fill_against(_puffed(x for x, _ in u_pts[a]), _puffed(s_fwd)))
+        filled_s.append(_fill_against(_puffed(x for x, _ in s_pts[a]), _puffed(u_bwd)))
     return filled_u, filled_s
 
 
-def _shifts(prev, cur) -> list[tuple[float, float]]:
-    """(start, end) move of each arc of cur from the previous arc whose start
-    lies nearest by angle_dist, so an arc on the 0/pi seam keeps its partner."""
-    out = []
-    for a in cur:
-        p = min(prev, key=lambda q: angle_dist(q.start.angle, a.start.angle))
-        out.append((angle_dist(p.start.angle, a.start.angle),
-                    angle_dist(p.end.angle, a.end.angle)))
-    return out
+def _named(spans: list[Span], points) -> tuple[tuple[ArcP1, ...], tuple]:
+    """The arcs of the filled spans and, per arc, the names of its first and
+    last point; every point lies in one of the spans."""
+    starts = [s for s, _ in spans]
+    held: list[list] = [[] for _ in spans]  # (offset from the start, name)
+    for x, name in points:
+        i = bisect.bisect_right(starts, x) - 1  # -1: in the span across 0
+        held[i].append(((x - starts[i]) % PI, name))
+    return arcs_of_spans(spans), tuple((min(h)[1], max(h)[1]) for h in held)
 
 
-def _invariant(u, s, mats, inv, sft: Sft) -> bool:
+def _pin(name: str, letter: int, at: dict, forward: bool) -> float | None:
+    """Where the letter (forward) or its inverse carries the periodic point
+    so named, by an identity of words, or None: w[0] conjugates the product
+    of w into that of w[1:] + w[:1], and w[-1]^-1 into that of w[-1:] + w[:-1]."""
+    if "(" in name:  # a carried point
+        return None
+    ch = LETTERS[letter]
+    if forward and name[0] == ch:
+        return at[name[1:] + name[0]]
+    if not forward and name[-1] == ch:
+        return at[name[-1] + name[:-1]]
+    return None
+
+
+def _invariant(u, s, mats, inv, sft: Sft, u_at: dict, s_at: dict) -> bool:
     """Each symbol's U and S arcs alternate, and each allowed a -> b maps U
-    arcs of a into U arcs of b and, backward, S arcs of b into S arcs of a."""
+    arcs of a into U arcs of b and, backward, S arcs of b into S arcs of a.
+    u[a] and s[a] are (arcs, names) of _named; image endpoints that an
+    identity of words places on a rotated word's point are pinned there."""
     n = sft.n_symbols
-    if any(alternation(u[a], s[a])[1] is not None for a in range(n)):
+    if any(alternation(u[a][0], s[a][0])[1] is not None for a in range(n)):
         return False
+
+    def pins(names, letter, at, forward):
+        return [tuple(_pin(x, letter, at, forward) for x in ends) for ends in names]
+
     try:
         for a, b in ((a, b) for a in range(n) for b in range(n) if sft.ok(a, b)):
-            component_map(mats[b], u[a], u[b])
-            component_map(inv[a], s[b], s[a])
+            component_map(mats[b], u[a][0], u[b][0], pins(u[a][1], b, u_at, True))
+            component_map(inv[a], s[b][0], s[a][0], pins(s[b][1], a, s_at, False))
     except AmbiguousIncidence:
         return False
     return True
 
 
-def compute_cores(mats, sft: Sft, depth: int = 48) -> CoreSet:
-    """Outer approximation of the cores: the first certified invariant hull
-    view of the iterated images, whose per-symbol arcs pass _invariant and
-    whose arcs all moved by at most DEFAULT.angle in the last step.  depth
-    is a budget of steps.
+def _directions(p: Mat2, name: str) -> tuple[float, float]:
+    """The U and S angles of a cyclic word's product, or NoConvergence naming
+    the word: |tr| <= 2, or a float product whose determinant drifted so far
+    that tr^2 < 4 det."""
+    if abs(p.trace()) > 2:
+        try:
+            (u, _), (s, _) = eigen_data(p)
+            return u.angle, s.angle
+        except NoInvariantDirection:
+            pass
+    raise NoConvergence(f"cyclic word {name} is not hyperbolic (|tr| = "
+                        f"{abs(float(p.trace())):.6g}, det = {float(p.det()):.6g})")
 
-    The merged arcs' last moves are reported as u_uncertainty/s_uncertainty.
-    They are not a bound on the distance to the converged arcs: the moves
-    shrink geometrically and their tail adds up (strict-free pair 19 of the
-    acceptance generator, seed 101, stops with moves <= 9.6e-11 but lies
-    2.9e-10 from the arcs of 100 steps)."""
+
+def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
+    """The cores, filled from periodic points; depth is the longest periodic
+    word length L tried.
+
+    For L = 1, 2, ... the U and S points of every rotation w of each
+    admissible cyclic word of length <= L are taken from w's own product and
+    named render_word(w); U points go to the symbol of w's last letter, S
+    points to that of its first.  On a subshift each point is also carried
+    one admissible letter forward (U, "(w)B" names B u(w)) or backward (S,
+    "B(w)" names B^-1 s(w)), since some per-symbol endpoints are
+    preperiodic.  The points, puffed to PUFF, are filled U against S and S
+    against U (_filled_view), and the first system to pass _invariant is
+    returned; SearchBudgetExceeded if none up to depth does.  Every cyclic
+    word of a uniformly hyperbolic tuple is hyperbolic, so the first that is
+    not raises NoConvergence (_directions).
+
+    Why the first passing system is the cores.  Periodic U (S) points lie
+    in the U (S) cores, and every core arc holds some.  If each letter maps
+    U' into U', its complement C is open, holds the S arcs, and is mapped
+    into itself by each inverse letter.  The inverse product of a periodic
+    word w draws every point but u(w) to s(w), so s(w) lies in the closure
+    of C, and not on the boundary of U', whose endpoints are U points.  So
+    U' holds no periodic S point and bridges no gap of the U cores, which
+    holds a core S arc; dually for S', and on a subshift the same holds per
+    symbol along admissible cycles.  A fill below the true word length can
+    therefore not pass as a coarser system: U' and S' lie inside the cores,
+    and an alternating invariant system inside them is the cores, the
+    minimal invariant multicone.  Longer words add points inside the same
+    arcs, so every depth from the first certifying L on gives the same
+    result.  The argument is exact on the edges an identity of words
+    decides (_pin); the others allow _incidence_slack.
+    """
     n = sft.n_symbols
-    u_cur, s_cur = _seed_spans(mats, sft)
-    if not any(u_cur) or not any(s_cur):
-        raise NoConvergence("no hyperbolic periodic data to seed the cores")
     inv = [m.inverse() for m in mats]
-
-    # raw image iteration until the counts hold for three steps from step 5
-    # on (hulls are trustworthy once the seed fattening is below the smallest
-    # gap), then the hulls are fed back, which pins the arcs onto the invariant
-    # components; raw iteration alone never certifies the deep components of
-    # pullback pairs, and feedback from earlier steps never certified them
-    feedback, streak, last, prev = False, 0, None, None
-    for step in range(depth):
-        u_cur, s_cur = _iterate_cores(u_cur, s_cur, mats, inv, sft)
-        fu, fs = _filled_view(u_cur, s_cur, mats, inv, sft)
-        if feedback:
-            u_cur, s_cur = fu, fs
+    u_at: dict[str, float] = {}
+    s_at: dict[str, float] = {}
+    u_pts: list[list] = [[] for _ in range(n)]  # per symbol: (angle, name)
+    s_pts: list[list] = [[] for _ in range(n)]
+    for length, words in itertools.groupby(periodic_words(sft, depth), key=len):
+        for w in words:
+            for i in range(length):
+                r = w[i:] + w[:i]
+                name = render_word(r)
+                u, s = _directions(product(mats, r), name)
+                u_at[name], s_at[name] = u, s
+                u_pts[r[-1]].append((u, name))
+                s_pts[r[0]].append((s, name))
+                if sft.is_full:
+                    continue
+                for b in range(n):
+                    if sft.ok(r[-1], b) and b != r[0]:
+                        u_pts[b].append((mats[b].act_angle(u), f"({name}){LETTERS[b]}"))
+                    if sft.ok(b, r[0]) and b != r[-1]:
+                        s_pts[b].append((inv[b].act_angle(s), f"{LETTERS[b]}({name})"))
+        fu, fs = _filled_view(u_pts, s_pts, mats, inv, sft)
+        if not all(len(x) == len(y) > 0 and (0.0, PI) not in x + y
+                   for x, y in zip(fu, fs)):
+            continue  # no alternation
+        # per-symbol arcs, then the merged ones
+        u_all, s_all = sum(u_pts, []), sum(s_pts, [])
+        if sft.is_full:
+            u_glob, s_glob = _named(fu[0], u_all), _named(fs[0], s_all)
+            u, s = [u_glob] * n, [s_glob] * n
         else:
-            counts = (sum(map(len, fu)), sum(map(len, fs)))
-            streak = streak + 1 if counts == last else 0
-            last, feedback = counts, streak >= 3 and step >= 5
-        view = None  # per-symbol arcs, then the merged ones
-        if all(len(x) == len(y) > 0 for x, y in zip(fu, fs)):  # else no alternation
-            with contextlib.suppress(DegenerateInput):  # a whole-circle span
-                view = ([arcs_of_spans(x) for x in (*fu, merge_spans(sum(fu, [])))],
-                        [arcs_of_spans(x) for x in (*fs, merge_spans(sum(fs, [])))])
-        if prev and view and _invariant(*view, mats, inv, sft):
-            moves = [_shifts(p, c) for p, c in zip(prev[0] + prev[1], view[0] + view[1])]
-            if all(max(v) <= DEFAULT.angle for m in moves for v in m):
-                break
-        prev = view
-    else:
-        raise SearchBudgetExceeded(f"no certified invariant cores within {depth} steps")
-    u, s = view
-    return CoreSet(u_arcs=u[n], s_arcs=s[n], u_uncertainty=tuple(moves[n]),
-                   s_uncertainty=tuple(moves[-1]),
-                   per_symbol=None if sft.is_full else tuple(zip(u[:n], s[:n])))
+            u = [_named(x, pts) for x, pts in zip(fu, u_pts)]
+            s = [_named(x, pts) for x, pts in zip(fs, s_pts)]
+            u_glob = _named(merge_spans(sum(fu, [])), u_all)
+            s_glob = _named(merge_spans(sum(fs, [])), s_all)
+        if _invariant(u, s, mats, inv, sft, u_at, s_at):
+            return CoreSet(u_arcs=u_glob[0], s_arcs=s_glob[0], u_words=u_glob[1],
+                           s_words=s_glob[1], word_length=length,
+                           per_symbol=None if sft.is_full else
+                           tuple((x[0], y[0]) for x, y in zip(u, s)))
+    raise SearchBudgetExceeded(
+        f"no certified invariant cores from periodic words of length <= {depth}")
 
 
 # ---------------------------------------------------------------------------

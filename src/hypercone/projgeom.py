@@ -83,9 +83,6 @@ class ProjPoint:
     def vector(self) -> tuple[float, float]:
         return (math.cos(self.angle), math.sin(self.angle))
 
-    def close_to(self, other: "ProjPoint", tol: float = DEFAULT.angle) -> bool:
-        return same_angle(self.angle, other.angle, tol)
-
 
 def _require_distinct(points, tol: float):
     n = len(points)
@@ -258,7 +255,7 @@ def contraction_factor(outer: ArcP1, inner: ArcP1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# circular span arithmetic (used by core iteration and multicone checks)
+# circular span arithmetic (used by the core fill and multicone checks)
 
 Span = tuple[float, float]  # (start angle, length), length in [0, pi]
 
@@ -270,21 +267,20 @@ def containment_margin(outer: ArcP1, span: Span) -> float:
     return min(off, outer.length - off - span[1])
 
 
-def merge_spans(spans: list[Span], eps: float = 0.0) -> list[Span]:
+def merge_spans(spans: list[Span]) -> list[Span]:
     """Union of circular spans, merged into disjoint spans sorted by start.
 
-    Spans whose gap is <= eps are coalesced.  Returns [(0.0, pi)] when the
-    union covers the whole circle.
+    Returns [(0.0, pi)] when the union covers the whole circle.
     """
     spans = [(norm_angle(s), ln) for s, ln in spans if ln > 0.0]
     if not spans:
         return []
-    if any(ln >= PI - eps for _, ln in spans):
+    if any(ln >= PI for _, ln in spans):
         return [(0.0, PI)]
     items = sorted(spans)
     merged: list[list[float]] = []
     for s, ln in items:
-        if merged and s <= merged[-1][0] + merged[-1][1] + eps:
+        if merged and s <= merged[-1][0] + merged[-1][1]:
             end = max(merged[-1][0] + merged[-1][1], s + ln)
             merged[-1][1] = end - merged[-1][0]
         else:
@@ -293,7 +289,7 @@ def merge_spans(spans: list[Span], eps: float = 0.0) -> list[Span]:
     while len(merged) > 1:
         s0, l0 = merged[0]
         s1, l1 = merged[-1]
-        if s1 + l1 < s0 + PI - eps:
+        if s1 + l1 < s0 + PI:
             break
         ln = max(s0 + l0 + PI, s1 + l1) - s1
         if ln >= PI:

@@ -194,16 +194,6 @@ class CanonicalPair:
     gamma: float
 
 
-def gamma_from_traces(x, y, z) -> float:
-    """gamma as a function of the three traces (x, y >= 2 assumed).
-
-    The two solutions of t^2 - xy t + (x^2 + y^2 - 4) split the product trace:
-    z = (xy - sqrt((x^2-4)(y^2-4)))/2 + gamma.
-    """
-    disc = (float(x) ** 2 - 4.0) * (float(y) ** 2 - 4.0)
-    return float(z) - 0.5 * (float(x) * float(y) - math.sqrt(max(disc, 0.0)))
-
-
 def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
     if float(A.trace()) < 2.0 - DEFAULT.trace or float(B.trace()) < 2.0 - DEFAULT.trace:
         raise NotCanonicalizable("both traces must be >= 2")

@@ -201,7 +201,7 @@ def test_cores_command_with_svg(tmp_path, capsys):
 
 def test_cores_out_of_depth_is_budget_exceeded(tmp_path, capsys):
     path = write_spec(tmp_path, FREE_SPEC)
-    code = main(["cores", "--input", path, "--depth", "8"])
+    code = main(["cores", "--input", path, "--depth", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("budget exceeded: ")

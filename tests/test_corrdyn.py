@@ -6,8 +6,7 @@ import pytest
 
 from hypercone.corrdyn import (CombMulticone, Morphism, all_correspondences,
                                classify_two_morphism, compose, constant_corr,
-                               cross_ratio_decreasing, identity_corr,
-                               induced_morphism, lift_height_zero,
+                               identity_corr, induced_morphism, lift_height_zero,
                                morphism_hyperbolic, morphism_tight,
                                nonrealizable_fixture, reduce_tight, reflect,
                                solve_s_from_u, validate, winding_comb,
@@ -16,7 +15,6 @@ from hypercone.errors import (EllipticAlongWord, NotMonotonic,
                               StructureViolation)
 from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import core_criterion
-from hypercone.projgeom import ProjPoint
 from hypercone.sl2core import Mat2
 from hypercone.twoshift import apply_fword_inverse
 from tests.test_fareycomb import exact_pullbacks
@@ -337,16 +335,6 @@ def test_winding_matrix_rejects_elliptic_product():
     B = Mat2(0.5, 0, -2, 2)  # tr AB = 0
     with pytest.raises(EllipticAlongWord):
         winding_matrix((A, B), "AB")
-
-
-def test_cross_ratio_decreasing_lemma():
-    rng = random.Random(36)
-    for _ in range(300):
-        angles = sorted(rng.uniform(0, 3.1) for _ in range(8))
-        if min(b - a for a, b in zip(angles, angles[1:])) < 1e-3:
-            continue
-        a1, a, b, b1, c1, c, d, d1 = (ProjPoint(t) for t in angles)
-        assert cross_ratio_decreasing(a1, a, b, b1, c1, c, d, d1)
 
 
 def test_morphism_json_roundtrip(free_pair):

@@ -10,6 +10,7 @@ from hypercone.fareycomb import (_family_products, action_table, build_order,
                                  orbit_words, rotation_orbit_word,
                                  special_words)
 from hypercone.multicone import core_criterion
+from hypercone.projgeom import angle_dist
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.twoshift import apply_fword_inverse, eval_string
 from tests.conftest import canonical_pair
@@ -211,7 +212,7 @@ def test_component_model_action_consistency(free_pair_exact):
         if exact:
             m = eval_string(pair, w)
             moved = pair[0].act(model.u_points[w])
-            assert moved.close_to(model.u_points[target], tol=1e-9)
+            assert angle_dist(moved.angle, model.u_points[target].angle) <= 1e-9
     rep = core_criterion(pair, model.cores)
     assert rep.ok
 

@@ -1,26 +1,30 @@
 import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercone.errors import BadFamily, HyperconeError, SearchBudgetExceeded
-from hypercone.fareycomb import component_model
+from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
+                              SearchBudgetExceeded)
+from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
                                  alternation, certify, compute_cores,
                                  core_criterion, eventual_constancy,
                                  fatten_cores, single_component_length,
                                  tightness)
 from hypercone.projgeom import PI, ArcP1, MultiCone, angle_dist, merge_spans
-from hypercone.sl2core import Mat2
-from hypercone.symdyn import Sft, periodic_words, product
+from hypercone.sl2core import Mat2, eigen_data
+from hypercone.symdyn import Sft, parse_word, periodic_words, product
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import apply_fword_inverse
 from hypercone.witness import search_elliptic
-from tests.conftest import four_interval_family, group_tuple
-from tests.test_acceptance import REFLECT, _mild_exact_base, _strict_free_pairs
+from tests.conftest import exact_canonical_pair, four_interval_family, group_tuple
+from tests.test_acceptance import (REFLECT, _mild_exact_base, _strict_free_pairs,
+                                   pullback_population)
 from tests.test_symdyn import min_rotation
 
 
@@ -125,34 +129,76 @@ def test_compute_cores_free_pair(free_pair):
 @pytest.mark.parametrize("table", [None, ((True, True), (True, False))],
                          ids=["full", "golden"])
 def test_compute_cores_monotone_in_depth(free_pair, table):
+    # out of budget below the first certifying word length, the same cores
+    # from there on
     sft = Sft.full(2) if table is None else Sft(2, table)
-    want = compute_cores(free_pair, sft, depth=48)
-    ok = []
-    for depth in range(6, 48):
-        try:
-            got = compute_cores(free_pair, sft, depth=depth)
-        except SearchBudgetExceeded:
-            continue
-        assert got == want, depth
-        ok.append(depth)
-    assert ok == list(range(ok[0], 48))  # out of budget below the stop only
+    want = compute_cores(free_pair, sft, depth=12)
+    assert want.word_length == 2
+    for depth in range(1, 13):
+        if depth < want.word_length:
+            with pytest.raises(SearchBudgetExceeded):
+                compute_cores(free_pair, sft, depth=depth)
+        else:
+            assert compute_cores(free_pair, sft, depth=depth) == want, depth
 
 
-def test_compute_cores_uncertainty_within_tolerance(free_pair_exact):
-    # rank-5 pullback: one U arc sits on the 0/pi seam, where a pairing by
-    # sorted start would match it with a different arc
-    A, B = apply_fword_inverse(*free_pair_exact, "+-")
-    found = []
-    for depth in range(40, 65):
-        try:
-            cores = compute_cores((A, B), Sft.full(2), depth=depth)
-        except SearchBudgetExceeded:
+def test_compute_cores_rank5_certifies_at_word_length_5(free_pair_exact):
+    # rank-5 pullback: one U arc sits on the 0/pi seam
+    pair = apply_fword_inverse(*free_pair_exact, "+-")
+    cores = compute_cores(pair, Sft.full(2))
+    assert cores.rank == 5 and cores.word_length == 5
+    # each arc starts at the U (S) point of the word that names its start
+    for arcs, words, side in ((cores.u_arcs, cores.u_words, 0),
+                              (cores.s_arcs, cores.s_words, 1)):
+        for a, (start, _) in zip(arcs, words):
+            point = eigen_data(product(pair, parse_word(start)))[side][0]
+            assert a.start.angle == point.angle
+
+
+def _match_arcs(got, want, bound):
+    assert got.rank == want.rank
+    for got_arcs, want_arcs in ((got.u_arcs, want.u_arcs), (got.s_arcs, want.s_arcs)):
+        for w in want_arcs:
+            g = min(got_arcs, key=lambda a: angle_dist(a.start.angle, w.start.angle))
+            assert angle_dist(g.start.angle, w.start.angle) <= bound
+            assert angle_dist(g.end.angle, w.end.angle) <= bound
+
+
+def test_compute_cores_matches_component_model():
+    full = Sft.full(2)
+    # c04's strict-free pairs, given exactly
+    for A, B in _strict_free_pairs(1000)[:100]:
+        pair = exact_canonical_pair(Fraction(A.a), Fraction(B.d), Fraction(1),
+                                    Fraction(B.c))
+        cores = compute_cores(pair, full)
+        assert cores.word_length == 2
+        _match_arcs(cores, component_model(*pair, "").cores, 1e-14)
+    # every pullback pair of rank <= 9, given as float
+    checked = 0
+    for pair, fword, _ in pullback_population(500):
+        if j_of_fword(fword).denominator > 9:
             continue
-        found.append(cores)
-        assert cores.rank == 5
-        assert max(map(max, cores.u_uncertainty + cores.s_uncertainty)) <= \
-            DEFAULT.angle
-    assert found and all(c == found[0] for c in found)
+        cores = compute_cores(tuple(m.to_float() for m in pair), full, depth=12)
+        _match_arcs(cores, component_model(*pair, fword).cores, 1e-10)
+        checked += 1
+    assert checked == 400
+
+
+def test_compute_cores_group_tuple_fast(free_pair, sft4):
+    tup = group_tuple(free_pair)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        cores = compute_cores(tup, sft4)
+        best = min(best, time.process_time() - t0)
+    assert cores.rank == 4
+    assert best < 0.05, f"{best:.3f} s"
+
+
+def test_compute_cores_names_the_elliptic_word(elliptic_walk_pair):
+    with pytest.raises(NoConvergence, match="cyclic word ABB is not hyperbolic"):
+        compute_cores(elliptic_walk_pair, Sft.full(2), depth=24)
+    assert abs(product(elliptic_walk_pair, parse_word("ABB")).trace()) <= 2
 
 
 def test_compute_cores_principal_pair():

@@ -7,7 +7,7 @@ import pytest
 from hypercone.errors import (NoInvariantDirection, NotCanonicalizable,
                               PreconditionViolated)
 from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
-                               classify, eigen_data, gamma_from_traces,
+                               classify, eigen_data,
                                invariant_dirs, normalize_tuple)
 from hypercone.twoshift import eval_string
 
@@ -105,9 +105,6 @@ def test_canonical_reconstruction_and_trace_identity(free_pair):
     direct = (A @ B).trace()
     assert cp.mu / cp.nu + cp.nu / cp.mu + cp.gamma == pytest.approx(direct,
                                                                     abs=1e-9)
-    # gamma from traces agrees with gamma from the basis
-    g2 = gamma_from_traces(A.trace(), B.trace(), direct)
-    assert g2 == pytest.approx(cp.gamma, abs=1e-9)
 
 
 def test_canonical_form_rejections():
