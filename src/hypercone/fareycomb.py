@@ -32,11 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadBasePoint, NotInterior, OrderViolation
-from .multicone import CoreSet
 from .projgeom import ArcP1, ProjPoint, angle_gap
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
-from .twoshift import eval_string, fword_substitution
+
+# multicone and twoshift are imported where they are used, so that the
+# combinatorics (build_order, action_table) load neither
 
 
 def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
@@ -153,6 +154,7 @@ def build_order(f: Fraction) -> OrderedFamily:
 
 def j_of_fword(fword: str) -> Fraction:
     """Rotation number of the component with the given sign word."""
+    from .twoshift import fword_substitution
     wa, wb = fword_substitution(fword)
     w = wa + wb
     return Fraction(w.count("B"), len(w))
@@ -242,6 +244,7 @@ def _family_products(mats, family: OrderedFamily) -> dict:
     to eval_string's product.  Float input evaluates every word, since
     conjugation would move its bits.
     """
+    from .twoshift import eval_string
     if not all(m.is_exact() for m in mats):
         return {fw.word: eval_string(mats, fw.word) for fw in family.order}
     # Fraction entries keep the inverse of an integer matrix exact
@@ -269,6 +272,7 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     misclassified or near-boundary pair.  On exact input the family products
     are conjugates of one product per cyclic word (_family_products).
     """
+    from .multicone import CoreSet
     f = j_of_fword(fword)
     family = build_order(f)
     products = _family_products((A, B), family)

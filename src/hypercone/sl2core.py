@@ -19,7 +19,9 @@ from .tolerances import DEFAULT
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, Rational)
+    # the float test first: it is the common case, and far cheaper than the
+    # ABC check
+    return type(value) is not float and isinstance(value, Rational)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class Mat2:
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def is_exact(self) -> bool:
-        return all(is_exact(v) for v in (self.a, self.b, self.c, self.d))
+        return (is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
+                and is_exact(self.d))
 
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
@@ -93,10 +96,9 @@ class Mat2:
         return math.sqrt(0.5 * (s + math.sqrt(disc)))
 
     def dist_to_pm_identity(self) -> float:
-        plus = max(abs(float(self.a) - 1), abs(float(self.b)),
-                   abs(float(self.c)), abs(float(self.d) - 1))
-        minus = max(abs(float(self.a) + 1), abs(float(self.b)),
-                    abs(float(self.c)), abs(float(self.d) + 1))
+        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        plus = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+        minus = max(abs(a + 1), abs(b), abs(c), abs(d + 1))
         return min(plus, minus)
 
     # -- projective action --------------------------------------------------
@@ -109,6 +111,13 @@ class Mat2:
 
     def act(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.act_angle(p.angle))
+
+
+def integer_scaled(m: Mat2) -> tuple[Mat2, int]:
+    """(s*m, s) for the least positive integer s that makes the exact m integral."""
+    entries = (m.a, m.b, m.c, m.d)
+    s = math.lcm(*(v.denominator for v in entries))
+    return Mat2(*(v.numerator * (s // v.denominator) for v in entries)), s
 
 
 def check_unimodular(m: Mat2) -> Mat2:
@@ -146,15 +155,20 @@ def eigen_data(m: Mat2):
     a, b, c, d = (float(v) for v in (m.a, m.b, m.c, m.d))
     t = a + d
     if m.is_exact():
-        tr = m.trace()
-        disc = float(tr * tr - 4 * m.det())
+        # on the integer matrix s*m: each int / int division is correctly
+        # rounded, so disc and det carry the bits of float(Fraction)
+        n, s = integer_scaled(m)
+        nd, ss = n.det(), s * s
+        tr = n.trace()
+        disc, det = (tr * tr - 4 * nd) / ss, nd / ss
     else:
-        disc = t * t - 4.0 * float(m.det())
+        det = float(m.det())
+        disc = t * t - 4.0 * det
     if disc < 0.0:
         raise NoInvariantDirection("elliptic matrix has no invariant direction")
     r = math.sqrt(max(disc, 0.0))
     lam_u = 0.5 * (t + r) if t >= 0 else 0.5 * (t - r)
-    lam_s = float(m.det()) / lam_u if lam_u != 0 else 0.0
+    lam_s = det / lam_u if lam_u != 0 else 0.0
 
     def direction(lam):
         v1 = (b, lam - a)

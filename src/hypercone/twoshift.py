@@ -22,20 +22,49 @@ t1^2 - (x^2-4)(y^2-4) = 4*t2.  On exact (rational) inputs the whole walk is
 decided without any boundary band; on floats a band around each strict
 comparison reports a degenerate outcome instead of guessing.
 
+The walk runs on integer-scaled traces (X, Y, Z, a, b), standing for
+x = X/a, y = Y/b, z = Z/(a*b) with positive integer scales a, b.  On
+rational input a and b start as the least common denominators of A and B,
+so that a*A and b*B are integer matrices, X = tr(a*A), Y = tr(b*B) and Z is
+the trace of their product.  The moves keep every quantity an integer:
+
+    plus:  (X, Y, Z, a, b) -> (X, Z, X*Z - Y*a*a, a, a*b)
+    minus: (X, Y, Z, a, b) -> (Z, Y, Y*Z - X*b*b, a*b, b)
+
+and the decision quantities scale by positive integers,
+
+    a*b * t1       = X*Y - 2*Z
+    a^2*b^2 * t2   = X^2*b^2 + Y^2*a^2 + Z^2 - X*Y*Z - 4*a^2*b^2
+    a*b * (|z| - 2) = |Z| - 2*a*b,
+
+so their signs, which are all the walk reads, are decided by exact integer
+arithmetic without any Fraction; so is the termination bound
+floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
+rebuilt as integer matrix products with the same scales and becomes a
+Fraction matrix once, for its orientation.  Every float the verdict reports
+is one int/int true division, correctly rounded like float(Fraction), so it
+has the bits of the rational value.
+
+Only rational input is scaled, and it is decided with band 0.  Float and
+mixed float/rational input take a = b = 1, where every formula above is the
+unscaled one (multiplying by the integer 1 is exact), so the band never
+meets a scale other than 1.  trace_step_plus, trace_step_minus and fricke
+are the scale-1 case of the same step functions.
+
 Words here are plain strings over 'A', 'B' whose matrix value is the
 left-to-right product ("BAB" means B @ A @ B).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import _exact
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_data
+from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import LETTERS
 from .tolerances import DEFAULT
 
@@ -46,19 +75,43 @@ class TraceTriple(NamedTuple):
     z: object  # tr AB
 
 
+class _Scaled(NamedTuple):
+    """Traces x = X/a, y = Y/b, z = Z/(a*b) with positive integer scales."""
+
+    X: object
+    Y: object
+    Z: object
+    a: int = 1
+    b: int = 1
+
+
+def _step_plus(s: _Scaled) -> _Scaled:
+    X, Y, Z, a, b = s
+    return _Scaled(X, Z, X * Z - Y * a * a, a, a * b)
+
+
+def _step_minus(s: _Scaled) -> _Scaled:
+    X, Y, Z, a, b = s
+    return _Scaled(Z, Y, Y * Z - X * b * b, a * b, b)
+
+
+def _fricke(s: _Scaled):
+    """a^2 b^2 times the Fricke form of the traces s stands for."""
+    X, Y, Z, a, b = s
+    Xb, Ya = X * b, Y * a
+    return Xb * Xb + Ya * Ya + Z * Z - X * Y * Z
+
+
 def trace_step_plus(t: TraceTriple) -> TraceTriple:
-    x, y, z = t
-    return TraceTriple(x, z, x * z - y)
+    return TraceTriple(*_step_plus(_Scaled(*t))[:3])
 
 
 def trace_step_minus(t: TraceTriple) -> TraceTriple:
-    x, y, z = t
-    return TraceTriple(z, y, y * z - x)
+    return TraceTriple(*_step_minus(_Scaled(*t))[:3])
 
 
 def fricke(t: TraceTriple):
-    x, y, z = t
-    return x * x + y * y + z * z - x * y * z
+    return _fricke(_Scaled(*t))
 
 
 def pair_step_plus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
@@ -139,15 +192,17 @@ Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
 
 
 # ---------------------------------------------------------------------------
-# state tests on trace triples (x, y assumed >= 2)
+# state tests on scaled traces (x, y assumed >= 2); a non-zero band comes
+# only with scale 1, where the scaled quantities are t1 and t2 themselves
 
 _TWISTED, _STRAIGHT, _BOUNDARY = 1, 0, -1
 
 
-def _twist_state(t: TraceTriple, band) -> int:
-    x, y, z = t
-    t1 = x * y - 2 * z
-    t2 = x * x + y * y + z * z - x * y * z - 4
+def _twist_state(s: _Scaled, band) -> int:
+    X, Y, Z, a, b = s
+    t1 = X * Y - 2 * Z
+    ab = a * b
+    t2 = _fricke(s) - 4 * ab * ab
     if t1 > band and t2 > band:
         return _TWISTED
     if t1 < -band or t2 < -band:
@@ -180,7 +235,7 @@ def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
     x, y, z = A.trace(), B.trace(), (A @ B).trace()
     sx = 1 if x >= 0 else -1
     sy = 1 if y >= 0 else -1
-    st = _twist_state(TraceTriple(sx * x, sy * y, sx * sy * z), band)
+    st = _twist_state(_Scaled(sx * x, sy * y, sx * sy * z), band)
     if st == _BOUNDARY and band > 0:
         raise _DegenerateEscape("twist test in the boundary band")
     return st == _TWISTED
@@ -195,22 +250,23 @@ class Step:
 
 def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
     """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
-    t = TraceTriple(A.trace(), B.trace(), (A @ B).trace())
-    return _step_select_traces(t, band)
+    s = _Scaled(A.trace(), B.trace(), (A @ B).trace())
+    return _step_select_traces(s, band)
 
 
-def _step_select_traces(t: TraceTriple, band) -> str:
-    x, y, z = t
-    if abs(z) < 2 - band:
+def _step_select_traces(s: _Scaled, band) -> str:
+    _, _, Z, a, b = s
+    ab = a * b
+    if abs(Z) < (2 - band) * ab:
         return Step.ELLIPTIC
-    if z < -2 + band:
-        if z > -2 - band:
-            raise _DegenerateEscape("tr AB in the band around -2", z)
+    if Z < (-2 + band) * ab:
+        if Z > (-2 - band) * ab:
+            raise _DegenerateEscape("tr AB in the band around -2", Z / ab)
         return Step.FREE
-    if z < 2 + band:
-        raise _DegenerateEscape("tr AB in the band around 2", z)
-    plus = _twist_state(trace_step_plus(t), band)
-    minus = _twist_state(trace_step_minus(t), band)
+    if Z < (2 + band) * ab:
+        raise _DegenerateEscape("tr AB in the band around 2", Z / ab)
+    plus = _twist_state(_step_plus(s), band)
+    minus = _twist_state(_step_minus(s), band)
     if plus == _BOUNDARY or minus == _BOUNDARY:
         raise _DegenerateEscape("successor twist test in the boundary band")
     if plus == _TWISTED and minus == _TWISTED:
@@ -224,17 +280,16 @@ def _step_select_traces(t: TraceTriple, band) -> str:
 # orientation of a free pair
 
 
-def _orientation_points(A: Mat2, B: Mat2):
-    BA = B @ A
+def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
+    """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
+    return _orientation(A, B, B @ A)
+
+
+def _orientation(A: Mat2, B: Mat2, BA: Mat2) -> int:
     (uB, _), _ = eigen_data(B)
     (uBA, _), (sBA, _) = eigen_data(BA)
     _, (sA, _) = eigen_data(A)
-    return uB, uBA, sBA, sA
-
-
-def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
-    """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    pts = _orientation_points(A, B)
+    pts = (uB, uBA, sBA, sA)
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))
     if min_gap > 100 * DEFAULT.angle or not (A.is_exact() and B.is_exact()):
@@ -244,7 +299,6 @@ def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
             return -1
         raise _DegenerateEscape("free-pair direction order is inconsistent")
     # exact fallback for rational pairs with near-coincident float angles
-    BA = B @ A
     dirs = [_exact.exact_unstable_dir(B), _exact.exact_unstable_dir(BA),
             _exact.exact_stable_dir(BA), _exact.exact_stable_dir(A)]
     if _exact.exact_cyclically_ordered(dirs):
@@ -261,69 +315,88 @@ def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
 def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     """Decide membership and component data for a pair over the full 2-shift.
 
-    Exact inputs (int/Fraction entries) are decided with band 0; boundary
-    cases then mean genuine boundary points and come back Degenerate.
+    Exact inputs (int/Fraction entries) are decided with band 0 on
+    integer-scaled traces; boundary cases then mean genuine boundary points
+    and come back Degenerate.
     """
-    band = 0 if A.is_exact() and B.is_exact() else DEFAULT.band
     try:
-        return _classify(A, B, band)
+        return _classify(A, B)
     except _DegenerateEscape as esc:
         return Degenerate(reason=esc.reason, value=esc.value)
     except DegenerateTie as tie:
         return Degenerate(reason=str(tie))
 
 
-def _classify(A: Mat2, B: Mat2, band) -> Classification2:
+def _unscaled(m: Mat2, s: int) -> Mat2:
+    return Mat2(*(Fraction(v, s) for v in (m.a, m.b, m.c, m.d)))
+
+
+def _classify(A: Mat2, B: Mat2) -> Classification2:
     for name, m in (("A", A), ("B", B)):
         if m.dist_to_pm_identity() <= DEFAULT.identity:
             return Degenerate(reason=f"generator {name} is +-identity")
 
-    x0, y0 = A.trace(), B.trace()
-    sa = 1 if x0 >= 0 else -1
-    sb = 1 if y0 >= 0 else -1
+    # Only exact input is scaled, and it has band 0: the band only ever
+    # meets scale 1, where the scaled decision quantities are the plain ones.
+    exact = A.is_exact() and B.is_exact()
+    if exact:
+        band = 0
+        (A, a), (B, b) = integer_scaled(A), integer_scaled(B)
+    else:
+        band, a, b = DEFAULT.band, 1, 1
+
+    sa = 1 if A.trace() >= 0 else -1
+    sb = 1 if B.trace() >= 0 else -1
     sign_pair = (sa, sb)
     A1 = A if sa > 0 else -A
     B1 = B if sb > 0 else -B
+    X, Y = A1.trace(), B1.trace()
 
-    for name, m in (("A", A1), ("B", B1)):
-        t = m.trace()
-        if abs(t - 2) <= band:
+    for name, T, scale, sign in (("A", X, a, sa), ("B", Y, b, sb)):
+        if abs(T - 2 * scale) <= band:
             return Degenerate(reason=f"generator {name} is parabolic (band)",
-                              value=float(t))
-        if t < 2:
-            return EllipticWitness(word=name, trace=float(A.trace() if name == "A"
-                                                          else B.trace()),
+                              value=float(T / scale))
+        if T < 2 * scale:
+            return EllipticWitness(word=name, trace=float(sign * T / scale),
                                    iterations=0)
 
-    t = TraceTriple(A1.trace(), B1.trace(), (A1 @ B1).trace())
-    inv = float(fricke(t))
-    state = _twist_state(t, band)
+    s = _Scaled(X, Y, (A1 @ B1).trace(), a, b)
+    inv = float(_fricke(s) / (a * a * b * b))
+    state = _twist_state(s, band)
     if state == _BOUNDARY:
         raise _DegenerateEscape("initial twist test in the boundary band")
     if state == _STRAIGHT:
         return Principal(sign_pair=sign_pair, invariant=inv)
 
-    t0 = t.x + t.y
-    bound = math.floor(t0 / 4) - 1
+    # floor((x + y) / 4) - 1, with x + y = t0 / (a*b)
+    t0 = X * b + Y * a
+    bound = t0 // (4 * a * b) - 1
     fword = []
     k = 0
     while True:
-        step = _step_select_traces(t, band)
+        step = _step_select_traces(s, band)
         if step == Step.FREE:
-            # the walked pair, rebuilt by the same products the walk implies
+            # the walked pair, rebuilt by the same products the walk implies;
+            # its scales are those of the walked traces
             Ak, Bk = A1, B1
             for sign in fword:
                 step_pair = pair_step_plus if sign == Step.PLUS else pair_step_minus
                 Ak, Bk = step_pair(Ak, Bk)
-            orient = orientation_of_free_pair(Ak, Bk)
+            BAk = Bk @ Ak
+            if exact:
+                Ak, Bk, BAk = (_unscaled(Ak, s.a), _unscaled(Bk, s.b),
+                               _unscaled(BAk, s.a * s.b))
+            orient = _orientation(Ak, Bk, BAk)
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:
             wa, wb = fword_substitution("".join(fword))
-            return EllipticWitness(word=wa + wb, trace=float(t.z), iterations=k)
+            return EllipticWitness(word=wa + wb, trace=float(s.Z / (s.a * s.b)),
+                                   iterations=k)
         if k + 1 > bound:
-            raise _DegenerateEscape("walk exceeded its termination bound", float(t0))
-        t = trace_step_plus(t) if step == Step.PLUS else trace_step_minus(t)
+            raise _DegenerateEscape("walk exceeded its termination bound",
+                                    t0 / (a * b))
+        s = _step_plus(s) if step == Step.PLUS else _step_minus(s)
         fword.append(step)
         k += 1
 

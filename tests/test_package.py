@@ -43,7 +43,8 @@ def test_unknown_name_is_missing():
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["farey", "--pq", "2/5"], {"corrdyn", "witness"}),
+    (["farey", "--pq", "2/5"],
+     {"corrdyn", "witness", "multicone", "twoshift", "_exact"}),
     (["normalize", "--input", "SPEC", "--bound", "10"],
      {"corrdyn", "witness", "multicone"}),
 ])

@@ -7,8 +7,8 @@ import pytest
 from hypercone.errors import (NoInvariantDirection, NotCanonicalizable,
                               PreconditionViolated)
 from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
-                               classify, eigen_data,
-                               invariant_dirs, normalize_tuple)
+                               classify, eigen_data, integer_scaled,
+                               invariant_dirs, is_exact, normalize_tuple)
 from hypercone.twoshift import eval_string
 
 
@@ -178,3 +178,54 @@ def test_exact_entries_survive_products():
     p = a @ b
     assert p.is_exact()
     assert p.trace() == Fraction(-7)
+
+
+def test_is_exact_truth_table():
+    for v, exact in ((3, True), (0, True), (True, True), (False, True),
+                     (Fraction(1, 3), True), (Fraction(4), True),
+                     (1.5, False), (2.0, False), (-0.0, False)):
+        assert is_exact(v) is exact, v
+    assert Mat2(1, Fraction(1, 2), True, 2).is_exact()
+    for i in range(4):
+        entries = [1, Fraction(1, 2), 0, 2]
+        entries[i] = float(entries[i])
+        assert not Mat2(*entries).is_exact()
+
+
+def test_integer_scaled_is_least_common_denominator():
+    m = Mat2(Fraction(1, 6), Fraction(-3, 4), 2, Fraction(5, 9))
+    n, s = integer_scaled(m)
+    assert s == 36 and (n.a, n.b, n.c, n.d) == (6, -27, 72, 20)
+    assert all(type(v) is int for v in (n.a, n.b, n.c, n.d))
+    assert integer_scaled(Mat2(2, 1, 1, 1)) == (Mat2(2, 1, 1, 1), 1)
+
+
+def test_eigen_data_exact_matches_the_rational_discriminant():
+    # the exact branch must give the bits of float() of the rational
+    # discriminant and determinant, also off determinant 1
+    rng = random.Random(5)
+    near_parabolic = [Mat2(mu, Fraction(1, 3), 0, 1 / mu)
+                      for k in range(5, 40, 3)
+                      for mu in (1 + Fraction(1, 10 ** k), -1 - Fraction(1, 7 ** k))]
+    checked = 0
+    for i in range(400):
+        big = rng.choice((60, 10 ** 12))
+        a, b, c, d = (Fraction(rng.randint(-big, big), rng.randint(1, big))
+                      for _ in range(4))
+        m = Mat2(a, b, c, d) if rng.random() < 0.5 or a == 0 else \
+            Mat2(a, b, c, (1 + b * c) / a)
+        if i < len(near_parabolic):
+            m = near_parabolic[i]
+        tr, det = m.trace(), m.det()
+        disc = float(tr * tr - 4 * det)
+        if disc < 0 or m.dist_to_pm_identity() == 0:
+            continue
+        t = float(m.a) + float(m.d)
+        r = math.sqrt(disc)
+        lam = 0.5 * (t + r) if t >= 0 else 0.5 * (t - r)
+        if lam == 0:
+            continue
+        (_, lam_u), (_, lam_s) = eigen_data(m)
+        assert lam_u == lam and lam_s == float(det) / lam
+        checked += 1
+    assert checked > 100

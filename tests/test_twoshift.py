@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercone import twoshift
 from hypercone.sl2core import Mat2
+from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
                                 Principal, TraceTriple, apply_fword_inverse,
                                 classify_pair, eval_string, fricke,
                                 fword_substitution, is_free, is_twisted,
-                                pair_step_minus, pair_step_plus, step_select,
-                                trace_step_minus, trace_step_plus)
+                                orientation_of_free_pair, pair_step_minus,
+                                pair_step_plus, step_select, trace_step_minus,
+                                trace_step_plus)
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             rand_conj)
+from tests.test_acceptance import _strict_free_pairs, pullback_population
 
 
 def test_trace_steps_printed_examples():
@@ -209,7 +214,6 @@ def test_walk_matches_matrix_walk(free_pair_exact):
 def test_orientation_exact_fallback_near_parabolic_product():
     # tr AB = -2 - 1e-18: the product's two directions are ~1e-9 apart in
     # floats, inside the escalation window, so the exact comparator decides
-    from hypercone.twoshift import orientation_of_free_pair
     z = Fraction(-2) - Fraction(1, 10 ** 18)
     gamma = z - 2  # mu = nu = 2
     A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), gamma)
@@ -218,3 +222,183 @@ def test_orientation_exact_fallback_near_parabolic_product():
     assert orientation_of_free_pair(D @ A @ D, D @ B @ D) == -1
     c = classify_pair(A, B)
     assert isinstance(c, NonPrincipal) and c.orientation == 1
+
+
+def test_exact_walk_matches_fraction_replay():
+    # rational pairs walk on integer-scaled traces; the verdict must be the
+    # one the Fraction trace triple gives, and the invariant its float
+    for pair, fword, mirrored in pullback_population(500):
+        A, B = pair
+        c = classify_pair(A, B)
+        assert c == _reference_classify(A, B, band=0)
+        assert isinstance(c, NonPrincipal), (fword, c)
+        assert (c.fword, c.iterations) == (fword, len(fword))
+        assert c.orientation == (-1 if mirrored else 1)
+        check_walk(A, B, c)
+        A1 = A if A.trace() >= 0 else -A
+        B1 = B if B.trace() >= 0 else -B
+        t = TraceTriple(A1.trace(), B1.trace(), (A1 @ B1).trace())
+        assert all(type(v) is Fraction for v in t)
+        assert c.invariant == float(fricke(t))
+    # near the boundary, where walks end on a band reason or on the bound
+    seen = set()
+    for A, B in _near_boundary_pairs(300, exact=True):
+        c = classify_pair(A, B)
+        assert c == _reference_classify(A, B, band=0), (A, B)
+        seen.add(getattr(c, "reason", type(c).__name__))
+    assert seen >= {"Principal", "NonPrincipal", "tr AB in the band around 2",
+                    "walk exceeded its termination bound"}
+
+
+# ---------------------------------------------------------------------------
+# the unscaled walk on plain trace triples: Fraction arithmetic with band 0
+# on rational input, the float band on float input
+
+
+class _RefEscape(Exception):
+    def __init__(self, reason, value=0.0):
+        self.reason, self.value = reason, float(value)
+
+
+def _ref_twist_state(x, y, z, band):
+    t1 = x * y - 2 * z
+    t2 = x * x + y * y + z * z - x * y * z - 4
+    if t1 > band and t2 > band:
+        return 1
+    if t1 < -band or t2 < -band:
+        return 0
+    return -1
+
+
+def _reference_classify(A, B, band):
+    for name, m in (("A", A), ("B", B)):
+        if m.dist_to_pm_identity() <= DEFAULT.identity:
+            return Degenerate(reason=f"generator {name} is +-identity")
+    sa = 1 if A.trace() >= 0 else -1
+    sb = 1 if B.trace() >= 0 else -1
+    A1 = A if sa > 0 else -A
+    B1 = B if sb > 0 else -B
+    for name, m, given in (("A", A1, A), ("B", B1, B)):
+        t = m.trace()
+        if abs(t - 2) <= band:
+            return Degenerate(reason=f"generator {name} is parabolic (band)",
+                              value=float(t))
+        if t < 2:
+            return EllipticWitness(word=name, trace=float(given.trace()),
+                                   iterations=0)
+    x, y, z = A1.trace(), B1.trace(), (A1 @ B1).trace()
+    inv = float(x * x + y * y + z * z - x * y * z)
+    try:
+        state = _ref_twist_state(x, y, z, band)
+        if state < 0:
+            raise _RefEscape("initial twist test in the boundary band")
+        if state == 0:
+            return Principal(sign_pair=(sa, sb), invariant=inv)
+        t0 = x + y
+        bound = math.floor(t0 / 4) - 1
+        fword = ""
+        while True:
+            if abs(z) < 2 - band:
+                wa, wb = fword_substitution(fword)
+                return EllipticWitness(word=wa + wb, trace=float(z),
+                                       iterations=len(fword))
+            if z < -2 + band:
+                if z > -2 - band:
+                    raise _RefEscape("tr AB in the band around -2", z)
+                Ak, Bk = A1, B1
+                for sign in fword:
+                    step = pair_step_plus if sign == "+" else pair_step_minus
+                    Ak, Bk = step(Ak, Bk)
+                return NonPrincipal(fword=fword, sign_pair=(sa, sb),
+                                    orientation=orientation_of_free_pair(Ak, Bk),
+                                    iterations=len(fword), invariant=inv)
+            if z < 2 + band:
+                raise _RefEscape("tr AB in the band around 2", z)
+            plus = _ref_twist_state(x, z, x * z - y, band)
+            minus = _ref_twist_state(z, y, y * z - x, band)
+            if plus < 0 or minus < 0:
+                raise _RefEscape("successor twist test in the boundary band")
+            if plus == minus:
+                return Degenerate(reason="both successor pairs test twisted"
+                                  if plus else
+                                  "neither successor pair tests twisted")
+            if len(fword) + 1 > bound:
+                raise _RefEscape("walk exceeded its termination bound", t0)
+            if plus:
+                x, y, z, fword = x, z, x * z - y, fword + "+"
+            else:
+                x, y, z, fword = z, y, y * z - x, fword + "-"
+    except _RefEscape as esc:
+        return Degenerate(reason=esc.reason, value=esc.value)
+
+
+def _census_pairs(n, seed=31):
+    rng = random.Random(seed)
+
+    def matrix():
+        while True:
+            a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+            if abs(a) > 1e-6:
+                return Mat2(a, b, c, (1.0 + b * c) / a)
+    return [(matrix(), matrix()) for _ in range(n)]
+
+
+def _near_boundary_pairs(n, seed=37, exact=False):
+    """Canonical pairs with tr AB near -2, just above 2, or above 2; with
+    exact, rational ones that also put tr AB on -2 and 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        if exact:
+            mu, nu = (Fraction(rng.randint(101, 300), 100) for _ in range(2))
+            z = rng.choice([-2 - Fraction(1, rng.randint(10, 10 ** 6)),
+                            2 + Fraction(1, rng.randint(10, 10 ** 6)),
+                            Fraction(rng.randint(200, 3000), 100),
+                            Fraction(-2), Fraction(2)])
+            pair = exact_canonical_pair(mu, nu, Fraction(1), z - mu / nu - nu / mu)
+        else:
+            mu, nu = rng.uniform(1.01, 3.0), rng.uniform(1.01, 3.0)
+            z = rng.choice([-2.0 - 10 ** rng.uniform(-12, -6),
+                            2.0 + 10 ** rng.uniform(-12, 0), rng.uniform(2.0, 30.0)])
+            pair = canonical_pair(mu, nu, 1.0, z - mu / nu - nu / mu)
+        out.append(pair)
+    return out
+
+
+def test_float_walk_is_the_unscaled_walk(monkeypatch):
+    pairs = (_census_pairs(1500) + _strict_free_pairs(200)
+             + _near_boundary_pairs(1500)
+             + [(A.to_float(), B.to_float())
+                for (A, B), _, _ in pullback_population(200)]
+             + [(Mat2(1.0, 0.0, 0.0, 1.0), Mat2(2.0, 1.0, 0.0, 0.5)),
+                (Mat2(1.0, 1.0, 0.0, 1.0), Mat2(2.0, 1.0, 0.0, 0.5)),
+                canonical_pair(2.0, 2.0, 1.0, 1e-12)])
+    (A, B), _, _ = pullback_population(1)[0]
+    mixed = (A, B.to_float())
+    seen = set()
+    for A, B in pairs + [mixed]:
+        c = classify_pair(A, B)
+        assert c == _reference_classify(A, B, DEFAULT.band), (A, B)
+        seen.add(c.reason if isinstance(c, Degenerate) else
+                 (type(c).__name__, getattr(c, "iterations", 0) > 0))
+    assert seen >= {
+        ("Principal", False), ("NonPrincipal", False), ("NonPrincipal", True),
+        ("EllipticWitness", False), ("EllipticWitness", True),
+        "generator A is +-identity", "generator A is parabolic (band)",
+        "initial twist test in the boundary band",
+        "tr AB in the band around -2", "tr AB in the band around 2",
+        "walk exceeded its termination bound"}
+
+    # a mixed pair is walked at scale 1 and with the float band
+    calls = []
+    twist_state = twoshift._twist_state
+
+    def spy(s, band):
+        calls.append((s.a, s.b, band))
+        return twist_state(s, band)
+    monkeypatch.setattr(twoshift, "_twist_state", spy)
+    assert isinstance(classify_pair(*mixed), NonPrincipal)
+    assert calls and set(calls) == {(1, 1, DEFAULT.band)}
+    calls.clear()
+    classify_pair(*pullback_population(1)[0][0])
+    assert calls and all(band == 0 for _, _, band in calls)
