@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
-from .fareycomb import farey_interval
+from .fareycomb import action_table, build_order
 from .multicone import CoreSet, alternation, component_map, eventual_constancy
 from .projgeom import PI
 from .sl2core import Mat2, eigen_data
@@ -75,13 +75,6 @@ class CombMulticone:
             out.append(e)
             e = self.nxt(e)
         return out
-
-    def count_in(self, a: int, b: int, want_u: bool) -> int:
-        """Elements of one parity in the half-open interval [a, b)."""
-        if a == b:
-            return 0
-        n = 1 if self.is_u(a) == want_u else 0
-        return n + sum(1 for e in self.between(a, b) if self.is_u(e) == want_u)
 
 
 @dataclass(frozen=True)
@@ -486,10 +479,6 @@ def winding_matrix(mats, word: str) -> int:
 # classification of tight hyperbolic two-generator morphisms
 
 
-class _NotPositive(Exception):
-    pass
-
-
 def reflect(phi: Morphism) -> Morphism:
     """Reverse the cyclic orientation of the combinatorial multicone."""
     mc = phi.mc
@@ -513,134 +502,70 @@ def reflect(phi: Morphism) -> Morphism:
     return Morphism(mc=new_mc, gens=tuple(gens))
 
 
-def _s_fixed_label(corr: MonotoneCorr) -> int:
-    e = corr.mc.s_labels()[0]
-    for _ in range(corr.mc.size + 1):
-        e = corr.s_of(e)
-    if corr.s_of(e) != e:
-        raise HeightUndefined("s-map has a cycle longer than a fixed point")
-    return e
+def _model_morphism(f: Fraction) -> Morphism:
+    """The positive model of the component p/q, read off fareycomb.
+
+    U slot j is the j-th center word of the plus order (labels 2j are U,
+    2j + 1 are S), and each generator's u-map is its action table.  A
+    non-constant u-map fixes its s-half (solve_s_from_u); a constant
+    generator takes the one s-label the other's s-image misses, as tightness
+    forces.  At rank 2 both are constant, and B's s-label follows A's u-label.
+    """
+    mc = CombMulticone(rank=f.denominator)
+    centers = [fw.word for fw in reversed(build_order(f).order) if fw.tag == "center"]
+    label = {w: mc.u_label(j) for j, w in enumerate(centers)}
+    table = action_table(f)
+    u_maps = [tuple(label[table[w][g][0]] for w in centers) for g in "AB"]
+    gens = [solve_s_from_u(mc, u) if len(set(u)) > 1 else None for u in u_maps]
+    if gens == [None, None]:
+        gens[1] = constant_corr(mc, u_maps[1][0], mc.nxt(u_maps[0][0]))
+    for i, g in enumerate(gens):
+        if g is None:
+            missing, = set(mc.s_labels()) - gens[1 - i].s_image
+            gens[i] = constant_corr(mc, u_maps[i][0], missing)
+    return Morphism(mc=mc, gens=tuple(gens))
 
 
-def _collapse_pair(mc: CombMulticone, f1, f2, labels) -> tuple[int, int]:
-    pairs = []
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if f1(a) == f1(b) and f2(a) == f2(b):
-                pairs.append((a, b))
-    if len(pairs) != 1:
-        raise StructureViolation("collapse-pair",
-                                 f"expected a unique pair, found {len(pairs)}")
-    return pairs[0]
-
-
-def _orient_pair(mc: CombMulticone, pair, im_first, im_second,
-                 want_u: bool) -> tuple[int, int]:
-    """Order the pair so im_first fills the inside of (first, second)."""
-    a, b = pair
-    for first, second in ((a, b), (b, a)):
-        inside = {e for e in mc.between(first, second) if mc.is_u(e) == want_u}
-        outside = {e for e in mc.between(second, first) if mc.is_u(e) == want_u}
-        if inside == set(im_first) and outside == set(im_second):
-            return first, second
-    raise StructureViolation("image-interval",
-                             "generator images are not complementary intervals")
-
-
-def _reduce_level(phi: Morphism, xs0: int, xs1: int) -> Morphism:
-    """Peel one regeneration level: restrict to Im A_u, collapse the s-block."""
-    mc = phi.mc
-    A, B = phi.gens
-    block = [xs1] + mc.between(xs1, xs0) + [xs0]
-    block_s = [e for e in block if not mc.is_u(e)]
-    vals = {A.s_of(e) for e in block_s}
-    if len(vals) != 1:
-        raise StructureViolation("reduce-level",
-                                 "first generator is not constant on the block")
-    survivors = [e for e in mc.between(xs0, xs1)]
-    order = [xs1] + survivors  # xs1 stands for the merged block point
-    pos = {e: i for i, e in enumerate(order)}
-
-    def proj(e: int) -> int:
-        return xs1 if e in block_s else e
-
-    new_mc = CombMulticone(rank=len(order) // 2, even_is_u=mc.is_u(order[0]))
-    u_a, s_a, u_b, s_b = [], [], [], []
-    for e in order:
-        if mc.is_u(e):
-            u_a.append(pos[A.u_of(e)])
-            u_b.append(pos[A.u_of(B.u_of(e))])
-        else:
-            src = xs0 if e == xs1 else e  # any block member represents the merge
-            s_a.append(pos[proj(A.s_of(src))])
-            s_b.append(pos[proj(B.s_of(A.s_of(src)))])
-    A2 = validate(new_mc, tuple(u_a), tuple(s_a))
-    B2 = validate(new_mc, tuple(u_b), tuple(s_b))
-    return Morphism(mc=new_mc, gens=(A2, B2))
-
-
-def _positive_fraction(phi: Morphism) -> Fraction:
-    mc = phi.mc
-    q = mc.rank
-    A, B = phi.gens
-    fix_au = _u_fixed_label(A)
-    fix_bs = _s_fixed_label(B)
-    if mc.nxt(fix_au) != fix_bs:
-        raise _NotPositive
-    if q == 2:
-        if not (A.is_constant and B.is_constant):
-            raise StructureViolation("rank-2", "generators must both be constant")
-        return Fraction(1, 2)
-
-    p = len(B.u_image)
-    swapped = False
-    if 2 * p > q:
-        A, B = B, A
-        p = q - p
-        swapped = True
-        fix_au = _u_fixed_label(A)
-        fix_bs = _s_fixed_label(B)
-        if mc.nxt(fix_au) != fix_bs:
-            raise _NotPositive
-
-    xs_pair = _collapse_pair(mc, A.s_of, B.s_of, mc.s_labels())
-    xu_pair = _collapse_pair(mc, A.u_of, B.u_of, mc.u_labels())
-    xs0, xs1 = _orient_pair(mc, xs_pair, A.u_image, B.u_image, want_u=True)
-    xu1, xu0 = _orient_pair(mc, xu_pair, A.s_image, B.s_image, want_u=False)
-
-    reduced = _reduce_level(Morphism(mc, (A, B)), xs0, xs1)
-    f_sub = _positive_fraction(reduced)          # = p / (q - p)
-    f = Fraction(f_sub.numerator, f_sub.numerator + f_sub.denominator)
-    if f.numerator != p or f.denominator != q:
-        raise StructureViolation("fraction",
-                                 f"recursion produced {f}, expected {p}/{q}")
-    p0bar = mc.count_in(xu0, fix_au, want_u=True)
-    q0bar = p0bar + mc.count_in(xs0, fix_bs, want_u=False)
-    f0, _ = farey_interval(f)
-    if (p0bar, q0bar) != (f0.numerator, f0.denominator):
-        raise StructureViolation(
-            "farey", f"bookkeeping ({p0bar},{q0bar}) != parent {f0}")
-    return 1 - f if swapped else f
+def _matches(phi: Morphism, model: Morphism) -> bool:
+    """Is phi the model after the label shift carrying A's fixed u-label
+    onto the model's?  Both are U labels, so the shift keeps the parity."""
+    mc, size = model.mc, model.mc.size
+    d = _u_fixed_label(model.gens[0]) - _u_fixed_label(phi.gens[0])
+    for g, h in zip(phi.gens, model.gens):
+        u = tuple((g.u_of((e - d) % size) + d) % size for e in mc.u_labels())
+        s = tuple((g.s_of((e - d) % size) + d) % size for e in mc.s_labels())
+        if (u, s) != (h.u, h.s):
+            return False
+    return True
 
 
 def classify_two_morphism(phi: Morphism) -> tuple[Fraction | None, int]:
-    """Fraction and orientation of the unique realizing component (N = 2)."""
+    """Fraction and orientation of the unique realizing component (N = 2).
+
+    The fraction is p/q with p = |Im B_u| and q the rank.  phi names the
+    component p/q with orientation +1 if it is the positive model of p/q
+    (_model_morphism) up to a rotation of the labels, and -1 if its
+    reflection is; anything else raises StructureViolation.  Rank 1 has one
+    component, named (None, +1).
+    """
     if len(phi.gens) != 2:
         raise StructureViolation("arity", "exactly two generators required")
     hyp, _ = morphism_hyperbolic(phi)
     if not hyp or not morphism_tight(phi):
         raise StructureViolation("precondition", "morphism must be tight and hyperbolic")
-    if phi.mc.rank == 1:
+    q = phi.mc.rank
+    if q == 1:
         return None, +1
-    try:
-        return _positive_fraction(phi), +1
-    except _NotPositive:
-        pass
-    try:
-        return _positive_fraction(reflect(phi)), -1
-    except _NotPositive:
-        raise StructureViolation("orientation",
-                                 "morphism is positive in neither orientation")
+    p = len(phi.gens[1].u_image)
+    if math.gcd(p, q) != 1:
+        raise StructureViolation("fraction", f"|Im B_u| = {p} is not prime to rank {q}")
+    f = Fraction(p, q)
+    model = _model_morphism(f)
+    if _matches(phi, model):
+        return f, +1
+    if _matches(reflect(phi), model):
+        return f, -1
+    raise StructureViolation("model", f"morphism is not the model of {f} in either orientation")
 
 
 # ---------------------------------------------------------------------------

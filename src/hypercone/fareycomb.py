@@ -22,8 +22,13 @@ assembles the unstable/stable arc systems
 
 over the center words w, together with the symbolic action table: a generator
 acts exactly on the center words ending with its letter (cyclically shifting
-the final letter to the front) and absorbs all others into its sink word
-Theta(0) (for A) or Theta(1 - p/q) (for B).
+the final letter to the front, base point x -> x - p/q) and absorbs all others
+into its sink word, Theta(0) for A and Theta(1 - 1/q) for B.  The last word
+ending with each letter, Theta(p/q) for A and Theta((p - 1)/q) for B, shifts
+onto that letter's sink, so its entry is not exact.
+
+Base points are integer indices: Theta(k/q) reads the codes of k, k + p,
+k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ class RotWord:
         return self.letters
 
 
+def _theta(p: int, q: int, k: int) -> str:
+    """Letters of Theta(k/q) for rotation p/q, for any integer k."""
+    # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
+    return "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
+
+
 def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:
     """The coded orbit word Theta(start) of length q."""
     p, q = f.numerator, f.denominator
@@ -70,10 +81,7 @@ def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:
     k = start * q
     if k.denominator != 1:
         raise BadBasePoint(f"start {start} is not a multiple of 1/{q}")
-    # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
-    k = k.numerator
-    letters = "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
-    return RotWord(letters=letters, base=start, rotation=f)
+    return RotWord(letters=_theta(p, q, k.numerator), base=start, rotation=f)
 
 
 def orbit_words(f: Fraction) -> list[RotWord]:
@@ -105,51 +113,38 @@ class OrderedFamily:
 def build_order(f: Fraction) -> OrderedFamily:
     p, q = f.numerator, f.denominator
     f0, f1 = farey_interval(f)
-    q0, q1 = f0.denominator, f1.denominator
+    p0, q0 = f0.numerator, f0.denominator
+    p1, q1 = f1.numerator, f1.denominator
 
-    def theta(frac: Fraction, x: Fraction) -> str:
-        return rotation_orbit_word(frac, x).letters
-
-    def step(frac: Fraction, x: Fraction, k: int) -> Fraction:
-        return (x + k * frac) % 1
-
-    last_base = Fraction(q - 1, q)          # base of Theta(1 - 1/q)
-    last0 = Fraction(q0 - 1, q0) if q0 > 1 else Fraction(0)
-    last1 = Fraction(q1 - 1, q1) if q1 > 1 else Fraction(0)
-
+    # base indices: Theta(1 - 1/q) is index q - 1, and so for the parents
     succ: dict[str, str] = {}
     pred: dict[str, str] = {}
     tag_of: dict[str, str] = {}
     for i in range(q1):
-        w = theta(f, step(f, Fraction(0), i))
-        w_to = theta(f1, step(f1, Fraction(0), i))
-        succ[w] = w_to
+        w_to = _theta(p1, q1, i * p1)
+        succ[_theta(p, q, i * p)] = w_to
         tag_of[w_to] = "parent1"
     for i in range(q0):
-        w = theta(f, step(f, last_base, i))
-        w_to = theta(f0, step(f0, last0, i))
-        succ[w] = w_to
+        w_to = _theta(p0, q0, q0 - 1 + i * p0)
+        succ[_theta(p, q, q - 1 + i * p)] = w_to
         tag_of[w_to] = "parent0"
     for i in range(q0):
-        w = theta(f, step(f, Fraction(0), -i))
-        pred[w] = theta(f0, step(f0, Fraction(0), -i))
+        pred[_theta(p, q, -i * p)] = _theta(p0, q0, -i * p0)
     for i in range(q1):
-        w = theta(f, step(f, last_base, -i))
-        pred[w] = theta(f1, step(f1, last1, -i))
+        pred[_theta(p, q, q - 1 - i * p)] = _theta(p1, q1, q1 - 1 - i * p1)
 
     succ_inv = {v: k for k, v in succ.items()}
     emitted: list[FamilyWord] = []
-    w = theta(f, last_base)
+    last = w = _theta(p, q, q - 1)
     for _ in range(q):
         emitted.append(FamilyWord(word=w, tag="center"))
         parent = pred[w]
         emitted.append(FamilyWord(word=parent, tag=tag_of[parent]))
         w = succ_inv[parent]
-    if w != theta(f, last_base):
+    if w != last:
         raise OrderViolation("family order failed to close up")
     return OrderedFamily(fraction=f, parents=(f0, f1), order=tuple(emitted),
-                         lex_first=theta(f, Fraction(0)),
-                         lex_last=theta(f, last_base))
+                         lex_first=_theta(p, q, 0), lex_last=last)
 
 
 def j_of_fword(fword: str) -> Fraction:
@@ -164,10 +159,10 @@ def special_words(f: Fraction) -> dict:
     """The four threshold words of the action table."""
     p, q = f.numerator, f.denominator
     return {
-        "last_ending_a": rotation_orbit_word(f, Fraction(p, q)).letters,
-        "last_ending_b": rotation_orbit_word(f, Fraction(p - 1, q) % 1).letters,
-        "a_sink": rotation_orbit_word(f, Fraction(0)).letters,
-        "b_sink": rotation_orbit_word(f, (1 - f) % 1).letters,
+        "last_ending_a": _theta(p, q, p),
+        "last_ending_b": _theta(p, q, p - 1),
+        "a_sink": _theta(p, q, 0),
+        "b_sink": _theta(p, q, q - 1),
     }
 
 
@@ -175,23 +170,21 @@ def action_table(f: Fraction) -> dict:
     """word -> per-generator (target word, exact?) for the center words.
 
     A generator acts exactly on words ending with its own letter by moving
-    that letter to the front (base point x -> x - p/q); every other word is
+    that letter to the front (base index k -> k - p); every other word is
     absorbed into the generator's sink component.
     """
+    p, q = f.numerator, f.denominator
     sw = special_words(f)
     table: dict[str, dict[str, tuple[str, bool]]] = {}
-    for rw in orbit_words(f):
-        w = rw.letters
-        x = rw.base
-        shifted = rotation_orbit_word(f, (x - f) % 1).letters
-        row = {}
+    for k in range(q):
+        w = _theta(p, q, k)
+        shifted = _theta(p, q, k - p)
         if w.endswith("A"):
-            row["A"] = (shifted, w != sw["last_ending_a"])
-            row["B"] = (sw["b_sink"], False)
+            table[w] = {"A": (shifted, w != sw["last_ending_a"]),
+                        "B": (sw["b_sink"], False)}
         else:
-            row["A"] = (sw["a_sink"], False)
-            row["B"] = (shifted, w != sw["last_ending_b"])
-        table[w] = row
+            table[w] = {"A": (sw["a_sink"], False),
+                        "B": (shifted, w != sw["last_ending_b"])}
     return table
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -186,16 +187,25 @@ def test_nonrealizable_fixture_tight_hyperbolic():
 
 
 def test_induced_morphism_2_5(mild_free_pair_exact):
-    pair = apply_fword_inverse(*mild_free_pair_exact, "+-")
-    model = component_model(*pair, "+-")
-    phi = induced_morphism(pair, model.cores)
-    assert phi.mc.rank == 5
-    assert morphism_tight(phi)
-    hyp, _ = morphism_hyperbolic(phi)
-    assert hyp
-    # u-maps agree with the symbolic action table
-    plus_order = [fw for fw in reversed(model.family.order)]
-    arcs = sorted([(a.start.angle, 0, i) for i, a in enumerate(model.cores.u_arcs)])
+    # sign words of 1/3, 2/3, 2/5, 3/5, 3/4, 3/8 and 5/7
+    for fword in ("+", "-", "+-", "-+", "--", "+-+", "--+"):
+        pair = apply_fword_inverse(*mild_free_pair_exact, fword)
+        model = component_model(*pair, fword)
+        assert model.orientation == 1
+        phi = induced_morphism(pair, model.cores)
+        assert phi.mc.rank == model.fraction.denominator
+        assert morphism_tight(phi)
+        hyp, _ = morphism_hyperbolic(phi)
+        assert hyp
+        # u-maps agree with the symbolic action table, exact and absorbed
+        # entries alike: U slot j is the j-th core arc by start angle, and
+        # the arc of center word w ends at u(w)
+        ends = [a.end for a in model.cores.u_arcs]
+        slot = {w: ends.index(model.u_points[w]) for w in model.table}
+        for w, row in model.table.items():
+            for gen, letter in zip(phi.gens, "AB"):
+                assert phi.mc.slot(gen.u_of(phi.mc.u_label(slot[w]))) == \
+                    slot[row[letter][0]], (fword, w, letter)
 
 
 def test_classify_two_morphism_matches_fraction(mild_free_pair_exact):
@@ -224,6 +234,31 @@ def test_classify_two_morphism_reflect_consistency(mild_free_pair_exact):
     phi = induced_morphism(pair, model.cores)
     frac, orient = classify_two_morphism(reflect(phi))
     assert frac == Fraction(2, 5) and orient == -1
+
+
+def test_classify_two_morphism_exhaustive_small_ranks():
+    # every tight hyperbolic pair of ranks 1-4 classifies, each reduced p/q
+    # of rank q occurs, and reflection flips the orientation (rank 1 has one
+    # component, which reflection leaves as it is)
+    counts = []
+    for q in range(1, 5):
+        mc = CombMulticone(rank=q)
+        corrs = list(all_correspondences(mc))
+        fractions = set()
+        n = 0
+        for a, b in itertools.product(corrs, repeat=2):
+            phi = Morphism(mc, (a, b))
+            if not morphism_tight(phi) or not morphism_hyperbolic(phi)[0]:
+                continue
+            frac, orient = classify_two_morphism(phi)
+            if q > 1:
+                assert classify_two_morphism(reflect(phi)) == (frac, -orient)
+            fractions.add(frac)
+            n += 1
+        counts.append(n)
+        assert fractions == ({None} if q == 1 else
+                             {Fraction(p, q) for p in range(1, q) if math.gcd(p, q) == 1})
+    assert counts == [1, 4, 12, 16]
 
 
 def test_classify_two_morphism_rejects_untight():

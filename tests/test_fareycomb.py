@@ -170,7 +170,7 @@ def test_special_words_2_5():
     assert sw["last_ending_a"] == "ABABA"
     assert sw["last_ending_b"] == "ABAAB"
     assert sw["a_sink"] == "AABAB"
-    assert sw["b_sink"] == "BAABA"
+    assert sw["b_sink"] == "BABAA"   # Theta(1 - 1/q), the lex-last word
 
 
 def test_action_table_2_5():
@@ -178,7 +178,7 @@ def test_action_table_2_5():
     assert table["ABABA"]["A"] == ("AABAB", False)  # the final-letter shift
     assert table["BABAA"]["A"] == ("ABABA", True)
     assert table["AABAB"]["B"] == ("BAABA", True)
-    assert table["ABABA"]["B"] == ("BAABA", False)  # absorbed into the sink
+    assert table["ABABA"]["B"] == ("BABAA", False)  # absorbed into the sink
 
 
 def test_action_table_free_level():
