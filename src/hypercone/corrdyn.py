@@ -309,8 +309,9 @@ def induced_morphism(mats, cores: CoreSet) -> Morphism:
     s_arcs = tuple(a for (_, tag, a) in arcs if tag == 1)
     gens = []
     for m in mats:
-        u = (mc.u_label(j) for j in component_map(m, u_arcs, u_arcs))
-        s = (mc.s_label(j) for j in component_map(m.inverse(), s_arcs, s_arcs))
+        u = (mc.u_label(j) for j in component_map(m.to_float(), u_arcs, u_arcs))
+        s = (mc.s_label(j) for j in component_map(m.inverse().to_float(), s_arcs,
+                                                  s_arcs))
         gens.append(validate(mc, tuple(u), tuple(s)))
     return Morphism(mc=mc, gens=tuple(gens))
 

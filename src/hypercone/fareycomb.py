@@ -33,12 +33,13 @@ k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadBasePoint, NotInterior, OrderViolation
 from .projgeom import ArcP1, ProjPoint, angle_gap
-from .sl2core import Mat2, eigen_data
+from .sl2core import Mat2, eigen_data_scaled, integer_scaled
 from .symdyn import LETTERS
 
 # multicone and twoshift are imported where they are used, so that the
@@ -230,29 +231,26 @@ def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
 
 
 def _family_products(mats, family: OrderedFamily) -> dict:
-    """word -> product over mats of each family word (three cyclic classes).
+    """word -> (n, s): the product of each family word over mats is n/s.
 
-    Exact input costs one eval_string per class: moving the first letter L
-    to the end conjugates, M(rest + L) = L^-1 M(L + rest) L, exactly equal
-    to eval_string's product.  Float input evaluates every word, since
-    conjugation would move its bits.
+    Exact input is multiplied as integer matrices (integer_scaled), and s is
+    the product of the letters' scales.  Float input has s = 1 and n is
+    eval_string's product; so do the float products of mixed float/exact
+    input, whose exact ones are integer-scaled, as eigen_data scales them.
     """
     from .twoshift import eval_string
-    if not all(m.is_exact() for m in mats):
-        return {fw.word: eval_string(mats, fw.word) for fw in family.order}
-    # Fraction entries keep the inverse of an integer matrix exact
-    inverses = [Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))).inverse() for m in mats]
-    out: dict[str, Mat2] = {}
+    exact = all(m.is_exact() for m in mats)
+    scaled = [integer_scaled(m) if exact else (m, 1) for m in mats]
+    ints = [n for n, _ in scaled]
+    out: dict[str, tuple[Mat2, int]] = {}
     for fw in family.order:
-        w = fw.word
-        if w in out:
-            continue
-        m = out[w] = eval_string(mats, w)
-        for _ in range(len(w) - 1):
-            i = LETTERS.index(w[0])
-            m = inverses[i] @ m @ mats[i]
-            w = w[1:] + w[0]
-            out[w] = m
+        n = eval_string(ints, fw.word)
+        if exact:
+            out[fw.word] = n, math.prod(scaled[LETTERS.index(ch)][1] for ch in fw.word)
+        elif n.is_exact():  # a word of only the exact letters of mixed input
+            out[fw.word] = integer_scaled(n)
+        else:
+            out[fw.word] = n, 1
     return out
 
 
@@ -262,8 +260,9 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     The pair must classify into the component with the given sign word (with
     both traces normalized positive); the computed directions are checked
     against the combinatorial cyclic order and an OrderViolation signals a
-    misclassified or near-boundary pair.  On exact input the family products
-    are conjugates of one product per cyclic word (_family_products).
+    misclassified or near-boundary pair.  The family products are integer
+    matrices with a scale on exact input (_family_products), and their
+    directions come from eigen_data_scaled.
     """
     from .multicone import CoreSet
     f = j_of_fword(fword)
@@ -273,10 +272,10 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     u_pts: dict[str, ProjPoint] = {}
     s_pts: dict[str, ProjPoint] = {}
     for fw in family.order:
-        m = products[fw.word]
-        if abs(float(m.trace())) <= 2.0:
+        n, scale = products[fw.word]
+        if abs(n.trace() / scale) <= 2.0:
             raise OrderViolation(f"family word {fw.word} is not hyperbolic")
-        (u, _), (s, _) = eigen_data(m)
+        (u, _), (s, _) = eigen_data_scaled(n, scale)
         u_pts[fw.word] = u
         s_pts[fw.word] = s
 

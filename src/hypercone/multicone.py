@@ -136,6 +136,7 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
     for i, cone in enumerate(fam.cones):
         if cone.total_length() >= PI - DEFAULT.angle:
             raise BadFamily(f"multicone for symbol {i} is dense")
+    mats = [m.to_float() for m in mats]
 
     # images[beta][j] collects spans landing in component j of cone beta
     images: list[dict[int, list[Span]]] = [dict() for _ in range(n)]
@@ -502,8 +503,9 @@ def core_criterion(mats, cores: CoreSet) -> CriterionReport:
     u_maps, s_maps = [], []
     try:
         for m in mats:
-            u_maps.append(component_map(m, cores.u_arcs, cores.u_arcs))
-            s_maps.append(component_map(m.inverse(), cores.s_arcs, cores.s_arcs))
+            u_maps.append(component_map(m.to_float(), cores.u_arcs, cores.u_arcs))
+            s_maps.append(component_map(m.inverse().to_float(), cores.s_arcs,
+                                        cores.s_arcs))
     except AmbiguousIncidence as exc:
         return fail(f"InvarianceViolation: {exc}")
     ok_u, ell_u = eventual_constancy(u_maps)
@@ -554,11 +556,13 @@ def _xi_inv(arc: ArcP1, xi: float) -> float:
     return (arc.start.angle + t) % PI
 
 
-def _angle_derivative(m: Mat2, angle: float) -> float:
+def _angle_derivative(m: Mat2, abs_det: float, angle: float) -> float:
+    """Derivative of the float matrix m's action at angle; abs_det is
+    |det| of the matrix m stands for, rounded once."""
     x, y = math.cos(angle), math.sin(angle)
-    wx = float(m.a) * x + float(m.b) * y
-    wy = float(m.c) * x + float(m.d) * y
-    return abs(float(m.det())) / (wx * wx + wy * wy)
+    wx = m.a * x + m.b * y
+    wy = m.c * x + m.d * y
+    return abs_det / (wx * wx + wy * wy)
 
 
 def _max_mean_cycle(nodes, edges) -> float:
@@ -608,6 +612,8 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     """
     if sft is None:
         sft = Sft.full(len(mats))
+    abs_dets = [abs(float(m.det())) for m in mats]
+    mats = [m.to_float() for m in mats]
     q = cores.rank
     s_arcs = sorted(cores.s_arcs, key=lambda a: a.start.angle)
     gaps = []
@@ -633,7 +639,7 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     point = {(j, 0): cores.u_arcs[j].start.angle for j in range(q)}
     point.update({(j, 1): cores.u_arcs[j].end.angle for j in range(q)})
     raw_edges: dict[tuple, list] = {n: [] for n in nodes}
-    for m in mats:
+    for m, abs_det in zip(mats, abs_dets):
         try:
             targets = component_map(m, cores.u_arcs, cores.u_arcs)
         except AmbiguousIncidence as exc:
@@ -649,7 +655,7 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
                            * hilbert_density(hosts[tgt], tgt_angle))
                 if slack_h > 8.0 * HILBERT_EPS:
                     continue  # genuinely interior; no constraint needed
-                dh = (_angle_derivative(m, src_angle)
+                dh = (_angle_derivative(m, abs_det, src_angle)
                       * hilbert_density(hosts[tgt], img_angle)
                       / hilbert_density(hosts[j], src_angle))
                 w = min(math.log(max(dh, 1e-300)), 0.0)

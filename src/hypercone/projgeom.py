@@ -28,7 +28,7 @@ obtained by differentiating the cross-ratio in one argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateInput, OutOfArc
 from .tolerances import DEFAULT
@@ -124,18 +124,18 @@ class ArcP1:
 
     start: ProjPoint
     end: ProjPoint
+    # angle_gap(start, end), set once; not part of equality, hash or repr
+    length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if angle_gap(self.start.angle, self.end.angle) == 0.0:
+        length = angle_gap(self.start.angle, self.end.angle)
+        if length == 0.0:
             raise DegenerateInput("arc endpoints coincide")
+        object.__setattr__(self, "length", length)
 
     @staticmethod
     def from_angles(start: float, end: float) -> "ArcP1":
         return ArcP1(ProjPoint(start), ProjPoint(end))
-
-    @property
-    def length(self) -> float:
-        return angle_gap(self.start.angle, self.end.angle)
 
     @property
     def span(self) -> Span:

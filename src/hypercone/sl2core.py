@@ -1,8 +1,12 @@
 """2x2 unimodular matrices: classification, invariant directions, normal forms.
 
 Entries may be floats or ``fractions.Fraction``; arithmetic stays in the
-entry domain (exact when the inputs are exact) and only the angle/norm
-helpers convert to float.
+entry domain (exact when the inputs are exact).  Exact matrices become floats
+in two ways, both correctly rounded and so with the same bits: as an integer
+matrix n and one positive integer scale s (integer_scaled), whose entries and
+eigen data are int / int divisions (eigen_data_scaled), or entry by entry
+through to_float(), which the float stages call once per matrix before their
+angle work.
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ class Mat2:
                 and is_exact(self.d))
 
     def to_float(self) -> "Mat2":
+        """The matrix with float entries: self when they already are."""
+        if (type(self.a) is float and type(self.b) is float
+                and type(self.c) is float and type(self.d) is float):
+            return self
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
 
     def max_abs_entry(self) -> float:
@@ -152,20 +160,34 @@ def eigen_data(m: Mat2):
     two directions coincide.  Exact entries keep the discriminant sign exact,
     which matters for long products with traces barely above 2.
     """
-    a, b, c, d = (float(v) for v in (m.a, m.b, m.c, m.d))
-    t = a + d
     if m.is_exact():
-        # on the integer matrix s*m: each int / int division is correctly
-        # rounded, so disc and det carry the bits of float(Fraction)
-        n, s = integer_scaled(m)
-        nd, ss = n.det(), s * s
-        tr = n.trace()
-        disc, det = (tr * tr - 4 * nd) / ss, nd / ss
-    else:
-        det = float(m.det())
-        disc = t * t - 4.0 * det
+        return _integer_eigen(*integer_scaled(m))
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+    det = float(m.det())
+    return _eigen(a, b, c, d, (a + d) * (a + d) - 4.0 * det, det)
+
+
+def eigen_data_scaled(n: Mat2, s: int):
+    """eigen_data of the exact matrix n/s, for an integer matrix n and a
+    positive integer scale s (integer_scaled gives the least one).
+
+    At s = 1 it is eigen_data(n), for any n.  Every float is one int / int
+    division, correctly rounded like float(Fraction), so the result has the
+    same bits for any scale.
+    """
+    return eigen_data(n) if s == 1 else _integer_eigen(n, s)
+
+
+def _integer_eigen(n: Mat2, s: int):
+    ss, nd, tr = s * s, n.det(), n.trace()
+    return _eigen(n.a / s, n.b / s, n.c / s, n.d / s,
+                  (tr * tr - 4 * nd) / ss, nd / ss)
+
+
+def _eigen(a: float, b: float, c: float, d: float, disc: float, det: float):
     if disc < 0.0:
         raise NoInvariantDirection("elliptic matrix has no invariant direction")
+    t = a + d
     r = math.sqrt(max(disc, 0.0))
     lam_u = 0.5 * (t + r) if t >= 0 else 0.5 * (t - r)
     lam_s = det / lam_u if lam_u != 0 else 0.0

@@ -40,10 +40,11 @@ and the decision quantities scale by positive integers,
 so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
-rebuilt as integer matrix products with the same scales and becomes a
-Fraction matrix once, for its orientation.  Every float the verdict reports
-is one int/int true division, correctly rounded like float(Fraction), so it
-has the bits of the rational value.
+rebuilt as integer matrix products with the same scales, and its orientation
+reads their eigen data with those scales (eigen_data_scaled); only the exact
+fallback for near-coincident directions builds Fraction matrices.  Every
+float the verdict reports is one int/int true division, correctly rounded
+like float(Fraction), so it has the bits of the rational value.
 
 Only rational input is scaled, and it is decided with band 0.  Float and
 mixed float/rational input take a = b = 1, where every formula above is the
@@ -64,7 +65,7 @@ from typing import NamedTuple, Union
 from . import _exact
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_data_scaled, integer_scaled
 from .symdyn import LETTERS
 from .tolerances import DEFAULT
 
@@ -282,13 +283,16 @@ def _step_select_traces(s: _Scaled, band) -> str:
 
 def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
     """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    return _orientation(A, B, B @ A)
+    return _orientation(A, B, B @ A, 1, 1)
 
 
-def _orientation(A: Mat2, B: Mat2, BA: Mat2) -> int:
-    (uB, _), _ = eigen_data(B)
-    (uBA, _), (sBA, _) = eigen_data(BA)
-    _, (sA, _) = eigen_data(A)
+def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
+    """Orientation of the free pair A/a, B/b, given BA = B @ A; scales other
+    than 1 come only with integer matrices, and at scale 1 any matrix is
+    read by eigen_data."""
+    (uB, _), _ = eigen_data_scaled(B, b)
+    (uBA, _), (sBA, _) = eigen_data_scaled(BA, a * b)
+    _, (sA, _) = eigen_data_scaled(A, a)
     pts = (uB, uBA, sBA, sA)
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))
@@ -299,6 +303,7 @@ def _orientation(A: Mat2, B: Mat2, BA: Mat2) -> int:
             return -1
         raise _DegenerateEscape("free-pair direction order is inconsistent")
     # exact fallback for rational pairs with near-coincident float angles
+    A, B, BA = _unscaled(A, a), _unscaled(B, b), _unscaled(BA, a * b)
     dirs = [_exact.exact_unstable_dir(B), _exact.exact_unstable_dir(BA),
             _exact.exact_stable_dir(BA), _exact.exact_stable_dir(A)]
     if _exact.exact_cyclically_ordered(dirs):
@@ -382,11 +387,7 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
             for sign in fword:
                 step_pair = pair_step_plus if sign == Step.PLUS else pair_step_minus
                 Ak, Bk = step_pair(Ak, Bk)
-            BAk = Bk @ Ak
-            if exact:
-                Ak, Bk, BAk = (_unscaled(Ak, s.a), _unscaled(Bk, s.b),
-                               _unscaled(BAk, s.a * s.b))
-            orient = _orientation(Ak, Bk, BAk)
+            orient = _orientation(Ak, Bk, Bk @ Ak, s.a, s.b)
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:

@@ -275,9 +275,15 @@ def test_family_products_match_eval_string_exactly():
         family = build_order(j_of_fword(fword))
         products = _family_products(pair, family)
         assert set(products) == set(family.words())
-        for w, m in products.items():
-            assert m == eval_string(pair, w), (fword, w)
-            assert m.is_exact()
+        for w, (n, scale) in products.items():
+            entries = (n.a, n.b, n.c, n.d)
+            assert all(type(v) is int for v in entries) and type(scale) is int
+            exact = Mat2(*(Fraction(v, scale) for v in entries))
+            assert exact == eval_string(pair, w), (fword, w)
+        # float input has scale 1 and the bits of eval_string's product
+        fpair = tuple(m.to_float() for m in pair)
+        for w, (n, scale) in _family_products(fpair, family).items():
+            assert scale == 1 and repr(n) == repr(eval_string(fpair, w)), (fword, w)
 
 
 def test_component_model_float_points_are_eval_string_bits():
@@ -290,3 +296,11 @@ def test_component_model_float_points_are_eval_string_bits():
         for fw in model.family.order:
             (u, _), (s, _) = eigen_data(eval_string(pair, fw.word))
             assert model.u_points[fw.word] == u and model.s_points[fw.word] == s
+    # so for mixed float/exact input, whose words of exact letters only are
+    # exact products
+    for (A, B), fword, _ in exact_pullbacks()[:6]:
+        for pair in ((A, B.to_float()), (A.to_float(), B)):
+            model = component_model(*pair, fword)
+            for fw in model.family.order:
+                (u, _), (s, _) = eigen_data(eval_string(pair, fw.word))
+                assert model.u_points[fw.word] == u and model.s_points[fw.word] == s

@@ -280,6 +280,48 @@ def test_core_criterion_excludes_identity_necklaces():
     assert ranks == set(range(2, 13))
 
 
+def test_float_stages_convert_each_generator_once(monkeypatch):
+    # each call converts, however many arcs the cores have, the entries of
+    # each generator, those of its exact inverse where the stage maps S arcs
+    # back, and (fatten_cores) its exact determinant: at most 9 per generator
+    from hypercone.corrdyn import induced_morphism
+    from tests.test_fareycomb import exact_pullbacks
+    calls = []
+    to_float = Fraction.__float__
+
+    def counting(x):
+        calls.append(x)
+        return to_float(x)
+
+    full2 = Sft.full(2)
+    for pair, fword, model in exact_pullbacks()[3::5]:  # ranks 5, 10, 15, 20
+        assert model.cores.rank >= 5 and all(m.is_exact() for m in pair)
+        cone = fatten_cores(pair, model.cores)
+        fam = MulticoneFamily.constant(cone, 2)
+        monkeypatch.setattr(Fraction, "__float__", counting)
+        entries = [v for m in pair for v in (m.a, m.b, m.c, m.d)]
+        inverses = [v for m in pair for v in (m.d, -m.b, -m.c, m.a)]  # det 1
+        dets = [m.det() for m in pair]
+        for converted, stage in (
+                (entries + inverses, lambda: core_criterion(pair, model.cores)),
+                (entries + dets, lambda: fatten_cores(pair, model.cores)),
+                (entries, lambda: certify(pair, full2, fam)),
+                (entries + inverses, lambda: induced_morphism(pair, model.cores))):
+            calls.clear()
+            stage()
+            assert sorted(calls) == sorted(converted), fword
+        calls.clear()
+        component_model(*pair, fword)  # integer products and int / int
+        assert calls == []
+        monkeypatch.undo()
+    # the length stored on ArcP1 is not part of its value
+    a = arc(0.25, 1.5)
+    assert repr(a) == ("ArcP1(start=ProjPoint(angle=0.25), "
+                       "end=ProjPoint(angle=1.5))")
+    assert a == arc(0.25, 1.5) and a != arc(0.25, 1.25)
+    assert hash(a) == hash((a.start, a.end)) and a.length == 1.25
+
+
 def test_core_criterion_rejects_overlap():
     cores = CoreSet(u_arcs=(arc(0.0, 0.6),), s_arcs=(arc(0.5, 1.0),))
     rep = core_criterion((Mat2(2, 0, 0, 0.5),), cores)

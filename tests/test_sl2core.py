@@ -7,8 +7,9 @@ import pytest
 from hypercone.errors import (NoInvariantDirection, NotCanonicalizable,
                               PreconditionViolated)
 from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
-                               classify, eigen_data, integer_scaled,
-                               invariant_dirs, is_exact, normalize_tuple)
+                               classify, eigen_data, eigen_data_scaled,
+                               integer_scaled, invariant_dirs, is_exact,
+                               normalize_tuple)
 from hypercone.twoshift import eval_string
 
 
@@ -190,6 +191,12 @@ def test_is_exact_truth_table():
         entries = [1, Fraction(1, 2), 0, 2]
         entries[i] = float(entries[i])
         assert not Mat2(*entries).is_exact()
+        # to_float copies unless every entry is a float already
+        floats = [1.0, 0.5, 0.0, 2.0]
+        floats[i] = Fraction(floats[i])
+        m = Mat2(*floats)
+        f = m.to_float()
+        assert f is not m and f == m and f.to_float() is f
 
 
 def test_integer_scaled_is_least_common_denominator():
@@ -227,5 +234,9 @@ def test_eigen_data_exact_matches_the_rational_discriminant():
             continue
         (_, lam_u), (_, lam_s) = eigen_data(m)
         assert lam_u == lam and lam_s == float(det) / lam
+        # any integer scale of the matrix gives the same bits
+        n, s = integer_scaled(m)
+        for k in (1, 2, 7, 10 ** 6):
+            assert eigen_data_scaled(n.scale(k), k * s) == eigen_data(m), (m, k)
         checked += 1
     assert checked > 100

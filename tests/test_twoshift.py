@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercone import twoshift
-from hypercone.sl2core import Mat2
+from hypercone.sl2core import Mat2, eigen_data
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
                                 Principal, TraceTriple, apply_fword_inverse,
@@ -222,6 +222,38 @@ def test_orientation_exact_fallback_near_parabolic_product():
     assert orientation_of_free_pair(D @ A @ D, D @ B @ D) == -1
     c = classify_pair(A, B)
     assert isinstance(c, NonPrincipal) and c.orientation == 1
+
+
+def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
+    # a rational A with a float B is walked at scale 1; when it is free at
+    # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
+    # orientation must read eigen_data's points of exactly those matrices
+    calls = []
+    scaled = twoshift.eigen_data_scaled
+
+    def spy(n, s):
+        calls.append(scaled(n, s))
+        return calls[-1]
+    monkeypatch.setattr(twoshift, "eigen_data_scaled", spy)
+    rng = random.Random(5)
+    checked = 0
+    while checked < 30:
+        mu, nu = (Fraction(rng.randint(101, 900), rng.randint(100, 300))
+                  for _ in range(2))
+        z = -Fraction(rng.randint(201, 3000), 100)
+        A, B = exact_canonical_pair(mu, nu, Fraction(1), z - mu / nu - nu / mu)
+        p, q = (Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(2))
+        P = Mat2(Fraction(1), p, q, 1 + p * q)
+        A, B = P @ A @ P.inverse(), (P @ B @ P.inverse()).to_float()
+        calls.clear()
+        c = classify_pair(A, B)
+        if not (isinstance(c, NonPrincipal) and c.iterations == 0):
+            continue
+        A1 = A if A.trace() >= 0 else -A
+        B1 = B if B.trace() >= 0 else -B
+        assert calls == [eigen_data(B1), eigen_data(B1 @ A1), eigen_data(A1)]
+        assert c == _reference_classify(A, B, DEFAULT.band)
+        checked += 1
 
 
 def test_exact_walk_matches_fraction_replay():
