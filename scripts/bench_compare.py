@@ -42,11 +42,18 @@ def perfbench(root: str, workload: str, seed: int, seconds: float,
 
 
 def tier1_seconds(root: str) -> float:
+    """Wall time of the tier-1 suite; on a failing run, the tail of its
+    output goes to stderr and the script exits with pytest's code."""
     env = dict(os.environ, PYTHONPATH="src")
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                    "no:cacheprovider", "--continue-on-collection-errors"],
-                   cwd=root, env=env, capture_output=True, check=True)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                          "no:cacheprovider", "--continue-on-collection-errors"],
+                         cwd=root, env=env, capture_output=True, text=True)
+    if run.returncode:
+        tail = (run.stdout + run.stderr).splitlines()[-40:]
+        print(f"tier-1 failed in {root} (exit {run.returncode}):",
+              *tail, sep="\n", file=sys.stderr)
+        sys.exit(run.returncode)
     return time.perf_counter() - t0
 
 

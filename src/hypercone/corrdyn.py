@@ -20,6 +20,7 @@ circle-map winding number of the same product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,7 +228,7 @@ def morphism_hyperbolic(phi: Morphism) -> tuple[bool, int | None]:
     Constancy reads only the u-half, and a non-constant monotonic
     correspondence's s-half is fixed by its u-half (solve_s_from_u), so the
     u-maps alone give the level sets, the cycle and the length that the full
-    correspondences give; eventual_constancy composes them, within its budget.
+    correspondences give; eventual_constancy decides them on the pair graph.
     """
     if phi.mc.rank == 1:
         return True, 0
@@ -236,12 +237,16 @@ def morphism_hyperbolic(phi: Morphism) -> tuple[bool, int | None]:
     return (True, length) if ok else (False, None)
 
 
+def _uncovered(mc: CombMulticone, gens) -> tuple[list[int], list[int]]:
+    """The U and S labels no generator's image covers, in label order."""
+    u_cov = set().union(*(g.u_image for g in gens))
+    s_cov = set().union(*(g.s_image for g in gens))
+    return ([e for e in mc.u_labels() if e not in u_cov],
+            [e for e in mc.s_labels() if e not in s_cov])
+
+
 def morphism_tight(phi: Morphism) -> bool:
-    u_cov, s_cov = set(), set()
-    for g in phi.gens:
-        u_cov |= g.u_image
-        s_cov |= g.s_image
-    return u_cov == set(phi.mc.u_labels()) and s_cov == set(phi.mc.s_labels())
+    return _uncovered(phi.mc, phi.gens) == ([], [])
 
 
 def _drop_element(phi: Morphism, x: int, drop_u: bool) -> Morphism:
@@ -278,18 +283,11 @@ def _drop_element(phi: Morphism, x: int, drop_u: bool) -> Morphism:
 
 def reduce_tight(phi: Morphism) -> Morphism:
     """Collapse uncovered elements until the morphism is tight."""
-    while not morphism_tight(phi):
-        u_cov, s_cov = set(), set()
-        for g in phi.gens:
-            u_cov |= g.u_image
-            s_cov |= g.s_image
-        missing_u = [e for e in phi.mc.u_labels() if e not in u_cov]
-        missing_s = [e for e in phi.mc.s_labels() if e not in s_cov]
-        if missing_u:
-            phi = _drop_element(phi, missing_u[0], drop_u=True)
-        else:
-            phi = _drop_element(phi, missing_s[0], drop_u=False)
-    return phi
+    while True:
+        u_unc, s_unc = _uncovered(phi.mc, phi.gens)
+        if not u_unc and not s_unc:
+            return phi
+        phi = _drop_element(phi, (u_unc or s_unc)[0], drop_u=bool(u_unc))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +501,7 @@ def reflect(phi: Morphism) -> Morphism:
     return Morphism(mc=new_mc, gens=tuple(gens))
 
 
+@functools.cache
 def _model_morphism(f: Fraction) -> Morphism:
     """The positive model of the component p/q, read off fareycomb.
 
@@ -511,6 +510,7 @@ def _model_morphism(f: Fraction) -> Morphism:
     non-constant u-map fixes its s-half (solve_s_from_u); a constant
     generator takes the one s-label the other's s-image misses, as tightness
     forces.  At rank 2 both are constant, and B's s-label follows A's u-label.
+    Cached per fraction, which is safe as a Morphism is frozen.
     """
     mc = CombMulticone(rank=f.denominator)
     centers = [fw.word for fw in reversed(build_order(f).order) if fw.tag == "center"]
@@ -595,20 +595,14 @@ def nonrealizable_fixture(n_gens: int | None = None) -> Morphism:
     idx = {name: 2 * i for i, name in enumerate(_NR_ORDER)}
 
     def table(special: dict, default: str | None) -> tuple[int, ...]:
-        out = []
-        for name in _NR_ORDER:
-            out.append(idx[special.get(name, default)])
-        return tuple(out)
+        return tuple(idx[special.get(name, default)] for name in _NR_ORDER)
 
     gen_a = solve_s_from_u(mc, table(_NR_A_U, "omega"))
     gen_b = solve_s_from_u(mc, table(_NR_B_U, None))
     gen_c = solve_s_from_u(mc, table(_NR_C_U, "omega_p"))
 
     gens = [gen_a, gen_b, gen_c]
-    u_cov = set().union(*(g.u_image for g in gens))
-    s_cov = set().union(*(g.s_image for g in gens))
-    u_unc = [e for e in mc.u_labels() if e not in u_cov]
-    s_unc = [e for e in mc.s_labels() if e not in s_cov]
+    u_unc, s_unc = _uncovered(mc, gens)
     k = max(len(u_unc), len(s_unc))
     for i in range(k):
         a_u = u_unc[i] if i < len(u_unc) else mc.u_labels()[0]

@@ -35,8 +35,6 @@ from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS, Sft, periodic_words, product, render_word
 from .tolerances import DEFAULT
 
-# longest product length eventual_constancy composes
-CONSTANCY_BUDGET = 64
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
 # spent from the cycle deficit, and the radius halvings tried
 HILBERT_EPS = 0.25
@@ -427,32 +425,39 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
 
 
 def eventual_constancy(maps: list[tuple[int, ...]]) -> tuple[bool, int]:
-    """(all long products constant?, least such length).
+    """(all long products constant?, least such length), decided exactly.
 
-    Products of the maps are composed breadth-first; the search stops when
-    every product of the current length is constant, or when the set of
-    reachable non-constant products repeats (a cycle: never constant).
+    Pair graph (Perles, Rabin & Shamir 1963): the nodes are the unordered
+    pairs {x, y} of distinct points, and each map f with f(x) != f(y) gives
+    an edge {x, y} -> {f(x), f(y)}.  Some product of k maps separates x and
+    y iff {x, y} starts a path of k edges, so all length-k products are
+    constant iff no path has k edges.  A cycle gives paths of every length:
+    (False, 0).  Otherwise the least length is the longest path plus 1, at
+    most max(1, C(q, 2)) on q points.  One Kahn pass over the C(q, 2) nodes
+    and N C(q, 2) edges finds both, in O(N q^2) with no budget.
     """
-    def is_const(f):
-        return len(set(f)) == 1
-
-    def compose(f, g):  # apply g, then f
-        return tuple(f[v] for v in g)
-
-    if all(is_const(f) for f in maps):
-        return True, 1
-    cur = set(maps)
-    seen_states = set()
-    for k in range(1, CONSTANCY_BUDGET + 1):
-        if all(is_const(f) for f in cur):
-            return True, k
-        state = frozenset(f for f in cur if not is_const(f))
-        if state in seen_states:
-            return False, 0
-        seen_states.add(state)
-        cur = {compose(f, g) for f in maps for g in cur}
-    raise SearchBudgetExceeded(
-        f"no constancy length found within {CONSTANCY_BUDGET}")
+    q = len(maps[0]) if maps else 0
+    pairs = list(itertools.combinations(range(q), 2))
+    succ = {p: [] for p in pairs}
+    indeg = dict.fromkeys(pairs, 0)
+    for (x, y), out in succ.items():
+        for f in maps:
+            a, b = f[x], f[y]
+            if a != b:
+                out.append((a, b) if a < b else (b, a))
+                indeg[out[-1]] += 1
+    depth = dict.fromkeys(pairs, 0)
+    ready = [p for p in pairs if not indeg[p]]
+    while ready:  # Kahn: a pair is taken after all its predecessors
+        p = ready.pop()
+        for e in succ.pop(p):
+            depth[e] = max(depth[e], depth[p] + 1)
+            indeg[e] -= 1
+            if not indeg[e]:
+                ready.append(e)
+    if succ:  # the pairs left lie on a cycle or behind one
+        return False, 0
+    return True, max(depth.values(), default=0) + 1
 
 
 @dataclass(frozen=True)
@@ -536,7 +541,7 @@ def tightness(mats, cone: MultiCone, cores: CoreSet) -> bool:
 
 def single_component_length(mats, cone: MultiCone) -> int:
     """Least k with every length-k product constant on cone components."""
-    maps = [component_map(m, cone.arcs, cone.arcs) for m in mats]
+    maps = [component_map(m.to_float(), cone.arcs, cone.arcs) for m in mats]
     ok, ell = eventual_constancy(maps)
     if not ok:
         raise SearchBudgetExceeded("component action cycles without constancy")

@@ -104,6 +104,19 @@ def test_morphism_rank_one():
         (None, 1)
 
 
+def test_rotating_rank_five_pair_is_not_hyperbolic():
+    # B rotates the U labels; the non-constant products recur only after
+    # more than 64 letters
+    mc = CombMulticone(rank=5)
+    phi = Morphism(mc, (validate(mc, (0, 0, 0, 2, 6), (5, 7, 7, 9, 9)),
+                        validate(mc, (2, 4, 6, 8, 0), (9, 1, 3, 5, 7))))
+    assert morphism_tight(phi)
+    assert morphism_hyperbolic(phi) == (False, None)
+    with pytest.raises(StructureViolation) as exc:
+        classify_two_morphism(phi)
+    assert exc.value.step == "precondition"
+
+
 def test_morphism_with_identity_generator_not_hyperbolic():
     mc = CombMulticone(rank=2)
     phi = Morphism(mc, (identity_corr(mc),

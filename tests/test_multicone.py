@@ -376,11 +376,52 @@ def test_single_component_length_matches_morphism(free_pair_exact):
     assert k == ell
 
 
+# u-maps (in slots) of a tight rank-5 pair whose B rotates the U labels:
+# its non-constant products come back only after more than 64 letters
+ROTATING_PAIR_U_MAPS = [(0, 0, 0, 1, 3), (1, 2, 3, 4, 0)]
+
+
+def constancy_oracle(maps):
+    """Least k <= max(1, C(q, 2)) with every length-k product constant, or
+    None.  Exact: an acyclic pair graph has no path of C(q, 2) edges."""
+    q = len(maps[0]) if maps else 0
+    products = set(maps)
+    for k in range(1, max(1, q * (q - 1) // 2) + 1):
+        if all(len(set(f)) == 1 for f in products):
+            return k
+        products = {tuple(f[v] for v in g) for f in maps for g in products}
+    return None
+
+
 def test_eventual_constancy_cycle_detection():
     ok, _ = eventual_constancy([(1, 0)])  # transposition cycles forever
     assert not ok
     ok, ell = eventual_constancy([(0, 0), (1, 1)])
     assert ok and ell == 1
+    assert eventual_constancy(ROTATING_PAIR_U_MAPS) == (False, 0)
+
+
+def test_eventual_constancy_long_chain():
+    # x -> max(x - 1, 0) on 100 points: 99 steps reach 0 from everywhere
+    chain = tuple(max(x - 1, 0) for x in range(100))
+    assert eventual_constancy([chain]) == (True, 99)
+
+
+def test_eventual_constancy_matches_product_oracle():
+    assert eventual_constancy([]) == eventual_constancy([(0,)]) == (True, 1)
+    rng = random.Random(15)
+    draws = [ROTATING_PAIR_U_MAPS]
+    for _ in range(1000):
+        q = rng.randint(1, 5)
+        draws.append([tuple(rng.randrange(q) for _ in range(q))
+                      for _ in range(rng.randint(1, 3))])
+    outcomes = set()
+    for maps in draws:
+        want = constancy_oracle(maps)
+        assert eventual_constancy(maps) == \
+            ((False, 0) if want is None else (True, want)), maps
+        outcomes.add(want)
+    assert None in outcomes and max(k for k in outcomes if k) >= 4
 
 
 def test_certify_never_passes_with_elliptic_witness():
