@@ -97,11 +97,7 @@ class Mat2:
         return sum(float(v) * float(v) for v in (self.a, self.b, self.c, self.d))
 
     def norm(self) -> float:
-        """Spectral norm from the closed-form singular values of a 2x2 matrix."""
-        s = self.frobenius_sq()
-        det = float(self.det())
-        disc = max(s * s - 4.0 * det * det, 0.0)
-        return math.sqrt(0.5 * (s + math.sqrt(disc)))
+        return spectral_norm(self.a, self.b, self.c, self.d)
 
     def dist_to_pm_identity(self) -> float:
         a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
@@ -119,6 +115,15 @@ class Mat2:
 
     def act(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.act_angle(p.angle))
+
+
+def spectral_norm(a, b, c, d) -> float:
+    """Spectral norm of [[a, b], [c, d]] from the closed-form singular values."""
+    fa, fb, fc, fd = float(a), float(b), float(c), float(d)
+    s = fa * fa + fb * fb + fc * fc + fd * fd
+    det = float(a * d - b * c)
+    disc = max(s * s - 4.0 * det * det, 0.0)
+    return math.sqrt(0.5 * (s + math.sqrt(disc)))
 
 
 def integer_scaled(m: Mat2) -> tuple[Mat2, int]:

@@ -11,7 +11,8 @@ carry no new spectral information), in shortlex order.  The representatives
 are the Lyndon words, generated directly along the prenecklace tree
 (Fredricksen-Maiorana; Duval, TCS 60, 1988) with inadmissible transitions
 pruned inside the walk, so no word is built only to be filtered out, and a
-word's product costs one matmul on its parent's.
+word's product is an entry tuple (a, b, c, d) made from its parent's in
+Mat2.__matmul__'s operation order; a Mat2 is built only where one is needed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, DetDrift, InadmissibleWord
-from .sl2core import Mat2
+from .sl2core import Mat2, is_exact, spectral_norm
 
 Word = tuple[int, ...]
 
@@ -101,11 +102,12 @@ class Sft:
                 "allowed": [[bool(v) for v in row] for row in self.allowed]}
 
 
-def _check_drift(out: Mat2, length: int) -> None:
-    """Long float products must stay near determinant +-1 (DetDrift otherwise)."""
-    if length > 64 and not out.is_exact():
-        if abs(abs(float(out.det())) - 1.0) > DET_DRIFT:
-            raise DetDrift(f"det drifted to {float(out.det())} over {length} factors")
+def _check_drift(m, length: int) -> None:
+    """Long float entries (a, b, c, d) must keep det near +-1 (else DetDrift)."""
+    if length > 64 and not all(map(is_exact, m)):
+        det = float(m[0] * m[3] - m[1] * m[2])
+        if abs(abs(det) - 1.0) > DET_DRIFT:
+            raise DetDrift(f"det drifted to {det} over {length} factors")
 
 
 def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
@@ -120,8 +122,15 @@ def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     out = mats[w[0]]
     for s in w[1:]:
         out = mats[s] @ out
-    _check_drift(out, len(w))
+    _check_drift((out.a, out.b, out.c, out.d), len(w))
     return out
+
+
+def _times(x, y):
+    """The entries of Mat2(*x) @ Mat2(*y), in Mat2.__matmul__'s operation order."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _prenecklaces(sft: Sft, depth: int, mats=None):
@@ -133,42 +142,47 @@ def _prenecklaces(sft: Sft, depth: int, mats=None):
     w extends by w[-p], keeping p, or by any larger symbol, which makes it
     Lyndon.  Over a subshift only allowed transitions are followed; every
     prefix of an admissible word is admissible, so nothing is lost.  With
-    mats given a node's product is mats[s] @ product(parent), the operation
-    order of product(), so the floats agree bit for bit; without, it is None.
+    mats given a node's product is the entry tuple of mats[s] @
+    product(parent), the operation order of product(), so the floats agree
+    bit for bit; without, it is None.
     """
     n = sft.n_symbols
     allowed = None if sft.is_full else sft.allowed
-    level = [((s,), 1, mats[s] if mats is not None else None) for s in range(n)]
+    ents = None if mats is None else [(m.a, m.b, m.c, m.d) for m in mats]
+    level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
     for length in range(1, depth + 1):
         yield level
         if length == depth:
             return
         level = [(w + (s,), p if s == w[-p] else length + 1,
-                  mats[s] @ m if mats is not None else None)
+                  None if ents is None else _times(ents[s], m))
                  for w, p, m in level for s in range(w[-p], n)
                  if allowed is None or allowed[w[-1]][s]]
 
 
-def _lyndon(sft: Sft, n_max: int, mats=None):
-    """Cyclically admissible Lyndon words (primitive cyclic classes), shortlex."""
+def periodic_words(sft: Sft, n_max: int):
+    """Primitive cyclic classes of length 1..n_max, shortlex by representative."""
+    for w, _ in periodic_entries(None, sft, n_max):
+        yield w
+
+
+def periodic_entries(mats, sft: Sft, n_max: int):
+    """(word, (a, b, c, d)) for the cyclically admissible Lyndon words, shortlex:
+    the entries of product(mats, word, sft) bit for bit, DetDrift check
+    included, or None without mats."""
     for level in _prenecklaces(sft, n_max, mats):
         for w, p, m in level:
             if p == len(w) and sft.ok(w[-1], w[0]):
+                if mats is not None:
+                    _check_drift(m, len(w))
                 yield w, m
-
-
-def periodic_words(sft: Sft, n_max: int):
-    """Primitive cyclic classes of length 1..n_max, shortlex by representative."""
-    for w, _ in _lyndon(sft, n_max):
-        yield w
 
 
 def periodic_products(mats, sft: Sft, n_max: int):
     """(word, product) for the words of periodic_words(sft, n_max), in order;
     each product equals product(mats, word, sft), DetDrift check included."""
-    for w, m in _lyndon(sft, n_max, mats):
-        _check_drift(m, len(w))
-        yield w, m
+    for w, m in periodic_entries(mats, sft, n_max):
+        yield w, Mat2(*m)
 
 
 @dataclass(frozen=True)
@@ -182,8 +196,8 @@ def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
     """min over cyclic classes of ||product||^(1/n); a finite-depth estimate."""
     best = None
     best_w: Word = ()
-    for w, v in periodic_products(mats, sft, n_max):
-        r = v.norm() ** (1.0 / len(w))
+    for w, m in periodic_entries(mats, sft, n_max):
+        r = spectral_norm(*m) ** (1.0 / len(w))
         if best is None or r < best:
             best, best_w = r, w
     if best is None:

@@ -2,10 +2,16 @@
 
 Searches run over primitive cyclic word classes in shortlex order, so the
 returned witnesses are canonical and reproducible.  Before a witness is
-reported it is re-verified on products rebuilt with symdyn.product, not the
-searches' prefix-tree products and carried angles: the trace (or distance to
-+-identity) is re-checked, and a heteroclinic residual recomputed.  A
-witness failing that check raises WitnessUnverified.
+reported it is re-verified on products rebuilt from the generators, not the
+searches' prefix-tree products and carried angles.  An elliptic witness is
+checked exactly: its product on the given entries, a float read as the
+dyadic rational it is, has det > 0 and tr^2 < 4 det, so it is elliptic.  A
+parabolic or +-identity witness has its trace or distance to +-identity
+re-checked on a float product rebuilt with symdyn.product, and a
+heteroclinic residual is recomputed the same way.  These are claims within
+the DEFAULT.parabolic, DEFAULT.identity and DEFAULT.heteroclinic bands, not
+proofs: a rounded float product is almost never exactly parabolic.  A
+witness failing its check raises WitnessUnverified.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, angle_gap, norm_angle
-from .sl2core import Mat2, eigen_data
-from .symdyn import Sft, Word, periodic_products, product, render_word
+from .sl2core import Mat2, eigen_data, integer_scaled
+from .symdyn import Sft, Word, periodic_entries, product, render_word
 from .tolerances import DEFAULT
 
 
@@ -62,25 +69,60 @@ class BoundaryReport:
 
 
 def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
-    """First cyclic class (shortlex) whose product trace lies inside (-2, 2)."""
-    for w, p in periodic_products(mats, sft, max_len):
-        if abs(float(p.trace())) < 2.0 - DEFAULT.trace:
-            trace = float(product(mats, w).trace())
-            if not abs(trace) < 2.0:
-                raise WitnessUnverified(
-                    f"elliptic witness {render_word(w)} has trace {trace} "
-                    "when its product is rebuilt")
+    """First cyclic class (shortlex) whose product is elliptic: trace inside
+    (-2, 2) and det > 0.  A product of det < 0 has real eigenvalues of
+    opposite signs, so it is skipped; the sign is read on candidates only."""
+    for w, (a, b, c, d) in periodic_entries(mats, sft, max_len):
+        if abs(float(a + d)) < 2.0 - DEFAULT.trace and a * d - b * c > 0:
+            _verify_elliptic(mats, w)
             return w
     return None
 
 
+def _verify_elliptic(mats, w: Word) -> None:
+    """Raise WitnessUnverified unless the product of w is elliptic on the
+    given entries read exactly (a float is a dyadic rational): det > 0 and
+    tr^2 < 4 det.  Each generator becomes an integer matrix and a scale
+    (integer_scaled), so the word's product is n / S for the integer product
+    n and the product S of the scales, and S cancels from both tests."""
+    scaled = [integer_scaled(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))))
+              for m in mats]
+    n = product([m for m, _ in scaled], w)
+    tr, det = n.trace(), n.det()
+    if not (det > 0 and tr * tr < 4 * det):
+        scale = math.prod(scaled[s][1] for s in w)
+        raise WitnessUnverified(
+            f"elliptic witness {render_word(w)} has trace {tr / scale} and "
+            f"det {det / (scale * scale)} when its product is rebuilt exactly")
+
+
 def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     """First cyclic class with ||tr| - 2| <= DEFAULT.parabolic, distinguishing
-    +-identity."""
-    for w, p in periodic_products(mats, sft, max_len):
+    +-identity.
+
+    A product C of det < 0 is never parabolic: its eigenvalues are real, of
+    opposite signs.  By Cayley-Hamilton C^2 = tr(C) C - det(C) I, so C^2 is
+    near the identity only when tr(C) is near 0; such a word's square is
+    rebuilt with product() and, within DEFAULT.identity of the identity,
+    gives an identity hit on the doubled word.
+    """
+    for w, m in periodic_entries(mats, sft, max_len):
+        t = abs(float(m[0] + m[3]))
+        # every +-identity hit passes: its |tr| is within 2 DEFAULT.identity
+        # of 2; at det -1, C^2 - I = tr(C) C and some |C_ij| >= 1/sqrt 2, so
+        # C^2 within DEFAULT.identity of I needs |tr| <= sqrt 2 DEFAULT.identity
+        if abs(t - 2.0) > DEFAULT.parabolic and t > DEFAULT.parabolic:
+            continue
+        p = Mat2(*m)
+        if p.det() < 0:
+            q = product(mats, w + w)
+            if q.dist_to_pm_identity() <= DEFAULT.identity:
+                return ParabolicHit(word=w + w, kind="identity",
+                                    trace=float(q.trace()))
+            continue
         if p.dist_to_pm_identity() <= DEFAULT.identity:
             kind = "identity"
-        elif abs(abs(float(p.trace())) - 2.0) <= DEFAULT.parabolic:
+        elif abs(t - 2.0) <= DEFAULT.parabolic:
             kind = "parabolic"
         else:
             continue
@@ -152,9 +194,9 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     scan.  The connection found is re-verified from scratch.
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order
-    periodic = [(w, eigen_data(p)) for w, p in
-                periodic_products(mats, sft, max(k_max, ell_max))
-                if abs(float(p.trace())) > 2.0 + DEFAULT.trace]
+    periodic = [(w, eigen_data(Mat2(*m))) for w, m in
+                periodic_entries(mats, sft, max(k_max, ell_max))
+                if abs(float(m[0] + m[3])) > 2.0 + DEFAULT.trace]
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)

@@ -190,6 +190,17 @@ def test_reduce_tight_collapses_shared_constant():
     assert morphism_tight(red)
 
 
+def test_reduce_tight_pins_the_reduced_morphism():
+    # U slot 1 is in no image: it is dropped and the S labels on either side
+    # of it are identified, which the s-maps allow; read as an S label, its
+    # neighbours' u-maps disagree and the reduction fails
+    phi = Morphism.from_json({"rank": 3, "gens": [
+        {"u": [0, 0, 0], "s": [1, 1, 1]}, {"u": [0, 2, 2], "s": [0, 0, 2]}]})
+    assert not morphism_tight(phi)
+    assert reduce_tight(phi).to_json() == {"rank": 2, "parity": "even_u", "gens": [
+        {"u": [1, 1], "s": [1, 1]}, {"u": [0, 1], "s": [0, 1]}]}
+
+
 def test_nonrealizable_fixture_tight_hyperbolic():
     phi = nonrealizable_fixture()
     assert phi.mc.rank == 15

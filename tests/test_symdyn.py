@@ -161,6 +161,18 @@ def test_det_drift_raised_on_long_float_words():
     product(mats[:64], tuple(range(64)), short)
 
 
+@pytest.mark.parametrize("search", ["elliptic", "parabolic", "rate"])
+def test_det_drift_raised_by_searches_on_long_float_words(search):
+    # the searches read the entry tuples, and the drift check stays on them
+    from hypercone.witness import search_elliptic, search_parabolic
+    fn = {"elliptic": search_elliptic, "parabolic": search_parabolic,
+          "rate": hyperbolicity_rate}[search]
+    mats = [Mat2(1.0 + 1e-7, 0.0, 0.0, 1.0)] * 70
+    with pytest.raises(DetDrift):
+        fn(mats, _cycle_shift(70), 70)
+    fn(mats[:64], _cycle_shift(64), 64)
+
+
 def test_det_drift_allows_determinant_minus_one():
     # 65 factors of the swap: det -1 exactly, no drift
     assert product((Mat2(0., 1., 1., 0.),), (0,) * 65).det() == -1.0

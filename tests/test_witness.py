@@ -10,9 +10,10 @@ from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
 from hypercone.projgeom import angle_dist
 from hypercone.sl2core import Mat2, eigen_data
-from hypercone.symdyn import Sft, product
+from hypercone.symdyn import (RateReport, Sft, hyperbolicity_rate,
+                              periodic_words, product)
 from hypercone.tolerances import DEFAULT
-from hypercone.witness import (HeteroclinicHit, best_heteroclinic,
+from hypercone.witness import (HeteroclinicHit, ParabolicHit, best_heteroclinic,
                                diagnose_boundary, search_elliptic,
                                search_heteroclinic, search_parabolic)
 from tests.conftest import canonical_pair, group_tuple
@@ -280,3 +281,99 @@ def test_best_heteroclinic_reverifies_its_witness(monkeypatch, boundary_triple):
     monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
     with pytest.raises(WitnessUnverified):
         best_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
+
+
+def test_search_elliptic_checks_its_witness_exactly(monkeypatch):
+    # the float search finds AB; read exactly, every generator is made the
+    # hyperbolic [[2, 1], [1, 1]], so the exact check must refuse the word
+    import hypercone.witness as witness_mod
+    pair = canonical_pair(2.0, 2.0, 1.0, -2.0)  # tr AB = 0
+    assert search_elliptic(pair, Sft.full(2), 4) == (0, 1)
+    monkeypatch.setattr(witness_mod, "integer_scaled",
+                        lambda m: (Mat2(2, 1, 1, 1), 3))
+    with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
+        search_elliptic(pair, Sft.full(2), 4)
+
+
+SWAP = Mat2(0.0, 1.0, 1.0, 0.0)  # det -1, tr 0: an involution
+
+
+def test_negative_det_product_is_not_elliptic(free_pair):
+    # eigenvalues 2 and -1/2: hyperbolic, though |tr| = 1.5 < 2
+    flip = (Mat2(2.0, 0.0, 0.0, -0.5),)
+    assert search_elliptic(flip, Sft.full(1), 3) is None
+    assert diagnose_boundary(flip, Sft.full(1), budget=(3, 3, 2)).kind == "none"
+    assert hyperbolicity_rate(flip, Sft.full(1), 3).value == 2.0
+    # the swap C is not elliptic, but C^2 = I: an identity hit on CC
+    mats = free_pair + (SWAP,)
+    assert search_elliptic(mats, Sft.full(3), 4) is None
+    assert search_parabolic(mats, Sft.full(3), 3) == ParabolicHit(
+        word=(2, 2), kind="identity", trace=2.0)
+    rep = diagnose_boundary(mats, Sft.full(3), budget=(3, 3, 2)).to_json()
+    assert (rep["kind"], rep["parabolic_word"]) == ("identity", "CC")
+    # ACACB (two swaps, det 1) is elliptic, and larger budgets find it
+    assert diagnose_boundary(mats, Sft.full(3), budget=(8, 8, 5)).elliptic == \
+        (0, 2, 0, 2, 1)
+
+
+def _reference_searches(mats, sft, n_max):
+    """search_elliptic, search_parabolic and hyperbolicity_rate as one plain
+    loop of product() over periodic_words: a product of det < 0 is never
+    elliptic or parabolic, and its square near +-identity is an identity hit
+    on the doubled word."""
+    elliptic = parabolic = rate = None
+    rate_w = ()
+    for w in periodic_words(sft, n_max):
+        p = product(mats, w)
+        t = abs(float(p.trace()))
+        if elliptic is None and t < 2.0 - DEFAULT.trace and p.det() > 0:
+            elliptic = w
+        if parabolic is None:
+            if p.det() < 0:
+                q = product(mats, w + w)
+                if q.dist_to_pm_identity() <= DEFAULT.identity:
+                    parabolic = ParabolicHit(w + w, "identity", float(q.trace()))
+            elif p.dist_to_pm_identity() <= DEFAULT.identity:
+                parabolic = ParabolicHit(w, "identity", float(p.trace()))
+            elif abs(t - 2.0) <= DEFAULT.parabolic:
+                parabolic = ParabolicHit(w, "parabolic", float(p.trace()))
+        r = p.norm() ** (1.0 / len(w))
+        if rate is None or r < rate:
+            rate, rate_w = r, w
+    return elliptic, parabolic, RateReport(value=rate, word=rate_w, depth=n_max)
+
+
+def test_searches_match_reference_loop(sft4):
+    """Seeded float and Fraction tuples over full shifts, the golden mean and
+    SFT4, with generators of determinant -1, shears, -I and finite-order
+    rotations mixed in: the entry-tuple searches give what the reference
+    loop gives, bit for bit."""
+    rng = random.Random("entry tuples")
+    specials = [SWAP, Mat2(1, 1, 0, 1), Mat2(-1, 0, 0, -1), ROT4,
+                Mat2(2, 0, 0, Fraction(-1, 2))]
+    shifts = [(Sft.full(1), 6), (Sft.full(2), 7), (GOLDEN2, 8),
+              (Sft.full(3), 5), (sft4, 5)]
+    seen = {"elliptic": 0, "parabolic": 0, "identity": 0, "doubled": 0,
+            "det<0 skipped": 0}
+    for i in range(60):
+        sft, n_max = shifts[i % len(shifts)]
+        exact = i // len(shifts) % 2 == 0
+        mats = [_random_matrix(rng, exact, det=rng.choice((1, 1, -1)))
+                for _ in range(sft.n_symbols)]
+        if rng.random() < 0.6:
+            special = rng.choice(specials)
+            mats[rng.randrange(len(mats))] = special if exact else special.to_float()
+        mats = tuple(mats)
+        elliptic, parabolic, rate = _reference_searches(mats, sft, n_max)
+        assert search_elliptic(mats, sft, n_max) == elliptic
+        assert search_parabolic(mats, sft, n_max) == parabolic
+        assert hyperbolicity_rate(mats, sft, n_max) == rate
+        seen["elliptic"] += elliptic is not None
+        if parabolic is not None:
+            seen[parabolic.kind] += 1
+            seen["doubled"] += len(parabolic.word) % 2 == 0 and \
+                parabolic.word[:len(parabolic.word) // 2] * 2 == parabolic.word
+        seen["det<0 skipped"] += any(
+            abs(float(product(mats, w).trace())) < 2.0 - DEFAULT.trace
+            and product(mats, w).det() < 0 for w in periodic_words(sft, n_max))
+    assert all(seen.values()), seen
