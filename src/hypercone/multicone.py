@@ -25,14 +25,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput,
-                     NoConvergence, NoInvariantDirection, SearchBudgetExceeded)
+from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput, NoConvergence,
+                     NoInvariantDirection, SearchBudgetExceeded, StructureViolation)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
 from .sl2core import Mat2, eigen_data
-from .symdyn import LETTERS, Sft, periodic_words, product, render_word
+from .symdyn import LETTERS, Sft, admissible_entries, render_word
 from .tolerances import DEFAULT
 
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
@@ -192,9 +192,7 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
 class CoreSet:
     """Closed arc systems: forward-invariant U and backward-invariant S.
 
-    Arcs are stored as ArcP1 hulls (endpoints included by convention).  For a
-    non-full subshift the per-symbol systems are kept alongside the merged
-    global ones.
+    Arcs are stored as ArcP1 hulls (endpoints included by convention).
     """
 
     u_arcs: tuple[ArcP1, ...]
@@ -204,7 +202,6 @@ class CoreSet:
     u_words: tuple[tuple[str, str], ...] = ()
     s_words: tuple[tuple[str, str], ...] = ()
     word_length: int = 0
-    per_symbol: tuple[tuple[tuple[ArcP1, ...], tuple[ArcP1, ...]], ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -347,11 +344,12 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     """The cores, filled from periodic points; depth is the longest periodic
     word length L tried.
 
-    For L = 1, 2, ... the U and S points of every rotation w of each
-    admissible cyclic word of length <= L are taken from w's own product and
-    named render_word(w); U points go to the symbol of w's last letter, S
-    points to that of its first.  On a subshift each point is also carried
-    one admissible letter forward (U, "(w)B" names B u(w)) or backward (S,
+    For L = 1, 2, ... the U and S points of every cyclically admissible word
+    w of length <= L that is not a power are taken from w's own product, read
+    off the admissible-word tree (admissible_entries), and named
+    render_word(w); U points go to the symbol of w's last letter, S points
+    to that of its first.  On a subshift each point is also carried one
+    admissible letter forward (U, "(w)B" names B u(w)) or backward (S,
     "B(w)" names B^-1 s(w)), since some per-symbol endpoints are
     preperiodic.  The points, puffed to PUFF, are filled U against S and S
     against U (_filled_view), and the first system to pass _invariant is
@@ -381,22 +379,23 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     s_at: dict[str, float] = {}
     u_pts: list[list] = [[] for _ in range(n)]  # per symbol: (angle, name)
     s_pts: list[list] = [[] for _ in range(n)]
-    for length, words in itertools.groupby(periodic_words(sft, depth), key=len):
-        for w in words:
-            for i in range(length):
-                r = w[i:] + w[:i]
-                name = render_word(r)
-                u, s = _directions(product(mats, r), name)
-                u_at[name], s_at[name] = u, s
-                u_pts[r[-1]].append((u, name))
-                s_pts[r[0]].append((s, name))
-                if sft.is_full:
-                    continue
-                for b in range(n):
-                    if sft.ok(r[-1], b) and b != r[0]:
-                        u_pts[b].append((mats[b].act_angle(u), f"({name}){LETTERS[b]}"))
-                    if sft.ok(b, r[0]) and b != r[-1]:
-                        s_pts[b].append((inv[b].act_angle(s), f"{LETTERS[b]}({name})"))
+    for length, words in itertools.groupby(admissible_entries(mats, sft, depth),
+                                           key=lambda x: len(x[0])):
+        for w, m in words:
+            name = render_word(w)
+            if not sft.ok(w[-1], w[0]) or (name + name).find(name, 1) < length:
+                continue
+            u, s = _directions(Mat2(*m), name)
+            u_at[name], s_at[name] = u, s
+            u_pts[w[-1]].append((u, name))
+            s_pts[w[0]].append((s, name))
+            if sft.is_full:
+                continue
+            for b in range(n):
+                if sft.ok(w[-1], b) and b != w[0]:
+                    u_pts[b].append((mats[b].act_angle(u), f"({name}){LETTERS[b]}"))
+                if sft.ok(b, w[0]) and b != w[-1]:
+                    s_pts[b].append((inv[b].act_angle(s), f"{LETTERS[b]}({name})"))
         fu, fs = _filled_view(u_pts, s_pts, mats, inv, sft)
         if not all(len(x) == len(y) > 0 and (0.0, PI) not in x + y
                    for x, y in zip(fu, fs)):
@@ -413,9 +412,7 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
             s_glob = _named(merge_spans(sum(fs, [])), s_all)
         if _invariant(u, s, mats, inv, sft, u_at, s_at):
             return CoreSet(u_arcs=u_glob[0], s_arcs=s_glob[0], u_words=u_glob[1],
-                           s_words=s_glob[1], word_length=length,
-                           per_symbol=None if sft.is_full else
-                           tuple((x[0], y[0]) for x, y in zip(u, s)))
+                           s_words=s_glob[1], word_length=length)
     raise SearchBudgetExceeded(
         f"no certified invariant cores from periodic words of length <= {depth}")
 
@@ -544,7 +541,7 @@ def single_component_length(mats, cone: MultiCone) -> int:
     maps = [component_map(m.to_float(), cone.arcs, cone.arcs) for m in mats]
     ok, ell = eventual_constancy(maps)
     if not ok:
-        raise SearchBudgetExceeded("component action cycles without constancy")
+        raise StructureViolation("constancy", "component action never becomes constant")
     return ell
 
 

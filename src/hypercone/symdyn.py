@@ -5,14 +5,14 @@ cocycle product of a word therefore has the *last* symbol's matrix leftmost:
 
     product(mats, (w0, ..., wk)) = mats[wk] @ ... @ mats[w0].
 
-Cyclic word enumeration returns one representative per primitive cyclic
-class (powers of shorter words are excluded: their products are powers and
-carry no new spectral information), in shortlex order.  The representatives
-are the Lyndon words, generated directly along the prenecklace tree
-(Fredricksen-Maiorana; Duval, TCS 60, 1988) with inadmissible transitions
-pruned inside the walk, so no word is built only to be filtered out, and a
-word's product is an entry tuple (a, b, c, d) made from its parent's in
-Mat2.__matmul__'s operation order; a Mat2 is built only where one is needed.
+Two walks, both shortlex, share one word tree with inadmissible transitions
+pruned inside it: admissible_entries visits every admissible word, and the
+cyclic enumeration its prenecklace part (Fredricksen-Maiorana; Duval, TCS 60,
+1988), for one representative per primitive cyclic class, the Lyndon word
+(powers of shorter words carry no new spectral information).  A node's
+product is an entry tuple (a, b, c, d) made from its parent's in
+Mat2.__matmul__'s operation order, the bits of product(); a Mat2 is built
+only where one is needed.
 """
 
 from __future__ import annotations
@@ -133,6 +133,22 @@ def _times(x, y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def admissible_entries(mats, sft: Sft, n_max: int):
+    """(word, (a, b, c, d)) for every admissible word of length 1..n_max,
+    shortlex: product(mats, word, sft)'s entries bit for bit, DetDrift included."""
+    ents = [(m.a, m.b, m.c, m.d) for m in mats]
+    level = [((s,), ents[s]) for s in range(sft.n_symbols)]
+    for length in range(1, n_max + 1):
+        done = []
+        for w, m in level:
+            _check_drift(m, length)
+            done.append((w, m))
+            yield w, m
+        # lazy: a reader stopping at the next level's first word pays for it alone
+        level = ((w + (s,), _times(ents[s], m)) for w, m in done
+                 for s in range(sft.n_symbols) if sft.allowed[w[-1]][s])
+
+
 def _prenecklaces(sft: Sft, depth: int, mats=None):
     """The admissible prenecklaces of length 1..depth, one list per length,
     each in lexicographic order, as (word, p, product); p is the length of
@@ -141,10 +157,8 @@ def _prenecklaces(sft: Sft, depth: int, mats=None):
     The tree is walked level by level (Fredricksen-Maiorana): a prenecklace
     w extends by w[-p], keeping p, or by any larger symbol, which makes it
     Lyndon.  Over a subshift only allowed transitions are followed; every
-    prefix of an admissible word is admissible, so nothing is lost.  With
-    mats given a node's product is the entry tuple of mats[s] @
-    product(parent), the operation order of product(), so the floats agree
-    bit for bit; without, it is None.
+    prefix of an admissible word is admissible, so nothing is lost.  A
+    node's product is its entry tuple, or None without mats.
     """
     n = sft.n_symbols
     allowed = None if sft.is_full else sft.allowed

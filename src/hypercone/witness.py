@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, angle_gap, norm_angle
 from .sl2core import Mat2, eigen_data, integer_scaled
-from .symdyn import Sft, Word, periodic_entries, product, render_word
+from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
 from .tolerances import DEFAULT
 
 
@@ -136,22 +136,6 @@ def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     return None
 
 
-def _connectors(mats, sft: Sft, n_max: int):
-    """(connector, product) for the empty connector and every admissible word
-    of length 1..n_max, depth first; products are carried down the tree in
-    product()'s operation order."""
-    yield (), Mat2.identity()
-    stack = ([((s,), mats[s]) for s in range(sft.n_symbols - 1, -1, -1)]
-             if n_max >= 1 else [])
-    while stack:
-        c, P = stack.pop()
-        yield c, P
-        if len(c) < n_max:
-            for s in range(sft.n_symbols - 1, -1, -1):
-                if sft.ok(c[-1], s):
-                    stack.append((c + (s,), mats[s] @ P))
-
-
 def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
     """Least distance from the positive arc lo -> hi to the sorted, non-empty
     angles ts; 0 when the arc holds one of them."""
@@ -170,8 +154,10 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     (or the target directly when the connector is empty) and the connector
     feeds the first letter of the target; source and target must not lie on
     the same cyclic orbit.  Candidates are visited connector by connector
-    (depth first), then source by source (shortlex), then target by target
-    (by stable angle), and the first strict minimum wins.
+    (shortlex), then source by source (shortlex), then target by target (by
+    stable angle); the first strict minimum wins, so the shortest connector
+    of equal residuals.  Sources and targets are the hyperbolic cyclic
+    classes: |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det < 0.
 
     Targets are pre-sorted by stable angle, so a carried direction costs a
     bisection plus an outward scan.  Every target not yet visited lies on the
@@ -193,10 +179,12 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     so the visiting order, the ties and the result are those of the full
     scan.  The connection found is re-verified from scratch.
     """
-    # hyperbolic cyclic classes, shortlex: the sources keep that order
+    # hyperbolic cyclic classes, shortlex: the sources keep that order; at
+    # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
     periodic = [(w, eigen_data(Mat2(*m))) for w, m in
                 periodic_entries(mats, sft, max(k_max, ell_max))
-                if abs(float(m[0] + m[3])) > 2.0 + DEFAULT.trace]
+                if abs(float(m[0] + m[3])) > DEFAULT.trace
+                + (2.0 if m[0] * m[3] - m[1] * m[2] > 0 else 0.0)]
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)
@@ -217,15 +205,15 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
 
     best = None
     best_r = math.inf
-    for conn, P in _connectors(mats, sft, n_max):
+    for conn, P in [((), (1.0, 0.0, 0.0, 1.0)), *admissible_entries(mats, sft, n_max)]:
         # the bound may ignore that a target must differ from its source
         ts = fed[conn[-1]] if conn else angles
         if not ts:
             continue
         group = feeding[conn[0]] if conn else by_angle
-        flip = P.det() < 0
+        flip = P[0] * P[3] - P[1] * P[2] < 0
         # act_angle's arithmetic, with the entries converted once
-        a, b, c, d = float(P.a), float(P.b), float(P.c), float(P.d)
+        a, b, c, d = map(float, P)
 
         def carry(i):
             x, y = trig[i]

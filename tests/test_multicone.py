@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
-                              SearchBudgetExceeded)
+                              SearchBudgetExceeded, StructureViolation)
 from hypercone.fareycomb import component_model, j_of_fword
-from hypercone.multicone import (CoreSet, MulticoneFamily, _fill_against,
+from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _fill_against,
                                  alternation, certify, compute_cores,
                                  core_criterion, eventual_constancy,
                                  fatten_cores, single_component_length,
@@ -142,17 +142,43 @@ def test_compute_cores_monotone_in_depth(free_pair, table):
             assert compute_cores(free_pair, sft, depth=depth) == want, depth
 
 
+def _assert_arcs_end_at_named_points(mats, sft, cores):
+    """Each arc starts at the U (S) point of the word that names its start,
+    bit for bit with eigen_data(product(...)), and ends PUFF past the point
+    of the word naming its end; the words are cyclically admissible, and
+    carried points, "(w)B" or "B(w)", are skipped."""
+    def point(name, side):
+        assert sft.cyclically_admissible(parse_word(name)), name
+        return eigen_data(product(mats, parse_word(name)))[side][0].angle
+
+    checked = 0
+    for arcs, words, side in ((cores.u_arcs, cores.u_words, 0),
+                              (cores.s_arcs, cores.s_words, 1)):
+        for a, (first, last) in zip(arcs, words):
+            if "(" not in first:
+                assert a.start.angle == point(first, side), first
+                checked += 1
+            if "(" not in last:
+                offset = (a.end.angle - point(last, side)) % PI
+                assert abs(offset - PUFF) <= 1e-15, last
+                checked += 1
+    assert checked > 0
+
+
 def test_compute_cores_rank5_certifies_at_word_length_5(free_pair_exact):
     # rank-5 pullback: one U arc sits on the 0/pi seam
     pair = apply_fword_inverse(*free_pair_exact, "+-")
     cores = compute_cores(pair, Sft.full(2))
     assert cores.rank == 5 and cores.word_length == 5
-    # each arc starts at the U (S) point of the word that names its start
-    for arcs, words, side in ((cores.u_arcs, cores.u_words, 0),
-                              (cores.s_arcs, cores.s_words, 1)):
-        for a, (start, _) in zip(arcs, words):
-            point = eigen_data(product(pair, parse_word(start)))[side][0]
-            assert a.start.angle == point.angle
+    _assert_arcs_end_at_named_points(pair, Sft.full(2), cores)
+
+
+@pytest.mark.parametrize("case", ["full", "golden", "group"])
+def test_compute_cores_arcs_end_at_named_points(case, free_pair, sft4):
+    mats, sft = {"full": (free_pair, Sft.full(2)),
+                 "golden": (free_pair, Sft(2, ((True, True), (True, False)))),
+                 "group": (group_tuple(free_pair), sft4)}[case]
+    _assert_arcs_end_at_named_points(mats, sft, compute_cores(mats, sft))
 
 
 def _match_arcs(got, want, bound):
@@ -363,6 +389,14 @@ def test_single_component_length_free_pair(free_pair):
 def test_single_component_length_single_matrix():
     cone = MultiCone((arc(-0.3, 0.3),))
     assert single_component_length((Mat2(2, 0, 0, 0.5),), cone) == 1
+
+
+def test_single_component_length_raises_on_a_cycle():
+    # a quarter turn swaps the two arcs: no product is constant
+    cone = MultiCone((arc(0.2, 0.6), arc(0.2 + PI / 2, 0.6 + PI / 2)))
+    with pytest.raises(StructureViolation, match="never becomes constant") as exc:
+        single_component_length((Mat2(0.0, -1.0, 1.0, 0.0),), cone)
+    assert exc.value.step == "constancy"
 
 
 def test_single_component_length_matches_morphism(free_pair_exact):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hypercone.errors import DegenerateInput, DetDrift, InadmissibleWord
 from hypercone.sl2core import Mat2
-from hypercone.symdyn import (Sft, hyperbolicity_rate, parse_word,
-                              periodic_products, periodic_words, product,
-                              render_word)
+from hypercone.symdyn import (Sft, admissible_entries, hyperbolicity_rate,
+                              parse_word, periodic_products, periodic_words,
+                              product, render_word)
 
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -140,6 +140,22 @@ def test_periodic_products_match_product(shift, sft4, free_pair):
         assert p == product(mats, w, sft)
 
 
+@pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])
+def test_admissible_entries_match_product(shift, sft4, free_pair):
+    # every admissible word in shortlex order, with product()'s entries
+    A, B = free_pair
+    mats, sft, n_max = {"full2": ((A, B), Sft.full(2), 8),
+                        "sft4": ((A, B, A.inverse(), B.inverse()), sft4, 5),
+                        "golden": ((A, B), GOLDEN, 10)}[shift]
+    got = list(admissible_entries(mats, sft, n_max))
+    assert [w for w, _ in got] == [
+        w for n in range(1, n_max + 1)
+        for w in itertools.product(range(sft.n_symbols), repeat=n)
+        if sft.admissible(w)]
+    for w, m in got:
+        assert Mat2(*m) == product(mats, w, sft)
+
+
 def _cycle_shift(n):
     """n symbols, each allowed only before its successor mod n: the one
     primitive cyclic class is 0 1 ... n-1."""
@@ -155,9 +171,12 @@ def test_det_drift_raised_on_long_float_words():
         product(mats, w, sft)
     with pytest.raises(DetDrift):
         list(periodic_products(mats, sft, 70))
+    with pytest.raises(DetDrift):
+        list(admissible_entries(mats, sft, 70))
     # the check starts above 64 letters
     short = _cycle_shift(64)
     assert len(list(periodic_products(mats[:64], short, 64))) == 1
+    assert len(list(admissible_entries(mats[:64], short, 64))) == 64 * 64
     product(mats[:64], tuple(range(64)), short)
 
 

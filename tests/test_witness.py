@@ -133,9 +133,10 @@ def test_witness_and_certify_mutually_exclusive():
 
 def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     """Every admissible (residual, source, connector, target), visited in the
-    order best_heteroclinic documents: connectors depth first (lexicographic,
-    the empty one first), sources shortlex, targets by stable angle.  Cyclic
-    classes come from the brute-force min-rotation filter."""
+    order best_heteroclinic documents: connectors shortlex (the empty one
+    first), sources shortlex, targets by stable angle.  Cyclic classes come
+    from the brute-force min-rotation filter; the hyperbolic ones have
+    |tr| > 2 + DEFAULT.trace at det > 0 and |tr| > DEFAULT.trace at det < 0."""
     def words(n):
         return [w for length in range(1, n + 1)
                 for w in itertools.product(range(sft.n_symbols), repeat=length)
@@ -144,14 +145,14 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
                 and all(length % p or w != w[p:] + w[:p] for p in range(1, length))]
 
     def hyperbolic(n):
-        return [(w, product(mats, w)) for w in words(n)
-                if abs(float(product(mats, w).trace())) > 2.0 + DEFAULT.trace]
+        return [(w, p) for w, p in ((w, product(mats, w)) for w in words(n))
+                if abs(float(p.trace())) > DEFAULT.trace + (2.0 if p.det() > 0 else 0.0)]
 
     sources = [(v, eigen_data(p)[0][0].angle) for v, p in hyperbolic(k_max)]
     targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
-    connectors = sorted(c for length in range(n_max + 1)
-                        for c in itertools.product(range(sft.n_symbols), repeat=length)
-                        if sft.admissible(c))
+    connectors = [c for length in range(n_max + 1)
+                  for c in itertools.product(range(sft.n_symbols), repeat=length)
+                  if sft.admissible(c)]
     for conn in connectors:
         P = product(mats, conn) if conn else Mat2.identity()
         for v, u_angle in sources:
@@ -243,6 +244,22 @@ def test_best_heteroclinic_differential(kind):
         assert ties_at_zero > 0
     if kind == "det_minus_one":
         assert flips > 0
+
+
+def test_best_heteroclinic_shortest_connector_wins_a_tie(boundary_triple):
+    # C and BC carry a source equally close to its target: the shortlex
+    # connector order makes C, the shorter, the first strict minimum
+    hit = best_heteroclinic(boundary_triple, Sft.full(3), 2, 2, 2)
+    assert hit.connector == (2,)
+
+
+def test_best_heteroclinic_negative_det_endpoints():
+    # A has det -1 and |tr| 1.5 < 2, yet eigenvalues 2 and -1/2: it is a
+    # source or target, and B (det 1) the other end
+    mats = (Mat2(2.0, 0, 0, -0.5), Mat2(2.0, 1.0, 1.0, 1.0))
+    hit = best_heteroclinic(mats, Sft.full(2), 1, 1, 0)
+    assert hit is not None and {hit.source, hit.target} == {(0,), (1,)}
+    assert hit.connector == ()
 
 
 def test_best_heteroclinic_free_pair_default_budget(free_pair):
