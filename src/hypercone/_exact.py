@@ -2,13 +2,18 @@
 
 Eigendirection slopes of rational matrices live in quadratic extensions; the
 comparisons needed by cyclic-order tests reduce to signs of differences of
-two such values, which resolve by at most two squarings.
+two such values, which resolve by at most two squarings.  The slopes read
+any determinant, and a positive multiple of a matrix has its eigendirections,
+so exact_unstable_dir(n) and exact_stable_dir(n) of the integer matrix
+n = s*M that sl2core.integer_scaled gives are M's directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import DegenerateTie
 
 
 def _sign(x) -> int:
@@ -111,9 +116,9 @@ def compare_dirs(a: ExactDir, b: ExactDir) -> int:
 
 def _eigen_slope(a: Fraction, b: Fraction, c: Fraction, d: Fraction,
                  unstable: bool) -> ExactDir:
-    """Eigendirection slope of a rational matrix with |tr| >= 2, det 1."""
+    """Eigendirection slope of a rational matrix with tr^2 >= 4 det."""
     t = a + d
-    D = t * t - 4
+    D = t * t - 4 * (a * d - b * c)
     if b != 0:
         sgn_t = 1 if t >= 0 else -1
         half = Fraction(sgn_t if unstable else -sgn_t, 2)
@@ -147,7 +152,7 @@ def exact_cyclically_ordered(dirs) -> bool:
     def position(d: ExactDir) -> tuple[int, ExactDir]:
         c = compare_dirs(d, base)
         if c == 0:
-            raise ValueError("coincident directions")
+            raise DegenerateTie("coincident directions")
         return (0 if c > 0 else 1, d)  # wrapped past the base point?
 
     def less(x, y) -> bool:

@@ -332,23 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
                              "finite SL(2,R) families")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="tuple spec JSON file")
-            p.add_argument("--mode", choices=["float", "rational"], default=None)
-        p.add_argument("--svg", default=None, help="write an SVG diagram here")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="tuple spec JSON file")
+        p.add_argument("--mode", choices=["float", "rational"], default=None)
 
     p = sub.add_parser("classify2", help="decide a pair over the full 2-shift")
     add_common(p)
+    p.add_argument("--svg", default=None, help="write a component diagram here")
     p.set_defaults(func=cmd_classify2)
 
     p = sub.add_parser("certify", help="check a multicone family certificate")
     add_common(p)
     p.add_argument("--multicone", required=True, help="multicone family JSON")
+    p.add_argument("--svg", default=None, help="write the family's diagram here")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("cores", help="cores filled from periodic points")
     add_common(p)
+    p.add_argument("--svg", default=None, help="write the cores' diagram here")
     p.add_argument("--depth", type=_depth, default=12,
                    help="longest periodic word length tried")
     p.set_defaults(func=cmd_cores)

@@ -82,7 +82,12 @@ class NotInterior(HyperconeError):
 
 
 class DegenerateTie(HyperconeError):
-    """Two mutually exclusive alternatives hold within tolerance."""
+    """Too close to a decision boundary to decide (a quantity in its band, a
+    tie, coincident points); value is the quantity at fault, or 0.0."""
+
+    def __init__(self, message: str, value=0.0):
+        super().__init__(message)
+        self.value = float(value)
 
 
 class DetDrift(HyperconeError):

@@ -31,7 +31,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
-from .sl2core import Mat2, eigen_data
+from .sl2core import Mat2, eigen_data_scaled, integer_scaled
 from .symdyn import LETTERS, Sft, admissible_entries, render_word
 from .tolerances import DEFAULT
 
@@ -126,6 +126,17 @@ class CertifyReport:
                 "margin": self.margin, "witness": self.witness}
 
 
+def _strict_image(m: Mat2, arc: ArcP1, targets) -> tuple[Span, int | None, float]:
+    """(image span, target index, margin) of the arc under m; the index is None
+    below the strict-containment floor, which scales with the target: deep
+    components are exponentially thin, and a fixed floor rejects true ones."""
+    img = image_span(m, arc.span)
+    j, best = best_target(img, targets)
+    if j is not None and best < max(DEFAULT.margin * min(1.0, targets[j].length), 4e-14):
+        j = None
+    return img, j, best
+
+
 def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
     """Check the strict-inclusion condition and report certificate constants."""
     n = sft.n_symbols
@@ -145,13 +156,8 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
                 continue
             targets = fam.cones[beta].arcs
             for ai, arc in enumerate(fam.cones[alpha].arcs):
-                img = image_span(mats[beta], arc.span)
-                j, best = best_target(img, targets)
-                # the strict-containment floor scales with the target
-                # component: deep components are exponentially thin and a
-                # fixed absolute floor would reject genuine certificates
-                if j is None or best < max(DEFAULT.margin * min(1.0, targets[j].length),
-                                           4e-14):
+                img, j, best = _strict_image(mats[beta], arc, targets)
+                if j is None:
                     witness = {"alpha": alpha, "beta": beta, "component": ai,
                                "margin": best}
                     return CertifyReport(ok=False, contraction=0.0,
@@ -326,18 +332,20 @@ def _invariant(u, s, mats, inv, sft: Sft, u_at: dict, s_at: dict) -> bool:
     return True
 
 
-def _directions(p: Mat2, name: str) -> tuple[float, float]:
-    """The U and S angles of a cyclic word's product, or NoConvergence naming
-    the word: |tr| <= 2, or a float product whose determinant drifted so far
-    that tr^2 < 4 det."""
-    if abs(p.trace()) > 2:
+def _directions(n: Mat2, scale: int, name: str) -> tuple[float, float]:
+    """The U and S angles of a cyclic word's product n/scale (scale 1 but
+    for integer n), or NoConvergence naming the word: |tr| <= 2, or a float
+    product whose determinant drifted so far that tr^2 < 4 det."""
+    tr = n.trace()
+    if abs(tr) > 2 * scale:
         try:
-            (u, _), (s, _) = eigen_data(p)
+            (u, _), (s, _) = eigen_data_scaled(n, scale)
             return u.angle, s.angle
         except NoInvariantDirection:
             pass
     raise NoConvergence(f"cyclic word {name} is not hyperbolic (|tr| = "
-                        f"{abs(float(p.trace())):.6g}, det = {float(p.det()):.6g})")
+                        f"{float(abs(tr) / scale):.6g}, det = "
+                        f"{float(n.det() / (scale * scale)):.6g})")
 
 
 def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
@@ -357,6 +365,11 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     word of a uniformly hyperbolic tuple is hyperbolic, so the first that is
     not raises NoConvergence (_directions).
 
+    Exact input walks integer matrices: w's product is n/S, n off the tree
+    of the integer_scaled generators and S the product of its letters'
+    scales, read by eigen_data_scaled with the bits of eigen_data and no
+    Fraction multiplied.  Float and mixed input keep S = 1.
+
     Why the first passing system is the cores.  Periodic U (S) points lie
     in the U (S) cores, and every core arc holds some.  If each letter maps
     U' into U', its complement C is open, holds the S arcs, and is mapped
@@ -375,17 +388,20 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     """
     n = sft.n_symbols
     inv = [m.inverse() for m in mats]
+    exact = all(m.is_exact() for m in mats)
+    scaled = [integer_scaled(m) if exact else (m, 1) for m in mats]
     u_at: dict[str, float] = {}
     s_at: dict[str, float] = {}
     u_pts: list[list] = [[] for _ in range(n)]  # per symbol: (angle, name)
     s_pts: list[list] = [[] for _ in range(n)]
-    for length, words in itertools.groupby(admissible_entries(mats, sft, depth),
-                                           key=lambda x: len(x[0])):
+    tree = admissible_entries([m for m, _ in scaled], sft, depth)
+    for length, words in itertools.groupby(tree, key=lambda x: len(x[0])):
         for w, m in words:
             name = render_word(w)
             if not sft.ok(w[-1], w[0]) or (name + name).find(name, 1) < length:
                 continue
-            u, s = _directions(Mat2(*m), name)
+            scale = math.prod(scaled[x][1] for x in w) if exact else 1
+            u, s = _directions(Mat2(*m), scale, name)
             u_at[name], s_at[name] = u, s
             u_pts[w[-1]].append((u, name))
             s_pts[w[0]].append((s, name))
@@ -617,24 +633,13 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     abs_dets = [abs(float(m.det())) for m in mats]
     mats = [m.to_float() for m in mats]
     q = cores.rank
-    s_arcs = sorted(cores.s_arcs, key=lambda a: a.start.angle)
-    gaps = []
-    for i, a in enumerate(s_arcs):
-        b = s_arcs[(i + 1) % len(s_arcs)]
-        gaps.append(ArcP1(a.end, b.start))
-    # first fit within DEFAULT.angle, not best_target: U arcs of deep components
-    # (~2e-11 long) also fit, by a negative margin, the gap before their own,
-    # and the best gap there changes how fatten_cores fails
-    hosts = []
-    for u_arc in cores.u_arcs:
-        host = None
-        for g in gaps:
-            if containment_margin(g, u_arc.span) > -DEFAULT.angle:
-                host = g
-                break
-        if host is None:
-            raise DegenerateInput("an unstable component is not inside an S-gap")
-        hosts.append(host)
+    # each U arc's host: the S-gap between its neighbours in the cyclic order
+    tagged, defect = alternation(cores.u_arcs, cores.s_arcs)
+    if defect is not None:
+        raise DegenerateInput(f"cores do not alternate ({defect}); cannot fatten")
+    host_of = {arc: ArcP1(tagged[i - 1][2].end, tagged[(i + 1) % (2 * q)][2].start)
+               for i, (_, kind, arc) in enumerate(tagged) if kind == 0}
+    hosts = [host_of[u_arc] for u_arc in cores.u_arcs]
 
     # endpoint nodes (comp j, side 0=start 1=end) with tight-edge weights
     nodes = [(j, side) for j in range(q) for side in (0, 1)]
@@ -674,28 +679,22 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
         P = {n: max([0.0] + [w + P[t] for (t, w) in edges[n]]) for n in nodes}
 
     radius = {n: HILBERT_EPS * math.exp(-P[n]) for n in nodes}
-    scale = 1.0
+    xi = {n: _xi(hosts[n[0]], point[n]) for n in nodes}
+    scale, rejected = 1.0, None
     for _ in range(MAX_HALVINGS):
-        arcs = []
-        ok_build = True
-        for j in range(q):
-            a = _xi_inv(hosts[j], _xi(hosts[j], point[(j, 0)])
-                        - scale * radius[(j, 0)])
-            b = _xi_inv(hosts[j], _xi(hosts[j], point[(j, 1)])
-                        + scale * radius[(j, 1)])
-            try:
-                arcs.append(ArcP1.from_angles(a, b))
-            except DegenerateInput:
-                ok_build = False
-                break
-        if ok_build:
-            try:
-                cone = MultiCone(tuple(arcs))
-            except DegenerateInput:
-                cone = None
-            if cone is not None:
-                report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols))
-                if report.ok:
-                    return cone
+        try:
+            cone = MultiCone(tuple(ArcP1.from_angles(
+                _xi_inv(hosts[j], xi[(j, 0)] - scale * radius[(j, 0)]),
+                _xi_inv(hosts[j], xi[(j, 1)] + scale * radius[(j, 1)]))
+                for j in range(q)))
+        except DegenerateInput:
+            cone = None
+        # the arc certify rejected last is tried first: while it fails, so does certify
+        if cone is not None and (rejected is None or _strict_image(
+                mats[rejected[0]], cone.arcs[rejected[1]], cone.arcs)[1] is not None):
+            report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols))
+            if report.ok:
+                return cone
+            rejected = (report.witness["beta"], report.witness["component"])
         scale *= 0.5
     raise DegenerateInput("no certified fattening found for the given cores")

@@ -3,10 +3,10 @@
 Entries may be floats or ``fractions.Fraction``; arithmetic stays in the
 entry domain (exact when the inputs are exact).  Exact matrices become floats
 in two ways, both correctly rounded and so with the same bits: as an integer
-matrix n and one positive integer scale s (integer_scaled), whose entries and
-eigen data are int / int divisions (eigen_data_scaled), or entry by entry
-through to_float(), which the float stages call once per matrix before their
-angle work.
+matrix n and one positive integer scale s (integer_scaled, the one exact
+representation), whose entries and eigen data are int / int divisions
+(eigen_data_scaled), or entry by entry through to_float(), which the float
+stages call once per matrix before their angle work.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ def spectral_norm(a, b, c, d) -> float:
 
 
 def integer_scaled(m: Mat2) -> tuple[Mat2, int]:
-    """(s*m, s) for the least positive integer s that makes the exact m integral."""
-    entries = (m.a, m.b, m.c, m.d)
-    s = math.lcm(*(v.denominator for v in entries))
-    return Mat2(*(v.numerator * (s // v.denominator) for v in entries)), s
+    """(s*m, s) for the least positive integer s that makes m integral; a
+    float entry is read as the dyadic rational it is (as_integer_ratio)."""
+    ratios = [v.as_integer_ratio() for v in (m.a, m.b, m.c, m.d)]
+    s = math.lcm(*(q for _, q in ratios))
+    return Mat2(*(p * (s // q) for p, q in ratios)), s
 
 
 def check_unimodular(m: Mat2) -> Mat2:

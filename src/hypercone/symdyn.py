@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, DetDrift, InadmissibleWord
+from .errors import DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated
 from .sl2core import Mat2, is_exact, spectral_norm
 
 Word = tuple[int, ...]
@@ -95,12 +95,6 @@ class Sft:
         """The periodic orbit of w is allowed (a letter needs its self-loop)."""
         return self.admissible(w) and self.ok(w[-1], w[0])
 
-    def to_json(self) -> dict:
-        if self.is_full:
-            return {"type": "full", "n": self.n_symbols}
-        return {"type": "sft",
-                "allowed": [[bool(v) for v in row] for row in self.allowed]}
-
 
 def _check_drift(m, length: int) -> None:
     """Long float entries (a, b, c, d) must keep det near +-1 (else DetDrift)."""
@@ -133,10 +127,17 @@ def _times(x, y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _entry_tuples(mats, sft: Sft) -> list[tuple]:
+    """Each generator's (a, b, c, d); PreconditionViolated unless one per symbol."""
+    if len(mats) != sft.n_symbols:
+        raise PreconditionViolated(f"{len(mats)} matrices for {sft.n_symbols} symbols")
+    return [(m.a, m.b, m.c, m.d) for m in mats]
+
+
 def admissible_entries(mats, sft: Sft, n_max: int):
     """(word, (a, b, c, d)) for every admissible word of length 1..n_max,
     shortlex: product(mats, word, sft)'s entries bit for bit, DetDrift included."""
-    ents = [(m.a, m.b, m.c, m.d) for m in mats]
+    ents = _entry_tuples(mats, sft)
     level = [((s,), ents[s]) for s in range(sft.n_symbols)]
     for length in range(1, n_max + 1):
         done = []
@@ -162,7 +163,7 @@ def _prenecklaces(sft: Sft, depth: int, mats=None):
     """
     n = sft.n_symbols
     allowed = None if sft.is_full else sft.allowed
-    ents = None if mats is None else [(m.a, m.b, m.c, m.d) for m in mats]
+    ents = None if mats is None else _entry_tuples(mats, sft)
     level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
     for length in range(1, depth + 1):
         yield level

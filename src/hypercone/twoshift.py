@@ -41,9 +41,9 @@ so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
 rebuilt as integer matrix products with the same scales, and its orientation
-reads their eigen data with those scales (eigen_data_scaled); only the exact
-fallback for near-coincident directions builds Fraction matrices.  Every
-float the verdict reports is one int/int true division, correctly rounded
+reads their eigen data with those scales (eigen_data_scaled), or, for
+near-coincident directions, their exact directions (_exact).  Every float
+the verdict reports is one int/int true division, correctly rounded
 like float(Fraction), so it has the bits of the rational value.
 
 Only rational input is scaled, and it is decided with band 0.  Float and
@@ -53,13 +53,13 @@ meets a scale other than 1.  trace_step_plus, trace_step_minus and fricke
 are the scale-1 case of the same step functions.
 
 Words here are plain strings over 'A', 'B' whose matrix value is the
-left-to-right product ("BAB" means B @ A @ B).
+left-to-right product ("BAB" means B @ A @ B).  Boundary cases raise
+DegenerateTie, which classify_pair reports as a Degenerate verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import _exact
@@ -211,18 +211,12 @@ def _twist_state(s: _Scaled, band) -> int:
     return _BOUNDARY
 
 
-class _DegenerateEscape(Exception):
-    def __init__(self, reason: str, value=0.0):
-        self.reason = reason
-        self.value = float(value)
-
-
 def is_free(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
     """|tr A|, |tr B|, |tr AB| > 2 with a negative trace product."""
     x, y, z = A.trace(), B.trace(), (A @ B).trace()
     for name, v in (("tr A", x), ("tr B", y), ("tr AB", z)):
         if abs(abs(v) - 2) <= band:
-            raise _DegenerateEscape(f"|{name}| in the band around 2", v)
+            raise DegenerateTie(f"|{name}| in the band around 2", v)
     return abs(x) > 2 and abs(y) > 2 and abs(z) > 2 and x * y * z < 0
 
 
@@ -238,7 +232,7 @@ def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
     sy = 1 if y >= 0 else -1
     st = _twist_state(_Scaled(sx * x, sy * y, sx * sy * z), band)
     if st == _BOUNDARY and band > 0:
-        raise _DegenerateEscape("twist test in the boundary band")
+        raise DegenerateTie("twist test in the boundary band")
     return st == _TWISTED
 
 
@@ -262,14 +256,14 @@ def _step_select_traces(s: _Scaled, band) -> str:
         return Step.ELLIPTIC
     if Z < (-2 + band) * ab:
         if Z > (-2 - band) * ab:
-            raise _DegenerateEscape("tr AB in the band around -2", Z / ab)
+            raise DegenerateTie("tr AB in the band around -2", Z / ab)
         return Step.FREE
     if Z < (2 + band) * ab:
-        raise _DegenerateEscape("tr AB in the band around 2", Z / ab)
+        raise DegenerateTie("tr AB in the band around 2", Z / ab)
     plus = _twist_state(_step_plus(s), band)
     minus = _twist_state(_step_minus(s), band)
     if plus == _BOUNDARY or minus == _BOUNDARY:
-        raise _DegenerateEscape("successor twist test in the boundary band")
+        raise DegenerateTie("successor twist test in the boundary band")
     if plus == _TWISTED and minus == _TWISTED:
         raise DegenerateTie("both successor pairs test twisted")
     if plus == _STRAIGHT and minus == _STRAIGHT:
@@ -297,20 +291,21 @@ def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))
     if min_gap > 100 * DEFAULT.angle or not (A.is_exact() and B.is_exact()):
+        if min_gap == 0.0:
+            raise DegenerateTie("free-pair directions coincide")
         if cyclically_ordered(pts, tol=0.0):
             return +1
         if cyclically_ordered((pts[0], pts[3], pts[2], pts[1]), tol=0.0):
             return -1
-        raise _DegenerateEscape("free-pair direction order is inconsistent")
-    # exact fallback for rational pairs with near-coincident float angles
-    A, B, BA = _unscaled(A, a), _unscaled(B, b), _unscaled(BA, a * b)
+        raise DegenerateTie("free-pair direction order is inconsistent")
+    # exact fallback for near-coincident float angles, on the integer matrices
     dirs = [_exact.exact_unstable_dir(B), _exact.exact_unstable_dir(BA),
             _exact.exact_stable_dir(BA), _exact.exact_stable_dir(A)]
     if _exact.exact_cyclically_ordered(dirs):
         return +1
     if _exact.exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):
         return -1
-    raise _DegenerateEscape("free-pair direction order is inconsistent")
+    raise DegenerateTie("free-pair direction order is inconsistent")
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +321,8 @@ def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     """
     try:
         return _classify(A, B)
-    except _DegenerateEscape as esc:
-        return Degenerate(reason=esc.reason, value=esc.value)
     except DegenerateTie as tie:
-        return Degenerate(reason=str(tie))
-
-
-def _unscaled(m: Mat2, s: int) -> Mat2:
-    return Mat2(*(Fraction(v, s) for v in (m.a, m.b, m.c, m.d)))
+        return Degenerate(reason=str(tie), value=tie.value)
 
 
 def _classify(A: Mat2, B: Mat2) -> Classification2:
@@ -369,7 +358,7 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
     inv = float(_fricke(s) / (a * a * b * b))
     state = _twist_state(s, band)
     if state == _BOUNDARY:
-        raise _DegenerateEscape("initial twist test in the boundary band")
+        raise DegenerateTie("initial twist test in the boundary band")
     if state == _STRAIGHT:
         return Principal(sign_pair=sign_pair, invariant=inv)
 
@@ -395,8 +384,8 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
             return EllipticWitness(word=wa + wb, trace=float(s.Z / (s.a * s.b)),
                                    iterations=k)
         if k + 1 > bound:
-            raise _DegenerateEscape("walk exceeded its termination bound",
-                                    t0 / (a * b))
+            raise DegenerateTie("walk exceeded its termination bound",
+                                t0 / (a * b))
         s = _step_plus(s) if step == Step.PLUS else _step_minus(s)
         fword.append(step)
         k += 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, angle_gap, norm_angle
@@ -85,8 +84,7 @@ def _verify_elliptic(mats, w: Word) -> None:
     tr^2 < 4 det.  Each generator becomes an integer matrix and a scale
     (integer_scaled), so the word's product is n / S for the integer product
     n and the product S of the scales, and S cancels from both tests."""
-    scaled = [integer_scaled(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))))
-              for m in mats]
+    scaled = [integer_scaled(m) for m in mats]
     n = product([m for m, _ in scaled], w)
     tr, det = n.trace(), n.det()
     if not (det > 0 and tr * tr < 4 * det):

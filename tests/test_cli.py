@@ -295,6 +295,18 @@ def test_bad_depth_is_an_input_error(tmp_path, capsys, argv):
     assert "input error" in captured.err
 
 
+@pytest.mark.parametrize("command", [["winding", "--word", "AB"], ["witness"],
+                                     ["normalize", "--bound", "20"], ["rate"]])
+def test_svg_only_where_a_diagram_is_drawn(tmp_path, capsys, command):
+    # classify2, certify, cores, describe and farey draw; the rest take no --svg
+    path = write_spec(tmp_path, FREE_SPEC)
+    svg = tmp_path / "x.svg"
+    code = main([*command, "--input", path, "--svg", str(svg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "--svg" in captured.err
+    assert not svg.exists()
+
+
 def test_witness_empty_connector_budget(tmp_path, capsys):
     # n = 0 leaves only the empty connector, which is a valid budget
     path = write_spec(tmp_path, FREE_SPEC)

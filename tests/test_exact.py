@@ -6,7 +6,7 @@ from hypercone._exact import (QuadVal, compare, compare_dirs,
                               exact_cyclically_ordered, exact_stable_dir,
                               exact_unstable_dir, sign_p_q_sqrtD)
 from hypercone.projgeom import cyclically_ordered
-from hypercone.sl2core import Mat2, eigen_data
+from hypercone.sl2core import Mat2, eigen_data, integer_scaled
 
 
 def F(x):
@@ -47,10 +47,11 @@ def test_compare_agrees_with_float_randomized():
             assert got == (1 if approx > 0 else -1)
 
 
-def test_exact_dirs_match_float_eigen():
+def _hyperbolic_draws(n):
+    """n seeded rational hyperbolic matrices of det 1."""
     rng = random.Random(56)
-    checked = 0
-    while checked < 200:
+    out = []
+    while len(out) < n:
         a = F(rng.randint(-8, 8))
         b = F(rng.randint(-8, 8))
         c = F(rng.randint(-8, 8))
@@ -58,9 +59,13 @@ def test_exact_dirs_match_float_eigen():
             continue
         d = (1 + b * c) / a
         m = Mat2(a, b, c, d)
-        if abs(float(m.trace())) <= 2:
-            continue
-        checked += 1
+        if abs(float(m.trace())) > 2:
+            out.append(m)
+    return out
+
+
+def test_exact_dirs_match_float_eigen():
+    for m in _hyperbolic_draws(200):
         (u, _), (s, _) = eigen_data(m)
         du = exact_unstable_dir(m)
         ds = exact_stable_dir(m)
@@ -98,3 +103,15 @@ def test_exact_cyclic_order_matches_float():
         except Exception:
             continue
         assert exact_cyclically_ordered(dirs) == want
+
+
+def test_exact_dirs_of_the_integer_scaled_matrix():
+    # n = s*M has M's eigendirections: the slopes read det n = s^2, not 1
+    scaled = 0
+    for m in _hyperbolic_draws(200):
+        n, s = integer_scaled(m)
+        scaled += s > 1
+        assert compare_dirs(exact_unstable_dir(n), exact_unstable_dir(m)) == 0
+        assert compare_dirs(exact_stable_dir(n), exact_stable_dir(m)) == 0
+        assert compare_dirs(exact_unstable_dir(n), exact_stable_dir(m)) != 0
+    assert scaled > 50

@@ -16,7 +16,8 @@ from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _fill_against,
                                  core_criterion, eventual_constancy,
                                  fatten_cores, single_component_length,
                                  tightness)
-from hypercone.projgeom import PI, ArcP1, MultiCone, angle_dist, merge_spans
+from hypercone.projgeom import (PI, ArcP1, MultiCone, angle_dist,
+                                containment_margin, merge_spans)
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import Sft, parse_word, periodic_words, product
 from hypercone.tolerances import DEFAULT
@@ -46,6 +47,27 @@ def test_certify_free_pair_two_intervals(free_pair):
     assert rep.ok
     assert rep.contraction > 1.0
     assert rep.margin > 0
+
+
+def test_fatten_cores_hosts_each_u_arc_in_its_own_gap():
+    # S0 U0 S1 U1 in cyclic order, with S1 and U1 ~1e-11 long: U1 sticks
+    # out of the gap before its own (S0, S1) by 3e-11 only, within
+    # DEFAULT.angle, so a first fit by margin put it there (OutOfArc)
+    def hyperbolic(u, s, lam):
+        P = Mat2(math.cos(u), math.cos(s), math.sin(u), math.sin(s))
+        return P @ Mat2.diagonal(lam) @ P.inverse()
+
+    S0, U0 = arc(0.5, 0.6), arc(1.0, 1.2)
+    S1, U1 = arc(2.0, 2.0 + 1e-11), arc(2.0 + 2e-11, 2.0 + 3e-11)
+    cores = CoreSet(u_arcs=(U0, U1), s_arcs=(S0, S1))
+    assert containment_margin(ArcP1(S0.end, S1.start), U1.span) > -DEFAULT.angle
+    pair = (hyperbolic(2.0 + 2.5e-11, 0.55, 1e6), hyperbolic(1.1, 2.0 + 5e-12, 1e6))
+    cone = fatten_cores(pair, cores)
+    assert certify(pair, Sft.full(2), MulticoneFamily.constant(cone, 2)).ok
+    for core, fat, gap in ((U0, cone.arcs[0], ArcP1(S0.end, S1.start)),
+                           (U1, cone.arcs[1], ArcP1(S1.end, S0.start))):
+        assert containment_margin(fat, core.span) > 0
+        assert containment_margin(gap, fat.span) > 0
 
 
 def test_certify_rejects_bad_family(free_pair):
@@ -173,12 +195,30 @@ def test_compute_cores_rank5_certifies_at_word_length_5(free_pair_exact):
     _assert_arcs_end_at_named_points(pair, Sft.full(2), cores)
 
 
-@pytest.mark.parametrize("case", ["full", "golden", "group"])
+@pytest.mark.parametrize("case", ["full", "golden", "group", "pullback"])
 def test_compute_cores_arcs_end_at_named_points(case, free_pair, sft4):
+    # the exact pullback (sign word -+, rank 5) walks integer matrices whose
+    # words have scales far above 1
     mats, sft = {"full": (free_pair, Sft.full(2)),
                  "golden": (free_pair, Sft(2, ((True, True), (True, False)))),
-                 "group": (group_tuple(free_pair), sft4)}[case]
+                 "group": (group_tuple(free_pair), sft4),
+                 "pullback": (pullback_population(20)[7][0], Sft.full(2))}[case]
     _assert_arcs_end_at_named_points(mats, sft, compute_cores(mats, sft))
+
+
+def test_exact_compute_cores_multiplies_no_fraction(monkeypatch):
+    # the word tree multiplies integer matrices; the only Fraction products
+    # left are the determinants of the generators' inverses
+    pair = pullback_population(20)[7][0]
+    assert all(m.is_exact() for m in pair)
+    muls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(self, other, _orig=getattr(Fraction, name)):
+            muls.append(1)
+            return _orig(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    cores = compute_cores(pair, Sft.full(2))
+    assert cores.rank == 5 and len(muls) <= 2 * len(pair)
 
 
 def _match_arcs(got, want, bound):
@@ -225,6 +265,18 @@ def test_compute_cores_names_the_elliptic_word(elliptic_walk_pair):
     with pytest.raises(NoConvergence, match="cyclic word ABB is not hyperbolic"):
         compute_cores(elliptic_walk_pair, Sft.full(2), depth=24)
     assert abs(product(elliptic_walk_pair, parse_word("ABB")).trace()) <= 2
+
+
+def test_exact_compute_cores_names_the_elliptic_word():
+    # |tr AB| = 11/6 and det 1, reported as int/int divisions of the word's
+    # integer product: the bits of float() on the rational values
+    A = Mat2(Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2))
+    B = Mat2(Fraction(1, 6), Fraction(1), Fraction(-1, 2), Fraction(3))
+    for pair in ((A, B), (A.to_float(), B.to_float())):
+        with pytest.raises(NoConvergence) as info:
+            compute_cores(pair, Sft.full(2))
+        assert str(info.value) == ("cyclic word AB is not hyperbolic "
+                                   "(|tr| = 1.83333, det = 1)")
 
 
 def test_compute_cores_principal_pair():

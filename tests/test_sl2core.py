@@ -207,6 +207,18 @@ def test_integer_scaled_is_least_common_denominator():
     assert integer_scaled(Mat2(2, 1, 1, 1)) == (Mat2(2, 1, 1, 1), 1)
 
 
+def test_integer_scaled_reads_floats_as_dyadic_rationals():
+    n, s = integer_scaled(Mat2(0.5, 0.25, 3.0, 2.0))
+    assert (n, s) == (Mat2(2, 1, 12, 8), 4)
+    assert all(type(v) is int for v in (n.a, n.b, n.c, n.d))
+    rng = random.Random(18)
+    for _ in range(200):
+        m = Mat2(*(rng.uniform(-1e3, 1e3) * 2.0 ** rng.randint(-60, 60)
+                   for _ in range(4)))
+        exact = Mat2(*(Fraction(v) for v in (m.a, m.b, m.c, m.d)))
+        assert integer_scaled(m) == integer_scaled(exact)
+
+
 def test_eigen_data_exact_matches_the_rational_discriminant():
     # the exact branch must give the bits of float() of the rational
     # discriminant and determinant, also off determinant 1

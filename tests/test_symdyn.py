@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercone.errors import DegenerateInput, DetDrift, InadmissibleWord
+from hypercone.errors import (DegenerateInput, DetDrift, InadmissibleWord,
+                              PreconditionViolated)
+from hypercone.multicone import compute_cores
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import (Sft, admissible_entries, hyperbolicity_rate,
                               parse_word, periodic_products, periodic_words,
                               product, render_word)
+from hypercone.witness import (best_heteroclinic, diagnose_boundary,
+                               search_elliptic, search_parabolic)
 
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -251,3 +255,19 @@ def test_min_rotation_is_rotation(w):
     r = min_rotation(w)
     assert sorted(r) == sorted(w)
     assert any(r == w[i:] + w[:i] for i in range(len(w)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, sft: compute_cores(m, sft),
+    lambda m, sft: best_heteroclinic(m, sft, 2, 2, 1),
+    lambda m, sft: search_elliptic(m, sft, 3),
+    lambda m, sft: search_parabolic(m, sft, 3),
+    lambda m, sft: hyperbolicity_rate(m, sft, 3),
+    lambda m, sft: diagnose_boundary(m, sft, budget=(2, 2, 1)),
+], ids=["compute_cores", "best_heteroclinic", "search_elliptic",
+        "search_parabolic", "hyperbolicity_rate", "diagnose_boundary"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_one_matrix_per_symbol(call, count):
+    mats = (Mat2(2, 1, 1, 1),) * count
+    with pytest.raises(PreconditionViolated, match=f"{count} matrices for 2 symbols"):
+        call(mats, Sft.full(2))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercone import twoshift
+from hypercone.errors import DegenerateTie
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
@@ -138,6 +139,24 @@ def test_classify_degenerate_cases():
     A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1),
                                 Fraction(-4))
     assert isinstance(classify_pair(A, B), Degenerate)
+
+
+def test_band_ties_raise_the_public_degenerate_tie():
+    # |tr A| = 2 exactly, within the band of is_free
+    with pytest.raises(DegenerateTie, match="tr A") as info:
+        is_free(Mat2(1.0, 1.0, 0.0, 1.0), Mat2(2.0, 1.0, 1.0, 1.0), band=1e-7)
+    assert info.value.value == 2.0
+
+
+def test_coincident_float_directions_are_degenerate():
+    # det 1 each and tr AB = -3, so the pair is free, but its float
+    # eigendirections coincide
+    c = classify_pair(Mat2(2.0, 1e-300, 0.0, 0.5), Mat2(0.5, 0.0, -5e300, 2.0))
+    assert c == Degenerate(reason="free-pair directions coincide")
+    # a pair that is not free, (A, A), gives the same signal, float or exact
+    for A in (Mat2(2.0, 1.0, 1.0, 1.0), Mat2(2, 1, 1, 1)):
+        with pytest.raises(DegenerateTie, match="coincide"):
+            orientation_of_free_pair(A, A)
 
 
 def test_classify_elliptic_generator():
