@@ -6,7 +6,9 @@ head checkout, with the same workload, seed and run length, alternating
 which side runs first.  The last line of each run's standard output (the
 runner's JSON result) is kept as it is.  With --tier1 the tier-1 suite's
 wall time is taken once per side as well.  Results are appended to the
-output file, so several workloads can share one file.
+output file, so several workloads can share one file.  A run reporting
+"correct": false, or a pair whose sides fail different numbers of
+operations, stops the script with a non-zero exit before anything is written.
 
 Usage:
   python3 scripts/bench_compare.py BASE HEAD --workload certify \\
@@ -57,9 +59,23 @@ def tier1_seconds(root: str) -> float:
     return time.perf_counter() - t0
 
 
+def check_pair(workload: str, pair: dict) -> None:
+    """Exit non-zero, naming the seed and side, on an incorrect run or on
+    sides that fail different numbers of operations."""
+    seed = pair["seed"]
+    for side in SIDES:
+        if not pair[side]["correct"]:
+            sys.exit(f"{workload} seed {seed} {side}: the run reports correct: false")
+    if pair["base"]["failed"] != pair["head"]["failed"]:
+        sys.exit(f"{workload} seed {seed}: {pair['base']['failed']} failed on base, "
+                 f"{pair['head']['failed']} on head")
+
+
 def summary(pairs: list[dict], better: dict) -> dict:
     """Per metric: each side's median and quartiles, and the pairs the head
-    wins by the metric's better direction (ties count for neither)."""
+    wins by the metric's better direction (ties count for neither).
+    claim_met: at least ten pairs, the head wins nine tenths of them, and
+    the medians differ its way by more than the base's quartile spread."""
     out = {}
     for name in pairs[0]["base"]["metrics"]:
         vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
@@ -73,6 +89,10 @@ def summary(pairs: list[dict], better: dict) -> dict:
             row["head_wins"] = sum(sign * (h - b) > 0 for b, h in
                                    zip(vals["base"], vals["head"]))
             row["pairs"] = len(pairs)
+            lo, hi = row["base"]["quartiles"]
+            gain = sign * (row["head"]["median"] - row["base"]["median"])
+            row["claim_met"] = (len(pairs) >= 10 and gain > hi - lo
+                                and 10 * row["head_wins"] >= 9 * len(pairs))
         out[name] = row
     return out
 
@@ -113,6 +133,7 @@ def main(argv=None) -> int:
                   f"{res['attempted']}/{res['failed']} throughput "
                   f"{res['metrics'].get('throughput_per_s', {}).get('value')}",
                   file=sys.stderr)
+        check_pair(args.workload, pair)
         pairs.append(pair)
     key = f"{args.workload}{'.trace' if args.trace else ''}"
     runs = doc["runs"].setdefault(key, {"seconds": args.seconds, "pairs": []})

@@ -9,10 +9,10 @@ Two walks, both shortlex, share one word tree with inadmissible transitions
 pruned inside it: admissible_entries visits every admissible word, and the
 cyclic enumeration its prenecklace part (Fredricksen-Maiorana; Duval, TCS 60,
 1988), for one representative per primitive cyclic class, the Lyndon word
-(powers of shorter words carry no new spectral information).  A node's
-product is an entry tuple (a, b, c, d) made from its parent's in
-Mat2.__matmul__'s operation order, the bits of product(); a Mat2 is built
-only where one is needed.
+(powers of shorter words carry no new spectral information); its deepest
+level holds only those Lyndon words.  A node's product is an entry tuple
+(a, b, c, d) made from its parent's in Mat2.__matmul__'s operation order,
+the bits of product(); a Mat2 is built only where one is needed.
 """
 
 from __future__ import annotations
@@ -150,31 +150,6 @@ def admissible_entries(mats, sft: Sft, n_max: int):
                  for s in range(sft.n_symbols) if sft.allowed[w[-1]][s])
 
 
-def _prenecklaces(sft: Sft, depth: int, mats=None):
-    """The admissible prenecklaces of length 1..depth, one list per length,
-    each in lexicographic order, as (word, p, product); p is the length of
-    the word's longest Lyndon prefix.
-
-    The tree is walked level by level (Fredricksen-Maiorana): a prenecklace
-    w extends by w[-p], keeping p, or by any larger symbol, which makes it
-    Lyndon.  Over a subshift only allowed transitions are followed; every
-    prefix of an admissible word is admissible, so nothing is lost.  A
-    node's product is its entry tuple, or None without mats.
-    """
-    n = sft.n_symbols
-    allowed = None if sft.is_full else sft.allowed
-    ents = None if mats is None else _entry_tuples(mats, sft)
-    level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
-    for length in range(1, depth + 1):
-        yield level
-        if length == depth:
-            return
-        level = [(w + (s,), p if s == w[-p] else length + 1,
-                  None if ents is None else _times(ents[s], m))
-                 for w, p, m in level for s in range(w[-p], n)
-                 if allowed is None or allowed[w[-1]][s]]
-
-
 def periodic_words(sft: Sft, n_max: int):
     """Primitive cyclic classes of length 1..n_max, shortlex by representative."""
     for w, _ in periodic_entries(None, sft, n_max):
@@ -184,20 +159,36 @@ def periodic_words(sft: Sft, n_max: int):
 def periodic_entries(mats, sft: Sft, n_max: int):
     """(word, (a, b, c, d)) for the cyclically admissible Lyndon words, shortlex:
     the entries of product(mats, word, sft) bit for bit, DetDrift check
-    included, or None without mats."""
-    for level in _prenecklaces(sft, n_max, mats):
+    included, or None without mats.
+
+    The admissible prenecklaces are walked level by level (Fredricksen-
+    Maiorana), each level in lexicographic order as (word, p, product), p
+    the length of the word's longest Lyndon prefix: w extends by w[-p],
+    keeping p, or by any larger symbol, which makes it Lyndon.  Over a
+    subshift only allowed transitions are followed; every prefix of an
+    admissible word is admissible, so nothing is lost.  The last level is
+    never extended, so only its cyclically admissible Lyndon words are built.
+    """
+    n = sft.n_symbols
+    allowed = None if sft.is_full else sft.allowed
+    ents = None if mats is None else _entry_tuples(mats, sft)
+    level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
+    for length in range(1, n_max + 1):
         for w, p, m in level:
-            if p == len(w) and sft.ok(w[-1], w[0]):
-                if mats is not None:
-                    _check_drift(m, len(w))
+            if p == length and sft.ok(w[-1], w[0]):
+                if ents is not None:
+                    _check_drift(m, length)
                 yield w, m
-
-
-def periodic_products(mats, sft: Sft, n_max: int):
-    """(word, product) for the words of periodic_words(sft, n_max), in order;
-    each product equals product(mats, word, sft), DetDrift check included."""
-    for w, m in periodic_entries(mats, sft, n_max):
-        yield w, Mat2(*m)
+        if length + 1 < n_max:
+            level = [(w + (s,), p if s == w[-p] else length + 1,
+                      None if ents is None else _times(ents[s], m))
+                     for w, p, m in level for s in range(w[-p], n)
+                     if allowed is None or allowed[w[-1]][s]]
+        elif length + 1 == n_max:
+            # a child by w[-p] keeps p below its length, so is never Lyndon
+            level = [(w + (s,), n_max, None if ents is None else _times(ents[s], m))
+                     for w, p, m in level for s in range(w[-p] + 1, n)
+                     if allowed is None or allowed[w[-1]][s] and allowed[s][w[0]]]
 
 
 @dataclass(frozen=True)

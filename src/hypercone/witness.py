@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import WitnessUnverified
-from .projgeom import PI, angle_dist, angle_gap, norm_angle
+from .projgeom import PI, angle_dist, norm_angle
 from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
 from .tolerances import DEFAULT
@@ -139,9 +139,10 @@ def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
     angles ts; 0 when the arc holds one of them."""
     k = bisect.bisect_left(ts, lo)
     before, after = ts[k - 1], ts[k % len(ts)]
-    if angle_gap(lo, after) <= angle_gap(lo, hi):
+    if (after - lo) % PI <= (hi - lo) % PI:
         return 0.0
-    return min(angle_dist(x, t) for x in (lo, hi) for t in (before, after))
+    g, h, i, j = (lo - before) % PI, (lo - after) % PI, (hi - before) % PI, (hi - after) % PI
+    return min(g, PI - g, h, PI - h, i, PI - i, j, PI - j)
 
 
 def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
@@ -173,9 +174,10 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     between two of them, and every residual of the block is at least the
     smaller of the two endpoint distances.  A block whose bound exceeds the
     best residual by more than 1e-12, which absorbs rounding, is skipped;
-    others are halved.  The surviving sources are scanned in shortlex order,
-    so the visiting order, the ties and the result are those of the full
-    scan.  The connection found is re-verified from scratch.
+    others are halved, and a source is carried at most once per connector.
+    The surviving sources are scanned in shortlex order, so the visiting
+    order, the ties and the result are those of the full scan.  The
+    connection found is re-verified from scratch.
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
@@ -206,9 +208,9 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     for conn, P in [((), (1.0, 0.0, 0.0, 1.0)), *admissible_entries(mats, sft, n_max)]:
         # the bound may ignore that a target must differ from its source
         ts = fed[conn[-1]] if conn else angles
-        if not ts:
-            continue
         group = feeding[conn[0]] if conn else by_angle
+        if not ts or not group:
+            continue
         flip = P[0] * P[3] - P[1] * P[2] < 0
         # act_angle's arithmetic, with the entries converted once
         a, b, c, d = map(float, P)
@@ -220,25 +222,23 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
         # until the first hit best_r is inf, and every source is kept
         limit = best_r + 1e-12
         keep = []
-        blocks = [(0, len(group) - 1)] if group else []
+        t_lo = carry(group[0])
+        blocks = [(0, len(group) - 1, t_lo, carry(group[-1]) if len(group) > 1 else t_lo)]
         while blocks:
-            lo, hi = blocks.pop()
-            first, last = carry(group[lo]), carry(group[hi])
-            if flip:
-                first, last = last, first
-            if _arc_bound(first, last, ts) > limit:
+            lo, hi, t_lo, t_hi = blocks.pop()
+            if (_arc_bound(t_hi, t_lo, ts) if flip else _arc_bound(t_lo, t_hi, ts)) > limit:
                 continue
             if lo == hi:
-                keep.append(group[lo])
+                keep.append((group[lo], t_lo))
             else:
                 mid = (lo + hi) // 2
-                blocks.append((lo, mid))
-                blocks.append((mid + 1, hi))
+                t_mid = t_lo if mid == lo else carry(group[mid])
+                t_next = t_hi if mid + 1 == hi else carry(group[mid + 1])
+                blocks += ((lo, mid, t_lo, t_mid), (mid + 1, hi, t_next, t_hi))
         keep.sort()
 
-        for i in keep:
+        for i, angle in keep:
             v = sources[i][0]
-            angle = carry(i)
             feeds = sft.allowed[conn[-1] if conn else v[-1]]
             # the first target in angle order among those that beat best_r
             # by the most; the scan meets equal distances out of that order

@@ -12,10 +12,11 @@ from hypercone.errors import (DegenerateInput, DetDrift, InadmissibleWord,
 from hypercone.multicone import compute_cores
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import (Sft, admissible_entries, hyperbolicity_rate,
-                              parse_word, periodic_products, periodic_words,
+                              parse_word, periodic_entries, periodic_words,
                               product, render_word)
 from hypercone.witness import (best_heteroclinic, diagnose_boundary,
                                search_elliptic, search_parabolic)
+from tests.conftest import group_tuple
 
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -138,10 +139,10 @@ def test_periodic_products_match_product(shift, sft4, free_pair):
     mats, sft, n_max = {"full2": ((A, B), Sft.full(2), 10),
                         "sft4": ((A, B, A.inverse(), B.inverse()), sft4, 7),
                         "golden": ((A, B), GOLDEN, 12)}[shift]
-    pairs = list(periodic_products(mats, sft, n_max))
+    pairs = list(periodic_entries(mats, sft, n_max))
     assert [w for w, _ in pairs] == list(periodic_words(sft, n_max))
-    for w, p in pairs[::5] + pairs[-3:]:
-        assert p == product(mats, w, sft)
+    for w, m in pairs[::5] + pairs[-3:]:
+        assert Mat2(*m) == product(mats, w, sft)
 
 
 @pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])
@@ -174,12 +175,12 @@ def test_det_drift_raised_on_long_float_words():
     with pytest.raises(DetDrift):
         product(mats, w, sft)
     with pytest.raises(DetDrift):
-        list(periodic_products(mats, sft, 70))
+        list(periodic_entries(mats, sft, 70))
     with pytest.raises(DetDrift):
         list(admissible_entries(mats, sft, 70))
     # the check starts above 64 letters
     short = _cycle_shift(64)
-    assert len(list(periodic_products(mats[:64], short, 64))) == 1
+    assert len(list(periodic_entries(mats[:64], short, 64))) == 1
     assert len(list(admissible_entries(mats[:64], short, 64))) == 64 * 64
     product(mats[:64], tuple(range(64)), short)
 
@@ -208,7 +209,7 @@ def test_det_drift_not_raised_on_exact_words():
     w = tuple(range(70))
     p = product(mats, w, sft)
     assert p.det() == Fraction(10 ** 7 + 1, 10 ** 7) ** 70
-    assert list(periodic_products(mats, sft, 70)) == [(w, p)]
+    assert [(v, Mat2(*m)) for v, m in periodic_entries(mats, sft, 70)] == [(w, p)]
 
 
 @pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
@@ -217,10 +218,48 @@ def test_periodic_products_match_min_rotation_filter(n, depth):
     expected = [w for length in range(1, depth + 1)
                 for w in itertools.product(range(n), repeat=length)
                 if w == min_rotation(w) and is_primitive(w)]
-    got = list(periodic_products(mats, Sft.full(n), depth))
+    got = list(periodic_entries(mats, Sft.full(n), depth))
     assert [w for w, _ in got] == expected
-    for w, p in got[::7]:
-        assert p == product(mats, w)
+    for w, m in got[::7]:
+        assert Mat2(*m) == product(mats, w)
+
+
+def _count_products(monkeypatch):
+    import hypercone.symdyn as symdyn_mod
+    products = []
+
+    def counted(x, y, _orig=symdyn_mod._times):
+        products.append(1)
+        return _orig(x, y)
+    monkeypatch.setattr(symdyn_mod, "_times", counted)
+    return products
+
+
+@pytest.mark.parametrize("n, depth, nodes", [(2, 12, 1267), (3, 8, 1649),
+                                             ("sft4", 8, 1962)])
+def test_lyndon_tree_builds_only_the_last_level_words_read(monkeypatch, sft4, n,
+                                                             depth, nodes):
+    # the deepest level holds only cyclically admissible Lyndon words: the
+    # tree has n roots and one entry product per other node
+    sft = sft4 if n == "sft4" else Sft.full(n)
+    products = _count_products(monkeypatch)
+    mats = [Mat2.identity()] * sft.n_symbols
+    words = [w for w, _ in periodic_entries(mats, sft, depth)]
+    assert words == list(periodic_words(sft, depth))
+    assert sft.n_symbols + len(products) == nodes
+
+
+@pytest.mark.parametrize("case, depth, count", [("free", 12, 1265),
+                                                ("group", 8, 1958)])
+def test_rate_and_searches_count_entry_products(monkeypatch, free_pair, sft4,
+                                                 case, depth, count):
+    mats, sft = {"free": (free_pair, Sft.full(2)),
+                 "group": (group_tuple(free_pair), sft4)}[case]
+    products = _count_products(monkeypatch)
+    for search in (hyperbolicity_rate, search_elliptic, search_parabolic):
+        products.clear()
+        search(mats, sft, depth)
+        assert len(products) == count
 
 
 def test_rate_single_diagonal():

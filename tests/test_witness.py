@@ -269,6 +269,29 @@ def test_best_heteroclinic_free_pair_default_budget(free_pair):
                                   target=(1,), residual=0.16514867741528838)
 
 
+def test_best_heteroclinic_group_tuple_sft4(free_pair, sft4):
+    # the group tuple over SFT4 at budget 7,7,5, pinned to the full scan's
+    # answer (the CLI default 12,12,8 is out of reach there)
+    hit = best_heteroclinic(group_tuple(free_pair), sft4, 7, 7, 5)
+    assert hit == HeteroclinicHit(source=(0,) + (3,) * 6, connector=(3,) * 5,
+                                  target=(3,), residual=0.16514871366084094)
+
+
+def test_best_heteroclinic_carries_each_source_once_per_connector(
+        monkeypatch, free_pair):
+    # the halves of a block take over its endpoints' carried angles, so the
+    # prune and the scan carry each source at most once per connector
+    import hypercone.witness as witness_mod
+    carried = []
+
+    def counted(a, _orig=witness_mod.norm_angle):
+        carried.append(a)
+        return _orig(a)
+    monkeypatch.setattr(witness_mod, "norm_angle", counted)
+    hit = best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
+    assert hit.connector == (1,) * 6 and len(carried) == 1372
+
+
 def test_search_elliptic_reverifies_its_witness(monkeypatch):
     import hypercone.witness as witness_mod
     pair = canonical_pair(2.0, 2.0, 1.0, -2.0)  # tr AB = 0
