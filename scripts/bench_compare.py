@@ -71,11 +71,16 @@ def check_pair(workload: str, pair: dict) -> None:
                  f"{pair['head']['failed']} on head")
 
 
-def summary(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the head
-    wins by the metric's better direction (ties count for neither).
+def summary(pairs: list[dict], end_to_end: dict) -> dict:
+    """Per metric: each side's median and quartiles, and, for the metrics of
+    end_to_end (name -> its BENCHMARK.json entry), the pairs the head wins
+    by the metric's better direction (ties count for neither).
     claim_met: at least ten pairs, the head wins nine tenths of them, and
-    the medians differ its way by more than the base's quartile spread."""
+    the medians differ its way by more than the base's quartile spread.
+    within_bound: the head's median is not worse than the base's by more
+    than the metric's relative bound times the base's median; "unresolved"
+    when the base's quartile spread exceeds that amount and not every head
+    run beats every base run."""
     out = {}
     for name in pairs[0]["base"]["metrics"]:
         vals = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
@@ -84,8 +89,8 @@ def summary(pairs: list[dict], better: dict) -> dict:
             v = sorted(vals[s])
             q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
             row[s] = {"median": statistics.median(v), "quartiles": [q[0], q[2]]}
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
+        if name in end_to_end:
+            sign = 1 if end_to_end[name]["better"] == "higher" else -1
             row["head_wins"] = sum(sign * (h - b) > 0 for b, h in
                                    zip(vals["base"], vals["head"]))
             row["pairs"] = len(pairs)
@@ -93,6 +98,11 @@ def summary(pairs: list[dict], better: dict) -> dict:
             gain = sign * (row["head"]["median"] - row["base"]["median"])
             row["claim_met"] = (len(pairs) >= 10 and gain > hi - lo
                                 and 10 * row["head_wins"] >= 9 * len(pairs))
+            allowed = end_to_end[name]["bound"] * abs(row["base"]["median"])
+            clear = (min(sign * h for h in vals["head"])
+                     > max(sign * b for b in vals["base"]))
+            row["within_bound"] = ("unresolved" if hi - lo > allowed and not clear
+                                   else -gain <= allowed)
         out[name] = row
     return out
 
@@ -114,7 +124,7 @@ def main(argv=None) -> int:
 
     roots = {"base": args.base, "head": args.head}
     with open(os.path.join(args.head, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(f)["end_to_end"]}
     doc = {"sides": dict(zip(SIDES, args.labels)), "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as f:
@@ -139,7 +149,7 @@ def main(argv=None) -> int:
     runs = doc["runs"].setdefault(key, {"seconds": args.seconds, "pairs": []})
     runs["pairs"].extend(pairs)
     if not args.trace:
-        runs["summary"] = summary(runs["pairs"], better)
+        runs["summary"] = summary(runs["pairs"], end_to_end)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

@@ -234,24 +234,17 @@ def _family_products(mats, family: OrderedFamily) -> dict:
     """word -> (n, s): the product of each family word over mats is n/s.
 
     Exact input is multiplied as integer matrices (integer_scaled), and s is
-    the product of the letters' scales.  Float input has s = 1 and n is
-    eval_string's product; so do the float products of mixed float/exact
-    input, whose exact ones are integer-scaled, as eigen_data scales them.
+    the product of the letters' scales.  Other input has s = 1 and n is
+    eval_string's product, which eigen_data integer-scales when it is exact
+    (a word of only the exact letters of mixed input).
     """
     from .twoshift import eval_string
     exact = all(m.is_exact() for m in mats)
     scaled = [integer_scaled(m) if exact else (m, 1) for m in mats]
     ints = [n for n, _ in scaled]
-    out: dict[str, tuple[Mat2, int]] = {}
-    for fw in family.order:
-        n = eval_string(ints, fw.word)
-        if exact:
-            out[fw.word] = n, math.prod(scaled[LETTERS.index(ch)][1] for ch in fw.word)
-        elif n.is_exact():  # a word of only the exact letters of mixed input
-            out[fw.word] = integer_scaled(n)
-        else:
-            out[fw.word] = n, 1
-    return out
+    return {fw.word: (eval_string(ints, fw.word),
+                      math.prod(scaled[LETTERS.index(ch)][1] for ch in fw.word))
+            for fw in family.order}
 
 
 def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:

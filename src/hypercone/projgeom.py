@@ -94,13 +94,6 @@ def _require_distinct(points, tol: float):
                 )
 
 
-def cyclic_between(a: ProjPoint, b: ProjPoint, c: ProjPoint,
-                   tol: float = DEFAULT.angle) -> bool:
-    """True iff b lies strictly inside the positively oriented arc from a to c."""
-    _require_distinct((a, b, c), tol)
-    return angle_gap(a.angle, b.angle) < angle_gap(a.angle, c.angle)
-
-
 def cyclically_ordered(points, tol: float = DEFAULT.angle) -> bool:
     """True iff the points occur on P1 in the listed cyclic order."""
     pts = list(points)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated
+from .errors import (DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated,
+                     SearchBudgetExceeded)
 from .sl2core import Mat2, is_exact, spectral_norm
 
 Word = tuple[int, ...]
@@ -199,7 +200,8 @@ class RateReport:
 
 
 def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
-    """min over cyclic classes of ||product||^(1/n); a finite-depth estimate."""
+    """min over cyclic classes of ||product||^(1/n); a finite-depth estimate.
+    SearchBudgetExceeded when no cyclic word has length <= n_max."""
     best = None
     best_w: Word = ()
     for w, m in periodic_entries(mats, sft, n_max):
@@ -207,5 +209,5 @@ def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
         if best is None or r < best:
             best, best_w = r, w
     if best is None:
-        raise DegenerateInput("no cyclic words up to the requested depth")
+        raise SearchBudgetExceeded(f"no cyclic words of length <= {n_max}")
     return RateReport(value=best, word=best_w, depth=n_max)

@@ -158,26 +158,28 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     of equal residuals.  Sources and targets are the hyperbolic cyclic
     classes: |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det < 0.
 
-    Targets are pre-sorted by stable angle, so a carried direction costs a
-    bisection plus an outward scan.  Every target not yet visited lies on the
-    arc between the two last visited that does not hold the carried angle,
-    so its distance is at least the smaller of theirs: the scan stops as
-    soon as both exceed the best residual, with no floor on the offset.
+    Each letter has one list of the targets it may precede, sorted by stable
+    angle; a carried source scans the list of the connector's last letter
+    (its own when the connector is empty) by a bisection plus an outward
+    walk.  Every target not yet visited lies on the arc between the two last
+    visited that does not hold the carried angle, so its distance is at
+    least the smaller of theirs: the walk stops as soon as both exceed the
+    best residual, with no floor on the offset.
 
     Most (connector, source) pairs are never scanned.  A connector P acts on
     P1 as a homeomorphism that keeps the orientation when det P > 0 and
     reverses it when det P < 0 (generators of determinant -1 are allowed).
-    So the sources of a block, sorted by unstable angle, are carried into
-    the arc between the images of the block's first and last source.  When
-    that arc holds none of the targets that the connector's last letter may
-    precede, the distance to the nearest of them is a tent on the gap
-    between two of them, and every residual of the block is at least the
-    smaller of the two endpoint distances.  A block whose bound exceeds the
-    best residual by more than 1e-12, which absorbs rounding, is skipped;
-    others are halved, and a source is carried at most once per connector.
-    The surviving sources are scanned in shortlex order, so the visiting
-    order, the ties and the result are those of the full scan.  The
-    connection found is re-verified from scratch.
+    So the sources of a block, sorted by unstable angle and scanning one
+    list, are carried into the arc between the images of the block's first
+    and last source.  When that arc holds none of the list's targets, the
+    distance to the nearest of them is a tent on the gap between two of
+    them, and every residual of the block is at least the smaller of the
+    two endpoint distances.  A block whose bound exceeds the best residual
+    by more than 1e-12, which absorbs rounding, is skipped; others are
+    halved, and a source is carried at most once per connector.  The
+    surviving sources are scanned in shortlex order, so the visiting order,
+    the ties and the result are those of the full scan.  The connection
+    found is re-verified from scratch.
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
@@ -188,29 +190,20 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)
-    angles = [a for a, _ in target_dirs]
-    targets = [w for _, w in target_dirs]
-    m_t = len(target_dirs)
-    if m_t == 0:
-        return None
     # each source's (cos, sin), as act_angle takes them
     trig = [(math.cos(u), math.sin(u)) for _, u in sources]
     by_angle = sorted(range(len(sources)), key=lambda i: sources[i][1])
-    # the sources that may precede each first connector letter, by angle,
-    # and the stable angles of the targets each last letter may precede
-    feeding = [[i for i in by_angle if sft.ok(sources[i][0][-1], s)]
-               for s in range(sft.n_symbols)]
-    fed = [[a for a, w in target_dirs if sft.ok(s, w[0])]
-           for s in range(sft.n_symbols)]
+    letters = range(sft.n_symbols)
+    # by angle, the sources that may precede each letter and those that end
+    # in it; the angles and the words of the targets it may precede
+    feeding = [[i for i in by_angle if sft.ok(sources[i][0][-1], s)] for s in letters]
+    ending = [[i for i in by_angle if sources[i][0][-1] == s] for s in letters]
+    fed = [[(a, w) for a, w in target_dirs if sft.ok(s, w[0])] for s in letters]
+    fed = [([a for a, _ in f], [w for _, w in f]) for f in fed]
 
     best = None
     best_r = math.inf
     for conn, P in [((), (1.0, 0.0, 0.0, 1.0)), *admissible_entries(mats, sft, n_max)]:
-        # the bound may ignore that a target must differ from its source
-        ts = fed[conn[-1]] if conn else angles
-        group = feeding[conn[0]] if conn else by_angle
-        if not ts or not group:
-            continue
         flip = P[0] * P[3] - P[1] * P[2] < 0
         # act_angle's arithmetic, with the entries converted once
         a, b, c, d = map(float, P)
@@ -219,49 +212,55 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
             x, y = trig[i]
             return norm_angle(math.atan2(c * x + d * y, a * x + b * y))
 
-        # until the first hit best_r is inf, and every source is kept
+        # until the first hit best_r is inf, and every source is kept; the
+        # bound may ignore that a target must differ from its source
         limit = best_r + 1e-12
         keep = []
-        t_lo = carry(group[0])
-        blocks = [(0, len(group) - 1, t_lo, carry(group[-1]) if len(group) > 1 else t_lo)]
-        while blocks:
-            lo, hi, t_lo, t_hi = blocks.pop()
-            if (_arc_bound(t_hi, t_lo, ts) if flip else _arc_bound(t_lo, t_hi, ts)) > limit:
+        for group, s in ([(feeding[conn[0]], conn[-1])] if conn
+                         else zip(ending, letters)):
+            ts = fed[s][0]
+            if not ts or not group:
                 continue
-            if lo == hi:
-                keep.append((group[lo], t_lo))
-            else:
-                mid = (lo + hi) // 2
-                t_mid = t_lo if mid == lo else carry(group[mid])
-                t_next = t_hi if mid + 1 == hi else carry(group[mid + 1])
-                blocks += ((lo, mid, t_lo, t_mid), (mid + 1, hi, t_next, t_hi))
+            t_lo = carry(group[0])
+            blocks = [(0, len(group) - 1, t_lo,
+                       carry(group[-1]) if len(group) > 1 else t_lo)]
+            while blocks:
+                lo, hi, t_lo, t_hi = blocks.pop()
+                if (_arc_bound(t_hi, t_lo, ts) if flip else _arc_bound(t_lo, t_hi, ts)) > limit:
+                    continue
+                if lo == hi:
+                    keep.append((group[lo], t_lo, s))
+                else:
+                    mid = (lo + hi) // 2
+                    t_mid = t_lo if mid == lo else carry(group[mid])
+                    t_next = t_hi if mid + 1 == hi else carry(group[mid + 1])
+                    blocks += ((lo, mid, t_lo, t_mid), (mid + 1, hi, t_next, t_hi))
         keep.sort()
 
-        for i, angle in keep:
+        for i, angle, s in keep:
             v = sources[i][0]
-            feeds = sft.allowed[conn[-1] if conn else v[-1]]
+            ts, tws = fed[s]
+            m_t = len(ts)
             # the first target in angle order among those that beat best_r
             # by the most; the scan meets equal distances out of that order
             near_r, near = best_r, None
-            start = bisect.bisect_left(angles, angle) % m_t
+            start = bisect.bisect_left(ts, angle) % m_t
             for off in range(m_t):
                 fwd, bwd = (start + off) % m_t, (start - 1 - off) % m_t
-                g = (angle - angles[fwd]) % PI
+                g = (angle - ts[fwd]) % PI
                 r_fwd = min(g, PI - g)
-                g = (angle - angles[bwd]) % PI
+                g = (angle - ts[bwd]) % PI
                 r_bwd = min(g, PI - g)
                 for idx, r in ((fwd, r_fwd), (bwd, r_bwd)):
-                    if r < near_r or (r == near_r and near is not None
-                                      and idx < near):
-                        w = targets[idx]
-                        if v != w and feeds[w[0]]:
-                            near_r, near = r, idx
+                    if (r < near_r or (r == near_r and near is not None and idx < near)) \
+                            and tws[idx] != v:
+                        near_r, near = r, idx
                 if min(r_fwd, r_bwd) > near_r:
                     break
             if near is not None:
                 best_r = near_r
                 best = HeteroclinicHit(source=v, connector=conn,
-                                       target=targets[near], residual=near_r)
+                                       target=tws[near], residual=near_r)
     if best is not None:
         _reverify_heteroclinic(mats, best)
     return best

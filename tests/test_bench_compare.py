@@ -1,4 +1,5 @@
-"""scripts/bench_compare.py: its run checks and the claim test of its summary."""
+"""scripts/bench_compare.py: its run checks, and the claim and no-regression
+tests of its summary."""
 
 import importlib.util
 import os
@@ -19,6 +20,12 @@ def _run(throughput, correct=True, failed=0):
 
 def _pair(seed, base, head):
     return {"seed": seed, "order": ["base", "head"], "base": base, "head": head}
+
+
+def _row(bases, heads, better="higher", bound=0.2):
+    runs = [_pair(i, _run(b), _run(h)) for i, (b, h) in enumerate(zip(bases, heads))]
+    spec = {"throughput_per_s": {"better": better, "bound": bound}}
+    return bench_compare.summary(runs, spec)["throughput_per_s"]
 
 
 def test_check_pair_passes_a_clean_pair():
@@ -44,13 +51,29 @@ def test_check_pair_exits_naming_seed_and_side(base, head, message):
     ([601.0] * 10, 10, False),               # inside the base's quartile spread
 ], ids=["all_win", "nine_of_ten", "eight_of_ten", "nine_pairs", "within_spread"])
 def test_claim_met(heads, pairs, met):
-    bases = [590.0, 595.0, 600.0, 605.0, 610.0] * 2
-    runs = [_pair(i, _run(b), _run(h)) for i, (b, h) in enumerate(zip(bases, heads))]
-    row = bench_compare.summary(runs, {"throughput_per_s": "higher"})["throughput_per_s"]
+    row = _row([590.0, 595.0, 600.0, 605.0, 610.0] * 2, heads)
     assert row["pairs"] == pairs and row["claim_met"] is met
 
 
 def test_claim_met_for_a_lower_is_better_metric():
-    runs = [_pair(i, _run(b), _run(b - 20.0)) for i, b in enumerate([590.0, 600.0] * 5)]
-    row = bench_compare.summary(runs, {"throughput_per_s": "lower"})["throughput_per_s"]
+    bases = [590.0, 600.0] * 5
+    row = _row(bases, [b - 20.0 for b in bases], better="lower")
     assert row["head_wins"] == 10 and row["claim_met"] is True
+
+
+@pytest.mark.parametrize("bases, heads, verdict", [
+    ([590.0, 595.0, 600.0, 605.0, 610.0], [850.0] * 5, True),
+    ([590.0, 595.0, 600.0, 605.0, 610.0], [490.0] * 5, True),   # 110 below, bound 120
+    ([590.0, 595.0, 600.0, 605.0, 610.0], [470.0] * 5, False),  # 130 below
+    ([300.0, 900.0] * 3, [650.0] * 6, "unresolved"),  # spread 600 > 120
+    ([300.0, 900.0] * 3, [950.0] * 6, True),  # every head run beats every base run
+], ids=["better", "worse_within", "worse_beyond", "unresolved", "clear_of_spread"])
+def test_within_bound(bases, heads, verdict):
+    assert _row(bases, heads)["within_bound"] == verdict
+
+
+@pytest.mark.parametrize("head, verdict", [(12.4, True), (12.6, False)])
+def test_within_bound_for_a_lower_is_better_metric(head, verdict):
+    # a median of 10 with bound 0.25 allows up to 12.5
+    row = _row([9.9, 10.0, 10.1] * 2, [head] * 6, better="lower", bound=0.25)
+    assert row["within_bound"] is verdict

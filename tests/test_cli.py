@@ -207,6 +207,21 @@ def test_cores_out_of_depth_is_budget_exceeded(tmp_path, capsys):
     assert captured.err.startswith("budget exceeded: ")
 
 
+def test_rate_out_of_depth_is_budget_exceeded(tmp_path, capsys):
+    # on the two-letter cycle shift every cyclic word has even length, so
+    # depth 1 holds none: a budget too small, as cores reports it
+    spec = dict(FREE_SPEC, shift={"type": "sft", "allowed": [[False, True], [True, False]]})
+    path = write_spec(tmp_path, spec)
+    for argv in (["rate", "--input", path, "--depth", "1"],
+                 ["cores", "--input", path, "--depth", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
+    code, doc = run(capsys, ["rate", "--input", path, "--depth", "2"])
+    assert code == 0 and doc["verdicts"][0]["word"] == "AB"
+
+
 def test_certify_command(tmp_path, capsys):
     path = write_spec(tmp_path, FREE_SPEC)
     code, doc = run(capsys, ["certify", "--input", path,

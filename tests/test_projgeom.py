@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypercone.errors import DegenerateInput, OutOfArc
 from hypercone.projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone,
                                 ProjPoint, angle_dist, contraction_factor,
-                                cross_ratio, cyclic_between, cyclically_ordered,
+                                cross_ratio, cyclically_ordered,
                                 hilbert_density, hilbert_dist, merge_spans,
                                 same_angle)
 from hypercone.sl2core import Mat2
@@ -182,10 +182,10 @@ def test_hilbert_metric_comparable_with_angle_metric_on_compact_subarc():
 
 def test_cyclic_between_examples():
     a, b, c = ProjPoint(0.0), ProjPoint(1.0), ProjPoint(2.0)
-    assert cyclic_between(a, b, c)
+    assert cyclically_ordered((a, b, c))
     # the arc from 2 to 1 wraps through 0, so 0.5 lies inside it
-    assert cyclic_between(ProjPoint(2.0), ProjPoint(0.5), ProjPoint(1.0))
-    assert not cyclic_between(ProjPoint(0.5), ProjPoint(2.0), ProjPoint(1.0))
+    assert cyclically_ordered((ProjPoint(2.0), ProjPoint(0.5), ProjPoint(1.0)))
+    assert not cyclically_ordered((ProjPoint(0.5), ProjPoint(2.0), ProjPoint(1.0)))
 
 
 @given(st.tuples(st.floats(0, math.pi - 1e-9), st.floats(0, math.pi - 1e-9),
@@ -197,7 +197,7 @@ def test_cyclic_between_exactly_one_orientation(triple):
             angle_dist(b.angle, c.angle) < 1e-6 or
             angle_dist(a.angle, c.angle) < 1e-6):
         return
-    assert cyclic_between(a, b, c) != cyclic_between(c, b, a)
+    assert cyclically_ordered((a, b, c)) != cyclically_ordered((c, b, a))
 
 
 def test_cyclically_ordered_rotation_invariance():

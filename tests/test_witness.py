@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.errors import HyperconeError, WitnessUnverified
+from hypercone.errors import DegenerateInput, HyperconeError, WitnessUnverified
 from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
 from hypercone.projgeom import angle_dist
@@ -207,18 +207,31 @@ def _random_matrix(rng, exact, det=1):
             return Mat2(a, b, c, (det + b * c) / a)
 
 
+def _random_sft(rng, n):
+    """A transitive shift on n letters in which some letter may not precede
+    another."""
+    while True:
+        allowed = tuple(tuple(rng.random() < 0.7 for _ in range(n)) for _ in range(n))
+        if not all(map(all, allowed)):
+            try:
+                return Sft(n, allowed)
+            except DegenerateInput:
+                pass
+
+
 @pytest.mark.parametrize("kind", ["random", "rot4", "rot6", "det_minus_one",
-                                  "inverse"])
+                                  "inverse", "sft"])
 def test_best_heteroclinic_differential(kind):
     """Seeded pairs and triples on the full and golden-mean shifts, float and
     Fraction entries: elliptic generators of finite order repeat products
     exactly, an inverse pair puts stable on unstable directions (residual-0
     ties), and a generator of determinant -1 gives orientation-reversing
-    connectors."""
+    connectors.  The sft kind draws triples and quadruples over random
+    transitive shifts, where each letter precedes its own set of targets."""
     rng = random.Random(f"heteroclinic:{kind}")
     ties_at_zero = flips = 0
     for i in range(12):
-        n, exact = 2 + i % 2, i % 4 < 2
+        n, exact = 2 + i % 2 + (kind == "sft"), i % 4 < 2
         mats = [_random_matrix(rng, exact) for _ in range(n)]
         if kind in ("rot4", "rot6"):
             rot = ROT4 if kind == "rot4" else ROT6
@@ -228,7 +241,8 @@ def test_best_heteroclinic_differential(kind):
         elif kind == "inverse":
             mats[-1] = mats[0].inverse()
         mats = tuple(mats)
-        sft = (Sft.full(n), GOLDEN2 if n == 2 else GOLDEN3)[i // 2 % 2]
+        sft = (_random_sft(rng, n) if kind == "sft"
+               else (Sft.full(n), GOLDEN2 if n == 2 else GOLDEN3)[i // 2 % 2])
         budget = (3 + i % 2, 3, i % 4)
         cands = list(_brute_candidates(mats, sft, *budget))
         hit = best_heteroclinic(mats, sft, *budget)
@@ -270,11 +284,16 @@ def test_best_heteroclinic_free_pair_default_budget(free_pair):
 
 
 def test_best_heteroclinic_group_tuple_sft4(free_pair, sft4):
-    # the group tuple over SFT4 at budget 7,7,5, pinned to the full scan's
-    # answer (the CLI default 12,12,8 is out of reach there)
-    hit = best_heteroclinic(group_tuple(free_pair), sft4, 7, 7, 5)
-    assert hit == HeteroclinicHit(source=(0,) + (3,) * 6, connector=(3,) * 5,
-                                  target=(3,), residual=0.16514871366084094)
+    # the group tuple over SFT4, pinned to the answers of a scan over every
+    # target with the admissibility test on each (the CLI default 12,12,8
+    # takes ~2 s there, too long for this suite)
+    group = group_tuple(free_pair)
+    assert best_heteroclinic(group, sft4, 7, 7, 5) == HeteroclinicHit(
+        source=(0,) + (3,) * 6, connector=(3,) * 5, target=(3,),
+        residual=0.16514871366084094)
+    assert best_heteroclinic(group, sft4, 10, 10, 6) == HeteroclinicHit(
+        source=(0,) + (3,) * 9, connector=(3,) * 6, target=(3,),
+        residual=0.1651486775562132)
 
 
 def test_best_heteroclinic_carries_each_source_once_per_connector(
