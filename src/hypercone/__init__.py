@@ -39,7 +39,7 @@ _EXPORTS = {name: module for module, names in {
                 "morphism_hyperbolic", "morphism_tight", "reduce_tight",
                 "validate", "winding_comb", "winding_matrix"),
     "witness": ("BoundaryReport", "best_heteroclinic", "diagnose_boundary",
-                "search_elliptic", "search_heteroclinic", "search_parabolic"),
+                "search_elliptic", "search_parabolic"),
     "tolerances": ("DEFAULT", "Tolerances"),
 }.items() for name in names}
 

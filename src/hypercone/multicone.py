@@ -32,7 +32,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
 from .sl2core import Mat2, eigen_data_scaled, integer_scaled
-from .symdyn import LETTERS, Sft, admissible_entries, render_word
+from .symdyn import LETTERS, Sft, admissible_entries, product, render_word
 from .tolerances import DEFAULT
 
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
@@ -332,10 +332,10 @@ def _invariant(u, s, mats, inv, sft: Sft, u_at: dict, s_at: dict) -> bool:
     return True
 
 
-def _directions(n: Mat2, scale: int, name: str) -> tuple[float, float]:
-    """The U and S angles of a cyclic word's product n/scale (scale 1 but
-    for integer n), or NoConvergence naming the word: |tr| <= 2, or a float
-    product whose determinant drifted so far that tr^2 < 4 det."""
+def _directions(mats, w, n: Mat2, scale: int) -> tuple[float, float]:
+    """The U and S angles of the cyclic word w's product n/scale (scale 1
+    but for integer n), or NoConvergence naming w.  A float n that tests
+    non-hyperbolic (rounding, or det drift) is rebuilt exactly first."""
     tr = n.trace()
     if abs(tr) > 2 * scale:
         try:
@@ -343,7 +343,11 @@ def _directions(n: Mat2, scale: int, name: str) -> tuple[float, float]:
             return u.angle, s.angle
         except NoInvariantDirection:
             pass
-    raise NoConvergence(f"cyclic word {name} is not hyperbolic (|tr| = "
+    if not n.is_exact():
+        scaled = [integer_scaled(m) for m in mats]
+        return _directions(mats, w, product([m for m, _ in scaled], w),
+                           math.prod(scaled[x][1] for x in w))
+    raise NoConvergence(f"cyclic word {render_word(w)} is not hyperbolic (|tr| = "
                         f"{float(abs(tr) / scale):.6g}, det = "
                         f"{float(n.det() / (scale * scale)):.6g})")
 
@@ -365,10 +369,8 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     word of a uniformly hyperbolic tuple is hyperbolic, so the first that is
     not raises NoConvergence (_directions).
 
-    Exact input walks integer matrices: w's product is n/S, n off the tree
-    of the integer_scaled generators and S the product of its letters'
-    scales, read by eigen_data_scaled with the bits of eigen_data and no
-    Fraction multiplied.  Float and mixed input keep S = 1.
+    Exact input walks integer matrices (admissible_entries): w's product
+    n/S is read by eigen_data_scaled with eigen_data's bits.
 
     Why the first passing system is the cores.  Periodic U (S) points lie
     in the U (S) cores, and every core arc holds some.  If each letter maps
@@ -388,20 +390,17 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     """
     n = sft.n_symbols
     inv = [m.inverse() for m in mats]
-    exact = all(m.is_exact() for m in mats)
-    scaled = [integer_scaled(m) if exact else (m, 1) for m in mats]
     u_at: dict[str, float] = {}
     s_at: dict[str, float] = {}
     u_pts: list[list] = [[] for _ in range(n)]  # per symbol: (angle, name)
     s_pts: list[list] = [[] for _ in range(n)]
-    tree = admissible_entries([m for m, _ in scaled], sft, depth)
+    tree = admissible_entries(mats, sft, depth)
     for length, words in itertools.groupby(tree, key=lambda x: len(x[0])):
-        for w, m in words:
+        for w, m, scale in words:
             name = render_word(w)
             if not sft.ok(w[-1], w[0]) or (name + name).find(name, 1) < length:
                 continue
-            scale = math.prod(scaled[x][1] for x in w) if exact else 1
-            u, s = _directions(Mat2(*m), scale, name)
+            u, s = _directions(mats, w, Mat2(*m), scale)
             u_at[name], s_at[name] = u, s
             u_pts[w[-1]].append((u, name))
             s_pts[w[0]].append((s, name))

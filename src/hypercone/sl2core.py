@@ -117,13 +117,17 @@ class Mat2:
         return ProjPoint(self.act_angle(p.angle))
 
 
-def spectral_norm(a, b, c, d) -> float:
-    """Spectral norm of [[a, b], [c, d]] from the closed-form singular values."""
-    fa, fb, fc, fd = float(a), float(b), float(c), float(d)
-    s = fa * fa + fb * fb + fc * fc + fd * fd
-    det = float(a * d - b * c)
-    disc = max(s * s - 4.0 * det * det, 0.0)
-    return math.sqrt(0.5 * (s + math.sqrt(disc)))
+def spectral_norm(a, b, c, d, s: int = 1) -> float:
+    """Spectral norm of [[a, b], [c, d]] / s from the closed-form singular
+    values; s > 1 only for integer entries, read as in eigen_data_scaled."""
+    if s == 1:
+        fa, fb, fc, fd = float(a), float(b), float(c), float(d)
+        det = float(a * d - b * c)
+    else:
+        fa, fb, fc, fd, det = a / s, b / s, c / s, d / s, (a * d - b * c) / (s * s)
+    sq = fa * fa + fb * fb + fc * fc + fd * fd
+    disc = max(sq * sq - 4.0 * det * det, 0.0)
+    return math.sqrt(0.5 * (sq + math.sqrt(disc)))
 
 
 def integer_scaled(m: Mat2) -> tuple[Mat2, int]:

@@ -10,18 +10,21 @@ pruned inside it: admissible_entries visits every admissible word, and the
 cyclic enumeration its prenecklace part (Fredricksen-Maiorana; Duval, TCS 60,
 1988), for one representative per primitive cyclic class, the Lyndon word
 (powers of shorter words carry no new spectral information); its deepest
-level holds only those Lyndon words.  A node's product is an entry tuple
-(a, b, c, d) made from its parent's in Mat2.__matmul__'s operation order,
-the bits of product(); a Mat2 is built only where one is needed.
+level holds only those Lyndon words.  Both walks yield (word, entries,
+scale), the word's product being entries / scale, each node's entries made
+from its parent's in Mat2.__matmul__'s order: product()'s bits and scale 1
+on float or mixed input; on exact input the product of the integer_scaled
+generators and of their scales, so no Fraction is multiplied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated,
                      SearchBudgetExceeded)
-from .sl2core import Mat2, is_exact, spectral_norm
+from .sl2core import Mat2, integer_scaled, is_exact, spectral_norm
 
 Word = tuple[int, ...]
 
@@ -128,24 +131,28 @@ def _times(x, y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _entry_tuples(mats, sft: Sft) -> list[tuple]:
-    """Each generator's (a, b, c, d); PreconditionViolated unless one per symbol."""
+def _entry_tuples(mats, sft: Sft) -> tuple[list[tuple], list[int] | None]:
+    """The generators' entries and scales: integer_scaled if all are exact,
+    else as given and None.  PreconditionViolated unless one per symbol."""
     if len(mats) != sft.n_symbols:
         raise PreconditionViolated(f"{len(mats)} matrices for {sft.n_symbols} symbols")
-    return [(m.a, m.b, m.c, m.d) for m in mats]
+    if not all(m.is_exact() for m in mats):
+        return [(m.a, m.b, m.c, m.d) for m in mats], None
+    scaled = [integer_scaled(m) for m in mats]
+    return [(n.a, n.b, n.c, n.d) for n, _ in scaled], [s for _, s in scaled]
 
 
 def admissible_entries(mats, sft: Sft, n_max: int):
-    """(word, (a, b, c, d)) for every admissible word of length 1..n_max,
-    shortlex: product(mats, word, sft)'s entries bit for bit, DetDrift included."""
-    ents = _entry_tuples(mats, sft)
+    """(word, (a, b, c, d), S) for every admissible word of length 1..n_max,
+    shortlex: product(mats, word, sft) as entries / S, DetDrift included."""
+    ents, scales = _entry_tuples(mats, sft)
     level = [((s,), ents[s]) for s in range(sft.n_symbols)]
     for length in range(1, n_max + 1):
         done = []
         for w, m in level:
             _check_drift(m, length)
             done.append((w, m))
-            yield w, m
+            yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         # lazy: a reader stopping at the next level's first word pays for it alone
         level = ((w + (s,), _times(ents[s], m)) for w, m in done
                  for s in range(sft.n_symbols) if sft.allowed[w[-1]][s])
@@ -153,14 +160,13 @@ def admissible_entries(mats, sft: Sft, n_max: int):
 
 def periodic_words(sft: Sft, n_max: int):
     """Primitive cyclic classes of length 1..n_max, shortlex by representative."""
-    for w, _ in periodic_entries(None, sft, n_max):
+    for w, _, _ in periodic_entries(None, sft, n_max):
         yield w
 
 
 def periodic_entries(mats, sft: Sft, n_max: int):
-    """(word, (a, b, c, d)) for the cyclically admissible Lyndon words, shortlex:
-    the entries of product(mats, word, sft) bit for bit, DetDrift check
-    included, or None without mats.
+    """(word, (a, b, c, d), S) for the cyclically admissible Lyndon words,
+    shortlex, as admissible_entries gives them; entries None without mats.
 
     The admissible prenecklaces are walked level by level (Fredricksen-
     Maiorana), each level in lexicographic order as (word, p, product), p
@@ -172,14 +178,14 @@ def periodic_entries(mats, sft: Sft, n_max: int):
     """
     n = sft.n_symbols
     allowed = None if sft.is_full else sft.allowed
-    ents = None if mats is None else _entry_tuples(mats, sft)
+    ents, scales = (None, None) if mats is None else _entry_tuples(mats, sft)
     level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
     for length in range(1, n_max + 1):
         for w, p, m in level:
             if p == length and sft.ok(w[-1], w[0]):
                 if ents is not None:
                     _check_drift(m, length)
-                yield w, m
+                yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         if length + 1 < n_max:
             level = [(w + (s,), p if s == w[-p] else length + 1,
                       None if ents is None else _times(ents[s], m))
@@ -204,8 +210,8 @@ def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
     SearchBudgetExceeded when no cyclic word has length <= n_max."""
     best = None
     best_w: Word = ()
-    for w, m in periodic_entries(mats, sft, n_max):
-        r = spectral_norm(*m) ** (1.0 / len(w))
+    for w, (a, b, c, d), scale in periodic_entries(mats, sft, n_max):
+        r = spectral_norm(a, b, c, d, scale) ** (1.0 / len(w))
         if best is None or r < best:
             best, best_w = r, w
     if best is None:

@@ -259,7 +259,8 @@ def _step_select_traces(s: _Scaled, band) -> str:
             raise DegenerateTie("tr AB in the band around -2", Z / ab)
         return Step.FREE
     if Z < (2 + band) * ab:
-        raise DegenerateTie("tr AB in the band around 2", Z / ab)
+        # Z < 0 here only on the edge (-2 + band) ab, Z = -2ab at band 0
+        raise DegenerateTie(f"tr AB in the band around {-2 if Z < 0 else 2}", Z / ab)
     plus = _twist_state(_step_plus(s), band)
     minus = _twist_state(_step_minus(s), band)
     if plus == _BOUNDARY or minus == _BOUNDARY:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_data, eigen_data_scaled, integer_scaled
 from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
 from .tolerances import DEFAULT
 
@@ -71,8 +71,8 @@ def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
     """First cyclic class (shortlex) whose product is elliptic: trace inside
     (-2, 2) and det > 0.  A product of det < 0 has real eigenvalues of
     opposite signs, so it is skipped; the sign is read on candidates only."""
-    for w, (a, b, c, d) in periodic_entries(mats, sft, max_len):
-        if abs(float(a + d)) < 2.0 - DEFAULT.trace and a * d - b * c > 0:
+    for w, (a, b, c, d), scale in periodic_entries(mats, sft, max_len):
+        if abs(a + d) / scale < 2.0 - DEFAULT.trace and a * d - b * c > 0:
             _verify_elliptic(mats, w)
             return w
     return None
@@ -104,21 +104,20 @@ def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     rebuilt with product() and, within DEFAULT.identity of the identity,
     gives an identity hit on the doubled word.
     """
-    for w, m in periodic_entries(mats, sft, max_len):
-        t = abs(float(m[0] + m[3]))
+    for w, m, scale in periodic_entries(mats, sft, max_len):
+        t = abs(m[0] + m[3]) / scale
         # every +-identity hit passes: its |tr| is within 2 DEFAULT.identity
         # of 2; at det -1, C^2 - I = tr(C) C and some |C_ij| >= 1/sqrt 2, so
         # C^2 within DEFAULT.identity of I needs |tr| <= sqrt 2 DEFAULT.identity
         if abs(t - 2.0) > DEFAULT.parabolic and t > DEFAULT.parabolic:
             continue
-        p = Mat2(*m)
-        if p.det() < 0:
+        if m[0] * m[3] - m[1] * m[2] < 0:
             q = product(mats, w + w)
             if q.dist_to_pm_identity() <= DEFAULT.identity:
                 return ParabolicHit(word=w + w, kind="identity",
                                     trace=float(q.trace()))
             continue
-        if p.dist_to_pm_identity() <= DEFAULT.identity:
+        if Mat2(*(v / scale for v in m)).dist_to_pm_identity() <= DEFAULT.identity:
             kind = "identity"
         elif abs(t - 2.0) <= DEFAULT.parabolic:
             kind = "parabolic"
@@ -130,7 +129,7 @@ def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
             raise WitnessUnverified(
                 f"{kind} witness {render_word(w)} has trace {float(q.trace())} "
                 "when its product is rebuilt")
-        return ParabolicHit(word=w, kind=kind, trace=float(p.trace()))
+        return ParabolicHit(word=w, kind=kind, trace=float((m[0] + m[3]) / scale))
     return None
 
 
@@ -183,9 +182,9 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
-    periodic = [(w, eigen_data(Mat2(*m))) for w, m in
+    periodic = [(w, eigen_data_scaled(Mat2(*m), scale)) for w, m, scale in
                 periodic_entries(mats, sft, max(k_max, ell_max))
-                if abs(float(m[0] + m[3])) > DEFAULT.trace
+                if abs(m[0] + m[3]) / scale > DEFAULT.trace
                 + (2.0 if m[0] * m[3] - m[1] * m[2] > 0 else 0.0)]
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
@@ -203,10 +202,10 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
 
     best = None
     best_r = math.inf
-    for conn, P in [((), (1.0, 0.0, 0.0, 1.0)), *admissible_entries(mats, sft, n_max)]:
+    for conn, P, scale in [((), (1, 0, 0, 1), 1), *admissible_entries(mats, sft, n_max)]:
         flip = P[0] * P[3] - P[1] * P[2] < 0
         # act_angle's arithmetic, with the entries converted once
-        a, b, c, d = map(float, P)
+        a, b, c, d = (v / scale for v in P)
 
         def carry(i):
             x, y = trig[i]
@@ -278,15 +277,6 @@ def _reverify_heteroclinic(mats, hit: HeteroclinicHit) -> None:
             f"heteroclinic witness {render_word(hit.source)}, "
             f"{render_word(hit.connector)}, {render_word(hit.target)} has "
             f"residual {r} when rebuilt, not {hit.residual}")
-
-
-def search_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
-                        n_max: int) -> HeteroclinicHit | None:
-    """Best connection when its residual meets the tolerance, else None."""
-    best = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
-    if best is not None and best.residual <= DEFAULT.heteroclinic:
-        return best
-    return None
 
 
 def diagnose_boundary(mats, sft: Sft,

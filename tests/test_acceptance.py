@@ -25,11 +25,12 @@ from hypercone.multicone import (MulticoneFamily, certify, core_criterion,
 from hypercone.projgeom import ArcP1, MultiCone
 from hypercone.sl2core import Mat2, c1_bound, normalize_tuple
 from hypercone.symdyn import Sft, periodic_words, product
+from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
                                 apply_fword_inverse, classify_pair,
                                 eval_string, fricke, trace_step_minus,
                                 trace_step_plus)
-from hypercone.witness import search_heteroclinic
+from hypercone.witness import best_heteroclinic
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             four_interval_family, group_tuple)
 
@@ -316,8 +317,9 @@ def test_c10_realizability_loop():
 
 
 def test_c11_heteroclinic_fixture(boundary_triple):
-    hit = search_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
-    assert hit is not None and hit.residual <= 1e-12
+    hit = best_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
+    assert hit is not None and hit.residual <= DEFAULT.heteroclinic
+    assert hit.residual <= 1e-12
     assert len(hit.source) == 1 and len(hit.connector) == 1 and len(hit.target) == 1
     lam, theta = 2.0, 1.8
     assert 5 / 3 < theta < 2

@@ -279,6 +279,29 @@ def test_exact_compute_cores_names_the_elliptic_word():
                                    "(|tr| = 1.83333, det = 1)")
 
 
+def test_float_compute_cores_rereads_a_failing_word_exactly(monkeypatch):
+    # pullback pairs 24 and 42, given as float: the float products of
+    # AABABAABABAB and BBABABBABABA drift to det 1.02 and 1.09 and test
+    # non-hyperbolic, yet both words are hyperbolic on the entries read
+    # exactly, so depth 14 ends as on exact input, with no certified system
+    import hypercone.multicone as multicone_mod
+    rebuilt = []
+
+    def counted(m, _orig=multicone_mod.integer_scaled):
+        rebuilt.append(m)
+        return _orig(m)
+    monkeypatch.setattr(multicone_mod, "integer_scaled", counted)
+    population = pullback_population(500)
+    for i, fword in ((24, "+--+-"), (42, "-++-+")):
+        pair, got, _ = population[i]
+        assert got == fword
+        rebuilt.clear()
+        with pytest.raises(SearchBudgetExceeded):
+            compute_cores(tuple(m.to_float() for m in pair), Sft.full(2), depth=14)
+        # one word rebuilt, each generator read exactly once for it
+        assert len(rebuilt) == len(pair)
+
+
 def test_compute_cores_principal_pair():
     pair = (Mat2(2, 0, 0, 0.5), Mat2(3, 0, 0, 1 / 3))
     cores = compute_cores(pair, Sft.full(2), depth=30)

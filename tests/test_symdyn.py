@@ -133,16 +133,28 @@ def test_golden_mean_single_letters_need_self_loops():
     assert not GOLDEN.cyclically_admissible((1,))
 
 
+def _exact(mats):
+    """The tuple with each float entry as the Fraction it is."""
+    return tuple(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))) for m in mats)
+
+
+def _quotient(m, scale) -> Mat2:
+    """A walk's entries / scale, exact on integer entries: the scale is 1
+    on float input, and float * Fraction(1) keeps the float's bits."""
+    return Mat2(*m).scale(Fraction(1, scale))
+
+
 @pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])
 def test_periodic_products_match_product(shift, sft4, free_pair):
     A, B = free_pair
     mats, sft, n_max = {"full2": ((A, B), Sft.full(2), 10),
                         "sft4": ((A, B, A.inverse(), B.inverse()), sft4, 7),
                         "golden": ((A, B), GOLDEN, 12)}[shift]
-    pairs = list(periodic_entries(mats, sft, n_max))
-    assert [w for w, _ in pairs] == list(periodic_words(sft, n_max))
-    for w, m in pairs[::5] + pairs[-3:]:
-        assert Mat2(*m) == product(mats, w, sft)
+    for tup in (mats, _exact(mats)):
+        pairs = list(periodic_entries(tup, sft, n_max))
+        assert [w for w, _, _ in pairs] == list(periodic_words(sft, n_max))
+        for w, m, scale in pairs[::5] + pairs[-3:]:
+            assert _quotient(m, scale) == product(tup, w, sft)
 
 
 @pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])
@@ -152,13 +164,14 @@ def test_admissible_entries_match_product(shift, sft4, free_pair):
     mats, sft, n_max = {"full2": ((A, B), Sft.full(2), 8),
                         "sft4": ((A, B, A.inverse(), B.inverse()), sft4, 5),
                         "golden": ((A, B), GOLDEN, 10)}[shift]
-    got = list(admissible_entries(mats, sft, n_max))
-    assert [w for w, _ in got] == [
-        w for n in range(1, n_max + 1)
-        for w in itertools.product(range(sft.n_symbols), repeat=n)
-        if sft.admissible(w)]
-    for w, m in got:
-        assert Mat2(*m) == product(mats, w, sft)
+    for tup in (mats, _exact(mats)):
+        got = list(admissible_entries(tup, sft, n_max))
+        assert [w for w, _, _ in got] == [
+            w for n in range(1, n_max + 1)
+            for w in itertools.product(range(sft.n_symbols), repeat=n)
+            if sft.admissible(w)]
+        for w, m, scale in got:
+            assert _quotient(m, scale) == product(tup, w, sft)
 
 
 def _cycle_shift(n):
@@ -209,7 +222,8 @@ def test_det_drift_not_raised_on_exact_words():
     w = tuple(range(70))
     p = product(mats, w, sft)
     assert p.det() == Fraction(10 ** 7 + 1, 10 ** 7) ** 70
-    assert [(v, Mat2(*m)) for v, m in periodic_entries(mats, sft, 70)] == [(w, p)]
+    assert [(v, _quotient(m, scale))
+            for v, m, scale in periodic_entries(mats, sft, 70)] == [(w, p)]
 
 
 @pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
@@ -219,9 +233,9 @@ def test_periodic_products_match_min_rotation_filter(n, depth):
                 for w in itertools.product(range(n), repeat=length)
                 if w == min_rotation(w) and is_primitive(w)]
     got = list(periodic_entries(mats, Sft.full(n), depth))
-    assert [w for w, _ in got] == expected
-    for w, m in got[::7]:
-        assert Mat2(*m) == product(mats, w)
+    assert [w for w, _, _ in got] == expected
+    for w, m, scale in got[::7]:
+        assert _quotient(m, scale) == product(mats, w)
 
 
 def _count_products(monkeypatch):
@@ -244,7 +258,7 @@ def test_lyndon_tree_builds_only_the_last_level_words_read(monkeypatch, sft4, n,
     sft = sft4 if n == "sft4" else Sft.full(n)
     products = _count_products(monkeypatch)
     mats = [Mat2.identity()] * sft.n_symbols
-    words = [w for w, _ in periodic_entries(mats, sft, depth)]
+    words = [w for w, _, _ in periodic_entries(mats, sft, depth)]
     assert words == list(periodic_words(sft, depth))
     assert sft.n_symbols + len(products) == nodes
 

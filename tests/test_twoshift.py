@@ -141,6 +141,17 @@ def test_classify_degenerate_cases():
     assert isinstance(classify_pair(A, B), Degenerate)
 
 
+def test_tie_at_minus_two_is_named_around_minus_two():
+    # tr AB = -2 exactly: at band 0 the tie sits on the band's edge, and is
+    # named as the float copy, whose band holds it strictly, names it
+    A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1),
+                                Fraction(-4))
+    assert (A @ B).trace() == -2
+    for pair in ((A, B), (A.to_float(), B.to_float())):
+        assert classify_pair(*pair) == Degenerate(
+            reason="tr AB in the band around -2", value=-2.0)
+
+
 def test_band_ties_raise_the_public_degenerate_tie():
     # |tr A| = 2 exactly, within the band of is_free
     with pytest.raises(DegenerateTie, match="tr A") as info:
@@ -297,7 +308,8 @@ def test_exact_walk_matches_fraction_replay():
         c = classify_pair(A, B)
         assert c == _reference_classify(A, B, band=0), (A, B)
         seen.add(getattr(c, "reason", type(c).__name__))
-    assert seen >= {"Principal", "NonPrincipal", "tr AB in the band around 2",
+    # at band 0 a tie is tr AB = -2 exactly, in the band around -2
+    assert seen >= {"Principal", "NonPrincipal", "tr AB in the band around -2",
                     "walk exceeded its termination bound"}
 
 
@@ -364,7 +376,9 @@ def _reference_classify(A, B, band):
                                     orientation=orientation_of_free_pair(Ak, Bk),
                                     iterations=len(fword), invariant=inv)
             if z < 2 + band:
-                raise _RefEscape("tr AB in the band around 2", z)
+                # z = -2 + band (z = -2 at band 0) lies in the band around -2
+                raise _RefEscape("tr AB in the band around -2" if z < 0
+                                 else "tr AB in the band around 2", z)
             plus = _ref_twist_state(x, z, x * z - y, band)
             minus = _ref_twist_state(z, y, y * z - x, band)
             if plus < 0 or minus < 0:

@@ -15,7 +15,7 @@ from hypercone.symdyn import (RateReport, Sft, hyperbolicity_rate,
 from hypercone.tolerances import DEFAULT
 from hypercone.witness import (HeteroclinicHit, ParabolicHit, best_heteroclinic,
                                diagnose_boundary, search_elliptic,
-                               search_heteroclinic, search_parabolic)
+                               search_parabolic)
 from tests.conftest import canonical_pair, group_tuple
 
 
@@ -52,8 +52,8 @@ def test_identity_product_rotation_pi():
 
 
 def test_heteroclinic_fixture(boundary_triple):
-    hit = search_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
-    assert hit is not None
+    hit = best_heteroclinic(boundary_triple, Sft.full(3), 1, 1, 1)
+    assert hit is not None and hit.residual <= DEFAULT.heteroclinic
     assert hit.residual <= 1e-12
     assert len(hit.source) == 1 and len(hit.target) == 1
     assert hit.connector == (2,)
@@ -67,7 +67,8 @@ def test_heteroclinic_fixture(boundary_triple):
 
 def test_heteroclinic_none_for_principal_pair():
     pair = (Mat2(2, 0, 0, 0.5), Mat2(3, 0, 0, 1 / 3))
-    assert search_heteroclinic(pair, Sft.full(2), 2, 2, 2) is None
+    hit = best_heteroclinic(pair, Sft.full(2), 2, 2, 2)
+    assert hit is None or hit.residual > DEFAULT.heteroclinic
 
 
 def test_heteroclinic_residual_decreases_toward_connection():
@@ -352,6 +353,34 @@ def test_search_elliptic_checks_its_witness_exactly(monkeypatch):
                         lambda m: (Mat2(2, 1, 1, 1), 3))
     with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
         search_elliptic(pair, Sft.full(2), 4)
+
+
+def test_exact_searches_multiply_no_fraction_per_word(monkeypatch,
+                                                       free_pair_exact):
+    # the walks multiply the integer_scaled generators, so the Fraction
+    # products do not grow with the word length; the heteroclinic
+    # re-verification rebuilds its words on the given entries on purpose,
+    # and is left out of the count
+    import hypercone.witness as witness_mod
+    monkeypatch.setattr(witness_mod, "_reverify_heteroclinic", lambda mats, hit: None)
+    muls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(self, other, _orig=getattr(Fraction, name)):
+            muls.append(1)
+            return _orig(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    sft = Sft.full(2)
+    searches = (lambda n: search_elliptic(free_pair_exact, sft, n),
+                lambda n: search_parabolic(free_pair_exact, sft, n),
+                lambda n: hyperbolicity_rate(free_pair_exact, sft, n),
+                lambda n: best_heteroclinic(free_pair_exact, sft, n, n, n - 2))
+    for search in searches:
+        counts = []
+        for n in (6, 10):
+            muls.clear()
+            search(n)
+            counts.append(len(muls))
+        assert counts[0] == counts[1]
 
 
 SWAP = Mat2(0.0, 1.0, 1.0, 0.0)  # det -1, tr 0: an involution
