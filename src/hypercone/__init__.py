@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
                "product"),
     "multicone": ("CertifyReport", "CoreSet", "MulticoneFamily", "certify",
                   "compute_cores", "core_criterion", "fatten_cores",
-                  "single_component_length", "tightness"),
+                  "tightness"),
     "twoshift": ("Classification2", "Degenerate", "EllipticWitness",
                  "NonPrincipal", "Principal", "TraceTriple", "classify_pair",
                  "fricke", "is_free", "is_twisted", "trace_step_minus",
@@ -37,7 +37,7 @@ _EXPORTS = {name: module for module, names in {
     "corrdyn": ("CombMulticone", "MonotoneCorr", "Morphism",
                 "classify_two_morphism", "compose", "induced_morphism",
                 "morphism_hyperbolic", "morphism_tight", "reduce_tight",
-                "validate", "winding_comb", "winding_matrix"),
+                "validate", "winding_matrix"),
     "witness": ("BoundaryReport", "best_heteroclinic", "diagnose_boundary",
                 "search_elliptic", "search_parabolic"),
     "tolerances": ("DEFAULT", "Tolerances"),

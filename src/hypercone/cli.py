@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import HyperconeError, SearchBudgetExceeded, WitnessUnverified
 from .sl2core import Mat2, c1_bound, check_unimodular, normalize_tuple
-from .symdyn import Sft, hyperbolicity_rate, render_word
+from .symdyn import LETTERS, Sft, hyperbolicity_rate, render_word
 from .tolerances import DEFAULT
 
 VERSION = __version__
@@ -41,6 +41,8 @@ class InputError(Exception):
 
 
 def _parse_entry(v, exact: bool):
+    if isinstance(v, bool):
+        raise InputError(f"entry {v!r} is not a number")
     if exact:
         if isinstance(v, str):
             return Fraction(v)
@@ -54,6 +56,21 @@ def _parse_entry(v, exact: bool):
     return float(v)
 
 
+def _parse_matrix(rows, exact: bool) -> Mat2:
+    if not (isinstance(rows, list) and len(rows) == 2
+            and all(isinstance(r, list) and len(r) == 2 for r in rows)):
+        raise InputError(f"matrix {rows!r} is not 2 by 2")
+    (a, b), (c, d) = rows
+    return Mat2(*(_parse_entry(v, exact) for v in (a, b, c, d)))
+
+
+def _parse_flag(v) -> bool:
+    # bool is a subclass of int, so this admits true, false, 0 and 1
+    if not isinstance(v, int) or v not in (0, 1):
+        raise InputError(f"transition table entry {v!r} is not a boolean or 0/1")
+    return bool(v)
+
+
 def parse_tuple_spec(data: dict, mode_flag: str | None):
     if not isinstance(data, dict):
         raise InputError(f"tuple spec {data!r} is not a JSON object")
@@ -62,15 +79,13 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
         raise InputError(f"unknown mode {mode!r}")
     exact = mode == "rational"
     try:
-        mats = tuple(Mat2(_parse_entry(r[0][0], exact), _parse_entry(r[0][1], exact),
-                          _parse_entry(r[1][0], exact), _parse_entry(r[1][1], exact))
-                     for r in data["matrices"])
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+        mats = tuple(_parse_matrix(r, exact) for r in data["matrices"])
+        for m in mats:
+            check_unimodular(m)
+    except (KeyError, OverflowError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrices field: {exc}") from exc
     if not mats:
         raise InputError("the matrices field is empty")
-    for m in mats:
-        check_unimodular(m)
     n = len(mats)
     shift = data.get("shift", {"type": "full"})
     if not isinstance(shift, dict):
@@ -82,7 +97,7 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
     if "allowed" not in shift:
         raise InputError("an sft shift needs an 'allowed' transition table")
     try:
-        table = tuple(tuple(bool(v) for v in row) for row in shift["allowed"])
+        table = tuple(tuple(_parse_flag(v) for v in row) for row in shift["allowed"])
     except TypeError as exc:
         raise InputError(f"malformed allowed table: {exc}") from exc
     if len(table) != n or any(len(row) != n for row in table):
@@ -239,10 +254,14 @@ def cmd_farey(args) -> int:
 def cmd_winding(args) -> int:
     from . import corrdyn
     specs, digest = load_specs(args.input, args.mode)
+    word = args.word.upper()
     verdicts = []
     for mats, sft, _ in specs:
-        n = corrdyn.winding_matrix(mats, args.word.upper())
-        verdicts.append({"word": args.word.upper(), "winding": n})
+        alphabet = LETTERS[:len(mats)]
+        if not set(word) <= set(alphabet):
+            raise InputError(f"word {word!r} is not over the alphabet {alphabet}")
+        n = corrdyn.winding_matrix(mats, word)
+        verdicts.append({"word": word, "winding": n})
     sys.stdout.write(envelope("winding", digest, verdicts))
     return EXIT_OK
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import BadBasePoint, NotInterior, OrderViolation
 from .projgeom import ArcP1, ProjPoint, angle_gap
-from .sl2core import Mat2, eigen_data_scaled, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import LETTERS
 
 # multicone and twoshift are imported where they are used, so that the
@@ -255,7 +255,7 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     against the combinatorial cyclic order and an OrderViolation signals a
     misclassified or near-boundary pair.  The family products are integer
     matrices with a scale on exact input (_family_products), and their
-    directions come from eigen_data_scaled.
+    directions come from eigen_data(n, s).
     """
     from .multicone import CoreSet
     f = j_of_fword(fword)
@@ -268,7 +268,7 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
         n, scale = products[fw.word]
         if abs(n.trace() / scale) <= 2.0:
             raise OrderViolation(f"family word {fw.word} is not hyperbolic")
-        (u, _), (s, _) = eigen_data_scaled(n, scale)
+        (u, _), (s, _) = eigen_data(n, scale)
         u_pts[fw.word] = u
         s_pts[fw.word] = s
 

@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput, NoConvergence,
-                     NoInvariantDirection, SearchBudgetExceeded, StructureViolation)
+                     NoInvariantDirection, SearchBudgetExceeded)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
-from .sl2core import Mat2, eigen_data_scaled, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import LETTERS, Sft, admissible_entries, product, render_word
 from .tolerances import DEFAULT
 
@@ -339,7 +339,7 @@ def _directions(mats, w, n: Mat2, scale: int) -> tuple[float, float]:
     tr = n.trace()
     if abs(tr) > 2 * scale:
         try:
-            (u, _), (s, _) = eigen_data_scaled(n, scale)
+            (u, _), (s, _) = eigen_data(n, scale)
             return u.angle, s.angle
         except NoInvariantDirection:
             pass
@@ -370,7 +370,7 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     not raises NoConvergence (_directions).
 
     Exact input walks integer matrices (admissible_entries): w's product
-    n/S is read by eigen_data_scaled with eigen_data's bits.
+    n/S is read by eigen_data(n, S).
 
     Why the first passing system is the cores.  Periodic U (S) points lie
     in the U (S) cores, and every core arc holds some.  If each letter maps
@@ -549,15 +549,6 @@ def tightness(mats, cone: MultiCone, cores: CoreSet) -> bool:
         if any(c != 1 for c in counts):
             return False
     return True
-
-
-def single_component_length(mats, cone: MultiCone) -> int:
-    """Least k with every length-k product constant on cone components."""
-    maps = [component_map(m.to_float(), cone.arcs, cone.arcs) for m in mats]
-    ok, ell = eventual_constancy(maps)
-    if not ok:
-        raise StructureViolation("constancy", "component action never becomes constant")
-    return ell
 
 
 def _xi(arc: ArcP1, angle: float) -> float:

@@ -5,7 +5,7 @@ entry domain (exact when the inputs are exact).  Exact matrices become floats
 in two ways, both correctly rounded and so with the same bits: as an integer
 matrix n and one positive integer scale s (integer_scaled, the one exact
 representation), whose entries and eigen data are int / int divisions
-(eigen_data_scaled), or entry by entry through to_float(), which the float
+(eigen_data(n, s)), or entry by entry through to_float(), which the float
 stages call once per matrix before their angle work.
 """
 
@@ -52,9 +52,6 @@ class Mat2:
     def diagonal(lam) -> "Mat2":
         return Mat2(lam, 0, 0, 1 / lam if is_exact(lam) else 1.0 / lam)
 
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
@@ -65,9 +62,6 @@ class Mat2:
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def scale(self, s) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -90,14 +84,8 @@ class Mat2:
             return self
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
 
-    def max_abs_entry(self) -> float:
-        return max(abs(float(v)) for v in (self.a, self.b, self.c, self.d))
-
     def frobenius_sq(self) -> float:
         return sum(float(v) * float(v) for v in (self.a, self.b, self.c, self.d))
-
-    def norm(self) -> float:
-        return spectral_norm(self.a, self.b, self.c, self.d)
 
     def dist_to_pm_identity(self) -> float:
         a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
@@ -113,13 +101,10 @@ class Mat2:
         wy = float(self.c) * x + float(self.d) * y
         return norm_angle(math.atan2(wy, wx))
 
-    def act(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.act_angle(p.angle))
-
 
 def spectral_norm(a, b, c, d, s: int = 1) -> float:
     """Spectral norm of [[a, b], [c, d]] / s from the closed-form singular
-    values; s > 1 only for integer entries, read as in eigen_data_scaled."""
+    values; s > 1 only for integer entries, read as in eigen_data."""
     if s == 1:
         fa, fb, fc, fd = float(a), float(b), float(c), float(d)
         det = float(a * d - b * c)
@@ -163,29 +148,23 @@ def classify(m: Mat2) -> MatClass:
     return MatClass.PARABOLIC
 
 
-def eigen_data(m: Mat2):
-    """((u, eig_u), (s, eig_s)) with |eig_u| >= 1 >= |eig_s|.
+def eigen_data(m: Mat2, s: int = 1):
+    """((u, eig_u), (s, eig_s)) of m / s, with |eig_u| >= 1 >= |eig_s|.
 
     Defined for non-elliptic matrices away from +-id; for parabolic input the
     two directions coincide.  Exact entries keep the discriminant sign exact,
-    which matters for long products with traces barely above 2.
+    which matters for long products with traces barely above 2.  A scale
+    s > 1 needs an integer matrix m (integer_scaled gives the least s); every
+    float is then one int / int division, correctly rounded like
+    float(Fraction), so the result has the same bits for any scale.
     """
+    if s != 1:
+        return _integer_eigen(m, s)
     if m.is_exact():
         return _integer_eigen(*integer_scaled(m))
     a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
     det = float(m.det())
     return _eigen(a, b, c, d, (a + d) * (a + d) - 4.0 * det, det)
-
-
-def eigen_data_scaled(n: Mat2, s: int):
-    """eigen_data of the exact matrix n/s, for an integer matrix n and a
-    positive integer scale s (integer_scaled gives the least one).
-
-    At s = 1 it is eigen_data(n), for any n.  Every float is one int / int
-    division, correctly rounded like float(Fraction), so the result has the
-    same bits for any scale.
-    """
-    return eigen_data(n) if s == 1 else _integer_eigen(n, s)
 
 
 def _integer_eigen(n: Mat2, s: int):

@@ -41,7 +41,7 @@ so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
 rebuilt as integer matrix products with the same scales, and its orientation
-reads their eigen data with those scales (eigen_data_scaled), or, for
+reads their eigen data with those scales (eigen_data(n, s)), or, for
 near-coincident directions, their exact directions (_exact).  Every float
 the verdict reports is one int/int true division, correctly rounded
 like float(Fraction), so it has the bits of the rational value.
@@ -65,7 +65,7 @@ from typing import NamedTuple, Union
 from . import _exact
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_data_scaled, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import LETTERS
 from .tolerances import DEFAULT
 
@@ -285,9 +285,9 @@ def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
     """Orientation of the free pair A/a, B/b, given BA = B @ A; scales other
     than 1 come only with integer matrices, and at scale 1 any matrix is
     read by eigen_data."""
-    (uB, _), _ = eigen_data_scaled(B, b)
-    (uBA, _), (sBA, _) = eigen_data_scaled(BA, a * b)
-    _, (sA, _) = eigen_data_scaled(A, a)
+    (uB, _), _ = eigen_data(B, b)
+    (uBA, _), (sBA, _) = eigen_data(BA, a * b)
+    _, (sA, _) = eigen_data(A, a)
     pts = (uB, uBA, sBA, sA)
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
-from .sl2core import Mat2, eigen_data, eigen_data_scaled, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
 from .tolerances import DEFAULT
 
@@ -182,7 +182,7 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
-    periodic = [(w, eigen_data_scaled(Mat2(*m), scale)) for w, m, scale in
+    periodic = [(w, eigen_data(Mat2(*m), scale)) for w, m, scale in
                 periodic_entries(mats, sft, max(k_max, ell_max))
                 if abs(m[0] + m[3]) / scale > DEFAULT.trace
                 + (2.0 if m[0] * m[3] - m[1] * m[2] > 0 else 0.0)]

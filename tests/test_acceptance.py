@@ -16,14 +16,14 @@ from hypercone.corrdyn import (CombMulticone, all_correspondences,
                                classify_two_morphism, compose,
                                induced_morphism, morphism_hyperbolic,
                                morphism_tight, nonrealizable_fixture, validate,
-                               winding_comb, winding_matrix)
+                               winding_matrix)
 from hypercone.errors import HyperconeError, NotMonotonic, OrderViolation
 from hypercone.fareycomb import (build_order, component_model, farey_interval,
                                  j_of_fword, orbit_words, rotation_orbit_word)
 from hypercone.multicone import (MulticoneFamily, certify, core_criterion,
                                  fatten_cores)
 from hypercone.projgeom import ArcP1, MultiCone
-from hypercone.sl2core import Mat2, c1_bound, normalize_tuple
+from hypercone.sl2core import Mat2, c1_bound, normalize_tuple, spectral_norm
 from hypercone.symdyn import Sft, periodic_words, product
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
@@ -33,6 +33,7 @@ from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
 from hypercone.witness import best_heteroclinic
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             four_interval_family, group_tuple)
+from tests.lifts import winding_comb
 
 FULL2 = Sft.full(2)
 REFLECT = Mat2(1, 0, 0, -1)
@@ -215,7 +216,8 @@ def test_c05_growth_bound():
         assert rep.ok
         C, lam = rep.comparability, rep.contraction
         for w in periodic_words(FULL2, 12):
-            norm = product(fpair, w).norm()
+            p = product(fpair, w)
+            norm = spectral_norm(p.a, p.b, p.c, p.d)
             if norm < C ** -0.5 * lam ** (len(w) / 2.0) * (1 - 1e-12):
                 violations += 1
     assert violations == 0
@@ -349,7 +351,7 @@ def test_c12_normalization():
         R0 = Mat2(n, 0, 0, 1 / n) @ Mat2.rotation(rng.uniform(0, math.pi))
         conj = [R0 @ m @ R0.inverse() for m in (A, B)]
         _, out = normalize_tuple(conj, 10.0)
-        assert max(m.max_abs_entry() for m in out) <= bound
+        assert max(abs(float(v)) for m in out for v in (m.a, m.b, m.c, m.d)) <= bound
         for word in words:
             t0 = eval_string(conj, word).trace()
             t1 = eval_string(out, word).trace()

@@ -171,6 +171,14 @@ def test_winding_command(tmp_path, capsys):
     assert doc["verdicts"][0]["winding"] == -1
 
 
+def test_winding_rejects_a_letter_outside_the_alphabet(tmp_path, capsys):
+    path = write_spec(tmp_path, FREE_SPEC)
+    code = main(["winding", "--input", path, "--word", "AC"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
 def test_witness_command(tmp_path, capsys):
     path = write_spec(tmp_path, ELLIPTIC_SPEC)
     code, doc = run(capsys, ["witness", "--input", path, "--budget", "4,4,2"])
@@ -357,9 +365,17 @@ def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
     dict(FREE_SPEC, shift={"type": "sft", "allowed": 5}),
     dict(FREE_SPEC, shift={"type": "ful"}),
     dict(FREE_SPEC, shift={"type": "sft"}),
+    {"matrices": [[[2, 1, 7], [0, 0.5, 9]], [[0.5, 0], [-9, 2]]]},
+    {"matrices": [[[2, 1], [0, 0.5], [1, 1]], [[0.5, 0], [-9, 2]]]},
+    {"matrices": [[[2, True], [0, 0.5]], [[0.5, 0], [-9, 2]]]},
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": ["01", "11"]}),
+    dict(FREE_SPEC, shift={"type": "sft", "allowed": [["0", 1], [1, 1]]}),
+    {"matrices": [[["1e400", "1"], ["0", "1/2"]]], "mode": "rational"},
 ], ids=["list", "string", "tuples-int", "tuples-item", "no-matrices",
         "zero-denominator", "shift-string", "table-rows", "table-columns",
-        "table-flat", "table-int", "shift-type", "no-table"])
+        "table-flat", "table-int", "shift-type", "no-table", "matrix-columns",
+        "matrix-rows", "entry-bool", "table-strings", "table-string-entry",
+        "entry-overflow"])
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
     path = write_spec(tmp_path, spec)
     code = main(["rate", "--input", path, "--depth", "2"])

@@ -7,17 +7,17 @@ import pytest
 
 from hypercone.corrdyn import (CombMulticone, Morphism, all_correspondences,
                                classify_two_morphism, compose, constant_corr,
-                               identity_corr, induced_morphism, lift_height_zero,
+                               identity_corr, induced_morphism,
                                morphism_hyperbolic, morphism_tight,
                                nonrealizable_fixture, reduce_tight, reflect,
-                               solve_s_from_u, validate, winding_comb,
-                               winding_matrix)
+                               solve_s_from_u, validate, winding_matrix)
 from hypercone.errors import (EllipticAlongWord, NotMonotonic,
                               StructureViolation)
 from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import core_criterion
 from hypercone.sl2core import Mat2
 from hypercone.twoshift import apply_fword_inverse
+from tests.lifts import height, lift_height_zero, winding_comb
 from tests.test_fareycomb import exact_pullbacks
 
 
@@ -384,7 +384,6 @@ def test_some_word_winds_once_at_higher_rank(mild_free_pair_exact):
 def test_lift_height_zero(free_pair):
     model = component_model(*free_pair, "")
     phi = induced_morphism(free_pair, model.cores)
-    from hypercone.corrdyn import height
     for g in phi.gens:
         assert height(lift_height_zero(g)) == 0
 

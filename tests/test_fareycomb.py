@@ -211,8 +211,8 @@ def test_component_model_action_consistency(free_pair_exact):
         target, exact = row["A"]
         if exact:
             m = eval_string(pair, w)
-            moved = pair[0].act(model.u_points[w])
-            assert angle_dist(moved.angle, model.u_points[target].angle) <= 1e-9
+            moved = pair[0].act_angle(model.u_points[w].angle)
+            assert angle_dist(moved, model.u_points[target].angle) <= 1e-9
     rep = core_criterion(pair, model.cores)
     assert rep.ok
 

@@ -54,7 +54,7 @@ def test_cross_ratio_moebius_invariance_sampled():
         if det < 0:
             m = Mat2(m.a, -m.b, m.c, -m.d)  # keep det positive
         before = cross_ratio(*p)
-        after = cross_ratio(*(m.act(x) for x in p))
+        after = cross_ratio(*(ProjPoint(m.act_angle(x.angle)) for x in p))
         assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
 

@@ -65,7 +65,7 @@ def test_product_convention(free_pair):
     A, B = free_pair
     p = product((A, B), (0, 1))  # word AB in orbit order: B acts last
     q = B @ A
-    assert p.rows() == q.rows()
+    assert p == q
     assert p.trace() == pytest.approx((A @ B).trace())  # cyclic trace equality
 
 
@@ -141,7 +141,7 @@ def _exact(mats):
 def _quotient(m, scale) -> Mat2:
     """A walk's entries / scale, exact on integer entries: the scale is 1
     on float input, and float * Fraction(1) keeps the float's bits."""
-    return Mat2(*m).scale(Fraction(1, scale))
+    return Mat2(*(v * Fraction(1, scale) for v in m))
 
 
 @pytest.mark.parametrize("shift", ["full2", "sft4", "golden"])

@@ -9,7 +9,7 @@ from hypercone.errors import DegenerateInput, HyperconeError, WitnessUnverified
 from hypercone.fareycomb import component_model
 from hypercone.multicone import MulticoneFamily, certify, fatten_cores
 from hypercone.projgeom import angle_dist
-from hypercone.sl2core import Mat2, eigen_data
+from hypercone.sl2core import Mat2, eigen_data, spectral_norm
 from hypercone.symdyn import (RateReport, Sft, hyperbolicity_rate,
                               periodic_words, product)
 from hypercone.tolerances import DEFAULT
@@ -425,7 +425,7 @@ def _reference_searches(mats, sft, n_max):
                 parabolic = ParabolicHit(w, "identity", float(p.trace()))
             elif abs(t - 2.0) <= DEFAULT.parabolic:
                 parabolic = ParabolicHit(w, "parabolic", float(p.trace()))
-        r = p.norm() ** (1.0 / len(w))
+        r = spectral_norm(p.a, p.b, p.c, p.d) ** (1.0 / len(w))
         if rate is None or r < rate:
             rate, rate_w = r, w
     return elliptic, parabolic, RateReport(value=rate, word=rate_w, depth=n_max)
