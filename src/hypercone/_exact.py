@@ -10,9 +10,9 @@ n = s*M that sl2core.integer_scaled gives are M's directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DegenerateTie
 
 
@@ -35,13 +35,10 @@ def sign_p_q_sqrtD(p: Fraction, q: Fraction, D: Fraction) -> int:
     return sp if cmp > 0 else sq
 
 
-@dataclass(frozen=True)
-class QuadVal:
-    """p + q*sqrt(D) with rational p, q and rational D >= 0."""
+class QuadVal(Record):
+    """p + q*sqrt(D) with rational (Fraction) p, q and rational D >= 0."""
 
-    p: Fraction
-    q: Fraction
-    D: Fraction
+    __slots__ = ("p", "q", "D")
 
     @staticmethod
     def rational(x) -> "QuadVal":
@@ -85,16 +82,15 @@ def compare(a: QuadVal, b: QuadVal) -> int:
     return su if s2 > 0 else sv
 
 
-@dataclass(frozen=True)
-class ExactDir:
+class ExactDir(Record):
     """Direction on P1 ordered by angle in [0, pi).
 
     kind 0: slope >= 0 (angle in [0, pi/2)), kind 1: vertical (pi/2),
-    kind 2: slope < 0 (angle in (pi/2, pi)).
+    kind 2: slope < 0 (angle in (pi/2, pi)); slope is a QuadVal, None for
+    the vertical.
     """
 
-    kind: int
-    slope: QuadVal | None
+    __slots__ = ("kind", "slope")
 
     @staticmethod
     def from_slope(s: QuadVal) -> "ExactDir":

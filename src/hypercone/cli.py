@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -194,7 +195,6 @@ def cmd_cores(args) -> int:
 
 
 def _order_svg(family, title: str) -> str:
-    import math
     from . import render
     words = family.words()
     n = len(words)
@@ -315,6 +315,14 @@ def _depth(text: str) -> int:
     return value
 
 
+def _bound(text: str) -> float:
+    """A finite trace bound of at least 0; argparse reports a non-number."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"bound {text!r} is not a finite number >= 0")
+    return value
+
+
 def _interior_fraction(text: str) -> tuple[str, Fraction]:
     """p/q strictly between 0 and 1, with the text it was given as (the
     envelope digests the text, so 2/4 and 1/2 differ there); argparse
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="conjugate a tuple into bounded entries")
     add_common(p)
-    p.add_argument("--bound", type=float, required=True, help="shared trace bound")
+    p.add_argument("--bound", type=_bound, required=True, help="shared trace bound")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("rate", help="finite-depth hyperbolicity rate estimate")

@@ -16,19 +16,22 @@ correspondence attached to a left-to-right matrix word composes the letter
 relations right-to-left.  The winding number of a word is read off
 circle-map lifts of the matrices (winding_matrix); the tests check it against
 the height of the composed lifts of the correspondences (tests/lifts.py).
+
+multicone and fareycomb are imported inside the three functions that read
+them (induced_morphism, morphism_hyperbolic, _model_morphism), so that the
+calculus and winding_matrix, which the `winding` subcommand runs, load
+neither module: a CLI process compiles what it imports, on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
-from .fareycomb import action_table, build_order
-from .multicone import CoreSet, alternation, component_map, eventual_constancy
 from .projgeom import PI
 from .sl2core import Mat2, eigen_data
 from .symdyn import LETTERS
@@ -36,12 +39,12 @@ from .tolerances import DEFAULT
 from .twoshift import eval_string
 
 
-@dataclass(frozen=True)
-class CombMulticone:
-    """Cyclic set 0..2q-1 split into alternating unstable/stable halves."""
+class CombMulticone(Record):
+    """Cyclic set 0..2q-1 (q the rank) split into alternating unstable/stable
+    halves."""
 
-    rank: int
-    even_is_u: bool = True
+    __slots__ = ("rank", "even_is_u")
+    _defaults = {"even_is_u": True}
 
     @property
     def size(self) -> int:
@@ -78,13 +81,13 @@ class CombMulticone:
         return out
 
 
-@dataclass(frozen=True)
-class MonotoneCorr:
-    """Monotonic correspondence; maps are stored per slot, values are labels."""
+class MonotoneCorr(Record):
+    """Monotonic correspondence on the CombMulticone mc; maps are stored per
+    slot, values are labels."""
 
-    mc: CombMulticone
-    u: tuple[int, ...]  # indexed by u-slot, values are u-labels
-    s: tuple[int, ...]  # indexed by s-slot, values are s-labels
+    __slots__ = ("mc",
+                 "u",   # indexed by u-slot, values are u-labels
+                 "s")   # indexed by s-slot, values are s-labels
 
     def u_of(self, e: int) -> int:
         return self.u[self.mc.slot(e)]
@@ -200,10 +203,10 @@ def all_correspondences(mc: CombMulticone):
             continue
 
 
-@dataclass(frozen=True)
-class Morphism:
-    mc: CombMulticone
-    gens: tuple[MonotoneCorr, ...]
+class Morphism(Record):
+    """One MonotoneCorr per generator (gens) on the CombMulticone mc."""
+
+    __slots__ = ("mc", "gens")
 
     def to_json(self) -> dict:
         return {"rank": self.mc.rank,
@@ -230,6 +233,7 @@ def morphism_hyperbolic(phi: Morphism) -> tuple[bool, int | None]:
     u-maps alone give the level sets, the cycle and the length that the full
     correspondences give; eventual_constancy decides them on the pair graph.
     """
+    from .multicone import eventual_constancy
     if phi.mc.rank == 1:
         return True, 0
     slot = phi.mc.slot
@@ -294,8 +298,10 @@ def reduce_tight(phi: Morphism) -> Morphism:
 # induced morphism from cores
 
 
-def induced_morphism(mats, cores: CoreSet) -> Morphism:
-    """Component incidence of each generator on the core arc systems."""
+def induced_morphism(mats, cores) -> Morphism:
+    """Component incidence of each generator on the core arc systems (a
+    multicone.CoreSet)."""
+    from .multicone import alternation, component_map
     arcs, defect = alternation(cores.u_arcs, cores.s_arcs)
     if defect == "counts":
         raise StructureViolation("induced", "core component counts differ")
@@ -389,6 +395,7 @@ def _model_morphism(f: Fraction) -> Morphism:
     forces.  At rank 2 both are constant, and B's s-label follows A's u-label.
     Cached per fraction, which is safe as a Morphism is frozen.
     """
+    from .fareycomb import action_table, build_order
     mc = CombMulticone(rank=f.denominator)
     centers = [fw.word for fw in reversed(build_order(f).order) if fw.tag == "center"]
     label = {w: mc.u_label(j) for j, w in enumerate(centers)}

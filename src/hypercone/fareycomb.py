@@ -34,9 +34,9 @@ k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import BadBasePoint, NotInterior, OrderViolation
 from .projgeom import ArcP1, ProjPoint, angle_gap
 from .sl2core import Mat2, eigen_data, integer_scaled
@@ -59,11 +59,8 @@ def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
     return left, right
 
 
-@dataclass(frozen=True)
-class RotWord:
-    letters: str
-    base: Fraction
-    rotation: Fraction
+class RotWord(Record):
+    __slots__ = ("letters", "base", "rotation")
 
     def __str__(self) -> str:
         return self.letters
@@ -91,21 +88,19 @@ def orbit_words(f: Fraction) -> list[RotWord]:
     return [rotation_orbit_word(f, Fraction(i, q)) for i in range(q)]
 
 
-@dataclass(frozen=True)
-class FamilyWord:
-    word: str
-    tag: str  # "center", "parent0", "parent1"
+class FamilyWord(Record):
+    __slots__ = ("word",
+                 "tag")  # "center", "parent0", "parent1"
 
 
-@dataclass(frozen=True)
-class OrderedFamily:
-    """The 2q-element cyclic order, emitted from Theta(1 - 1/q)."""
+class OrderedFamily(Record):
+    """The 2q-element cyclic order of FamilyWords, emitted from Theta(1 - 1/q)."""
 
-    fraction: Fraction
-    parents: tuple[Fraction, Fraction]
-    order: tuple[FamilyWord, ...]
-    lex_first: str   # Theta(0)
-    lex_last: str    # Theta(1 - 1/q)
+    __slots__ = ("fraction",
+                 "parents",    # the two Farey parents
+                 "order",
+                 "lex_first",  # Theta(0)
+                 "lex_last")   # Theta(1 - 1/q)
 
     def words(self) -> list[str]:
         return [fw.word for fw in self.order]
@@ -189,15 +184,10 @@ def action_table(f: Fraction) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class ComponentModel:
-    fraction: Fraction
-    orientation: int
-    family: OrderedFamily
-    cores: CoreSet
-    table: dict
-    u_points: dict   # word -> ProjPoint
-    s_points: dict
+class ComponentModel(Record):
+    __slots__ = ("fraction", "orientation", "family", "cores", "table",
+                 "u_points",   # word -> ProjPoint
+                 "s_points")
 
     def to_json(self) -> dict:
         return {

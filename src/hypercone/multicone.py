@@ -23,8 +23,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput, NoConvergence,
                      NoInvariantDirection, SearchBudgetExceeded)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
@@ -85,11 +85,10 @@ def component_map(m: Mat2, source, target, pins=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MulticoneFamily:
-    """One multicone per symbol of the ambient subshift."""
+class MulticoneFamily(Record):
+    """One multicone per symbol of the ambient subshift, a tuple of MultiCone."""
 
-    cones: tuple[MultiCone, ...]
+    __slots__ = ("cones",)
 
     @staticmethod
     def constant(cone: MultiCone, n: int) -> "MulticoneFamily":
@@ -109,13 +108,12 @@ class MulticoneFamily:
         return MulticoneFamily(tuple(MultiCone.from_json(v) for _, v in items))
 
 
-@dataclass(frozen=True)
-class CertifyReport:
-    ok: bool
-    contraction: float        # lambda > 1 per step when ok
-    comparability: float      # C in the growth bound when ok
-    witness: dict | None      # first violated inclusion otherwise
-    margin: float             # smallest containment margin seen
+class CertifyReport(Record):
+    __slots__ = ("ok",
+                 "contraction",    # lambda > 1 per step when ok
+                 "comparability",  # C in the growth bound when ok
+                 "witness",        # first violated inclusion (a dict) otherwise
+                 "margin")         # smallest containment margin seen
 
     def __bool__(self) -> bool:
         return self.ok
@@ -194,20 +192,18 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
 # cores
 
 
-@dataclass(frozen=True)
-class CoreSet:
+class CoreSet(Record):
     """Closed arc systems: forward-invariant U and backward-invariant S.
 
-    Arcs are stored as ArcP1 hulls (endpoints included by convention).
+    Arcs are stored as tuples of ArcP1 hulls (endpoints included by
+    convention).
     """
 
-    u_arcs: tuple[ArcP1, ...]
-    s_arcs: tuple[ArcP1, ...]
-    # per arc, the names of its (start, end) points, and the word length that
-    # certified them (compute_cores); empty and 0 for cores in closed form
-    u_words: tuple[tuple[str, str], ...] = ()
-    s_words: tuple[tuple[str, str], ...] = ()
-    word_length: int = 0
+    # u_words and s_words give per arc the names of its (start, end) points,
+    # and word_length the word length that certified them (compute_cores);
+    # empty and 0 for cores in closed form
+    __slots__ = ("u_arcs", "s_arcs", "u_words", "s_words", "word_length")
+    _defaults = {"u_words": (), "s_words": (), "word_length": 0}
 
     @property
     def rank(self) -> int:
@@ -472,11 +468,9 @@ def eventual_constancy(maps: list[tuple[int, ...]]) -> tuple[bool, int]:
     return True, max(depth.values(), default=0) + 1
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    ok: bool
-    reasons: tuple[str, ...]
-    constancy_length: int = 0
+class CriterionReport(Record):
+    __slots__ = ("ok", "reasons", "constancy_length")
+    _defaults = {"constancy_length": 0}
 
     def __bool__(self) -> bool:
         return self.ok

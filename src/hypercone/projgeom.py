@@ -28,8 +28,8 @@ obtained by differentiating the cross-ratio in one argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import DegenerateInput, OutOfArc
 from .tolerances import DEFAULT
 
@@ -61,14 +61,13 @@ def same_angle(a: float, b: float, tol: float = DEFAULT.angle) -> bool:
     return angle_dist(a, b) <= tol
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A direction in the plane, i.e. a point of P1."""
+class ProjPoint(Record):
+    """A direction in the plane, i.e. a point of P1, at an angle in [0, pi)."""
 
-    angle: float
+    __slots__ = ("angle",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", norm_angle(float(self.angle)))
+    def __init__(self, angle: float):
+        _set_angle(self, norm_angle(float(angle)))
 
     @staticmethod
     def from_vector(x: float, y: float) -> "ProjPoint":
@@ -82,6 +81,10 @@ class ProjPoint:
 
     def vector(self) -> tuple[float, float]:
         return (math.cos(self.angle), math.sin(self.angle))
+
+
+# the slots' own setters, which the frozen __setattr__ does not block
+_set_angle = ProjPoint.angle.__set__
 
 
 def _require_distinct(points, tol: float):
@@ -111,20 +114,22 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
     return (s(ac - aa) * s(ad - ab)) / (s(ab - aa) * s(ad - ac))
 
 
-@dataclass(frozen=True)
-class ArcP1:
-    """Open arc running from start to end in the positive (increasing) sense."""
+class ArcP1(Record):
+    """Open arc running from start to end (ProjPoints) in the positive
+    (increasing) sense."""
 
-    start: ProjPoint
-    end: ProjPoint
-    # angle_gap(start, end), set once; not part of equality, hash or repr
-    length: float = field(init=False, repr=False, compare=False)
+    # length is angle_gap(start, end), set once; not part of equality, hash
+    # or repr
+    __slots__ = ("start", "end", "length")
+    _fields = ("start", "end")
 
-    def __post_init__(self):
-        length = angle_gap(self.start.angle, self.end.angle)
+    def __init__(self, start: ProjPoint, end: ProjPoint):
+        length = angle_gap(start.angle, end.angle)
         if length == 0.0:
             raise DegenerateInput("arc endpoints coincide")
-        object.__setattr__(self, "length", length)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_length(self, length)
 
     @staticmethod
     def from_angles(start: float, end: float) -> "ArcP1":
@@ -159,13 +164,37 @@ class ArcP1:
         return margin < off < self.length - margin
 
 
+# the slots' own setters (see ProjPoint)
+_set_start, _set_end, _set_length = (ArcP1.__dict__[f].__set__ for f in ArcP1.__slots__)
+
+
+# pi - PI: the part of pi that the float PI drops
+PI_LO = 1.2246467991473532e-16
+
+
+def _sin_gap(a: float, b: float) -> float:
+    """sin of the positive arc length from a to b, accurate relative to itself.
+
+    The gap is one rounded difference of canonical angles (the wrap adds pi
+    in two parts); above pi/2 the sine is taken of the complementary gap, so
+    gaps near 0 and near pi both keep their relative accuracy.
+    """
+    g = b - a
+    if g <= 0.0:
+        g = (PI - a) + b + PI_LO
+    if g > 0.5 * PI:
+        g = a - b if a > b else (PI - b) + a + PI_LO
+    return math.sin(g)
+
+
 def hilbert_density(arc: ArcP1, angle: float) -> float:
-    """Density of the Hilbert metric of the arc w.r.t. angle length."""
-    t = angle_gap(arc.start.angle, angle)
-    L = arc.length
-    if not 0.0 < t < L:
+    """Density of the Hilbert metric of the arc w.r.t. angle length, its
+    three sines taken by _sin_gap from the endpoint angles."""
+    start, end = arc.start.angle, arc.end.angle
+    if not 0.0 < angle_gap(start, angle) < arc.length:
         raise OutOfArc(f"angle {angle} outside arc for density")
-    return math.sin(L) / (math.sin(t) * math.sin(L - t))
+    angle = norm_angle(angle)
+    return _sin_gap(start, end) / (_sin_gap(start, angle) * _sin_gap(angle, end))
 
 
 def hilbert_dist(arc: ArcP1, x: ProjPoint, y: ProjPoint) -> float:
@@ -196,27 +225,10 @@ def density_extremes(outer: ArcP1, inner: ArcP1) -> tuple[float, float]:
     return mn, max(ends)
 
 
-# pi - PI: the part of pi that the float PI drops
-PI_LO = 1.2246467991473532e-16
 # relative shade on the closed-form contraction, covering its float evaluation
 CONTRACTION_SHADE = 1e-12
 # contraction reported for an inner arc whose Hilbert diameter rounds to 0
 POINT_CONTRACTION = 1e6
-
-
-def _sin_gap(a: float, b: float) -> float:
-    """sin of the positive arc length from a to b, accurate relative to itself.
-
-    The gap is one rounded difference of canonical angles (the wrap adds pi
-    in two parts); above pi/2 the sine is taken of the complementary gap, so
-    gaps near 0 and near pi both keep their relative accuracy.
-    """
-    g = b - a
-    if g <= 0.0:
-        g = (PI - a) + b + PI_LO
-    if g > 0.5 * PI:
-        g = a - b if a > b else (PI - b) + a + PI_LO
-    return math.sin(g)
 
 
 def contraction_factor(outer: ArcP1, inner: ArcP1) -> float:
@@ -299,15 +311,15 @@ def arcs_of_spans(spans: list[Span]) -> tuple[ArcP1, ...]:
     return tuple(ArcP1.from_angles(s, s + ln) for s, ln in spans)
 
 
-@dataclass(frozen=True)
-class MultiCone:
-    """Finite union of open arcs with pairwise disjoint closures, union != P1."""
+class MultiCone(Record):
+    """Finite union of open arcs with pairwise disjoint closures, union != P1;
+    arcs is a tuple of ArcP1, kept sorted by start."""
 
-    arcs: tuple[ArcP1, ...]
+    __slots__ = ("arcs",)
 
-    def __post_init__(self):
-        arcs = tuple(sorted(self.arcs, key=lambda a: a.start.angle))
-        object.__setattr__(self, "arcs", arcs)
+    def __init__(self, arcs):
+        arcs = tuple(sorted(arcs, key=lambda a: a.start.angle))
+        super().__init__(arcs)
         if not arcs:
             raise DegenerateInput("multicone needs at least one arc")
         total = sum(a.length for a in arcs)

@@ -12,10 +12,10 @@ stages call once per matrix before their angle work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Rational
 
+from ._record import Record
 from .errors import (DegenerateInput, NoInvariantDirection, NotCanonicalizable,
                      PreconditionViolated)
 from .projgeom import ProjPoint, norm_angle, same_angle
@@ -28,14 +28,16 @@ def is_exact(value) -> bool:
     return type(value) is not float and isinstance(value, Rational)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Real 2x2 matrix, normally of determinant 1."""
+class Mat2(Record):
+    """Real 2x2 matrix [[a, b], [c, d]], normally of determinant 1."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     # -- construction -----------------------------------------------------
 
@@ -100,6 +102,10 @@ class Mat2:
         wx = float(self.a) * x + float(self.b) * y
         wy = float(self.c) * x + float(self.d) * y
         return norm_angle(math.atan2(wy, wx))
+
+
+# the slots' own setters, which the frozen __setattr__ does not block
+_set_a, _set_b, _set_c, _set_d = (Mat2.__dict__[f].__set__ for f in Mat2.__slots__)
 
 
 def spectral_norm(a, b, c, d, s: int = 1) -> float:
@@ -203,20 +209,15 @@ def invariant_dirs(m: Mat2) -> tuple[ProjPoint, ProjPoint]:
     return u, s
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
+class CanonicalPair(Record):
     """Upper/lower triangular normal form of a twisted-candidate pair.
 
-    In the stored basis the first matrix is [[mu, alpha], [0, 1/mu]] and the
-    second is [[1/nu, 0], [beta, nu]]; gamma = alpha * beta is basis-free.
+    In the stored basis (a Mat2) the first matrix is [[mu, alpha], [0, 1/mu]]
+    and the second is [[1/nu, 0], [beta, nu]]; gamma = alpha * beta is
+    basis-free.
     """
 
-    mu: float
-    nu: float
-    alpha: float
-    beta: float
-    basis: Mat2
-    gamma: float
+    __slots__ = ("mu", "nu", "alpha", "beta", "basis", "gamma")
 
 
 def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
@@ -298,12 +299,14 @@ def _conjugate_all(R: Mat2, mats) -> list[Mat2]:
 def normalize_tuple(mats, C: float) -> tuple[Mat2, list[Mat2]]:
     """Conjugate the tuple by a single R so every entry is <= c1_bound(C).
 
-    Preconditions |tr A_i| <= C and |tr A_i A_j| <= C are checked.  The
-    construction is a rotation (fixing the largest matrix's diagonal pressure)
-    followed by a diagonal balancing of the off-diagonal maxima; both stages
-    snap to the identity when their goal already holds, which makes the map
-    idempotent up to rounding.
+    C must be a finite number >= 0, and the preconditions |tr A_i| <= C and
+    |tr A_i A_j| <= C are checked.  The construction is a rotation (fixing
+    the largest matrix's diagonal pressure) followed by a diagonal balancing
+    of the off-diagonal maxima; both stages snap to the identity when their
+    goal already holds, which makes the map idempotent up to rounding.
     """
+    if not 0.0 <= C < math.inf:  # NaN fails both comparisons
+        raise PreconditionViolated(f"trace bound {C} is not a finite number >= 0")
     mats = [m.to_float() for m in mats]
     for i, m in enumerate(mats):
         if abs(m.trace()) > C:

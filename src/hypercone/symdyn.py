@@ -20,8 +20,8 @@ generators and of their scales, so no Fraction is multiplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated,
                      SearchBudgetExceeded)
 from .sl2core import Mat2, integer_scaled, is_exact, spectral_norm
@@ -43,14 +43,14 @@ def parse_word(text: str) -> Word:
     return tuple(LETTERS.index(ch) for ch in text.strip().upper())
 
 
-@dataclass(frozen=True)
-class Sft:
-    """Transition-restricted alphabet; allowed[a][b] means a can precede b."""
+class Sft(Record):
+    """Transition-restricted alphabet of n_symbols letters; allowed, a tuple
+    of bool tuples, has allowed[a][b] when a can precede b."""
 
-    n_symbols: int
-    allowed: tuple[tuple[bool, ...], ...]
+    __slots__ = ("n_symbols", "allowed")
 
-    def __post_init__(self):
+    def __init__(self, n_symbols: int, allowed: tuple[tuple[bool, ...], ...]):
+        super().__init__(n_symbols, allowed)
         n = self.n_symbols
         if len(self.allowed) != n or any(len(r) != n for r in self.allowed):
             raise DegenerateInput("transition table shape mismatch")
@@ -198,11 +198,10 @@ def periodic_entries(mats, sft: Sft, n_max: int):
                      if allowed is None or allowed[w[-1]][s] and allowed[s][w[0]]]
 
 
-@dataclass(frozen=True)
-class RateReport:
-    value: float
-    word: Word
-    depth: int
+class RateReport(Record):
+    """min ||product||^(1/n) (value), its word and the depth searched."""
+
+    __slots__ = ("value", "word", "depth")
 
 
 def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:

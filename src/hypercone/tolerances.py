@@ -10,22 +10,24 @@ degenerate outcome instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    angle: float = 1e-10        # equality of projective points, radians
-    det: float = 1e-9           # |det - 1| allowed at construction
-    trace: float = 1e-9         # |tr| vs 2 comparisons
-    band: float = 1e-7          # boundary band half-width for classifiers
-    identity: float = 1e-9      # entrywise distance to +-id
-    parabolic: float = 1e-7     # ||tr| - 2| for parabolic witnesses
-    heteroclinic: float = 1e-9  # angular residual of a connection
-    margin: float = 1e-8        # minimal compact-containment margin, radians
+class Tolerances(Record):
+    _defaults = {
+        "angle": 1e-10,         # equality of projective points, radians
+        "det": 1e-9,            # |det - 1| allowed at construction
+        "trace": 1e-9,          # |tr| vs 2 comparisons
+        "band": 1e-7,           # boundary band half-width for classifiers
+        "identity": 1e-9,       # entrywise distance to +-id
+        "parabolic": 1e-7,      # ||tr| - 2| for parabolic witnesses
+        "heteroclinic": 1e-9,   # angular residual of a connection
+        "margin": 1e-8,         # minimal compact-containment margin, radians
+    }
+    __slots__ = tuple(_defaults)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._key()))
 
 
 DEFAULT = Tolerances()

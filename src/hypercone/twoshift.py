@@ -59,10 +59,10 @@ DegenerateTie, which classify_pair reports as a Degenerate verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from . import _exact
+from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
 from .sl2core import Mat2, eigen_data, integer_scaled
@@ -161,32 +161,21 @@ def eval_string(mats, word: str) -> Mat2:
 # classification outcomes
 
 
-@dataclass(frozen=True)
-class Principal:
-    sign_pair: tuple[int, int]
-    invariant: float
+class Principal(Record):
+    __slots__ = ("sign_pair", "invariant")
 
 
-@dataclass(frozen=True)
-class NonPrincipal:
-    fword: str
-    sign_pair: tuple[int, int]
-    orientation: int
-    iterations: int
-    invariant: float
+class NonPrincipal(Record):
+    __slots__ = ("fword", "sign_pair", "orientation", "iterations", "invariant")
 
 
-@dataclass(frozen=True)
-class EllipticWitness:
-    word: str
-    trace: float
-    iterations: int
+class EllipticWitness(Record):
+    __slots__ = ("word", "trace", "iterations")
 
 
-@dataclass(frozen=True)
-class Degenerate:
-    reason: str
-    value: float = 0.0
+class Degenerate(Record):
+    __slots__ = ("reason", "value")
+    _defaults = {"value": 0.0}
 
 
 Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
 from .sl2core import Mat2, eigen_data, integer_scaled
@@ -27,28 +27,30 @@ from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, re
 from .tolerances import DEFAULT
 
 
-@dataclass(frozen=True)
-class ParabolicHit:
-    word: Word
-    kind: str       # "parabolic" or "identity"
-    trace: float
+class ParabolicHit(Record):
+    __slots__ = ("word",
+                 "kind",   # "parabolic" or "identity"
+                 "trace")
 
 
-@dataclass(frozen=True)
-class HeteroclinicHit:
-    source: Word     # periodic word whose unstable direction is carried
-    connector: Word  # admissible glue (may be empty)
-    target: Word     # periodic word whose stable direction is hit
-    residual: float
+class HeteroclinicHit(Record):
+    __slots__ = ("source",      # periodic word whose unstable direction is carried
+                 "connector",   # admissible glue (may be empty)
+                 "target",      # periodic word whose stable direction is hit
+                 "residual")
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    kind: str        # elliptic | parabolic | identity | heteroclinic | none
-    elliptic: Word | None = None
-    parabolic: ParabolicHit | None = None
-    heteroclinic: HeteroclinicHit | None = None
-    budgets: dict = field(default_factory=dict)
+class BoundaryReport(Record):
+    """The boundary witness found: an elliptic word, a ParabolicHit or a
+    HeteroclinicHit (None where not found), with the search budgets."""
+
+    __slots__ = ("kind",   # elliptic | parabolic | identity | heteroclinic | none
+                 "elliptic", "parabolic", "heteroclinic", "budgets")
+
+    def __init__(self, kind: str, elliptic=None, parabolic=None, heteroclinic=None,
+                 budgets=None):
+        super().__init__(kind, elliptic, parabolic, heteroclinic,
+                         {} if budgets is None else budgets)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "budgets": dict(self.budgets)}

@@ -309,7 +309,9 @@ def test_draw_component_script(tmp_path, capsys):
     ["witness", "--budget=-1,2,2"], ["witness", "--budget=2,0,2"],
     ["witness", "--budget=2,2,-1"], ["witness", "--budget=2,2"],
     ["cores", "--depth=0"], ["cores", "--depth=-1"],
-    ["rate", "--depth=0"], ["rate", "--depth=-1"], ["rate", "--depth=x"]])
+    ["rate", "--depth=0"], ["rate", "--depth=-1"], ["rate", "--depth=x"],
+    ["normalize", "--bound=nan"], ["normalize", "--bound=inf"],
+    ["normalize", "--bound=-1"]])
 def test_bad_depth_is_an_input_error(tmp_path, capsys, argv):
     path = write_spec(tmp_path, FREE_SPEC)
     code = main([*argv, "--input", path])

@@ -49,6 +49,10 @@ def test_unknown_name_is_missing():
      {"corrdyn", "witness", "multicone", "twoshift", "_exact"}),
     (["normalize", "--input", "SPEC", "--bound", "10"],
      {"corrdyn", "witness", "multicone"}),
+    (["winding", "--input", "SPEC", "--word", "AB"],
+     {"multicone", "fareycomb", "witness"}),
+    (["classify2", "--input", "SPEC"],
+     {"multicone", "corrdyn", "witness", "fareycomb"}),
 ])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, absent):
     spec = tmp_path / "spec.json"
@@ -61,6 +65,18 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, absent):
 
 
 ROOT = Path(hypercone.__file__).resolve().parents[2]
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass compiles its generated methods when its module is
+    # imported, a cost every CLI process paid; records derive _record.Record
+    importers = sorted(
+        path.name for path in (ROOT / "src" / "hypercone").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Import)
+            and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
+    assert not importers, f"dataclasses imported by {importers}"
 
 # names that no library, CLI, script or benchmark code reads, each kept on
 # purpose; anything else without a caller is a wrapper only tests use

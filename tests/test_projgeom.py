@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercone.errors import DegenerateInput, OutOfArc
@@ -115,6 +115,8 @@ def fine_min_density_ratio(outer, inner, cells=64, steps=200):
        st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0),
                  st.floats(0.01, 1.0)))
 @settings(max_examples=200, deadline=None)
+# an arc wrapping past pi, where the density once lost PI_LO
+@example(start=3.140625, length=0.01171875, weights=(1.0, 0.015625, 0.01))
 def test_contraction_factor_is_the_density_ratio_infimum(start, length, weights):
     off, ln, _ = (length * w / sum(weights) for w in weights)
     outer = ArcP1.from_angles(start, start + length)

@@ -138,6 +138,14 @@ def test_normalize_precondition_violated():
         normalize_tuple([Mat2(100, 0, 0, 0.01)], 10.0)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, -1.0])
+def test_normalize_rejects_a_bound_that_is_not_a_finite_number(bound):
+    # a NaN or infinite bound passes every |tr| > C test, and gave a
+    # conjugator with a NaN or infinite entry bound
+    with pytest.raises(PreconditionViolated):
+        normalize_tuple([Mat2(2, 1, 1, 1)], bound)
+
+
 def test_normalize_bounds_traces_idempotence(free_pair):
     A, B = free_pair
     rng = random.Random(6)
