@@ -20,7 +20,8 @@ the height of the composed lifts of the correspondences (tests/lifts.py).
 multicone and fareycomb are imported inside the three functions that read
 them (induced_morphism, morphism_hyperbolic, _model_morphism), so that the
 calculus and winding_matrix, which the `winding` subcommand runs, load
-neither module: a CLI process compiles what it imports, on every call.
+neither module, and the word product comes from symdyn, not twoshift: a
+CLI process compiles what it imports, on every call.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
 from .projgeom import PI
 from .sl2core import Mat2, eigen_data
-from .symdyn import LETTERS
+from .symdyn import LETTERS, eval_string
 from .tolerances import DEFAULT
-from .twoshift import eval_string
 
 
 class CombMulticone(Record):

@@ -33,7 +33,6 @@ k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ._record import Record
@@ -224,17 +223,28 @@ def _family_products(mats, family: OrderedFamily) -> dict:
     """word -> (n, s): the product of each family word over mats is n/s.
 
     Exact input is multiplied as integer matrices (integer_scaled), and s is
-    the product of the letters' scales.  Other input has s = 1 and n is
-    eval_string's product, which eigen_data integer-scales when it is exact
-    (a word of only the exact letters of mixed input).
+    the product of the letters' scales.  Other input has s = 1, and n is then
+    exact only for a word of the exact letters of mixed input, which
+    eigen_data integer-scales.  The words share one tree of prefix products:
+    each prefix's product is its parent prefix's times its last letter, so
+    every word is multiplied left to right, as symdyn.eval_string does, and
+    has its bits, while a prefix that several words share (a rotation
+    family's words have few distinct factors) is multiplied once.
     """
-    from .twoshift import eval_string
     exact = all(m.is_exact() for m in mats)
-    scaled = [integer_scaled(m) if exact else (m, 1) for m in mats]
-    ints = [n for n, _ in scaled]
-    return {fw.word: (eval_string(ints, fw.word),
-                      math.prod(scaled[LETTERS.index(ch)][1] for ch in fw.word))
-            for fw in family.order}
+    tree = {ch: integer_scaled(m) if exact else (m, 1) for ch, m in zip(LETTERS, mats)}
+    out = {}
+    for fw in family.order:
+        word = fw.word
+        n, s = tree[word[0]]
+        for i in range(2, len(word) + 1):
+            known = tree.get(word[:i])
+            if known is None:
+                m, t = tree[word[i - 1]]
+                known = tree[word[:i]] = (n @ m, s * t)
+            n, s = known
+        out[word] = (n, s)
+    return out
 
 
 def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:

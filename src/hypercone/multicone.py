@@ -51,10 +51,42 @@ def image_span(m: Mat2, span: Span, pins=(None, None)) -> Span:
     return (a1, angle_gap(a1, a2))
 
 
-def best_target(img: Span, targets) -> tuple[int | None, float]:
+def start_order(targets) -> tuple[list[float], range | list[int]]:
+    """The target arcs' start angles in increasing order, and the index of
+    each in targets: best_target's lookup, made once per target tuple.
+    Targets that come sorted, as a MultiCone's arcs and computed cores do,
+    keep their indices."""
+    starts = [a.start.angle for a in targets]
+    ordered = sorted(starts)
+    if ordered == starts:
+        return starts, range(len(starts))
+    return ordered, sorted(range(len(starts)), key=starts.__getitem__)
+
+
+def best_target(img: Span, targets, order) -> tuple[int | None, float]:
     """(index, margin) of the target arc holding the span by the largest
     containment margin; the first maximum wins, and (None, -pi) means no
-    margin exceeds -pi."""
+    margin exceeds -pi.  order is start_order(targets).
+
+    The target arcs have disjoint closures.  A non-negative margin puts the
+    whole span, start included, in the closure of its arc, so at most one
+    arc has one, and it is the strict first maximum.  That arc is the last
+    one starting at or before the span's start (the last arc of all when
+    the span starts before every arc: it wraps across 0), found by
+    bisection.  When its margin is negative, the scan over all arcs finds
+    the largest, so the margins, the index and the first maximum rule are
+    those of the scan alone.  In floats a margin carries
+    a few ulps of pi of rounding, so a second arc can also read a margin
+    >= 0 only when its closure lies within those few ulps of the first
+    arc's and both margins are that small; there the bisected arc is
+    returned, where the scan returns the first.
+    """
+    starts, idx = order
+    if idx:
+        k = idx[bisect.bisect_right(starts, img[0]) - 1]
+        mg = containment_margin(targets[k], img)
+        if mg >= 0.0:
+            return k, mg
     best, best_j = -PI, None
     for j, comp in enumerate(targets):
         mg = containment_margin(comp, img)
@@ -74,9 +106,10 @@ def component_map(m: Mat2, source, target, pins=None) -> tuple[int, ...]:
     incidence slack (AmbiguousIncidence otherwise); pins gives, per source
     arc, image endpoints known exactly (see image_span)."""
     out = []
+    order = start_order(target)
     for i, arc in enumerate(source):
         img = image_span(m, arc.span, pins[i] if pins else (None, None))
-        j, margin = best_target(img, target)
+        j, margin = best_target(img, target, order)
         if margin < -_incidence_slack(arc.length, img[1]):
             raise AmbiguousIncidence(
                 f"image of arc at {arc.start.angle:.6f} not inside a single "
@@ -124,12 +157,14 @@ class CertifyReport(Record):
                 "margin": self.margin, "witness": self.witness}
 
 
-def _strict_image(m: Mat2, arc: ArcP1, targets) -> tuple[Span, int | None, float]:
-    """(image span, target index, margin) of the arc under m; the index is None
-    below the strict-containment floor, which scales with the target: deep
-    components are exponentially thin, and a fixed floor rejects true ones."""
+def _strict_image(m: Mat2, arc: ArcP1, targets,
+                  order) -> tuple[Span, int | None, float]:
+    """(image span, target index, margin) of the arc under m, order being
+    start_order(targets); the index is None below the strict-containment
+    floor, which scales with the target: deep components are exponentially
+    thin, and a fixed floor rejects true ones."""
     img = image_span(m, arc.span)
-    j, best = best_target(img, targets)
+    j, best = best_target(img, targets, order)
     if j is not None and best < max(DEFAULT.margin * min(1.0, targets[j].length), 4e-14):
         j = None
     return img, j, best
@@ -148,13 +183,15 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
     # images[beta][j] collects spans landing in component j of cone beta
     images: list[dict[int, list[Span]]] = [dict() for _ in range(n)]
     worst = PI
+    # one lookup per distinct cone: a constant family repeats one object
+    orders = {id(cone): start_order(cone.arcs) for cone in fam.cones}
     for alpha in range(n):
         for beta in range(n):
             if not sft.ok(alpha, beta):
                 continue
-            targets = fam.cones[beta].arcs
+            targets, order = fam.cones[beta].arcs, orders[id(fam.cones[beta])]
             for ai, arc in enumerate(fam.cones[alpha].arcs):
-                img, j, best = _strict_image(mats[beta], arc, targets)
+                img, j, best = _strict_image(mats[beta], arc, targets, order)
                 if j is None:
                     witness = {"alpha": alpha, "beta": beta, "component": ai,
                                "margin": best}
@@ -535,8 +572,9 @@ def tightness(mats, cone: MultiCone, cores: CoreSet) -> bool:
     for comp_set, arcs in ((cone.arcs, cores.u_arcs),
                            (cone.complement().arcs, cores.s_arcs)):
         counts = [0 for _ in comp_set]
+        order = start_order(comp_set)
         for arc in arcs:
-            j, margin = best_target(arc.span, comp_set)
+            j, margin = best_target(arc.span, comp_set, order)
             if margin <= -DEFAULT.angle:
                 return False
             counts[j] += 1
@@ -658,9 +696,14 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     b = min(BOOST, max(-0.5 * mean_cycle, 1e-12))
     edges = {n: [(t, w + b) for (t, w) in raw_edges[n]] for n in nodes}
 
+    # longest-path relaxation, to its fixed point: a round that changes no
+    # value of P would be repeated by every later round
     P = {n: 0.0 for n in nodes}
     for _ in range(2 * q + 2):
-        P = {n: max([0.0] + [w + P[t] for (t, w) in edges[n]]) for n in nodes}
+        relaxed = {n: max([0.0] + [w + P[t] for (t, w) in edges[n]]) for n in nodes}
+        if relaxed == P:
+            break
+        P = relaxed
 
     radius = {n: HILBERT_EPS * math.exp(-P[n]) for n in nodes}
     xi = {n: _xi(hosts[n[0]], point[n]) for n in nodes}
@@ -675,7 +718,8 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
             cone = None
         # the arc certify rejected last is tried first: while it fails, so does certify
         if cone is not None and (rejected is None or _strict_image(
-                mats[rejected[0]], cone.arcs[rejected[1]], cone.arcs)[1] is not None):
+                mats[rejected[0]], cone.arcs[rejected[1]], cone.arcs,
+                start_order(cone.arcs))[1] is not None):
             report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols))
             if report.ok:
                 return cone

@@ -124,6 +124,16 @@ def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     return out
 
 
+def eval_string(mats, word: str) -> Mat2:
+    """Left-to-right product of a word of LETTERS over mats = (A, B[, ...]):
+    "BAB" is B @ A @ B, the reverse of product's orbit order."""
+    out = None
+    for ch in word:
+        m = mats[LETTERS.index(ch)]
+        out = m if out is None else out @ m
+    return out
+
+
 def _times(x, y):
     """The entries of Mat2(*x) @ Mat2(*y), in Mat2.__matmul__'s operation order."""
     a, b, c, d = x

@@ -66,7 +66,6 @@ from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
 from .sl2core import Mat2, eigen_data, integer_scaled
-from .symdyn import LETTERS
 from .tolerances import DEFAULT
 
 
@@ -146,15 +145,6 @@ def fword_substitution(fword: str) -> tuple[str, str]:
         else:
             wa = wb + wa
     return wa, wb
-
-
-def eval_string(mats, word: str) -> Mat2:
-    """Left-to-right product of the word over mats = (A, B[, ...])."""
-    out = None
-    for ch in word:
-        m = mats[LETTERS.index(ch)]
-        out = m if out is None else out @ m
-    return out
 
 
 # ---------------------------------------------------------------------------

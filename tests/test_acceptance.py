@@ -24,12 +24,11 @@ from hypercone.multicone import (MulticoneFamily, certify, core_criterion,
                                  fatten_cores)
 from hypercone.projgeom import ArcP1, MultiCone
 from hypercone.sl2core import Mat2, c1_bound, normalize_tuple, spectral_norm
-from hypercone.symdyn import Sft, periodic_words, product
+from hypercone.symdyn import Sft, eval_string, periodic_words, product
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
-                                apply_fword_inverse, classify_pair,
-                                eval_string, fricke, trace_step_minus,
-                                trace_step_plus)
+                                apply_fword_inverse, classify_pair, fricke,
+                                trace_step_minus, trace_step_plus)
 from hypercone.witness import best_heteroclinic
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             four_interval_family, group_tuple)

@@ -354,7 +354,7 @@ def test_winding_increment_bound(mild_free_pair_exact):
 def test_winding_trace_sign_law(free_pair):
     # with positive generator traces: sign(tr) = (-1)^winding
     A, B = free_pair
-    from hypercone.twoshift import eval_string
+    from hypercone.symdyn import eval_string
     for n in range(1, 7):
         for bits in itertools.product("AB", repeat=n):
             word = "".join(bits)

@@ -12,7 +12,8 @@ from hypercone.fareycomb import (_family_products, action_table, build_order,
 from hypercone.multicone import core_criterion
 from hypercone.projgeom import angle_dist
 from hypercone.sl2core import Mat2, eigen_data
-from hypercone.twoshift import apply_fword_inverse, eval_string
+from hypercone.symdyn import eval_string
+from hypercone.twoshift import apply_fword_inverse
 from tests.conftest import canonical_pair
 from tests.test_acceptance import REFLECT, _mild_exact_base
 
@@ -284,6 +285,23 @@ def test_family_products_match_eval_string_exactly():
         fpair = tuple(m.to_float() for m in pair)
         for w, (n, scale) in _family_products(fpair, family).items():
             assert scale == 1 and repr(n) == repr(eval_string(fpair, w)), (fword, w)
+
+
+def test_family_products_share_prefixes(monkeypatch):
+    # the 62 words of +--+-+ (rank 31) have 524 distinct prefixes longer than
+    # a letter, one product each; a product per word and letter takes 1,404
+    family = build_order(j_of_fword("+--+-+"))
+    assert family.fraction == Fraction(13, 31)
+    calls = []
+    matmul = Mat2.__matmul__
+
+    def counted(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(Mat2, "__matmul__", counted)
+    _family_products((Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 2.0)), family)
+    assert len(calls) == 524
 
 
 def test_component_model_float_points_are_eval_string_bits():

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypercone import multicone
 from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
                               SearchBudgetExceeded)
 from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _fill_against,
-                                 alternation, certify, component_map,
+                                 alternation, best_target, certify, component_map,
                                  compute_cores, core_criterion,
-                                 eventual_constancy, fatten_cores, tightness)
-from hypercone.projgeom import (PI, ArcP1, MultiCone, angle_dist,
-                                containment_margin, merge_spans)
+                                 eventual_constancy, fatten_cores, start_order,
+                                 tightness)
+from hypercone.projgeom import (PI, ArcP1, MultiCone, angle_dist, angle_gap,
+                                containment_margin, merge_spans, norm_angle)
 from hypercone.sl2core import Mat2, eigen_data, spectral_norm
 from hypercone.symdyn import Sft, parse_word, periodic_words, product
 from hypercone.tolerances import DEFAULT
@@ -651,3 +653,95 @@ def test_alternation_defects():
     assert alternation((), ())[1] == "counts"
     assert alternation((u[0], s[0]), (u[1], s[1]))[1] == "order"
     assert alternation((arc(0.0, 0.7),) + u[1:], s)[1] == "overlap"
+
+
+# ---------------------------------------------------------------------------
+# best_target's bisection against the scan over every target
+
+
+def _best_target_scan(img, targets):
+    """Reference: the first largest containment margin over all targets."""
+    best, best_j = -PI, None
+    for j, comp in enumerate(targets):
+        mg = containment_margin(comp, img)
+        if mg > best:
+            best, best_j = mg, j
+    return best_j, best
+
+
+def _random_targets(rng, q):
+    """q arcs with disjoint closures; arcs and gaps between 1e-11 and about
+    pi/q, turned by a random angle so that an arc may wrap across 0."""
+    pieces = [10 ** rng.uniform(-11, -1) if rng.random() < 0.25 else rng.random()
+              for _ in range(2 * q)]
+    scale = PI / sum(pieces)
+    at, ends = rng.uniform(0.0, PI), []
+    for piece in pieces:
+        ends.append(at)
+        at += piece * scale
+    return MultiCone(tuple(ArcP1.from_angles(ends[i], ends[i + 1])
+                           for i in range(0, 2 * q, 2))).arcs
+
+
+def _random_spans(rng, targets, n):
+    """Spans anywhere, inside a target, pinned to a target's endpoint, just
+    before a target's start, and across 0/pi; lengths from 0 to near pi."""
+    for _ in range(n):
+        t = rng.choice(targets)
+        s, ln = t.start.angle, t.length
+        kind = rng.randrange(5)
+        if kind == 0:
+            yield (rng.uniform(0.0, PI),
+                   rng.choice([0.0, rng.uniform(0.0, PI), PI - 10 ** -rng.uniform(1, 12)]))
+        elif kind == 1:
+            off = rng.random() * ln
+            yield norm_angle(s + off), rng.random() * (ln - off)
+        elif kind == 2:  # pinned: an endpoint that is the target's own
+            x = norm_angle(s + rng.uniform(-0.1, 1.1) * ln)
+            yield rng.choice([(s, angle_gap(s, x)), (x, angle_gap(x, t.end.angle)),
+                              (s, ln), (t.end.angle, 0.0), (s, 0.0)])
+        elif kind == 3:
+            yield norm_angle(s - 10 ** -rng.uniform(9, 17)), rng.random() * ln
+        else:
+            x = 10 ** -rng.uniform(1, 12)
+            yield norm_angle(rng.choice([-x, x])), rng.uniform(0.0, PI - x)
+
+
+def test_best_target_matches_the_scan_over_all_targets():
+    rng = random.Random(24)
+    fast = slow = 0
+    for q in range(1, 32):
+        for shuffled in (False, True, False, True):
+            targets = list(_random_targets(rng, q))
+            if shuffled:
+                rng.shuffle(targets)
+            targets = tuple(targets)
+            order = start_order(targets)
+            for img in _random_spans(rng, targets, 60):
+                got = best_target(img, targets, order)
+                assert got == _best_target_scan(img, targets), (targets, img)
+                if got[1] >= 0.0:
+                    fast += 1
+                else:
+                    slow += 1
+    assert fast > 1000 and slow > 1000
+
+
+def test_certify_reads_one_margin_per_image(monkeypatch):
+    # an accepted certificate of a rank-13 component: each of the 4 * 13
+    # images lands inside its target, where the bisected arc is the one
+    from tests.test_fareycomb import exact_pullbacks
+    pair, _, model = exact_pullbacks()[11]
+    assert model.cores.rank == 13
+    cone = fatten_cores(pair, model.cores)
+    fam = MulticoneFamily.constant(cone, 2)
+    calls = []
+
+    def counted(outer, span):
+        calls.append(span)
+        return containment_margin(outer, span)
+
+    monkeypatch.setattr(multicone, "containment_margin", counted)
+    rep = certify(pair, Sft.full(2), fam)
+    assert rep.ok
+    assert len(calls) == 4 * 13

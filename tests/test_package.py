@@ -50,7 +50,7 @@ def test_unknown_name_is_missing():
     (["normalize", "--input", "SPEC", "--bound", "10"],
      {"corrdyn", "witness", "multicone"}),
     (["winding", "--input", "SPEC", "--word", "AB"],
-     {"multicone", "fareycomb", "witness"}),
+     {"multicone", "fareycomb", "witness", "twoshift", "_exact"}),
     (["classify2", "--input", "SPEC"],
      {"multicone", "corrdyn", "witness", "fareycomb"}),
 ])

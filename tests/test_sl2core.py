@@ -10,7 +10,7 @@ from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
                                classify, eigen_data, integer_scaled,
                                invariant_dirs, is_exact, normalize_tuple,
                                spectral_norm)
-from hypercone.twoshift import eval_string
+from hypercone.symdyn import eval_string
 
 
 def rand_sl2(rng, scale=3.0):

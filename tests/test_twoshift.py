@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hypercone import twoshift
 from hypercone.errors import DegenerateTie
 from hypercone.sl2core import Mat2, eigen_data
+from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
                                 Principal, TraceTriple, apply_fword_inverse,
-                                classify_pair, eval_string, fricke,
+                                classify_pair, fricke,
                                 fword_substitution, is_free, is_twisted,
                                 orientation_of_free_pair, pair_step_minus,
                                 pair_step_plus, step_select, trace_step_minus,
