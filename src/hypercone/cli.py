@@ -45,12 +45,8 @@ def _parse_entry(v, exact: bool):
     if isinstance(v, bool):
         raise InputError(f"entry {v!r} is not a number")
     if exact:
-        if isinstance(v, str):
+        if isinstance(v, (str, int)) or isinstance(v, float) and v.is_integer():
             return Fraction(v)
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, float) and v.is_integer():
-            return Fraction(int(v))
         raise InputError(f"entry {v!r} is not exact in rational mode")
     if isinstance(v, str):
         return float(Fraction(v))
@@ -92,7 +88,7 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
     if not isinstance(shift, dict):
         raise InputError(f"shift {shift!r} is not a JSON object")
     if shift.get("type", "full") == "full":
-        return mats, Sft.full(n), mode
+        return mats, Sft.full(n)
     if shift["type"] != "sft":
         raise InputError(f"unknown shift type {shift['type']!r} (expected 'full' or 'sft')")
     if "allowed" not in shift:
@@ -103,7 +99,7 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
         raise InputError(f"malformed allowed table: {exc}") from exc
     if len(table) != n or any(len(row) != n for row in table):
         raise InputError(f"transition table is not {n} by {n} for {n} matrices")
-    return mats, Sft(n, table), mode
+    return mats, Sft(n, table)
 
 
 def load_specs(path: str, mode_flag: str | None):
@@ -134,72 +130,123 @@ def _write_svg(path: str, text: str):
 # subcommands
 
 
-def cmd_classify2(args) -> int:
-    from . import twoshift
+def _run(args) -> int:
+    """The tuple subcommands' one loop.  Once the specs are read,
+    args.decide(args) gives the command's budgets and its verdict(mats,
+    sft) -> (verdict, exit code), called per tuple in input order; one
+    envelope named by the command follows the last tuple, so an error
+    within a batch prints none.  Returns the worst exit code."""
     specs, digest = load_specs(args.input, args.mode)
-    verdicts = []
-    worst = EXIT_OK
-    for mats, sft, mode in specs:
+    verdict, budgets = args.decide(args)
+    verdicts, worst = [], EXIT_OK
+    for mats, sft in specs:
+        v, code = verdict(mats, sft)
+        verdicts.append(v)
+        worst = max(worst, code)
+    sys.stdout.write(envelope(args.command, digest, verdicts, budgets))
+    return worst
+
+
+def decide_classify2(args):
+    from . import twoshift
+
+    def verdict(mats, sft):
         if len(mats) != 2 or not sft.is_full:
             raise InputError("classify2 needs exactly two matrices on the full shift")
-        c = twoshift.classify_pair(mats[0], mats[1])
+        c = twoshift.classify_pair(*mats)
         d = twoshift.classification_to_dict(c)
-        verdicts.append(d)
-        if d["variant"] == "degenerate":
-            worst = max(worst, EXIT_DEGENERATE)
         if args.svg and d["variant"] == "non_principal":
             from . import fareycomb, render
             model = fareycomb.component_model(
-                mats[0] if c.sign_pair[0] > 0 else -mats[0],
-                mats[1] if c.sign_pair[1] > 0 else -mats[1], c.fword)
+                *(m if sign > 0 else -m for m, sign in zip(mats, c.sign_pair)), c.fword)
             _write_svg(args.svg, render.component_diagram(model))
-    sys.stdout.write(envelope("classify2", digest, verdicts))
-    return worst
+        return d, EXIT_DEGENERATE if d["variant"] == "degenerate" else EXIT_OK
+    return verdict, None
 
 
-def cmd_certify(args) -> int:
+def decide_certify(args):
     from . import multicone
-    specs, digest = load_specs(args.input, args.mode)
     with open(args.multicone, "rb") as fh:
         fam_data = json.loads(fh.read())
-    verdicts = []
-    worst = EXIT_OK
-    for mats, sft, _ in specs:
+
+    def verdict(mats, sft):
         fam = multicone.MulticoneFamily.from_json(fam_data)
         report = multicone.certify(mats, sft, fam)
-        verdicts.append(report.to_json())
-        if not report.ok:
-            worst = max(worst, EXIT_DEGENERATE)
         if args.svg:
             from . import render
-            _write_svg(args.svg, render.svg_diagram(cone=fam.cones[0],
-                                                    title="certified family"
-                                                    if report.ok else "rejected"))
-    sys.stdout.write(envelope("certify", digest, verdicts))
-    return worst
+            _write_svg(args.svg, render.svg_diagram(
+                cone=fam.cones[0], title="certified family" if report.ok else "rejected"))
+        return report.to_json(), EXIT_OK if report.ok else EXIT_DEGENERATE
+    return verdict, None
 
 
-def cmd_cores(args) -> int:
+def decide_cores(args):
     from . import multicone
-    specs, digest = load_specs(args.input, args.mode)
-    verdicts = []
-    for mats, sft, _ in specs:
+
+    def verdict(mats, sft):
         cores = multicone.compute_cores(mats, sft, depth=args.depth)
-        verdicts.append(cores.to_json())
         if args.svg:
             from . import render
             _write_svg(args.svg, render.svg_diagram(cores=cores, title="cores"))
-    sys.stdout.write(envelope("cores", digest, verdicts,
-                              budgets={"depth": args.depth}))
-    return EXIT_OK
+        return cores.to_json(), EXIT_OK
+    return verdict, {"depth": args.depth}
 
 
-def _order_svg(family, title: str) -> str:
-    from . import render
+def decide_winding(args):
+    from . import corrdyn
+    word = args.word.upper()
+
+    def verdict(mats, sft):
+        alphabet = LETTERS[:len(mats)]
+        if not set(word) <= set(alphabet):
+            raise InputError(f"word {word!r} is not over the alphabet {alphabet}")
+        return {"word": word, "winding": corrdyn.winding_matrix(mats, word)}, EXIT_OK
+    return verdict, None
+
+
+def decide_witness(args):
+    from . import witness
+    k, ell, n = args.budget
+
+    def verdict(mats, sft):
+        return witness.diagnose_boundary(mats, sft, budget=args.budget).to_json(), EXIT_OK
+    return verdict, {"k": k, "l": ell, "n": n}
+
+
+def decide_normalize(args):
+    def verdict(mats, sft):
+        R, out = normalize_tuple(mats, args.bound)
+        return {"bound": args.bound, "entry_bound": c1_bound(args.bound),
+                "conjugator": [[R.a, R.b], [R.c, R.d]],
+                "normalized": [[[m.a, m.b], [m.c, m.d]] for m in out]}, EXIT_OK
+    return verdict, {"bound": args.bound}
+
+
+def decide_rate(args):
+    def verdict(mats, sft):
+        rep = hyperbolicity_rate(mats, sft, args.depth)
+        return {"rate": rep.value, "word": render_word(rep.word),
+                "depth": rep.depth}, EXIT_OK
+    return verdict, {"depth": args.depth}
+
+
+def _rotation(args, text: str, frac: Fraction, title: str, **fields) -> int:
+    """describe's and farey's one verdict: the fields with frac's rotation
+    family (order, lex_first, lex_last), whose order --svg draws, in an
+    envelope digested from the text argument."""
+    from . import fareycomb
+    family = fareycomb.build_order(frac)
     words = family.words()
-    n = len(words)
-    points = {w: math.pi * i / n for i, w in enumerate(words)}
-    return render.svg_diagram(points=points, title=title)
+    if args.svg:
+        from . import render
+        points = {w: math.pi * i / len(words) for i, w in enumerate(words)}
+        _write_svg(args.svg, render.svg_diagram(points=points, title=title))
+    # build_order has checked 0 < frac < 1, so str(frac) reads p/q
+    verdict = dict(fields, fraction=str(frac), order=words,
+                   lex_first=family.lex_first, lex_last=family.lex_last)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    sys.stdout.write(envelope(args.command, digest, [verdict]))
+    return EXIT_OK
 
 
 def cmd_describe(args) -> int:
@@ -212,99 +259,16 @@ def cmd_describe(args) -> int:
     if set(fword) - {"+", "-"}:
         raise InputError(f"sign word {fword!r} has characters other than '+' and '-'")
     frac = fareycomb.j_of_fword(fword)
-    family = fareycomb.build_order(frac)
-    table = fareycomb.action_table(frac)
-    verdict = {
-        "fword": fword,
-        "fraction": f"{frac.numerator}/{frac.denominator}",
-        "order": family.words(),
-        "lex_first": family.lex_first,
-        "lex_last": family.lex_last,
-        "action": {w: {g: {"to": t, "exact": e} for g, (t, e) in row.items()}
-                   for w, row in table.items()},
-    }
-    if args.svg:
-        _write_svg(args.svg, _order_svg(
-            family, f"component {frac.numerator}/{frac.denominator}"))
-    digest = hashlib.sha256(fword.encode()).hexdigest()
-    sys.stdout.write(envelope("describe", digest, [verdict]))
-    return EXIT_OK
+    action = {w: {g: {"to": t, "exact": e} for g, (t, e) in row.items()}
+              for w, row in fareycomb.action_table(frac).items()}
+    return _rotation(args, fword, frac, f"component {frac}", fword=fword, action=action)
 
 
 def cmd_farey(args) -> int:
     from . import fareycomb
     text, frac = args.pq
-    family = fareycomb.build_order(frac)
-    left, right = family.parents
-    verdict = {
-        "fraction": f"{frac.numerator}/{frac.denominator}",
-        "parents": [f"{left.numerator}/{left.denominator}",
-                    f"{right.numerator}/{right.denominator}"],
-        "order": family.words(),
-        "lex_first": family.lex_first,
-        "lex_last": family.lex_last,
-    }
-    if args.svg:
-        _write_svg(args.svg, _order_svg(family, f"order of {text}"))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    sys.stdout.write(envelope("farey", digest, [verdict]))
-    return EXIT_OK
-
-
-def cmd_winding(args) -> int:
-    from . import corrdyn
-    specs, digest = load_specs(args.input, args.mode)
-    word = args.word.upper()
-    verdicts = []
-    for mats, sft, _ in specs:
-        alphabet = LETTERS[:len(mats)]
-        if not set(word) <= set(alphabet):
-            raise InputError(f"word {word!r} is not over the alphabet {alphabet}")
-        n = corrdyn.winding_matrix(mats, word)
-        verdicts.append({"word": word, "winding": n})
-    sys.stdout.write(envelope("winding", digest, verdicts))
-    return EXIT_OK
-
-
-def cmd_witness(args) -> int:
-    from . import witness
-    specs, digest = load_specs(args.input, args.mode)
-    k, ell, n = args.budget
-    verdicts = []
-    for mats, sft, _ in specs:
-        report = witness.diagnose_boundary(mats, sft, budget=(k, ell, n))
-        verdicts.append(report.to_json())
-    sys.stdout.write(envelope("witness", digest, verdicts,
-                              budgets={"k": k, "l": ell, "n": n}))
-    return EXIT_OK
-
-
-def cmd_normalize(args) -> int:
-    specs, digest = load_specs(args.input, args.mode)
-    verdicts = []
-    for mats, sft, _ in specs:
-        R, out = normalize_tuple(mats, args.bound)
-        verdicts.append({
-            "bound": args.bound,
-            "entry_bound": c1_bound(args.bound),
-            "conjugator": [[R.a, R.b], [R.c, R.d]],
-            "normalized": [[[m.a, m.b], [m.c, m.d]] for m in out],
-        })
-    sys.stdout.write(envelope("normalize", digest, verdicts,
-                              budgets={"bound": args.bound}))
-    return EXIT_OK
-
-
-def cmd_rate(args) -> int:
-    specs, digest = load_specs(args.input, args.mode)
-    verdicts = []
-    for mats, sft, _ in specs:
-        rep = hyperbolicity_rate(mats, sft, args.depth)
-        verdicts.append({"rate": rep.value, "word": render_word(rep.word),
-                         "depth": rep.depth})
-    sys.stdout.write(envelope("rate", digest, verdicts,
-                              budgets={"depth": args.depth}))
-    return EXIT_OK
+    parents = [f"{f.numerator}/{f.denominator}" for f in fareycomb.farey_interval(frac)]
+    return _rotation(args, text, frac, f"order of {text}", parents=parents)
 
 
 def _depth(text: str) -> int:
@@ -359,27 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
                              "finite SL(2,R) families")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, decide):
         p.add_argument("--input", required=True, help="tuple spec JSON file")
         p.add_argument("--mode", choices=["float", "rational"], default=None)
+        p.set_defaults(func=_run, decide=decide)
 
     p = sub.add_parser("classify2", help="decide a pair over the full 2-shift")
-    add_common(p)
+    add_common(p, decide_classify2)
     p.add_argument("--svg", default=None, help="write a component diagram here")
-    p.set_defaults(func=cmd_classify2)
 
     p = sub.add_parser("certify", help="check a multicone family certificate")
-    add_common(p)
+    add_common(p, decide_certify)
     p.add_argument("--multicone", required=True, help="multicone family JSON")
     p.add_argument("--svg", default=None, help="write the family's diagram here")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("cores", help="cores filled from periodic points")
-    add_common(p)
+    add_common(p, decide_cores)
     p.add_argument("--svg", default=None, help="write the cores' diagram here")
     p.add_argument("--depth", type=_depth, default=12,
                    help="longest periodic word length tried")
-    p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("describe", help="combinatorics of a component by sign word")
     p.add_argument("--fword", required=True, help="sign word over '+' and '-' "
@@ -395,25 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_farey)
 
     p = sub.add_parser("winding", help="winding number of a word")
-    add_common(p)
+    add_common(p, decide_winding)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("witness", help="search non-hyperbolicity witnesses")
-    add_common(p)
+    add_common(p, decide_witness)
     p.add_argument("--budget", type=_budget, default="12,12,8",
                    help="k,l,n search depths")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("normalize", help="conjugate a tuple into bounded entries")
-    add_common(p)
+    add_common(p, decide_normalize)
     p.add_argument("--bound", type=_bound, required=True, help="shared trace bound")
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("rate", help="finite-depth hyperbolicity rate estimate")
-    add_common(p)
+    add_common(p, decide_rate)
     p.add_argument("--depth", type=_depth, default=12)
-    p.set_defaults(func=cmd_rate)
 
     return ap
 
@@ -422,10 +380,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except SearchBudgetExceeded as exc:

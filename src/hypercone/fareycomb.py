@@ -188,16 +188,6 @@ class ComponentModel(Record):
                  "u_points",   # word -> ProjPoint
                  "s_points")
 
-    def to_json(self) -> dict:
-        return {
-            "fraction": f"{self.fraction.numerator}/{self.fraction.denominator}",
-            "orientation": "positive" if self.orientation > 0 else "negative",
-            "order": [fw.word for fw in self.family.order],
-            "cores": self.cores.to_json(),
-            "action": {w: {g: {"to": t, "exact": e} for g, (t, e) in row.items()}
-                       for w, row in self.table.items()},
-        }
-
 
 def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
                            reverse: bool) -> bool:

@@ -16,6 +16,10 @@ and eventual constancy of the component action).  At rank >= 2 eventual
 constancy rules out +-identity products of every length; at rank 1 the
 action is constant from the start, and each letter is checked against
 +-identity instead.
+
+The layer takes generators of determinant > 0: an image span keeps the
+orientation of its arc (image_span), and a generator of determinant < 0
+reverses it, so compute_cores refuses one (PreconditionViolated).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 
 from ._record import Record
 from .errors import (AmbiguousIncidence, BadFamily, DegenerateInput, NoConvergence,
-                     NoInvariantDirection, SearchBudgetExceeded)
+                     NoInvariantDirection, PreconditionViolated, SearchBudgetExceeded)
 from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
@@ -209,11 +213,11 @@ def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
             c_min = min(c_min, hilbert_density(comp, comp.midpoint.angle))
         for j, spans in images[beta].items():
             comp = fam.cones[beta].arcs[j]
+            # a point image is infinitely contracted, and merge_spans drops
+            # it: only its density counts
+            c_max = max([c_max] + [hilbert_density(comp, s)
+                                   for s, ln in spans if ln <= 0.0])
             for s, ln in merge_spans(spans):
-                if ln <= 0.0:
-                    # point-like image: infinitely contracted, no constraint
-                    c_max = max(c_max, hilbert_density(comp, s))
-                    continue
                 inner = ArcP1.from_angles(s, s + ln)
                 lam = min(lam, contraction_factor(comp, inner))
                 _, hi = density_extremes(comp, inner)
@@ -400,7 +404,9 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     against U (_filled_view), and the first system to pass _invariant is
     returned; SearchBudgetExceeded if none up to depth does.  Every cyclic
     word of a uniformly hyperbolic tuple is hyperbolic, so the first that is
-    not raises NoConvergence (_directions).
+    not raises NoConvergence (_directions).  A generator of determinant < 0
+    raises PreconditionViolated when the tree reaches it; on exact input the
+    sign is read on its integer entries, so exactly.
 
     Exact input walks integer matrices (admissible_entries): w's product
     n/S is read by eigen_data(n, S).
@@ -431,6 +437,9 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     for length, words in itertools.groupby(tree, key=lambda x: len(x[0])):
         for w, m, scale in words:
             name = render_word(w)
+            if length == 1 and m[0] * m[3] < m[1] * m[2]:
+                raise PreconditionViolated(f"generator {name} has det < 0; the "
+                                           "multicone layer takes det > 0")
             if not sft.ok(w[-1], w[0]) or (name + name).find(name, 1) < length:
                 continue
             u, s = _directions(mats, w, Mat2(*m), scale)
@@ -637,7 +646,7 @@ def _max_mean_cycle(nodes, edges) -> float:
     return best
 
 
-def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
+def fatten_cores(mats, cores: CoreSet) -> MultiCone:
     """Open multicone around U, grown in the Hilbert metrics of the S-gaps.
 
     Each unstable component sits in one component of the complement of S;
@@ -648,10 +657,10 @@ def fatten_cores(mats, cores: CoreSet, sft: Sft | None = None) -> MultiCone:
     chains of endpoint identifications the derivative telescopes to the
     return-word contraction, so the weight graph has no positive cycles and
     a fraction of the measured cycle deficit can be spent as per-edge slack.
-    The result is verified by certify, halving the radius until it passes.
+    The result is verified by certify over the full shift, halving the
+    radius until it passes.
     """
-    if sft is None:
-        sft = Sft.full(len(mats))
+    sft = Sft.full(len(mats))
     abs_dets = [abs(float(m.det())) for m in mats]
     mats = [m.to_float() for m in mats]
     q = cores.rank

@@ -45,7 +45,10 @@ def parse_word(text: str) -> Word:
 
 class Sft(Record):
     """Transition-restricted alphabet of n_symbols letters; allowed, a tuple
-    of bool tuples, has allowed[a][b] when a can precede b."""
+    of bool tuples, has allowed[a][b] when a can precede b.  The table must
+    be transitive and hold a cycle, else no infinite word is allowed; a
+    transitive table on two or more symbols holds one, so only a single
+    symbol without its self-loop is refused for the cycle."""
 
     __slots__ = ("n_symbols", "allowed")
 
@@ -56,6 +59,8 @@ class Sft(Record):
             raise DegenerateInput("transition table shape mismatch")
         if not self._transitive():
             raise DegenerateInput("transition table is not transitive")
+        if not any(map(any, self.allowed)):
+            raise DegenerateInput("transition table has no cycle, so no infinite word")
 
     def _transitive(self) -> bool:
         n = self.n_symbols

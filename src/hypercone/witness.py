@@ -295,8 +295,7 @@ def diagnose_boundary(mats, sft: Sft,
         return BoundaryReport(kind="elliptic", elliptic=w, budgets=budgets)
     hit = search_parabolic(mats, sft, max(k_max, ell_max))
     if hit is not None:
-        kind = "identity" if hit.kind == "identity" else "parabolic"
-        return BoundaryReport(kind=kind, parabolic=hit, budgets=budgets)
+        return BoundaryReport(kind=hit.kind, parabolic=hit, budgets=budgets)
     het = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
     if het is not None and het.residual <= DEFAULT.heteroclinic:
         return BoundaryReport(kind="heteroclinic", heteroclinic=het,

@@ -409,3 +409,53 @@ def test_farey_reduces_the_fraction(capsys):
     assert code == 0
     assert doc["verdicts"][0]["fraction"] == "1/2"
     assert doc["verdicts"][0]["parents"] == ["0/1", "1/1"]
+
+
+PRINCIPAL_SPEC = {"matrices": [[[2, 0], [0, 0.5]], [[3, 0], [0, "1/3"]]]}
+DEGENERATE_SPEC = {"matrices": [[[1, 1], [0, 1]], [[2, 1], [0, 0.5]]]}
+
+
+@pytest.mark.parametrize("argv, specs", [
+    (["classify2"], [FREE_SPEC, DEGENERATE_SPEC, ELLIPTIC_SPEC]),
+    (["certify", "--multicone", "FAMILY"], [ELLIPTIC_SPEC, FREE_SPEC]),
+    (["cores", "--depth", "30"], [FREE_SPEC, PRINCIPAL_SPEC]),
+    (["winding", "--word", "AB"], [FREE_SPEC, ELLIPTIC_SPEC]),
+    (["witness", "--budget", "4,4,2"], [FREE_SPEC, ELLIPTIC_SPEC]),
+    (["normalize", "--bound", "10"], [FREE_SPEC, ELLIPTIC_SPEC]),
+    (["rate", "--depth", "6"], [FREE_SPEC, ELLIPTIC_SPEC]),
+], ids=lambda x: x[0] if isinstance(x[0], str) else None)
+def test_batch_gives_each_tuple_its_verdict_in_order(tmp_path, capsys, argv, specs):
+    command, *rest = [free_family_path(tmp_path) if a == "FAMILY" else a for a in argv]
+    singles = [run(capsys, [command, "--input", write_spec(tmp_path, s, f"{i}.json"),
+                            *rest]) for i, s in enumerate(specs)]
+    verdicts = [doc["verdicts"][0] for _, doc in singles]
+    # distinct verdicts, so the batch pins their order
+    assert len({json.dumps(v, sort_keys=True) for v in verdicts}) == len(specs)
+    code, doc = run(capsys, [command, "--input",
+                             write_spec(tmp_path, {"tuples": specs}), *rest])
+    assert doc["command"] == command and doc["verdicts"] == verdicts
+    assert code == max(c for c, _ in singles)
+
+
+def test_an_error_within_a_batch_prints_no_envelope(tmp_path, capsys):
+    # the first tuple's diagram is drawn before the second tuple fails
+    svg = tmp_path / "cores.svg"
+    path = write_spec(tmp_path, {"tuples": [FREE_SPEC, ELLIPTIC_SPEC]})
+    code = main(["cores", "--input", path, "--depth", "30", "--svg", str(svg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "is not hyperbolic" in captured.err
+    assert svg.read_text().startswith("<svg")
+
+
+def test_a_shift_with_no_infinite_word_is_degenerate(tmp_path, capsys):
+    # one letter without its self-loop: the elliptic quarter turn used to
+    # certify over it, no word being left to check
+    path = write_spec(tmp_path, {"matrices": [[[0, -1], [1, 0]]],
+                                 "shift": {"type": "sft", "allowed": [[0]]}})
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"0": {"arcs": [[0.3, 1.2]]}}))
+    code = main(["certify", "--input", path, "--multicone", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("degenerate input: ") and "no cycle" in captured.err

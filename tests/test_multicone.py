@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from hypercone import multicone
 from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
-                              SearchBudgetExceeded)
+                              PreconditionViolated, SearchBudgetExceeded)
 from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _fill_against,
                                  alternation, best_target, certify, component_map,
                                  compute_cores, core_criterion,
                                  eventual_constancy, fatten_cores, start_order,
                                  tightness)
-from hypercone.projgeom import (PI, ArcP1, MultiCone, angle_dist, angle_gap,
-                                containment_margin, merge_spans, norm_angle)
+from hypercone.projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, angle_dist,
+                                angle_gap, containment_margin, merge_spans,
+                                norm_angle)
 from hypercone.sl2core import Mat2, eigen_data, spectral_norm
 from hypercone.symdyn import Sft, parse_word, periodic_words, product
 from hypercone.tolerances import DEFAULT
@@ -108,6 +109,18 @@ def test_certify_growth_bound(free_pair):
         p = product(free_pair, w)
         norm = spectral_norm(p.a, p.b, p.c, p.d)
         assert norm >= C ** -0.5 * lam ** (len(w) / 2.0) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_certify_counts_point_images_in_the_comparability(num):
+    # the unimodular matrix squeezes the arc to one float angle: a point
+    # image, whose density still bounds C from below by 1
+    m = Mat2(num(10 ** 9), num(1), num(10 ** 9 - 1), num(1))
+    assert m.det() == 1
+    fam = MulticoneFamily.constant(MultiCone((ArcP1.from_angles(0.3, 1.2),)), 1)
+    rep = certify((m,), Sft.full(1), fam)
+    assert rep.ok and rep.contraction == POINT_CONTRACTION
+    assert rep.comparability >= 1.0
 
 
 def test_duality_of_certificates(free_pair, sft4):
@@ -302,6 +315,16 @@ def test_float_compute_cores_rereads_a_failing_word_exactly(monkeypatch):
             compute_cores(tuple(m.to_float() for m in pair), Sft.full(2), depth=14)
         # one word rebuilt, each generator read exactly once for it
         assert len(rebuilt) == len(pair)
+
+
+def test_compute_cores_refuses_a_generator_of_negative_det():
+    # A has eigenvalues 2 and -1/2, hyperbolic, but reverses orientation
+    pair = (Mat2(2.0, 1.0, 0.0, -0.5), Mat2(0.5, 0.0, -9.0, 2.0))
+    exact = tuple(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))) for m in pair)
+    for tup in (pair, exact, pair[::-1]):
+        name = "A" if tup[0].det() < 0 else "B"
+        with pytest.raises(PreconditionViolated, match=f"generator {name} has det < 0"):
+            compute_cores(tup, Sft.full(2))
 
 
 def test_compute_cores_principal_pair():

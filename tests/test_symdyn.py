@@ -54,6 +54,13 @@ def test_transitivity_enforced():
         Sft(2, ((True, False), (False, True)))  # two isolated loops
 
 
+def test_a_table_without_a_cycle_is_refused():
+    # one letter without its self-loop: transitive, yet no infinite word
+    with pytest.raises(DegenerateInput, match="no cycle"):
+        Sft(1, ((False,),))
+    assert Sft(1, ((True,),)).is_full
+
+
 def test_sft4_rejects_forbidden_word(sft4):
     assert not sft4.admissible((0, 2))
     assert sft4.admissible((0, 1, 2))
