@@ -1,143 +1,78 @@
-"""Exact sign arithmetic for numbers of the form p + q*sqrt(D), p, q, D rational.
+"""Exact order of eigendirections, in integers only.
 
-Eigendirection slopes of rational matrices live in quadratic extensions; the
-comparisons needed by cyclic-order tests reduce to signs of differences of
-two such values, which resolve by at most two squarings.  The slopes read
-any determinant, and a positive multiple of a matrix has its eigendirections,
-so exact_unstable_dir(n) and exact_stable_dir(n) of the integer matrix
-n = s*M that sl2core.integer_scaled gives are M's directions.
+An eigendirection of a hyperbolic integer matrix n = [[a, b], [c, d]] is the
+vector (x, p + q*sqrt(D)) with integers x, p, q and D = (a - d)^2 + 4bc:
+(2b, d - a +- sqrt(D)), or, when b = 0, (a - d, c) for the eigenvalue a and
+(0, 1) for d.  Turned into the upper half-plane, its angle lies in [0, pi),
+and two directions compare by the sign of one cross product
+u + x*sqrt(D1) + y*sqrt(D2), which sign_sum decides with at most two
+squarings.  A positive multiple of a matrix has its eigendirections, so
+exact_dirs reads any exact matrix through sl2core.integer_scaled.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
 from .errors import DegenerateTie
+from .sl2core import Mat2, integer_scaled
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def sign_p_q_sqrtD(p: Fraction, q: Fraction, D: Fraction) -> int:
-    """Sign of p + q*sqrt(D) with D >= 0."""
-    if q == 0 or D == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    sp, sq = _sign(p), _sign(q)
-    if sp == sq:
-        return sp
-    cmp = _sign(p * p - q * q * D)  # |p|^2 vs |q sqrt(D)|^2
-    if cmp == 0:
-        return 0
-    return sp if cmp > 0 else sq
+def sign_sum(u: int, x: int, D1: int, y: int = 0, D2: int = 0) -> int:
+    """Sign of u + x*sqrt(D1) + y*sqrt(D2) for integers with D1, D2 >= 0.
 
-
-class QuadVal(Record):
-    """p + q*sqrt(D) with rational (Fraction) p, q and rational D >= 0."""
-
-    __slots__ = ("p", "q", "D")
-
-    @staticmethod
-    def rational(x) -> "QuadVal":
-        return QuadVal(Fraction(x), Fraction(0), Fraction(0))
-
-    def sign(self) -> int:
-        return sign_p_q_sqrtD(self.p, self.q, self.D)
-
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * float(self.D) ** 0.5
-
-
-def compare(a: QuadVal, b: QuadVal) -> int:
-    """Sign of a - b, exactly."""
-    u = a.p - b.p
-    aq = a.q if a.D != 0 else Fraction(0)
-    bq = b.q if b.D != 0 else Fraction(0)
-    # sv = sign of v = aq*sqrt(aD) - bq*sqrt(bD)
-    sa = _sign(aq)
-    sb = _sign(bq)
-    if sa == 0 and sb == 0:
-        return _sign(u)
-    if sa == 0:
-        sv = -sb
-    elif sb == 0:
-        sv = sa
-    elif sa != sb:
-        sv = sa
+    With B the last radical term and A the rest, A + B has the sign of
+    either term when they agree or the other is 0, and otherwise the sign
+    of A times that of A^2 - B^2, which has one radical fewer.
+    """
+    if y and D2:
+        sa, sb = sign_sum(u, x, D1), _sgn(y)
+    elif x and D1:
+        sa, sb = _sgn(u), _sgn(x)
     else:
-        sv = sa * _sign(aq * aq * a.D - bq * bq * b.D)
-    if u == 0:
-        return sv
-    su = _sign(u)
-    if sv == 0 or su == sv:
-        return su
-    # opposite signs: u^2 vs v^2 = aq^2 aD + bq^2 bD - 2 aq bq sqrt(aD bD)
-    h = u * u - aq * aq * a.D - bq * bq * b.D
-    s2 = sign_p_q_sqrtD(h, 2 * aq * bq, a.D * b.D)  # sign of u^2 - v^2
-    if s2 == 0:
-        return 0
-    return su if s2 > 0 else sv
+        return _sgn(u)
+    if sa == 0 or sa == sb:
+        return sb
+    if y and D2:
+        return sa * sign_sum(u * u + x * x * D1 - y * y * D2, 2 * u * x, D1)
+    return sa * _sgn(u * u - x * x * D1)
 
 
 class ExactDir(Record):
-    """Direction on P1 ordered by angle in [0, pi).
+    """The direction of the vector (x, p + q*sqrt(D)), with p + q*sqrt(D) > 0,
+    or = 0 and x > 0: its angle lies in [0, pi)."""
 
-    kind 0: slope >= 0 (angle in [0, pi/2)), kind 1: vertical (pi/2),
-    kind 2: slope < 0 (angle in (pi/2, pi)); slope is a QuadVal, None for
-    the vertical.
-    """
-
-    __slots__ = ("kind", "slope")
+    __slots__ = ("x", "p", "q", "D")
 
     @staticmethod
-    def from_slope(s: QuadVal) -> "ExactDir":
-        return ExactDir(0 if s.sign() >= 0 else 2, s)
-
-    @staticmethod
-    def vertical() -> "ExactDir":
-        return ExactDir(1, None)
-
-
-def compare_dirs(a: ExactDir, b: ExactDir) -> int:
-    """Order by angle in [0, pi)."""
-    if a.kind != b.kind:
-        return -1 if a.kind < b.kind else 1
-    if a.kind == 1:
-        return 0
-    return compare(a.slope, b.slope)
+    def upper(x: int, p: int, q: int, D: int) -> "ExactDir":
+        sy = sign_sum(p, q, D)
+        if sy < 0 or (sy == 0 and x < 0):
+            return ExactDir(-x, -p, -q, D)
+        return ExactDir(x, p, q, D)
 
 
-def _eigen_slope(a: Fraction, b: Fraction, c: Fraction, d: Fraction,
-                 unstable: bool) -> ExactDir:
-    """Eigendirection slope of a rational matrix with tr^2 >= 4 det."""
-    t = a + d
-    D = t * t - 4 * (a * d - b * c)
-    if b != 0:
-        sgn_t = 1 if t >= 0 else -1
-        half = Fraction(sgn_t if unstable else -sgn_t, 2)
-        # direction (b, lam - a) with lam = t/2 + half*sqrt(D)
-        return ExactDir.from_slope(QuadVal((t - 2 * a) / (2 * b), half / b, D))
-    # lower triangular: the eigenvalues are a and d themselves
-    if a == d:  # parabolic shear along the vertical axis
-        return ExactDir.vertical()
-    want_a = (abs(a) > abs(d)) == unstable
-    if want_a:
-        # eigenvector (a - d, c) for the eigenvalue a
-        return ExactDir.from_slope(QuadVal.rational(Fraction(c, a - d)))
-    return ExactDir.vertical()
+def exact_dirs(m: Mat2) -> tuple[ExactDir, ExactDir]:
+    """(unstable, stable) eigendirections of an exact matrix with real
+    eigenvalues, as eigen_data orders them."""
+    n, _ = integer_scaled(m)
+    a, b, c, d = n.a, n.b, n.c, n.d
+    if b == 0:  # the eigenvalues are a and d themselves
+        da, dd = ExactDir.upper(a - d, c, 0, 0), ExactDir(0, 1, 0, 0)
+        return (da, dd) if abs(a) > abs(d) else (dd, da)
+    D = (a - d) * (a - d) + 4 * b * c
+    plus = ExactDir.upper(2 * b, d - a, 1, D)
+    minus = ExactDir.upper(2 * b, d - a, -1, D)
+    # the eigenvalue (t +- sqrt(D)) / 2 of larger modulus takes the sign of t
+    return (plus, minus) if a + d >= 0 else (minus, plus)
 
 
-def exact_unstable_dir(m) -> ExactDir:
-    return _eigen_slope(Fraction(m.a), Fraction(m.b), Fraction(m.c),
-                        Fraction(m.d), unstable=True)
-
-
-def exact_stable_dir(m) -> ExactDir:
-    return _eigen_slope(Fraction(m.a), Fraction(m.b), Fraction(m.c),
-                        Fraction(m.d), unstable=False)
+def compare_dirs(e: ExactDir, f: ExactDir) -> int:
+    """Sign of angle(e) - angle(f): the sign of the cross product of f and e."""
+    return sign_sum(f.x * e.p - e.x * f.p, f.x * e.q, e.D, -e.x * f.q, f.D)
 
 
 def exact_cyclically_ordered(dirs) -> bool:

@@ -84,6 +84,8 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
     if not mats:
         raise InputError("the matrices field is empty")
     n = len(mats)
+    if n > len(LETTERS):
+        raise InputError(f"{n} matrices, more than the {len(LETTERS)} letters of a word")
     shift = data.get("shift", {"type": "full"})
     if not isinstance(shift, dict):
         raise InputError(f"shift {shift!r} is not a JSON object")

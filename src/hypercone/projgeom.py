@@ -75,10 +75,6 @@ class ProjPoint(Record):
             raise DegenerateInput("zero vector spans no direction")
         return ProjPoint(math.atan2(float(y), float(x)))
 
-    @staticmethod
-    def from_slope(s: float) -> "ProjPoint":
-        return ProjPoint(math.atan2(float(s), 1.0))
-
     def vector(self) -> tuple[float, float]:
         return (math.cos(self.angle), math.sin(self.angle))
 

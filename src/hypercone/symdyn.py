@@ -148,9 +148,13 @@ def _times(x, y):
 
 def _entry_tuples(mats, sft: Sft) -> tuple[list[tuple], list[int] | None]:
     """The generators' entries and scales: integer_scaled if all are exact,
-    else as given and None.  PreconditionViolated unless one per symbol."""
+    else as given and None.  PreconditionViolated unless one per symbol, and
+    one letter of LETTERS per symbol, so that every word renders."""
     if len(mats) != sft.n_symbols:
         raise PreconditionViolated(f"{len(mats)} matrices for {sft.n_symbols} symbols")
+    if len(mats) > len(LETTERS):
+        raise PreconditionViolated(f"{len(mats)} symbols, more than the "
+                                   f"{len(LETTERS)} letters of a word")
     if not all(m.is_exact() for m in mats):
         return [(m.a, m.b, m.c, m.d) for m in mats], None
     scaled = [integer_scaled(m) for m in mats]

@@ -42,7 +42,9 @@ arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
 rebuilt as integer matrix products with the same scales, and its orientation
 reads their eigen data with those scales (eigen_data(n, s)), or, for
-near-coincident directions, their exact directions (_exact).  Every float
+near-coincident directions, their exact directions: _exact.exact_dirs gives
+each as an integer vector (x, p + q*sqrt(D)), and _exact.compare_dirs orders
+two by the sign of their cross product, in integers.  Every float
 the verdict reports is one int/int true division, correctly rounded
 like float(Fraction), so it has the bits of the rational value.
 
@@ -278,9 +280,9 @@ def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
         if cyclically_ordered((pts[0], pts[3], pts[2], pts[1]), tol=0.0):
             return -1
         raise DegenerateTie("free-pair direction order is inconsistent")
-    # exact fallback for near-coincident float angles, on the integer matrices
-    dirs = [_exact.exact_unstable_dir(B), _exact.exact_unstable_dir(BA),
-            _exact.exact_stable_dir(BA), _exact.exact_stable_dir(A)]
+    # exact fallback for near-coincident float angles
+    uBA, sBA = _exact.exact_dirs(BA)
+    dirs = [_exact.exact_dirs(B)[0], uBA, sBA, _exact.exact_dirs(A)[1]]
     if _exact.exact_cyclically_ordered(dirs):
         return +1
     if _exact.exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):

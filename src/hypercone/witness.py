@@ -5,12 +5,19 @@ returned witnesses are canonical and reproducible.  Before a witness is
 reported it is re-verified on products rebuilt from the generators, not the
 searches' prefix-tree products and carried angles.  An elliptic witness is
 checked exactly: its product on the given entries, a float read as the
-dyadic rational it is, has det > 0 and tr^2 < 4 det, so it is elliptic.  A
-parabolic or +-identity witness has its trace or distance to +-identity
-re-checked on a float product rebuilt with symdyn.product, and a
-heteroclinic residual is recomputed the same way.  These are claims within
-the DEFAULT.parabolic, DEFAULT.identity and DEFAULT.heteroclinic bands, not
-proofs: a rounded float product is almost never exactly parabolic.  A
+dyadic rational it is, has det > 0 and tr^2 < 4 det, so it is elliptic.
+
+Exact input (every generator exact) takes band 0, as twoshift does: the
+searches read the integer product n of a word's integer_scaled generators
+and the product S of their scales, so a word is elliptic when |tr n| < 2S,
+parabolic when |tr n| = 2S, +-identity when n = +-S I and hyperbolic when
+|tr n| > 2S, and a parabolic or identity hit is re-checked exactly on its
+rebuilt integer product.  On float input a parabolic or +-identity witness
+has its trace or distance to +-identity re-checked on a float product
+rebuilt with symdyn.product; these are claims within the DEFAULT.parabolic
+and DEFAULT.identity bands, not proofs, since a rounded float product is
+almost never exactly parabolic.  A heteroclinic residual is recomputed on
+float products and is a claim within DEFAULT.heteroclinic on any input.  A
 witness failing its check raises WitnessUnverified.
 """
 
@@ -72,9 +79,11 @@ class BoundaryReport(Record):
 def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
     """First cyclic class (shortlex) whose product is elliptic: trace inside
     (-2, 2) and det > 0.  A product of det < 0 has real eigenvalues of
-    opposite signs, so it is skipped; the sign is read on candidates only."""
+    opposite signs, so it is skipped; the sign is read on candidates only.
+    Exact input takes band 0: |tr n| < 2S for the integer product n / S."""
+    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
     for w, (a, b, c, d), scale in periodic_entries(mats, sft, max_len):
-        if abs(a + d) / scale < 2.0 - DEFAULT.trace and a * d - b * c > 0:
+        if abs(a + d) < (2 - band) * scale and a * d - b * c > 0:
             _verify_elliptic(mats, w)
             return w
     return None
@@ -86,14 +95,19 @@ def _verify_elliptic(mats, w: Word) -> None:
     tr^2 < 4 det.  Each generator becomes an integer matrix and a scale
     (integer_scaled), so the word's product is n / S for the integer product
     n and the product S of the scales, and S cancels from both tests."""
-    scaled = [integer_scaled(m) for m in mats]
-    n = product([m for m, _ in scaled], w)
+    n, scale = _exact_product(mats, w)
     tr, det = n.trace(), n.det()
     if not (det > 0 and tr * tr < 4 * det):
-        scale = math.prod(scaled[s][1] for s in w)
         raise WitnessUnverified(
             f"elliptic witness {render_word(w)} has trace {tr / scale} and "
             f"det {det / (scale * scale)} when its product is rebuilt exactly")
+
+
+def _exact_product(mats, w: Word) -> tuple[Mat2, int]:
+    """(n, S) with n / S the product of w on the given entries read exactly:
+    n the product of the integer_scaled generators, S that of their scales."""
+    scaled = [integer_scaled(m) for m in mats]
+    return product([m for m, _ in scaled], w), math.prod(scaled[s][1] for s in w)
 
 
 def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
@@ -104,9 +118,17 @@ def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     opposite signs.  By Cayley-Hamilton C^2 = tr(C) C - det(C) I, so C^2 is
     near the identity only when tr(C) is near 0; such a word's square is
     rebuilt with product() and, within DEFAULT.identity of the identity,
-    gives an identity hit on the doubled word.
+    gives an identity hit on the doubled word.  Exact input takes band 0
+    (_exact_kind), and a hit is re-checked on its rebuilt integer product.
     """
+    exact = all(m.is_exact() for m in mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
+        if exact:
+            kind = _exact_kind(m, scale)
+            if kind is not None:
+                return _verify_exact_hit(mats, w + w if m[0] * m[3] < m[1] * m[2]
+                                         else w, kind)
+            continue
         t = abs(m[0] + m[3]) / scale
         # every +-identity hit passes: its |tr| is within 2 DEFAULT.identity
         # of 2; at det -1, C^2 - I = tr(C) C and some |C_ij| >= 1/sqrt 2, so
@@ -135,6 +157,34 @@ def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     return None
 
 
+def _exact_kind(m, scale: int) -> str | None:
+    """The kind of the integer product n = Mat2(*m) over scale S, read
+    exactly: n = +-S I is the identity, |tr n| = 2S parabolic, and at
+    det n < 0 the square n^2 = -det(n) I is the identity when tr n = 0 and
+    det n = -S^2; None for any other product."""
+    a, b, c, d = m
+    tr = a + d
+    if tr and abs(tr) != 2 * scale:
+        return None
+    det = a * d - b * c
+    if det < 0:
+        return "identity" if tr == 0 and det == -scale * scale else None
+    if not tr:
+        return None
+    return "identity" if b == 0 and c == 0 and a == d else "parabolic"
+
+
+def _verify_exact_hit(mats, w: Word, kind: str) -> ParabolicHit:
+    """The hit of kind on w, once its rebuilt integer product is of that
+    kind (else WitnessUnverified)."""
+    n, scale = _exact_product(mats, w)
+    if _exact_kind((n.a, n.b, n.c, n.d), scale) != kind:
+        raise WitnessUnverified(
+            f"{kind} witness {render_word(w)} has trace {n.trace() / scale} "
+            "when its product is rebuilt exactly")
+    return ParabolicHit(word=w, kind=kind, trace=n.trace() / scale)
+
+
 def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
     """Least distance from the positive arc lo -> hi to the sorted, non-empty
     angles ts; 0 when the arc holds one of them."""
@@ -157,7 +207,8 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     (shortlex), then source by source (shortlex), then target by target (by
     stable angle); the first strict minimum wins, so the shortest connector
     of equal residuals.  Sources and targets are the hyperbolic cyclic
-    classes: |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det < 0.
+    classes: |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det < 0, with
+    band 0 in place of DEFAULT.trace on exact input.
 
     Each letter has one list of the targets it may precede, sorted by stable
     angle; a carried source scans the list of the connector's last letter
@@ -184,10 +235,11 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
+    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
     periodic = [(w, eigen_data(Mat2(*m), scale)) for w, m, scale in
                 periodic_entries(mats, sft, max(k_max, ell_max))
-                if abs(m[0] + m[3]) / scale > DEFAULT.trace
-                + (2.0 if m[0] * m[3] - m[1] * m[2] > 0 else 0.0)]
+                if abs(m[0] + m[3])
+                > (band + (2 if m[0] * m[3] - m[1] * m[2] > 0 else 0)) * scale]
     sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
     target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
                          if len(w) <= ell_max)

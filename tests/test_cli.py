@@ -386,6 +386,15 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
     assert captured.err.startswith("input error: ")
 
 
+def test_more_matrices_than_letters_is_an_input_error(tmp_path, capsys):
+    # a word over 27 symbols could not be rendered in the letters A-Z
+    path = write_spec(tmp_path, {"matrices": [[[2, 1], [0, 0.5]]] * 27})
+    code = main(["cores", "--input", path, "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: ") and "26 letters" in captured.err
+
+
 @pytest.mark.parametrize("shift, named", [
     ({"type": "ful"}, "unknown shift type 'ful'"),
     ({"type": "sft"}, "'allowed' transition table")], ids=["type", "no-table"])

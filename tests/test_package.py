@@ -67,16 +67,28 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, absent):
 ROOT = Path(hypercone.__file__).resolve().parents[2]
 
 
+def importers_of(module: str) -> set[str]:
+    """The src/hypercone modules that import module."""
+    return {path.stem for path in (ROOT / "src" / "hypercone").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if (isinstance(node, ast.Import)
+                and any(a.name == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == module)}
+
+
 def test_no_module_imports_dataclasses():
     # each dataclass compiles its generated methods when its module is
     # imported, a cost every CLI process paid; records derive _record.Record
-    importers = sorted(
-        path.name for path in (ROOT / "src" / "hypercone").rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if (isinstance(node, ast.Import)
-            and any(a.name == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
-    assert not importers, f"dataclasses imported by {importers}"
+    importers = importers_of("dataclasses")
+    assert not importers, f"dataclasses imported by {sorted(importers)}"
+
+
+def test_only_parsers_and_rotation_numbers_import_fractions():
+    # exact input is read as integer matrices and scales (integer_scaled);
+    # Fraction stays where it is the value itself: the entries cli parses
+    # and the rotation numbers p/q of fareycomb and corrdyn
+    importers = importers_of("fractions")
+    assert importers <= {"cli", "fareycomb", "corrdyn"}, sorted(importers)
 
 # names that no library, CLI, script or benchmark code reads, each kept on
 # purpose; anything else without a caller is a wrapper only tests use

@@ -15,7 +15,7 @@ from hypercone.sl2core import Mat2
 
 
 def pts(*slopes):
-    return [ProjPoint.from_slope(s) for s in slopes]
+    return [ProjPoint.from_vector(1.0, s) for s in slopes]
 
 
 def test_cross_ratio_chart_values():
@@ -60,8 +60,8 @@ def test_cross_ratio_moebius_invariance_sampled():
 
 def test_hilbert_dist_unit_interval_example():
     arc = ArcP1(ProjPoint(0.0), ProjPoint(math.pi / 2))  # the chart (0, inf)
-    x = ProjPoint.from_slope(1.0)
-    y = ProjPoint.from_slope(math.e)
+    x = ProjPoint.from_vector(1.0, 1.0)
+    y = ProjPoint.from_vector(1.0, math.e)
     assert hilbert_dist(arc, x, y) == pytest.approx(1.0, rel=1e-12)
     assert hilbert_dist(arc, x, x) == 0.0
 

@@ -181,28 +181,33 @@ def test_admissible_entries_match_product(shift, sft4, free_pair):
             assert _quotient(m, scale) == product(tup, w, sft)
 
 
-def _cycle_shift(n):
+def _cycle_shift(n, loop=False):
     """n symbols, each allowed only before its successor mod n: the one
-    primitive cyclic class is 0 1 ... n-1."""
-    return Sft(n, tuple(tuple(j == (i + 1) % n for j in range(n))
-                        for i in range(n)))
+    primitive cyclic class is 0 1 ... n-1.  With loop, 0 may also precede
+    itself, and 0^k 1 ... n-1 is a primitive cyclic class for every k >= 1."""
+    return Sft(n, tuple(tuple(j == (i + 1) % n or loop and i == j == 0
+                              for j in range(n)) for i in range(n)))
+
+
+# det 1 + 1e-7 per factor, so a word of more than 64 letters drifts past
+# DET_DRIFT; every trace stays far from 2
+DRIFTING = Mat2(2.0 + 2e-7, 0.0, 0.0, 0.5)
 
 
 def test_det_drift_raised_on_long_float_words():
-    sft = _cycle_shift(70)
-    mats = [Mat2(1.0 + 1e-7, 0.0, 0.0, 1.0)] * 70
-    w = tuple(range(70))
+    sft, loop = _cycle_shift(26), _cycle_shift(26, loop=True)
+    mats = [DRIFTING] * 26
+    w = tuple(range(26)) * 2 + tuple(range(18))
     with pytest.raises(DetDrift):
         product(mats, w, sft)
     with pytest.raises(DetDrift):
-        list(periodic_entries(mats, sft, 70))
+        list(periodic_entries(mats, loop, 70))
     with pytest.raises(DetDrift):
         list(admissible_entries(mats, sft, 70))
     # the check starts above 64 letters
-    short = _cycle_shift(64)
-    assert len(list(periodic_entries(mats[:64], short, 64))) == 1
-    assert len(list(admissible_entries(mats[:64], short, 64))) == 64 * 64
-    product(mats[:64], tuple(range(64)), short)
+    assert max(len(v) for v, _, _ in periodic_entries(mats, loop, 64)) == 64
+    assert len(list(admissible_entries(mats, sft, 64))) == 26 * 64
+    product(mats, w[:64], sft)
 
 
 @pytest.mark.parametrize("search", ["elliptic", "parabolic", "rate"])
@@ -211,10 +216,10 @@ def test_det_drift_raised_by_searches_on_long_float_words(search):
     from hypercone.witness import search_elliptic, search_parabolic
     fn = {"elliptic": search_elliptic, "parabolic": search_parabolic,
           "rate": hyperbolicity_rate}[search]
-    mats = [Mat2(1.0 + 1e-7, 0.0, 0.0, 1.0)] * 70
+    mats = [DRIFTING] * 26
     with pytest.raises(DetDrift):
-        fn(mats, _cycle_shift(70), 70)
-    fn(mats[:64], _cycle_shift(64), 64)
+        fn(mats, _cycle_shift(26, loop=True), 70)
+    fn(mats, _cycle_shift(26, loop=True), 64)
 
 
 def test_det_drift_allows_determinant_minus_one():
@@ -223,14 +228,23 @@ def test_det_drift_allows_determinant_minus_one():
 
 
 def test_det_drift_not_raised_on_exact_words():
-    sft = _cycle_shift(70)
+    sft = _cycle_shift(26, loop=True)
     mats = [Mat2(Fraction(10 ** 7 + 1, 10 ** 7), Fraction(0), Fraction(0),
-                 Fraction(1))] * 70
-    w = tuple(range(70))
+                 Fraction(1))] * 26
+    w = (0,) * 45 + tuple(range(1, 26))
     p = product(mats, w, sft)
     assert p.det() == Fraction(10 ** 7 + 1, 10 ** 7) ** 70
-    assert [(v, _quotient(m, scale))
-            for v, m, scale in periodic_entries(mats, sft, 70)] == [(w, p)]
+    got = {v: _quotient(m, scale) for v, m, scale in periodic_entries(mats, sft, 70)}
+    assert got[w] == p
+
+
+def test_walks_refuse_more_symbols_than_letters():
+    # a word over 27 symbols could not be rendered in LETTERS
+    mats = [DRIFTING] * 27
+    for walk in (periodic_entries, admissible_entries):
+        with pytest.raises(PreconditionViolated, match="26 letters"):
+            next(walk(mats, Sft.full(27), 1))
+        assert next(walk(mats[:26], Sft.full(26), 1))[0] == (0,)
 
 
 @pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])

@@ -255,6 +255,22 @@ def test_orientation_exact_fallback_near_parabolic_product():
     assert isinstance(c, NonPrincipal) and c.orientation == 1
 
 
+def test_classify_pair_near_parabolic_does_no_fraction_arithmetic(monkeypatch):
+    # the walk and the exact orientation fallback read integer matrices only
+    z = Fraction(-2) - Fraction(1, 10 ** 18)
+    A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), z - 2)
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(self, other, _orig=getattr(Fraction, name)):
+            ops.append(1)
+            return _orig(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    c = classify_pair(A, B)
+    assert isinstance(c, NonPrincipal) and c.orientation == 1
+    assert len(ops) == 0
+
+
 def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
     # a rational A with a float B is walked at scale 1; when it is free at
     # once (k = 0), A stays a Fraction matrix and BA is mixed, and the

@@ -137,7 +137,10 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     order best_heteroclinic documents: connectors shortlex (the empty one
     first), sources shortlex, targets by stable angle.  Cyclic classes come
     from the brute-force min-rotation filter; the hyperbolic ones have
-    |tr| > 2 + DEFAULT.trace at det > 0 and |tr| > DEFAULT.trace at det < 0."""
+    |tr| > 2 + DEFAULT.trace at det > 0 and |tr| > DEFAULT.trace at det < 0,
+    with band 0 in place of DEFAULT.trace on exact input."""
+    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
+
     def words(n):
         return [w for length in range(1, n + 1)
                 for w in itertools.product(range(sft.n_symbols), repeat=length)
@@ -147,7 +150,7 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
 
     def hyperbolic(n):
         return [(w, p) for w, p in ((w, product(mats, w)) for w in words(n))
-                if abs(float(p.trace())) > DEFAULT.trace + (2.0 if p.det() > 0 else 0.0)]
+                if abs(p.trace()) > band + (2 if p.det() > 0 else 0)]
 
     sources = [(v, eigen_data(p)[0][0].angle) for v, p in hyperbolic(k_max)]
     targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
@@ -322,8 +325,9 @@ def test_search_elliptic_reverifies_its_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, mat", [("parabolic", Mat2(1, 1, 0, 1)),
-                                       ("identity", Mat2.rotation(math.pi))],
-                         ids=["parabolic", "identity"])
+                                       ("identity", Mat2.rotation(math.pi)),
+                                       ("parabolic", Mat2(1.0, 1.0, 0.0, 1.0))],
+                         ids=["parabolic", "identity", "float-parabolic"])
 def test_search_parabolic_reverifies_its_witness(monkeypatch, kind, mat):
     import hypercone.witness as witness_mod
     assert search_parabolic((mat,), Sft.full(1), 2).kind == kind
@@ -353,6 +357,41 @@ def test_search_elliptic_checks_its_witness_exactly(monkeypatch):
                         lambda m: (Mat2(2, 1, 1, 1), 3))
     with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
         search_elliptic(pair, Sft.full(2), 4)
+
+
+def _near_parabolic_pair(eps):
+    """[[1, 1], [eps, 1 + eps]], of det 1 and trace 2 + eps, with diag(2, 1/2)."""
+    return (Mat2(Fraction(1), Fraction(1), eps, 1 + eps),
+            Mat2(Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2)))
+
+
+def test_exact_searches_take_band_zero():
+    # tr A = 2 + 1e-8 is hyperbolic, and 2 - 1e-10 elliptic, when read
+    # exactly; as floats both are parabolic within DEFAULT.parabolic
+    full = Sft.full(2)
+    above = _near_parabolic_pair(Fraction(1, 10 ** 8))
+    assert search_parabolic(above, full, 6) is None
+    assert diagnose_boundary(above, full, (4, 4, 2)).kind != "parabolic"
+    floats = tuple(m.to_float() for m in above)
+    assert search_parabolic(floats, full, 6).word == (0,)
+    below = _near_parabolic_pair(Fraction(-1, 10 ** 10))
+    assert search_elliptic(below, full, 6) == (0,)
+    assert search_elliptic(tuple(m.to_float() for m in below), full, 6) is None
+    shear = (Mat2(Fraction(1), Fraction(1), Fraction(0), Fraction(1)), above[1])
+    assert search_parabolic(shear, full, 4) == ParabolicHit(
+        word=(0,), kind="parabolic", trace=2.0)
+
+
+def test_search_parabolic_checks_its_witness_exactly(monkeypatch):
+    # read exactly, every generator is made the hyperbolic [[2, 1], [1, 1]]
+    # when the hit is rebuilt, so the exact re-check must refuse the word
+    import hypercone.witness as witness_mod
+    shear = (Mat2(1, 1, 0, 1),)
+    assert search_parabolic(shear, Sft.full(1), 2).kind == "parabolic"
+    monkeypatch.setattr(witness_mod, "integer_scaled",
+                        lambda m: (Mat2(2, 1, 1, 1), 3))
+    with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
+        search_parabolic(shear, Sft.full(1), 2)
 
 
 def test_exact_searches_multiply_no_fraction_per_word(monkeypatch,
@@ -407,23 +446,30 @@ def test_negative_det_product_is_not_elliptic(free_pair):
 def _reference_searches(mats, sft, n_max):
     """search_elliptic, search_parabolic and hyperbolicity_rate as one plain
     loop of product() over periodic_words: a product of det < 0 is never
-    elliptic or parabolic, and its square near +-identity is an identity hit
-    on the doubled word."""
+    elliptic or parabolic, and its square at +-identity is an identity hit
+    on the doubled word.  Exact input takes band 0: Fraction products are
+    compared with 2 and with +-identity exactly."""
+    exact = all(m.is_exact() for m in mats)
+    pm_identity = (Mat2.identity(), -Mat2.identity())
+
+    def is_identity(p):
+        return p in pm_identity if exact else p.dist_to_pm_identity() <= DEFAULT.identity
+
     elliptic = parabolic = rate = None
     rate_w = ()
     for w in periodic_words(sft, n_max):
         p = product(mats, w)
-        t = abs(float(p.trace()))
-        if elliptic is None and t < 2.0 - DEFAULT.trace and p.det() > 0:
+        t = abs(p.trace() if exact else float(p.trace()))
+        if elliptic is None and t < 2 - (0 if exact else DEFAULT.trace) and p.det() > 0:
             elliptic = w
         if parabolic is None:
             if p.det() < 0:
                 q = product(mats, w + w)
-                if q.dist_to_pm_identity() <= DEFAULT.identity:
+                if is_identity(q):
                     parabolic = ParabolicHit(w + w, "identity", float(q.trace()))
-            elif p.dist_to_pm_identity() <= DEFAULT.identity:
+            elif is_identity(p):
                 parabolic = ParabolicHit(w, "identity", float(p.trace()))
-            elif abs(t - 2.0) <= DEFAULT.parabolic:
+            elif (t == 2 if exact else abs(t - 2.0) <= DEFAULT.parabolic):
                 parabolic = ParabolicHit(w, "parabolic", float(p.trace()))
         r = spectral_norm(p.a, p.b, p.c, p.d) ** (1.0 / len(w))
         if rate is None or r < rate:
