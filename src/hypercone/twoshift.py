@@ -22,37 +22,43 @@ t1^2 - (x^2-4)(y^2-4) = 4*t2.  On exact (rational) inputs the whole walk is
 decided without any boundary band; on floats a band around each strict
 comparison reports a degenerate outcome instead of guessing.
 
-The walk runs on integer-scaled traces (X, Y, Z, a, b), standing for
-x = X/a, y = Y/b, z = Z/(a*b) with positive integer scales a, b.  On
-rational input a and b start as the least common denominators of A and B,
-so that a*A and b*B are integer matrices, X = tr(a*A), Y = tr(b*B) and Z is
-the trace of their product.  The moves keep every quantity an integer:
+The walk runs on traces in lowest terms, (X, Y, Z, p, q, r) standing for
+x = X/p, y = Y/q, z = Z/r with positive integer denominators, each prime to
+its numerator.  On rational input they start from integer_scaled's integer
+matrices a*A and b*B: x = tr(a*A)/a, y = tr(b*B)/b and z = tr(a*A @ b*B)/(a*b),
+each reduced.  A move builds one new trace and reduces it once with gcd:
 
-    plus:  (X, Y, Z, a, b) -> (X, Z, X*Z - Y*a*a, a, a*b)
-    minus: (X, Y, Z, a, b) -> (Z, Y, Y*Z - X*b*b, a*b, b)
+    plus:  z' = x*z - y = (X*Z*q - Y*p*r) / (p*q*r)
+    minus: z' = y*z - x = (Y*Z*p - X*q*r) / (p*q*r)
 
-and the decision quantities scale by positive integers,
+so the state stands for the rationals themselves and shrinks as the walk
+undoes a pullback, instead of carrying a scale that multiplies at every
+step.  The decision quantities scale by positive integers,
 
-    a*b * t1       = X*Y - 2*Z
-    a^2*b^2 * t2   = X^2*b^2 + Y^2*a^2 + Z^2 - X*Y*Z - 4*a^2*b^2
-    a*b * (|z| - 2) = |Z| - 2*a*b,
+    p*q*r * t1         = X*Y*r - 2*Z*p*q
+    (p*q*r)^2 * t2     = (X*q*r)^2 + (Y*p*r)^2 + (Z*p*q)^2 - X*Y*Z*p*q*r
+                         - 4*(p*q*r)^2
+    r * (|z| - 2)      = |Z| - 2*r,
 
 so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
-floor((x + y)/4) - 1 = (X*b + Y*a) // (4*a*b) - 1.  The walked pair is
-rebuilt as integer matrix products with the same scales, and its orientation
-reads their eigen data with those scales (eigen_data(n, s)), or, for
-near-coincident directions, their exact directions: _exact.exact_dirs gives
-each as an integer vector (x, p + q*sqrt(D)), and _exact.compare_dirs orders
-two by the sign of their cross product, in integers.  Every float
-the verdict reports is one int/int true division, correctly rounded
-like float(Fraction), so it has the bits of the rational value.
+floor((x + y)/4) - 1 = (X*q + Y*p) // (4*p*q) - 1.  The walked pair is
+rebuilt as products of (integer matrix, scale) pairs, each divided by the
+gcd of its entries and scale, and its orientation reads their eigen data
+with those scales (eigen_data(n, s)), or, for near-coincident directions,
+their exact directions: _exact.exact_dirs gives each as an integer vector
+(x, p + q*sqrt(D)), and _exact.compare_dirs orders two by the sign of their
+cross product, in integers.  Every float the verdict reports is one int/int
+true division, correctly rounded like float(Fraction), so it has the bits of
+the rational value.  A generator is +-identity on rational input only when
+its integer form is +-a*I.
 
 Only rational input is scaled, and it is decided with band 0.  Float and
-mixed float/rational input take a = b = 1, where every formula above is the
-unscaled one (multiplying by the integer 1 is exact), so the band never
-meets a scale other than 1.  trace_step_plus, trace_step_minus and fricke
-are the scale-1 case of the same step functions.
+mixed float/rational input keep every denominator 1, where every formula
+above is the unscaled one (multiplying by the integer 1 is exact, and no
+gcd is taken), so the band never meets a denominator other than 1.
+trace_step_plus, trace_step_minus and fricke are the denominator-1 case of
+the same step functions.
 
 Words here are plain strings over 'A', 'B' whose matrix value is the
 left-to-right product ("BAB" means B @ A @ B).  Boundary cases raise
@@ -61,6 +67,7 @@ DegenerateTie, which classify_pair reports as a Degenerate verdict.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Union
 
 from . import _exact
@@ -77,51 +84,59 @@ class TraceTriple(NamedTuple):
     z: object  # tr AB
 
 
-class _Scaled(NamedTuple):
-    """Traces x = X/a, y = Y/b, z = Z/(a*b) with positive integer scales."""
+class _Traces(NamedTuple):
+    """Traces x = X/p, y = Y/q, z = Z/r in lowest terms, with positive
+    integer denominators; all 1 for float input."""
 
     X: object
     Y: object
     Z: object
-    a: int = 1
-    b: int = 1
+    p: int = 1
+    q: int = 1
+    r: int = 1
 
 
-def _step_plus(s: _Scaled) -> _Scaled:
-    X, Y, Z, a, b = s
-    return _Scaled(X, Z, X * Z - Y * a * a, a, a * b)
+def _lowest(n, d: int):
+    """n/d in lowest terms; denominator 1, the only one float input meets,
+    passes through untouched."""
+    if d == 1:
+        return n, 1
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def _step_minus(s: _Scaled) -> _Scaled:
-    X, Y, Z, a, b = s
-    return _Scaled(Z, Y, Y * Z - X * b * b, a * b, b)
+def _step_plus(s: _Traces) -> _Traces:
+    X, Y, Z, p, q, r = s
+    pr = p * r
+    W, w = _lowest(X * Z * q - Y * pr, pr * q)
+    return _Traces(X, Z, W, p, r, w)
 
 
-def _fricke(s: _Scaled):
-    """a^2 b^2 times the Fricke form of the traces s stands for."""
-    X, Y, Z, a, b = s
-    Xb, Ya = X * b, Y * a
-    return Xb * Xb + Ya * Ya + Z * Z - X * Y * Z
+def _step_minus(s: _Traces) -> _Traces:
+    X, Y, Z, p, q, r = s
+    qr = q * r
+    W, w = _lowest(Y * Z * p - X * qr, qr * p)
+    return _Traces(Z, Y, W, r, q, w)
+
+
+def _fricke(s: _Traces):
+    """(p*q*r)^2 times the Fricke form of the traces s stands for."""
+    X, Y, Z, p, q, r = s
+    qr = q * r
+    Xqr, Ypr, Zpq = X * qr, Y * (p * r), Z * (p * q)
+    return Xqr * Xqr + Ypr * Ypr + Zpq * Zpq - X * Y * Z * (p * qr)
 
 
 def trace_step_plus(t: TraceTriple) -> TraceTriple:
-    return TraceTriple(*_step_plus(_Scaled(*t))[:3])
+    return TraceTriple(*_step_plus(_Traces(*t))[:3])
 
 
 def trace_step_minus(t: TraceTriple) -> TraceTriple:
-    return TraceTriple(*_step_minus(_Scaled(*t))[:3])
+    return TraceTriple(*_step_minus(_Traces(*t))[:3])
 
 
 def fricke(t: TraceTriple):
-    return _fricke(_Scaled(*t))
-
-
-def pair_step_plus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
-    return (A, A @ B)
-
-
-def pair_step_minus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
-    return (B @ A, B)
+    return _fricke(_Traces(*t))
 
 
 def pair_unstep(A: Mat2, B: Mat2, sign: str) -> tuple[Mat2, Mat2]:
@@ -174,21 +189,44 @@ Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
 
 
 # ---------------------------------------------------------------------------
-# state tests on scaled traces (x, y assumed >= 2); a non-zero band comes
-# only with scale 1, where the scaled quantities are t1 and t2 themselves
+# state tests on lowest-terms traces (x, y assumed >= 2); a non-zero band
+# comes only with denominator 1, where the scaled quantities are t1 and t2
+# themselves
 
 _TWISTED, _STRAIGHT, _BOUNDARY = 1, 0, -1
 
 
-def _twist_state(s: _Scaled, band) -> int:
-    X, Y, Z, a, b = s
-    t1 = X * Y - 2 * Z
-    ab = a * b
-    t2 = _fricke(s) - 4 * ab * ab
+def _is_pm_identity(n: Mat2, s: int) -> bool:
+    """n/s = +-I for an integer matrix n, read exactly: n = +-s*I."""
+    return n.b == 0 and n.c == 0 and n.a == n.d and abs(n.a) == s
+
+
+def _lowest_traces(X, Y, Z, a: int, b: int) -> _Traces:
+    """The state of the traces X/a, Y/b and Z/(a*b); scales 1, which float
+    input has, are the state as they stand."""
+    if a == 1 and b == 1:
+        return _Traces(X, Y, Z)
+    X, p = _lowest(X, a)
+    Y, q = _lowest(Y, b)
+    Z, r = _lowest(Z, a * b)
+    return _Traces(X, Y, Z, p, q, r)
+
+
+def _twist_state(s: _Traces, band) -> int:
+    # p*q*r t1 and (p*q*r)^2 t2, sharing their products; t1 first, since a
+    # successor that is straight by t1 needs no t2
+    X, Y, Z, p, q, r = s
+    pq = p * q
+    XYr, Zpq = X * Y * r, Z * pq
+    t1 = XYr - 2 * Zpq
+    if t1 < -band:
+        return _STRAIGHT
+    Xqr, Ypr, pqr = X * (q * r), Y * (p * r), pq * r
+    t2 = Xqr * Xqr + Ypr * Ypr + Zpq * Zpq - XYr * Zpq - 4 * pqr * pqr
+    if t2 < -band:
+        return _STRAIGHT
     if t1 > band and t2 > band:
         return _TWISTED
-    if t1 < -band or t2 < -band:
-        return _STRAIGHT
     return _BOUNDARY
 
 
@@ -203,15 +241,23 @@ def is_free(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
 
 def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
     """Interleaved invariant directions, decided from traces alone."""
-    for m in (A, B):
-        if m.dist_to_pm_identity() <= DEFAULT.identity:
+    exact = A.is_exact() and B.is_exact()
+    if exact:
+        (A, a), (B, b) = integer_scaled(A), integer_scaled(B)
+    else:
+        a = b = 1
+    # elliptic members are never twisted
+    for m, s in ((A, a), (B, b)):
+        if exact:
+            if _is_pm_identity(m, s) or abs(m.trace()) < 2 * s:
+                return False
+        elif (m.dist_to_pm_identity() <= DEFAULT.identity
+              or abs(float(m.trace())) < 2.0):
             return False
-        if abs(float(m.trace())) < 2.0:
-            return False  # elliptic members are never twisted
     x, y, z = A.trace(), B.trace(), (A @ B).trace()
     sx = 1 if x >= 0 else -1
     sy = 1 if y >= 0 else -1
-    st = _twist_state(_Scaled(sx * x, sy * y, sx * sy * z), band)
+    st = _twist_state(_lowest_traces(sx * x, sy * y, sx * sy * z, a, b), band)
     if st == _BOUNDARY and band > 0:
         raise DegenerateTie("twist test in the boundary band")
     return st == _TWISTED
@@ -226,31 +272,34 @@ class Step:
 
 def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
     """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
-    s = _Scaled(A.trace(), B.trace(), (A @ B).trace())
-    return _step_select_traces(s, band)
+    s = _Traces(A.trace(), B.trace(), (A @ B).trace())
+    return _step_select_traces(s, band)[0]
 
 
-def _step_select_traces(s: _Scaled, band) -> str:
-    _, _, Z, a, b = s
-    ab = a * b
-    if abs(Z) < (2 - band) * ab:
-        return Step.ELLIPTIC
-    if Z < (-2 + band) * ab:
-        if Z > (-2 - band) * ab:
-            raise DegenerateTie("tr AB in the band around -2", Z / ab)
-        return Step.FREE
-    if Z < (2 + band) * ab:
-        # Z < 0 here only on the edge (-2 + band) ab, Z = -2ab at band 0
-        raise DegenerateTie(f"tr AB in the band around {-2 if Z < 0 else 2}", Z / ab)
-    plus = _twist_state(_step_plus(s), band)
-    minus = _twist_state(_step_minus(s), band)
+def _step_select_traces(s: _Traces, band):
+    """(step, the successor state it steps to, or None when the walk ends)."""
+    Z, r = s.Z, s.r
+    if abs(Z) < (2 - band) * r:
+        return Step.ELLIPTIC, None
+    if Z < (-2 + band) * r:
+        if Z > (-2 - band) * r:
+            raise DegenerateTie("tr AB in the band around -2", Z / r)
+        return Step.FREE, None
+    if Z < (2 + band) * r:
+        # Z < 0 here only on the edge (-2 + band) r, Z = -2r at band 0
+        raise DegenerateTie(f"tr AB in the band around {-2 if Z < 0 else 2}", Z / r)
+    succ_plus, succ_minus = _step_plus(s), _step_minus(s)
+    plus = _twist_state(succ_plus, band)
+    minus = _twist_state(succ_minus, band)
     if plus == _BOUNDARY or minus == _BOUNDARY:
         raise DegenerateTie("successor twist test in the boundary band")
     if plus == _TWISTED and minus == _TWISTED:
         raise DegenerateTie("both successor pairs test twisted")
     if plus == _STRAIGHT and minus == _STRAIGHT:
         raise DegenerateTie("neither successor pair tests twisted")
-    return Step.PLUS if plus == _TWISTED else Step.MINUS
+    if plus == _TWISTED:
+        return Step.PLUS, succ_plus
+    return Step.MINUS, succ_minus
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +308,33 @@ def _step_select_traces(s: _Scaled, band) -> str:
 
 def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
     """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    return _orientation(A, B, B @ A, 1, 1)
+    return _orientation((A, 1), (B, 1), (B @ A, 1))
 
 
-def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
-    """Orientation of the free pair A/a, B/b, given BA = B @ A; scales other
-    than 1 come only with integer matrices, and at scale 1 any matrix is
-    read by eigen_data."""
-    (uB, _), _ = eigen_data(B, b)
-    (uBA, _), (sBA, _) = eigen_data(BA, a * b)
-    _, (sA, _) = eigen_data(A, a)
+def _product(f, g):
+    """The form of f @ g, for (matrix, scale) forms f and g, divided by the
+    gcd of its entries and scale; scale 1 (float input) passes through."""
+    (m, s), (n, t) = f, g
+    mn, st = m @ n, s * t
+    if st == 1:
+        return mn, 1
+    k = gcd(mn.a, mn.b, mn.c, mn.d, st)
+    if k == 1:
+        return mn, st
+    return Mat2(mn.a // k, mn.b // k, mn.c // k, mn.d // k), st // k
+
+
+def _orientation(A, B, BA) -> int:
+    """Orientation of the free pair given as (matrix, scale) forms, with BA
+    the form of B @ A; scales other than 1 come only with integer matrices,
+    and at scale 1 any matrix is read by eigen_data."""
+    (uB, _), _ = eigen_data(*B)
+    (uBA, _), (sBA, _) = eigen_data(*BA)
+    _, (sA, _) = eigen_data(*A)
     pts = (uB, uBA, sBA, sA)
     min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
                   for i in range(4) for j in range(i + 1, 4))
-    if min_gap > 100 * DEFAULT.angle or not (A.is_exact() and B.is_exact()):
+    if min_gap > 100 * DEFAULT.angle or not (A[0].is_exact() and B[0].is_exact()):
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
         if cyclically_ordered(pts, tol=0.0):
@@ -281,8 +343,8 @@ def _orientation(A: Mat2, B: Mat2, BA: Mat2, a: int, b: int) -> int:
             return -1
         raise DegenerateTie("free-pair direction order is inconsistent")
     # exact fallback for near-coincident float angles
-    uBA, sBA = _exact.exact_dirs(BA)
-    dirs = [_exact.exact_dirs(B)[0], uBA, sBA, _exact.exact_dirs(A)[1]]
+    uBA, sBA = _exact.exact_dirs(BA[0])
+    dirs = [_exact.exact_dirs(B[0])[0], uBA, sBA, _exact.exact_dirs(A[0])[1]]
     if _exact.exact_cyclically_ordered(dirs):
         return +1
     if _exact.exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):
@@ -298,7 +360,7 @@ def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     """Decide membership and component data for a pair over the full 2-shift.
 
     Exact inputs (int/Fraction entries) are decided with band 0 on
-    integer-scaled traces; boundary cases then mean genuine boundary points
+    lowest-terms traces; boundary cases then mean genuine boundary points
     and come back Degenerate.
     """
     try:
@@ -308,18 +370,19 @@ def classify_pair(A: Mat2, B: Mat2) -> Classification2:
 
 
 def _classify(A: Mat2, B: Mat2) -> Classification2:
-    for name, m in (("A", A), ("B", B)):
-        if m.dist_to_pm_identity() <= DEFAULT.identity:
-            return Degenerate(reason=f"generator {name} is +-identity")
-
     # Only exact input is scaled, and it has band 0: the band only ever
-    # meets scale 1, where the scaled decision quantities are the plain ones.
+    # meets denominator 1, where the scaled decision quantities are the
+    # plain ones.
     exact = A.is_exact() and B.is_exact()
     if exact:
         band = 0
         (A, a), (B, b) = integer_scaled(A), integer_scaled(B)
     else:
         band, a, b = DEFAULT.band, 1, 1
+    for name, m, scale in (("A", A, a), ("B", B, b)):
+        if (_is_pm_identity(m, scale) if exact
+                else m.dist_to_pm_identity() <= DEFAULT.identity):
+            return Degenerate(reason=f"generator {name} is +-identity")
 
     sa = 1 if A.trace() >= 0 else -1
     sb = 1 if B.trace() >= 0 else -1
@@ -336,39 +399,41 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
             return EllipticWitness(word=name, trace=float(sign * T / scale),
                                    iterations=0)
 
-    s = _Scaled(X, Y, (A1 @ B1).trace(), a, b)
-    inv = float(_fricke(s) / (a * a * b * b))
+    s = _lowest_traces(X, Y, (A1 @ B1).trace(), a, b)
+    pqr = s.p * s.q * s.r
+    inv = float(_fricke(s) / (pqr * pqr))
     state = _twist_state(s, band)
     if state == _BOUNDARY:
         raise DegenerateTie("initial twist test in the boundary band")
     if state == _STRAIGHT:
         return Principal(sign_pair=sign_pair, invariant=inv)
 
-    # floor((x + y) / 4) - 1, with x + y = t0 / (a*b)
-    t0 = X * b + Y * a
-    bound = t0 // (4 * a * b) - 1
+    # floor((x + y) / 4) - 1, with x + y = t0 / (p*q)
+    pq = s.p * s.q
+    t0 = s.X * s.q + s.Y * s.p
+    bound = t0 // (4 * pq) - 1
     fword = []
     k = 0
     while True:
-        step = _step_select_traces(s, band)
+        step, succ = _step_select_traces(s, band)
         if step == Step.FREE:
-            # the walked pair, rebuilt by the same products the walk implies;
-            # its scales are those of the walked traces
-            Ak, Bk = A1, B1
+            # the walked pair, rebuilt by the same products the walk implies
+            Ak, Bk = (A1, a), (B1, b)
             for sign in fword:
-                step_pair = pair_step_plus if sign == Step.PLUS else pair_step_minus
-                Ak, Bk = step_pair(Ak, Bk)
-            orient = _orientation(Ak, Bk, Bk @ Ak, s.a, s.b)
+                if sign == Step.PLUS:
+                    Bk = _product(Ak, Bk)
+                else:
+                    Ak = _product(Bk, Ak)
+            orient = _orientation(Ak, Bk, _product(Bk, Ak))
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:
             wa, wb = fword_substitution("".join(fword))
-            return EllipticWitness(word=wa + wb, trace=float(s.Z / (s.a * s.b)),
+            return EllipticWitness(word=wa + wb, trace=float(s.Z / s.r),
                                    iterations=k)
         if k + 1 > bound:
-            raise DegenerateTie("walk exceeded its termination bound",
-                                t0 / (a * b))
-        s = _step_plus(s) if step == Step.PLUS else _step_minus(s)
+            raise DegenerateTie("walk exceeded its termination bound", t0 / pq)
+        s = succ
         fword.append(step)
         k += 1
 

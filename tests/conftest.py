@@ -12,6 +12,14 @@ from hypercone.twoshift import (NonPrincipal, Principal, TraceTriple, fricke,
                                 trace_step_minus, trace_step_plus)
 
 
+def pair_step_plus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
+    return (A, A @ B)
+
+
+def pair_step_minus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
+    return (B @ A, B)
+
+
 def canonical_pair(mu, nu, alpha, beta):
     """Upper/lower triangular pair with the given normal-form data."""
     return (Mat2(mu, alpha, 0, 1 / mu if isinstance(mu, Fraction) else 1.0 / mu),

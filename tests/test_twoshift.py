@@ -15,11 +15,10 @@ from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
                                 Principal, TraceTriple, apply_fword_inverse,
                                 classify_pair, fricke,
                                 fword_substitution, is_free, is_twisted,
-                                orientation_of_free_pair, pair_step_minus,
-                                pair_step_plus, step_select, trace_step_minus,
-                                trace_step_plus)
+                                orientation_of_free_pair, step_select,
+                                trace_step_minus, trace_step_plus)
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
-                            rand_conj)
+                            pair_step_minus, pair_step_plus, rand_conj)
 from tests.test_acceptance import _strict_free_pairs, pullback_population
 
 
@@ -271,6 +270,77 @@ def test_classify_pair_near_parabolic_does_no_fraction_arithmetic(monkeypatch):
     assert len(ops) == 0
 
 
+def test_exact_near_identity_generator_is_decided():
+    # within DEFAULT.identity of I entrywise, but hyperbolic: on rational
+    # input only n = +-S I is the identity
+    lam = 1 + Fraction(1, 10 ** 12)
+    B = Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1))
+    for A in (Mat2.diagonal(lam), -Mat2.diagonal(lam)):
+        for pair in ((A, B), (B, A)):
+            c = classify_pair(*pair)
+            assert isinstance(c, Principal), c
+            assert c == _reference_classify(*pair, band=0)
+            # the float copy stays within the identity band
+            assert classify_pair(*(m.to_float() for m in pair)) == Degenerate(
+                reason=f"generator {'A' if pair[0] is A else 'B'} is +-identity")
+    for I in (Mat2.identity(), -Mat2.identity(),
+              Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))):
+        assert classify_pair(I, B) == Degenerate(reason="generator A is +-identity")
+        assert classify_pair(B, I) == Degenerate(reason="generator B is +-identity")
+        assert not is_twisted(I, B) and not is_twisted(B, I)
+    # a twisted pair with a near-identity member, whose float copy is not
+    A = Mat2(lam, Fraction(1, 10 ** 12), Fraction(0), 1 / lam)
+    B = Mat2(Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(2))
+    assert is_twisted(A, B)
+    assert not is_twisted(A.to_float(), B.to_float())
+    # elliptic members are read exactly: tr = 2 - 1e-20 rounds to 2.0
+    E = Mat2(Fraction(1), Fraction(1), -Fraction(1, 10 ** 20), 1 - Fraction(1, 10 ** 20))
+    assert E.det() == 1 and float(E.trace()) == 2.0
+    assert not is_twisted(E, B) and not is_twisted(B, E)
+
+
+def test_exact_walk_state_stays_in_lowest_terms(monkeypatch):
+    # on deep pullback draws every state the walk reads is in lowest terms,
+    # the free level carries the base pair's reduced denominators, and each
+    # step builds its two successors once
+    states, builds = [], []
+    select = twoshift._step_select_traces
+
+    def spy_select(s, band):
+        states.append(s)
+        return select(s, band)
+    monkeypatch.setattr(twoshift, "_step_select_traces", spy_select)
+    for name in ("_step_plus", "_step_minus"):
+        def spy_step(s, _step=getattr(twoshift, name)):
+            builds.append(_step(s))
+            return builds[-1]
+        monkeypatch.setattr(twoshift, name, spy_step)
+    checked = 0
+    for (A, B), fword, _ in pullback_population(500):
+        if len(fword) < 5:
+            continue
+        states.clear()
+        builds.clear()
+        c = classify_pair(A, B)
+        assert isinstance(c, NonPrincipal) and c.fword == fword
+        assert len(states) == len(fword) + 1
+        assert len(builds) <= 2 * len(fword)
+        for s in states + builds:
+            X, Y, Z, p, q, r = s
+            assert all(type(v) is int for v in s) and min(p, q, r) > 0
+            assert math.gcd(X, p) == math.gcd(Y, q) == math.gcd(Z, r) == 1
+        # the base pair, replayed in Fraction arithmetic
+        Ak = A if A.trace() >= 0 else -A
+        Bk = B if B.trace() >= 0 else -B
+        for sign in fword:
+            Ak, Bk = (pair_step_plus if sign == "+" else pair_step_minus)(Ak, Bk)
+        X, Y, Z, p, q, r = states[-1]
+        assert (Fraction(X, p), Fraction(Y, q), Fraction(Z, r)) == \
+            (Ak.trace(), Bk.trace(), (Ak @ Bk).trace())
+        checked += 1
+    assert checked >= 40
+
+
 def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
     # a rational A with a float B is walked at scale 1; when it is free at
     # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
@@ -351,8 +421,10 @@ def _ref_twist_state(x, y, z, band):
 
 
 def _reference_classify(A, B, band):
+    exact = A.is_exact() and B.is_exact()
     for name, m in (("A", A), ("B", B)):
-        if m.dist_to_pm_identity() <= DEFAULT.identity:
+        if (m in (Mat2.identity(), -Mat2.identity()) if exact
+                else m.dist_to_pm_identity() <= DEFAULT.identity):
             return Degenerate(reason=f"generator {name} is +-identity")
     sa = 1 if A.trace() >= 0 else -1
     sb = 1 if B.trace() >= 0 else -1
@@ -471,16 +543,16 @@ def test_float_walk_is_the_unscaled_walk(monkeypatch):
         "tr AB in the band around -2", "tr AB in the band around 2",
         "walk exceeded its termination bound"}
 
-    # a mixed pair is walked at scale 1 and with the float band
+    # a mixed pair is walked at denominator 1 and with the float band
     calls = []
     twist_state = twoshift._twist_state
 
     def spy(s, band):
-        calls.append((s.a, s.b, band))
+        calls.append((s.p, s.q, s.r, band))
         return twist_state(s, band)
     monkeypatch.setattr(twoshift, "_twist_state", spy)
     assert isinstance(classify_pair(*mixed), NonPrincipal)
-    assert calls and set(calls) == {(1, 1, DEFAULT.band)}
+    assert calls and set(calls) == {(1, 1, 1, DEFAULT.band)}
     calls.clear()
     classify_pair(*pullback_population(1)[0][0])
-    assert calls and all(band == 0 for _, _, band in calls)
+    assert calls and all(band == 0 for _, _, _, band in calls)
