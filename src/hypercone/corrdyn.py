@@ -34,9 +34,8 @@ from ._record import Record
 from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
 from .projgeom import PI
-from .sl2core import Mat2, eigen_data
+from .sl2core import Mat2, eigen_data, is_pm_identity
 from .symdyn import LETTERS, eval_string
-from .tolerances import DEFAULT
 
 
 class CombMulticone(Record):
@@ -337,7 +336,7 @@ def winding_matrix(mats, word: str) -> int:
         return 0
     fixes = []
     for m in mats:
-        if m.dist_to_pm_identity() <= DEFAULT.identity:
+        if is_pm_identity(m):
             raise NoInvariantDirection("+-identity generator has no axis")
         (u, _), _ = eigen_data(m)  # raises for elliptic generators
         fixes.append(u.angle / PI)

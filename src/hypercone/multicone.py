@@ -35,7 +35,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
 from .symdyn import LETTERS, Sft, admissible_entries, product, render_word
 from .tolerances import DEFAULT
 
@@ -571,7 +571,7 @@ def core_criterion(mats, cores: CoreSet) -> CriterionReport:
         return fail("IdentityRisk: component action never becomes constant")
     if cores.rank == 1:
         for s, m in enumerate(mats):
-            if m.dist_to_pm_identity() <= DEFAULT.identity:
+            if is_pm_identity(m):
                 return fail(f"IdentityProduct: word {(s,)} is +-identity")
     return CriterionReport(ok=True, reasons=(), constancy_length=max(ell_u, ell_s))
 

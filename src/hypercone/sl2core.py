@@ -142,10 +142,24 @@ class MatClass(Enum):
     PLUS_MINUS_IDENTITY = "pm_identity"
 
 
+def is_pm_identity(m: Mat2, s: int = 1) -> bool:
+    """m / s = +-I: read exactly (m = +-s I) on exact entries, within
+    DEFAULT.identity entrywise on float ones.  A scale s > 1 needs an
+    integer matrix m, as in eigen_data."""
+    if m.is_exact():
+        return m.b == 0 and m.c == 0 and m.a == m.d and abs(m.a) == s
+    return m.dist_to_pm_identity() <= DEFAULT.identity
+
+
 def classify(m: Mat2) -> MatClass:
-    """Trace trichotomy; the band ||tr|-2| <= DEFAULT.trace reports parabolic."""
-    if m.dist_to_pm_identity() <= DEFAULT.identity:
+    """Trace trichotomy; the band ||tr|-2| <= DEFAULT.trace reports parabolic.
+    Exact input takes band 0 throughout."""
+    if is_pm_identity(m):
         return MatClass.PLUS_MINUS_IDENTITY
+    if m.is_exact():
+        t = abs(m.trace())
+        return (MatClass.HYPERBOLIC if t > 2 else MatClass.ELLIPTIC if t < 2
+                else MatClass.PARABOLIC)
     t = abs(float(m.trace()))
     if t > 2.0 + DEFAULT.trace:
         return MatClass.HYPERBOLIC
@@ -164,30 +178,37 @@ def eigen_data(m: Mat2, s: int = 1):
     float is then one int / int division, correctly rounded like
     float(Fraction), so the result has the same bits for any scale.
     """
-    if s != 1:
-        return _integer_eigen(m, s)
-    if m.is_exact():
-        return _integer_eigen(*integer_scaled(m))
-    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
-    det = float(m.det())
-    return _eigen(a, b, c, d, (a + d) * (a + d) - 4.0 * det, det)
+    (u, lam_u), (v, lam_s) = _eigen(m.a, m.b, m.c, m.d, s)
+    return (ProjPoint.from_vector(*u), lam_u), (ProjPoint.from_vector(*v), lam_s)
 
 
-def _integer_eigen(n: Mat2, s: int):
-    ss, nd, tr = s * s, n.det(), n.trace()
-    return _eigen(n.a / s, n.b / s, n.c / s, n.d / s,
-                  (tr * tr - 4 * nd) / ss, nd / ss)
+def eigen_angles(a, b, c, d, s: int = 1) -> tuple[float, float]:
+    """The angles of eigen_data(Mat2(a, b, c, d), s)'s directions, with the
+    same bits, for the searches that read entry tuples."""
+    (u, _), (v, _) = _eigen(a, b, c, d, s)
+    return norm_angle(math.atan2(u[1], u[0])), norm_angle(math.atan2(v[1], v[0]))
 
 
-def _eigen(a: float, b: float, c: float, d: float, disc: float, det: float):
+def _eigen(a, b, c, d, s: int):
+    """[(vector, eig_u), (vector, eig_s)] of [[a, b], [c, d]] / s, in floats."""
+    if s == 1 and not (is_exact(a) and is_exact(b) and is_exact(c) and is_exact(d)):
+        det = float(a * d - b * c)
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        disc = (a + d) * (a + d) - 4.0 * det
+    else:
+        if s == 1:
+            n, s = integer_scaled(Mat2(a, b, c, d))
+            a, b, c, d = n.a, n.b, n.c, n.d
+        ss, nd, tr = s * s, a * d - b * c, a + d
+        disc, det = (tr * tr - 4 * nd) / ss, nd / ss
+        a, b, c, d = a / s, b / s, c / s, d / s
     if disc < 0.0:
         raise NoInvariantDirection("elliptic matrix has no invariant direction")
     t = a + d
     r = math.sqrt(max(disc, 0.0))
     lam_u = 0.5 * (t + r) if t >= 0 else 0.5 * (t - r)
-    lam_s = det / lam_u if lam_u != 0 else 0.0
-
-    def direction(lam):
+    out = []
+    for lam in (lam_u, det / lam_u if lam_u != 0 else 0.0):
         v1 = (b, lam - a)
         v2 = (lam - d, c)
         n1 = v1[0] * v1[0] + v1[1] * v1[1]
@@ -195,9 +216,8 @@ def _eigen(a: float, b: float, c: float, d: float, disc: float, det: float):
         v = v1 if n1 >= n2 else v2
         if v[0] == 0.0 and v[1] == 0.0:
             raise NoInvariantDirection("matrix is +-identity")
-        return ProjPoint.from_vector(*v)
-
-    return (direction(lam_u), lam_u), (direction(lam_s), lam_s)
+        out.append((v, lam))
+    return out
 
 
 def invariant_dirs(m: Mat2) -> tuple[ProjPoint, ProjPoint]:
@@ -224,7 +244,7 @@ def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
     if float(A.trace()) < 2.0 - DEFAULT.trace or float(B.trace()) < 2.0 - DEFAULT.trace:
         raise NotCanonicalizable("both traces must be >= 2")
     for m in (A, B):
-        if m.dist_to_pm_identity() <= DEFAULT.identity:
+        if is_pm_identity(m):
             raise NotCanonicalizable("+-identity member admits no canonical basis")
     uA = eigen_data(A)[0][0]
     uB = eigen_data(B)[0][0]

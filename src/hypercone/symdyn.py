@@ -33,6 +33,7 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # largest | |det| - 1 | a float product of more than 64 factors may reach;
 # generators of determinant -1 are allowed, so the sign is not checked
 DET_DRIFT = 1e-6
+DRIFT_FREE_LEN = 64
 
 
 def render_word(w: Word) -> str:
@@ -106,8 +107,9 @@ class Sft(Record):
 
 
 def _check_drift(m, length: int) -> None:
-    """Long float entries (a, b, c, d) must keep det near +-1 (else DetDrift)."""
-    if length > 64 and not all(map(is_exact, m)):
+    """Float entries (a, b, c, d) of a word of length > DRIFT_FREE_LEN must
+    keep det near +-1 (else DetDrift); shorter words are not checked."""
+    if not all(map(is_exact, m)):
         det = float(m[0] * m[3] - m[1] * m[2])
         if abs(abs(det) - 1.0) > DET_DRIFT:
             raise DetDrift(f"det drifted to {det} over {length} factors")
@@ -125,7 +127,8 @@ def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     out = mats[w[0]]
     for s in w[1:]:
         out = mats[s] @ out
-    _check_drift((out.a, out.b, out.c, out.d), len(w))
+    if len(w) > DRIFT_FREE_LEN:
+        _check_drift((out.a, out.b, out.c, out.d), len(w))
     return out
 
 
@@ -167,9 +170,11 @@ def admissible_entries(mats, sft: Sft, n_max: int):
     ents, scales = _entry_tuples(mats, sft)
     level = [((s,), ents[s]) for s in range(sft.n_symbols)]
     for length in range(1, n_max + 1):
+        drift = length > DRIFT_FREE_LEN
         done = []
         for w, m in level:
-            _check_drift(m, length)
+            if drift:
+                _check_drift(m, length)
             done.append((w, m))
             yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         # lazy: a reader stopping at the next level's first word pays for it alone
@@ -200,9 +205,10 @@ def periodic_entries(mats, sft: Sft, n_max: int):
     ents, scales = (None, None) if mats is None else _entry_tuples(mats, sft)
     level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
     for length in range(1, n_max + 1):
+        drift = ents is not None and length > DRIFT_FREE_LEN
         for w, p, m in level:
-            if p == length and sft.ok(w[-1], w[0]):
-                if ents is not None:
+            if p == length and (allowed is None or allowed[w[-1]][w[0]]):
+                if drift:
                     _check_drift(m, length)
                 yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         if length + 1 < n_max:

@@ -74,7 +74,7 @@ from . import _exact
 from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
 
 
@@ -196,11 +196,6 @@ Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
 _TWISTED, _STRAIGHT, _BOUNDARY = 1, 0, -1
 
 
-def _is_pm_identity(n: Mat2, s: int) -> bool:
-    """n/s = +-I for an integer matrix n, read exactly: n = +-s*I."""
-    return n.b == 0 and n.c == 0 and n.a == n.d and abs(n.a) == s
-
-
 def _lowest_traces(X, Y, Z, a: int, b: int) -> _Traces:
     """The state of the traces X/a, Y/b and Z/(a*b); scales 1, which float
     input has, are the state as they stand."""
@@ -248,11 +243,8 @@ def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
         a = b = 1
     # elliptic members are never twisted
     for m, s in ((A, a), (B, b)):
-        if exact:
-            if _is_pm_identity(m, s) or abs(m.trace()) < 2 * s:
-                return False
-        elif (m.dist_to_pm_identity() <= DEFAULT.identity
-              or abs(float(m.trace())) < 2.0):
+        if is_pm_identity(m, s) or (abs(m.trace()) < 2 * s if exact
+                                    else abs(float(m.trace())) < 2.0):
             return False
     x, y, z = A.trace(), B.trace(), (A @ B).trace()
     sx = 1 if x >= 0 else -1
@@ -380,8 +372,7 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
     else:
         band, a, b = DEFAULT.band, 1, 1
     for name, m, scale in (("A", A, a), ("B", B, b)):
-        if (_is_pm_identity(m, scale) if exact
-                else m.dist_to_pm_identity() <= DEFAULT.identity):
+        if is_pm_identity(m, scale):
             return Degenerate(reason=f"generator {name} is +-identity")
 
     sa = 1 if A.trace() >= 0 else -1

@@ -29,7 +29,7 @@ import math
 from ._record import Record
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_angles, eigen_data, integer_scaled
 from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
 from .tolerances import DEFAULT
 
@@ -221,37 +221,40 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     Most (connector, source) pairs are never scanned.  A connector P acts on
     P1 as a homeomorphism that keeps the orientation when det P > 0 and
     reverses it when det P < 0 (generators of determinant -1 are allowed).
-    So the sources of a block, sorted by unstable angle and scanning one
-    list, are carried into the arc between the images of the block's first
-    and last source.  When that arc holds none of the list's targets, the
-    distance to the nearest of them is a tent on the gap between two of
-    them, and every residual of the block is at least the smaller of the
-    two endpoint distances.  A block whose bound exceeds the best residual
-    by more than 1e-12, which absorbs rounding, is skipped; others are
-    halved, and a source is carried at most once per connector.  The
-    surviving sources are scanned in shortlex order, so the visiting order,
-    the ties and the result are those of the full scan.  The connection
-    found is re-verified from scratch.
+    So the sources of a block, any set of them sorted by unstable angle and
+    scanning one list, are carried into the arc between the images of the
+    block's first and last source.  When that arc holds none of the list's
+    targets, the distance to the nearest of them is a tent on the gap
+    between two of them, and every residual of the block is at least the
+    smaller of the two endpoint distances.  A block whose bound exceeds the
+    best residual by more than 1e-12, which absorbs rounding, is skipped;
+    others are halved, and a source is carried at most once per connector.
+    The first blocks are the sources ending in each letter that may precede
+    the connector: a word's unstable direction is set mostly by its last
+    letters, so most of them are skipped whole.  Until the first hit
+    nothing is skipped, so no bound is taken.  The kept sources are scanned
+    in shortlex order, so the visiting order, the ties and the result are
+    those of the full scan.  The connection found is re-verified from
+    scratch.
     """
     # hyperbolic cyclic classes, shortlex: the sources keep that order; at
     # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
     band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
-    periodic = [(w, eigen_data(Mat2(*m), scale)) for w, m, scale in
+    periodic = [(w, eigen_angles(*m, scale)) for w, m, scale in
                 periodic_entries(mats, sft, max(k_max, ell_max))
                 if abs(m[0] + m[3])
                 > (band + (2 if m[0] * m[3] - m[1] * m[2] > 0 else 0)) * scale]
-    sources = [(v, e[0][0].angle) for v, e in periodic if len(v) <= k_max]
-    target_dirs = sorted((e[1][0].angle, w) for w, e in periodic
-                         if len(w) <= ell_max)
+    sources = [(v, u) for v, (u, _) in periodic if len(v) <= k_max]
+    target_dirs = sorted((s, w) for w, (_, s) in periodic if len(w) <= ell_max)
     # each source's (cos, sin), as act_angle takes them
     trig = [(math.cos(u), math.sin(u)) for _, u in sources]
     by_angle = sorted(range(len(sources)), key=lambda i: sources[i][1])
     letters = range(sft.n_symbols)
-    # by angle, the sources that may precede each letter and those that end
-    # in it; the angles and the words of the targets it may precede
-    feeding = [[i for i in by_angle if sft.ok(sources[i][0][-1], s)] for s in letters]
+    allowed = sft.allowed
+    # by angle, the sources that end in each letter; the angles and the words
+    # of the targets each letter may precede
     ending = [[i for i in by_angle if sources[i][0][-1] == s] for s in letters]
-    fed = [[(a, w) for a, w in target_dirs if sft.ok(s, w[0])] for s in letters]
+    fed = [[(a, w) for a, w in target_dirs if allowed[s][w[0]]] for s in letters]
     fed = [([a for a, _ in f], [w for _, w in f]) for f in fed]
 
     best = None
@@ -265,14 +268,18 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
             x, y = trig[i]
             return norm_angle(math.atan2(c * x + d * y, a * x + b * y))
 
-        # until the first hit best_r is inf, and every source is kept; the
-        # bound may ignore that a target must differ from its source
+        # one block per letter e, the sources ending in e, which scan the
+        # targets of the connector's last letter (e's own when it is empty);
+        # the bound may ignore that a target must differ from its source
         limit = best_r + 1e-12
         keep = []
-        for group, s in ([(feeding[conn[0]], conn[-1])] if conn
-                         else zip(ending, letters)):
+        for group, s in ([(ending[e], conn[-1]) for e in letters if allowed[e][conn[0]]]
+                         if conn else zip(ending, letters)):
             ts = fed[s][0]
             if not ts or not group:
+                continue
+            if best_r == math.inf:
+                keep += [(i, carry(i), s) for i in group]
                 continue
             t_lo = carry(group[0])
             blocks = [(0, len(group) - 1, t_lo,

@@ -53,6 +53,10 @@ def test_unknown_name_is_missing():
      {"multicone", "fareycomb", "witness", "twoshift", "_exact"}),
     (["classify2", "--input", "SPEC"],
      {"multicone", "corrdyn", "witness", "fareycomb"}),
+    (["witness", "--input", "SPEC", "--budget", "4,4,3"],
+     {"multicone", "twoshift", "_exact", "fareycomb", "corrdyn"}),
+    (["rate", "--input", "SPEC", "--depth", "6"],
+     {"multicone", "twoshift", "_exact", "fareycomb", "corrdyn", "witness"}),
 ])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, absent):
     spec = tmp_path / "spec.json"

@@ -7,9 +7,9 @@ import pytest
 from hypercone.errors import (NoInvariantDirection, NotCanonicalizable,
                               PreconditionViolated)
 from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
-                               classify, eigen_data, integer_scaled,
-                               invariant_dirs, is_exact, normalize_tuple,
-                               spectral_norm)
+                               classify, eigen_angles, eigen_data,
+                               integer_scaled, invariant_dirs, is_exact,
+                               is_pm_identity, normalize_tuple, spectral_norm)
 from hypercone.symdyn import eval_string
 
 
@@ -27,6 +27,19 @@ def test_classify_examples():
     assert classify(Mat2.identity()) is MatClass.PLUS_MINUS_IDENTITY
     assert classify(Mat2(0, -1, 1, 0)) is MatClass.ELLIPTIC
     assert classify(Mat2(1, 1, 0, 1)) is MatClass.PARABOLIC
+
+
+def test_exact_input_is_read_exactly_by_the_identity_test():
+    # within DEFAULT.identity of +-I entrywise, but not +-I: rational input
+    # is read exactly, float input within the band
+    assert classify(Mat2.diagonal(1 + Fraction(1, 10 ** 12))) is MatClass.HYPERBOLIC
+    assert classify(Mat2(1, Fraction(1, 10 ** 10), 0, 1)) is MatClass.PARABOLIC
+    assert classify(Mat2.diagonal(1 + 1e-12)) is MatClass.PLUS_MINUS_IDENTITY
+    assert classify(Mat2(-1, 0, 0, -1)) is MatClass.PLUS_MINUS_IDENTITY
+    # an integer matrix n over a scale s is n / s
+    assert is_pm_identity(Mat2(-3, 0, 0, -3), 3)
+    assert not is_pm_identity(Mat2(3, 0, 0, 3), 1)
+    assert not is_pm_identity(Mat2(3, 0, 0, -3), 3)
 
 
 def test_classify_conjugation_invariance():
@@ -261,3 +274,58 @@ def test_eigen_data_exact_matches_the_rational_discriminant():
             assert eigen_data(nk, k * s) == eigen_data(m), (m, k)
         checked += 1
     assert checked > 100
+
+
+def test_eigen_angles_have_eigen_data_bits():
+    """eigen_angles(a, b, c, d, s) gives the angles of eigen_data(Mat2(a, b,
+    c, d), s) bit for bit, or raises as it does, on float matrices, their
+    Fraction forms, integer_scaled forms with S > 1, large integer matrices
+    at scale 1, triangular matrices, negative traces and det < 0."""
+    rng = random.Random("eigen angles")
+
+    def flipped(m):
+        return Mat2(m.b, m.a, m.d, m.c)  # det -1 from det 1
+
+    floats = [rand_sl2(rng) for _ in range(150)]
+    floats += [Mat2(2.0, 1.0, 0.0, 0.5), Mat2(2.0, 0.0, -3.0, 0.5),
+               Mat2(3.0, 0.0, 0.0, 1 / 3), Mat2(1.0, 1.0, 0.0, 1.0)]
+    floats += [-m for m in floats] + [flipped(m) for m in floats]
+    rationals = [Mat2(*(Fraction(v) for v in (m.a, m.b, m.c, m.d))) for m in floats]
+    for _ in range(150):
+        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+        if a:
+            rationals.append(Mat2(a, b, c, (rng.choice((1, -1)) + b * c) / a))
+    rationals += [Mat2(Fraction(5, 3), 0, 7, Fraction(3, 5)),
+                  Mat2(Fraction(-5, 3), Fraction(2, 7), 0, Fraction(-3, 5))]
+    # integer matrices of det +-1 whose traces pass 2**53, where the float
+    # discriminant is not the exact one
+    integers = []
+    for _ in range(100):
+        n = Mat2(1, 0, 0, rng.choice((1, -1)))
+        for _ in range(6):
+            k = rng.randint(-10 ** 4, 10 ** 4)
+            n = (Mat2(1, k, 0, 1) if rng.random() < 0.5 else Mat2(1, 0, k, 1)) @ n
+        integers += [n, -n]
+
+    cases = ([(m, 1) for m in floats + rationals + integers]
+             + [integer_scaled(m) for m in rationals])
+    seen = {"raised": 0, "scale > 1": 0, "det < 0": 0, "tr < 0": 0,
+            "b or c = 0": 0, "float reading differs": 0}
+    for m, s in cases:
+        try:
+            (u, _), (v, _) = eigen_data(m, s)
+        except NoInvariantDirection:
+            with pytest.raises(NoInvariantDirection):
+                eigen_angles(m.a, m.b, m.c, m.d, s)
+            seen["raised"] += 1
+            continue
+        got = eigen_angles(m.a, m.b, m.c, m.d, s)
+        assert [x.hex() for x in got] == [u.angle.hex(), v.angle.hex()], (m, s)
+        seen["scale > 1"] += s > 1
+        seen["det < 0"] += m.det() < 0
+        seen["tr < 0"] += m.trace() < 0
+        seen["b or c = 0"] += m.b == 0 or m.c == 0
+        if s == 1 and all(type(x) is int for x in (m.a, m.b, m.c, m.d)):
+            (fu, _), (fv, _) = eigen_data(m.to_float())
+            seen["float reading differs"] += got != (fu.angle, fv.angle)
+    assert all(seen.values()), seen

@@ -303,7 +303,8 @@ def test_best_heteroclinic_group_tuple_sft4(free_pair, sft4):
 def test_best_heteroclinic_carries_each_source_once_per_connector(
         monkeypatch, free_pair):
     # the halves of a block take over its endpoints' carried angles, so the
-    # prune and the scan carry each source at most once per connector
+    # prune and the scan carry each source at most once per connector; the
+    # blocks, one per last letter, are mostly pruned whole
     import hypercone.witness as witness_mod
     carried = []
 
@@ -312,7 +313,28 @@ def test_best_heteroclinic_carries_each_source_once_per_connector(
         return _orig(a)
     monkeypatch.setattr(witness_mod, "norm_angle", counted)
     hit = best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
-    assert hit.connector == (1,) * 6 and len(carried) == 1372
+    assert hit.connector == (1,) * 6 and len(carried) == 688
+
+
+def test_best_heteroclinic_bounds_no_block_before_its_first_hit(
+        monkeypatch, free_pair):
+    # until a residual is known the bound prunes nothing, so every source of
+    # the first connectors is kept without a block tree
+    import hypercone.witness as witness_mod
+    bounds, at_first_hit = [], []
+
+    def counted(*args, _orig=witness_mod._arc_bound):
+        bounds.append(args)
+        return _orig(*args)
+
+    def hit(*args, _orig=witness_mod.HeteroclinicHit, **kwargs):
+        if not at_first_hit:
+            at_first_hit.append(len(bounds))
+        return _orig(*args, **kwargs)
+    monkeypatch.setattr(witness_mod, "_arc_bound", counted)
+    monkeypatch.setattr(witness_mod, "HeteroclinicHit", hit)
+    best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
+    assert at_first_hit == [0] and bounds
 
 
 def test_search_elliptic_reverifies_its_witness(monkeypatch):
