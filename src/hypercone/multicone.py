@@ -35,8 +35,8 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
-from .sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
-from .symdyn import LETTERS, Sft, admissible_entries, product, render_word
+from .sl2core import Mat2, eigen_data, is_pm_identity
+from .symdyn import LETTERS, Sft, admissible_entries, exact_product, render_word
 from .tolerances import DEFAULT
 
 # fattening radius in the S-gaps' Hilbert metrics, the per-edge slack cap
@@ -381,9 +381,7 @@ def _directions(mats, w, n: Mat2, scale: int) -> tuple[float, float]:
         except NoInvariantDirection:
             pass
     if not n.is_exact():
-        scaled = [integer_scaled(m) for m in mats]
-        return _directions(mats, w, product([m for m, _ in scaled], w),
-                           math.prod(scaled[x][1] for x in w))
+        return _directions(mats, w, *exact_product(mats, w))
     raise NoConvergence(f"cyclic word {render_word(w)} is not hyperbolic (|tr| = "
                         f"{float(abs(tr) / scale):.6g}, det = "
                         f"{float(n.det() / (scale * scale)):.6g})")

@@ -241,7 +241,11 @@ class CanonicalPair(Record):
 
 
 def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
-    if float(A.trace()) < 2.0 - DEFAULT.trace or float(B.trace()) < 2.0 - DEFAULT.trace:
+    """The normal form of (A, B); NotCanonicalizable unless both traces are
+    >= 2 (read exactly on exact input, as classify does), neither is
+    +-identity and their unstable directions differ."""
+    if any(m.trace() < 2 if m.is_exact() else float(m.trace()) < 2.0 - DEFAULT.trace
+           for m in (A, B)):
         raise NotCanonicalizable("both traces must be >= 2")
     for m in (A, B):
         if is_pm_identity(m):

@@ -132,6 +132,14 @@ def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     return out
 
 
+def exact_product(mats, w: Word) -> tuple[Mat2, int]:
+    """(n, S) with n / S the product of w on the given entries read exactly
+    (a float is a dyadic rational): n the product of the integer_scaled
+    generators, S that of their scales."""
+    scaled = [integer_scaled(m) for m in mats]
+    return product([n for n, _ in scaled], w), math.prod(scaled[s][1] for s in w)
+
+
 def eval_string(mats, word: str) -> Mat2:
     """Left-to-right product of a word of LETTERS over mats = (A, B[, ...]):
     "BAB" is B @ A @ B, the reverse of product's orbit order."""

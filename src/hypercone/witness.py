@@ -1,24 +1,38 @@
 """Constructive witnesses of non-hyperbolicity and boundary structure.
 
 Searches run over primitive cyclic word classes in shortlex order, so the
-returned witnesses are canonical and reproducible.  Before a witness is
-reported it is re-verified on products rebuilt from the generators, not the
-searches' prefix-tree products and carried angles.  An elliptic witness is
-checked exactly: its product on the given entries, a float read as the
-dyadic rational it is, has det > 0 and tr^2 < 4 det, so it is elliptic.
+returned witnesses are canonical and reproducible.  One classifier (_kind)
+gives each class one kind, read on its product entries / S as the first of:
 
-Exact input (every generator exact) takes band 0, as twoshift does: the
-searches read the integer product n of a word's integer_scaled generators
-and the product S of their scales, so a word is elliptic when |tr n| < 2S,
-parabolic when |tr n| = 2S, +-identity when n = +-S I and hyperbolic when
-|tr n| > 2S, and a parabolic or identity hit is re-checked exactly on its
-rebuilt integer product.  On float input a parabolic or +-identity witness
-has its trace or distance to +-identity re-checked on a float product
-rebuilt with symdyn.product; these are claims within the DEFAULT.parabolic
-and DEFAULT.identity bands, not proofs, since a rounded float product is
-almost never exactly parabolic.  A heteroclinic residual is recomputed on
-float products and is a claim within DEFAULT.heteroclinic on any input.  A
-witness failing its check raises WitnessUnverified.
+  elliptic    det > 0 and |tr| < 2 - DEFAULT.trace;
+  identity    within DEFAULT.identity of +-I (sl2core.is_pm_identity), or
+              of det < 0 with |tr| <= DEFAULT.parabolic and its square
+              +-I, when the hit is the doubled word;
+  parabolic   ||tr| - 2| <= DEFAULT.parabolic;
+  hyperbolic  |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det <= 0;
+  none        anything else (det <= 0 and tr near 0).
+
+So a float class with 2 - DEFAULT.parabolic <= |tr| < 2 - DEFAULT.trace is
+elliptic, and one with 2 + DEFAULT.trace < |tr| <= 2 + DEFAULT.parabolic
+parabolic, in every search.  Exact input (every generator exact) takes band
+0, as twoshift does: the searches read the integer product n of a word's
+integer_scaled generators and the product S of their scales, so a class is
+elliptic when |tr n| < 2S, +-identity when n = +-S I, parabolic when
+|tr n| = 2S and hyperbolic when |tr n| > 2S.  search_elliptic,
+search_parabolic and best_heteroclinic each read the first class of their
+kind, or all hyperbolic ones; diagnose_boundary reads all three off one walk.
+
+Before a witness is reported it is re-verified on products rebuilt from the
+generators, not the walk's prefix-tree products and carried angles.  An
+elliptic witness is checked exactly: its product on the given entries, a
+float read as the dyadic rational it is, has det > 0 and tr^2 < 4 det.  A
+parabolic or identity hit is classified again on its rebuilt product:
+exactly on exact input, and on a float product from symdyn.product on float
+input, where it is a claim within the DEFAULT.parabolic and DEFAULT.identity
+bands, not a proof, since a rounded float product is almost never exactly
+parabolic.  A heteroclinic residual is recomputed on float products and is a
+claim within DEFAULT.heteroclinic on any input.  A witness failing its check
+raises WitnessUnverified.
 """
 
 from __future__ import annotations
@@ -29,8 +43,9 @@ import math
 from ._record import Record
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
-from .sl2core import Mat2, eigen_angles, eigen_data, integer_scaled
-from .symdyn import Sft, Word, admissible_entries, periodic_entries, product, render_word
+from .sl2core import Mat2, eigen_angles, eigen_data, is_pm_identity
+from .symdyn import (Sft, Word, admissible_entries, exact_product, periodic_entries,
+                     product, render_word)
 from .tolerances import DEFAULT
 
 
@@ -76,14 +91,38 @@ class BoundaryReport(Record):
         return out
 
 
+def _kind(w: Word, m, scale: int, exact: bool) -> tuple[str, Word]:
+    """(kind, hit word) of the cyclic class w whose product is the entries
+    m / scale: the first of elliptic, identity, parabolic and hyperbolic
+    that holds, else "none"; the hit word is w, or w + w for a det < 0
+    class whose square is +-identity.  Exact input takes band 0."""
+    a, b, c, d = m
+    t, det = abs(a + d), a * d - b * c
+    band, near = (0, 0) if exact else (DEFAULT.trace, DEFAULT.parabolic)
+    if det < 0:
+        # real eigenvalues of opposite signs; C^2 = tr(C) C - det(C) I, so
+        # C^2 near +-I needs tr(C) near 0: at det -1 some |C_ij| >= 1/sqrt 2,
+        # and C^2 within DEFAULT.identity of I needs |tr| <= sqrt 2 times that
+        if t <= near * scale:
+            q = Mat2(a, b, c, d)
+            if is_pm_identity(q @ q, scale * scale):
+                return "identity", w + w
+        return ("hyperbolic" if t > band * scale else "none"), w
+    if t < (2 - band) * scale and det > 0:
+        return "elliptic", w
+    if abs(t - 2 * scale) <= near * scale:
+        # +-I has |tr| within 2 DEFAULT.identity of 2
+        return ("identity" if is_pm_identity(Mat2(a, b, c, d), scale) else "parabolic"), w
+    return ("hyperbolic" if t > (band + (2 if det > 0 else 0)) * scale else "none"), w
+
+
 def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
-    """First cyclic class (shortlex) whose product is elliptic: trace inside
-    (-2, 2) and det > 0.  A product of det < 0 has real eigenvalues of
-    opposite signs, so it is skipped; the sign is read on candidates only.
-    Exact input takes band 0: |tr n| < 2S for the integer product n / S."""
-    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
-    for w, (a, b, c, d), scale in periodic_entries(mats, sft, max_len):
-        if abs(a + d) < (2 - band) * scale and a * d - b * c > 0:
+    """First cyclic class (shortlex) of kind elliptic (_kind), checked
+    exactly (_verify_elliptic)."""
+    exact = all(m.is_exact() for m in mats)
+    for w, m, scale in periodic_entries(mats, sft, max_len):
+        # an elliptic class has |tr| < 2S: most words stop here
+        if abs(m[0] + m[3]) < 2 * scale and _kind(w, m, scale, exact)[0] == "elliptic":
             _verify_elliptic(mats, w)
             return w
     return None
@@ -92,10 +131,9 @@ def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
 def _verify_elliptic(mats, w: Word) -> None:
     """Raise WitnessUnverified unless the product of w is elliptic on the
     given entries read exactly (a float is a dyadic rational): det > 0 and
-    tr^2 < 4 det.  Each generator becomes an integer matrix and a scale
-    (integer_scaled), so the word's product is n / S for the integer product
-    n and the product S of the scales, and S cancels from both tests."""
-    n, scale = _exact_product(mats, w)
+    tr^2 < 4 det, for the integer product n / S (exact_product), S
+    cancelling from both tests."""
+    n, scale = exact_product(mats, w)
     tr, det = n.trace(), n.det()
     if not (det > 0 and tr * tr < 4 * det):
         raise WitnessUnverified(
@@ -103,86 +141,33 @@ def _verify_elliptic(mats, w: Word) -> None:
             f"det {det / (scale * scale)} when its product is rebuilt exactly")
 
 
-def _exact_product(mats, w: Word) -> tuple[Mat2, int]:
-    """(n, S) with n / S the product of w on the given entries read exactly:
-    n the product of the integer_scaled generators, S that of their scales."""
-    scaled = [integer_scaled(m) for m in mats]
-    return product([m for m, _ in scaled], w), math.prod(scaled[s][1] for s in w)
-
-
 def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
-    """First cyclic class with ||tr| - 2| <= DEFAULT.parabolic, distinguishing
-    +-identity.
-
-    A product C of det < 0 is never parabolic: its eigenvalues are real, of
-    opposite signs.  By Cayley-Hamilton C^2 = tr(C) C - det(C) I, so C^2 is
-    near the identity only when tr(C) is near 0; such a word's square is
-    rebuilt with product() and, within DEFAULT.identity of the identity,
-    gives an identity hit on the doubled word.  Exact input takes band 0
-    (_exact_kind), and a hit is re-checked on its rebuilt integer product.
-    """
+    """First cyclic class (shortlex) of kind parabolic or identity (_kind),
+    re-checked on its rebuilt product (_checked_hit)."""
     exact = all(m.is_exact() for m in mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
-        if exact:
-            kind = _exact_kind(m, scale)
-            if kind is not None:
-                return _verify_exact_hit(mats, w + w if m[0] * m[3] < m[1] * m[2]
-                                         else w, kind)
-            continue
+        # a parabolic or identity class has |tr| / S within 1/2 of 2, or below
+        # 1/2 (at det < 0): most words stop here
         t = abs(m[0] + m[3]) / scale
-        # every +-identity hit passes: its |tr| is within 2 DEFAULT.identity
-        # of 2; at det -1, C^2 - I = tr(C) C and some |C_ij| >= 1/sqrt 2, so
-        # C^2 within DEFAULT.identity of I needs |tr| <= sqrt 2 DEFAULT.identity
-        if abs(t - 2.0) > DEFAULT.parabolic and t > DEFAULT.parabolic:
+        if abs(t - 2.0) > 0.5 and t > 0.5:
             continue
-        if m[0] * m[3] - m[1] * m[2] < 0:
-            q = product(mats, w + w)
-            if q.dist_to_pm_identity() <= DEFAULT.identity:
-                return ParabolicHit(word=w + w, kind="identity",
-                                    trace=float(q.trace()))
-            continue
-        if Mat2(*(v / scale for v in m)).dist_to_pm_identity() <= DEFAULT.identity:
-            kind = "identity"
-        elif abs(t - 2.0) <= DEFAULT.parabolic:
-            kind = "parabolic"
-        else:
-            continue
-        q = product(mats, w)
-        if not (q.dist_to_pm_identity() <= DEFAULT.identity if kind == "identity"
-                else abs(abs(float(q.trace())) - 2.0) <= DEFAULT.parabolic):
-            raise WitnessUnverified(
-                f"{kind} witness {render_word(w)} has trace {float(q.trace())} "
-                "when its product is rebuilt")
-        return ParabolicHit(word=w, kind=kind, trace=float((m[0] + m[3]) / scale))
+        kind, hit = _kind(w, m, scale, exact)
+        if kind in ("parabolic", "identity"):
+            return _checked_hit(mats, hit, kind, exact)
     return None
 
 
-def _exact_kind(m, scale: int) -> str | None:
-    """The kind of the integer product n = Mat2(*m) over scale S, read
-    exactly: n = +-S I is the identity, |tr n| = 2S parabolic, and at
-    det n < 0 the square n^2 = -det(n) I is the identity when tr n = 0 and
-    det n = -S^2; None for any other product."""
-    a, b, c, d = m
-    tr = a + d
-    if tr and abs(tr) != 2 * scale:
-        return None
-    det = a * d - b * c
-    if det < 0:
-        return "identity" if tr == 0 and det == -scale * scale else None
-    if not tr:
-        return None
-    return "identity" if b == 0 and c == 0 and a == d else "parabolic"
-
-
-def _verify_exact_hit(mats, w: Word, kind: str) -> ParabolicHit:
-    """The hit of kind on w, once its rebuilt integer product is of that
-    kind (else WitnessUnverified)."""
-    n, scale = _exact_product(mats, w)
-    if _exact_kind((n.a, n.b, n.c, n.d), scale) != kind:
+def _checked_hit(mats, w: Word, kind: str, exact: bool) -> ParabolicHit:
+    """The hit of kind on w, once _kind gives kind on w's rebuilt product:
+    exact_product on exact input, product on float input (else
+    WitnessUnverified)."""
+    n, scale = exact_product(mats, w) if exact else (product(mats, w), 1)
+    trace = float(n.trace() / scale)
+    if _kind(w, (n.a, n.b, n.c, n.d), scale, exact)[0] != kind:
         raise WitnessUnverified(
-            f"{kind} witness {render_word(w)} has trace {n.trace() / scale} "
-            "when its product is rebuilt exactly")
-    return ParabolicHit(word=w, kind=kind, trace=n.trace() / scale)
+            f"{kind} witness {render_word(w)} has trace {trace} when its product "
+            f"is rebuilt{' exactly' if exact else ''}")
+    return ParabolicHit(word=w, kind=kind, trace=trace)
 
 
 def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
@@ -206,9 +191,8 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     the same cyclic orbit.  Candidates are visited connector by connector
     (shortlex), then source by source (shortlex), then target by target (by
     stable angle); the first strict minimum wins, so the shortest connector
-    of equal residuals.  Sources and targets are the hyperbolic cyclic
-    classes: |tr| > 2 + DEFAULT.trace, or > DEFAULT.trace at det < 0, with
-    band 0 in place of DEFAULT.trace on exact input.
+    of equal residuals.  Sources and targets are the cyclic classes of kind
+    hyperbolic (_kind).
 
     Each letter has one list of the targets it may precede, sorted by stable
     angle; a carried source scans the list of the connector's last letter
@@ -237,13 +221,19 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     those of the full scan.  The connection found is re-verified from
     scratch.
     """
-    # hyperbolic cyclic classes, shortlex: the sources keep that order; at
-    # det < 0 the eigenvalues are real, and only tr = 0 leaves none expanding
-    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
-    periodic = [(w, eigen_angles(*m, scale)) for w, m, scale in
-                periodic_entries(mats, sft, max(k_max, ell_max))
-                if abs(m[0] + m[3])
-                > (band + (2 if m[0] * m[3] - m[1] * m[2] > 0 else 0)) * scale]
+    exact = all(m.is_exact() for m in mats)
+    # a class with |tr| > 3S is hyperbolic whatever its det: most words stop here
+    return _best_connection(mats, sft, [
+        (w, m, scale) for w, m, scale in periodic_entries(mats, sft, max(k_max, ell_max))
+        if abs(m[0] + m[3]) > 3 * scale or _kind(w, m, scale, exact)[0] == "hyperbolic"],
+        k_max, ell_max, n_max)
+
+
+def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
+                     n_max: int) -> HeteroclinicHit | None:
+    """best_heteroclinic over the hyperbolic classes, (word, entries, scale)
+    in shortlex order: the sources keep that order."""
+    periodic = [(w, eigen_angles(*m, scale)) for w, m, scale in classes]
     sources = [(v, u) for v, (u, _) in periodic if len(v) <= k_max]
     target_dirs = sorted((s, w) for w, (_, s) in periodic if len(w) <= ell_max)
     # each source's (cos, sin), as act_angle takes them
@@ -342,20 +332,31 @@ def _reverify_heteroclinic(mats, hit: HeteroclinicHit) -> None:
 
 def diagnose_boundary(mats, sft: Sft,
                       budget: tuple[int, int, int] = (12, 12, 8)) -> BoundaryReport:
-    """Run the three witness searches under a shared budget.
+    """The three witness searches under a shared budget, read off one walk:
+    the first elliptic class, else the first parabolic or identity class,
+    else the best heteroclinic connection between the hyperbolic classes.
 
     Near a non-principal component no product may come close to +-identity,
     so an identity hit is reported as its own kind.
     """
     k_max, ell_max, n_max = budget
     budgets = {"k": k_max, "l": ell_max, "n": n_max}
-    w = search_elliptic(mats, sft, max(k_max, ell_max))
-    if w is not None:
-        return BoundaryReport(kind="elliptic", elliptic=w, budgets=budgets)
-    hit = search_parabolic(mats, sft, max(k_max, ell_max))
+    exact = all(m.is_exact() for m in mats)
+    hit = None
+    hyperbolic = []
+    for w, m, scale in periodic_entries(mats, sft, max(k_max, ell_max)):
+        kind, v = _kind(w, m, scale, exact)
+        if kind == "elliptic":
+            _verify_elliptic(mats, w)
+            return BoundaryReport(kind="elliptic", elliptic=w, budgets=budgets)
+        if kind == "hyperbolic":
+            hyperbolic.append((w, m, scale))
+        elif kind != "none" and hit is None:
+            hit = v, kind
     if hit is not None:
+        hit = _checked_hit(mats, *hit, exact)
         return BoundaryReport(kind=hit.kind, parabolic=hit, budgets=budgets)
-    het = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
+    het = _best_connection(mats, sft, hyperbolic, k_max, ell_max, n_max)
     if het is not None and het.residual <= DEFAULT.heteroclinic:
         return BoundaryReport(kind="heteroclinic", heteroclinic=het,
                               budgets=budgets)

@@ -342,11 +342,11 @@ def test_witness_empty_connector_budget(tmp_path, capsys):
 
 
 def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
-    import hypercone.witness as witness_mod
+    import hypercone.symdyn as symdyn_mod
     from hypercone.sl2core import Mat2
     path = write_spec(tmp_path, ELLIPTIC_SPEC)
     # the rebuilt product is hyperbolic, so the elliptic witness fails
-    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    monkeypatch.setattr(symdyn_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
     code = main(["witness", "--input", path, "--budget", "3,3,1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

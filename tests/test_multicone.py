@@ -299,13 +299,13 @@ def test_float_compute_cores_rereads_a_failing_word_exactly(monkeypatch):
     # AABABAABABAB and BBABABBABABA drift to det 1.02 and 1.09 and test
     # non-hyperbolic, yet both words are hyperbolic on the entries read
     # exactly, so depth 14 ends as on exact input, with no certified system
-    import hypercone.multicone as multicone_mod
+    import hypercone.symdyn as symdyn_mod
     rebuilt = []
 
-    def counted(m, _orig=multicone_mod.integer_scaled):
+    def counted(m, _orig=symdyn_mod.integer_scaled):
         rebuilt.append(m)
         return _orig(m)
-    monkeypatch.setattr(multicone_mod, "integer_scaled", counted)
+    monkeypatch.setattr(symdyn_mod, "integer_scaled", counted)
     population = pullback_population(500)
     for i, fword in ((24, "+--+-"), (42, "-++-+")):
         pair, got, _ = population[i]

@@ -128,6 +128,16 @@ def test_canonical_form_rejections():
         canonical_form(Mat2(2, 0, 0, 0.5), Mat2(3, 0, 0, 1 / 3))  # same axis
 
 
+def test_canonical_form_reads_an_exact_trace_exactly():
+    # det 1 and trace 2 - 1e-10: elliptic when read exactly, though within
+    # DEFAULT.trace of 2 as a float, so refused before any eigen data
+    near = Mat2(1, 1, -Fraction(1, 10**10), 1 - Fraction(1, 10**10))
+    assert near.det() == 1 and classify(near) is MatClass.ELLIPTIC
+    for pair in ((near, Mat2(2, 1, 1, 1)), (Mat2(2, 1, 1, 1), near)):
+        with pytest.raises(NotCanonicalizable, match="traces"):
+            canonical_form(*pair)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

@@ -13,10 +13,10 @@ from hypercone.sl2core import Mat2, eigen_data, spectral_norm
 from hypercone.symdyn import (RateReport, Sft, hyperbolicity_rate,
                               periodic_words, product)
 from hypercone.tolerances import DEFAULT
-from hypercone.witness import (HeteroclinicHit, ParabolicHit, best_heteroclinic,
-                               diagnose_boundary, search_elliptic,
-                               search_parabolic)
-from tests.conftest import canonical_pair, group_tuple
+from hypercone.witness import (BoundaryReport, HeteroclinicHit, ParabolicHit,
+                               best_heteroclinic, diagnose_boundary,
+                               search_elliptic, search_parabolic)
+from tests.conftest import canonical_pair, exact_canonical_pair, group_tuple
 
 
 def test_elliptic_rotation_length_one():
@@ -137,9 +137,11 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     order best_heteroclinic documents: connectors shortlex (the empty one
     first), sources shortlex, targets by stable angle.  Cyclic classes come
     from the brute-force min-rotation filter; the hyperbolic ones have
-    |tr| > 2 + DEFAULT.trace at det > 0 and |tr| > DEFAULT.trace at det < 0,
-    with band 0 in place of DEFAULT.trace on exact input."""
-    band = 0 if all(m.is_exact() for m in mats) else DEFAULT.trace
+    |tr| > 2 + DEFAULT.parabolic at det > 0 (the parabolic band is tested
+    first) and |tr| > DEFAULT.trace at det < 0, with band 0 in place of both
+    on exact input."""
+    exact = all(m.is_exact() for m in mats)
+    band, near = (0, 0) if exact else (DEFAULT.trace, DEFAULT.parabolic)
 
     def words(n):
         return [w for length in range(1, n + 1)
@@ -150,7 +152,7 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
 
     def hyperbolic(n):
         return [(w, p) for w, p in ((w, product(mats, w)) for w in words(n))
-                if abs(p.trace()) > band + (2 if p.det() > 0 else 0)]
+                if abs(p.trace()) > (2 + near if p.det() > 0 else band)]
 
     sources = [(v, eigen_data(p)[0][0].angle) for v, p in hyperbolic(k_max)]
     targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
@@ -338,9 +340,10 @@ def test_best_heteroclinic_bounds_no_block_before_its_first_hit(
 
 
 def test_search_elliptic_reverifies_its_witness(monkeypatch):
-    import hypercone.witness as witness_mod
+    # the witness is rebuilt exactly, by symdyn.exact_product
+    import hypercone.symdyn as symdyn_mod
     pair = canonical_pair(2.0, 2.0, 1.0, -2.0)  # tr AB = 0
-    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    monkeypatch.setattr(symdyn_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
     with pytest.raises(WitnessUnverified) as err:
         search_elliptic(pair, Sft.full(2), 4)
     assert isinstance(err.value, HyperconeError)
@@ -351,9 +354,12 @@ def test_search_elliptic_reverifies_its_witness(monkeypatch):
                                        ("parabolic", Mat2(1.0, 1.0, 0.0, 1.0))],
                          ids=["parabolic", "identity", "float-parabolic"])
 def test_search_parabolic_reverifies_its_witness(monkeypatch, kind, mat):
+    # float hits are rebuilt by product, exact ones by symdyn.exact_product
+    import hypercone.symdyn as symdyn_mod
     import hypercone.witness as witness_mod
     assert search_parabolic((mat,), Sft.full(1), 2).kind == kind
-    monkeypatch.setattr(witness_mod, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
+    for module in (witness_mod, symdyn_mod):
+        monkeypatch.setattr(module, "product", lambda mats, w: Mat2(2.0, 0, 0, 0.5))
     with pytest.raises(WitnessUnverified):
         search_parabolic((mat,), Sft.full(1), 2)
 
@@ -372,10 +378,10 @@ def test_best_heteroclinic_reverifies_its_witness(monkeypatch, boundary_triple):
 def test_search_elliptic_checks_its_witness_exactly(monkeypatch):
     # the float search finds AB; read exactly, every generator is made the
     # hyperbolic [[2, 1], [1, 1]], so the exact check must refuse the word
-    import hypercone.witness as witness_mod
+    import hypercone.symdyn as symdyn_mod
     pair = canonical_pair(2.0, 2.0, 1.0, -2.0)  # tr AB = 0
     assert search_elliptic(pair, Sft.full(2), 4) == (0, 1)
-    monkeypatch.setattr(witness_mod, "integer_scaled",
+    monkeypatch.setattr(symdyn_mod, "integer_scaled",
                         lambda m: (Mat2(2, 1, 1, 1), 3))
     with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
         search_elliptic(pair, Sft.full(2), 4)
@@ -405,13 +411,14 @@ def test_exact_searches_take_band_zero():
 
 
 def test_search_parabolic_checks_its_witness_exactly(monkeypatch):
-    # read exactly, every generator is made the hyperbolic [[2, 1], [1, 1]]
-    # when the hit is rebuilt, so the exact re-check must refuse the word
+    # read exactly, the rebuilt hit is made the hyperbolic [[2, 1], [1, 1]]
+    # over 3, so the exact re-check must refuse the word (the walk reads the
+    # generators with integer_scaled too, so that is left as it is)
     import hypercone.witness as witness_mod
     shear = (Mat2(1, 1, 0, 1),)
     assert search_parabolic(shear, Sft.full(1), 2).kind == "parabolic"
-    monkeypatch.setattr(witness_mod, "integer_scaled",
-                        lambda m: (Mat2(2, 1, 1, 1), 3))
+    monkeypatch.setattr(witness_mod, "exact_product",
+                        lambda mats, w: (Mat2(2, 1, 1, 1), 3))
     with pytest.raises(WitnessUnverified, match="rebuilt exactly"):
         search_parabolic(shear, Sft.full(1), 2)
 
@@ -469,8 +476,9 @@ def _reference_searches(mats, sft, n_max):
     """search_elliptic, search_parabolic and hyperbolicity_rate as one plain
     loop of product() over periodic_words: a product of det < 0 is never
     elliptic or parabolic, and its square at +-identity is an identity hit
-    on the doubled word.  Exact input takes band 0: Fraction products are
-    compared with 2 and with +-identity exactly."""
+    on the doubled word; an elliptic word is no parabolic or identity hit.
+    Exact input takes band 0: Fraction products are compared with 2 and
+    with +-identity exactly."""
     exact = all(m.is_exact() for m in mats)
     pm_identity = (Mat2.identity(), -Mat2.identity())
 
@@ -482,9 +490,10 @@ def _reference_searches(mats, sft, n_max):
     for w in periodic_words(sft, n_max):
         p = product(mats, w)
         t = abs(p.trace() if exact else float(p.trace()))
-        if elliptic is None and t < 2 - (0 if exact else DEFAULT.trace) and p.det() > 0:
+        is_elliptic = t < 2 - (0 if exact else DEFAULT.trace) and p.det() > 0
+        if elliptic is None and is_elliptic:
             elliptic = w
-        if parabolic is None:
+        if parabolic is None and not is_elliptic:
             if p.det() < 0:
                 q = product(mats, w + w)
                 if is_identity(q):
@@ -533,3 +542,145 @@ def test_searches_match_reference_loop(sft4):
             abs(float(product(mats, w).trace())) < 2.0 - DEFAULT.trace
             and product(mats, w).det() < 0 for w in periodic_words(sft, n_max))
     assert all(seen.values()), seen
+
+
+def _shear(e):
+    """The entries of [[1, 1], [e, 1 + e]]: det 1, trace 2 + e."""
+    return (1, 1, e, 1 + e)
+
+
+S = 10 ** 10
+
+
+@pytest.mark.parametrize("entries, scale, exact, kind", [
+    # float bands: DEFAULT.trace on the elliptic side, DEFAULT.parabolic
+    # around |tr| = 2, DEFAULT.identity entrywise
+    (_shear(-5e-7), 1, False, "elliptic"),
+    (_shear(-5e-8), 1, False, "elliptic"),
+    (_shear(-5e-10), 1, False, "parabolic"),
+    (_shear(5e-10), 1, False, "parabolic"),
+    (_shear(5e-8), 1, False, "parabolic"),
+    (_shear(5e-7), 1, False, "hyperbolic"),
+    ((-1.0, 1e-12, 0.0, -1.0), 1, False, "identity"),
+    ((0.0, -1.0, 1.0, 0.0), 1, False, "elliptic"),
+    ((2.0, 0.0, 0.0, -0.5), 1, False, "hyperbolic"),
+    ((0.0, 1.0, 1.0, 0.0), 1, False, "doubled identity"),
+    ((0.0, 2.0, 2.0, 0.0), 1, False, "none"),
+    # exact: band 0 on the integer product n over its scale S; at tr n = 0
+    # and det n < 0, n^2 = -det(n) I, the identity when det n = -S^2
+    ((S, S, -1, S - 1), S, True, "elliptic"),
+    ((S, S, 1, S + 1), S, True, "hyperbolic"),
+    ((S, S, 0, S), S, True, "parabolic"),
+    ((-S, 0, 0, -S), S, True, "identity"),
+    ((1, 1, 1, 0), 1, True, "hyperbolic"),
+    ((0, 2, 2, 0), 2, True, "doubled identity"),
+    ((0, 2, 2, 0), 1, True, "none"),
+], ids=["float-below-band", "float-elliptic-band", "float-parabolic-low",
+        "float-parabolic-high", "float-parabolic-band", "float-above-band",
+        "float-minus-identity", "float-rotation", "float-det<0", "float-swap",
+        "float-det<0-none", "exact-elliptic", "exact-hyperbolic", "exact-parabolic",
+        "exact-identity", "exact-det<0", "exact-swap", "exact-det<0-none"])
+def test_one_kind_per_class(entries, scale, exact, kind):
+    from hypercone.witness import _kind
+    w = (0, 1)
+    expected = ("identity", w + w) if kind == "doubled identity" else (kind, w)
+    assert _kind(w, entries, scale, exact) == expected
+
+
+def test_standalone_searches_keep_to_one_kind():
+    # tr AB = 2 - 5e-8 is elliptic, no parabolic hit; tr AB = 2 + 5e-8 is
+    # parabolic, no heteroclinic source or target; A and B are hyperbolic
+    full = Sft.full(2)
+    below = canonical_pair(2.0, 1.5, 1.0, 2 - 5e-8 - 2.0 / 1.5 - 1.5 / 2.0)
+    assert search_elliptic(below, full, 2) == (0, 1)
+    assert search_parabolic(below, full, 2) is None
+    above = canonical_pair(2.0, 1.5, 1.0, 2 + 5e-8 - 2.0 / 1.5 - 1.5 / 2.0)
+    assert search_elliptic(above, full, 2) is None
+    assert search_parabolic(above, full, 2).word == (0, 1)
+    hit = best_heteroclinic(above, full, 2, 2, 1)
+    assert (0, 1) not in (hit.source, hit.target)
+    assert diagnose_boundary(above, full, (2, 2, 1)).kind == "parabolic"
+
+
+def test_diagnose_boundary_builds_each_tree_node_once(monkeypatch, free_pair):
+    # one walk of the Lyndon tree to max(k, l), whose every node product is
+    # built once, and one of the connectors' admissible-word tree to n: the
+    # three searches in sequence walk the Lyndon tree three times (4,303)
+    import hypercone.symdyn as symdyn_mod
+    import hypercone.witness as witness_mod
+    from hypercone.symdyn import admissible_entries, periodic_entries
+    full = Sft.full(2)
+    products = []
+
+    def counted(x, y, _orig=symdyn_mod._times):
+        products.append(1)
+        return _orig(x, y)
+    monkeypatch.setattr(symdyn_mod, "_times", counted)
+    sum(1 for _ in periodic_entries(free_pair, full, 12))
+    sum(1 for _ in admissible_entries(free_pair, full, 8))
+    nodes = len(products)
+    walks = []
+
+    def walked(*args, _orig=witness_mod.periodic_entries):
+        walks.append(args)
+        return _orig(*args)
+    monkeypatch.setattr(witness_mod, "periodic_entries", walked)
+    products.clear()
+    assert diagnose_boundary(free_pair, full, (12, 12, 8)).kind == "none"
+    assert len(walks) == 1 and len(products) == nodes == 1773
+
+
+def _sequential(mats, sft, budget):
+    """diagnose_boundary as the three standalone searches in sequence."""
+    k_max, ell_max, n_max = budget
+    budgets = {"k": k_max, "l": ell_max, "n": n_max}
+    w = search_elliptic(mats, sft, max(k_max, ell_max))
+    if w is not None:
+        return BoundaryReport(kind="elliptic", elliptic=w, budgets=budgets)
+    hit = search_parabolic(mats, sft, max(k_max, ell_max))
+    if hit is not None:
+        return BoundaryReport(kind=hit.kind, parabolic=hit, budgets=budgets)
+    het = best_heteroclinic(mats, sft, k_max, ell_max, n_max)
+    kind = ("heteroclinic" if het is not None and het.residual <= DEFAULT.heteroclinic
+            else "none")
+    return BoundaryReport(kind=kind, heteroclinic=het, budgets=budgets)
+
+
+def _boundary_population(sft4, triple):
+    """Float pairs with tr AB within 1e-7 of +-2, rational pairs near and on
+    +-2 and random ones, the det -1 swap with [[2, 1], [1, 1]], the SFT4
+    group tuple and the boundary triple, float and rational, each with a
+    shift and a budget."""
+    rng = random.Random("one walk")
+    full = Sft.full(2)
+    out = []
+    for i in range(40):
+        mu, nu = rng.uniform(1.1, 3.0), rng.uniform(1.1, 3.0)
+        z = rng.choice((2.0, -2.0)) + rng.uniform(-1e-7, 1e-7)
+        out.append((canonical_pair(mu, nu, 1.0, z - mu / nu - nu / mu),
+                    (full, GOLDEN2)[i % 2], (6, 6, 3)))
+    for i in range(30):
+        mu, nu = (Fraction(rng.randint(101, 300), 100) for _ in range(2))
+        z = rng.choice((2, -2))
+        z += Fraction(rng.choice((0, 1, -1)), rng.randint(10, 10 ** 8))
+        out.append((exact_canonical_pair(mu, nu, Fraction(1), z - mu / nu - nu / mu),
+                    (full, GOLDEN2)[i % 2], (6, 6, 3)))
+        out.append((tuple(_random_matrix(rng, True) for _ in range(2)), full, (5, 5, 2)))
+    swap = (Mat2(0, 1, 1, 0), Mat2(2, 1, 1, 1))
+    out += [(swap, full, (6, 6, 3)), (tuple(m.to_float() for m in swap), full, (6, 6, 3))]
+    group = group_tuple(canonical_pair(2.0, 2.0, 1.0, -9.0))
+    group_exact = group_tuple(exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1),
+                                                   Fraction(-9)))
+    out += [(group, sft4, (6, 6, 4)), (group_exact, sft4, (5, 5, 3))]
+    triple_exact = tuple(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))) for m in triple)
+    out += [(triple, Sft.full(3), (2, 2, 2)), (triple_exact, Sft.full(3), (2, 2, 2))]
+    return out
+
+
+def test_diagnose_boundary_is_the_searches_in_sequence(sft4, boundary_triple):
+    seen = set()
+    for mats, sft, budget in _boundary_population(sft4, boundary_triple):
+        rep = diagnose_boundary(mats, sft, budget)
+        assert rep == _sequential(mats, sft, budget), (mats, budget)
+        seen.add(rep.kind)
+    assert seen == {"elliptic", "parabolic", "identity", "heteroclinic", "none"}, seen
