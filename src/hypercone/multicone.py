@@ -261,66 +261,56 @@ class CoreSet(Record):
         return out
 
 
-# half-width given to each periodic point before the fill
+# how far an arc runs past its last point, which gives a one-point run a length
 PUFF = 1e-15
 
 
-def _puffed(angles) -> list[Span]:
-    return [(x, PUFF) for x in angles]
-
-
-def _fill_against(spans: list[Span], blockers: list[Span]) -> list[Span]:
-    """Merge gaps between spans that contain no part of the blocking set.
+def _runs(points, blockers) -> tuple[list[Span], tuple]:
+    """The fill of the (angle, name) points against the blocker angles: the
+    spans and, per span, the names of its first and last point, by start.
 
     This realizes the passage from a limit set to its core: complement
-    components that miss the opposite family are absorbed.
+    components that miss the opposite family are absorbed.  In one cyclic
+    sweep each maximal run of points with no blocker between two of them
+    spans from its first point to PUFF past its last; where points tie the
+    smallest name is first and the largest last, and a blocker tied with a
+    point follows it.  Without points or blockers there is no fill ([]).
     """
-    spans = merge_spans(spans)
-    if len(spans) <= 1 or not blockers:
-        return spans
-    blocked = merge_spans(blockers)
-    starts = [bs for bs, _ in blocked]
-
-    def gap_is_blocked(gs: float, gl: float) -> bool:
-        # blocked holds disjoint spans sorted by start: only the first one
-        # starting at or after gs can start inside the gap, and only the one
-        # before it can hold gs (blockers of length 0 leave blocked empty)
-        if not blocked:
-            return False
-        i = bisect.bisect_left(starts, gs)
-        for bs, bl in (blocked[i % len(blocked)], blocked[i - 1]):
-            if (bs - gs) % PI < gl or (gs - bs) % PI < bl:
-                return True
-        return False
-
-    spans2 = []
-    for i, (s, ln) in enumerate(spans):
-        spans2.append((s, ln))
-        nxt = spans[(i + 1) % len(spans)]
-        gap_start = s + ln
-        gap_len = (nxt[0] - gap_start) % PI
-        if not gap_is_blocked(gap_start % PI, gap_len):
-            spans2.append((gap_start % PI, gap_len))  # bridge the gap
-    return merge_spans(spans2)
+    marks = sorted([(x, False, name) for x, name in points]
+                   + [(b, True, "") for b in blockers])
+    cut = next((i for i, (_, blocks, _) in enumerate(marks) if blocks), None)
+    if cut is None:
+        return [], ()
+    runs, first = [], None
+    # from just past a blocker round to it, so a blocker closes every run
+    for x, blocks, name in marks[cut + 1:] + marks[:cut + 1]:
+        if not blocks:
+            first, last = first or (x, name), (x, name)
+        elif first:
+            # a run across 0 ends past pi
+            end = last[0] + PUFF + (PI if last[0] < first[0] else 0.0)
+            runs.append(((first[0], end - first[0]), (first[1], last[1])))
+            first = None
+    runs.sort()
+    return [span for span, _ in runs], tuple(ends for _, ends in runs)
 
 
 def _filled_view(u_pts, s_pts, mats, inv, sft: Sft):
-    """Per-symbol spans of the filled (angle, name) points.  Over the full
-    shift the points are pooled and block each other directly; on a
-    subshift symbol a's U points block against its S points carried over
-    letter a, and its S points against its U points carried back over it.
+    """Per symbol, the _runs of its U points against S and of its S points
+    against U.  Over the full shift the points are pooled and block each
+    other directly; on a subshift symbol a's U points block against its S
+    points carried over letter a, and its S points against its U points
+    carried back over it.
     """
     n = sft.n_symbols
     if sft.is_full:
-        u_all, s_all = (_puffed(x for pts in p for x, _ in pts) for p in (u_pts, s_pts))
-        return [_fill_against(u_all, s_all)] * n, [_fill_against(s_all, u_all)] * n
-    filled_u, filled_s = [], []
-    for a in range(n):
-        s_fwd = [mats[a].act_angle(x) for x, _ in s_pts[a]]
-        u_bwd = [inv[a].act_angle(x) for x, _ in u_pts[a]]
-        filled_u.append(_fill_against(_puffed(x for x, _ in u_pts[a]), _puffed(s_fwd)))
-        filled_s.append(_fill_against(_puffed(x for x, _ in s_pts[a]), _puffed(u_bwd)))
-    return filled_u, filled_s
+        u_all, s_all = sum(u_pts, []), sum(s_pts, [])
+        return ([_runs(u_all, [x for x, _ in s_all])] * n,
+                [_runs(s_all, [x for x, _ in u_all])] * n)
+    return ([_runs(u_pts[a], [mats[a].act_angle(x) for x, _ in s_pts[a]])
+             for a in range(n)],
+            [_runs(s_pts[a], [inv[a].act_angle(x) for x, _ in u_pts[a]])
+             for a in range(n)])
 
 
 def _named(spans: list[Span], points) -> tuple[tuple[ArcP1, ...], tuple]:
@@ -351,7 +341,7 @@ def _pin(name: str, letter: int, at: dict, forward: bool) -> float | None:
 def _invariant(u, s, mats, inv, sft: Sft, u_at: dict, s_at: dict) -> bool:
     """Each symbol's U and S arcs alternate, and each allowed a -> b maps U
     arcs of a into U arcs of b and, backward, S arcs of b into S arcs of a.
-    u[a] and s[a] are (arcs, names) of _named; image endpoints that an
+    u[a] and s[a] are (arcs, names) of _runs; image endpoints that an
     identity of words places on a rotated word's point are pinned there."""
     n = sft.n_symbols
     if any(alternation(u[a][0], s[a][0])[1] is not None for a in range(n)):
@@ -398,13 +388,15 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     to that of its first.  On a subshift each point is also carried one
     admissible letter forward (U, "(w)B" names B u(w)) or backward (S,
     "B(w)" names B^-1 s(w)), since some per-symbol endpoints are
-    preperiodic.  The points, puffed to PUFF, are filled U against S and S
-    against U (_filled_view), and the first system to pass _invariant is
-    returned; SearchBudgetExceeded if none up to depth does.  Every cyclic
-    word of a uniformly hyperbolic tuple is hyperbolic, so the first that is
-    not raises NoConvergence (_directions).  A generator of determinant < 0
-    raises PreconditionViolated when the tree reaches it; on exact input the
-    sign is read on its integer entries, so exactly.
+    preperiodic.  The points are filled U against S and S against U
+    (_filled_view) in one sweep each (_runs): a run of points with no
+    blocking point of the other kind between two of them is one arc, from
+    its first point to PUFF past its last.  The first system to pass
+    _invariant is returned; SearchBudgetExceeded if none up to depth does.
+    Every cyclic word of a uniformly hyperbolic tuple is hyperbolic, so the
+    first that is not raises NoConvergence (_directions).  A generator of
+    determinant < 0 raises PreconditionViolated when the tree reaches it; on
+    exact input the sign is read on its integer entries, so exactly.
 
     Exact input walks integer matrices (admissible_entries): w's product
     n/S is read by eigen_data(n, S).
@@ -414,7 +406,8 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     U' into U', its complement C is open, holds the S arcs, and is mapped
     into itself by each inverse letter.  The inverse product of a periodic
     word w draws every point but u(w) to s(w), so s(w) lies in the closure
-    of C, and not on the boundary of U', whose endpoints are U points.  So
+    of C, and not on the boundary of U', whose endpoints are U points (the
+    end PUFF past one).  So
     U' holds no periodic S point and bridges no gap of the U cores, which
     holds a core S arc; dually for S', and on a subshift the same holds per
     symbol along admissible cycles.  A fill below the true word length can
@@ -452,19 +445,15 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
                 if sft.ok(b, w[0]) and b != w[-1]:
                     s_pts[b].append((inv[b].act_angle(s), f"{LETTERS[b]}({name})"))
         fu, fs = _filled_view(u_pts, s_pts, mats, inv, sft)
-        if not all(len(x) == len(y) > 0 and (0.0, PI) not in x + y
-                   for x, y in zip(fu, fs)):
+        if not all(len(x[0]) == len(y[0]) > 0 for x, y in zip(fu, fs)):
             continue  # no alternation
         # per-symbol arcs, then the merged ones
-        u_all, s_all = sum(u_pts, []), sum(s_pts, [])
+        u, s = ([(arcs_of_spans(sp), ends) for sp, ends in f] for f in (fu, fs))
         if sft.is_full:
-            u_glob, s_glob = _named(fu[0], u_all), _named(fs[0], s_all)
-            u, s = [u_glob] * n, [s_glob] * n
+            u_glob, s_glob = u[0], s[0]
         else:
-            u = [_named(x, pts) for x, pts in zip(fu, u_pts)]
-            s = [_named(x, pts) for x, pts in zip(fs, s_pts)]
-            u_glob = _named(merge_spans(sum(fu, [])), u_all)
-            s_glob = _named(merge_spans(sum(fs, [])), s_all)
+            u_glob = _named(merge_spans([x for sp, _ in fu for x in sp]), sum(u_pts, []))
+            s_glob = _named(merge_spans([x for sp, _ in fs for x in sp]), sum(s_pts, []))
         if _invariant(u, s, mats, inv, sft, u_at, s_at):
             return CoreSet(u_arcs=u_glob[0], s_arcs=s_glob[0], u_words=u_glob[1],
                            s_words=s_glob[1], word_length=length)

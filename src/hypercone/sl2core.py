@@ -243,15 +243,17 @@ class CanonicalPair(Record):
 def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
     """The normal form of (A, B); NotCanonicalizable unless both traces are
     >= 2 (read exactly on exact input, as classify does), neither is
-    +-identity and their unstable directions differ."""
+    +-identity, and each has an unstable direction, the two distinct."""
     if any(m.trace() < 2 if m.is_exact() else float(m.trace()) < 2.0 - DEFAULT.trace
            for m in (A, B)):
         raise NotCanonicalizable("both traces must be >= 2")
     for m in (A, B):
         if is_pm_identity(m):
             raise NotCanonicalizable("+-identity member admits no canonical basis")
-    uA = eigen_data(A)[0][0]
-    uB = eigen_data(B)[0][0]
+    try:  # a float trace within the band may still read elliptic
+        uA, uB = eigen_data(A)[0][0], eigen_data(B)[0][0]
+    except NoInvariantDirection as exc:
+        raise NotCanonicalizable("a member has no invariant direction") from exc
     if same_angle(uA.angle, uB.angle, DEFAULT.angle):
         raise NotCanonicalizable("unstable directions coincide")
     va, vb = uA.vector(), uB.vector()

@@ -12,7 +12,7 @@ from hypercone import multicone
 from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
                               PreconditionViolated, SearchBudgetExceeded)
 from hypercone.fareycomb import component_model, j_of_fword
-from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _fill_against,
+from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _named, _runs,
                                  alternation, best_target, certify, component_map,
                                  compute_cores, core_criterion,
                                  eventual_constancy, fatten_cores, start_order,
@@ -163,20 +163,43 @@ def test_compute_cores_free_pair(free_pair):
     assert len(paired) == cores.rank
 
 
-@pytest.mark.parametrize("table", [None, ((True, True), (True, False))],
-                         ids=["full", "golden"])
-def test_compute_cores_monotone_in_depth(free_pair, table):
+# a float pair of rank 1 whose U arc runs across the 0/pi seam, from u(B)
+# near 2.39 to u(A) near 0.08: a fill that bridged the gap as a span ended
+# an ulp short of u(A) and left it an arc of its own until word length 2
+SEAM_PAIR = (Mat2(1.4441995210551806, -2.524190278766337, -1.1083196828876014,
+                  2.6295603300959494),
+             Mat2(-3.4649706642420472, 3.948960347052121, -0.2556960485367057,
+                  0.002809131017995052))
+
+
+@pytest.mark.parametrize("case", ["full", "golden", "seam"])
+def test_compute_cores_monotone_in_depth(free_pair, case):
     # out of budget below the first certifying word length, the same cores
     # from there on
-    sft = Sft.full(2) if table is None else Sft(2, table)
-    want = compute_cores(free_pair, sft, depth=12)
-    assert want.word_length == 2
+    mats, sft, length = {"full": (free_pair, Sft.full(2), 2),
+                         "golden": (free_pair, Sft(2, ((True, True), (True, False))), 2),
+                         "seam": (SEAM_PAIR, Sft.full(2), 1)}[case]
+    want = compute_cores(mats, sft, depth=12)
+    assert want.word_length == length
     for depth in range(1, 13):
         if depth < want.word_length:
             with pytest.raises(SearchBudgetExceeded):
-                compute_cores(free_pair, sft, depth=depth)
+                compute_cores(mats, sft, depth=depth)
         else:
-            assert compute_cores(free_pair, sft, depth=depth) == want, depth
+            assert compute_cores(mats, sft, depth=depth) == want, depth
+
+
+def test_float_pullbacks_certify_at_their_rank():
+    # a U arc of draws 67 and 96 runs across 0, as the seam pair's does, and
+    # draw 107's first U arc starts below half its end angle: a fill that
+    # bridged each gap as a (start, length) span, whose sum rounded, stopped
+    # an ulp short of the next point there and left one arc too many
+    population = pullback_population(120)
+    for i, rank in ((67, 11), (96, 7), (107, 8)):
+        pair = tuple(m.to_float() for m in population[i][0])
+        cores = compute_cores(pair, Sft.full(2), depth=rank)
+        assert cores.rank == cores.word_length == rank, i
+        _assert_arcs_end_at_named_points(pair, Sft.full(2), cores)
 
 
 def _assert_arcs_end_at_named_points(mats, sft, cores):
@@ -623,7 +646,7 @@ def test_compute_cores_no_convergence_on_elliptic_tuple():
         compute_cores((rot, Mat2.rotation(1.3)), Sft.full(2), depth=24)
 
 
-# _fill_against against the linear scan it replaced
+# the fill (_runs) against the linear scan over puffed points it replaced
 
 
 def _fill_against_linear(spans, blockers):
@@ -647,9 +670,9 @@ def _fill_against_linear(spans, blockers):
     return merge_spans(out)
 
 
-# dyadic starts and lengths add exactly, so gaps often start on a blocker's
-# start or end; lengths up to 2.5 let spans and blockers wrap past pi, and
-# length 0 (dropped by merge_spans) can leave the blocking set empty
+# dyadic starts and lengths add exactly, so ends often fall on other ends;
+# lengths up to 2.5 let ends wrap past pi, and length 0 puts both ends on
+# one point
 _dyadic_spans = st.lists(st.tuples(st.integers(0, 50).map(lambda k: k / 16),
                                    st.integers(0, 40).map(lambda k: k / 16)),
                          max_size=8)
@@ -665,7 +688,23 @@ _dyadic_spans = st.lists(st.tuples(st.integers(0, 50).map(lambda k: k / 16),
 @example([(0.0, 0.5), (1.0, 0.5)], [(0.25, 0.25)])            # ... and on an end
 @example([(0.5, 0.5), (2.0, 0.5)], [(2.75, 0.5), (0.25, 0.5)])
 def test_fill_against_matches_linear_scan(spans, blockers):
-    assert _fill_against(spans, blockers) == _fill_against_linear(spans, blockers)
+    # the ends of the spans are the points, named by their place, and the
+    # ends of the blockers block; the scan takes the points puffed to PUFF
+    # and the blockers to 2 PUFF, so a blocker on a point lies past it, as
+    # in _runs, and _named names its spans
+    points = [(norm_angle(x), str(i)) for i, x in
+              enumerate(x for s, ln in spans for x in (s, s + ln))]
+    ends = [norm_angle(x) for s, ln in blockers for x in (s, s + ln)]
+    got, names = _runs(points, ends)
+    if not ends:
+        assert (got, names) == ([], ())  # no fill
+        return
+    want = _fill_against_linear([(x, PUFF) for x, _ in points],
+                                [(x, 2 * PUFF) for x in ends])
+    assert len(got) == len(want)
+    for (s, ln), (ws, wln) in zip(got, want):
+        assert s == ws and abs(ln - wln) <= 4e-16
+    assert names == _named(want, points)[1]
 
 
 def test_alternation_defects():

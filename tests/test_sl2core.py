@@ -138,6 +138,17 @@ def test_canonical_form_reads_an_exact_trace_exactly():
             canonical_form(*pair)
 
 
+def test_canonical_form_refuses_a_float_member_with_no_direction():
+    # trace 2 - 1e-10 at det 1, and trace 2 at det 1 + 1e-12: each passes
+    # the float trace gate but is elliptic in eigen_data
+    for near in (Mat2(1.0, 1.0, -1e-10, 1 - 1e-10), Mat2(1.0, 1.0, -1e-12, 1.0)):
+        with pytest.raises(NoInvariantDirection):
+            eigen_data(near)
+        for pair in ((near, Mat2(2.0, 1.0, 1.0, 1.0)), (Mat2(2.0, 1.0, 1.0, 1.0), near)):
+            with pytest.raises(NotCanonicalizable):
+                canonical_form(*pair)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
