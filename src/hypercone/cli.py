@@ -50,6 +50,9 @@ def _parse_entry(v, exact: bool):
         raise InputError(f"entry {v!r} is not exact in rational mode")
     if isinstance(v, str):
         return float(Fraction(v))
+    # json reads NaN and +-Infinity, which no determinant test refuses
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"entry {v!r} is not finite")
     return float(v)
 
 

@@ -93,12 +93,11 @@ def _require_distinct(points, tol: float):
                 )
 
 
-def cyclically_ordered(points, tol: float = DEFAULT.angle) -> bool:
-    """True iff the points occur on P1 in the listed cyclic order."""
-    pts = list(points)
-    _require_distinct(pts, tol)
-    base = pts[0].angle
-    gaps = [angle_gap(base, p.angle) for p in pts[1:]]
+def cyclically_ordered(angles) -> bool:
+    """True iff the angles occur on P1 in the listed cyclic order, each
+    strictly past the one before; the caller rules out coincident angles."""
+    base, *rest = angles
+    gaps = [angle_gap(base, a) for a in rest]
     return all(gaps[i] < gaps[i + 1] for i in range(len(gaps) - 1))
 
 

@@ -148,7 +148,12 @@ def is_pm_identity(m: Mat2, s: int = 1) -> bool:
     integer matrix m, as in eigen_data."""
     if m.is_exact():
         return m.b == 0 and m.c == 0 and m.a == m.d and abs(m.a) == s
-    return m.dist_to_pm_identity() <= DEFAULT.identity
+    # an off-diagonal entry past the tolerance decides it: the distance is
+    # then at least that entry, or NaN
+    tol = DEFAULT.identity
+    if abs(float(m.b)) > tol or abs(float(m.c)) > tol:
+        return False
+    return m.dist_to_pm_identity() <= tol
 
 
 def classify(m: Mat2) -> MatClass:

@@ -44,14 +44,14 @@ so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*q + Y*p) // (4*p*q) - 1.  The walked pair is
 rebuilt as products of (integer matrix, scale) pairs, each divided by the
-gcd of its entries and scale, and its orientation reads their eigen data
-with those scales (eigen_data(n, s)), or, for near-coincident directions,
-their exact directions: _exact.exact_dirs gives each as an integer vector
-(x, p + q*sqrt(D)), and _exact.compare_dirs orders two by the sign of their
-cross product, in integers.  Every float the verdict reports is one int/int
-true division, correctly rounded like float(Fraction), so it has the bits of
-the rational value.  A generator is +-identity on rational input only when
-its integer form is +-a*I.
+gcd of its entries and scale, and its orientation reads the angles of their
+eigendirections with those scales (eigen_angles(a, b, c, d, s)), or, for
+near-coincident directions, their exact directions: _exact.exact_dirs gives
+each as an integer vector (x, p + q*sqrt(D)), and _exact.compare_dirs orders
+two by the sign of their cross product, in integers.  Every float the
+verdict reports is one int/int true division, correctly rounded like
+float(Fraction), so it has the bits of the rational value.  A generator is
++-identity on rational input only when its integer form is +-a*I.
 
 Only rational input is scaled, and it is decided with band 0.  Float and
 mixed float/rational input keep every denominator 1, where every formula
@@ -74,7 +74,7 @@ from . import _exact
 from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
+from .sl2core import Mat2, eigen_angles, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
 
 
@@ -319,24 +319,24 @@ def _product(f, g):
 def _orientation(A, B, BA) -> int:
     """Orientation of the free pair given as (matrix, scale) forms, with BA
     the form of B @ A; scales other than 1 come only with integer matrices,
-    and at scale 1 any matrix is read by eigen_data."""
-    (uB, _), _ = eigen_data(*B)
-    (uBA, _), (sBA, _) = eigen_data(*BA)
-    _, (sA, _) = eigen_data(*A)
-    pts = (uB, uBA, sBA, sA)
-    min_gap = min(angle_dist(pts[i].angle, pts[j].angle)
-                  for i in range(4) for j in range(i + 1, 4))
-    if min_gap > 100 * DEFAULT.angle or not (A[0].is_exact() and B[0].is_exact()):
+    and at scale 1 any matrix is read by eigen_angles."""
+    (m, s), (n, t), (k, r) = A, B, BA
+    uB = eigen_angles(n.a, n.b, n.c, n.d, t)[0]
+    uBA, sBA = eigen_angles(k.a, k.b, k.c, k.d, r)
+    sA = eigen_angles(m.a, m.b, m.c, m.d, s)[1]
+    min_gap = min(angle_dist(uB, uBA), angle_dist(uB, sBA), angle_dist(uB, sA),
+                  angle_dist(uBA, sBA), angle_dist(uBA, sA), angle_dist(sBA, sA))
+    if min_gap > 100 * DEFAULT.angle or not (m.is_exact() and n.is_exact()):
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
-        if cyclically_ordered(pts, tol=0.0):
+        if cyclically_ordered((uB, uBA, sBA, sA)):
             return +1
-        if cyclically_ordered((pts[0], pts[3], pts[2], pts[1]), tol=0.0):
+        if cyclically_ordered((uB, sA, sBA, uBA)):
             return -1
         raise DegenerateTie("free-pair direction order is inconsistent")
     # exact fallback for near-coincident float angles
-    uBA, sBA = _exact.exact_dirs(BA[0])
-    dirs = [_exact.exact_dirs(B[0])[0], uBA, sBA, _exact.exact_dirs(A[0])[1]]
+    uBA, sBA = _exact.exact_dirs(k)
+    dirs = [_exact.exact_dirs(n)[0], uBA, sBA, _exact.exact_dirs(m)[1]]
     if _exact.exact_cyclically_ordered(dirs):
         return +1
     if _exact.exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):

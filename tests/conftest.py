@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.errors import HyperconeError
-from hypercone.projgeom import ArcP1, MultiCone, cyclically_ordered
+from hypercone.projgeom import ArcP1, MultiCone, angle_dist, cyclically_ordered
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import Sft
 from hypercone.twoshift import (NonPrincipal, Principal, TraceTriple, fricke,
@@ -126,11 +125,13 @@ def check_walk(A: Mat2, B: Mat2, c) -> None:
     if isinstance(c, Principal):
         (uA, _), (sA, _) = eigen_data(A1)
         (uB, _), (sB, _) = eigen_data(B1)
-        try:
-            interleaved = (cyclically_ordered((uA, sA, uB, sB), tol=0.0)
-                           or cyclically_ordered((uA, sB, uB, sA), tol=0.0))
-        except HyperconeError:
-            interleaved = False  # coincident directions: not interleaved
+        angles = (uA.angle, sA.angle, uB.angle, sB.angle)
+        # coincident directions are not interleaved
+        interleaved = (min(angle_dist(a, b) for i, a in enumerate(angles)
+                           for b in angles[i + 1:]) > 0.0
+                       and (cyclically_ordered(angles)
+                            or cyclically_ordered((uA.angle, sB.angle,
+                                                   uB.angle, sA.angle))))
         assert not interleaved
         return
     assert isinstance(c, NonPrincipal), c

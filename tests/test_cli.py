@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -468,3 +469,19 @@ def test_a_shift_with_no_infinite_word_is_degenerate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("degenerate input: ") and "no cycle" in captured.err
+
+
+@pytest.mark.parametrize("command, A, named", [
+    ("classify2", [[math.nan, 1], [0, 1]], "entry nan"),
+    ("classify2", [[1, math.nan], [0, 1]], "entry nan"),
+    ("rate", [[math.inf, 0], [0, 0]], "entry inf"),
+    ("classify2", [[2, 1], [-math.inf, 1]], "entry -inf"),
+], ids=["nan-diagonal", "nan-off-diagonal", "infinity", "minus-infinity"])
+def test_non_finite_entry_is_an_input_error(tmp_path, capsys, command, A, named):
+    # json reads NaN and Infinity: a NaN determinant passes the unimodular
+    # test, and an off-diagonal NaN reads as +-identity
+    path = write_spec(tmp_path, {"matrices": [A, [[2, 1], [1, 1]]]})
+    code = main([command, "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: ") and named in captured.err

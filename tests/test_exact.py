@@ -93,15 +93,11 @@ def test_exact_cyclic_order_matches_float():
     for _ in range(100):
         sample = rng.sample(mats, 4)
         dirs = [exact_dirs(m)[0] for m in sample]
-        pts = [eigen_data(m)[0][0] for m in sample]
-        if min(abs(pts[i].angle - pts[j].angle)
+        angles = [eigen_data(m)[0][0].angle for m in sample]
+        if min(abs(angles[i] - angles[j])
                for i in range(4) for j in range(i + 1, 4)) < 1e-6:
             continue
-        try:
-            want = cyclically_ordered(pts, tol=0.0)
-        except Exception:
-            continue
-        assert exact_cyclically_ordered(dirs) == want
+        assert exact_cyclically_ordered(dirs) == cyclically_ordered(angles)
 
 
 def test_exact_dirs_of_the_integer_scaled_matrix():

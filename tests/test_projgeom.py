@@ -183,30 +183,28 @@ def test_hilbert_metric_comparable_with_angle_metric_on_compact_subarc():
 
 
 def test_cyclic_between_examples():
-    a, b, c = ProjPoint(0.0), ProjPoint(1.0), ProjPoint(2.0)
-    assert cyclically_ordered((a, b, c))
+    assert cyclically_ordered((0.0, 1.0, 2.0))
     # the arc from 2 to 1 wraps through 0, so 0.5 lies inside it
-    assert cyclically_ordered((ProjPoint(2.0), ProjPoint(0.5), ProjPoint(1.0)))
-    assert not cyclically_ordered((ProjPoint(0.5), ProjPoint(2.0), ProjPoint(1.0)))
+    assert cyclically_ordered((2.0, 0.5, 1.0))
+    assert not cyclically_ordered((0.5, 2.0, 1.0))
 
 
 @given(st.tuples(st.floats(0, math.pi - 1e-9), st.floats(0, math.pi - 1e-9),
                  st.floats(0, math.pi - 1e-9)))
 @settings(max_examples=300)
 def test_cyclic_between_exactly_one_orientation(triple):
-    a, b, c = (ProjPoint(t) for t in triple)
-    if (angle_dist(a.angle, b.angle) < 1e-6 or
-            angle_dist(b.angle, c.angle) < 1e-6 or
-            angle_dist(a.angle, c.angle) < 1e-6):
+    a, b, c = (ProjPoint(t).angle for t in triple)
+    if (angle_dist(a, b) < 1e-6 or angle_dist(b, c) < 1e-6 or
+            angle_dist(a, c) < 1e-6):
         return
     assert cyclically_ordered((a, b, c)) != cyclically_ordered((c, b, a))
 
 
 def test_cyclically_ordered_rotation_invariance():
-    points = [ProjPoint(t) for t in (0.2, 0.9, 1.7, 2.6)]
-    assert cyclically_ordered(points)
-    assert cyclically_ordered(points[2:] + points[:2])
-    assert not cyclically_ordered([points[0], points[2], points[1], points[3]])
+    angles = [0.2, 0.9, 1.7, 2.6]
+    assert cyclically_ordered(angles)
+    assert cyclically_ordered(angles[2:] + angles[:2])
+    assert not cyclically_ordered([angles[0], angles[2], angles[1], angles[3]])
 
 
 def test_multicone_validation():

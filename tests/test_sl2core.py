@@ -11,6 +11,7 @@ from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
                                integer_scaled, invariant_dirs, is_exact,
                                is_pm_identity, normalize_tuple, spectral_norm)
 from hypercone.symdyn import eval_string
+from hypercone.tolerances import DEFAULT
 
 
 def rand_sl2(rng, scale=3.0):
@@ -40,6 +41,38 @@ def test_exact_input_is_read_exactly_by_the_identity_test():
     assert is_pm_identity(Mat2(-3, 0, 0, -3), 3)
     assert not is_pm_identity(Mat2(3, 0, 0, 3), 1)
     assert not is_pm_identity(Mat2(3, 0, 0, -3), 3)
+
+
+def test_float_identity_test_is_the_distance_test():
+    # the float test may stop at an off-diagonal entry past the tolerance;
+    # its answer must be the entrywise distance test's, NaN and inf included
+    tol = DEFAULT.identity
+    edges = (0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0))
+    rng = random.Random(31)
+
+    def offset():
+        size = rng.choice(edges + (0.5 * tol, 2 * tol, rng.uniform(0, 3 * tol), 1.0))
+        return rng.choice((size, -size))
+
+    mats = []
+    for _ in range(4000):
+        sign = rng.choice((1.0, -1.0))
+        mats.append(Mat2(sign + offset(), offset(), offset(), sign + offset()))
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            for base in ((1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0),
+                         (2.0, 1.0, 1.0, 1.0)):
+                entries = list(base)
+                entries[i] = bad
+                mats.append(Mat2(*entries))
+    outcomes = {}
+    for m in mats:
+        got = is_pm_identity(m)
+        assert got == (m.dist_to_pm_identity() <= tol), m
+        key = (got, abs(m.b) > tol or abs(m.c) > tol)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # an off-diagonal entry past the tolerance, and both answers without one
+    assert min(outcomes[False, True], outcomes[False, False], outcomes[True, False]) > 200
 
 
 def test_classify_conjugation_invariance():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercone import twoshift
+from hypercone._exact import exact_cyclically_ordered, exact_dirs
 from hypercone.errors import DegenerateTie
+from hypercone.projgeom import angle_dist, angle_gap
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
@@ -341,36 +343,117 @@ def test_exact_walk_state_stays_in_lowest_terms(monkeypatch):
     assert checked >= 40
 
 
-def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
-    # a rational A with a float B is walked at scale 1; when it is free at
-    # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
-    # orientation must read eigen_data's points of exactly those matrices
-    calls = []
-    scaled = twoshift.eigen_data
-
-    def spy(n, s):
-        calls.append(scaled(n, s))
-        return calls[-1]
-    monkeypatch.setattr(twoshift, "eigen_data", spy)
+def _mixed_pairs():
+    """30 free pairs with a rational A and a float B, conjugated by a
+    rational P, from a fixed seed."""
     rng = random.Random(5)
-    checked = 0
-    while checked < 30:
+    for _ in range(30):
         mu, nu = (Fraction(rng.randint(101, 900), rng.randint(100, 300))
                   for _ in range(2))
         z = -Fraction(rng.randint(201, 3000), 100)
         A, B = exact_canonical_pair(mu, nu, Fraction(1), z - mu / nu - nu / mu)
         p, q = (Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(2))
         P = Mat2(Fraction(1), p, q, 1 + p * q)
-        A, B = P @ A @ P.inverse(), (P @ B @ P.inverse()).to_float()
+        yield P @ A @ P.inverse(), (P @ B @ P.inverse()).to_float()
+
+
+def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
+    # a rational A with a float B is walked at scale 1; when it is free at
+    # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
+    # orientation must read the angles of eigen_data's points of exactly
+    # those matrices
+    calls = []
+    angles = twoshift.eigen_angles
+
+    def spy(a, b, c, d, s):
+        calls.append(((Mat2(a, b, c, d), s), angles(a, b, c, d, s)))
+        return calls[-1][1]
+    monkeypatch.setattr(twoshift, "eigen_angles", spy)
+    for A, B in _mixed_pairs():
         calls.clear()
         c = classify_pair(A, B)
-        if not (isinstance(c, NonPrincipal) and c.iterations == 0):
-            continue
+        assert isinstance(c, NonPrincipal) and c.iterations == 0
         A1 = A if A.trace() >= 0 else -A
         B1 = B if B.trace() >= 0 else -B
-        assert calls == [eigen_data(B1), eigen_data(B1 @ A1), eigen_data(A1)]
+        read = [B1, B1 @ A1, A1]
+        assert [form for form, _ in calls] == [(m, 1) for m in read]
+        assert [got for _, got in calls] == [
+            tuple(p.angle for p, _ in eigen_data(m)) for m in read]
         assert c == _reference_classify(A, B, DEFAULT.band)
-        checked += 1
+
+
+def _point_cyclically_ordered(points) -> bool:
+    """The cyclic test on ProjPoints, as it read them before it took angles
+    (distinct points required, tolerance 0)."""
+    assert all(angle_dist(p.angle, q.angle) > 0.0
+               for i, p in enumerate(points) for q in points[i + 1:])
+    gaps = [angle_gap(points[0].angle, p.angle) for p in points[1:]]
+    return all(gaps[i] < gaps[i + 1] for i in range(len(gaps) - 1))
+
+
+def _point_orientation(A, B):
+    """(orientation or the tie's reason, whether the exact fallback decided)
+    of the free pair (A, B), read from eigen_data's ProjPoints."""
+    (uB, _), _ = eigen_data(B)
+    (uBA, _), (sBA, _) = eigen_data(B @ A)
+    _, (sA, _) = eigen_data(A)
+    pts = (uB, uBA, sBA, sA)
+    min_gap = min(angle_dist(p.angle, q.angle)
+                  for i, p in enumerate(pts) for q in pts[i + 1:])
+    if min_gap > 100 * DEFAULT.angle or not (A.is_exact() and B.is_exact()):
+        if min_gap == 0.0:
+            return "free-pair directions coincide", False
+        if _point_cyclically_ordered(pts):
+            return 1, False
+        if _point_cyclically_ordered((pts[0], pts[3], pts[2], pts[1])):
+            return -1, False
+        return "free-pair direction order is inconsistent", False
+    dirs = [exact_dirs(B)[0], *exact_dirs(B @ A), exact_dirs(A)[1]]
+    if exact_cyclically_ordered(dirs):
+        return 1, True
+    if exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):
+        return -1, True
+    return "free-pair direction order is inconsistent", True
+
+
+def test_orientation_matches_the_point_reference():
+    # classify_pair's orientation of the walked pair and
+    # orientation_of_free_pair read eigen_angles; both must give what the
+    # ProjPoints of eigen_data and the point cyclic test give
+    exact = [pair for pair, _, _ in pullback_population(500)]
+    z = Fraction(-2) - Fraction(1, 10 ** 18)
+    A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), z - 2)
+    D = Mat2(1, 0, 0, -1)
+    near_parabolic = [(A, B), (D @ A @ D, D @ B @ D)]
+    populations = {
+        "c01": _strict_free_pairs(1000),
+        "pullbacks": exact,
+        "pullbacks as floats": [(A.to_float(), B.to_float()) for A, B in exact],
+        "mixed": list(_mixed_pairs()),
+        "near-parabolic": near_parabolic,
+    }
+    orientations, fallbacks = {}, {}
+    for name, pairs in populations.items():
+        seen, fell_back = set(), 0
+        for A, B in pairs:
+            c = classify_pair(A, B)
+            assert isinstance(c, NonPrincipal), (name, A, B, c)
+            Ak = A if A.trace() >= 0 else -A
+            Bk = B if B.trace() >= 0 else -B
+            for sign in c.fword:
+                Ak, Bk = (pair_step_plus if sign == "+" else pair_step_minus)(Ak, Bk)
+            want, fallback = _point_orientation(Ak, Bk)
+            assert c.orientation == want, (name, A, B)
+            assert orientation_of_free_pair(Ak, Bk) == want, (name, A, B)
+            seen.add(want)
+            fell_back += fallback
+        orientations[name], fallbacks[name] = seen, fell_back
+    # both orientations occur where draws are mirrored, and the
+    # near-parabolic pairs are decided by the exact fallback alone
+    assert orientations["pullbacks"] == orientations["pullbacks as floats"] == {1, -1}
+    assert orientations["near-parabolic"] == {1, -1}
+    assert fallbacks["near-parabolic"] == 2
+    assert orientations["c01"] == {1} and orientations["mixed"] == {1}
 
 
 def test_exact_walk_matches_fraction_replay():
