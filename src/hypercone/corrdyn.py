@@ -299,23 +299,25 @@ def reduce_tight(phi: Morphism) -> Morphism:
 
 def induced_morphism(mats, cores) -> Morphism:
     """Component incidence of each generator on the core arc systems (a
-    multicone.CoreSet)."""
-    from .multicone import alternation, component_map
+    multicone.CoreSet), read from the cores' shared action."""
+    from .multicone import CoreSet, alternation
     arcs, defect = alternation(cores.u_arcs, cores.s_arcs)
     if defect == "counts":
         raise StructureViolation("induced", "core component counts differ")
     if defect == "order":
         raise StructureViolation("induced", "core components do not alternate")
     mc = CombMulticone(rank=len(cores.u_arcs), even_is_u=arcs[0][1] == 0)
-    # the j-th arc of each half, in label order, carries slot j
+    # the j-th arc of each half, in label order, carries slot j: arcs not
+    # sorted by start (never so from the library) get a CoreSet of their own
     u_arcs = tuple(a for (_, tag, a) in arcs if tag == 0)
     s_arcs = tuple(a for (_, tag, a) in arcs if tag == 1)
+    if u_arcs != cores.u_arcs or s_arcs != cores.s_arcs:
+        cores = CoreSet(u_arcs=u_arcs, s_arcs=s_arcs)
     gens = []
     for m in mats:
-        u = (mc.u_label(j) for j in component_map(m.to_float(), u_arcs, u_arcs))
-        s = (mc.s_label(j) for j in component_map(m.inverse().to_float(), s_arcs,
-                                                  s_arcs))
-        gens.append(validate(mc, tuple(u), tuple(s)))
+        u = tuple(mc.u_label(j) for j in cores.action(m))
+        s = tuple(mc.s_label(j) for j in cores.action(m, stable=True))
+        gens.append(validate(mc, u, s))
     return Morphism(mc=mc, gens=tuple(gens))
 
 

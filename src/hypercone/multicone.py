@@ -174,45 +174,51 @@ def _strict_image(m: Mat2, arc: ArcP1, targets,
     return img, j, best
 
 
-def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
-    """Check the strict-inclusion condition and report certificate constants."""
+def _inclusions(mats, sft: Sft, cones) -> tuple[list | None, float, dict | None]:
+    """certify's strict-inclusion check, cones[beta] for symbol beta:
+    (images, least margin, None), images[beta][j] the spans landing in arc j
+    of cone beta, or (None, margin, witness) at the first arc not mapped
+    strictly inside one.  BadFamily on a size mismatch or a dense cone."""
     n = sft.n_symbols
-    if len(fam.cones) != n or len(mats) != n:
+    if len(cones) != n or len(mats) != n:
         raise BadFamily(f"family/tuple size mismatch with {n} symbols")
-    for i, cone in enumerate(fam.cones):
+    for i, cone in enumerate(cones):
         if cone.total_length() >= PI - DEFAULT.angle:
             raise BadFamily(f"multicone for symbol {i} is dense")
     mats = [m.to_float() for m in mats]
-
-    # images[beta][j] collects spans landing in component j of cone beta
     images: list[dict[int, list[Span]]] = [dict() for _ in range(n)]
     worst = PI
     # one lookup per distinct cone: a constant family repeats one object
-    orders = {id(cone): start_order(cone.arcs) for cone in fam.cones}
+    orders = {id(cone): start_order(cone.arcs) for cone in cones}
     for alpha in range(n):
         for beta in range(n):
             if not sft.ok(alpha, beta):
                 continue
-            targets, order = fam.cones[beta].arcs, orders[id(fam.cones[beta])]
-            for ai, arc in enumerate(fam.cones[alpha].arcs):
+            targets, order = cones[beta].arcs, orders[id(cones[beta])]
+            for ai, arc in enumerate(cones[alpha].arcs):
                 img, j, best = _strict_image(mats[beta], arc, targets, order)
                 if j is None:
-                    witness = {"alpha": alpha, "beta": beta, "component": ai,
-                               "margin": best}
-                    return CertifyReport(ok=False, contraction=0.0,
-                                         comparability=0.0, witness=witness,
-                                         margin=best)
+                    return None, best, {"alpha": alpha, "beta": beta,
+                                        "component": ai, "margin": best}
                 worst = min(worst, best)
                 images[beta].setdefault(j, []).append(img)
+    return images, worst, None
 
+
+def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
+    """Check the strict-inclusion condition and report certificate constants."""
+    images, worst, witness = _inclusions(mats, sft, fam.cones)
+    if witness is not None:
+        return CertifyReport(ok=False, contraction=0.0, comparability=0.0,
+                             witness=witness, margin=worst)
     lam = float("inf")
     c_max = 0.0
     c_min = float("inf")
-    for beta in range(n):
-        for comp in fam.cones[beta].arcs:
+    for beta, cone in enumerate(fam.cones):
+        for comp in cone.arcs:
             c_min = min(c_min, hilbert_density(comp, comp.midpoint.angle))
         for j, spans in images[beta].items():
-            comp = fam.cones[beta].arcs[j]
+            comp = cone.arcs[j]
             # a point image is infinitely contracted, and merge_spans drops
             # it: only its density counts
             c_max = max([c_max] + [hilbert_density(comp, s)
@@ -237,14 +243,35 @@ class CoreSet(Record):
     """Closed arc systems: forward-invariant U and backward-invariant S.
 
     Arcs are stored as tuples of ArcP1 hulls (endpoints included by
-    convention).
+    convention).  The slot _maps is not a field: it holds the component
+    maps this instance has computed (action), so it takes no part in
+    equality, hash, repr, pickling or to_json, and every new CoreSet, equal
+    to this one or not, starts without it.
     """
 
     # u_words and s_words give per arc the names of its (start, end) points,
     # and word_length the word length that certified them (compute_cores);
     # empty and 0 for cores in closed form
-    __slots__ = ("u_arcs", "s_arcs", "u_words", "s_words", "word_length")
+    __slots__ = ("u_arcs", "s_arcs", "u_words", "s_words", "word_length", "_maps")
+    _fields = __slots__[:-1]
     _defaults = {"u_words": (), "s_words": (), "word_length": 0}
+
+    def action(self, m: Mat2, stable: bool = False, fm: Mat2 | None = None):
+        """component_map of m's float form fm (m.to_float() if None) on the
+        U arcs or, stable, of its exact inverse's float form on the S arcs;
+        held per generator object once it succeeds, so a failure recurs."""
+        maps = getattr(self, "_maps", None)
+        if maps is None:
+            maps = {}
+            _set_maps(self, maps)
+        key = (id(m), stable)
+        if key in maps and maps[key][0] is m:
+            return maps[key][1]
+        arcs = self.s_arcs if stable else self.u_arcs
+        out = component_map(m.inverse().to_float() if stable else fm or m.to_float(),
+                            arcs, arcs)
+        maps[key] = (m, out)  # m held, so no other object takes its id
+        return out
 
     @property
     def rank(self) -> int:
@@ -260,6 +287,8 @@ class CoreSet(Record):
             out["word_length"] = self.word_length
         return out
 
+
+_set_maps = CoreSet.__dict__["_maps"].__set__
 
 # how far an arc runs past its last point, which gives a one-point run a length
 PUFF = 1e-15
@@ -547,9 +576,8 @@ def core_criterion(mats, cores: CoreSet) -> CriterionReport:
     u_maps, s_maps = [], []
     try:
         for m in mats:
-            u_maps.append(component_map(m.to_float(), cores.u_arcs, cores.u_arcs))
-            s_maps.append(component_map(m.inverse().to_float(), cores.s_arcs,
-                                        cores.s_arcs))
+            u_maps.append(cores.action(m))
+            s_maps.append(cores.action(m, stable=True))
     except AmbiguousIncidence as exc:
         return fail(f"InvarianceViolation: {exc}")
     ok_u, ell_u = eventual_constancy(u_maps)
@@ -601,23 +629,21 @@ def _angle_derivative(m: Mat2, abs_det: float, angle: float) -> float:
     return abs_det / (wx * wx + wy * wy)
 
 
-def _max_mean_cycle(nodes, edges) -> float:
-    """Karp bound: largest mean edge weight over cycles, -inf when acyclic."""
-    idx = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
+def _max_mean_cycle(edges) -> float:
+    """Karp bound: largest mean edge weight over cycles, -inf when acyclic;
+    edges[u] lists the (v, weight) out of node u, nodes being 0 .. n-1."""
+    n = len(edges)
     NEG = float("-inf")
-    D = [[NEG] * n for _ in range(n + 1)]
-    for i in range(n):
-        D[0][i] = 0.0
+    D = [[0.0] * n] + [[NEG] * n for _ in range(n)]
     for k in range(1, n + 1):
-        for u in nodes:
-            du = D[k - 1][idx[u]]
+        prev, row = D[k - 1], D[k]
+        for u in range(n):
+            du = prev[u]
             if du == NEG:
                 continue
             for (v, w) in edges[u]:
-                j = idx[v]
-                if du + w > D[k][j]:
-                    D[k][j] = du + w
+                if du + w > row[v]:
+                    row[v] = du + w
     best = NEG
     for v in range(n):
         if D[n][v] == NEG:
@@ -644,12 +670,12 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
     chains of endpoint identifications the derivative telescopes to the
     return-word contraction, so the weight graph has no positive cycles and
     a fraction of the measured cycle deficit can be spent as per-edge slack.
-    The result is verified by certify over the full shift, halving the
-    radius until it passes.
+    The radius is halved until the grown arcs pass certify's strict
+    inclusion over the full shift (_inclusions); the caller's certify
+    computes the certificate's constants.
     """
-    sft = Sft.full(len(mats))
     abs_dets = [abs(float(m.det())) for m in mats]
-    mats = [m.to_float() for m in mats]
+    fmats = [m.to_float() for m in mats]
     q = cores.rank
     # each U arc's host: the S-gap between its neighbours in the cyclic order
     tagged, defect = alternation(cores.u_arcs, cores.s_arcs)
@@ -659,66 +685,67 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
                for i, (_, kind, arc) in enumerate(tagged) if kind == 0}
     hosts = [host_of[u_arc] for u_arc in cores.u_arcs]
 
-    # endpoint nodes (comp j, side 0=start 1=end) with tight-edge weights
-    nodes = [(j, side) for j in range(q) for side in (0, 1)]
-    point = {(j, 0): cores.u_arcs[j].start.angle for j in range(q)}
-    point.update({(j, 1): cores.u_arcs[j].end.angle for j in range(q)})
-    raw_edges: dict[tuple, list] = {n: [] for n in nodes}
-    for m, abs_det in zip(mats, abs_dets):
+    # endpoint nodes 2j + side (side 0 = start, 1 = end of U arc j) with
+    # tight-edge weights
+    nodes = range(2 * q)
+    point = [x for arc in cores.u_arcs for x in (arc.start.angle, arc.end.angle)]
+    raw_edges: list[list] = [[] for _ in nodes]
+    for m, fm, abs_det in zip(mats, fmats, abs_dets):
         try:
-            targets = component_map(m, cores.u_arcs, cores.u_arcs)
+            targets = cores.action(m, fm=fm)
         except AmbiguousIncidence as exc:
             raise DegenerateInput("cores are not invariant; cannot fatten") from exc
         for j, tgt in enumerate(targets):
             for side in (0, 1):
-                src_angle = point[(j, side)]
-                img_angle = m.act_angle(src_angle)
-                tgt_angle = point[(tgt, side)]
+                src_angle = point[2 * j + side]
+                img_angle = fm.act_angle(src_angle)
+                tgt_angle = point[2 * tgt + side]
                 # measure the endpoint slack in the target gap's Hilbert units;
                 # anything beyond a few fattening radii cannot be overshot
                 slack_h = (angle_dist(img_angle, tgt_angle)
                            * hilbert_density(hosts[tgt], tgt_angle))
                 if slack_h > 8.0 * HILBERT_EPS:
                     continue  # genuinely interior; no constraint needed
-                dh = (_angle_derivative(m, abs_det, src_angle)
+                dh = (_angle_derivative(fm, abs_det, src_angle)
                       * hilbert_density(hosts[tgt], img_angle)
                       / hilbert_density(hosts[j], src_angle))
                 w = min(math.log(max(dh, 1e-300)), 0.0)
-                raw_edges[(j, side)].append(((tgt, side), w))
+                raw_edges[2 * j + side].append((2 * tgt + side, w))
 
     # spend half the measured cycle deficit as per-edge slack
     # (an acyclic graph, mean -inf, gets the full BOOST)
-    mean_cycle = _max_mean_cycle(nodes, raw_edges)
+    mean_cycle = _max_mean_cycle(raw_edges)
     b = min(BOOST, max(-0.5 * mean_cycle, 1e-12))
-    edges = {n: [(t, w + b) for (t, w) in raw_edges[n]] for n in nodes}
+    edges = [[(t, w + b) for (t, w) in out] for out in raw_edges]
 
     # longest-path relaxation, to its fixed point: a round that changes no
     # value of P would be repeated by every later round
-    P = {n: 0.0 for n in nodes}
+    P = [0.0] * (2 * q)
     for _ in range(2 * q + 2):
-        relaxed = {n: max([0.0] + [w + P[t] for (t, w) in edges[n]]) for n in nodes}
+        relaxed = [max([0.0] + [w + P[t] for (t, w) in out]) for out in edges]
         if relaxed == P:
             break
         P = relaxed
 
-    radius = {n: HILBERT_EPS * math.exp(-P[n]) for n in nodes}
-    xi = {n: _xi(hosts[n[0]], point[n]) for n in nodes}
+    radius = [HILBERT_EPS * math.exp(-p) for p in P]
+    xi = [_xi(hosts[n // 2], point[n]) for n in nodes]
+    sft = Sft.full(len(mats))
     scale, rejected = 1.0, None
     for _ in range(MAX_HALVINGS):
         try:
             cone = MultiCone(tuple(ArcP1.from_angles(
-                _xi_inv(hosts[j], xi[(j, 0)] - scale * radius[(j, 0)]),
-                _xi_inv(hosts[j], xi[(j, 1)] + scale * radius[(j, 1)]))
+                _xi_inv(hosts[j], xi[2 * j] - scale * radius[2 * j]),
+                _xi_inv(hosts[j], xi[2 * j + 1] + scale * radius[2 * j + 1]))
                 for j in range(q)))
         except DegenerateInput:
             cone = None
-        # the arc certify rejected last is tried first: while it fails, so does certify
+        # the arc rejected last is tried first: while it fails, so does the cone
         if cone is not None and (rejected is None or _strict_image(
-                mats[rejected[0]], cone.arcs[rejected[1]], cone.arcs,
+                fmats[rejected[0]], cone.arcs[rejected[1]], cone.arcs,
                 start_order(cone.arcs))[1] is not None):
-            report = certify(mats, sft, MulticoneFamily.constant(cone, sft.n_symbols))
-            if report.ok:
+            _, _, witness = _inclusions(fmats, sft, (cone,) * sft.n_symbols)
+            if witness is None:
                 return cone
-            rejected = (report.witness["beta"], report.witness["component"])
+            rejected = (witness["beta"], witness["component"])
         scale *= 0.5
     raise DegenerateInput("no certified fattening found for the given cores")

@@ -67,7 +67,7 @@ DegenerateTie, which classify_pair reports as a Degenerate verdict.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf, isfinite
 from typing import NamedTuple, Union
 
 from . import _exact
@@ -321,11 +321,14 @@ def _orientation(A, B, BA) -> int:
     the form of B @ A; scales other than 1 come only with integer matrices,
     and at scale 1 any matrix is read by eigen_angles."""
     (m, s), (n, t), (k, r) = A, B, BA
-    uB = eigen_angles(n.a, n.b, n.c, n.d, t)[0]
-    uBA, sBA = eigen_angles(k.a, k.b, k.c, k.d, r)
-    sA = eigen_angles(m.a, m.b, m.c, m.d, s)[1]
-    min_gap = min(angle_dist(uB, uBA), angle_dist(uB, sBA), angle_dist(uB, sA),
-                  angle_dist(uBA, sBA), angle_dist(uBA, sA), angle_dist(sBA, sA))
+    try:
+        uB = eigen_angles(n.a, n.b, n.c, n.d, t)[0]
+        uBA, sBA = eigen_angles(k.a, k.b, k.c, k.d, r)
+        sA = eigen_angles(m.a, m.b, m.c, m.d, s)[1]
+        min_gap = min(angle_dist(uB, uBA), angle_dist(uB, sBA), angle_dist(uB, sA),
+                      angle_dist(uBA, sBA), angle_dist(uBA, sA), angle_dist(sBA, sA))
+    except OverflowError:  # integer forms beyond the float range: exact order
+        min_gap = 0.0
     if min_gap > 100 * DEFAULT.angle or not (m.is_exact() and n.is_exact()):
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
@@ -392,7 +395,10 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
 
     s = _lowest_traces(X, Y, (A1 @ B1).trace(), a, b)
     pqr = s.p * s.q * s.r
-    inv = float(_fricke(s) / (pqr * pqr))
+    try:
+        inv = float(_fricke(s) / (pqr * pqr))
+    except OverflowError:  # an exact invariant beyond the float range
+        inv = inf if _fricke(s) > 0 else -inf
     state = _twist_state(s, band)
     if state == _BOUNDARY:
         raise DegenerateTie("initial twist test in the boundary band")
@@ -430,23 +436,29 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
 
 
 def classification_to_dict(c: Classification2) -> dict:
+    """The verdict as JSON values; an invariant beyond the float range
+    (+-inf) is written null."""
     if isinstance(c, Principal):
         return {"variant": "principal",
                 "sign_pair": _signs(c.sign_pair),
-                "invariant": c.invariant}
+                "invariant": _finite(c.invariant)}
     if isinstance(c, NonPrincipal):
         return {"variant": "non_principal",
                 "fword": c.fword,
                 "sign_pair": _signs(c.sign_pair),
                 "orientation": "positive" if c.orientation > 0 else "negative",
                 "iterations": c.iterations,
-                "invariant": c.invariant}
+                "invariant": _finite(c.invariant)}
     if isinstance(c, EllipticWitness):
         return {"variant": "elliptic",
                 "witness": c.word,
                 "trace": c.trace,
                 "iterations": c.iterations}
     return {"variant": "degenerate", "reason": c.reason, "value": c.value}
+
+
+def _finite(x: float) -> float | None:
+    return x if isfinite(x) else None
 
 
 def _signs(pair) -> str:

@@ -485,3 +485,25 @@ def test_non_finite_entry_is_an_input_error(tmp_path, capsys, command, A, named)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ") and named in captured.err
+
+
+def test_classify2_invariant_beyond_the_float_range(tmp_path, capsys):
+    # exact pairs whose Fricke invariant is 5e300 and beyond the float range:
+    # the second is written null, so the envelope stays strict JSON
+    for e, inv in ((150, 5e300), (160, None)):
+        big, small = "1" + "0" * e, "1/1" + "0" * e
+        path = write_spec(tmp_path, {"matrices": [[[big, "1"], ["0", small]],
+                                                  [[small, "0"], ["-5", big]]],
+                                     "shift": {"type": "full"}, "mode": "rational"})
+        code, doc = run(capsys, ["classify2", "--mode", "rational", "--input", path])
+        assert code == 0
+        assert doc["verdicts"] == [{"variant": "non_principal", "fword": "",
+                                    "sign_pair": "++", "orientation": "positive",
+                                    "iterations": 0, "invariant": inv}]
+    # in floats the Fricke form of this pair is inf - inf, NaN: also null
+    path = write_spec(tmp_path, {"matrices": [[[1e200, 0], [0, 1e-200]],
+                                              [[2, 1], [1, 1]]]})
+    code, doc = run(capsys, ["classify2", "--input", path])
+    assert code == 0
+    assert doc["verdicts"] == [{"variant": "principal", "sign_pair": "++",
+                                "invariant": None}]

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercone import multicone
-from hypercone.errors import (BadFamily, HyperconeError, NoConvergence,
-                              PreconditionViolated, SearchBudgetExceeded)
+from hypercone.errors import (BadFamily, DegenerateInput, HyperconeError,
+                              NoConvergence, PreconditionViolated,
+                              SearchBudgetExceeded)
 from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _named, _runs,
                                  alternation, best_target, certify, component_map,
@@ -431,8 +432,11 @@ def test_core_criterion_excludes_identity_necklaces():
 
 def test_float_stages_convert_each_generator_once(monkeypatch):
     # each call converts, however many arcs the cores have, the entries of
-    # each generator, those of its exact inverse where the stage maps S arcs
-    # back, and (fatten_cores) its exact determinant: at most 9 per generator
+    # each generator where it acts in floats, those of its exact inverse
+    # where it maps S arcs back, and (fatten_cores) its exact determinant;
+    # a component map the cores already hold (CoreSet.action) converts
+    # nothing, so over one CoreSet each generator's entries go to the maps
+    # once and its inverse's entries once
     from hypercone.corrdyn import induced_morphism
     from tests.test_fareycomb import exact_pullbacks
     calls = []
@@ -445,20 +449,29 @@ def test_float_stages_convert_each_generator_once(monkeypatch):
     full2 = Sft.full(2)
     for pair, fword, model in exact_pullbacks()[3::5]:  # ranks 5, 10, 15, 20
         assert model.cores.rank >= 5 and all(m.is_exact() for m in pair)
-        cone = fatten_cores(pair, model.cores)
-        fam = MulticoneFamily.constant(cone, 2)
-        monkeypatch.setattr(Fraction, "__float__", counting)
         entries = [v for m in pair for v in (m.a, m.b, m.c, m.d)]
         inverses = [v for m in pair for v in (m.d, -m.b, -m.c, m.a)]  # det 1
         dets = [m.det() for m in pair]
-        for converted, stage in (
-                (entries + inverses, lambda: core_criterion(pair, model.cores)),
-                (entries + dets, lambda: fatten_cores(pair, model.cores)),
-                (entries, lambda: certify(pair, full2, fam)),
-                (entries + inverses, lambda: induced_morphism(pair, model.cores))):
-            calls.clear()
-            stage()
-            assert sorted(calls) == sorted(converted), fword
+        monkeypatch.setattr(Fraction, "__float__", counting)
+        # the pipeline's order, then the fattening first on equal new cores
+        for cores, stages in (
+                (model.cores, (("criterion", entries + inverses),
+                               ("fatten", entries + dets), ("certify", entries),
+                               ("induced", []))),
+                (CoreSet(model.cores.u_arcs, model.cores.s_arcs),
+                 (("fatten", entries + dets), ("induced", inverses),
+                  ("criterion", []), ("certify", entries)))):
+            for stage, converted in stages:
+                calls.clear()
+                if stage == "criterion":
+                    assert core_criterion(pair, cores).ok
+                elif stage == "fatten":
+                    fam = MulticoneFamily.constant(fatten_cores(pair, cores), 2)
+                elif stage == "certify":
+                    assert certify(pair, full2, fam).ok
+                else:
+                    induced_morphism(pair, cores)
+                assert sorted(calls) == sorted(converted), (fword, stage)
         calls.clear()
         component_model(*pair, fword)  # integer products and int / int
         assert calls == []
@@ -469,6 +482,188 @@ def test_float_stages_convert_each_generator_once(monkeypatch):
                        "end=ProjPoint(angle=1.5))")
     assert a == arc(0.25, 1.5) and a != arc(0.25, 1.25)
     assert hash(a) == hash((a.start, a.end)) and a.length == 1.25
+
+
+def _fatten_reference(mats, cores):
+    """fatten_cores as a certify loop: the endpoint graph on (arc, side)
+    dicts, then certify on each halving's cone, the arc it rejected last
+    tried first."""
+    from hypercone.multicone import (BOOST, HILBERT_EPS, MAX_HALVINGS, _angle_derivative,
+                                     _strict_image, _xi, _xi_inv)
+    from hypercone.errors import AmbiguousIncidence, DegenerateInput
+    from hypercone.projgeom import hilbert_density
+    sft = Sft.full(len(mats))
+    abs_dets = [abs(float(m.det())) for m in mats]
+    mats = [m.to_float() for m in mats]
+    q = cores.rank
+    tagged, defect = alternation(cores.u_arcs, cores.s_arcs)
+    if defect is not None:
+        raise DegenerateInput(f"cores do not alternate ({defect}); cannot fatten")
+    host_of = {a: ArcP1(tagged[i - 1][2].end, tagged[(i + 1) % (2 * q)][2].start)
+               for i, (_, kind, a) in enumerate(tagged) if kind == 0}
+    hosts = [host_of[u] for u in cores.u_arcs]
+    nodes = [(j, side) for j in range(q) for side in (0, 1)]
+    point = {(j, side): (a.start if side == 0 else a.end).angle
+             for j, a in enumerate(cores.u_arcs) for side in (0, 1)}
+    raw = {n: [] for n in nodes}
+    for m, abs_det in zip(mats, abs_dets):
+        try:
+            targets = component_map(m, cores.u_arcs, cores.u_arcs)
+        except AmbiguousIncidence as exc:
+            raise DegenerateInput("cores are not invariant; cannot fatten") from exc
+        for (j, side) in nodes:
+            tgt = targets[j]
+            src, dst = point[(j, side)], point[(tgt, side)]
+            img = m.act_angle(src)
+            if (angle_dist(img, dst) * hilbert_density(hosts[tgt], dst)
+                    > 8.0 * HILBERT_EPS):
+                continue
+            dh = (_angle_derivative(m, abs_det, src) * hilbert_density(hosts[tgt], img)
+                  / hilbert_density(hosts[j], src))
+            raw[(j, side)].append(((tgt, side), min(math.log(max(dh, 1e-300)), 0.0)))
+    # Karp's mean cycle on the dict graph
+    NEG, n = float("-inf"), len(nodes)
+    D = [dict.fromkeys(nodes, NEG) for _ in range(n + 1)]
+    D[0] = dict.fromkeys(nodes, 0.0)
+    for k in range(1, n + 1):
+        for u in nodes:
+            if D[k - 1][u] != NEG:
+                for v, w in raw[u]:
+                    if D[k - 1][u] + w > D[k][v]:
+                        D[k][v] = D[k - 1][u] + w
+    mean = NEG
+    for v in nodes:
+        rs = [(D[n][v] - D[k][v]) / (n - k) for k in range(n) if D[k][v] != NEG]
+        if D[n][v] != NEG and rs:
+            mean = max(mean, min(rs))
+    b = min(BOOST, max(-0.5 * mean, 1e-12))
+    edges = {u: [(t, w + b) for t, w in raw[u]] for u in nodes}
+    P = dict.fromkeys(nodes, 0.0)
+    for _ in range(2 * q + 2):
+        relaxed = {u: max([0.0] + [w + P[t] for t, w in edges[u]]) for u in nodes}
+        if relaxed == P:
+            break
+        P = relaxed
+    radius = {u: HILBERT_EPS * math.exp(-P[u]) for u in nodes}
+    xi = {u: _xi(hosts[u[0]], point[u]) for u in nodes}
+    scale, rejected = 1.0, None
+    for _ in range(MAX_HALVINGS):
+        try:
+            cone = MultiCone(tuple(arc(
+                _xi_inv(hosts[j], xi[(j, 0)] - scale * radius[(j, 0)]),
+                _xi_inv(hosts[j], xi[(j, 1)] + scale * radius[(j, 1)]))
+                for j in range(q)))
+        except DegenerateInput:
+            cone = None
+        if cone is not None and (rejected is None or _strict_image(
+                mats[rejected[0]], cone.arcs[rejected[1]], cone.arcs,
+                start_order(cone.arcs))[1] is not None):
+            report = certify(mats, sft, MulticoneFamily.constant(cone, len(mats)))
+            if report.ok:
+                return cone
+            rejected = (report.witness["beta"], report.witness["component"])
+        scale *= 0.5
+    raise DegenerateInput("no certified fattening found for the given cores")
+
+
+def _outcome(fatten, mats, cores):
+    try:
+        return repr(fatten(mats, cores))
+    except HyperconeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_fatten_cores_matches_the_certify_halving_reference():
+    # c04's certified pairs, the float copies of the pullback draws on their
+    # exact cores, strict-free pairs, and deep length-6 draws, some of which
+    # run all 60 halvings: the same cone, bit for bit, or the same error
+    cases = [((A, B), component_model(A, B, "").cores)
+             for A, B in _strict_free_pairs(400)]
+    for pair, fword, _ in pullback_population(500):
+        cores = component_model(*pair, fword).cores
+        cases += [(pair, cores), ((pair[0].to_float(), pair[1].to_float()), cores)]
+    rng, deep = random.Random(606), 0
+    while deep < 40:
+        fword = "".join(rng.choice("+-") for _ in range(6))
+        pair = apply_fword_inverse(*_mild_exact_base(rng, 6), fword)
+        try:
+            cases.append((pair, component_model(*pair, fword).cores))
+        except HyperconeError:
+            continue
+        deep += 1
+    outcomes = []
+    for mats, cores in cases:
+        ref = _outcome(_fatten_reference, mats, cores)
+        # on an equal new CoreSet, which holds no map yet
+        assert _outcome(fatten_cores, mats, CoreSet(cores.u_arcs, cores.s_arcs)) == ref
+        outcomes.append(ref)
+    exhausted = "DegenerateInput: no certified fattening found for the given cores"
+    assert outcomes.count(exhausted) >= 5
+
+
+def test_cores_share_one_component_action(monkeypatch):
+    # criterion -> fatten -> certify -> induced on one CoreSet computes each
+    # generator's U map and S map once: 2N component_map calls (5N when
+    # each stage made its own); an equal but new CoreSet, or a generator
+    # that is another object, computes its maps again
+    import copy
+    import pickle
+
+    from hypercone.corrdyn import induced_morphism
+    from tests.test_fareycomb import exact_pullbacks
+    calls = []
+    monkeypatch.setattr(multicone, "component_map",
+                        lambda *a, **k: calls.append(a[0]) or component_map(*a, **k))
+    pair, _, model = exact_pullbacks()[4]
+    mats = (*pair, pair[0] @ pair[1])  # AB acts on the pair's cores
+    cores, n = model.cores, 3
+    before = (repr(cores), hash(cores), cores.to_json(), pickle.dumps(cores))
+    assert core_criterion(mats, cores).ok
+    cone = fatten_cores(mats, cores)
+    assert certify(mats, Sft.full(n), MulticoneFamily.constant(cone, n)).ok
+    phi = induced_morphism(mats, cores)
+    assert len(calls) == 2 * n
+    assert (repr(cores), hash(cores), cores.to_json(), pickle.dumps(cores)) == before
+    assert "_maps" not in repr(cores) and CoreSet._fields == CoreSet.__slots__[:-1]
+    # the same again reads the held maps
+    assert core_criterion(mats, cores).ok and induced_morphism(mats, cores) == phi
+    assert len(calls) == 2 * n
+    # equal cores that are another object start empty
+    for other in (CoreSet(cores.u_arcs, cores.s_arcs), pickle.loads(pickle.dumps(cores)),
+                  copy.copy(cores)):
+        assert other == cores and hash(other) == hash(cores) and other is not cores
+        calls.clear()
+        assert core_criterion(mats, other).ok and len(calls) == 2 * n
+    # a generator that is another object, equal or not, is mapped again
+    for g in (Mat2(*pair[0]._key()), pair[0] @ pair[0]):
+        calls.clear()
+        assert core_criterion((g, *mats[1:]), cores).ok
+        assert calls == [g.to_float(), g.inverse().to_float()]
+
+
+def test_ambiguous_stable_map_is_reported_as_before():
+    # U maps into itself under A and under its square; the S arc's image
+    # under A^-1 sticks out of it.  Only maps that succeed are held, so the
+    # criterion reports the S arc whether or not the fattening ran first,
+    # and the fattening, which reads U maps only, grows its cone as before
+    A, R = Mat2(2.0, 0.0, 0.0, 0.5), Mat2.rotation(0.5)
+    s_message = ("InvarianceViolation: image of arc at 1.620796 not inside "
+                 "a single component (margin -3.749e-02)")
+    r_message = ("InvarianceViolation: image of arc at 3.041593 not inside "
+                 "a single component (margin -5.000e-01)")
+    for first_fatten in (False, True):
+        cores = CoreSet((arc(-0.1, 0.1),), (arc(PI / 2 + 0.05, PI / 2 + 0.3),))
+        if first_fatten:
+            assert repr(fatten_cores((A,), cores)) == (
+                "MultiCone(arcs=(ArcP1(start=ProjPoint(angle=2.414263627403475), "
+                "end=ProjPoint(angle=0.9163517162529207)),))")
+            with pytest.raises(DegenerateInput, match="cores are not invariant"):
+                fatten_cores((A, R), cores)
+        for mats, reason in (((A,), s_message), ((A, R), s_message),
+                             ((R, A), r_message), ((A,), s_message)):
+            assert core_criterion(mats, cores).reasons == (reason,)
+        assert _outcome(fatten_cores, (A,), cores) == _outcome(_fatten_reference,
+                                                              (A,), cores)
 
 
 def test_core_criterion_rejects_overlap():

@@ -639,3 +639,36 @@ def test_float_walk_is_the_unscaled_walk(monkeypatch):
     calls.clear()
     classify_pair(*pullback_population(1)[0][0])
     assert calls and all(band == 0 for _, _, _, band in calls)
+
+
+def _huge_pair(e: int):
+    """A = [[10^e, 1], [0, 10^-e]], B = [[10^-e, 0], [-5, 10^e]]: free, with
+    Fricke invariant about 5 * 10^(2e); past e = 154 it is beyond the float
+    range."""
+    big, small = Fraction(10 ** e), Fraction(1, 10 ** e)
+    return Mat2(big, Fraction(1), Fraction(0), small), Mat2(small, Fraction(0),
+                                                            Fraction(-5), big)
+
+
+def test_invariant_beyond_the_float_range_is_infinite(monkeypatch):
+    # the exact walk decides both pairs; at 10^160 the invariant and the
+    # directions' float forms overflow, so the invariant reads +inf and the
+    # orientation is read exactly
+    for e, inv in ((150, 5e300), (160, math.inf)):
+        A, B = _huge_pair(e)
+        c = classify_pair(A, B)
+        assert c == NonPrincipal(fword="", sign_pair=(1, 1), orientation=1,
+                                 iterations=0, invariant=inv), e
+        assert inv == math.inf or inv == float(fricke((A.trace(), B.trace(),
+                                                      (A @ B).trace())))
+        mirror = Mat2(1, 0, 0, -1)
+        c = classify_pair(mirror @ A @ mirror, mirror @ B @ mirror)
+        assert c.orientation == -1 and c.invariant == inv
+    # the exact order the overflow falls back to gives the float order at 10^150
+    A, B = _huge_pair(150)
+
+    def overflowing(*args):
+        raise OverflowError("int too large")
+
+    monkeypatch.setattr(twoshift, "eigen_angles", overflowing)
+    assert classify_pair(A, B).orientation == 1
