@@ -17,27 +17,20 @@ __version__ = "0.1.0"
 
 # export name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "projgeom": ("ArcP1", "MultiCone", "ProjPoint", "cross_ratio",
-                 "hilbert_dist"),
-    "sl2core": ("CanonicalPair", "Mat2", "MatClass", "c1_bound",
-                "canonical_form", "classify", "invariant_dirs",
-                "normalize_tuple"),
+    "projgeom": ("ArcP1", "MultiCone", "ProjPoint"),
+    "sl2core": ("Mat2", "c1_bound", "normalize_tuple"),
     "symdyn": ("RateReport", "Sft", "hyperbolicity_rate", "periodic_words",
                "product"),
     "multicone": ("CertifyReport", "CoreSet", "MulticoneFamily", "certify",
-                  "compute_cores", "core_criterion", "fatten_cores",
-                  "tightness"),
+                  "compute_cores", "core_criterion", "fatten_cores"),
     "twoshift": ("Classification2", "Degenerate", "EllipticWitness",
-                 "NonPrincipal", "Principal", "TraceTriple", "classify_pair",
-                 "fricke", "is_free", "is_twisted", "trace_step_minus",
-                 "trace_step_plus"),
+                 "NonPrincipal", "Principal", "classify_pair"),
     "fareycomb": ("ComponentModel", "build_order", "component_model",
-                  "farey_interval", "j_of_fword", "orbit_words",
-                  "rotation_orbit_word"),
+                  "farey_interval", "j_of_fword"),
     "corrdyn": ("CombMulticone", "MonotoneCorr", "Morphism",
-                "classify_two_morphism", "compose", "induced_morphism",
-                "morphism_hyperbolic", "morphism_tight", "reduce_tight",
-                "validate", "winding_matrix"),
+                "classify_two_morphism", "induced_morphism",
+                "morphism_hyperbolic", "morphism_tight", "validate",
+                "winding_matrix"),
     "witness": ("BoundaryReport", "best_heteroclinic", "diagnose_boundary",
                 "search_elliptic", "search_parabolic"),
     "tolerances": ("DEFAULT", "Tolerances"),

@@ -169,10 +169,20 @@ def decide_classify2(args):
     return verdict, None
 
 
+def _finite_angle(text: str) -> float:
+    """A number of a multicone file, refused unless finite: json reads NaN,
+    +-Infinity and a literal beyond the float range, such as 1e400."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputError(f"multicone entry {text} is not finite")
+    return value
+
+
 def decide_certify(args):
     from . import multicone
     with open(args.multicone, "rb") as fh:
-        fam_data = json.loads(fh.read())
+        fam_data = json.loads(fh.read(), parse_float=_finite_angle,
+                              parse_constant=_finite_angle)
 
     def verdict(mats, sft):
         fam = multicone.MulticoneFamily.from_json(fam_data)

@@ -10,7 +10,8 @@ the local rules checked here are
       x+ in Im C_s   =>  C_s(y+) = x+       (the graph turns diagonally)
       x+ not in Im C_s  =>  C_u(x++) = y    (the graph continues horizontally)
 
-and dually on the stable half.  Relation composition makes these a monoid;
+and dually on the stable half.  Relation composition makes these a monoid
+(tests/reference.py composes them, and reduces a morphism to a tight one);
 note (C o C')_u = C'_u o C_u while (C o C')_s = C_s o C'_s, so the
 correspondence attached to a left-to-right matrix word composes the letter
 relations right-to-left.  The winding number of a word is read off
@@ -102,17 +103,6 @@ class MonotoneCorr(Record):
     def s_image(self) -> frozenset:
         return frozenset(self.s)
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.u_image) == 1
-
-    def key(self):
-        return (self.u, self.s)
-
-    def to_json(self) -> dict:
-        return {"u": [self.mc.slot(v) for v in self.u],
-                "s": [self.mc.slot(v) for v in self.s]}
-
 
 def validate(mc: CombMulticone, u_map, s_map) -> MonotoneCorr:
     """Check the local monotonicity rules and return the correspondence."""
@@ -147,21 +137,9 @@ def validate(mc: CombMulticone, u_map, s_map) -> MonotoneCorr:
     return corr
 
 
-def identity_corr(mc: CombMulticone) -> MonotoneCorr:
-    return MonotoneCorr(mc=mc, u=tuple(mc.u_labels()), s=tuple(mc.s_labels()))
-
-
 def constant_corr(mc: CombMulticone, a_u: int, a_s: int) -> MonotoneCorr:
     return MonotoneCorr(mc=mc, u=tuple(a_u for _ in range(mc.rank)),
                         s=tuple(a_s for _ in range(mc.rank)))
-
-
-def compose(c1: MonotoneCorr, c2: MonotoneCorr) -> MonotoneCorr:
-    """Relation composition c1 o c2 (paths pass through c1 first)."""
-    mc = c1.mc
-    u = tuple(c2.u_of(c1.u_of(x)) for x in mc.u_labels())
-    s = tuple(c1.s_of(c2.s_of(y)) for y in mc.s_labels())
-    return MonotoneCorr(mc=mc, u=u, s=s)
 
 
 def solve_s_from_u(mc: CombMulticone, u_map) -> MonotoneCorr:
@@ -187,41 +165,10 @@ def solve_s_from_u(mc: CombMulticone, u_map) -> MonotoneCorr:
     return validate(mc, u, s)
 
 
-def all_correspondences(mc: CombMulticone):
-    """Every monotonic correspondence on mc (exhaustive; use for small rank)."""
-    from itertools import product as iproduct
-    for a_u in mc.u_labels():
-        for a_s in mc.s_labels():
-            yield constant_corr(mc, a_u, a_s)
-    for u_map in iproduct(mc.u_labels(), repeat=mc.rank):
-        if len(set(u_map)) == 1:
-            continue
-        try:
-            yield solve_s_from_u(mc, u_map)
-        except NotMonotonic:
-            continue
-
-
 class Morphism(Record):
     """One MonotoneCorr per generator (gens) on the CombMulticone mc."""
 
     __slots__ = ("mc", "gens")
-
-    def to_json(self) -> dict:
-        return {"rank": self.mc.rank,
-                "parity": "even_u" if self.mc.even_is_u else "even_s",
-                "gens": [g.to_json() for g in self.gens]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Morphism":
-        mc = CombMulticone(rank=int(data["rank"]),
-                           even_is_u=data.get("parity", "even_u") == "even_u")
-        gens = []
-        for g in data["gens"]:
-            u = tuple(mc.u_label(i) for i in g["u"])
-            s = tuple(mc.s_label(i) for i in g["s"])
-            gens.append(validate(mc, u, s))
-        return Morphism(mc=mc, gens=tuple(gens))
 
 
 def morphism_hyperbolic(phi: Morphism) -> tuple[bool, int | None]:
@@ -250,47 +197,6 @@ def _uncovered(mc: CombMulticone, gens) -> tuple[list[int], list[int]]:
 
 def morphism_tight(phi: Morphism) -> bool:
     return _uncovered(phi.mc, phi.gens) == ([], [])
-
-
-def _drop_element(phi: Morphism, x: int, drop_u: bool) -> Morphism:
-    """Remove an uncovered element, identifying its two neighbors."""
-    mc = phi.mc
-    prev, nxt = mc.nxt(x, -1), mc.nxt(x, 1)
-    for g in phi.gens:
-        f = g.s_of if drop_u else g.u_of
-        if f(prev) != f(nxt):
-            raise StructureViolation("reduce",
-                                     "neighbor maps disagree at an uncovered element")
-    survivors = []
-    e = mc.nxt(nxt)
-    while e != x:
-        survivors.append(e)
-        e = mc.nxt(e)
-    pos = {e: i for i, e in enumerate(survivors)}
-
-    def proj(e: int) -> int:
-        return prev if e == nxt else e
-
-    new_mc = CombMulticone(rank=mc.rank - 1, even_is_u=mc.is_u(survivors[0]))
-    gens = []
-    for g in phi.gens:
-        u, s = [], []
-        for e in survivors:
-            if mc.is_u(e):
-                u.append(pos[proj(g.u_of(e))])
-            else:
-                s.append(pos[proj(g.s_of(e))])
-        gens.append(validate(new_mc, tuple(u), tuple(s)))
-    return Morphism(mc=new_mc, gens=tuple(gens))
-
-
-def reduce_tight(phi: Morphism) -> Morphism:
-    """Collapse uncovered elements until the morphism is tight."""
-    while True:
-        u_unc, s_unc = _uncovered(phi.mc, phi.gens)
-        if not u_unc and not s_unc:
-            return phi
-        phi = _drop_element(phi, (u_unc or s_unc)[0], drop_u=bool(u_unc))
 
 
 # ---------------------------------------------------------------------------
@@ -461,48 +367,3 @@ def classify_two_morphism(phi: Morphism) -> tuple[Fraction | None, int]:
     if _matches(reflect(phi), model):
         return f, -1
     raise StructureViolation("model", f"morphism is not the model of {f} in either orientation")
-
-
-# ---------------------------------------------------------------------------
-# the stock non-realizable morphism
-
-
-_NR_ORDER = ("alpha", "a", "b", "omega", "c", "d", "beta", "beta_p", "d_p",
-             "o", "a_p", "omega_p", "b_p", "c_p", "alpha_p")
-
-_NR_A_U = {"alpha": "omega", "a": "beta", "b": "alpha"}  # everything else -> omega
-_NR_B_U = {"alpha": "a_p", "a": "a_p", "b": "b_p", "omega": "c_p", "c": "c_p",
-           "d": "d_p", "beta": "d_p", "beta_p": "o", "d_p": "o", "o": "o",
-           "a_p": "o", "omega_p": "o", "b_p": "o", "c_p": "o", "alpha_p": "o"}
-_NR_C_U = {"b_p": "alpha_p", "c_p": "beta_p"}            # everything else -> omega_p
-
-
-def nonrealizable_fixture(n_gens: int | None = None) -> Morphism:
-    """The rank-15 three-generator morphism with no matrix realization.
-
-    The three unstable maps are hard data; their stable halves are the unique
-    monotonic completions, and constant generators are appended to cover the
-    remaining elements so the morphism is tight.
-    """
-    q = len(_NR_ORDER)
-    mc = CombMulticone(rank=q, even_is_u=True)
-    idx = {name: 2 * i for i, name in enumerate(_NR_ORDER)}
-
-    def table(special: dict, default: str | None) -> tuple[int, ...]:
-        return tuple(idx[special.get(name, default)] for name in _NR_ORDER)
-
-    gen_a = solve_s_from_u(mc, table(_NR_A_U, "omega"))
-    gen_b = solve_s_from_u(mc, table(_NR_B_U, None))
-    gen_c = solve_s_from_u(mc, table(_NR_C_U, "omega_p"))
-
-    gens = [gen_a, gen_b, gen_c]
-    u_unc, s_unc = _uncovered(mc, gens)
-    k = max(len(u_unc), len(s_unc))
-    for i in range(k):
-        a_u = u_unc[i] if i < len(u_unc) else mc.u_labels()[0]
-        a_s = s_unc[i] if i < len(s_unc) else mc.s_labels()[0]
-        gens.append(constant_corr(mc, a_u, a_s))
-    if n_gens is not None:
-        while len(gens) < n_gens:
-            gens.append(constant_corr(mc, mc.u_labels()[0], mc.s_labels()[0]))
-    return Morphism(mc=mc, gens=tuple(gens))

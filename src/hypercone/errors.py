@@ -17,10 +17,6 @@ class NoInvariantDirection(HyperconeError):
     """Elliptic or +-identity matrices have no invariant direction."""
 
 
-class NotCanonicalizable(HyperconeError):
-    """Pair cannot be put in upper/lower triangular normal form."""
-
-
 class PreconditionViolated(HyperconeError):
     """A stated precondition (e.g. a trace bound) fails; message names the offender."""
 
@@ -71,10 +67,6 @@ class StructureViolation(HyperconeError):
 
 class OrderViolation(HyperconeError):
     """Computed directions violate the expected cyclic order."""
-
-
-class BadBasePoint(HyperconeError):
-    """Base point of a rotation word is not of the form i/q."""
 
 
 class NotInterior(HyperconeError):

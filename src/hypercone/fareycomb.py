@@ -36,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .errors import BadBasePoint, NotInterior, OrderViolation
-from .projgeom import ArcP1, ProjPoint, angle_gap
+from .errors import NotInterior, OrderViolation
+from .projgeom import ArcP1, ProjPoint, cyclically_ordered
 from .sl2core import Mat2, eigen_data, integer_scaled
 from .symdyn import LETTERS
 
@@ -58,33 +58,10 @@ def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
     return left, right
 
 
-class RotWord(Record):
-    __slots__ = ("letters", "base", "rotation")
-
-    def __str__(self) -> str:
-        return self.letters
-
-
 def _theta(p: int, q: int, k: int) -> str:
     """Letters of Theta(k/q) for rotation p/q, for any integer k."""
     # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
     return "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
-
-
-def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:
-    """The coded orbit word Theta(start) of length q."""
-    p, q = f.numerator, f.denominator
-    start = Fraction(start) % 1
-    k = start * q
-    if k.denominator != 1:
-        raise BadBasePoint(f"start {start} is not a multiple of 1/{q}")
-    return RotWord(letters=_theta(p, q, k.numerator), base=start, rotation=f)
-
-
-def orbit_words(f: Fraction) -> list[RotWord]:
-    """All q rotation words of f, by base point 0, 1/q, ..., (q-1)/q."""
-    q = f.denominator
-    return [rotation_orbit_word(f, Fraction(i, q)) for i in range(q)]
 
 
 class FamilyWord(Record):
@@ -193,20 +170,14 @@ def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
                            reverse: bool) -> bool:
     """Check the expected interleaving of u/s points along the family order."""
     seq = []
-    plus_order = [fw for fw in reversed(family.order)]
-    for fw in plus_order:
+    for fw in reversed(family.order):
         if fw.tag == "center":
             seq.append(u_pts[fw.word].angle)
             seq.append(s_pts[fw.word].angle)
         else:
             seq.append(s_pts[fw.word].angle)
             seq.append(u_pts[fw.word].angle)
-    if reverse:
-        seq = [(-a) for a in seq]
-    base = seq[0]
-    gaps = [angle_gap(base, a) for a in seq[1:]]
-    return all(gaps[i] < gaps[i + 1] for i in range(len(gaps) - 1)) and \
-        all(g > 0 for g in gaps)
+    return cyclically_ordered([-a for a in seq] if reverse else seq)
 
 
 def _family_products(mats, family: OrderedFamily) -> dict:

@@ -131,9 +131,6 @@ class MulticoneFamily(Record):
     def constant(cone: MultiCone, n: int) -> "MulticoneFamily":
         return MulticoneFamily(tuple(cone for _ in range(n)))
 
-    def to_json(self) -> dict:
-        return {str(i): cone.to_json() for i, cone in enumerate(self.cones)}
-
     @staticmethod
     def from_json(data) -> "MulticoneFamily":
         if isinstance(data, list):
@@ -589,22 +586,6 @@ def core_criterion(mats, cores: CoreSet) -> CriterionReport:
             if is_pm_identity(m):
                 return fail(f"IdentityProduct: word {(s,)} is +-identity")
     return CriterionReport(ok=True, reasons=(), constancy_length=max(ell_u, ell_s))
-
-
-def tightness(mats, cone: MultiCone, cores: CoreSet) -> bool:
-    """Each cone component holds one U component; each gap one S component."""
-    for comp_set, arcs in ((cone.arcs, cores.u_arcs),
-                           (cone.complement().arcs, cores.s_arcs)):
-        counts = [0 for _ in comp_set]
-        order = start_order(comp_set)
-        for arc in arcs:
-            j, margin = best_target(arc.span, comp_set, order)
-            if margin <= -DEFAULT.angle:
-                return False
-            counts[j] += 1
-        if any(c != 1 for c in counts):
-            return False
-    return True
 
 
 def _xi(arc: ArcP1, angle: float) -> float:

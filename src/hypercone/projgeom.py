@@ -5,20 +5,13 @@ angle a is canonicalized into [0, pi).  P1 is a circle of circumference pi,
 oriented by increasing angle (every determinant-one matrix acts on it by an
 orientation-preserving homeomorphism).
 
-Cross-ratios are computed projectively: with points given by angles, every
-chart difference c - a equals sin(ac - aa) up to a cosine factor that cancels
-in the full ratio, so
-
-    [a, b, c, d] = sin(c-a) sin(d-b) / (sin(b-a) sin(d-c))
-
-with all differences taken between representative angles.  Each point enters
-one numerator and one denominator factor, so the pi-ambiguity of
-representatives cancels and the value is chart-independent.  This evaluates
-the textbook formula without ever forming a near-infinite chart coordinate,
-which is the conditioning the chart-at-infinity trick is after.
-
 The Hilbert metric of an open arc I with endpoints a, b is
-d_I(x, y) = |log [a, x, y, b]|; its density at angle t inside I is
+d_I(x, y) = |log [a, x, y, b]|, the cross-ratio of four angles being
+
+    [a, b, c, d] = sin(c-a) sin(d-b) / (sin(b-a) sin(d-c)),
+
+which no chart coordinate enters (tests/reference.py computes it).  The
+library reads the metric through its density at angle t inside I,
 
     rho_I(t) = sin(L) / (sin(t - a) sin(a + L - t)),   L = arc length,
 
@@ -31,7 +24,6 @@ import math
 
 from ._record import Record
 from .errors import DegenerateInput, OutOfArc
-from .tolerances import DEFAULT
 
 PI = math.pi
 
@@ -57,10 +49,6 @@ def angle_dist(a: float, b: float) -> float:
     return min(g, PI - g)
 
 
-def same_angle(a: float, b: float, tol: float = DEFAULT.angle) -> bool:
-    return angle_dist(a, b) <= tol
-
-
 class ProjPoint(Record):
     """A direction in the plane, i.e. a point of P1, at an angle in [0, pi)."""
 
@@ -75,38 +63,18 @@ class ProjPoint(Record):
             raise DegenerateInput("zero vector spans no direction")
         return ProjPoint(math.atan2(float(y), float(x)))
 
-    def vector(self) -> tuple[float, float]:
-        return (math.cos(self.angle), math.sin(self.angle))
-
 
 # the slots' own setters, which the frozen __setattr__ does not block
 _set_angle = ProjPoint.angle.__set__
 
 
-def _require_distinct(points, tol: float):
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if same_angle(points[i].angle, points[j].angle, tol):
-                raise DegenerateInput(
-                    f"points {i} and {j} coincide within tolerance {tol}"
-                )
-
-
 def cyclically_ordered(angles) -> bool:
     """True iff the angles occur on P1 in the listed cyclic order, each
-    strictly past the one before; the caller rules out coincident angles."""
+    strictly past the one before: the gaps from the first strictly increase,
+    and the least is not 0."""
     base, *rest = angles
     gaps = [angle_gap(base, a) for a in rest]
-    return all(gaps[i] < gaps[i + 1] for i in range(len(gaps) - 1))
-
-
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
-                tol: float = DEFAULT.angle) -> float:
-    _require_distinct((a, b, c, d), tol)
-    s = math.sin
-    aa, ab, ac, ad = a.angle, b.angle, c.angle, d.angle
-    return (s(ac - aa) * s(ad - ab)) / (s(ab - aa) * s(ad - ac))
+    return gaps[0] > 0.0 and all(gaps[i] < gaps[i + 1] for i in range(len(gaps) - 1))
 
 
 class ArcP1(Record):
@@ -153,11 +121,6 @@ class ArcP1(Record):
         shift = 0.5 * (PI - self.length)
         return ((angle - self.start.angle + shift) % PI) - shift
 
-    def contains(self, p: ProjPoint, margin: float = 0.0) -> bool:
-        """Membership with a signed margin; margin > 0 demands interior depth."""
-        off = self.signed_offset_of(p.angle)
-        return margin < off < self.length - margin
-
 
 # the slots' own setters (see ProjPoint)
 _set_start, _set_end, _set_length = (ArcP1.__dict__[f].__set__ for f in ArcP1.__slots__)
@@ -190,16 +153,6 @@ def hilbert_density(arc: ArcP1, angle: float) -> float:
         raise OutOfArc(f"angle {angle} outside arc for density")
     angle = norm_angle(angle)
     return _sin_gap(start, end) / (_sin_gap(start, angle) * _sin_gap(angle, end))
-
-
-def hilbert_dist(arc: ArcP1, x: ProjPoint, y: ProjPoint) -> float:
-    """Hilbert distance |log [a, x, y, b]| inside the open arc (a, b)."""
-    for p in (x, y):
-        if not arc.contains(p):
-            raise OutOfArc(f"point at angle {p.angle} is not inside the arc")
-    if same_angle(x.angle, y.angle, 0.0):
-        return 0.0
-    return abs(math.log(cross_ratio(arc.start, x, y, arc.end, tol=0.0)))
 
 
 def density_extremes(outer: ArcP1, inner: ArcP1) -> tuple[float, float]:
@@ -326,24 +279,8 @@ class MultiCone(Record):
         if arcs[-1].start.angle + arcs[-1].length >= arcs[0].start.angle + PI:
             raise DegenerateInput("arc closures are not pairwise disjoint")
 
-    @property
-    def rank(self) -> int:
-        return len(self.arcs)
-
     def total_length(self) -> float:
         return sum(a.length for a in self.arcs)
-
-    def complement(self) -> "MultiCone":
-        """The gaps between the arcs, as a multicone (complement of the closure)."""
-        arcs = []
-        n = len(self.arcs)
-        for i, a in enumerate(self.arcs):
-            b = self.arcs[(i + 1) % n]
-            arcs.append(ArcP1(a.end, b.start))
-        return MultiCone(tuple(arcs))
-
-    def to_json(self) -> dict:
-        return {"arcs": [[a.start.angle, a.end.angle] for a in self.arcs]}
 
     @staticmethod
     def from_json(data: dict) -> "MultiCone":

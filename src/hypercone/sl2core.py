@@ -12,13 +12,11 @@ stages call once per matrix before their angle work.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from numbers import Rational
 
 from ._record import Record
-from .errors import (DegenerateInput, NoInvariantDirection, NotCanonicalizable,
-                     PreconditionViolated)
-from .projgeom import ProjPoint, norm_angle, same_angle
+from .errors import DegenerateInput, NoInvariantDirection, PreconditionViolated
+from .projgeom import ProjPoint, norm_angle
 from .tolerances import DEFAULT
 
 
@@ -135,13 +133,6 @@ def check_unimodular(m: Mat2) -> Mat2:
     return m
 
 
-class MatClass(Enum):
-    HYPERBOLIC = "hyperbolic"
-    PARABOLIC = "parabolic"
-    ELLIPTIC = "elliptic"
-    PLUS_MINUS_IDENTITY = "pm_identity"
-
-
 def is_pm_identity(m: Mat2, s: int = 1) -> bool:
     """m / s = +-I: read exactly (m = +-s I) on exact entries, within
     DEFAULT.identity entrywise on float ones.  A scale s > 1 needs an
@@ -154,23 +145,6 @@ def is_pm_identity(m: Mat2, s: int = 1) -> bool:
     if abs(float(m.b)) > tol or abs(float(m.c)) > tol:
         return False
     return m.dist_to_pm_identity() <= tol
-
-
-def classify(m: Mat2) -> MatClass:
-    """Trace trichotomy; the band ||tr|-2| <= DEFAULT.trace reports parabolic.
-    Exact input takes band 0 throughout."""
-    if is_pm_identity(m):
-        return MatClass.PLUS_MINUS_IDENTITY
-    if m.is_exact():
-        t = abs(m.trace())
-        return (MatClass.HYPERBOLIC if t > 2 else MatClass.ELLIPTIC if t < 2
-                else MatClass.PARABOLIC)
-    t = abs(float(m.trace()))
-    if t > 2.0 + DEFAULT.trace:
-        return MatClass.HYPERBOLIC
-    if t < 2.0 - DEFAULT.trace:
-        return MatClass.ELLIPTIC
-    return MatClass.PARABOLIC
 
 
 def eigen_data(m: Mat2, s: int = 1):
@@ -223,59 +197,6 @@ def _eigen(a, b, c, d, s: int):
             raise NoInvariantDirection("matrix is +-identity")
         out.append((v, lam))
     return out
-
-
-def invariant_dirs(m: Mat2) -> tuple[ProjPoint, ProjPoint]:
-    """Unstable and stable directions (equal for parabolic input)."""
-    cls = classify(m)
-    if cls in (MatClass.ELLIPTIC, MatClass.PLUS_MINUS_IDENTITY):
-        raise NoInvariantDirection(f"no invariant direction for {cls.value} matrix")
-    (u, _), (s, _) = eigen_data(m)
-    return u, s
-
-
-class CanonicalPair(Record):
-    """Upper/lower triangular normal form of a twisted-candidate pair.
-
-    In the stored basis (a Mat2) the first matrix is [[mu, alpha], [0, 1/mu]]
-    and the second is [[1/nu, 0], [beta, nu]]; gamma = alpha * beta is
-    basis-free.
-    """
-
-    __slots__ = ("mu", "nu", "alpha", "beta", "basis", "gamma")
-
-
-def canonical_form(A: Mat2, B: Mat2) -> CanonicalPair:
-    """The normal form of (A, B); NotCanonicalizable unless both traces are
-    >= 2 (read exactly on exact input, as classify does), neither is
-    +-identity, and each has an unstable direction, the two distinct."""
-    if any(m.trace() < 2 if m.is_exact() else float(m.trace()) < 2.0 - DEFAULT.trace
-           for m in (A, B)):
-        raise NotCanonicalizable("both traces must be >= 2")
-    for m in (A, B):
-        if is_pm_identity(m):
-            raise NotCanonicalizable("+-identity member admits no canonical basis")
-    try:  # a float trace within the band may still read elliptic
-        uA, uB = eigen_data(A)[0][0], eigen_data(B)[0][0]
-    except NoInvariantDirection as exc:
-        raise NotCanonicalizable("a member has no invariant direction") from exc
-    if same_angle(uA.angle, uB.angle, DEFAULT.angle):
-        raise NotCanonicalizable("unstable directions coincide")
-    va, vb = uA.vector(), uB.vector()
-    det = va[0] * vb[1] - va[1] * vb[0]
-    if det < 0:
-        vb = (-vb[0], -vb[1])
-        det = -det
-    s = 1.0 / math.sqrt(det)
-    basis = Mat2(va[0] * s, vb[0] * s, va[1] * s, vb[1] * s)
-    inv = basis.inverse()
-    At = inv @ A.to_float() @ basis
-    Bt = inv @ B.to_float() @ basis
-    mu, alpha = At.a, At.b
-    nu, beta = Bt.d, Bt.c
-    gamma = alpha * beta
-    return CanonicalPair(mu=mu, nu=nu, alpha=alpha, beta=beta, basis=basis,
-                         gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

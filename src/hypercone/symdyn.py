@@ -40,10 +40,6 @@ def render_word(w: Word) -> str:
     return "".join(LETTERS[s] for s in w)
 
 
-def parse_word(text: str) -> Word:
-    return tuple(LETTERS.index(ch) for ch in text.strip().upper())
-
-
 class Sft(Record):
     """Transition-restricted alphabet of n_symbols letters; allowed, a tuple
     of bool tuples, has allowed[a][b] when a can precede b.  The table must
@@ -92,19 +88,6 @@ class Sft(Record):
 
     def ok(self, a: int, b: int) -> bool:
         return self.allowed[a][b]
-
-    def dual(self) -> "Sft":
-        n = self.n_symbols
-        return Sft(n, tuple(tuple(self.allowed[j][i] for j in range(n))
-                            for i in range(n)))
-
-    def admissible(self, w: Word) -> bool:
-        return all(self.ok(w[i], w[i + 1]) for i in range(len(w) - 1))
-
-    def cyclically_admissible(self, w: Word) -> bool:
-        """The periodic orbit of w is allowed (a letter needs its self-loop)."""
-        return self.admissible(w) and self.ok(w[-1], w[0])
-
 
 def _check_drift(m, length: int) -> None:
     """Float entries (a, b, c, d) of a word of length > DRIFT_FREE_LEN must

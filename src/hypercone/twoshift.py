@@ -4,16 +4,17 @@ The classification walks the pair through the two regeneration moves
 
     step_plus(A, B)  = (A, A@B)        step_minus(A, B) = (B@A, B)
 
-whose trace shadows are
+whose trace shadows (x, y, z) = (tr A, tr B, tr AB) are
 
-    trace_step_plus(x, y, z)  = (x, z, x*z - y)
-    trace_step_minus(x, y, z) = (z, y, y*z - x)
+    plus:  (x, y, z) -> (x, z, x*z - y)
+    minus: (x, y, z) -> (z, y, y*z - x)
 
-both preserving fricke(x, y, z) = x^2 + y^2 + z^2 - x*y*z.
+both preserving the Fricke form x^2 + y^2 + z^2 - x*y*z.
 
 With both traces normalized to be >= 2, the interleaving ("twisted") test is
-purely rational: writing t1 = x*y - 2*z and t2 = fricke - 4, the quantity
-gamma of the triangular normal form satisfies
+purely rational: writing t1 = x*y - 2*z and t2 = Fricke form - 4, the
+quantity gamma of the triangular normal form (tests/reference.py's
+canonical_form) satisfies
 
     gamma < 0  iff  t1 > 0 and t2 > 0,
 
@@ -57,8 +58,6 @@ Only rational input is scaled, and it is decided with band 0.  Float and
 mixed float/rational input keep every denominator 1, where every formula
 above is the unscaled one (multiplying by the integer 1 is exact, and no
 gcd is taken), so the band never meets a denominator other than 1.
-trace_step_plus, trace_step_minus and fricke are the denominator-1 case of
-the same step functions.
 
 Words here are plain strings over 'A', 'B' whose matrix value is the
 left-to-right product ("BAB" means B @ A @ B).  Boundary cases raise
@@ -76,12 +75,6 @@ from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
 from .sl2core import Mat2, eigen_angles, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
-
-
-class TraceTriple(NamedTuple):
-    x: object  # tr A
-    y: object  # tr B
-    z: object  # tr AB
 
 
 class _Traces(NamedTuple):
@@ -125,18 +118,6 @@ def _fricke(s: _Traces):
     qr = q * r
     Xqr, Ypr, Zpq = X * qr, Y * (p * r), Z * (p * q)
     return Xqr * Xqr + Ypr * Ypr + Zpq * Zpq - X * Y * Z * (p * qr)
-
-
-def trace_step_plus(t: TraceTriple) -> TraceTriple:
-    return TraceTriple(*_step_plus(_Traces(*t))[:3])
-
-
-def trace_step_minus(t: TraceTriple) -> TraceTriple:
-    return TraceTriple(*_step_minus(_Traces(*t))[:3])
-
-
-def fricke(t: TraceTriple):
-    return _fricke(_Traces(*t))
 
 
 def pair_unstep(A: Mat2, B: Mat2, sign: str) -> tuple[Mat2, Mat2]:
@@ -225,47 +206,11 @@ def _twist_state(s: _Traces, band) -> int:
     return _BOUNDARY
 
 
-def is_free(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
-    """|tr A|, |tr B|, |tr AB| > 2 with a negative trace product."""
-    x, y, z = A.trace(), B.trace(), (A @ B).trace()
-    for name, v in (("tr A", x), ("tr B", y), ("tr AB", z)):
-        if abs(abs(v) - 2) <= band:
-            raise DegenerateTie(f"|{name}| in the band around 2", v)
-    return abs(x) > 2 and abs(y) > 2 and abs(z) > 2 and x * y * z < 0
-
-
-def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
-    """Interleaved invariant directions, decided from traces alone."""
-    exact = A.is_exact() and B.is_exact()
-    if exact:
-        (A, a), (B, b) = integer_scaled(A), integer_scaled(B)
-    else:
-        a = b = 1
-    # elliptic members are never twisted
-    for m, s in ((A, a), (B, b)):
-        if is_pm_identity(m, s) or (abs(m.trace()) < 2 * s if exact
-                                    else abs(float(m.trace())) < 2.0):
-            return False
-    x, y, z = A.trace(), B.trace(), (A @ B).trace()
-    sx = 1 if x >= 0 else -1
-    sy = 1 if y >= 0 else -1
-    st = _twist_state(_lowest_traces(sx * x, sy * y, sx * sy * z, a, b), band)
-    if st == _BOUNDARY and band > 0:
-        raise DegenerateTie("twist test in the boundary band")
-    return st == _TWISTED
-
-
 class Step:
     PLUS = "+"
     MINUS = "-"
     FREE = "free"
     ELLIPTIC = "elliptic"
-
-
-def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
-    """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
-    s = _Traces(A.trace(), B.trace(), (A @ B).trace())
-    return _step_select_traces(s, band)[0]
 
 
 def _step_select_traces(s: _Traces, band):
@@ -296,11 +241,6 @@ def _step_select_traces(s: _Traces, band):
 
 # ---------------------------------------------------------------------------
 # orientation of a free pair
-
-
-def orientation_of_free_pair(A: Mat2, B: Mat2) -> int:
-    """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    return _orientation((A, 1), (B, 1), (B @ A, 1))
 
 
 def _product(f, g):

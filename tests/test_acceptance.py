@@ -12,27 +12,26 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.corrdyn import (CombMulticone, all_correspondences,
-                               classify_two_morphism, compose,
+from hypercone.corrdyn import (CombMulticone, classify_two_morphism,
                                induced_morphism, morphism_hyperbolic,
-                               morphism_tight, nonrealizable_fixture, validate,
-                               winding_matrix)
+                               morphism_tight, validate, winding_matrix)
 from hypercone.errors import HyperconeError, NotMonotonic, OrderViolation
-from hypercone.fareycomb import (build_order, component_model, farey_interval,
-                                 j_of_fword, orbit_words, rotation_orbit_word)
+from hypercone.fareycomb import build_order, component_model, farey_interval, j_of_fword
 from hypercone.multicone import (MulticoneFamily, certify, core_criterion,
                                  fatten_cores)
 from hypercone.projgeom import ArcP1, MultiCone
 from hypercone.sl2core import Mat2, c1_bound, normalize_tuple, spectral_norm
 from hypercone.symdyn import Sft, eval_string, periodic_words, product
 from hypercone.tolerances import DEFAULT
-from hypercone.twoshift import (EllipticWitness, NonPrincipal, TraceTriple,
-                                apply_fword_inverse, classify_pair, fricke,
-                                trace_step_minus, trace_step_plus)
+from hypercone.twoshift import (EllipticWitness, NonPrincipal, _fricke, _step_minus,
+                                _step_plus, _Traces, apply_fword_inverse,
+                                classify_pair)
 from hypercone.witness import best_heteroclinic
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             four_interval_family, group_tuple)
 from tests.lifts import winding_comb
+from tests.reference import (all_correspondences, compose, nonrealizable_fixture,
+                             orbit_words, rotation_orbit_word)
 
 FULL2 = Sft.full(2)
 REFLECT = Mat2(1, 0, 0, -1)
@@ -142,16 +141,15 @@ def test_c02_pullback_recovery():
 def test_c03_trace_form_invariance():
     rng = random.Random(303)
     for _ in range(50_000):
-        t = TraceTriple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
-        step = trace_step_plus if rng.random() < 0.5 else trace_step_minus
-        assert fricke(step(t)) == fricke(t)  # exact
+        t = _Traces(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        step = _step_plus if rng.random() < 0.5 else _step_minus
+        assert _fricke(step(t)) == _fricke(t)  # exact
     for _ in range(50_000):
-        t = TraceTriple(rng.uniform(-20, 20), rng.uniform(-20, 20),
-                        rng.uniform(-20, 20))
-        step = trace_step_plus if rng.random() < 0.5 else trace_step_minus
-        before, after = fricke(t), fricke(step(t))
+        t = _Traces(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-20, 20))
+        step = _step_plus if rng.random() < 0.5 else _step_minus
+        before, after = _fricke(t), _fricke(step(t))
         assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
     report(3, "trace form invariance (exact and float)")
 

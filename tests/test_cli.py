@@ -77,10 +77,11 @@ def free_family_path(tmp_path):
     from hypercone.fareycomb import component_model
     from hypercone.multicone import MulticoneFamily, fatten_cores
     from hypercone.sl2core import Mat2
+    from tests.reference import family_json
     pair = (Mat2(2, 1, 0, 0.5), Mat2(0.5, 0, -9, 2))
     cone = fatten_cores(pair, component_model(*pair, "").cores)
     fam_path = tmp_path / "family.json"
-    fam_path.write_text(json.dumps(MulticoneFamily.constant(cone, 2).to_json()))
+    fam_path.write_text(json.dumps(family_json(MulticoneFamily.constant(cone, 2))))
     return str(fam_path)
 
 
@@ -485,6 +486,22 @@ def test_non_finite_entry_is_an_input_error(tmp_path, capsys, command, A, named)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("input error: ") and named in captured.err
+
+
+@pytest.mark.parametrize("start, named", [
+    ("NaN", "entry NaN"), ("Infinity", "entry Infinity"), ("-1e400", "entry -1e400"),
+], ids=["nan", "infinity", "overflow"])
+def test_non_finite_multicone_endpoint_is_an_input_error(tmp_path, capsys, start, named):
+    # a NaN start made a MultiCone that certify then rejected (exit 2), and
+    # Infinity a math domain error
+    cone = f'{{"arcs": [[{start}, 0.5], [1.0, 1.5]]}}'
+    fam = tmp_path / "family.json"
+    fam.write_text(f'{{"0": {cone}, "1": {cone}}}')
+    code = main(["certify", "--input", write_spec(tmp_path, FREE_SPEC),
+                 "--multicone", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("input error: multicone ") and named in captured.err
 
 
 def test_classify2_invariant_beyond_the_float_range(tmp_path, capsys):

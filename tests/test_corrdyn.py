@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.corrdyn import (CombMulticone, Morphism, all_correspondences,
-                               classify_two_morphism, compose, constant_corr,
-                               identity_corr, induced_morphism,
-                               morphism_hyperbolic, morphism_tight,
-                               nonrealizable_fixture, reduce_tight, reflect,
-                               solve_s_from_u, validate, winding_matrix)
+from hypercone.corrdyn import (CombMulticone, Morphism, classify_two_morphism,
+                               constant_corr, induced_morphism, morphism_hyperbolic,
+                               morphism_tight, reflect, solve_s_from_u, validate,
+                               winding_matrix)
 from hypercone.errors import (EllipticAlongWord, NotMonotonic,
                               StructureViolation)
 from hypercone.fareycomb import component_model, j_of_fword
@@ -18,6 +16,9 @@ from hypercone.multicone import core_criterion
 from hypercone.sl2core import Mat2
 from hypercone.twoshift import apply_fword_inverse
 from tests.lifts import height, lift_height_zero, winding_comb
+from tests.reference import (all_correspondences, compose, identity_corr, is_constant,
+                             morphism_from_json, morphism_json, nonrealizable_fixture,
+                             reduce_tight)
 from tests.test_fareycomb import exact_pullbacks
 
 
@@ -28,7 +29,7 @@ def test_identity_and_constant_are_monotonic():
         validate(mc, i.u, i.s)
         c = constant_corr(mc, mc.u_labels()[0], mc.s_labels()[-1])
         validate(mc, c.u, c.s)
-        assert c.is_constant and (q == 1 or not i.is_constant)
+        assert is_constant(c) and (q == 1 or not is_constant(i))
 
 
 def test_transposition_with_identity_s_invalid():
@@ -43,12 +44,12 @@ def test_compose_identity_neutral_and_constant_absorbing():
     mc = CombMulticone(rank=3)
     ident = identity_corr(mc)
     for corr in all_correspondences(mc):
-        assert compose(corr, ident).key() == corr.key()
-        assert compose(ident, corr).key() == corr.key()
+        assert compose(corr, ident) == corr
+        assert compose(ident, corr) == corr
         const = constant_corr(mc, mc.u_label(1), mc.s_label(2))
         left = compose(const, corr)
         right = compose(corr, const)
-        assert left.is_constant and right.is_constant
+        assert is_constant(left) and is_constant(right)
         # relation composition: paths pass through the left factor first,
         # so the u-value comes from the right factor acting after
         assert set(right.u) == {right.u[0]}
@@ -63,7 +64,7 @@ def test_compose_associative_randomized():
         corrs = list(all_correspondences(mc))
         for _ in range(200):
             a, b, c = (rng.choice(corrs) for _ in range(3))
-            assert compose(compose(a, b), c).key() == compose(a, compose(b, c)).key()
+            assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 def test_compose_closed_exhaustive_small_ranks():
@@ -80,7 +81,7 @@ def test_solve_s_from_u_round_trip():
     for q in (2, 3, 4):
         mc = CombMulticone(rank=q)
         for corr in all_correspondences(mc):
-            if corr.is_constant:
+            if is_constant(corr):
                 continue
             again = solve_s_from_u(mc, corr.u)
             assert again.s == corr.s
@@ -89,7 +90,7 @@ def test_solve_s_from_u_round_trip():
 def test_morphism_hyperbolic_free_level(free_pair):
     model = component_model(*free_pair, "")
     phi = induced_morphism(free_pair, model.cores)
-    assert all(g.is_constant for g in phi.gens)
+    assert all(is_constant(g) for g in phi.gens)
     hyp, ell = morphism_hyperbolic(phi)
     assert hyp and ell == 1
     assert morphism_tight(phi)
@@ -128,21 +129,20 @@ def test_morphism_with_identity_generator_not_hyperbolic():
 def closure_hyperbolic(phi):
     """The semigroup closure on MonotoneCorr values that morphism_hyperbolic
     ran before it read the u-maps through eventual_constancy, kept as its
-    oracle: products grow by one letter per level, keyed by both halves."""
+    oracle: products grow by one letter per level, compared by both halves."""
     if phi.mc.rank == 1:
         return True, 0
-    level = {g.key(): g for g in phi.gens}
+    level = set(phi.gens)
     seen = set()
     length = 1
     while True:
-        nonconst = frozenset(k for k, c in level.items() if not c.is_constant)
+        nonconst = frozenset(c for c in level if not is_constant(c))
         if not nonconst:
             return True, length
         if nonconst in seen:
             return False, None
         seen.add(nonconst)
-        level = {cc.key(): cc for cc in (compose(g, c) for g in phi.gens
-                                         for c in level.values())}
+        level = {compose(g, c) for g in phi.gens for c in level}
         length += 1
 
 
@@ -169,7 +169,7 @@ def test_morphism_hyperbolic_matches_closure_on_all_rank_three_pairs():
         for b in corrs:
             phi = Morphism(mc, (a, b))
             got = morphism_hyperbolic(phi)
-            assert got == closure_hyperbolic(phi), (a.key(), b.key())
+            assert got == closure_hyperbolic(phi), (a, b)
             outcomes.add(got)
     assert (False, None) in outcomes and {ell for hyp, ell in outcomes if hyp} \
         == {1, 2}
@@ -194,10 +194,10 @@ def test_reduce_tight_pins_the_reduced_morphism():
     # U slot 1 is in no image: it is dropped and the S labels on either side
     # of it are identified, which the s-maps allow; read as an S label, its
     # neighbours' u-maps disagree and the reduction fails
-    phi = Morphism.from_json({"rank": 3, "gens": [
+    phi = morphism_from_json({"rank": 3, "gens": [
         {"u": [0, 0, 0], "s": [1, 1, 1]}, {"u": [0, 2, 2], "s": [0, 0, 2]}]})
     assert not morphism_tight(phi)
-    assert reduce_tight(phi).to_json() == {"rank": 2, "parity": "even_u", "gens": [
+    assert morphism_json(reduce_tight(phi)) == {"rank": 2, "parity": "even_u", "gens": [
         {"u": [1, 1], "s": [1, 1]}, {"u": [0, 1], "s": [0, 1]}]}
 
 
@@ -398,9 +398,8 @@ def test_winding_matrix_rejects_elliptic_product():
 def test_morphism_json_roundtrip(free_pair):
     model = component_model(*free_pair, "")
     phi = induced_morphism(free_pair, model.cores)
-    again = Morphism.from_json(phi.to_json())
-    assert again.mc.rank == phi.mc.rank
-    assert [g.key() for g in again.gens] == [g.key() for g in phi.gens]
+    again = morphism_from_json(morphism_json(phi))
+    assert again == phi
 
 
 def test_reduce_tight_stable_side():

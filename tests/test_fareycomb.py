@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.errors import BadBasePoint, HyperconeError, NotInterior, OrderViolation
+from hypercone.errors import HyperconeError, NotInterior, OrderViolation
 from hypercone.fareycomb import (_family_products, action_table, build_order,
                                  component_model, farey_interval, j_of_fword,
-                                 orbit_words, rotation_orbit_word,
                                  special_words)
 from hypercone.multicone import core_criterion
 from hypercone.projgeom import angle_dist
@@ -15,6 +14,7 @@ from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import eval_string
 from hypercone.twoshift import apply_fword_inverse
 from tests.conftest import canonical_pair
+from tests.reference import BadBasePoint, orbit_words, rotation_orbit_word
 from tests.test_acceptance import REFLECT, _mild_exact_base
 
 FIGURE_ORDER_2_5 = ["BABAA", "BA", "ABABA", "AB", "AABAB",

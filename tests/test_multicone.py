@@ -16,19 +16,20 @@ from hypercone.fareycomb import component_model, j_of_fword
 from hypercone.multicone import (PUFF, CoreSet, MulticoneFamily, _named, _runs,
                                  alternation, best_target, certify, component_map,
                                  compute_cores, core_criterion,
-                                 eventual_constancy, fatten_cores, start_order,
-                                 tightness)
+                                 eventual_constancy, fatten_cores, start_order)
 from hypercone.projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, angle_dist,
                                 angle_gap, containment_margin, merge_spans,
                                 norm_angle)
 from hypercone.sl2core import Mat2, eigen_data, spectral_norm
-from hypercone.symdyn import Sft, parse_word, periodic_words, product
+from hypercone.symdyn import Sft, periodic_words, product
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import apply_fword_inverse
 from hypercone.witness import search_elliptic
 from tests.conftest import exact_canonical_pair, four_interval_family, group_tuple
 from tests.test_acceptance import (REFLECT, _mild_exact_base, _strict_free_pairs,
                                    pullback_population)
+from tests.reference import (cyclically_admissible, dual, family_json, parse_word,
+                             tightness)
 from tests.test_symdyn import min_rotation
 
 
@@ -141,7 +142,7 @@ def test_duality_of_certificates(free_pair, sft4):
             gaps.append(((s + ln) % PI, (nxt[0] - s - ln) % PI))
         duals.append(MultiCone(arcs_of_spans(gaps)))
     inv_tup = tuple(m.inverse() for m in tup)
-    rep = certify(inv_tup, sft4.dual(), MulticoneFamily(tuple(duals)))
+    rep = certify(inv_tup, dual(sft4), MulticoneFamily(tuple(duals)))
     assert rep.ok
 
 
@@ -209,7 +210,7 @@ def _assert_arcs_end_at_named_points(mats, sft, cores):
     of the word naming its end; the words are cyclically admissible, and
     carried points, "(w)B" or "B(w)", are skipped."""
     def point(name, side):
-        assert sft.cyclically_admissible(parse_word(name)), name
+        assert cyclically_admissible(sft, parse_word(name)), name
         return eigen_data(product(mats, parse_word(name)))[side][0].angle
 
     checked = 0
@@ -813,7 +814,7 @@ def test_family_json_roundtrip(free_pair):
     model = component_model(*free_pair, "")
     cone = fatten_cores(free_pair, model.cores)
     fam = MulticoneFamily.constant(cone, 2)
-    again = MulticoneFamily.from_json(fam.to_json())
+    again = MulticoneFamily.from_json(family_json(fam))
     assert len(again.cones) == 2
     assert again.cones[0].arcs[0].start.angle == pytest.approx(
         fam.cones[0].arcs[0].start.angle)
@@ -823,12 +824,12 @@ def test_core_duality_swaps_roles(free_pair):
     # cores of the inverse tuple over the dual (= same full) shift swap U and S
     inv = tuple(m.inverse() for m in free_pair)
     cores = compute_cores(free_pair, Sft.full(2), depth=40)
-    dual = compute_cores(inv, Sft.full(2).dual(), depth=40)
-    assert dual.rank == cores.rank
-    for got, want in zip(dual.u_arcs, cores.s_arcs):
+    swapped = compute_cores(inv, dual(Sft.full(2)), depth=40)
+    assert swapped.rank == cores.rank
+    for got, want in zip(swapped.u_arcs, cores.s_arcs):
         assert got.start.angle == pytest.approx(want.start.angle, abs=1e-8)
         assert got.end.angle == pytest.approx(want.end.angle, abs=1e-8)
-    for got, want in zip(dual.s_arcs, cores.u_arcs):
+    for got, want in zip(swapped.s_arcs, cores.u_arcs):
         assert got.start.angle == pytest.approx(want.start.angle, abs=1e-8)
         assert got.end.angle == pytest.approx(want.end.angle, abs=1e-8)
 

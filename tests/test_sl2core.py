@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from hypercone.errors import (NoInvariantDirection, NotCanonicalizable,
-                              PreconditionViolated)
-from hypercone.sl2core import (Mat2, MatClass, c1_bound, canonical_form,
-                               classify, eigen_angles, eigen_data,
-                               integer_scaled, invariant_dirs, is_exact,
-                               is_pm_identity, normalize_tuple, spectral_norm)
+from hypercone.errors import NoInvariantDirection, PreconditionViolated
+from hypercone.sl2core import (Mat2, c1_bound, eigen_angles, eigen_data, integer_scaled,
+                               is_exact, is_pm_identity, normalize_tuple, spectral_norm)
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
+from tests.reference import (MatClass, NotCanonicalizable, canonical_form, classify,
+                             invariant_dirs, vector)
 
 
 def rand_sl2(rng, scale=3.0):
@@ -112,7 +111,7 @@ def test_eigen_residual():
             continue
         (u, lu), (s, ls) = eigen_data(m)
         for p, lam in ((u, lu), (s, ls)):
-            x, y = p.vector()
+            x, y = vector(p)
             rx = float(m.a) * x + float(m.b) * y - lam * x
             ry = float(m.c) * x + float(m.d) * y - lam * y
             assert math.hypot(rx, ry) <= 1e-8

@@ -12,11 +12,12 @@ from hypercone.errors import (DegenerateInput, DetDrift, InadmissibleWord,
 from hypercone.multicone import compute_cores
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import (Sft, admissible_entries, hyperbolicity_rate,
-                              parse_word, periodic_entries, periodic_words,
-                              product, render_word)
+                              periodic_entries, periodic_words, product,
+                              render_word)
 from hypercone.witness import (best_heteroclinic, diagnose_boundary,
                                search_elliptic, search_parabolic)
 from tests.conftest import group_tuple
+from tests.reference import admissible, cyclically_admissible, dual, parse_word
 
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -36,17 +37,17 @@ def is_primitive(w):
 def test_full_shift_and_dual():
     s = Sft.full(3)
     assert s.is_full
-    assert s.dual() == s
+    assert dual(s) == s
 
 
 def test_one_way_cycle_dual():
     # directed 3-cycle is transitive; the dual reverses every arrow
     s = Sft(3, ((False, True, False), (False, False, True),
                 (True, False, False)))
-    d = s.dual()
+    d = dual(s)
     assert d.allowed == ((False, False, True), (True, False, False),
                          (False, True, False))
-    assert d.dual() == s
+    assert dual(d) == s
 
 
 def test_transitivity_enforced():
@@ -62,8 +63,8 @@ def test_a_table_without_a_cycle_is_refused():
 
 
 def test_sft4_rejects_forbidden_word(sft4):
-    assert not sft4.admissible((0, 2))
-    assert sft4.admissible((0, 1, 2))
+    assert not admissible(sft4, (0, 2))
+    assert admissible(sft4, (0, 1, 2))
     with pytest.raises(InadmissibleWord):
         product((Mat2.identity(),) * 4, (0, 2), sft4)
 
@@ -130,14 +131,14 @@ def test_brute_force_class_count(sft4):
         for n in range(1, n_max + 1):
             classes = set()
             for w in itertools.product(range(sft.n_symbols), repeat=n):
-                if sft.cyclically_admissible(w) and is_primitive(w):
+                if cyclically_admissible(sft, w) and is_primitive(w):
                     classes.add(min_rotation(w))
             assert [w for w in got if len(w) == n] == sorted(classes)
 
 
 def test_golden_mean_single_letters_need_self_loops():
     assert list(periodic_words(GOLDEN, 3)) == [(0,), (0, 1), (0, 0, 1)]
-    assert not GOLDEN.cyclically_admissible((1,))
+    assert not cyclically_admissible(GOLDEN, (1,))
 
 
 def _exact(mats):
@@ -176,7 +177,7 @@ def test_admissible_entries_match_product(shift, sft4, free_pair):
         assert [w for w, _, _ in got] == [
             w for n in range(1, n_max + 1)
             for w in itertools.product(range(sft.n_symbols), repeat=n)
-            if sft.admissible(w)]
+            if admissible(sft, w)]
         for w, m, scale in got:
             assert _quotient(m, scale) == product(tup, w, sft)
 

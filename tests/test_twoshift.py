@@ -14,31 +14,45 @@ from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
-                                Principal, TraceTriple, apply_fword_inverse,
-                                classify_pair, fricke,
-                                fword_substitution, is_free, is_twisted,
-                                orientation_of_free_pair, step_select,
-                                trace_step_minus, trace_step_plus)
+                                Principal, _fricke, _step_minus, _step_plus, _Traces,
+                                apply_fword_inverse, classify_pair,
+                                fword_substitution)
 from tests.conftest import (canonical_pair, check_walk, exact_canonical_pair,
                             pair_step_minus, pair_step_plus, rand_conj)
+from tests.reference import is_free, is_twisted
 from tests.test_acceptance import _strict_free_pairs, pullback_population
 
 
+def traces(A: Mat2, B: Mat2) -> _Traces:
+    """The walk's state of (tr A, tr B, tr AB), each over denominator 1."""
+    return _Traces(A.trace(), B.trace(), (A @ B).trace())
+
+
+def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
+    """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
+    return twoshift._step_select_traces(traces(A, B), band)[0]
+
+
+def orientation(A: Mat2, B: Mat2) -> int:
+    """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
+    return twoshift._orientation((A, 1), (B, 1), (B @ A, 1))
+
+
 def test_trace_steps_printed_examples():
-    assert trace_step_plus(TraceTriple(3, 3, 7)) == (3, 7, 18)
-    t = TraceTriple(8.125, 2.5, 3.25)
-    assert trace_step_minus(t) == (3.25, 2.5, 0.0)
-    assert fricke(TraceTriple(2, 2, 2)) == 4
-    assert fricke(trace_step_plus(TraceTriple(2, 2, 2))) == 4
+    assert _step_plus(_Traces(3, 3, 7)) == (3, 7, 18, 1, 1, 1)
+    t = _Traces(8.125, 2.5, 3.25)
+    assert _step_minus(t) == (3.25, 2.5, 0.0, 1, 1, 1)
+    assert _fricke(_Traces(2, 2, 2)) == 4
+    assert _fricke(_step_plus(_Traces(2, 2, 2))) == 4
 
 
 @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50),
                  st.integers(-50, 50)))
 @settings(max_examples=500)
 def test_fricke_preserved_exactly(t):
-    t = TraceTriple(*(Fraction(v, 7) for v in t))
-    assert fricke(trace_step_plus(t)) == fricke(t)
-    assert fricke(trace_step_minus(t)) == fricke(t)
+    t = _Traces(*(Fraction(v, 7) for v in t))
+    assert _fricke(_step_plus(t)) == _fricke(t)
+    assert _fricke(_step_minus(t)) == _fricke(t)
 
 
 def test_is_free_examples(free_pair):
@@ -169,7 +183,7 @@ def test_coincident_float_directions_are_degenerate():
     # a pair that is not free, (A, A), gives the same signal, float or exact
     for A in (Mat2(2.0, 1.0, 1.0, 1.0), Mat2(2, 1, 1, 1)):
         with pytest.raises(DegenerateTie, match="coincide"):
-            orientation_of_free_pair(A, A)
+            orientation(A, A)
 
 
 def test_classify_elliptic_generator():
@@ -234,13 +248,13 @@ def test_fword_substitution_words():
 def test_walk_matches_matrix_walk(free_pair_exact):
     # the trace shadow of the pair walk is the trace walk
     A, B = apply_fword_inverse(*free_pair_exact, "-+")
-    t = TraceTriple(A.trace(), B.trace(), (A @ B).trace())
+    t = traces(A, B)
     A1, B1 = pair_step_minus(A, B)
-    t1 = trace_step_minus(t)
-    assert (A1.trace(), B1.trace(), (A1 @ B1).trace()) == tuple(t1)
+    t1 = _step_minus(t)
+    assert traces(A1, B1) == t1
     A2, B2 = pair_step_plus(A1, B1)
-    t2 = trace_step_plus(t1)
-    assert (A2.trace(), B2.trace(), (A2 @ B2).trace()) == tuple(t2)
+    t2 = _step_plus(t1)
+    assert traces(A2, B2) == t2
 
 
 def test_orientation_exact_fallback_near_parabolic_product():
@@ -249,9 +263,9 @@ def test_orientation_exact_fallback_near_parabolic_product():
     z = Fraction(-2) - Fraction(1, 10 ** 18)
     gamma = z - 2  # mu = nu = 2
     A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), gamma)
-    assert orientation_of_free_pair(A, B) == 1
+    assert orientation(A, B) == 1
     D = Mat2(1, 0, 0, -1)
-    assert orientation_of_free_pair(D @ A @ D, D @ B @ D) == -1
+    assert orientation(D @ A @ D, D @ B @ D) == -1
     c = classify_pair(A, B)
     assert isinstance(c, NonPrincipal) and c.orientation == 1
 
@@ -418,7 +432,7 @@ def _point_orientation(A, B):
 
 def test_orientation_matches_the_point_reference():
     # classify_pair's orientation of the walked pair and
-    # orientation_of_free_pair read eigen_angles; both must give what the
+    # _orientation read eigen_angles; both must give what the
     # ProjPoints of eigen_data and the point cyclic test give
     exact = [pair for pair, _, _ in pullback_population(500)]
     z = Fraction(-2) - Fraction(1, 10 ** 18)
@@ -444,7 +458,7 @@ def test_orientation_matches_the_point_reference():
                 Ak, Bk = (pair_step_plus if sign == "+" else pair_step_minus)(Ak, Bk)
             want, fallback = _point_orientation(Ak, Bk)
             assert c.orientation == want, (name, A, B)
-            assert orientation_of_free_pair(Ak, Bk) == want, (name, A, B)
+            assert orientation(Ak, Bk) == want, (name, A, B)
             seen.add(want)
             fell_back += fallback
         orientations[name], fallbacks[name] = seen, fell_back
@@ -469,9 +483,9 @@ def test_exact_walk_matches_fraction_replay():
         check_walk(A, B, c)
         A1 = A if A.trace() >= 0 else -A
         B1 = B if B.trace() >= 0 else -B
-        t = TraceTriple(A1.trace(), B1.trace(), (A1 @ B1).trace())
-        assert all(type(v) is Fraction for v in t)
-        assert c.invariant == float(fricke(t))
+        t = traces(A1, B1)
+        assert all(type(v) is Fraction for v in t[:3])
+        assert c.invariant == float(_fricke(t))
     # near the boundary, where walks end on a band reason or on the bound
     seen = set()
     for A, B in _near_boundary_pairs(300, exact=True):
@@ -545,7 +559,7 @@ def _reference_classify(A, B, band):
                     step = pair_step_plus if sign == "+" else pair_step_minus
                     Ak, Bk = step(Ak, Bk)
                 return NonPrincipal(fword=fword, sign_pair=(sa, sb),
-                                    orientation=orientation_of_free_pair(Ak, Bk),
+                                    orientation=orientation(Ak, Bk),
                                     iterations=len(fword), invariant=inv)
             if z < 2 + band:
                 # z = -2 + band (z = -2 at band 0) lies in the band around -2
@@ -659,8 +673,7 @@ def test_invariant_beyond_the_float_range_is_infinite(monkeypatch):
         c = classify_pair(A, B)
         assert c == NonPrincipal(fword="", sign_pair=(1, 1), orientation=1,
                                  iterations=0, invariant=inv), e
-        assert inv == math.inf or inv == float(fricke((A.trace(), B.trace(),
-                                                      (A @ B).trace())))
+        assert inv == math.inf or inv == float(_fricke(traces(A, B)))
         mirror = Mat2(1, 0, 0, -1)
         c = classify_pair(mirror @ A @ mirror, mirror @ B @ mirror)
         assert c.orientation == -1 and c.invariant == inv

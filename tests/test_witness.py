@@ -17,6 +17,7 @@ from hypercone.witness import (BoundaryReport, HeteroclinicHit, ParabolicHit,
                                best_heteroclinic, diagnose_boundary,
                                search_elliptic, search_parabolic)
 from tests.conftest import canonical_pair, exact_canonical_pair, group_tuple
+from tests.reference import admissible, cyclically_admissible, is_twisted
 
 
 def test_elliptic_rotation_length_one():
@@ -42,7 +43,6 @@ def test_parabolic_trace_two_product():
     pair = canonical_pair(2.0, 2.0, 1.0, 0.0)  # tr AB = 2 exactly
     hit = search_parabolic(pair, Sft.full(2), 3)
     assert hit.kind == "parabolic" and hit.word == (0, 1)
-    from hypercone.twoshift import is_twisted
     assert not is_twisted(*pair)
 
 
@@ -98,6 +98,40 @@ def test_diagnose_boundary_kinds(boundary_triple):
     assert diagnose_boundary(rot, Sft.full(1), budget=(2, 2, 1)).kind == "elliptic"
 
 
+def exact_boundary_triple(shear=Fraction(0)):
+    """The boundary triple of conftest in rationals (lambda = 2, theta = 9/5,
+    nu = 3), its C times the shear [[1, 0], [shear, 1]]."""
+    lam, theta, nu = Fraction(2), Fraction(9, 5), Fraction(3)
+    return (Mat2(lam, 0, -theta * (lam - 1 / lam), 1 / lam),
+            Mat2(lam, theta * (lam - 1 / lam), 0, 1 / lam),
+            Mat2(0, -1, 1, nu + 1 / nu) @ Mat2(1, 0, shear, 1))
+
+
+def test_exact_connection_is_heteroclinic():
+    # C carries u(B) onto s(A) exactly, and exact_dirs shows it
+    rep = diagnose_boundary(exact_boundary_triple(), Sft.full(3), budget=(6, 6, 4))
+    assert rep.kind == "heteroclinic"
+    assert rep.heteroclinic == HeteroclinicHit(source=(1,), connector=(2,), target=(0,),
+                                               residual=0.0)
+
+
+def test_near_connection_is_not_heteroclinic_on_exact_input():
+    # the shear moves C u(B) off s(A) by about 1e-12, within
+    # DEFAULT.heteroclinic: a float claim, but no exact connection
+    sheared = exact_boundary_triple(Fraction(1, 10 ** 12))
+    rep = diagnose_boundary(sheared, Sft.full(3), budget=(6, 6, 4))
+    assert rep.kind == "none"
+    hit = rep.heteroclinic
+    assert (hit.source, hit.connector, hit.target) == ((1,), (2,), (0,))
+    assert 0.5e-12 < hit.residual <= DEFAULT.heteroclinic
+    # float input, and mixed input, which is read as float, keep the claim
+    floats = tuple(m.to_float() for m in sheared)
+    mixed = sheared[:2] + floats[2:]
+    for mats in (floats, mixed):
+        rep = diagnose_boundary(mats, Sft.full(3), budget=(6, 6, 4))
+        assert rep.kind == "heteroclinic" and rep.heteroclinic.residual == hit.residual
+
+
 def test_diagnose_certified_tuple_none(free_pair):
     rep = diagnose_boundary(free_pair, Sft.full(2), budget=(6, 6, 3))
     assert rep.kind == "none"
@@ -146,7 +180,7 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     def words(n):
         return [w for length in range(1, n + 1)
                 for w in itertools.product(range(sft.n_symbols), repeat=length)
-                if sft.cyclically_admissible(w)
+                if cyclically_admissible(sft, w)
                 and w == min(w[i:] + w[:i] for i in range(1, length + 1))
                 and all(length % p or w != w[p:] + w[:p] for p in range(1, length))]
 
@@ -158,7 +192,7 @@ def _brute_candidates(mats, sft, k_max, ell_max, n_max):
     targets = sorted((eigen_data(p)[1][0].angle, w) for w, p in hyperbolic(ell_max))
     connectors = [c for length in range(n_max + 1)
                   for c in itertools.product(range(sft.n_symbols), repeat=length)
-                  if sft.admissible(c)]
+                  if admissible(sft, c)]
     for conn in connectors:
         P = product(mats, conn) if conn else Mat2.identity()
         for v, u_angle in sources:
