@@ -29,6 +29,18 @@ onto that letter's sink, so its entry is not exact.
 
 Base points are integer indices: Theta(k/q) reads the codes of k, k + p,
 k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
+So every Theta(k/q) is a slice of one string, the codes of 0, p, 2p, ...
+mod q read twice over, from the step k * p^-1 mod q at which the orbit is
+at k.
+
+The 2q family words are the rotations of three words: the center word and
+the two parents'.  On exact input each of these cyclic classes is
+multiplied once: with a word's prefix and suffix products, each rotation
+w[i:] + w[:i] is one product more, kept in lowest terms as an integer
+matrix over a scale.  The scale moves no bit of the eigen data, each of
+whose floats is one correctly rounded int / int division.  Float input is
+multiplied along a tree of shared prefixes, left to right as
+symdyn.eval_string multiplies, so that each word keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NotInterior, OrderViolation
 from .projgeom import ArcP1, ProjPoint, cyclically_ordered
-from .sl2core import Mat2, eigen_data, integer_scaled
+from .sl2core import Mat2, eigen_data, form_product, integer_scaled
 from .symdyn import LETTERS
 
 # multicone and twoshift are imported where they are used, so that the
@@ -58,10 +70,20 @@ def farey_interval(f: Fraction) -> tuple[Fraction, Fraction]:
     return left, right
 
 
-def _theta(p: int, q: int, k: int) -> str:
-    """Letters of Theta(k/q) for rotation p/q, for any integer k."""
-    # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
-    return "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
+def _thetas(p: int, q: int):
+    """k -> the letters of Theta(k/q) for rotation p/q, for any integer k.
+
+    The orbit 0, p/q, 2p/q, ... is at k/q after k * p^-1 mod q steps, so
+    Theta(k/q) is the q codes of the orbit read twice over from there.
+    """
+    # x = i/q codes 'A' while x < 1 - p/q, i.e. i < q - p
+    orbit = "".join("A" if i * p % q < q - p else "B" for i in range(q)) * 2
+    inv = pow(p, -1, q)
+
+    def theta(k: int) -> str:
+        i = k * inv % q
+        return orbit[i:i + q]
+    return theta
 
 
 class FamilyWord(Record):
@@ -88,26 +110,28 @@ def build_order(f: Fraction) -> OrderedFamily:
     p0, q0 = f0.numerator, f0.denominator
     p1, q1 = f1.numerator, f1.denominator
 
+    theta, theta0, theta1 = _thetas(p, q), _thetas(p0, q0), _thetas(p1, q1)
+
     # base indices: Theta(1 - 1/q) is index q - 1, and so for the parents
     succ: dict[str, str] = {}
     pred: dict[str, str] = {}
     tag_of: dict[str, str] = {}
     for i in range(q1):
-        w_to = _theta(p1, q1, i * p1)
-        succ[_theta(p, q, i * p)] = w_to
+        w_to = theta1(i * p1)
+        succ[theta(i * p)] = w_to
         tag_of[w_to] = "parent1"
     for i in range(q0):
-        w_to = _theta(p0, q0, q0 - 1 + i * p0)
-        succ[_theta(p, q, q - 1 + i * p)] = w_to
+        w_to = theta0(q0 - 1 + i * p0)
+        succ[theta(q - 1 + i * p)] = w_to
         tag_of[w_to] = "parent0"
     for i in range(q0):
-        pred[_theta(p, q, -i * p)] = _theta(p0, q0, -i * p0)
+        pred[theta(-i * p)] = theta0(-i * p0)
     for i in range(q1):
-        pred[_theta(p, q, q - 1 - i * p)] = _theta(p1, q1, q1 - 1 - i * p1)
+        pred[theta(q - 1 - i * p)] = theta1(q1 - 1 - i * p1)
 
     succ_inv = {v: k for k, v in succ.items()}
     emitted: list[FamilyWord] = []
-    last = w = _theta(p, q, q - 1)
+    last = w = theta(q - 1)
     for _ in range(q):
         emitted.append(FamilyWord(word=w, tag="center"))
         parent = pred[w]
@@ -116,7 +140,7 @@ def build_order(f: Fraction) -> OrderedFamily:
     if w != last:
         raise OrderViolation("family order failed to close up")
     return OrderedFamily(fraction=f, parents=(f0, f1), order=tuple(emitted),
-                         lex_first=_theta(p, q, 0), lex_last=last)
+                         lex_first=theta(0), lex_last=last)
 
 
 def j_of_fword(fword: str) -> Fraction:
@@ -130,11 +154,12 @@ def j_of_fword(fword: str) -> Fraction:
 def special_words(f: Fraction) -> dict:
     """The four threshold words of the action table."""
     p, q = f.numerator, f.denominator
+    theta = _thetas(p, q)
     return {
-        "last_ending_a": _theta(p, q, p),
-        "last_ending_b": _theta(p, q, p - 1),
-        "a_sink": _theta(p, q, 0),
-        "b_sink": _theta(p, q, q - 1),
+        "last_ending_a": theta(p),
+        "last_ending_b": theta(p - 1),
+        "a_sink": theta(0),
+        "b_sink": theta(q - 1),
     }
 
 
@@ -147,10 +172,11 @@ def action_table(f: Fraction) -> dict:
     """
     p, q = f.numerator, f.denominator
     sw = special_words(f)
+    theta = _thetas(p, q)
     table: dict[str, dict[str, tuple[str, bool]]] = {}
     for k in range(q):
-        w = _theta(p, q, k)
-        shifted = _theta(p, q, k - p)
+        w = theta(k)
+        shifted = theta(k - p)
         if w.endswith("A"):
             table[w] = {"A": (shifted, w != sw["last_ending_a"]),
                         "B": (sw["b_sink"], False)}
@@ -183,28 +209,57 @@ def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
 def _family_products(mats, family: OrderedFamily) -> dict:
     """word -> (n, s): the product of each family word over mats is n/s.
 
-    Exact input is multiplied as integer matrices (integer_scaled), and s is
-    the product of the letters' scales.  Other input has s = 1, and n is then
-    exact only for a word of the exact letters of mixed input, which
-    eigen_data integer-scales.  The words share one tree of prefix products:
-    each prefix's product is its parent prefix's times its last letter, so
-    every word is multiplied left to right, as symdyn.eval_string does, and
-    has its bits, while a prefix that several words share (a rotation
-    family's words have few distinct factors) is multiplied once.
+    Exact input is multiplied as integer matrices (integer_scaled), once per
+    cyclic class: the family's words are the rotations of three words (the
+    center word and the two parents'), and with the prefix products w[:i]
+    and the suffix products w[i:] of one of them, its rotation w[i:] + w[:i]
+    is one more product, suffix @ prefix, so a class of L words takes 3L - 4
+    products, not the L^2/2 of a prefix tree.  Each product is in lowest
+    terms (form_product divides by the gcd of the entries and the scale),
+    which moves no bit of eigen_data(n, s): each of its floats is one int /
+    int division of the same rational, correctly rounded.
+
+    Other input has s = 1, and n is then exact only for a word of the exact
+    letters of mixed input, which eigen_data integer-scales.  Its words share
+    one tree of prefix products: each prefix's product is its parent prefix's
+    times its last letter, so every word is multiplied left to right, as
+    symdyn.eval_string does, and has its bits.
     """
-    exact = all(m.is_exact() for m in mats)
-    tree = {ch: integer_scaled(m) if exact else (m, 1) for ch, m in zip(LETTERS, mats)}
+    if all(m.is_exact() for m in mats):
+        return _class_products([integer_scaled(m) for m in mats], family)
+    tree = dict(zip(LETTERS, mats))  # prefix -> its product
     out = {}
     for fw in family.order:
         word = fw.word
-        n, s = tree[word[0]]
+        n = tree[word[0]]
         for i in range(2, len(word) + 1):
             known = tree.get(word[:i])
             if known is None:
-                m, t = tree[word[i - 1]]
-                known = tree[word[:i]] = (n @ m, s * t)
-            n, s = known
-        out[word] = (n, s)
+                known = tree[word[:i]] = n @ tree[word[i - 1]]
+            n = known
+        out[word] = (n, 1)
+    return out
+
+
+def _class_products(forms, family: OrderedFamily) -> dict:
+    """word -> lowest-terms (n, s) form of each family word over the letters'
+    forms, multiplied once per cyclic class (see _family_products)."""
+    letter = dict(zip(LETTERS, forms))
+    out = {}
+    for fw in family.order:
+        w = fw.word
+        if w in out:  # a rotation of a class already multiplied
+            continue
+        prefix = [letter[w[0]]]  # prefix[i] is the form of w[:i + 1]
+        for ch in w[1:-1]:
+            prefix.append(form_product(prefix[-1], letter[ch]))
+        suffix = [letter[w[-1]]]  # built from the right: w[-1:], w[-2:], ...
+        for ch in reversed(w[:-1]):
+            suffix.append(form_product(letter[ch], suffix[-1]))
+        suffix.reverse()  # suffix[i] is the form of w[i:]
+        out[w] = suffix[0]
+        for i in range(1, len(w)):
+            out[w[i:] + w[:i]] = form_product(suffix[i], prefix[i - 1])
     return out
 
 

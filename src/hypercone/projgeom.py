@@ -55,7 +55,10 @@ class ProjPoint(Record):
     __slots__ = ("angle",)
 
     def __init__(self, angle: float):
-        _set_angle(self, norm_angle(float(angle)))
+        try:
+            _set_angle(self, norm_angle(float(angle)))
+        except ValueError:  # fmod of an infinite angle; a NaN passes through
+            raise DegenerateInput(f"angle {angle!r} is not finite") from None
 
     @staticmethod
     def from_vector(x: float, y: float) -> "ProjPoint":
@@ -88,8 +91,11 @@ class ArcP1(Record):
 
     def __init__(self, start: ProjPoint, end: ProjPoint):
         length = angle_gap(start.angle, end.angle)
-        if length == 0.0:
-            raise DegenerateInput("arc endpoints coincide")
+        if not length > 0.0:  # 0, or NaN from a NaN endpoint
+            if length == 0.0:
+                raise DegenerateInput("arc endpoints coincide")
+            bad = start.angle if math.isnan(start.angle) else end.angle
+            raise DegenerateInput(f"arc endpoint {bad!r} is not finite")
         _set_start(self, start)
         _set_end(self, end)
         _set_length(self, length)

@@ -127,6 +127,20 @@ def integer_scaled(m: Mat2) -> tuple[Mat2, int]:
     return Mat2(*(p * (s // q) for p, q in ratios)), s
 
 
+def form_product(f, g):
+    """The form of f @ g, for (matrix, scale) forms f and g, in lowest terms:
+    divided by the gcd of its entries and scale; scale 1 (float input)
+    passes through."""
+    (m, s), (n, t) = f, g
+    mn, st = m @ n, s * t
+    if st == 1:
+        return mn, 1
+    k = math.gcd(mn.a, mn.b, mn.c, mn.d, st)
+    if k == 1:
+        return mn, st
+    return Mat2(mn.a // k, mn.b // k, mn.c // k, mn.d // k), st // k
+
+
 def check_unimodular(m: Mat2) -> Mat2:
     if abs(float(m.det()) - 1.0) > DEFAULT.det:
         raise DegenerateInput(f"matrix determinant {float(m.det())} is not 1")

@@ -73,7 +73,7 @@ from . import _exact
 from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_angles, integer_scaled, is_pm_identity
+from .sl2core import Mat2, eigen_angles, form_product, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
 
 
@@ -243,19 +243,6 @@ def _step_select_traces(s: _Traces, band):
 # orientation of a free pair
 
 
-def _product(f, g):
-    """The form of f @ g, for (matrix, scale) forms f and g, divided by the
-    gcd of its entries and scale; scale 1 (float input) passes through."""
-    (m, s), (n, t) = f, g
-    mn, st = m @ n, s * t
-    if st == 1:
-        return mn, 1
-    k = gcd(mn.a, mn.b, mn.c, mn.d, st)
-    if k == 1:
-        return mn, st
-    return Mat2(mn.a // k, mn.b // k, mn.c // k, mn.d // k), st // k
-
-
 def _orientation(A, B, BA) -> int:
     """Orientation of the free pair given as (matrix, scale) forms, with BA
     the form of B @ A; scales other than 1 come only with integer matrices,
@@ -358,10 +345,10 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
             Ak, Bk = (A1, a), (B1, b)
             for sign in fword:
                 if sign == Step.PLUS:
-                    Bk = _product(Ak, Bk)
+                    Bk = form_product(Ak, Bk)
                 else:
-                    Ak = _product(Bk, Ak)
-            orient = _orientation(Ak, Bk, _product(Bk, Ak))
+                    Ak = form_product(Bk, Ak)
+            orient = _orientation(Ak, Bk, form_product(Bk, Ak))
             return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
                                 orientation=orient, iterations=k, invariant=inv)
         if step == Step.ELLIPTIC:

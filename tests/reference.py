@@ -11,8 +11,9 @@ each as an independent statement of a fact the library uses or implies:
   hilbert_dist), of which projgeom keeps the density and the contraction;
 - the trace-level twist and freeness tests of a pair (is_twisted, is_free);
 - the tightness of a multicone against cores (tightness, complement);
-- the coded rotation orbits (rotation_orbit_word, orbit_words), of which
-  fareycomb keeps the words its family order reads;
+- the coded rotation orbits, code by code (_theta, rotation_orbit_word,
+  orbit_words), of which fareycomb slices the words its family order reads
+  from one orbit string;
 - the monoid of monotonic correspondences (identity_corr, compose,
   is_constant), their enumeration (all_correspondences), the reduction of a
   morphism to a tight one (reduce_tight) and the paper's rank-15 morphism
@@ -36,7 +37,6 @@ from hypercone.corrdyn import (CombMulticone, Morphism, MonotoneCorr, _uncovered
 from hypercone.errors import (DegenerateInput, DegenerateTie, HyperconeError,
                               NoInvariantDirection, NotMonotonic, OutOfArc,
                               StructureViolation)
-from hypercone.fareycomb import _theta
 from hypercone.multicone import CoreSet, MulticoneFamily, best_target, start_order
 from hypercone.projgeom import ArcP1, MultiCone, ProjPoint, angle_dist
 from hypercone.sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
@@ -265,6 +265,12 @@ class RotWord(Record):
 
     def __str__(self) -> str:
         return self.letters
+
+
+def _theta(p: int, q: int, k: int) -> str:
+    """Letters of Theta(k/q) for rotation p/q, for any integer k."""
+    # x = k/q codes 'A' while x < 1 - p/q, i.e. k < q - p; x + p/q is k + p
+    return "".join("A" if (k + i * p) % q < q - p else "B" for i in range(q))
 
 
 def rotation_orbit_word(f: Fraction, start: Fraction) -> RotWord:

@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from hypercone.errors import HyperconeError, NotInterior, OrderViolation
-from hypercone.fareycomb import (_family_products, action_table, build_order,
-                                 component_model, farey_interval, j_of_fword,
-                                 special_words)
+from hypercone.fareycomb import (_family_products, _thetas, action_table,
+                                 build_order, component_model, farey_interval,
+                                 j_of_fword, special_words)
 from hypercone.multicone import core_criterion
 from hypercone.projgeom import angle_dist
-from hypercone.sl2core import Mat2, eigen_data
+from hypercone.sl2core import Mat2, eigen_data, integer_scaled
 from hypercone.symdyn import eval_string
 from hypercone.twoshift import apply_fword_inverse
 from tests.conftest import canonical_pair
-from tests.reference import BadBasePoint, orbit_words, rotation_orbit_word
+from tests.reference import BadBasePoint, _theta, orbit_words, rotation_orbit_word
 from tests.test_acceptance import REFLECT, _mild_exact_base
 
 FIGURE_ORDER_2_5 = ["BABAA", "BA", "ABABA", "AB", "AABAB",
@@ -110,6 +110,18 @@ def test_rotation_orbit_word_matches_fraction_orbit():
                 fraction_orbit_word(f, Fraction(1, q))
             with pytest.raises(BadBasePoint):
                 rotation_orbit_word(f, Fraction(1, 2 * q))
+
+
+def test_thetas_slice_one_orbit_string():
+    # the library slices what the reference reads code by code, for any
+    # integer k, the parents 0/1 and 1/1 included
+    for q in range(1, 20):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            theta = _thetas(p, q)
+            assert [theta(k) for k in range(-2 * q, 2 * q)] == \
+                [_theta(p, q, k) for k in range(-2 * q, 2 * q)]
 
 
 def test_orbit_words_cardinality_and_letter_counts():
@@ -245,13 +257,14 @@ PULLBACK_FWORDS = ("", "+", "++", "+-", "++++", "++-", "+-+", "+++-", "++--",
                    "++-+-", "+-++-", "+----+")
 
 
-def exact_pullbacks(seed: int = 707):
-    """(pair, fword, model) per rank 2..20: the acceptance suite's mild exact
-    base pulled back along the rank's sign word, every other rank mirrored;
-    a draw whose component model fails is drawn again (up to 5 times)."""
+def exact_pullbacks(seed: int = 707, fwords=PULLBACK_FWORDS):
+    """(pair, fword, model) per sign word, by default one per rank 2..20: the
+    acceptance suite's mild exact base pulled back along the sign word, as
+    pullback_population draws, every other one mirrored; a draw whose
+    component model fails is drawn again (up to 5 times)."""
     rng = random.Random(seed)
     out = []
-    for i, fword in enumerate(PULLBACK_FWORDS):
+    for i, fword in enumerate(fwords):
         for _ in range(5):
             A, B = apply_fword_inverse(*_mild_exact_base(rng, len(fword)), fword)
             if i % 2:
@@ -281,6 +294,7 @@ def test_family_products_match_eval_string_exactly():
             assert all(type(v) is int for v in entries) and type(scale) is int
             exact = Mat2(*(Fraction(v, scale) for v in entries))
             assert exact == eval_string(pair, w), (fword, w)
+            assert math.gcd(*entries, scale) == 1, (fword, w)  # lowest terms
         # float input has scale 1 and the bits of eval_string's product
         fpair = tuple(m.to_float() for m in pair)
         for w, (n, scale) in _family_products(fpair, family).items():
@@ -289,7 +303,8 @@ def test_family_products_match_eval_string_exactly():
 
 def test_family_products_share_prefixes(monkeypatch):
     # the 62 words of +--+-+ (rank 31) have 524 distinct prefixes longer than
-    # a letter, one product each; a product per word and letter takes 1,404
+    # a letter, one product each, which float input takes; exact input takes
+    # at most 3 per word: a cyclic class's prefixes, suffixes and rotations
     family = build_order(j_of_fword("+--+-+"))
     assert family.fraction == Fraction(13, 31)
     calls = []
@@ -302,6 +317,30 @@ def test_family_products_share_prefixes(monkeypatch):
     monkeypatch.setattr(Mat2, "__matmul__", counted)
     _family_products((Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 2.0)), family)
     assert len(calls) == 524
+    calls.clear()
+    exact = (Mat2(Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(5, 6)),
+             Mat2(1, 1, 1, 2))
+    _family_products(exact, family)
+    assert len(calls) <= 3 * len(family.order) == 186
+
+
+# sign words of rank 25 to 34: pullback_population's separation filter drops
+# every draw this deep, so exact_pullbacks draws them
+DEEP_FWORDS = ("++-+--", "+-+++-", "++-++-", "+--++-", "-+-+--",
+               "+-++-+", "+--+-+", "-++-+-", "-+-+-+", "+-+-+-")
+
+
+def test_component_model_exact_points_are_eval_string_bits():
+    # a family word's directions are those of its exact product, whatever
+    # form (scale, order of products) component_model multiplied it in
+    deep = exact_pullbacks(808, DEEP_FWORDS)
+    assert [model.cores.rank for _, _, model in deep] == \
+        [j_of_fword(f).denominator for f in DEEP_FWORDS]
+    for pair, fword, model in exact_pullbacks() + deep:
+        for fw in model.family.order:
+            (u, _), (s, _) = eigen_data(*integer_scaled(eval_string(pair, fw.word)))
+            assert model.u_points[fw.word] == u and model.s_points[fw.word] == s, \
+                (fword, fw.word)
 
 
 def test_component_model_float_points_are_eval_string_bits():

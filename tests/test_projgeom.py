@@ -217,6 +217,19 @@ def test_multicone_validation():
                    ArcP1(ProjPoint(1.0), ProjPoint(1.5))))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arc_endpoint_is_degenerate(bad):
+    # a NaN endpoint gave an arc of length NaN, which every disjointness
+    # comparison of MultiCone passed
+    for start, end in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(DegenerateInput, match=f"{bad} is not finite"):
+            ArcP1.from_angles(start, end)
+    with pytest.raises(DegenerateInput, match=f"{bad} is not finite"):
+        MultiCone.from_json({"arcs": [[bad, 0.5], [1.0, 1.5]]})
+    with pytest.raises(DegenerateInput, match=f"{bad} is not finite"):
+        MultiCone.from_json({"arcs": [[0.0, 0.5], [1.0, bad]]})
+
+
 def test_multicone_complement_alternates():
     cone = MultiCone((ArcP1(ProjPoint(0.0), ProjPoint(0.5)),
                       ArcP1(ProjPoint(1.0), ProjPoint(1.5))))
