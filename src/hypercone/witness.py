@@ -222,11 +222,12 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     others are halved, and a source is carried at most once per connector.
     The first blocks are the sources ending in each letter that may precede
     the connector: a word's unstable direction is set mostly by its last
-    letters, so most of them are skipped whole.  Until the first hit
-    nothing is skipped, so no bound is taken.  The kept sources are scanned
-    in shortlex order, so the visiting order, the ties and the result are
-    those of the full scan.  The connection found is re-verified from
-    scratch.
+    letters, so most of them are skipped whole.  They depend only on the
+    connector's first and last letters, so they are planned once per pair
+    of letters.  Until the first hit nothing is skipped, so no bound is
+    taken.  The kept sources are scanned in shortlex order, so the visiting
+    order, the ties and the result are those of the full scan.  The
+    connection found is re-verified from scratch.
     """
     exact = all(m.is_exact() for m in mats)
     # a class with |tr| > 3S is hyperbolic whatever its det: most words stop here
@@ -253,34 +254,36 @@ def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
     ending = [[i for i in by_angle if sources[i][0][-1] == s] for s in letters]
     fed = [[(a, w) for a, w in target_dirs if allowed[s][w[0]]] for s in letters]
     fed = [([a for a, _ in f], [w for _, w in f]) for f in fed]
+    # the blocks of a connector by its first and last letter: one per letter
+    # e, the sources ending in e, which scan the targets of the connector's
+    # last letter (e's own when it is empty), those with a source and a
+    # target; the bound may ignore that a target must differ from its source
+    plans = [[[(ending[e], s, fed[s][0]) for e in letters
+               if allowed[e][f] and ending[e] and fed[s][0]] for s in letters]
+             for f in letters]
+    no_connector = [(ending[e], e, fed[e][0]) for e in letters if ending[e] and fed[e][0]]
 
     best = None
     best_r = math.inf
     for conn, P, scale in [((), (1, 0, 0, 1), 1), *admissible_entries(mats, sft, n_max)]:
         flip = P[0] * P[3] - P[1] * P[2] < 0
-        # act_angle's arithmetic, with the entries converted once
-        a, b, c, d = (v / scale for v in P)
-
-        def carry(i):
-            x, y = trig[i]
-            return norm_angle(math.atan2(c * x + d * y, a * x + b * y))
-
-        # one block per letter e, the sources ending in e, which scan the
-        # targets of the connector's last letter (e's own when it is empty);
-        # the bound may ignore that a target must differ from its source
+        # act_angle's arithmetic on the entries / scale, x / 1 being x
+        a, b, c, d = P if scale == 1 else [v / scale for v in P]
         limit = best_r + 1e-12
         keep = []
-        for group, s in ([(ending[e], conn[-1]) for e in letters if allowed[e][conn[0]]]
-                         if conn else zip(ending, letters)):
-            ts = fed[s][0]
-            if not ts or not group:
-                continue
+        for group, s, ts in plans[conn[0]][conn[-1]] if conn else no_connector:
             if best_r == math.inf:
-                keep += [(i, carry(i), s) for i in group]
+                keep += [(i, norm_angle(math.atan2(c * x + d * y, a * x + b * y)), s)
+                         for i in group for x, y in (trig[i],)]
                 continue
-            t_lo = carry(group[0])
-            blocks = [(0, len(group) - 1, t_lo,
-                       carry(group[-1]) if len(group) > 1 else t_lo)]
+            # the carried angles of the block ends: each source is carried
+            # once, where it first ends a block
+            x, y = trig[group[0]]
+            t_lo = t_hi = norm_angle(math.atan2(c * x + d * y, a * x + b * y))
+            if len(group) > 1:
+                x, y = trig[group[-1]]
+                t_hi = norm_angle(math.atan2(c * x + d * y, a * x + b * y))
+            blocks = [(0, len(group) - 1, t_lo, t_hi)]
             while blocks:
                 lo, hi, t_lo, t_hi = blocks.pop()
                 if (_arc_bound(t_hi, t_lo, ts) if flip else _arc_bound(t_lo, t_hi, ts)) > limit:
@@ -289,8 +292,13 @@ def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
                     keep.append((group[lo], t_lo, s))
                 else:
                     mid = (lo + hi) // 2
-                    t_mid = t_lo if mid == lo else carry(group[mid])
-                    t_next = t_hi if mid + 1 == hi else carry(group[mid + 1])
+                    t_mid, t_next = t_lo, t_hi
+                    if mid > lo:
+                        x, y = trig[group[mid]]
+                        t_mid = norm_angle(math.atan2(c * x + d * y, a * x + b * y))
+                    if mid + 1 < hi:
+                        x, y = trig[group[mid + 1]]
+                        t_next = norm_angle(math.atan2(c * x + d * y, a * x + b * y))
                     blocks += ((lo, mid, t_lo, t_mid), (mid + 1, hi, t_next, t_hi))
         keep.sort()
 

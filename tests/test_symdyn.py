@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypercone.errors import (DegenerateInput, DetDrift, InadmissibleWord,
                               PreconditionViolated)
 from hypercone.multicone import compute_cores
-from hypercone.sl2core import Mat2
-from hypercone.symdyn import (Sft, admissible_entries, hyperbolicity_rate,
+from hypercone.sl2core import Mat2, spectral_norm
+from hypercone.symdyn import (RateReport, Sft, admissible_entries, hyperbolicity_rate,
                               periodic_entries, periodic_words, product,
                               render_word)
 from hypercone.witness import (best_heteroclinic, diagnose_boundary,
@@ -248,13 +248,21 @@ def test_walks_refuse_more_symbols_than_letters():
         assert next(walk(mats[:26], Sft.full(26), 1))[0] == (0,)
 
 
-@pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5)])
-def test_periodic_products_match_min_rotation_filter(n, depth):
-    mats = [Mat2(1, k + 1, 0, 1) @ Mat2(1, 0, -k, 1) for k in range(n)]
+@pytest.mark.parametrize("n, depth", [(2, 12), (3, 7), (4, 5), ("golden", 12),
+                                      ("sft4", 6), ("cycle", 9), ("looped", 9)])
+def test_periodic_products_match_min_rotation_filter(n, depth, sft4):
+    # order and products against brute force, on full shifts and on
+    # subshifts, where the successor table prunes the tree: the golden mean,
+    # SFT4 and the one-way 3-cycle, bare (one class) and with a loop at 0
+    sft = {"golden": GOLDEN, "sft4": sft4, "cycle": _cycle_shift(3),
+           "looped": _cycle_shift(3, loop=True)}.get(n) or Sft.full(n)
+    k_max = sft.n_symbols
+    mats = [Mat2(1, k + 1, 0, 1) @ Mat2(1, 0, -k, 1) for k in range(k_max)]
     expected = [w for length in range(1, depth + 1)
-                for w in itertools.product(range(n), repeat=length)
-                if w == min_rotation(w) and is_primitive(w)]
-    got = list(periodic_entries(mats, Sft.full(n), depth))
+                for w in itertools.product(range(k_max), repeat=length)
+                if w == min_rotation(w) and is_primitive(w)
+                and cyclically_admissible(sft, w)]
+    got = list(periodic_entries(mats, sft, depth))
     assert [w for w, _, _ in got] == expected
     for w, m, scale in got[::7]:
         assert _quotient(m, scale) == product(mats, w)
@@ -298,6 +306,66 @@ def test_rate_and_searches_count_entry_products(monkeypatch, free_pair, sft4,
         assert len(products) == count
 
 
+def _uncut_rate(mats, sft, n_max):
+    """hyperbolicity_rate without the Frobenius cut, every class's norm and
+    root taken, and the lengths at which its minimum improved."""
+    best, best_w, gains = None, (), []
+    for w, m, scale in periodic_entries(mats, sft, n_max):
+        r = spectral_norm(*m, scale) ** (1.0 / len(w))
+        if best is None or r < best:
+            best, best_w = r, w
+            gains.append(len(w))
+    return RateReport(value=best, word=best_w, depth=n_max), gains
+
+
+def _count_norms(monkeypatch):
+    import hypercone.symdyn as symdyn_mod
+    norms = []
+
+    def counted(*args, _orig=symdyn_mod.spectral_norm):
+        norms.append(args)
+        return _orig(*args)
+    monkeypatch.setattr(symdyn_mod, "spectral_norm", counted)
+    return norms
+
+
+@pytest.mark.parametrize("case, depth, classes, count", [("free", 12, 747, 2),
+                                                         ("group", 6, 198, 3)])
+def test_rate_takes_norms_only_within_the_frobenius_cut(monkeypatch, free_pair, sft4,
+                                                        case, depth, classes, count):
+    # ||P||^2 >= |P|_F^2 / 2: past the first class, only classes that could
+    # beat the best so far take spectral_norm and the root
+    mats, sft = {"free": (free_pair, Sft.full(2)),
+                 "group": (group_tuple(free_pair), sft4)}[case]
+    expected, _ = _uncut_rate(mats, sft, depth)
+    norms = _count_norms(monkeypatch)
+    assert hyperbolicity_rate(mats, sft, depth) == expected
+    assert len(list(periodic_words(sft, depth))) == classes
+    assert len(norms) == count
+
+
+def test_rate_cut_follows_a_minimum_that_improves_to_the_deepest_length(monkeypatch):
+    # the first seeded float pair whose minimum lies at the deepest length;
+    # the cut is retaken at each length and each new best
+    rng = random.Random("rate cut")
+    sft, depth = Sft.full(2), 10
+
+    def draw():
+        while True:
+            a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+            if abs(a) >= 0.25:
+                return Mat2(a, b, c, (1 + b * c) / a)
+    while True:
+        mats = (draw(), draw())
+        expected, gains = _uncut_rate(mats, sft, depth)
+        if len(expected.word) == depth:
+            break
+    assert len(set(gains)) >= 4
+    norms = _count_norms(monkeypatch)
+    assert hyperbolicity_rate(mats, sft, depth) == expected
+    assert len(gains) <= len(norms) < len(list(periodic_words(sft, depth))) // 10
+
+
 def test_rate_single_diagonal():
     rep = hyperbolicity_rate((Mat2(2, 0, 0, 0.5),), Sft.full(1), 5)
     assert rep.value == pytest.approx(2.0, rel=1e-12)
@@ -332,7 +400,7 @@ def test_min_rotation_is_rotation(w):
     assert any(r == w[i:] + w[:i] for i in range(len(w)))
 
 
-@pytest.mark.parametrize("call", [
+WALK_CALLS = pytest.mark.parametrize("call", [
     lambda m, sft: compute_cores(m, sft),
     lambda m, sft: best_heteroclinic(m, sft, 2, 2, 1),
     lambda m, sft: search_elliptic(m, sft, 3),
@@ -341,8 +409,23 @@ def test_min_rotation_is_rotation(w):
     lambda m, sft: diagnose_boundary(m, sft, budget=(2, 2, 1)),
 ], ids=["compute_cores", "best_heteroclinic", "search_elliptic",
         "search_parabolic", "hyperbolicity_rate", "diagnose_boundary"])
+
+
+@WALK_CALLS
 @pytest.mark.parametrize("count", [1, 3])
 def test_one_matrix_per_symbol(call, count):
     mats = (Mat2(2, 1, 1, 1),) * count
     with pytest.raises(PreconditionViolated, match=f"{count} matrices for 2 symbols"):
         call(mats, Sft.full(2))
+
+
+@WALK_CALLS
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_walks_refuse_non_finite_entries(call, bad):
+    # a non-finite entry has no integer ratio and leaves every norm and
+    # trace NaN or infinite, so every walk refuses it, also next to exact
+    # entries
+    for mats in ((Mat2(bad, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 2.0)),
+                 (Mat2(2, 1, 1, 1), Mat2(1, 1, bad, 2))):
+        with pytest.raises(DegenerateInput, match=f"entry {bad!r} is not finite"):
+            call(mats, Sft.full(2))
