@@ -35,7 +35,7 @@ from ._record import Record
 from .errors import (EllipticAlongWord, HeightUndefined, NoInvariantDirection,
                      NotMonotonic, StructureViolation)
 from .projgeom import PI
-from .sl2core import Mat2, eigen_data, is_pm_identity
+from .sl2core import Mat2, check_finite, eigen_data, is_pm_identity
 from .symdyn import LETTERS, eval_string
 
 
@@ -206,6 +206,7 @@ def morphism_tight(phi: Morphism) -> bool:
 def induced_morphism(mats, cores) -> Morphism:
     """Component incidence of each generator on the core arc systems (a
     multicone.CoreSet), read from the cores' shared action."""
+    check_finite(mats)
     from .multicone import CoreSet, alternation
     arcs, defect = alternation(cores.u_arcs, cores.s_arcs)
     if defect == "counts":
@@ -240,6 +241,7 @@ def _lift_apply(m: Mat2, fix: float, x: float) -> float:
 
 def winding_matrix(mats, word: str) -> int:
     """Winding number via circle-map lifts fixing each generator's axis."""
+    check_finite(mats)
     if not word:
         return 0
     fixes = []

@@ -50,7 +50,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NotInterior, OrderViolation
 from .projgeom import ArcP1, ProjPoint, cyclically_ordered
-from .sl2core import Mat2, eigen_data, form_product, integer_scaled
+from .sl2core import Mat2, check_finite, eigen_data, form_product, integer_scaled
 from .symdyn import LETTERS
 
 # multicone and twoshift are imported where they are used, so that the
@@ -273,6 +273,7 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     matrices with a scale on exact input (_family_products), and their
     directions come from eigen_data(n, s).
     """
+    check_finite((A, B))
     from .multicone import CoreSet
     f = j_of_fword(fword)
     family = build_order(f)

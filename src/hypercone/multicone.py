@@ -35,7 +35,7 @@ from .projgeom import (PI, POINT_CONTRACTION, ArcP1, MultiCone, Span,
                        angle_dist, angle_gap, arcs_of_spans, containment_margin,
                        contraction_factor, density_extremes, hilbert_density,
                        merge_spans)
-from .sl2core import Mat2, eigen_data, is_pm_identity
+from .sl2core import Mat2, check_finite, eigen_data, is_pm_identity
 from .symdyn import LETTERS, Sft, admissible_entries, exact_product, render_word
 from .tolerances import DEFAULT
 
@@ -204,6 +204,7 @@ def _inclusions(mats, sft: Sft, cones) -> tuple[list | None, float, dict | None]
 
 def certify(mats, sft: Sft, fam: MulticoneFamily) -> CertifyReport:
     """Check the strict-inclusion condition and report certificate constants."""
+    check_finite(mats)
     images, worst, witness = _inclusions(mats, sft, fam.cones)
     if witness is not None:
         return CertifyReport(ok=False, contraction=0.0, comparability=0.0,
@@ -444,6 +445,7 @@ def compute_cores(mats, sft: Sft, depth: int = 12) -> CoreSet:
     result.  The argument is exact on the edges an identity of words
     decides (_pin); the others allow _incidence_slack.
     """
+    check_finite(mats)
     n = sft.n_symbols
     inv = [m.inverse() for m in mats]
     u_at: dict[str, float] = {}
@@ -565,6 +567,8 @@ def core_criterion(mats, cores: CoreSet) -> CriterionReport:
     maps a multicone onto itself, not strictly inside it.  At rank 1 the
     action is constant from the start, so each letter is checked instead.
     """
+    check_finite(mats)
+
     def fail(reason):
         return CriterionReport(ok=False, reasons=(reason,))
 
@@ -655,6 +659,7 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
     inclusion over the full shift (_inclusions); the caller's certify
     computes the certificate's constants.
     """
+    check_finite(mats)
     abs_dets = [abs(float(m.det())) for m in mats]
     fmats = [m.to_float() for m in mats]
     q = cores.rank

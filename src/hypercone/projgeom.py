@@ -60,12 +60,6 @@ class ProjPoint(Record):
         except ValueError:  # fmod of an infinite angle; a NaN passes through
             raise DegenerateInput(f"angle {angle!r} is not finite") from None
 
-    @staticmethod
-    def from_vector(x: float, y: float) -> "ProjPoint":
-        if x == 0.0 and y == 0.0:
-            raise DegenerateInput("zero vector spans no direction")
-        return ProjPoint(math.atan2(float(y), float(x)))
-
 
 # the slots' own setters, which the frozen __setattr__ does not block
 _set_angle = ProjPoint.angle.__set__

@@ -141,7 +141,25 @@ def form_product(f, g):
     return Mat2(mn.a // k, mn.b // k, mn.c // k, mn.d // k), st // k
 
 
+def check_finite(mats) -> None:
+    """The input gate of every exported function that takes matrices:
+    DegenerateInput naming the first NaN or infinite entry.  A float entry
+    is read with math.isfinite; an exact one is skipped, since a Rational is
+    finite and float() of a huge one overflows.  Products and walks inside
+    the library are not checked again."""
+    for i, m in enumerate(mats):
+        for v in (m.a, m.b, m.c, m.d):
+            if type(v) is float:
+                if math.isfinite(v):
+                    continue
+            elif type(v) is int or is_exact(v) or math.isfinite(v):
+                continue
+            name = "abcd"[(m.a, m.b, m.c, m.d).index(v)]
+            raise DegenerateInput(f"entry {v!r} is not finite (entry {name} of matrix {i})")
+
+
 def check_unimodular(m: Mat2) -> Mat2:
+    check_finite((m,))
     if abs(float(m.det()) - 1.0) > DEFAULT.det:
         raise DegenerateInput(f"matrix determinant {float(m.det())} is not 1")
     return m
@@ -171,19 +189,22 @@ def eigen_data(m: Mat2, s: int = 1):
     float is then one int / int division, correctly rounded like
     float(Fraction), so the result has the same bits for any scale.
     """
-    (u, lam_u), (v, lam_s) = _eigen(m.a, m.b, m.c, m.d, s)
-    return (ProjPoint.from_vector(*u), lam_u), (ProjPoint.from_vector(*v), lam_s)
+    u, v, lam_u, lam_s = _eigen(m.a, m.b, m.c, m.d, s)
+    return (ProjPoint(u), lam_u), (ProjPoint(v), lam_s)
 
 
 def eigen_angles(a, b, c, d, s: int = 1) -> tuple[float, float]:
     """The angles of eigen_data(Mat2(a, b, c, d), s)'s directions, with the
     same bits, for the searches that read entry tuples."""
-    (u, _), (v, _) = _eigen(a, b, c, d, s)
-    return norm_angle(math.atan2(u[1], u[0])), norm_angle(math.atan2(v[1], v[0]))
+    u, v, _, _ = _eigen(a, b, c, d, s)
+    return norm_angle(u), norm_angle(v)
 
 
-def _eigen(a, b, c, d, s: int):
-    """[(vector, eig_u), (vector, eig_s)] of [[a, b], [c, d]] / s, in floats."""
+def _eigen(a, b, c, d, s: int) -> tuple[float, float, float, float]:
+    """(angle_u, angle_s, eig_u, eig_s) of [[a, b], [c, d]] / s, in floats:
+    each angle is atan2's of the longer of the eigenvector candidates
+    (b, lam - a) and (lam - d, c), in (-pi, pi]; ProjPoint and eigen_angles
+    reduce it into [0, pi) with norm_angle."""
     if s == 1 and not (is_exact(a) and is_exact(b) and is_exact(c) and is_exact(d)):
         det = float(a * d - b * c)
         a, b, c, d = float(a), float(b), float(c), float(d)
@@ -198,19 +219,18 @@ def _eigen(a, b, c, d, s: int):
     if disc < 0.0:
         raise NoInvariantDirection("elliptic matrix has no invariant direction")
     t = a + d
-    r = math.sqrt(max(disc, 0.0))
+    r = math.sqrt(disc)  # disc >= 0 here, or NaN
     lam_u = 0.5 * (t + r) if t >= 0 else 0.5 * (t - r)
+    lam_s = det / lam_u if lam_u != 0 else 0.0
     out = []
-    for lam in (lam_u, det / lam_u if lam_u != 0 else 0.0):
-        v1 = (b, lam - a)
-        v2 = (lam - d, c)
-        n1 = v1[0] * v1[0] + v1[1] * v1[1]
-        n2 = v2[0] * v2[0] + v2[1] * v2[1]
-        v = v1 if n1 >= n2 else v2
-        if v[0] == 0.0 and v[1] == 0.0:
+    for lam in (lam_u, lam_s):
+        x, y, x2, y2 = b, lam - a, lam - d, c
+        if not x * x + y * y >= x2 * x2 + y2 * y2:
+            x, y = x2, y2
+        if x == 0.0 and y == 0.0:
             raise NoInvariantDirection("matrix is +-identity")
-        out.append((v, lam))
-    return out
+        out.append(math.atan2(y, x))
+    return out[0], out[1], lam_u, lam_s
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +291,7 @@ def normalize_tuple(mats, C: float) -> tuple[Mat2, list[Mat2]]:
     of the off-diagonal maxima; both stages snap to the identity when their
     goal already holds, which makes the map idempotent up to rounding.
     """
+    check_finite(mats)
     if not 0.0 <= C < math.inf:  # NaN fails both comparisons
         raise PreconditionViolated(f"trace bound {C} is not a finite number >= 0")
     mats = [m.to_float() for m in mats]

@@ -16,15 +16,16 @@ children with no transition test.  Both walks yield (word, entries, scale),
 the word's product being entries / scale, each node's entries made from its
 parent's in Mat2.__matmul__'s order: product()'s bits and scale 1 on float
 or mixed input; on exact input the product of the integer_scaled generators
-and of their scales, so no Fraction is multiplied.  A NaN or infinite entry
-is refused.
+and of their scales, so no Fraction is multiplied.  The exported functions
+refuse a NaN or infinite entry first (sl2core.check_finite).
 
-hyperbolicity_rate reads the cyclic walk with a Frobenius cut on float
-input: ||P||^2 >= |P|_F^2 / 2, so a class whose entry-square sum is past
-2 (best (1 + 1e-9))^(2n) cannot beat the best rate so far, and is spared
-its spectral norm and n-th root.  The margin is far above the few ulps by
-which the sum, the norm and the root round, so the cut never changes the
-value or the word: 2 norms of 747 classes on the free pair at depth 12.
+hyperbolicity_rate reads the cyclic walk with a Frobenius cut: ||P||^2 >=
+|P|_F^2 / 2, so a class whose entry-square sum is past 2 (best (1 +
+1e-9))^(2n), times S^2 on exact input, cannot beat the best rate so far,
+and is spared its spectral norm and n-th root.  The margin is far above the
+few ulps by which the sum, the norm and the root round, so the cut never
+changes the value or the word: 2 norms of 747 classes on the free pair at
+depth 12, float or exact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from ._record import Record
 from .errors import (DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated,
                      SearchBudgetExceeded)
-from .sl2core import Mat2, integer_scaled, is_exact, spectral_norm
+from .sl2core import Mat2, check_finite, integer_scaled, is_exact, spectral_norm
 
 Word = tuple[int, ...]
 
@@ -110,6 +111,7 @@ def _check_drift(m, length: int) -> None:
 
 def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     """Cocycle product along the word (last symbol leftmost)."""
+    check_finite(mats)
     if not w:
         raise InadmissibleWord("empty word has no product")
     if sft is not None:
@@ -153,19 +155,16 @@ def _times(x, y):
 def _entry_tuples(mats, sft: Sft) -> tuple[list[tuple], list[int] | None]:
     """The generators' entries and scales: integer_scaled if all are exact,
     else as given and None.  PreconditionViolated unless one per symbol, and
-    one letter of LETTERS per symbol, so that every word renders;
-    DegenerateInput on a NaN or infinite entry, which no walk could read."""
+    one letter of LETTERS per symbol, so that every word renders.  A NaN or
+    infinite entry, which no walk could read, is refused by the caller's
+    input gate (sl2core.check_finite)."""
     if len(mats) != sft.n_symbols:
         raise PreconditionViolated(f"{len(mats)} matrices for {sft.n_symbols} symbols")
     if len(mats) > len(LETTERS):
         raise PreconditionViolated(f"{len(mats)} symbols, more than the "
                                    f"{len(LETTERS)} letters of a word")
     if not all(m.is_exact() for m in mats):
-        ents = [(m.a, m.b, m.c, m.d) for m in mats]
-        bad = [v for e in ents for v in e if not (is_exact(v) or math.isfinite(v))]
-        if bad:
-            raise DegenerateInput(f"matrix entry {bad[0]!r} is not finite")
-        return ents, None
+        return [(m.a, m.b, m.c, m.d) for m in mats], None
     scaled = [integer_scaled(m) for m in mats]
     return [(n.a, n.b, n.c, n.d) for n, _ in scaled], [s for _, s in scaled]
 
@@ -243,38 +242,48 @@ def hyperbolicity_rate(mats, sft: Sft, n_max: int) -> RateReport:
     """min over cyclic classes of ||product||^(1/n); a finite-depth estimate.
     SearchBudgetExceeded when no cyclic word has length <= n_max.
 
-    On float input a Frobenius cut spares most classes spectral_norm and
-    the n-th root: ||P||^2 >= |P|_F^2 / 2, so a class of length n whose
-    entry-square sum exceeds cut = 2 (best (1 + 1e-9))^(2n) cannot beat
-    best.  The sum is spectral_norm's own on float entries, and within a few
-    ulps of it where an exact entry is squared exactly (a sum of squares
-    has no cancellation); every operation after it rounds monotonically.  So
-    a class past the cut has a computed rate above best (1 + 1e-9) (1 - a
-    few ulps) > best: it could never have won, and value and word are those
-    of the full loop.  The cut is taken again at each new length and each
-    new best; past the float range it is inf, which cuts nothing.  Exact
-    input, whose entries are integers over a scale, takes no cut.
+    A Frobenius cut spares most classes spectral_norm and the n-th root:
+    ||P||^2 >= |P|_F^2 / 2, so a class of length n whose entries / S have a
+    square sum above cut = 2 (best (1 + 1e-9))^(2n) cannot beat best.  On
+    float or mixed input (S = 1) the sum is spectral_norm's own on float
+    entries, and within a few ulps of it where an exact entry is squared
+    exactly (a sum of squares has no cancellation).  On exact input the
+    integer square sum N of the entries is compared, exactly (Python
+    compares an int with a float exactly), with cut * S^2 rounded to a
+    float, within 2 ulps of cut S^2; spectral_norm's sum of the squares of
+    the correctly rounded a / S, ... is within 6 ulps of N / S^2.  Every
+    operation after the sum rounds monotonically.  So a class past the cut
+    has a computed rate above best (1 + 1e-9) (1 - a few ulps) > best: it
+    could never have won, and value and word are those of the full loop.
+    The cut is taken again at each new length and each new best; past the
+    float range (cut, S^2 or their product) it is inf, which cuts nothing.
     """
-    cut_ok = not all(m.is_exact() for m in mats)
+    check_finite(mats)
     best = None
     best_w: Word = ()
     length = 0
     cut = math.inf
     for w, (a, b, c, d), scale in periodic_entries(mats, sft, n_max):
-        if cut_ok:
-            if len(w) != length:
-                length = len(w)
-                cut = _frobenius_cut(best, length)
-            if a * a + b * b + c * c + d * d > cut:
-                continue
+        if len(w) != length:
+            length = len(w)
+            cut = _frobenius_cut(best, length)
+        if a * a + b * b + c * c + d * d > (cut if scale == 1 else _scaled(cut, scale)):
+            continue
         r = spectral_norm(a, b, c, d, scale) ** (1.0 / len(w))
         if best is None or r < best:
             best, best_w = r, w
-            if cut_ok:
-                cut = _frobenius_cut(best, length)
+            cut = _frobenius_cut(best, length)
     if best is None:
         raise SearchBudgetExceeded(f"no cyclic words of length <= {n_max}")
     return RateReport(value=best, word=best_w, depth=n_max)
+
+
+def _scaled(cut: float, scale: int) -> float:
+    """cut * scale^2 as a float; inf past the float range."""
+    try:
+        return cut * (scale * scale)
+    except OverflowError:  # scale^2 has no float
+        return math.inf
 
 
 def _frobenius_cut(best: float | None, n: int) -> float:

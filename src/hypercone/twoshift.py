@@ -73,7 +73,8 @@ from . import _exact
 from ._record import Record
 from .errors import DegenerateTie
 from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import Mat2, eigen_angles, form_product, integer_scaled, is_pm_identity
+from .sl2core import (Mat2, check_finite, eigen_angles, form_product, integer_scaled,
+                     is_pm_identity)
 from .tolerances import DEFAULT
 
 
@@ -285,6 +286,7 @@ def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     lowest-terms traces; boundary cases then mean genuine boundary points
     and come back Degenerate.
     """
+    check_finite((A, B))
     try:
         return _classify(A, B)
     except DegenerateTie as tie:

@@ -50,7 +50,7 @@ import math
 from ._record import Record
 from .errors import WitnessUnverified
 from .projgeom import PI, angle_dist, norm_angle
-from .sl2core import Mat2, eigen_angles, eigen_data, is_pm_identity
+from .sl2core import Mat2, check_finite, eigen_angles, eigen_data, is_pm_identity
 from .symdyn import (Sft, Word, admissible_entries, exact_product, periodic_entries,
                      product, render_word)
 from .tolerances import DEFAULT
@@ -126,6 +126,7 @@ def _kind(w: Word, m, scale: int, exact: bool) -> tuple[str, Word]:
 def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
     """First cyclic class (shortlex) of kind elliptic (_kind), checked
     exactly (_verify_elliptic)."""
+    check_finite(mats)
     exact = all(m.is_exact() for m in mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
         # an elliptic class has |tr| < 2S: most words stop here
@@ -151,6 +152,7 @@ def _verify_elliptic(mats, w: Word) -> None:
 def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     """First cyclic class (shortlex) of kind parabolic or identity (_kind),
     re-checked on its rebuilt product (_checked_hit)."""
+    check_finite(mats)
     exact = all(m.is_exact() for m in mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
         # a parabolic or identity class has |tr| / S within 1/2 of 2, or below
@@ -179,13 +181,15 @@ def _checked_hit(mats, w: Word, kind: str, exact: bool) -> ParabolicHit:
 
 def _arc_bound(lo: float, hi: float, ts: list[float]) -> float:
     """Least distance from the positive arc lo -> hi to the sorted, non-empty
-    angles ts; 0 when the arc holds one of them."""
+    angles ts; 0 when the arc holds one of them.  Otherwise the arc lies in
+    the gap between two consecutive angles, before and after: every target
+    is reached from a point of the arc through before or through after, so
+    the least distance is taken at an end of the arc."""
     k = bisect.bisect_left(ts, lo)
     before, after = ts[k - 1], ts[k % len(ts)]
     if (after - lo) % PI <= (hi - lo) % PI:
         return 0.0
-    g, h, i, j = (lo - before) % PI, (lo - after) % PI, (hi - before) % PI, (hi - after) % PI
-    return min(g, PI - g, h, PI - h, i, PI - i, j, PI - j)
+    return min((lo - before) % PI, (after - hi) % PI)
 
 
 def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
@@ -215,20 +219,26 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     So the sources of a block, any set of them sorted by unstable angle and
     scanning one list, are carried into the arc between the images of the
     block's first and last source.  When that arc holds none of the list's
-    targets, the distance to the nearest of them is a tent on the gap
-    between two of them, and every residual of the block is at least the
-    smaller of the two endpoint distances.  A block whose bound exceeds the
-    best residual by more than 1e-12, which absorbs rounding, is skipped;
-    others are halved, and a source is carried at most once per connector.
-    The first blocks are the sources ending in each letter that may precede
-    the connector: a word's unstable direction is set mostly by its last
-    letters, so most of them are skipped whole.  They depend only on the
-    connector's first and last letters, so they are planned once per pair
-    of letters.  Until the first hit nothing is skipped, so no bound is
-    taken.  The kept sources are scanned in shortlex order, so the visiting
-    order, the ties and the result are those of the full scan.  The
-    connection found is re-verified from scratch.
+    targets it lies in the gap between two of them, and every residual of
+    the block is at least the distance from the nearer end of the arc to
+    the end of the gap beyond it (_arc_bound, exact).  A block whose bound
+    exceeds the limit is skipped; others are halved, and a source is
+    carried at most once per connector.  The first blocks are the sources
+    ending in each letter that may precede the connector: a word's unstable
+    direction is set mostly by its last letters, so most of them are
+    skipped whole.  They depend only on the connector's first and last
+    letters, so they are planned once per pair of letters.
+
+    The limit is known before the first scan.  The empty connector carries
+    each source by the identity, so its residuals are, up to rounding, the
+    distances from each source's own angle to the two targets beside it in
+    its letter's list (the target equal to the source skipped): the least
+    of them bounds the answer, and the empty connector's blocks are pruned
+    like any other's.  The kept sources are scanned in shortlex order, so
+    the visiting order, the ties and the result are those of the full scan.
+    The connection found is re-verified from scratch.
     """
+    check_finite(mats)
     exact = all(m.is_exact() for m in mats)
     # a class with |tr| > 3S is hyperbolic whatever its det: most words stop here
     return _best_connection(mats, sft, [
@@ -240,7 +250,42 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
 def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
                      n_max: int) -> HeteroclinicHit | None:
     """best_heteroclinic over the hyperbolic classes, (word, entries, scale)
-    in shortlex order: the sources keep that order."""
+    in shortlex order: the sources keep that order.
+
+    The prune margin is a proven rounding allowance (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, ch. 2-3; libm's cos,
+    sin and atan2 within an ulp).  Read a connector as the float matrix P
+    its carry uses, and let q = |P|_F^2 / |det P|, at least the ratio k of
+    its singular values and at most k + 1.  Its blocks are pruned against
+    min(best residual, U) + 1e-12 + 1.2e-15 q, U the empty connector's
+    least residual read off the source angles, when q <= q_max =
+    2e14 min(1/2, pi - the widest block's span); else every source is kept.
+
+    - The carry of a direction w is off its true image by at most
+      e = 3.8e-16 sqrt(q) x + 8e-16 <= 3.8e-16 q + 8e-16, where x^2 =
+      |det P| / |P w|^2, in [1/q, q], is the action's derivative at w: the
+      rounded (cos, sin) moves w by 1.6e-16, stretched by x^2; the two dot
+      products err by 2.2e-16 |P|_F |w|, an angle of 2.2e-16 sqrt(q) x at
+      P w; atan2 and norm_angle add 8e-16.
+    - A block's sources lie on the arc of span S from its first to its last
+      angle, so their true images lie on that arc's image, of length L, and
+      their carries within 2e of the arc between the carried ends, or of
+      one end (3e) when L < 2e and the ends may swap.
+    - The ends cannot swap the other way, L near pi and the carried arc
+      short, when q <= q_max.  If S > pi/2: sin(pi - L) = sin(S) x_1 x_2,
+      x_i at the ends (a 2x2 determinant), so pi - L exceeds both ends'
+      errors once sin S > 2.4e-15 q, which q_max gives.  If S <= pi/2: P
+      acts as phi -> arctan(tan(phi) / k) in singular coordinates, so an
+      image pi - L <= pi/4 of the complement, of span >= pi/2, puts its ends
+      at -a and b about the most contracted direction; with s = tan(.) / k
+      at each, x^2 <= 1 + q s^2 there and pi - L >= (pi/4)(s_a + s_b) >=
+      pi / (2q), more than both ends' errors for q <= 1e14.
+    - A residual and a bound each round by under 1e-15, and U is a
+      candidate's residual but for its identity carry (exact dot products;
+      cos, sin, atan2 and norm_angle: 1e-15).  So every computed residual of
+      a pruned block exceeds min(best residual, that candidate's): no
+      pruned source could have been the first strict minimum.
+    """
     periodic = [(w, eigen_angles(*m, scale)) for w, m, scale in classes]
     sources = [(v, u) for v, (u, _) in periodic if len(v) <= k_max]
     target_dirs = sorted((s, w) for w, (_, s) in periodic if len(w) <= ell_max)
@@ -262,6 +307,28 @@ def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
                if allowed[e][f] and ending[e] and fed[s][0]] for s in letters]
              for f in letters]
     no_connector = [(ending[e], e, fed[e][0]) for e in letters if ending[e] and fed[e][0]]
+    span = max([sources[g[-1]][1] - sources[g[0]][1] for g in ending if g], default=0.0)
+    q_max = 2e14 * min(0.5, PI - span)
+
+    # U: each source's residual by the identity, at the targets beside it in
+    # its letter's list, past the one equal to it; min(g, PI - g) rounds alike
+    bound_u = math.inf
+    half = PI / 2
+    for group, e, ts in no_connector:
+        tws, m_t = fed[e][1], len(ts)
+        for i in group:
+            v, u = sources[i]
+            k = bisect.bisect_left(ts, u) % m_t
+            for j in (k, k - 1):
+                if tws[j] == v:
+                    if m_t == 1:
+                        continue
+                    j = (j + 1) % m_t if j == k else j - 1
+                g = (u - ts[j]) % PI
+                if g > half:
+                    g = PI - g
+                if g < bound_u:
+                    bound_u = g
 
     best = None
     best_r = math.inf
@@ -269,10 +336,12 @@ def _best_connection(mats, sft: Sft, classes, k_max: int, ell_max: int,
         flip = P[0] * P[3] - P[1] * P[2] < 0
         # act_angle's arithmetic on the entries / scale, x / 1 being x
         a, b, c, d = P if scale == 1 else [v / scale for v in P]
-        limit = best_r + 1e-12
+        f, det = a * a + b * b + c * c + d * d, abs(a * d - b * c)
+        limit = (min(best_r, bound_u) + 1e-12 + 1.2e-15 * f / det
+                 if f <= q_max * det else math.inf)
         keep = []
         for group, s, ts in plans[conn[0]][conn[-1]] if conn else no_connector:
-            if best_r == math.inf:
+            if limit == math.inf:
                 keep += [(i, norm_angle(math.atan2(c * x + d * y, a * x + b * y)), s)
                          for i in group for x, y in (trig[i],)]
                 continue
@@ -355,6 +424,7 @@ def diagnose_boundary(mats, sft: Sft,
     Near a non-principal component no product may come close to +-identity,
     so an identity hit is reported as its own kind.
     """
+    check_finite(mats)
     k_max, ell_max, n_max = budget
     budgets = {"k": k_max, "l": ell_max, "n": n_max}
     exact = all(m.is_exact() for m in mats)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -382,3 +383,75 @@ def test_eigen_angles_have_eigen_data_bits():
             (fu, _), (fv, _) = eigen_data(m.to_float())
             seen["float reading differs"] += got != (fu.angle, fv.angle)
     assert all(seen.values()), seen
+
+
+def _matrix_exports():
+    """Every export of the package: a call of it on a matrix pair over the
+    full 2-shift for those that take matrices, None for the others."""
+    import hypercone as hc
+    free = (Mat2(2.0, 1.0, 0.0, 0.5), Mat2(0.5, 0.0, -9.0, 2.0))
+    full2 = hc.Sft.full(2)
+    cores = hc.compute_cores(free, full2, 4)
+    fam = hc.MulticoneFamily.constant(hc.fatten_cores(free, cores), 2)
+    takes = {
+        "normalize_tuple": lambda m: hc.normalize_tuple(m, 10.0),
+        "product": lambda m: hc.product(m, (0, 1)),
+        "hyperbolicity_rate": lambda m: hc.hyperbolicity_rate(m, full2, 3),
+        "certify": lambda m: hc.certify(m, full2, fam),
+        "compute_cores": lambda m: hc.compute_cores(m, full2, 4),
+        "core_criterion": lambda m: hc.core_criterion(m, cores),
+        "fatten_cores": lambda m: hc.fatten_cores(m, cores),
+        "classify_pair": lambda m: hc.classify_pair(*m),
+        "component_model": lambda m: hc.component_model(*m, ""),
+        "induced_morphism": lambda m: hc.induced_morphism(m, cores),
+        "winding_matrix": lambda m: hc.winding_matrix(m, "AB"),
+        "best_heteroclinic": lambda m: hc.best_heteroclinic(m, full2, 2, 2, 1),
+        "diagnose_boundary": lambda m: hc.diagnose_boundary(m, full2, (2, 2, 1)),
+        "search_elliptic": lambda m: hc.search_elliptic(m, full2, 3),
+        "search_parabolic": lambda m: hc.search_parabolic(m, full2, 3),
+    }
+    takes_none = {
+        "ArcP1", "MultiCone", "ProjPoint", "Mat2", "c1_bound", "RateReport", "Sft",
+        "periodic_words", "CertifyReport", "CoreSet", "MulticoneFamily",
+        "Classification2", "Degenerate", "EllipticWitness", "NonPrincipal",
+        "Principal", "ComponentModel", "build_order", "farey_interval",
+        "j_of_fword", "CombMulticone", "MonotoneCorr", "Morphism",
+        "classify_two_morphism", "morphism_hyperbolic", "morphism_tight",
+        "validate", "BoundaryReport", "DEFAULT", "Tolerances",
+    }
+    return free, {**takes, **dict.fromkeys(takes_none)}
+
+
+def test_every_matrix_export_refuses_a_non_finite_entry():
+    # the table names every export, so a new one fails here until it is
+    # classed; each matrix-taking export answers on the free pair, and
+    # refuses NaN and +-inf in every entry position, in a float pair and in
+    # a mixed one (the other matrix and the other entries exact), with the
+    # input gate's DegenerateInput rather than a verdict
+    import hypercone as hc
+    from hypercone.errors import DegenerateInput
+    free, table = _matrix_exports()
+    assert set(table) == set(hc._EXPORTS)
+    exact = tuple(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))) for m in free)
+    for name, call in table.items():
+        if call is None:
+            continue
+        call(free)
+        for pair in (free, exact):
+            for i, k in itertools.product(range(2), range(4)):
+                for bad in (math.nan, math.inf, -math.inf):
+                    entries = [pair[i].a, pair[i].b, pair[i].c, pair[i].d]
+                    entries[k] = bad
+                    mats = list(pair)
+                    mats[i] = Mat2(*entries)
+                    with pytest.raises(DegenerateInput,
+                                       match=f"entry {bad!r} is not finite"
+                                             f" \\(entry {'abcd'[k]} of matrix {i}\\)"):
+                        call(tuple(mats))
+
+
+def test_check_unimodular_refuses_a_nan_matrix():
+    from hypercone.errors import DegenerateInput
+    from hypercone.sl2core import check_unimodular
+    with pytest.raises(DegenerateInput, match="entry nan is not finite"):
+        check_unimodular(Mat2(math.nan, 1.0, 1.0, 2.0))

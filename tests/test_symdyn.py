@@ -330,12 +330,16 @@ def _count_norms(monkeypatch):
 
 
 @pytest.mark.parametrize("case, depth, classes, count", [("free", 12, 747, 2),
+                                                         ("free_exact", 12, 747, 2),
                                                          ("group", 6, 198, 3)])
 def test_rate_takes_norms_only_within_the_frobenius_cut(monkeypatch, free_pair, sft4,
                                                         case, depth, classes, count):
     # ||P||^2 >= |P|_F^2 / 2: past the first class, only classes that could
-    # beat the best so far take spectral_norm and the root
+    # beat the best so far take spectral_norm and the root; exact input
+    # compares its integer square sum with the cut times S^2
+    exact = tuple(Mat2(*map(Fraction, (m.a, m.b, m.c, m.d))) for m in free_pair)
     mats, sft = {"free": (free_pair, Sft.full(2)),
+                 "free_exact": (exact, Sft.full(2)),
                  "group": (group_tuple(free_pair), sft4)}[case]
     expected, _ = _uncut_rate(mats, sft, depth)
     norms = _count_norms(monkeypatch)
@@ -364,6 +368,38 @@ def test_rate_cut_follows_a_minimum_that_improves_to_the_deepest_length(monkeypa
     norms = _count_norms(monkeypatch)
     assert hyperbolicity_rate(mats, sft, depth) == expected
     assert len(gains) <= len(norms) < len(list(periodic_words(sft, depth))) // 10
+
+
+def test_rate_cut_on_exact_input_matches_the_uncut_loop(monkeypatch):
+    # seeded exact pairs and triples, full shift and golden mean, small
+    # denominators and ones whose scale^2 leaves the float range (no cut
+    # there): value and word are those of the loop that takes every norm
+    rng = random.Random("exact rate cut")
+    golden = Sft(2, ((True, True), (True, False)))
+
+    def draw(big):
+        while True:
+            q = rng.randint(1, 3) * (2 ** 520 + 1 if big else 1)
+            a, b, c = (Fraction(rng.randint(-6 * q, 6 * q), q) for _ in range(3))
+            if abs(a) >= Fraction(1, 4):
+                return Mat2(a, b, c, (1 + b * c) / a)
+    cut = spared = 0
+    for i in range(16):
+        n, big = 2 + i % 2, i % 4 == 3
+        mats = tuple(draw(big) for _ in range(n))
+        sft = golden if n == 2 and i % 8 < 4 else Sft.full(n)
+        depth = 7 if n == 2 else 5
+        expected, _ = _uncut_rate(mats, sft, depth)
+        norms = _count_norms(monkeypatch)
+        assert hyperbolicity_rate(mats, sft, depth) == expected
+        classes = len(list(periodic_words(sft, depth)))
+        if big:
+            assert len(norms) == classes
+        else:
+            cut += 1
+            spared += len(norms) < classes
+        monkeypatch.undo()
+    assert spared == cut
 
 
 def test_rate_single_diagonal():

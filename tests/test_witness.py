@@ -235,6 +235,12 @@ ROT6 = Mat2(0, -1, 1, 1)  # elliptic of order 6
 # golden-mean shifts: B may not follow B
 GOLDEN2 = Sft(2, ((True, True), (True, False)))
 GOLDEN3 = Sft(3, ((True, True, True), (True, False, True), (True, True, True)))
+# three 2-cycles, A <-> B, C <-> D and E <-> F, joined by A -> D, C -> F and
+# E -> B: the cyclic classes of length <= 5 are AB, CD and EF, and none may
+# precede another but through a connector, so the empty connector has no
+# candidate
+RING = Sft(6, tuple(tuple(j == i ^ 1 or (i % 2 == 0 and j == (i + 3) % 6)
+                          for j in range(6)) for i in range(6)))
 
 
 def _random_matrix(rng, exact, det=1):
@@ -260,18 +266,21 @@ def _random_sft(rng, n):
 
 
 @pytest.mark.parametrize("kind", ["random", "rot4", "rot6", "det_minus_one",
-                                  "inverse", "sft"])
+                                  "inverse", "sft", "no_empty"])
 def test_best_heteroclinic_differential(kind):
     """Seeded pairs and triples on the full and golden-mean shifts, float and
     Fraction entries: elliptic generators of finite order repeat products
     exactly, an inverse pair puts stable on unstable directions (residual-0
     ties), and a generator of determinant -1 gives orientation-reversing
     connectors.  The sft kind draws triples and quadruples over random
-    transitive shifts, where each letter precedes its own set of targets."""
+    transitive shifts, where each letter precedes its own set of targets.
+    The no_empty kind draws six matrices over RING, where no empty-connector
+    candidate exists, so the search has no residual before its first scan
+    and prunes nothing until a connector gives one."""
     rng = random.Random(f"heteroclinic:{kind}")
-    ties_at_zero = flips = 0
+    ties_at_zero = flips = connected = 0
     for i in range(12):
-        n, exact = 2 + i % 2 + (kind == "sft"), i % 4 < 2
+        n, exact = 6 if kind == "no_empty" else 2 + i % 2 + (kind == "sft"), i % 4 < 2
         mats = [_random_matrix(rng, exact) for _ in range(n)]
         if kind in ("rot4", "rot6"):
             rot = ROT4 if kind == "rot4" else ROT6
@@ -281,16 +290,22 @@ def test_best_heteroclinic_differential(kind):
         elif kind == "inverse":
             mats[-1] = mats[0].inverse()
         mats = tuple(mats)
-        sft = (_random_sft(rng, n) if kind == "sft"
-               else (Sft.full(n), GOLDEN2 if n == 2 else GOLDEN3)[i // 2 % 2])
-        budget = (3 + i % 2, 3, i % 4)
+        if kind == "no_empty":
+            sft, budget = RING, (2 + i % 4, 5 - i % 4, 2 + i % 3)
+        else:
+            sft = (_random_sft(rng, n) if kind == "sft"
+                   else (Sft.full(n), GOLDEN2 if n == 2 else GOLDEN3)[i // 2 % 2])
+            budget = (3 + i % 2, 3, i % 4)
         cands = list(_brute_candidates(mats, sft, *budget))
+        if kind == "no_empty":
+            assert all(c[2] for c in cands)
         hit = best_heteroclinic(mats, sft, *budget)
         if not cands:
             assert hit is None
             continue
         r, v, conn, w = _brute_heteroclinic(mats, sft, *budget)
         assert (hit.residual, hit.source, hit.connector, hit.target) == (r, v, conn, w)
+        connected += 1
         ties_at_zero += r == 0.0 and sum(c[0] == r for c in cands) > 1
         connectors = {c[2] for c in cands if c[2]}
         flips += any(product(mats, c).det() < 0 for c in connectors)
@@ -298,6 +313,8 @@ def test_best_heteroclinic_differential(kind):
         assert ties_at_zero > 0
     if kind == "det_minus_one":
         assert flips > 0
+    if kind == "no_empty":
+        assert connected >= 6
 
 
 def test_best_heteroclinic_shortest_connector_wins_a_tie(boundary_triple):
@@ -340,7 +357,38 @@ def test_best_heteroclinic_carries_each_source_once_per_connector(
         monkeypatch, free_pair):
     # the halves of a block take over its endpoints' carried angles, so the
     # prune and the scan carry each source at most once per connector; the
-    # blocks, one per last letter, are mostly pruned whole
+    # blocks, one per last letter, are mostly pruned whole.  Each connector
+    # entry marks itself current when the search unpacks it; the empty
+    # connector, first, is a plain tuple
+    import hypercone.witness as witness_mod
+    current, carried = [()], []
+
+    class Marked(tuple):
+        def __iter__(self):
+            current[0] = self[0]
+            return super().__iter__()
+
+    def entries(*args, _orig=witness_mod.admissible_entries):
+        return (Marked(e) for e in _orig(*args))
+
+    def counted(a, _orig=witness_mod.norm_angle):
+        carried.append((current[0], a))
+        return _orig(a)
+    monkeypatch.setattr(witness_mod, "admissible_entries", entries)
+    monkeypatch.setattr(witness_mod, "norm_angle", counted)
+    hit = best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
+    assert hit.connector == (1,) * 6 and len(carried) == 479
+    # one connector's carries of distinct sources are distinct angles here
+    assert len(set(carried)) == len(carried)
+    assert len({conn for conn, _ in carried}) == 127
+
+
+def test_best_heteroclinic_bounds_the_empty_connector_before_any_scan(
+        monkeypatch, free_pair):
+    # the residuals of the empty connector, read off the source angles by
+    # one bisection each, bound it before its first scan: of the free
+    # pair's 226 sources it carries 17 (every scanned source is carried),
+    # and its answer is the full scan's
     import hypercone.witness as witness_mod
     carried = []
 
@@ -348,29 +396,10 @@ def test_best_heteroclinic_carries_each_source_once_per_connector(
         carried.append(a)
         return _orig(a)
     monkeypatch.setattr(witness_mod, "norm_angle", counted)
-    hit = best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
-    assert hit.connector == (1,) * 6 and len(carried) == 688
-
-
-def test_best_heteroclinic_bounds_no_block_before_its_first_hit(
-        monkeypatch, free_pair):
-    # until a residual is known the bound prunes nothing, so every source of
-    # the first connectors is kept without a block tree
-    import hypercone.witness as witness_mod
-    bounds, at_first_hit = [], []
-
-    def counted(*args, _orig=witness_mod._arc_bound):
-        bounds.append(args)
-        return _orig(*args)
-
-    def hit(*args, _orig=witness_mod.HeteroclinicHit, **kwargs):
-        if not at_first_hit:
-            at_first_hit.append(len(bounds))
-        return _orig(*args, **kwargs)
-    monkeypatch.setattr(witness_mod, "_arc_bound", counted)
-    monkeypatch.setattr(witness_mod, "HeteroclinicHit", hit)
-    best_heteroclinic(free_pair, Sft.full(2), 10, 10, 6)
-    assert at_first_hit == [0] and bounds
+    hit = best_heteroclinic(free_pair, Sft.full(2), 10, 10, 0)
+    assert len(carried) == 17
+    r, v, conn, w = _brute_heteroclinic(free_pair, Sft.full(2), 10, 10, 0)
+    assert (hit.residual, hit.source, hit.connector, hit.target) == (r, v, conn, w)
 
 
 def test_search_elliptic_reverifies_its_witness(monkeypatch):
