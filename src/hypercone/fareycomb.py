@@ -206,10 +206,11 @@ def _family_point_order_ok(family: OrderedFamily, u_pts, s_pts,
     return cyclically_ordered([-a for a in seq] if reverse else seq)
 
 
-def _family_products(mats, family: OrderedFamily) -> dict:
+def _family_products(mats, family: OrderedFamily, exact: bool) -> dict:
     """word -> (n, s): the product of each family word over mats is n/s.
 
-    Exact input is multiplied as integer matrices (integer_scaled), once per
+    Exact input (exact: every entry of mats is, as check_finite reports) is
+    multiplied as integer matrices (integer_scaled), once per
     cyclic class: the family's words are the rotations of three words (the
     center word and the two parents'), and with the prefix products w[:i]
     and the suffix products w[i:] of one of them, its rotation w[i:] + w[:i]
@@ -225,7 +226,7 @@ def _family_products(mats, family: OrderedFamily) -> dict:
     times its last letter, so every word is multiplied left to right, as
     symdyn.eval_string does, and has its bits.
     """
-    if all(m.is_exact() for m in mats):
+    if exact:
         return _class_products([integer_scaled(m) for m in mats], family)
     tree = dict(zip(LETTERS, mats))  # prefix -> its product
     out = {}
@@ -273,11 +274,11 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     matrices with a scale on exact input (_family_products), and their
     directions come from eigen_data(n, s).
     """
-    check_finite((A, B))
+    exact = check_finite((A, B))
     from .multicone import CoreSet
     f = j_of_fword(fword)
     family = build_order(f)
-    products = _family_products((A, B), family)
+    products = _family_products((A, B), family, exact)
 
     u_pts: dict[str, ProjPoint] = {}
     s_pts: dict[str, ProjPoint] = {}

@@ -658,6 +658,18 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
     The radius is halved until the grown arcs pass certify's strict
     inclusion over the full shift (_inclusions); the caller's certify
     computes the certificate's constants.
+
+    Once a halving's cone is rejected, each later halving first retests the
+    arc rejected last, growing only that arc and the one whose host holds
+    its image's start, and builds and checks the full cone only when that
+    arc maps strictly inside it.  This returns the cone the full check
+    alone would: a retest failure means a failing cone, since the full check
+    passes only if every arc maps inside some grown arc by a margin of at
+    least 4e-14.  Each grown arc lies in its own host, and the hosts are
+    disjoint, so that margin puts the image's start inside exactly one host,
+    the last one starting at or before it (the last of all when it starts
+    before every host), and the arc it maps into is that host's.  A grown
+    arc that cannot be built fails the halving either way.
     """
     check_finite(mats)
     abs_dets = [abs(float(m.det())) for m in mats]
@@ -715,23 +727,36 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
 
     radius = [HILBERT_EPS * math.exp(-p) for p in P]
     xi = [_xi(hosts[n // 2], point[n]) for n in nodes]
+    host_starts, host_index = start_order(hosts)
+
+    def grown(j: int) -> ArcP1:
+        """U arc j grown by the halving's scale; DegenerateInput if it
+        collapses."""
+        return ArcP1.from_angles(
+            _xi_inv(hosts[j], xi[2 * j] - scale * radius[2 * j]),
+            _xi_inv(hosts[j], xi[2 * j + 1] + scale * radius[2 * j + 1]))
+
+    def retest(beta: int, j: int) -> bool:
+        """Whether letter beta maps grown arc j strictly inside a grown arc."""
+        img = image_span(fmats[beta], grown(j).span)
+        target = grown(host_index[bisect.bisect_right(host_starts, img[0]) - 1])
+        return containment_margin(target, img) >= max(
+            DEFAULT.margin * min(1.0, target.length), 4e-14)
+
     sft = Sft.full(len(mats))
-    scale, rejected = 1.0, None
+    scale, rejected = 1.0, None  # rejected: (letter, U arc) that failed last
     for _ in range(MAX_HALVINGS):
+        cone = None
         try:
-            cone = MultiCone(tuple(ArcP1.from_angles(
-                _xi_inv(hosts[j], xi[2 * j] - scale * radius[2 * j]),
-                _xi_inv(hosts[j], xi[2 * j + 1] + scale * radius[2 * j + 1]))
-                for j in range(q)))
+            if rejected is None or retest(*rejected):
+                arcs = [grown(j) for j in range(q)]
+                cone = MultiCone(arcs)
         except DegenerateInput:
-            cone = None
-        # the arc rejected last is tried first: while it fails, so does the cone
-        if cone is not None and (rejected is None or _strict_image(
-                fmats[rejected[0]], cone.arcs[rejected[1]], cone.arcs,
-                start_order(cone.arcs))[1] is not None):
+            pass
+        if cone is not None:
             _, _, witness = _inclusions(fmats, sft, (cone,) * sft.n_symbols)
             if witness is None:
                 return cone
-            rejected = (witness["beta"], witness["component"])
+            rejected = (witness["beta"], arcs.index(cone.arcs[witness["component"]]))
         scale *= 0.5
     raise DegenerateInput("no certified fattening found for the given cores")

@@ -20,10 +20,22 @@ from .projgeom import ProjPoint, norm_angle
 from .tolerances import DEFAULT
 
 
+# entry type -> whether it is a Rational; filled by is_exact on first sight
+_EXACT_TYPES = {int: True, float: False}
+
+
 def is_exact(value) -> bool:
-    # the float test first: it is the common case, and far cheaper than the
-    # ABC check
-    return type(value) is not float and isinstance(value, Rational)
+    """isinstance(value, numbers.Rational), read once per entry type: the
+    answer for a type is kept from its first entry, a dict lookup after
+    that where the ABC check costs ten times as much.  A type registered
+    with Rational.register after is_exact has first seen it keeps the
+    answer it had then (False), so register a type before its entries
+    reach the library."""
+    t = type(value)
+    exact = _EXACT_TYPES.get(t)
+    if exact is None:
+        exact = _EXACT_TYPES[t] = issubclass(t, Rational)
+    return exact
 
 
 class Mat2(Record):
@@ -141,21 +153,26 @@ def form_product(f, g):
     return Mat2(mn.a // k, mn.b // k, mn.c // k, mn.d // k), st // k
 
 
-def check_finite(mats) -> None:
+def check_finite(mats) -> bool:
     """The input gate of every exported function that takes matrices:
-    DegenerateInput naming the first NaN or infinite entry.  A float entry
-    is read with math.isfinite; an exact one is skipped, since a Rational is
-    finite and float() of a huge one overflows.  Products and walks inside
-    the library are not checked again."""
+    DegenerateInput naming the first NaN or infinite entry, else whether
+    every entry is exact (is_exact), which the caller reads instead of
+    scanning the matrices again.  A float entry is read with math.isfinite;
+    an exact one is skipped, since a Rational is finite and float() of a
+    huge one overflows.  Products and walks inside the library are not
+    checked again."""
+    exact, exact_type = True, _EXACT_TYPES.get
     for i, m in enumerate(mats):
         for v in (m.a, m.b, m.c, m.d):
-            if type(v) is float:
-                if math.isfinite(v):
-                    continue
-            elif type(v) is int or is_exact(v) or math.isfinite(v):
+            known = exact_type(type(v))
+            if known or (known is None and is_exact(v)):
+                continue
+            exact = False
+            if math.isfinite(v):
                 continue
             name = "abcd"[(m.a, m.b, m.c, m.d).index(v)]
             raise DegenerateInput(f"entry {v!r} is not finite (entry {name} of matrix {i})")
+    return exact
 
 
 def check_unimodular(m: Mat2) -> Mat2:

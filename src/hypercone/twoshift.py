@@ -46,7 +46,8 @@ arithmetic without any Fraction; so is the termination bound
 floor((x + y)/4) - 1 = (X*q + Y*p) // (4*p*q) - 1.  The walked pair is
 rebuilt as products of (integer matrix, scale) pairs, each divided by the
 gcd of its entries and scale, and its orientation reads the angles of their
-eigendirections with those scales (eigen_angles(a, b, c, d, s)), or, for
+eigendirections with those scales (sl2core._eigen(a, b, c, d, s), the
+routine of eigen_data), or, for
 near-coincident directions, their exact directions: _exact.exact_dirs gives
 each as an integer vector (x, p + q*sqrt(D)), and _exact.compare_dirs orders
 two by the sign of their cross product, in integers.  Every float the
@@ -72,9 +73,8 @@ from typing import NamedTuple, Union
 from . import _exact
 from ._record import Record
 from .errors import DegenerateTie
-from .projgeom import angle_dist, cyclically_ordered
-from .sl2core import (Mat2, check_finite, eigen_angles, form_product, integer_scaled,
-                     is_pm_identity)
+from .projgeom import angle_gap, cyclically_ordered, norm_angle
+from .sl2core import Mat2, _eigen, check_finite, form_product, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
 
 
@@ -153,18 +153,49 @@ def fword_substitution(fword: str) -> tuple[str, str]:
 class Principal(Record):
     __slots__ = ("sign_pair", "invariant")
 
+    def __init__(self, sign_pair, invariant):
+        _p_sign_pair(self, sign_pair)
+        _p_invariant(self, invariant)
+
 
 class NonPrincipal(Record):
     __slots__ = ("fword", "sign_pair", "orientation", "iterations", "invariant")
+
+    def __init__(self, fword, sign_pair, orientation, iterations, invariant):
+        _n_fword(self, fword)
+        _n_sign_pair(self, sign_pair)
+        _n_orientation(self, orientation)
+        _n_iterations(self, iterations)
+        _n_invariant(self, invariant)
 
 
 class EllipticWitness(Record):
     __slots__ = ("word", "trace", "iterations")
 
+    def __init__(self, word, trace, iterations):
+        _e_word(self, word)
+        _e_trace(self, trace)
+        _e_iterations(self, iterations)
+
 
 class Degenerate(Record):
     __slots__ = ("reason", "value")
-    _defaults = {"value": 0.0}
+
+    def __init__(self, reason, value=0.0):
+        _d_reason(self, reason)
+        _d_value(self, value)
+
+
+def _setters(cls) -> tuple:
+    """The slots' own setters, which the frozen __setattr__ does not block:
+    a verdict is built on every call, and writes its slots through them."""
+    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+
+
+_p_sign_pair, _p_invariant = _setters(Principal)
+_n_fword, _n_sign_pair, _n_orientation, _n_iterations, _n_invariant = _setters(NonPrincipal)
+_e_word, _e_trace, _e_iterations = _setters(EllipticWitness)
+_d_reason, _d_value = _setters(Degenerate)
 
 
 Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
@@ -173,9 +204,11 @@ Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
 # ---------------------------------------------------------------------------
 # state tests on lowest-terms traces (x, y assumed >= 2); a non-zero band
 # comes only with denominator 1, where the scaled quantities are t1 and t2
-# themselves
+# themselves.  A test that is neither straight nor twisted is a tie: in the
+# band, or (_OVERFLOW) a NaN from float traces whose products leave the
+# float range, such as inf - inf
 
-_TWISTED, _STRAIGHT, _BOUNDARY = 1, 0, -1
+_TWISTED, _STRAIGHT, _BOUNDARY, _OVERFLOW = 1, 0, -1, -2
 
 
 def _lowest_traces(X, Y, Z, a: int, b: int) -> _Traces:
@@ -204,7 +237,15 @@ def _twist_state(s: _Traces, band) -> int:
         return _STRAIGHT
     if t1 > band and t2 > band:
         return _TWISTED
-    return _BOUNDARY
+    # a NaN fails every comparison above; only this rare path reads it
+    return _OVERFLOW if t1 != t1 or t2 != t2 else _BOUNDARY
+
+
+def _tie(test: str, state: int) -> DegenerateTie:
+    """The tie of a twist test that came out _BOUNDARY or _OVERFLOW."""
+    if state == _OVERFLOW:
+        return DegenerateTie(f"{test} twist test overflows the float range")
+    return DegenerateTie(f"{test} twist test in the boundary band")
 
 
 class Step:
@@ -229,8 +270,8 @@ def _step_select_traces(s: _Traces, band):
     succ_plus, succ_minus = _step_plus(s), _step_minus(s)
     plus = _twist_state(succ_plus, band)
     minus = _twist_state(succ_minus, band)
-    if plus == _BOUNDARY or minus == _BOUNDARY:
-        raise DegenerateTie("successor twist test in the boundary band")
+    if plus < 0 or minus < 0:
+        raise _tie("successor", min(plus, minus))
     if plus == _TWISTED and minus == _TWISTED:
         raise DegenerateTie("both successor pairs test twisted")
     if plus == _STRAIGHT and minus == _STRAIGHT:
@@ -244,20 +285,34 @@ def _step_select_traces(s: _Traces, band):
 # orientation of a free pair
 
 
-def _orientation(A, B, BA) -> int:
+def _orientation(A, B, BA, exact: bool | None = None) -> int:
     """Orientation of the free pair given as (matrix, scale) forms, with BA
     the form of B @ A; scales other than 1 come only with integer matrices,
-    and at scale 1 any matrix is read by eigen_angles."""
+    and at scale 1 any matrix is read by _eigen.  exact says whether every
+    entry of the pair is exact, read off A and B when None.
+
+    The four directions u_B, u_BA, s_BA and s_A are the angles of
+    eigen_data's points, with their bits: _eigen's angles of B, B @ A and A,
+    only the four used reduced by norm_angle.  Their least pairwise distance
+    is the least of the four cyclic gaps between them in sorted order, since
+    either arc between two angles that are not adjacent holds a third, and
+    so spans a gap between adjacent ones.  In floats a sorted gap reads 0
+    only for equal angles (a difference of two distinct floats is not 0),
+    where angle_dist of two angles below pi/2 and one ulp apart can round
+    to 0.
+    """
     (m, s), (n, t), (k, r) = A, B, BA
     try:
-        uB = eigen_angles(n.a, n.b, n.c, n.d, t)[0]
-        uBA, sBA = eigen_angles(k.a, k.b, k.c, k.d, r)
-        sA = eigen_angles(m.a, m.b, m.c, m.d, s)[1]
-        min_gap = min(angle_dist(uB, uBA), angle_dist(uB, sBA), angle_dist(uB, sA),
-                      angle_dist(uBA, sBA), angle_dist(uBA, sA), angle_dist(sBA, sA))
+        uB = norm_angle(_eigen(n.a, n.b, n.c, n.d, t)[0])
+        uBA, sBA, _, _ = _eigen(k.a, k.b, k.c, k.d, r)
+        uBA, sBA = norm_angle(uBA), norm_angle(sBA)
+        sA = norm_angle(_eigen(m.a, m.b, m.c, m.d, s)[1])
+        w, x, y, z = sorted((uB, uBA, sBA, sA))
+        min_gap = min(x - w, y - x, z - y, angle_gap(z, w))
     except OverflowError:  # integer forms beyond the float range: exact order
         min_gap = 0.0
-    if min_gap > 100 * DEFAULT.angle or not (m.is_exact() and n.is_exact()):
+    if min_gap > 100 * DEFAULT.angle or not (
+            exact if exact is not None else m.is_exact() and n.is_exact()):
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
         if cyclically_ordered((uB, uBA, sBA, sA)):
@@ -286,18 +341,17 @@ def classify_pair(A: Mat2, B: Mat2) -> Classification2:
     lowest-terms traces; boundary cases then mean genuine boundary points
     and come back Degenerate.
     """
-    check_finite((A, B))
+    exact = check_finite((A, B))
     try:
-        return _classify(A, B)
+        return _classify(A, B, exact)
     except DegenerateTie as tie:
-        return Degenerate(reason=str(tie), value=tie.value)
+        return Degenerate(str(tie), tie.value)
 
 
-def _classify(A: Mat2, B: Mat2) -> Classification2:
-    # Only exact input is scaled, and it has band 0: the band only ever
-    # meets denominator 1, where the scaled decision quantities are the
-    # plain ones.
-    exact = A.is_exact() and B.is_exact()
+def _classify(A: Mat2, B: Mat2, exact: bool) -> Classification2:
+    # Only exact input (exact: every entry of A and B is) is scaled, and it
+    # has band 0: the band only ever meets denominator 1, where the scaled
+    # decision quantities are the plain ones.
     if exact:
         band = 0
         (A, a), (B, b) = integer_scaled(A), integer_scaled(B)
@@ -305,7 +359,7 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
         band, a, b = DEFAULT.band, 1, 1
     for name, m, scale in (("A", A, a), ("B", B, b)):
         if is_pm_identity(m, scale):
-            return Degenerate(reason=f"generator {name} is +-identity")
+            return Degenerate(f"generator {name} is +-identity")
 
     sa = 1 if A.trace() >= 0 else -1
     sb = 1 if B.trace() >= 0 else -1
@@ -316,23 +370,23 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
 
     for name, T, scale, sign in (("A", X, a, sa), ("B", Y, b, sb)):
         if abs(T - 2 * scale) <= band:
-            return Degenerate(reason=f"generator {name} is parabolic (band)",
-                              value=float(T / scale))
+            return Degenerate(f"generator {name} is parabolic (band)", float(T / scale))
         if T < 2 * scale:
-            return EllipticWitness(word=name, trace=float(sign * T / scale),
-                                   iterations=0)
+            return EllipticWitness(name, float(sign * T / scale), 0)
 
-    s = _lowest_traces(X, Y, (A1 @ B1).trace(), a, b)
+    # tr(A1 @ B1) in Mat2.__matmul__'s association, so a float keeps its bits
+    Z = (A1.a * B1.a + A1.b * B1.c) + (A1.c * B1.b + A1.d * B1.d)
+    s = _lowest_traces(X, Y, Z, a, b)
     pqr = s.p * s.q * s.r
     try:
         inv = float(_fricke(s) / (pqr * pqr))
     except OverflowError:  # an exact invariant beyond the float range
         inv = inf if _fricke(s) > 0 else -inf
     state = _twist_state(s, band)
-    if state == _BOUNDARY:
-        raise DegenerateTie("initial twist test in the boundary band")
     if state == _STRAIGHT:
-        return Principal(sign_pair=sign_pair, invariant=inv)
+        return Principal(sign_pair, inv)
+    if state < 0:
+        raise _tie("initial", state)
 
     # floor((x + y) / 4) - 1, with x + y = t0 / (p*q)
     pq = s.p * s.q
@@ -350,13 +404,11 @@ def _classify(A: Mat2, B: Mat2) -> Classification2:
                     Bk = form_product(Ak, Bk)
                 else:
                     Ak = form_product(Bk, Ak)
-            orient = _orientation(Ak, Bk, form_product(Bk, Ak))
-            return NonPrincipal(fword="".join(fword), sign_pair=sign_pair,
-                                orientation=orient, iterations=k, invariant=inv)
+            orient = _orientation(Ak, Bk, form_product(Bk, Ak), exact)
+            return NonPrincipal("".join(fword), sign_pair, orient, k, inv)
         if step == Step.ELLIPTIC:
             wa, wb = fword_substitution("".join(fword))
-            return EllipticWitness(word=wa + wb, trace=float(s.Z / s.r),
-                                   iterations=k)
+            return EllipticWitness(wa + wb, float(s.Z / s.r), k)
         if k + 1 > bound:
             raise DegenerateTie("walk exceeded its termination bound", t0 / pq)
         s = succ

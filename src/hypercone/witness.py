@@ -126,8 +126,7 @@ def _kind(w: Word, m, scale: int, exact: bool) -> tuple[str, Word]:
 def search_elliptic(mats, sft: Sft, max_len: int) -> Word | None:
     """First cyclic class (shortlex) of kind elliptic (_kind), checked
     exactly (_verify_elliptic)."""
-    check_finite(mats)
-    exact = all(m.is_exact() for m in mats)
+    exact = check_finite(mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
         # an elliptic class has |tr| < 2S: most words stop here
         if abs(m[0] + m[3]) < 2 * scale and _kind(w, m, scale, exact)[0] == "elliptic":
@@ -152,8 +151,7 @@ def _verify_elliptic(mats, w: Word) -> None:
 def search_parabolic(mats, sft: Sft, max_len: int) -> ParabolicHit | None:
     """First cyclic class (shortlex) of kind parabolic or identity (_kind),
     re-checked on its rebuilt product (_checked_hit)."""
-    check_finite(mats)
-    exact = all(m.is_exact() for m in mats)
+    exact = check_finite(mats)
     for w, m, scale in periodic_entries(mats, sft, max_len):
         # a parabolic or identity class has |tr| / S within 1/2 of 2, or below
         # 1/2 (at det < 0): most words stop here
@@ -238,8 +236,7 @@ def best_heteroclinic(mats, sft: Sft, k_max: int, ell_max: int,
     the visiting order, the ties and the result are those of the full scan.
     The connection found is re-verified from scratch.
     """
-    check_finite(mats)
-    exact = all(m.is_exact() for m in mats)
+    exact = check_finite(mats)
     # a class with |tr| > 3S is hyperbolic whatever its det: most words stop here
     return _best_connection(mats, sft, [
         (w, m, scale) for w, m, scale in periodic_entries(mats, sft, max(k_max, ell_max))
@@ -424,10 +421,9 @@ def diagnose_boundary(mats, sft: Sft,
     Near a non-principal component no product may come close to +-identity,
     so an identity hit is reported as its own kind.
     """
-    check_finite(mats)
+    exact = check_finite(mats)
     k_max, ell_max, n_max = budget
     budgets = {"k": k_max, "l": ell_max, "n": n_max}
-    exact = all(m.is_exact() for m in mats)
     hit = None
     hyperbolic = []
     for w, m, scale in periodic_entries(mats, sft, max(k_max, ell_max)):

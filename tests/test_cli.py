@@ -524,3 +524,22 @@ def test_classify2_invariant_beyond_the_float_range(tmp_path, capsys):
     assert code == 0
     assert doc["verdicts"] == [{"variant": "principal", "sign_pair": "++",
                                 "invariant": None}]
+
+
+@pytest.mark.parametrize("matrices, code, verdict", [
+    ([[[1e200, 0], [0, 1e-200]], [[1e200, 1], [0, 1e-200]]], 2,
+     {"variant": "degenerate", "reason": "initial twist test overflows the float range",
+      "value": 0.0}),
+    ([[[1e300, 1], [-1, 0]], [[0, -1], [1, 1e300]]], 2,
+     {"variant": "degenerate", "reason": "initial twist test overflows the float range",
+      "value": 0.0}),
+    ([[[1e160, 0], [0, 1e-160]], [[2, 1], [1, 1]]], 0,
+     {"variant": "principal", "sign_pair": "++", "invariant": None}),
+])
+def test_classify2_names_an_overflowing_twist_test(tmp_path, capsys, matrices, code, verdict):
+    # finite float pairs whose twist test reads inf - inf; the third is
+    # decided straight whatever its NaN invariant, written null
+    path = write_spec(tmp_path, {"matrices": matrices, "shift": {"type": "full"},
+                                 "mode": "float"})
+    got, doc = run(capsys, ["classify2", "--input", path])
+    assert got == code and doc["verdicts"] == [verdict]

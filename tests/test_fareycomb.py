@@ -287,7 +287,7 @@ def test_family_products_match_eval_string_exactly():
                Mat2(Fraction(1, 5), Fraction(2), Fraction(1), Fraction(-7))), "++-")]
     for pair, fword in [(pair, fword) for pair, fword, _ in pullbacks] + extra:
         family = build_order(j_of_fword(fword))
-        products = _family_products(pair, family)
+        products = _family_products(pair, family, True)
         assert set(products) == set(family.words())
         for w, (n, scale) in products.items():
             entries = (n.a, n.b, n.c, n.d)
@@ -297,7 +297,7 @@ def test_family_products_match_eval_string_exactly():
             assert math.gcd(*entries, scale) == 1, (fword, w)  # lowest terms
         # float input has scale 1 and the bits of eval_string's product
         fpair = tuple(m.to_float() for m in pair)
-        for w, (n, scale) in _family_products(fpair, family).items():
+        for w, (n, scale) in _family_products(fpair, family, False).items():
             assert scale == 1 and repr(n) == repr(eval_string(fpair, w)), (fword, w)
 
 
@@ -315,12 +315,12 @@ def test_family_products_share_prefixes(monkeypatch):
         return matmul(x, y)
 
     monkeypatch.setattr(Mat2, "__matmul__", counted)
-    _family_products((Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 2.0)), family)
+    _family_products((Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1.0, 1.0, 2.0)), family, False)
     assert len(calls) == 524
     calls.clear()
     exact = (Mat2(Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(5, 6)),
              Mat2(1, 1, 1, 2))
-    _family_products(exact, family)
+    _family_products(exact, family, True)
     assert len(calls) <= 3 * len(family.order) == 186
 
 

@@ -602,6 +602,36 @@ def test_fatten_cores_matches_the_certify_halving_reference():
     assert outcomes.count(exhausted) >= 5
 
 
+def test_fatten_cores_builds_one_full_cone_on_an_exhausted_draw(monkeypatch):
+    # the first three deep length-6 draws of the reference test's population
+    # that run all 60 halvings: the first halving's cone is rejected, and
+    # each later one retests the rejected arc alone, which fails on every
+    # one, so no other full cone is built (60 were)
+    built = []
+
+    class Counted(MultiCone):
+        def __init__(self, arcs):
+            built.append(None)
+            super().__init__(arcs)
+
+    monkeypatch.setattr(multicone, "MultiCone", Counted)
+    rng, exhausted = random.Random(606), []
+    while len(exhausted) < 3:
+        fword = "".join(rng.choice("+-") for _ in range(6))
+        pair = apply_fword_inverse(*_mild_exact_base(rng, 6), fword)
+        try:
+            cores = component_model(*pair, fword).cores
+        except HyperconeError:
+            continue
+        built.clear()
+        try:
+            fatten_cores(pair, cores)
+        except DegenerateInput as exc:
+            if "no certified fattening" in str(exc):
+                exhausted.append((fword, cores.rank, len(built)))
+    assert exhausted == [("+-+++-", 25, 1), ("-+--++", 27, 1), ("++-+-+", 29, 1)]
+
+
 def test_cores_share_one_component_action(monkeypatch):
     # criterion -> fatten -> certify -> induced on one CoreSet computes each
     # generator's U map and S map once: 2N component_map calls (5N when

@@ -12,7 +12,7 @@ from hypercone.projgeom import ArcP1, MultiCone, ProjPoint
 from hypercone.sl2core import Mat2
 from hypercone.symdyn import Sft
 from hypercone.tolerances import DEFAULT, Tolerances
-from hypercone.twoshift import Degenerate, Principal
+from hypercone.twoshift import Degenerate, EllipticWitness, NonPrincipal, Principal
 from hypercone.witness import BoundaryReport
 
 
@@ -87,3 +87,42 @@ def test_records_survive_pickle_and_copy():
                      copy.deepcopy(value)):
             assert twin == value and repr(twin) == repr(value)
     assert pickle.loads(pickle.dumps(cone)).arcs[0].length == 0.5
+
+
+VERDICTS = {
+    "Principal(sign_pair=(1, -1), invariant=-2.5)": (Principal, ((1, -1), -2.5)),
+    "NonPrincipal(fword='+-', sign_pair=(1, 1), orientation=-1, iterations=2, "
+    "invariant=7.25)": (NonPrincipal, ("+-", (1, 1), -1, 2, 7.25)),
+    "EllipticWitness(word='ABA', trace=1.5, iterations=1)": (EllipticWitness,
+                                                            ("ABA", 1.5, 1)),
+    "Degenerate(reason='tie', value=3.0)": (Degenerate, ("tie", 3.0)),
+}
+
+
+def test_verdicts_keep_the_record_semantics():
+    # each verdict writes its own slots; by position or keyword it is the
+    # same value, with the repr, hash, pickling and immutability of a Record
+    for text, (cls, args) in VERDICTS.items():
+        value = cls(*args)
+        assert value == cls(**dict(zip(cls._fields, args)))
+        assert value == cls(*args[:1], **dict(zip(cls._fields[1:], args[1:])))
+        assert repr(value) == text and hash(value) == hash(args)
+        assert value != cls(*args[:-1], "other")
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is cls and twin == value and repr(twin) == text
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for bad_args, bad_kwargs in ((args + (0,), {}), (args, {cls._fields[0]: args[0]}),
+                                     (args, {"colour": "y"})):
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
+        if cls is not Degenerate:
+            with pytest.raises(TypeError):
+                cls(*args[:-1])
+    assert Degenerate("tie") == Degenerate("tie", 0.0) == Degenerate(reason="tie")
+    assert Degenerate("tie").value == 0.0
+    assert pickle.loads(pickle.dumps(Degenerate("tie"))) == Degenerate("tie")

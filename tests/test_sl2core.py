@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
 from hypercone.errors import NoInvariantDirection, PreconditionViolated
-from hypercone.sl2core import (Mat2, c1_bound, eigen_angles, eigen_data, integer_scaled,
-                               is_exact, is_pm_identity, normalize_tuple, spectral_norm)
+from hypercone.sl2core import (Mat2, c1_bound, check_finite, eigen_angles, eigen_data,
+                               integer_scaled, is_exact, is_pm_identity, normalize_tuple,
+                               spectral_norm)
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
 from tests.reference import (MatClass, NotCanonicalizable, canonical_form, classify,
@@ -246,6 +249,43 @@ def test_mat2_norm_closed_form():
     s = m.frobenius_sq()
     expect = math.sqrt(0.5 * (s + math.sqrt(s * s - 4.0)))
     assert spectral_norm(m.a, m.b, m.c, m.d) == pytest.approx(expect, rel=1e-12)
+
+
+def test_is_exact_is_the_rational_isinstance():
+    # one answer per entry type, kept after its first entry: the same as
+    # isinstance on bool, subclasses of int, float and Fraction, and Decimal
+    class Int(int):
+        pass
+
+    class Float(float):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    values = (True, False, 7, Int(5), 1.5, Float(2.5), Fraction(1, 3), Frac(2, 7),
+              Decimal("1.5"), Decimal(2))
+    for _ in range(2):  # the first pass fills the table, the second reads it
+        for v in values:
+            assert is_exact(v) is isinstance(v, Rational), v
+    # a type keeps the answer of its first entry: registered before, it is
+    # exact; registered after, it still is not
+    early, late = type("Early", (), {}), type("Late", (), {})
+    Rational.register(early)
+    assert is_exact(early()) and not is_exact(late())
+    Rational.register(late)
+    assert isinstance(late(), Rational) and not is_exact(late())
+
+
+def test_check_finite_reports_whether_every_entry_is_exact():
+    exact = Mat2(1, Fraction(1, 2), True, 2)
+    floats = Mat2(1.0, 0.5, 0.0, 2.0)
+    assert check_finite((exact, exact)) and check_finite(())
+    for i in range(4):
+        entries = [1, Fraction(1, 2), 0, 2]
+        entries[i] = Decimal("0.5") if i == 1 else float(entries[i])
+        assert not check_finite((exact, Mat2(*entries)))
+    assert not check_finite((floats,)) and not check_finite((exact, floats))
 
 
 def test_exact_entries_survive_products():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypercone import twoshift
 from hypercone._exact import exact_cyclically_ordered, exact_dirs
 from hypercone.errors import DegenerateTie
-from hypercone.projgeom import angle_dist, angle_gap
+from hypercone.projgeom import angle_dist, angle_gap, norm_angle
 from hypercone.sl2core import Mat2, eigen_data
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
@@ -270,6 +270,34 @@ def test_orientation_exact_fallback_near_parabolic_product():
     assert isinstance(c, NonPrincipal) and c.orientation == 1
 
 
+def test_orientation_guard_reads_the_gap_across_zero(monkeypatch):
+    # the near-parabolic pair sheared so that B @ A's two directions, 2e-9
+    # either side of angle 0, sit at the two ends of [0, pi): only the
+    # cyclic gap across 0 is below the switch, and the exact fallback
+    # still decides, reading the three matrices' exact directions
+    z = Fraction(-2) - Fraction(1, 10 ** 18)
+    A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), z - 2)
+    (u, _), (s, _) = eigen_data(B @ A)
+    P = Mat2(Fraction(1), Fraction(0), -Fraction(math.tan(0.5 * (u.angle + s.angle))),
+             Fraction(1))
+    A, B = P @ A @ P.inverse(), P @ B @ P.inverse()
+    (u, _), (s, _) = eigen_data(B @ A)
+    assert u.angle > math.pi - 1e-8 and s.angle < 1e-8
+    calls = []
+    exact_dirs = twoshift._exact.exact_dirs
+
+    def spy(m):
+        calls.append(m)
+        return exact_dirs(m)
+    monkeypatch.setattr(twoshift._exact, "exact_dirs", spy)
+    D = Mat2(1, 0, 0, -1)
+    for pair, want in (((A, B), 1), ((D @ A @ D, D @ B @ D), -1)):
+        calls.clear()
+        c = classify_pair(*pair)
+        assert isinstance(c, NonPrincipal) and c.orientation == want
+        assert len(calls) == 3
+
+
 def test_classify_pair_near_parabolic_does_no_fraction_arithmetic(monkeypatch):
     # the walk and the exact orientation fallback read integer matrices only
     z = Fraction(-2) - Fraction(1, 10 ** 18)
@@ -375,14 +403,15 @@ def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
     # a rational A with a float B is walked at scale 1; when it is free at
     # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
     # orientation must read the angles of eigen_data's points of exactly
-    # those matrices
+    # those matrices (_eigen's angles, reduced as eigen_data's points are)
     calls = []
-    angles = twoshift.eigen_angles
+    eigen = twoshift._eigen
 
     def spy(a, b, c, d, s):
-        calls.append(((Mat2(a, b, c, d), s), angles(a, b, c, d, s)))
-        return calls[-1][1]
-    monkeypatch.setattr(twoshift, "eigen_angles", spy)
+        out = eigen(a, b, c, d, s)
+        calls.append(((Mat2(a, b, c, d), s), (norm_angle(out[0]), norm_angle(out[1]))))
+        return out
+    monkeypatch.setattr(twoshift, "_eigen", spy)
     for A, B in _mixed_pairs():
         calls.clear()
         c = classify_pair(A, B)
@@ -683,5 +712,67 @@ def test_invariant_beyond_the_float_range_is_infinite(monkeypatch):
     def overflowing(*args):
         raise OverflowError("int too large")
 
-    monkeypatch.setattr(twoshift, "eigen_angles", overflowing)
+    monkeypatch.setattr(twoshift, "_eigen", overflowing)
     assert classify_pair(A, B).orientation == 1
+
+
+# finite float pairs whose decision quantities leave the float range: t1 and
+# t2 come out inf - inf, a NaN, for the first two; the third is straight
+# whatever its NaN invariant
+OVERFLOW_PAIRS = (
+    (Mat2(1e200, 0.0, 0.0, 1e-200), Mat2(1e200, 1.0, 0.0, 1e-200)),
+    (Mat2(1e300, 1.0, -1.0, 0.0), Mat2(0.0, -1.0, 1.0, 1e300)),
+)
+STRAIGHT_NAN_PAIR = (Mat2(1e160, 0.0, 0.0, 1e-160), Mat2(2.0, 1.0, 1.0, 1.0))
+
+
+def test_an_overflowing_twist_test_is_named():
+    for A, B in OVERFLOW_PAIRS:
+        assert classify_pair(A, B) == Degenerate(
+            "initial twist test overflows the float range", 0.0)
+    c = classify_pair(*STRAIGHT_NAN_PAIR)
+    assert isinstance(c, Principal) and c.sign_pair == (1, 1) and math.isnan(c.invariant)
+    assert twoshift.classification_to_dict(c)["invariant"] is None
+    # at a successor test: both moves of (1e200, 1e200, 1e200) multiply two
+    # of its traces past the float range; a tie in the band still reads as
+    # one, as the plus move of (2, 3, 3), with t1 = 0, shows
+    for state, reason in (((1e200, 1e200, 1e200), "overflows the float range"),
+                          ((2.0, 3.0, 3.0), "in the boundary band")):
+        with pytest.raises(DegenerateTie, match=f"^successor twist test {reason}$"):
+            twoshift._step_select_traces(_Traces(*state), DEFAULT.band)
+
+
+def test_a_free_level_verdict_reads_three_eigen_routines_and_one_product(monkeypatch):
+    # a NonPrincipal verdict at k = 0 calls the eigen routine for B, B @ A and
+    # A, and builds one product Mat2, the form of B @ A: tr(A1 @ B1) builds
+    # none.  A Principal verdict calls neither.
+    eigen, matmul = twoshift._eigen, Mat2.__matmul__
+    calls = []
+
+    def counted_eigen(*args):
+        calls.append("eigen")
+        return eigen(*args)
+
+    def counted_matmul(x, y):
+        calls.append("matmul")
+        return matmul(x, y)
+
+    free = _strict_free_pairs(40) + [
+        pair for pair, fword, _ in pullback_population(500) if not fword][:20]
+    rng = random.Random(11)
+    principal = [(Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1)),
+                 (-Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1)),
+                  Mat2(Fraction(5, 2), Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))]
+    for _ in range(20):
+        P = rand_conj(rng)
+        D, E = Mat2.diagonal(rng.uniform(1.5, 4.0)), Mat2.diagonal(rng.uniform(1.5, 4.0))
+        principal.append((P @ D @ P.inverse(), -(P @ E @ P.inverse())))
+    monkeypatch.setattr(twoshift, "_eigen", counted_eigen)
+    monkeypatch.setattr(Mat2, "__matmul__", counted_matmul)
+    for pairs, kind, want in ((free, NonPrincipal, ["eigen"] * 3 + ["matmul"]),
+                              (principal, Principal, [])):
+        for A, B in pairs:
+            calls.clear()
+            c = classify_pair(A, B)
+            assert isinstance(c, kind) and getattr(c, "iterations", 0) == 0, c
+            assert sorted(calls) == want, (A, B)
