@@ -20,12 +20,13 @@ assembles the unstable/stable arc systems
 
     I_u(w) = [u(w^-), u(w)]   and   I_s(w) = [s(w), s(w^+)]
 
-over the center words w, together with the symbolic action table: a generator
-acts exactly on the center words ending with its letter (cyclically shifting
-the final letter to the front, base point x -> x - p/q) and absorbs all others
-into its sink word, Theta(0) for A and Theta(1 - 1/q) for B.  The last word
-ending with each letter, Theta(p/q) for A and Theta((p - 1)/q) for B, shifts
-onto that letter's sink, so its entry is not exact.
+over the center words w.  The symbolic action table, action_table(p/q), is
+the fraction's alone: a generator acts exactly on the center words ending
+with its letter (cyclically shifting the final letter to the front, base
+point x -> x - p/q) and absorbs all others into its sink word, Theta(0) for
+A and Theta(1 - 1/q) for B.  The last word ending with each letter,
+Theta(p/q) for A and Theta((p - 1)/q) for B, shifts onto that letter's
+sink, so its entry is not exact.
 
 Base points are integer indices: Theta(k/q) reads the codes of k, k + p,
 k + 2p, ... mod q, and stepping along the orbit adds multiples of p mod q.
@@ -187,7 +188,7 @@ def action_table(f: Fraction) -> dict:
 
 
 class ComponentModel(Record):
-    __slots__ = ("fraction", "orientation", "family", "cores", "table",
+    __slots__ = ("fraction", "orientation", "family", "cores",
                  "u_points",   # word -> ProjPoint
                  "s_points")
 
@@ -265,7 +266,7 @@ def _class_products(forms, family: OrderedFamily) -> dict:
 
 
 def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
-    """Cores and action table of the component containing (A, B).
+    """Cores and direction points of the component containing (A, B).
 
     The pair must classify into the component with the given sign word (with
     both traces normalized positive); the computed directions are checked
@@ -314,5 +315,4 @@ def component_model(A: Mat2, B: Mat2, fword: str) -> ComponentModel:
     cores = CoreSet(u_arcs=tuple(sorted(u_arcs, key=lambda a: a.start.angle)),
                     s_arcs=tuple(sorted(s_arcs, key=lambda a: a.start.angle)))
     return ComponentModel(fraction=f, orientation=orientation, family=family,
-                          cores=cores, table=action_table(f),
-                          u_points=u_pts, s_points=s_pts)
+                          cores=cores, u_points=u_pts, s_points=s_pts)

@@ -107,10 +107,11 @@ def component_diagram(model, cone: MultiCone | None = None, note: str = "") -> s
     """Diagram of a fareycomb.ComponentModel: its cores, the labeled U and S
     points, and an arrow for each generator that moves a U point; titled by
     the component's fraction, then the note."""
+    from .fareycomb import action_table
     points = {f"u({w})": p.angle for w, p in model.u_points.items()}
     points.update({f"s({w})": p.angle for w, p in model.s_points.items()})
     arrows = [(model.u_points[w].angle, model.u_points[target].angle, g)
-              for w, row in model.table.items()
+              for w, row in action_table(model.fraction).items()
               for g, (target, _) in row.items() if w != target]
     frac = model.fraction
     return svg_diagram(cores=model.cores, cone=cone, points=points, arrows=arrows,

@@ -23,6 +23,14 @@ t1^2 - (x^2-4)(y^2-4) = 4*t2.  On exact (rational) inputs the whole walk is
 decided without any boundary band; on floats a band around each strict
 comparison reports a degenerate outcome instead of guessing.
 
+Both moves keep the Fricke form (Goldman, "Trace coordinates on Fricke
+spaces", 2009), so t2 is the same at every state: it is read once, from the
+first state's Fricke form, which also gives the reported invariant, and the
+walk goes on only when it is > band.  A successor is then twisted iff its t1
+is positive, 2*y - x*z for the plus successor (x, z, x*z - y) and 2*x - y*z
+for the minus one (z, y, y*z - x): each successor test is one sign read off
+the current state, and only the successor taken is built.
+
 The walk runs on traces in lowest terms, (X, Y, Z, p, q, r) standing for
 x = X/p, y = Y/q, z = Z/r with positive integer denominators, each prime to
 its numerator.  On rational input they start from integer_scaled's integer
@@ -36,10 +44,12 @@ so the state stands for the rationals themselves and shrinks as the walk
 undoes a pullback, instead of carrying a scale that multiplies at every
 step.  The decision quantities scale by positive integers,
 
-    p*q*r * t1         = X*Y*r - 2*Z*p*q
-    (p*q*r)^2 * t2     = (X*q*r)^2 + (Y*p*r)^2 + (Z*p*q)^2 - X*Y*Z*p*q*r
-                         - 4*(p*q*r)^2
-    r * (|z| - 2)      = |Z| - 2*r,
+    p*q*r * t1          = X*Y*r - 2*Z*p*q
+    (p*q*r)^2 * t2      = (X*q*r)^2 + (Y*p*r)^2 + (Z*p*q)^2 - X*Y*Z*p*q*r
+                          - 4*(p*q*r)^2
+    p*q*r * (2*y - x*z) = 2*Y*p*r - X*Z*q
+    p*q*r * (2*x - y*z) = 2*X*q*r - Y*Z*p
+    r * (|z| - 2)       = |Z| - 2*r,
 
 so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
@@ -72,7 +82,7 @@ from typing import NamedTuple, Union
 
 from . import _exact
 from ._record import Record
-from .errors import DegenerateTie
+from .errors import DegenerateTie, NoInvariantDirection
 from .projgeom import angle_gap, cyclically_ordered, norm_angle
 from .sl2core import Mat2, _eigen, check_finite, form_product, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
@@ -121,17 +131,11 @@ def _fricke(s: _Traces):
     return Xqr * Xqr + Ypr * Ypr + Zpq * Zpq - X * Y * Z * (p * qr)
 
 
-def pair_unstep(A: Mat2, B: Mat2, sign: str) -> tuple[Mat2, Mat2]:
-    """Inverse of a regeneration move (used to build members of a component)."""
-    if sign == "+":
-        return (A, A.inverse() @ B)
-    return (B.inverse() @ A, B)
-
-
 def apply_fword_inverse(A: Mat2, B: Mat2, fword: str) -> tuple[Mat2, Mat2]:
-    """Pair whose walk performs exactly the given sign sequence to reach (A, B)."""
+    """Pair whose walk performs exactly the given sign sequence to reach (A, B),
+    undoing the regeneration moves in reverse."""
     for sign in reversed(fword):
-        A, B = pair_unstep(A, B, sign)
+        A, B = (A, A.inverse() @ B) if sign == "+" else (B.inverse() @ A, B)
     return A, B
 
 
@@ -202,43 +206,22 @@ Classification2 = Union[Principal, NonPrincipal, EllipticWitness, Degenerate]
 
 
 # ---------------------------------------------------------------------------
-# state tests on lowest-terms traces (x, y assumed >= 2); a non-zero band
-# comes only with denominator 1, where the scaled quantities are t1 and t2
-# themselves.  A test that is neither straight nor twisted is a tie: in the
-# band, or (_OVERFLOW) a NaN from float traces whose products leave the
-# float range, such as inf - inf
+# twist tests on lowest-terms traces (x, y assumed >= 2), each the sign of one
+# scaled quantity; a non-zero band comes only with denominator 1, where the
+# scaled quantities are the plain ones.  A sign that is neither straight nor
+# twisted is a tie: in the band, or (_OVERFLOW) a NaN from float traces whose
+# products leave the float range, such as inf - inf
 
 _TWISTED, _STRAIGHT, _BOUNDARY, _OVERFLOW = 1, 0, -1, -2
 
 
-def _lowest_traces(X, Y, Z, a: int, b: int) -> _Traces:
-    """The state of the traces X/a, Y/b and Z/(a*b); scales 1, which float
-    input has, are the state as they stand."""
-    if a == 1 and b == 1:
-        return _Traces(X, Y, Z)
-    X, p = _lowest(X, a)
-    Y, q = _lowest(Y, b)
-    Z, r = _lowest(Z, a * b)
-    return _Traces(X, Y, Z, p, q, r)
-
-
-def _twist_state(s: _Traces, band) -> int:
-    # p*q*r t1 and (p*q*r)^2 t2, sharing their products; t1 first, since a
-    # successor that is straight by t1 needs no t2
-    X, Y, Z, p, q, r = s
-    pq = p * q
-    XYr, Zpq = X * Y * r, Z * pq
-    t1 = XYr - 2 * Zpq
-    if t1 < -band:
-        return _STRAIGHT
-    Xqr, Ypr, pqr = X * (q * r), Y * (p * r), pq * r
-    t2 = Xqr * Xqr + Ypr * Ypr + Zpq * Zpq - XYr * Zpq - 4 * pqr * pqr
-    if t2 < -band:
-        return _STRAIGHT
-    if t1 > band and t2 > band:
+def _sign(t, band) -> int:
+    if t > band:
         return _TWISTED
-    # a NaN fails every comparison above; only this rare path reads it
-    return _OVERFLOW if t1 != t1 or t2 != t2 else _BOUNDARY
+    if t < -band:
+        return _STRAIGHT
+    # a NaN fails both comparisons above; only this rare path reads it
+    return _OVERFLOW if t != t else _BOUNDARY
 
 
 def _tie(test: str, state: int) -> DegenerateTie:
@@ -248,48 +231,39 @@ def _tie(test: str, state: int) -> DegenerateTie:
     return DegenerateTie(f"{test} twist test in the boundary band")
 
 
-class Step:
-    PLUS = "+"
-    MINUS = "-"
-    FREE = "free"
-    ELLIPTIC = "elliptic"
-
-
-def _step_select_traces(s: _Traces, band):
-    """(step, the successor state it steps to, or None when the walk ends)."""
-    Z, r = s.Z, s.r
+def _step_select_traces(s: _Traces, band) -> str:
+    """The step the walk takes from s, a state whose t2 is > band: "+",
+    "-", "free" or "elliptic"."""
+    X, Y, Z, p, q, r = s
     if abs(Z) < (2 - band) * r:
-        return Step.ELLIPTIC, None
+        return "elliptic"
     if Z < (-2 + band) * r:
         if Z > (-2 - band) * r:
             raise DegenerateTie("tr AB in the band around -2", Z / r)
-        return Step.FREE, None
+        return "free"
     if Z < (2 + band) * r:
         # Z < 0 here only on the edge (-2 + band) r, Z = -2r at band 0
         raise DegenerateTie(f"tr AB in the band around {-2 if Z < 0 else 2}", Z / r)
-    succ_plus, succ_minus = _step_plus(s), _step_minus(s)
-    plus = _twist_state(succ_plus, band)
-    minus = _twist_state(succ_minus, band)
+    # each successor's t1, scaled by p*q*r: with t2 invariant, all its test
+    plus = _sign(2 * Y * p * r - X * Z * q, band)
+    minus = _sign(2 * X * q * r - Y * Z * p, band)
     if plus < 0 or minus < 0:
         raise _tie("successor", min(plus, minus))
-    if plus == _TWISTED and minus == _TWISTED:
-        raise DegenerateTie("both successor pairs test twisted")
-    if plus == _STRAIGHT and minus == _STRAIGHT:
-        raise DegenerateTie("neither successor pair tests twisted")
-    if plus == _TWISTED:
-        return Step.PLUS, succ_plus
-    return Step.MINUS, succ_minus
+    if plus == minus:
+        raise DegenerateTie("both successor pairs test twisted" if plus == _TWISTED
+                            else "neither successor pair tests twisted")
+    return "+" if plus == _TWISTED else "-"
 
 
 # ---------------------------------------------------------------------------
 # orientation of a free pair
 
 
-def _orientation(A, B, BA, exact: bool | None = None) -> int:
+def _orientation(A, B, BA, exact: bool) -> int:
     """Orientation of the free pair given as (matrix, scale) forms, with BA
     the form of B @ A; scales other than 1 come only with integer matrices,
     and at scale 1 any matrix is read by _eigen.  exact says whether every
-    entry of the pair is exact, read off A and B when None.
+    entry of the pair is exact.
 
     The four directions u_B, u_BA, s_BA and s_A are the angles of
     eigen_data's points, with their bits: _eigen's angles of B, B @ A and A,
@@ -300,6 +274,9 @@ def _orientation(A, B, BA, exact: bool | None = None) -> int:
     only for equal angles (a difference of two distinct floats is not 0),
     where angle_dist of two angles below pi/2 and one ulp apart can round
     to 0.
+
+    A member with no eigendirection, which hyperbolic traces rule out at
+    det 1 but not on a float pair rounded off SL(2, R), is a named tie.
     """
     (m, s), (n, t), (k, r) = A, B, BA
     try:
@@ -311,8 +288,9 @@ def _orientation(A, B, BA, exact: bool | None = None) -> int:
         min_gap = min(x - w, y - x, z - y, angle_gap(z, w))
     except OverflowError:  # integer forms beyond the float range: exact order
         min_gap = 0.0
-    if min_gap > 100 * DEFAULT.angle or not (
-            exact if exact is not None else m.is_exact() and n.is_exact()):
+    except NoInvariantDirection as err:
+        raise DegenerateTie(f"free pair: {err}") from None
+    if min_gap > 100 * DEFAULT.angle or not exact:
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
         if cyclically_ordered((uB, uBA, sBA, sA)):
@@ -376,44 +354,44 @@ def _classify(A: Mat2, B: Mat2, exact: bool) -> Classification2:
 
     # tr(A1 @ B1) in Mat2.__matmul__'s association, so a float keeps its bits
     Z = (A1.a * B1.a + A1.b * B1.c) + (A1.c * B1.b + A1.d * B1.d)
-    s = _lowest_traces(X, Y, Z, a, b)
-    pqr = s.p * s.q * s.r
+    (X, p), (Y, q), (Z, r) = _lowest(X, a), _lowest(Y, b), _lowest(Z, a * b)
+    s = _Traces(X, Y, Z, p, q, r)
+    pq, pqr = p * q, p * q * r
+    fricke = _fricke(s)
     try:
-        inv = float(_fricke(s) / (pqr * pqr))
+        inv = float(fricke / (pqr * pqr))
     except OverflowError:  # an exact invariant beyond the float range
-        inv = inf if _fricke(s) > 0 else -inf
-    state = _twist_state(s, band)
-    if state == _STRAIGHT:
+        inv = inf if fricke > 0 else -inf
+    t1 = _sign(X * Y * r - 2 * Z * pq, band)
+    t2 = _sign(fricke - 4 * pqr * pqr, band)
+    if _STRAIGHT in (t1, t2):
         return Principal(sign_pair, inv)
-    if state < 0:
-        raise _tie("initial", state)
+    if min(t1, t2) < 0:
+        raise _tie("initial", min(t1, t2))
 
     # floor((x + y) / 4) - 1, with x + y = t0 / (p*q)
-    pq = s.p * s.q
-    t0 = s.X * s.q + s.Y * s.p
+    t0 = X * q + Y * p
     bound = t0 // (4 * pq) - 1
-    fword = []
-    k = 0
+    fword = ""
     while True:
-        step, succ = _step_select_traces(s, band)
-        if step == Step.FREE:
+        step = _step_select_traces(s, band)
+        if step == "free":
             # the walked pair, rebuilt by the same products the walk implies
             Ak, Bk = (A1, a), (B1, b)
             for sign in fword:
-                if sign == Step.PLUS:
+                if sign == "+":
                     Bk = form_product(Ak, Bk)
                 else:
                     Ak = form_product(Bk, Ak)
             orient = _orientation(Ak, Bk, form_product(Bk, Ak), exact)
-            return NonPrincipal("".join(fword), sign_pair, orient, k, inv)
-        if step == Step.ELLIPTIC:
-            wa, wb = fword_substitution("".join(fword))
-            return EllipticWitness(wa + wb, float(s.Z / s.r), k)
-        if k + 1 > bound:
+            return NonPrincipal(fword, sign_pair, orient, len(fword), inv)
+        if step == "elliptic":
+            wa, wb = fword_substitution(fword)
+            return EllipticWitness(wa + wb, float(s.Z / s.r), len(fword))
+        if len(fword) >= bound:
             raise DegenerateTie("walk exceeded its termination bound", t0 / pq)
-        s = succ
-        fword.append(step)
-        k += 1
+        s = _step_plus(s) if step == "+" else _step_minus(s)
+        fword += step
 
 
 def classification_to_dict(c: Classification2) -> dict:

@@ -42,7 +42,6 @@ from hypercone.projgeom import ArcP1, MultiCone, ProjPoint, angle_dist
 from hypercone.sl2core import Mat2, eigen_data, integer_scaled, is_pm_identity
 from hypercone.symdyn import LETTERS, Sft, Word
 from hypercone.tolerances import DEFAULT
-from hypercone.twoshift import _BOUNDARY, _TWISTED, _lowest_traces, _twist_state
 
 
 class NotCanonicalizable(HyperconeError):
@@ -212,12 +211,21 @@ def is_twisted(A: Mat2, B: Mat2, band: float = 0.0) -> bool:
                                     else abs(float(m.trace())) < 2.0):
             return False
     x, y, z = A.trace(), B.trace(), (A @ B).trace()
-    sx = 1 if x >= 0 else -1
-    sy = 1 if y >= 0 else -1
-    st = _twist_state(_lowest_traces(sx * x, sy * y, sx * sy * z, a, b), band)
-    if st == _BOUNDARY and band > 0:
+    if exact:
+        x, y, z = Fraction(x, a), Fraction(y, b), Fraction(z, a * b)
+    if x < 0:
+        x, z = -x, -z
+    if y < 0:
+        y, z = -y, -z
+    # gamma < 0 iff t1 > 0 and t2 > 0, with both traces >= 2
+    t1, t2 = x * y - 2 * z, x * x + y * y + z * z - x * y * z - 4
+    if t1 < -band or t2 < -band:
+        return False
+    if t1 > band and t2 > band:
+        return True
+    if band > 0:
         raise DegenerateTie("twist test in the boundary band")
-    return st == _TWISTED
+    return False
 
 
 # ---------------------------------------------------------------------------

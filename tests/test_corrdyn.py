@@ -11,7 +11,7 @@ from hypercone.corrdyn import (CombMulticone, Morphism, classify_two_morphism,
                                winding_matrix)
 from hypercone.errors import (EllipticAlongWord, NotMonotonic,
                               StructureViolation)
-from hypercone.fareycomb import component_model, j_of_fword
+from hypercone.fareycomb import action_table, component_model, j_of_fword
 from hypercone.multicone import core_criterion
 from hypercone.sl2core import Mat2
 from hypercone.twoshift import apply_fword_inverse
@@ -225,8 +225,9 @@ def test_induced_morphism_2_5(mild_free_pair_exact):
         # entries alike: U slot j is the j-th core arc by start angle, and
         # the arc of center word w ends at u(w)
         ends = [a.end for a in model.cores.u_arcs]
-        slot = {w: ends.index(model.u_points[w]) for w in model.table}
-        for w, row in model.table.items():
+        table = action_table(model.fraction)
+        slot = {w: ends.index(model.u_points[w]) for w in table}
+        for w, row in table.items():
             for gen, letter in zip(phi.gens, "AB"):
                 assert phi.mc.slot(gen.u_of(phi.mc.u_label(slot[w]))) == \
                     slot[row[letter][0]], (fword, w, letter)

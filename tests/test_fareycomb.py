@@ -220,7 +220,7 @@ def test_component_model_action_consistency(free_pair_exact):
     model = component_model(*pair, "+-")
     assert model.cores.rank == 5
     # the symbolic action transports unstable points exactly
-    for w, row in model.table.items():
+    for w, row in action_table(model.fraction).items():
         target, exact = row["A"]
         if exact:
             m = eval_string(pair, w)

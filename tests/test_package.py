@@ -1,9 +1,10 @@
 """The package exports load on first use, each CLI subcommand imports only
-the modules it calls, and every library name and export has a reader
-outside the tests."""
+the modules it calls, every library name and export has a reader outside
+the tests, and every decision constant has a row in tolerances' ledger."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import hypercone
+from hypercone import tolerances
+from hypercone.tolerances import DEFAULT
 
 
 def loaded_after(code: str) -> set[str]:
@@ -440,3 +443,53 @@ def test_every_export_has_a_reader():
     reads = library_reads()
     unread = sorted(n for n, m in hypercone._EXPORTS.items() if f"{m}.{n}" not in reads)
     assert not unread, f"exported, but read only by tests: {unread}"
+
+
+LEDGER_STATUSES = {"band", "allowance", "remove"}
+
+
+def ledger() -> dict[tuple[str, object], set[str]]:
+    """(module, constant) -> statuses, read off the table in tolerances'
+    docstring; a constant is a float or 'DEFAULT.<field>'."""
+    out: dict[tuple[str, object], set[str]] = {}
+    for line in tolerances.__doc__.splitlines():
+        words = line.split()
+        if len(words) < 3 or not line.startswith("    ") or words[0] not in LEDGER_STATUSES:
+            continue
+        status, module = words[:2]
+        rest = " ".join(words[2:])
+        consts = re.findall(r"DEFAULT\.\w+", rest) + [
+            float(v) for v in re.findall(r"(?<![\w.])\d+(?:\.\d+)?e-\d+", rest)]
+        assert consts, line
+        for c in consts:
+            out.setdefault((module, c), set()).add(status)
+    return out
+
+
+def decision_constants() -> set[tuple[str, object]]:
+    """(module, constant) for every float literal below 1e-3 and every
+    DEFAULT field read in src/, bar tolerances, which declares the fields."""
+    fields = set(DEFAULT._fields)
+    found = set()
+    for module, tree in MODULES.items():
+        if module == "tolerances":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0 < node.value < 1e-3):
+                found.add((module, node.value))
+            elif (isinstance(node, ast.Attribute) and node.attr in fields
+                  and isinstance(node.value, ast.Name) and node.value.id == "DEFAULT"):
+                found.add((module, f"DEFAULT.{node.attr}"))
+    return found
+
+
+def test_every_decision_constant_is_in_the_tolerance_ledger():
+    table, found = ledger(), decision_constants()
+    missing = sorted(map(str, found - set(table)))
+    assert not missing, f"constants not in tolerances' ledger: {missing}"
+    stale = sorted(map(str, set(table) - found))
+    assert not stale, f"ledger rows src/ no longer holds: {stale}"
+    for (module, const), statuses in table.items():
+        assert len(statuses) == 1, (module, const, statuses)
+        assert (statuses == {"band"}) == isinstance(const, str), (module, const)

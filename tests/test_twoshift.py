@@ -30,12 +30,13 @@ def traces(A: Mat2, B: Mat2) -> _Traces:
 
 def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
     """Which alternative holds for a twisted pair with tr A, tr B >= 2."""
-    return twoshift._step_select_traces(traces(A, B), band)[0]
+    return twoshift._step_select_traces(traces(A, B), band)
 
 
 def orientation(A: Mat2, B: Mat2) -> int:
     """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    return twoshift._orientation((A, 1), (B, 1), (B @ A, 1))
+    return twoshift._orientation((A, 1), (B, 1), (B @ A, 1),
+                                 A.is_exact() and B.is_exact())
 
 
 def test_trace_steps_printed_examples():
@@ -346,7 +347,7 @@ def test_exact_near_identity_generator_is_decided():
 def test_exact_walk_state_stays_in_lowest_terms(monkeypatch):
     # on deep pullback draws every state the walk reads is in lowest terms,
     # the free level carries the base pair's reduced denominators, and each
-    # step builds its two successors once
+    # step builds the one successor it takes
     states, builds = [], []
     select = twoshift._step_select_traces
 
@@ -368,7 +369,7 @@ def test_exact_walk_state_stays_in_lowest_terms(monkeypatch):
         c = classify_pair(A, B)
         assert isinstance(c, NonPrincipal) and c.fword == fword
         assert len(states) == len(fword) + 1
-        assert len(builds) <= 2 * len(fword)
+        assert len(builds) == len(fword)
         for s in states + builds:
             X, Y, Z, p, q, r = s
             assert all(type(v) is int for v in s) and min(p, q, r) > 0
@@ -461,7 +462,7 @@ def _point_orientation(A, B):
 
 def test_orientation_matches_the_point_reference():
     # classify_pair's orientation of the walked pair and
-    # _orientation read eigen_angles; both must give what the
+    # _orientation read sl2core._eigen; both must give what the
     # ProjPoints of eigen_data and the point cyclic test give
     exact = [pair for pair, _, _ in pullback_population(500)]
     z = Fraction(-2) - Fraction(1, 10 ** 18)
@@ -671,12 +672,12 @@ def test_float_walk_is_the_unscaled_walk(monkeypatch):
 
     # a mixed pair is walked at denominator 1 and with the float band
     calls = []
-    twist_state = twoshift._twist_state
+    select = twoshift._step_select_traces
 
     def spy(s, band):
         calls.append((s.p, s.q, s.r, band))
-        return twist_state(s, band)
-    monkeypatch.setattr(twoshift, "_twist_state", spy)
+        return select(s, band)
+    monkeypatch.setattr(twoshift, "_step_select_traces", spy)
     assert isinstance(classify_pair(*mixed), NonPrincipal)
     assert calls and set(calls) == {(1, 1, 1, DEFAULT.band)}
     calls.clear()
@@ -733,10 +734,10 @@ def test_an_overflowing_twist_test_is_named():
     c = classify_pair(*STRAIGHT_NAN_PAIR)
     assert isinstance(c, Principal) and c.sign_pair == (1, 1) and math.isnan(c.invariant)
     assert twoshift.classification_to_dict(c)["invariant"] is None
-    # at a successor test: both moves of (1e200, 1e200, 1e200) multiply two
-    # of its traces past the float range; a tie in the band still reads as
-    # one, as the plus move of (2, 3, 3), with t1 = 0, shows
-    for state, reason in (((1e200, 1e200, 1e200), "overflows the float range"),
+    # at a successor test: the plus successor's t1 of (1e200, 1e308, 1e200),
+    # 2y - xz, reads inf - inf; a tie in the band still reads as one, as the
+    # plus move of (2, 3, 3), with t1 = 0, shows
+    for state, reason in (((1e200, 1e308, 1e200), "overflows the float range"),
                           ((2.0, 3.0, 3.0), "in the boundary band")):
         with pytest.raises(DegenerateTie, match=f"^successor twist test {reason}$"):
             twoshift._step_select_traces(_Traces(*state), DEFAULT.band)
@@ -776,3 +777,90 @@ def test_a_free_level_verdict_reads_three_eigen_routines_and_one_product(monkeyp
             c = classify_pair(A, B)
             assert isinstance(c, kind) and getattr(c, "iterations", 0) == 0, c
             assert sorted(calls) == want, (A, B)
+
+
+class _Graded(float):
+    """A float that knows its degree as a polynomial in the traces of one
+    state (integers have degree 0); every product it takes part in logs its
+    degree in `products`."""
+
+    products: list = []
+
+    def __new__(cls, value, degree=1):
+        self = super().__new__(cls, value)
+        self.degree = degree
+        return self
+
+    def __mul__(self, other):
+        degree = self.degree + getattr(other, "degree", 0)
+        _Graded.products.append(degree)
+        return _Graded(float(self) * float(other), degree)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Graded(float(self) + float(other), max(self.degree, getattr(other, "degree", 0)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Graded(float(self) - float(other), max(self.degree, getattr(other, "degree", 0)))
+
+    def __rsub__(self, other):
+        return _Graded(float(other) - float(self), max(self.degree, getattr(other, "degree", 0)))
+
+
+def test_a_walk_of_k_steps_builds_k_successors_and_no_successor_t2(monkeypatch, elliptic_walk_pair):
+    # both moves keep the Fricke form, so t2 is read once, from the first
+    # state's _fricke; a successor's test is then its t1, read off the
+    # current state, and only the successor taken is built
+    draws = [(pair, fword) for pair, fword, _ in pullback_population(500)]
+    draws += [((A.to_float(), B.to_float()), fword) for (A, B), fword in draws]
+    # every successor test forms products of at most two of the state's
+    # traces: a successor's t2 would take a product of three or four
+    _Graded.products.clear()
+    tested = 0
+    for (A, B), fword in draws:
+        A1 = A if A.trace() >= 0 else -A
+        B1 = B if B.trace() >= 0 else -B
+        if fword and not any(isinstance(v, Fraction) for v in (A1.a, A1.b, A1.c, A1.d)):
+            state = _Traces(*(_Graded(v) for v in traces(A1, B1)[:3]))
+            assert twoshift._step_select_traces(state, DEFAULT.band) == fword[0]
+            tested += 1
+    assert tested > 100 and max(_Graded.products) == 2
+    calls = []
+    for name in ("_step_plus", "_step_minus", "_fricke"):
+        def spy(s, _f=getattr(twoshift, name), _name=name):
+            calls.append(_name)
+            return _f(s)
+        monkeypatch.setattr(twoshift, name, spy)
+    walked = 0
+    pairs = [pair for pair, _ in draws] + [elliptic_walk_pair] + _strict_free_pairs(20)
+    for A, B in pairs:
+        calls.clear()
+        c = classify_pair(A, B)
+        if isinstance(c, Degenerate):
+            continue
+        assert calls.count("_fricke") == 1, (A, B)
+        assert len(calls) - 1 == getattr(c, "iterations", 0), (A, B, c)
+        walked += len(calls) > 1
+    assert walked > 700
+
+
+# float pairs rounded off SL(2, R) (det 1 - 8e-6 and 1 - 1.2e-2) whose traces
+# walk to a free level where a rebuilt member is elliptic; the second read as
+# Fractions too
+NO_DIRECTION_PAIRS = (
+    (Mat2(136504.13527362258, 268115.3413226203, 593070.0198590616, 1164881.7120813779),
+     Mat2(19317.887625396692, -4446.307267214542, -9835.213691459712, 2263.724893681137)),
+    (Mat2(61.49039954443604, 121.98619141184305, 285.18495273630106, 565.7732994095626),
+     Mat2(21792028.960012708, -4698491.392751527, -10984569.733857619, 2368338.737173734)),
+)
+
+
+def test_a_walked_member_without_a_direction_is_degenerate():
+    exact = tuple(Mat2(*(Fraction(v) for v in (m.a, m.b, m.c, m.d)))
+                  for m in NO_DIRECTION_PAIRS[1])
+    for A, B in NO_DIRECTION_PAIRS + (exact,):
+        assert classify_pair(A, B) == Degenerate(
+            "free pair: elliptic matrix has no invariant direction", 0.0)
