@@ -82,10 +82,6 @@ class DegenerateTie(HyperconeError):
         self.value = float(value)
 
 
-class DetDrift(HyperconeError):
-    """Determinant of a long product drifted away from 1."""
-
-
 class WitnessUnverified(HyperconeError):
     """A witness failed its re-verification from a product built from scratch.
 

@@ -254,10 +254,10 @@ class CoreSet(Record):
     _fields = __slots__[:-1]
     _defaults = {"u_words": (), "s_words": (), "word_length": 0}
 
-    def action(self, m: Mat2, stable: bool = False, fm: Mat2 | None = None):
-        """component_map of m's float form fm (m.to_float() if None) on the
-        U arcs or, stable, of its exact inverse's float form on the S arcs;
-        held per generator object once it succeeds, so a failure recurs."""
+    def action(self, m: Mat2, stable: bool = False):
+        """component_map of m's float form on the U arcs or, stable, of its
+        exact inverse's float form on the S arcs; held per generator object
+        once it succeeds, so a failure recurs."""
         maps = getattr(self, "_maps", None)
         if maps is None:
             maps = {}
@@ -266,8 +266,7 @@ class CoreSet(Record):
         if key in maps and maps[key][0] is m:
             return maps[key][1]
         arcs = self.s_arcs if stable else self.u_arcs
-        out = component_map(m.inverse().to_float() if stable else fm or m.to_float(),
-                            arcs, arcs)
+        out = component_map((m.inverse() if stable else m).to_float(), arcs, arcs)
         maps[key] = (m, out)  # m held, so no other object takes its id
         return out
 
@@ -690,7 +689,7 @@ def fatten_cores(mats, cores: CoreSet) -> MultiCone:
     raw_edges: list[list] = [[] for _ in nodes]
     for m, fm, abs_det in zip(mats, fmats, abs_dets):
         try:
-            targets = cores.action(m, fm=fm)
+            targets = cores.action(m)
         except AmbiguousIncidence as exc:
             raise DegenerateInput("cores are not invariant; cannot fatten") from exc
         for j, tgt in enumerate(targets):

@@ -176,9 +176,17 @@ def check_finite(mats) -> bool:
 
 
 def check_unimodular(m: Mat2) -> Mat2:
+    """m, unless check_finite refuses it or its determinant, read exactly (a
+    float as the dyadic rational it is), is not 1, within DEFAULT.det on
+    float or mixed input: DegenerateInput.  In integers, |det n - s^2| is
+    held against DEFAULT.det s^2 for n, s = integer_scaled(m); the message's
+    det n / s^2 raises OverflowError past the float range."""
     check_finite((m,))
-    if abs(float(m.det()) - 1.0) > DEFAULT.det:
-        raise DegenerateInput(f"matrix determinant {float(m.det())} is not 1")
+    n, s = integer_scaled(m)
+    det, ss = n.det(), s * s
+    tol, den = (0, 1) if m.is_exact() else DEFAULT.det.as_integer_ratio()
+    if abs(det - ss) * den > tol * ss:
+        raise DegenerateInput(f"matrix determinant {det / ss} is not 1")
     return m
 
 
@@ -307,8 +315,12 @@ def normalize_tuple(mats, C: float) -> tuple[Mat2, list[Mat2]]:
     the largest matrix's diagonal pressure) followed by a diagonal balancing
     of the off-diagonal maxima; both stages snap to the identity when their
     goal already holds, which makes the map idempotent up to rounding.
+    Each matrix must pass check_unimodular, since the bound's chain reads
+    |y z| <= 1 + |x t|, which holds at det 1.
     """
     check_finite(mats)
+    for m in mats:
+        check_unimodular(m)
     if not 0.0 <= C < math.inf:  # NaN fails both comparisons
         raise PreconditionViolated(f"trace bound {C} is not a finite number >= 0")
     mats = [m.to_float() for m in mats]

@@ -17,7 +17,9 @@ the word's product being entries / scale, each node's entries made from its
 parent's in Mat2.__matmul__'s order: product()'s bits and scale 1 on float
 or mixed input; on exact input the product of the integer_scaled generators
 and of their scales, so no Fraction is multiplied.  The exported functions
-refuse a NaN or infinite entry first (sl2core.check_finite).
+refuse a NaN or infinite entry first (sl2core.check_finite).  No product's
+determinant is read: the input's is sl2core.check_unimodular's question, and
+a float product's a*d - b*c cancels to noise once its entries pass about 1e5.
 
 hyperbolicity_rate reads the cyclic walk with a Frobenius cut: ||P||^2 >=
 |P|_F^2 / 2, so a class whose entry-square sum is past 2 (best (1 +
@@ -33,18 +35,13 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import (DegenerateInput, DetDrift, InadmissibleWord, PreconditionViolated,
+from .errors import (DegenerateInput, InadmissibleWord, PreconditionViolated,
                      SearchBudgetExceeded)
-from .sl2core import Mat2, check_finite, integer_scaled, is_exact, spectral_norm
+from .sl2core import Mat2, check_finite, integer_scaled, spectral_norm
 
 Word = tuple[int, ...]
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-# largest | |det| - 1 | a float product of more than 64 factors may reach;
-# generators of determinant -1 are allowed, so the sign is not checked
-DET_DRIFT = 1e-6
-DRIFT_FREE_LEN = 64
 
 
 def render_word(w: Word) -> str:
@@ -100,14 +97,6 @@ class Sft(Record):
     def ok(self, a: int, b: int) -> bool:
         return self.allowed[a][b]
 
-def _check_drift(m, length: int) -> None:
-    """Float entries (a, b, c, d) of a word of length > DRIFT_FREE_LEN must
-    keep det near +-1 (else DetDrift); shorter words are not checked."""
-    if not all(map(is_exact, m)):
-        det = float(m[0] * m[3] - m[1] * m[2])
-        if abs(abs(det) - 1.0) > DET_DRIFT:
-            raise DetDrift(f"det drifted to {det} over {length} factors")
-
 
 def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     """Cocycle product along the word (last symbol leftmost)."""
@@ -122,8 +111,6 @@ def product(mats, w: Word, sft: Sft | None = None) -> Mat2:
     out = mats[w[0]]
     for s in w[1:]:
         out = mats[s] @ out
-    if len(w) > DRIFT_FREE_LEN:
-        _check_drift((out.a, out.b, out.c, out.d), len(w))
     return out
 
 
@@ -171,15 +158,12 @@ def _entry_tuples(mats, sft: Sft) -> tuple[list[tuple], list[int] | None]:
 
 def admissible_entries(mats, sft: Sft, n_max: int):
     """(word, (a, b, c, d), S) for every admissible word of length 1..n_max,
-    shortlex: product(mats, word, sft) as entries / S, DetDrift included."""
+    shortlex: product(mats, word, sft) as entries / S."""
     ents, scales = _entry_tuples(mats, sft)
     level = [((s,), ents[s]) for s in range(sft.n_symbols)]
-    for length in range(1, n_max + 1):
-        drift = length > DRIFT_FREE_LEN
+    for _ in range(n_max):
         done = []
         for w, m in level:
-            if drift:
-                _check_drift(m, length)
             done.append((w, m))
             yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         # lazy: a reader stopping at the next level's first word pays for it alone
@@ -215,11 +199,8 @@ def periodic_entries(mats, sft: Sft, n_max: int):
     ents, scales = (None, None) if mats is None else _entry_tuples(mats, sft)
     level = [((s,), 1, None if ents is None else ents[s]) for s in range(n)]
     for length in range(1, n_max + 1):
-        drift = ents is not None and length > DRIFT_FREE_LEN
         for w, p, m in level:
             if p == length and allowed[w[-1]][w[0]]:
-                if drift:
-                    _check_drift(m, length)
                 yield w, m, 1 if scales is None else math.prod([scales[s] for s in w])
         if length + 1 < n_max:
             level = [(w + (s,), p if s == w[-p] else length + 1,

@@ -23,7 +23,6 @@ reads, one status (tests/test_package.py fails on one it does not list):
     allowance  projgeom   1e-12 (CONTRACTION_SHADE) 1.2246467991473532e-16 (PI_LO, exact)
     remove     multicone  1e-14 1e-300 (_incidence_slack) 1e-15 (PUFF); item 1 stage D
     remove     multicone  4e-14 (strict-image floor) 1e-12 1e-300 (fattening); item 2
-    remove     symdyn     1e-6 (DET_DRIFT); no item
     remove     corrdyn    1e-6 (winding_matrix's integrality); no item
     remove     sl2core    1e-9 (normalize_tuple's corner check); no item
 """

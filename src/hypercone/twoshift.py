@@ -31,6 +31,15 @@ is positive, 2*y - x*z for the plus successor (x, z, x*z - y) and 2*x - y*z
 for the minus one (z, y, y*z - x): each successor test is one sign read off
 the current state, and only the successor taken is built.
 
+Exactly one successor is twisted, so the guards against both or neither
+catch only float rounding.  The walk tests successors of a twisted state
+(t1 > 0, t2 > 0) with x, y >= 2 and z > 2.  Both twisted is impossible:
+(2y - xz) + (2x - yz) = (x + y)(2 - z) < 0.  Neither is impossible: t2 > 0
+puts z outside the roots r-, r+ = (xy -+ sqrt((x^2-4)(y^2-4)))/2 of
+z^2 - xyz + x^2 + y^2 - 4, and t1 > 0 puts it below xy/2 <= r+, so
+z < r- <= max(2x/y, 2y/x) (for x >= y, r- <= 2x/y squares to x >= y), while
+both straight needs z > 2y/x and z > 2x/y.  A sign of 0 is the tie.
+
 The walk runs on traces in lowest terms, (X, Y, Z, p, q, r) standing for
 x = X/p, y = Y/q, z = Z/r with positive integer denominators, each prime to
 its numerator.  On rational input they start from integer_scaled's integer

@@ -375,11 +375,13 @@ def test_witness_reverify_failure_exit_code(tmp_path, capsys, monkeypatch):
     dict(FREE_SPEC, shift={"type": "sft", "allowed": ["01", "11"]}),
     dict(FREE_SPEC, shift={"type": "sft", "allowed": [["0", 1], [1, 1]]}),
     {"matrices": [[["1e400", "1"], ["0", "1/2"]]], "mode": "rational"},
+    # finite entries whose determinant, 1e400, has no float to print
+    {"matrices": [[[1e200, 0], [0, 1e200]]]},
 ], ids=["list", "string", "tuples-int", "tuples-item", "no-matrices",
         "zero-denominator", "shift-string", "table-rows", "table-columns",
         "table-flat", "table-int", "shift-type", "no-table", "matrix-columns",
         "matrix-rows", "entry-bool", "table-strings", "table-string-entry",
-        "entry-overflow"])
+        "entry-overflow", "det-overflow"])
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
     path = write_spec(tmp_path, spec)
     code = main(["rate", "--input", path, "--depth", "2"])
@@ -543,3 +545,55 @@ def test_classify2_names_an_overflowing_twist_test(tmp_path, capsys, matrices, c
                                  "mode": "float"})
     got, doc = run(capsys, ["classify2", "--input", path])
     assert got == code and doc["verdicts"] == [verdict]
+
+
+# a census-scale pullback draw (fword -+--+-) rounded to floats: its first
+# matrix reads det 1.0 in floats but 1.000148 exactly, and the float pair
+# walked -+- instead
+OFF_DET_PAIR = [[[598367.0489707368, 656759.1988336588],
+                 [4083969.670245097, 4482507.272594324]],
+                [[6477.505746934529, -949.058448014879],
+                 [-5901.594565556039, 864.6783805402727]]]
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"matrices": OFF_DET_PAIR}, "matrix determinant 1.0001482021347328 is not 1"),
+    ({"matrices": [[["1000000000001/1000000000000", "0"], ["0", "1"]],
+                   [["1/2", "0"], ["-9", "2"]]], "mode": "rational"},
+     "matrix determinant 1.000000000001 is not 1"),
+], ids=["float", "rational"])
+def test_the_gate_reads_the_exact_determinant(tmp_path, capsys, spec, named):
+    path = write_spec(tmp_path, spec)
+    code = main(["classify2", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"degenerate input: {named}\n"
+
+
+@pytest.mark.parametrize("spec, named", [
+    (dict(RATIONAL_SPEC, matrices=[[["2", "1"], ["0", 0.5]], [["1/2", "0"], ["-9", "2"]]]),
+     "entry 0.5 is not exact in rational mode"),
+    (dict(FREE_SPEC, mode="complex"), "unknown mode 'complex'"),
+], ids=["float-in-rational", "mode"])
+def test_spec_refusals_name_the_entry_or_mode(tmp_path, capsys, spec, named):
+    path = write_spec(tmp_path, spec)
+    code = main(["rate", "--input", path, "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"input error: {named}\n"
+
+
+def test_rate_on_words_past_64_letters(tmp_path, capsys):
+    # 26 det-1 copies over the looped 26-cycle: a 70-letter float product's
+    # det reads as noise, yet the rate and its word match the exact walk's
+    allowed = [[j == (i + 1) % 26 or i == j == 0 for j in range(26)]
+               for i in range(26)]
+    got = []
+    for mode, row in (("float", [[2.0, 1.0], [1.0, 1.0]]), ("rational", [["2", "1"], ["1", "1"]])):
+        path = write_spec(tmp_path, {"matrices": [row] * 26, "mode": mode,
+                                     "shift": {"type": "sft", "allowed": allowed}})
+        code, doc = run(capsys, ["rate", "--input", path, "--depth", "70"])
+        assert code == 0
+        got.append(doc["verdicts"][0])
+    assert got[0] == got[1]
+    assert got[0]["rate"] == pytest.approx((3 + 5 ** 0.5) / 2)

@@ -437,7 +437,8 @@ def test_float_stages_convert_each_generator_once(monkeypatch):
     # where it maps S arcs back, and (fatten_cores) its exact determinant;
     # a component map the cores already hold (CoreSet.action) converts
     # nothing, so over one CoreSet each generator's entries go to the maps
-    # once and its inverse's entries once
+    # once and its inverse's entries once; fatten_cores on cores that hold
+    # no map yet converts the entries for its own stages and for the maps
     from hypercone.corrdyn import induced_morphism
     from tests.test_fareycomb import exact_pullbacks
     calls = []
@@ -460,7 +461,7 @@ def test_float_stages_convert_each_generator_once(monkeypatch):
                                ("fatten", entries + dets), ("certify", entries),
                                ("induced", []))),
                 (CoreSet(model.cores.u_arcs, model.cores.s_arcs),
-                 (("fatten", entries + dets), ("induced", inverses),
+                 (("fatten", entries * 2 + dets), ("induced", inverses),
                   ("criterion", []), ("certify", entries)))):
             for stage, converted in stages:
                 calls.clear()

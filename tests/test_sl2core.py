@@ -495,3 +495,58 @@ def test_check_unimodular_refuses_a_nan_matrix():
     from hypercone.sl2core import check_unimodular
     with pytest.raises(DegenerateInput, match="entry nan is not finite"):
         check_unimodular(Mat2(math.nan, 1.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("m, ok", [
+    # float det 1.0, but read exactly 1.000148: a census-scale pullback
+    # draw rounded to floats, whose float pair walks another sign word
+    (Mat2(598367.0489707368, 656759.1988336588, 4083969.670245097, 4482507.272594324),
+     False),
+    # float det 0.9999999963, read exactly 1 - 4.1e-10: inside DEFAULT.det
+    (Mat2(14415.546471931131, -3367.3629487809703, -5242.560436194117,
+          1224.6226533249255), True),
+    # exact input has band 0
+    (Mat2(Fraction(10 ** 12 + 1, 10 ** 12), 0, 0, 1), False),
+    (Mat2(Fraction(1, 3), 0, 0, 3), True),
+    # s^2 of the exact reading is far beyond the float range
+    (Mat2(1e200, 0.0, 0.0, 1e-200), True),
+])
+def test_check_unimodular_reads_the_exact_determinant(m, ok):
+    from hypercone.errors import DegenerateInput
+    from hypercone.sl2core import check_unimodular
+    off = abs(Fraction(m.a) * Fraction(m.d) - Fraction(m.b) * Fraction(m.c) - 1)
+    assert (off == 0 or not m.is_exact() and off <= Fraction(DEFAULT.det)) == ok
+    if ok:
+        assert check_unimodular(m) is m
+    else:
+        with pytest.raises(DegenerateInput, match="matrix determinant .* is not 1"):
+            check_unimodular(m)
+
+
+def test_normalize_refuses_a_matrix_off_determinant_one():
+    # entries near 1e12 with c = (a d - 1) / b in floats: read exactly, the
+    # det is -2.9e7, and the bound's chain (|y z| <= 1 + |x t|) fails; the
+    # conjugate had an entry of 15495, past c1_bound(10) = 6177.4
+    from hypercone.errors import DegenerateInput
+    m = Mat2(1134364244112.4011, 1763774618976.614, -729561602978.1854,
+             -1134364244105.4524)
+    with pytest.raises(DegenerateInput, match="matrix determinant"):
+        normalize_tuple([Mat2(2, 1, 1, 1), m], 10.0)
+
+
+def test_normalize_rotation_stage():
+    # det exactly 1, trace 2; its corner entry 5000 is past the rotation
+    # stage's cap c1_bound(10, rotation_stage=True) = 3970.75, so the stage runs
+    m = Mat2(5000.0, 1.0, -24990001.0, -4998.0)
+    assert m.det() == 1 and abs(m.a) > c1_bound(10.0, rotation_stage=True)
+    R, out = normalize_tuple([m], 10.0)
+    assert R != Mat2.identity()
+    assert max(abs(v) for v in (out[0].a, out[0].b, out[0].c, out[0].d)) == \
+        pytest.approx(2.0, rel=1e-7)
+    back = R @ m @ R.inverse()
+    for v, w in zip((back.a, back.b, back.c, back.d),
+                    (out[0].a, out[0].b, out[0].c, out[0].d)):
+        assert w == pytest.approx(v, abs=1e-6)
+    # a second pass finds both goals met and snaps to the identity
+    R2, out2 = normalize_tuple(out, 10.0)
+    assert R2 == Mat2.identity() and out2 == out
