@@ -7,6 +7,7 @@ vector (x, p + q*sqrt(D)) with integers x, p, q and D = (a - d)^2 + 4bc:
 and two directions compare by the sign of one cross product
 u + x*sqrt(D1) + y*sqrt(D2), which sign_sum decides with at most two
 squarings.  A positive multiple of a matrix has its eigendirections, so
+int_dir reads an integer form's matrix as it is, whatever its scale, and
 exact_dirs reads any exact matrix through sl2core.integer_scaled.
 """
 
@@ -47,27 +48,46 @@ class ExactDir(Record):
 
     __slots__ = ("x", "p", "q", "D")
 
-    @staticmethod
-    def upper(x: int, p: int, q: int, D: int) -> "ExactDir":
-        sy = sign_sum(p, q, D)
-        if sy < 0 or (sy == 0 and x < 0):
-            return ExactDir(-x, -p, -q, D)
-        return ExactDir(x, p, q, D)
+    def __init__(self, x, p, q, D):
+        _set_x(self, x)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_D(self, D)
+
+
+# the slots' own setters, which the frozen __setattr__ does not block
+_set_x, _set_p, _set_q, _set_D = (ExactDir.__dict__[f].__set__
+                                  for f in ExactDir.__slots__)
+
+
+def _upper(x: int, p: int, q: int, D: int) -> ExactDir:
+    """The direction of (x, p + q*sqrt(D)), as the vector of it or of its
+    negative that points into the upper half-plane."""
+    sy = sign_sum(p, q, D)
+    if sy < 0 or (sy == 0 and x < 0):
+        return ExactDir(-x, -p, -q, D)
+    return ExactDir(x, p, q, D)
+
+
+def int_dir(n: Mat2, unstable: bool) -> ExactDir:
+    """The unstable (or stable) eigendirection of the integer matrix n, with
+    real eigenvalues, as eigen_data picks it: the direction of the
+    eigenvalue of larger (smaller) modulus."""
+    a, b, c, d = n.a, n.b, n.c, n.d
+    if b == 0:  # the eigenvalues are a and d themselves
+        if (abs(a) > abs(d)) == unstable:
+            return _upper(a - d, c, 0, 0)
+        return ExactDir(0, 1, 0, 0)
+    # the eigenvalue (t +- sqrt(D)) / 2 of larger modulus takes the sign of t
+    root = 1 if (a + d >= 0) == unstable else -1
+    return _upper(2 * b, d - a, root, (a - d) * (a - d) + 4 * b * c)
 
 
 def exact_dirs(m: Mat2) -> tuple[ExactDir, ExactDir]:
     """(unstable, stable) eigendirections of an exact matrix with real
     eigenvalues, as eigen_data orders them."""
     n, _ = integer_scaled(m)
-    a, b, c, d = n.a, n.b, n.c, n.d
-    if b == 0:  # the eigenvalues are a and d themselves
-        da, dd = ExactDir.upper(a - d, c, 0, 0), ExactDir(0, 1, 0, 0)
-        return (da, dd) if abs(a) > abs(d) else (dd, da)
-    D = (a - d) * (a - d) + 4 * b * c
-    plus = ExactDir.upper(2 * b, d - a, 1, D)
-    minus = ExactDir.upper(2 * b, d - a, -1, D)
-    # the eigenvalue (t +- sqrt(D)) / 2 of larger modulus takes the sign of t
-    return (plus, minus) if a + d >= 0 else (minus, plus)
+    return int_dir(n, True), int_dir(n, False)
 
 
 def compare_dirs(e: ExactDir, f: ExactDir) -> int:

@@ -7,9 +7,10 @@ field tuples, hash as that tuple, print as Name(field=value, ...) and pickle
 by their fields; assigning or deleting an attribute raises AttributeError.
 A record built many times per call writes its slots in its own __init__,
 through the slot descriptors, which is faster than the generic one here:
-sl2core.Mat2, projgeom.ProjPoint and projgeom.ArcP1 do, and so do the four
-verdicts of twoshift.classify_pair (Principal, NonPrincipal,
-EllipticWitness and Degenerate), one of which every call builds.
+sl2core.Mat2, projgeom.ProjPoint, projgeom.ArcP1 and _exact.ExactDir do,
+and so do the four verdicts of twoshift.classify_pair (Principal,
+NonPrincipal, EllipticWitness and Degenerate), one of which every call
+builds.
 """
 
 _set = object.__setattr__

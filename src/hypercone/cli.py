@@ -80,10 +80,13 @@ def parse_tuple_spec(data: dict, mode_flag: str | None):
     exact = mode == "rational"
     try:
         mats = tuple(_parse_matrix(r, exact) for r in data["matrices"])
-        for m in mats:
-            check_unimodular(m)
     except (KeyError, OverflowError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrices field: {exc}") from exc
+    for i, m in enumerate(mats):
+        try:
+            check_unimodular(m)
+        except OverflowError:  # its message's det has no float
+            raise InputError(f"matrix {i} has a determinant beyond the float range") from None
     if not mats:
         raise InputError("the matrices field is empty")
     n = len(mats)

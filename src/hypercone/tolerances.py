@@ -17,6 +17,7 @@ reads, one status (tests/test_package.py fails on one it does not list):
     band       multicone  DEFAULT.angle DEFAULT.margin
     band       sl2core    DEFAULT.det DEFAULT.identity
     band       twoshift   DEFAULT.band DEFAULT.angle (x100: _orientation's exact switch)
+    allowance  twoshift   8.9e-16 (_det_in_band's rounding allowance)
     band       witness    DEFAULT.trace DEFAULT.parabolic DEFAULT.heteroclinic
     allowance  witness    1e-12 1.2e-15 (_best_connection's prune margin)
     allowance  symdyn     1e-9 (hyperbolicity_rate's Frobenius cut)

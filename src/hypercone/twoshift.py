@@ -62,17 +62,67 @@ step.  The decision quantities scale by positive integers,
 
 so their signs, which are all the walk reads, are decided by exact integer
 arithmetic without any Fraction; so is the termination bound
-floor((x + y)/4) - 1 = (X*q + Y*p) // (4*p*q) - 1.  The walked pair is
-rebuilt as products of (integer matrix, scale) pairs, each divided by the
-gcd of its entries and scale, and its orientation reads the angles of their
-eigendirections with those scales (sl2core._eigen(a, b, c, d, s), the
-routine of eigen_data), or, for
-near-coincident directions, their exact directions: _exact.exact_dirs gives
-each as an integer vector (x, p + q*sqrt(D)), and _exact.compare_dirs orders
-two by the sign of their cross product, in integers.  Every float the
-verdict reports is one int/int true division, correctly rounded like
-float(Fraction), so it has the bits of the rational value.  A generator is
-+-identity on rational input only when its integer form is +-a*I.
+floor((x + y)/4) - 1 = (X*q + Y*p) // (4*p*q) - 1.  The orientation is read
+off the input's integer forms (a*A1, a) and (b*B1, b) (below): the angles
+of their eigendirections with those scales (sl2core._eigen(a, b, c, d, s),
+the routine of eigen_data), or, for near directions, their exact
+directions: _exact.int_dir gives each as an integer vector
+(x, p + q*sqrt(D)), and _exact.compare_dirs orders two by the sign of their
+cross product, in integers.  Every float the verdict reports is one int/int
+true division, correctly rounded like float(Fraction), so it has the bits
+of the rational value.  A generator is +-identity on rational input only
+when its integer form is +-a*I.
+
+The orientation of a non-principal verdict is that of the free pair
+(A_k, B_k) the walk reaches from the sign-normalized input (A1, B1): o = +1
+when u_B, u_BA, s_BA, s_A (the unstable and stable eigendirections of B_k,
+B_k @ A_k and A_k) occur in this cyclic order on P1, -1 when they occur in
+the reverse one.  It is read off the input pair, without building A_k and
+B_k: with sigma(A, B) = +1 when u_A, s_B, u_B, s_A occur in this cyclic
+order and -1 when u_A, s_A, u_B, s_B do, o(A_k, B_k) = sigma(A1, B1).
+
+Proof.  For traces x, y > 2 let r- = (xy - sqrt((x^2-4)(y^2-4)))/2, the
+lesser root above.  Every walk state lies in T = {x, y > 2, z < r-}, as
+t1 > 0 and t2 > 0 put it there.  A state the walk leaves by a plus move
+lies in R+ = {2 < x < y, 2 < z < r-}: its successor is twisted, 2y > xz,
+while z < r- <= max(2x/y, 2y/x), so x < y.  A minus-move state lies in R-,
+the same with x and y swapped, and the free level in
+F = {x, y > 2, z < -2}, inside T.  Each region is connected: over a convex
+set of (x, y), z runs through an interval with ends continuous in (x, y),
+never empty (r- > 2 exactly when x != y).  (R+ was also checked against its
+defining inequalities, with the walk's own tests, on 2*10^6 random
+triples, with no mismatch.)  Over T a pair is irreducible: t2 > 0 makes
+tr [A, B] = (Fricke form) - 2 > 2, where a common eigenvector would make
+it 2.  So no two of A, B and B @ A share a direction (one shared by two is
+the third's too), and, the directions of a hyperbolic matrix being
+continuous in it, each cyclic order among them is locally constant.  Every
+pair over T is SL(2, R)-conjugate to A = diag(lam, 1/lam), lam > 1,
+B = [[p, +-1], [r, s]] (a diagonal conjugator scales B's corners by t^2
+and 1/t^2, and their product ps - 1 is not 0 on an irreducible pair), with
+lam, p, r, s continuous in (x, y, z); the mirror diag(1, -1) swaps the two
+signs.  So over a connected region the pairs form two connected families,
+which the mirror swaps.  A sign read off a cyclic order is unchanged by
+SL(2, R) conjugation, which preserves the order on P1, and negated by the
+mirror, which reverses it.  Whether u_A, s_B, u_B, s_A alternate
+(u, s, u, s: the two orders of sigma) is thus constant over T, and so,
+over F, is whether u_B, u_BA, s_BA, s_A are in one of o's two orders; the
+exact free pair with traces (2.5, 2.5, -7) has both, so sigma is defined
+over T and o over F.  Then o*sigma over F, and
+sigma(successor)*sigma(state) over R+ and over R- (the successor is
+twisted, so in T), are locally constant, conjugation- and
+mirror-invariant, hence constant, and three exact anchors make each +1:
+that free pair and its apply_fword_inverse pullbacks by "+" and by "-",
+which lie in R+ and R- (tests/test_twoshift.py,
+test_the_orientation_proof_anchors).  Along a walk sigma is therefore the
+same at every state, and o at the free level.
+
+The proof holds on SL(2, R), and a positive multiple of a matrix has its
+directions, so the free level checks both determinants before it reads the
+orientation: det n = s^2 exactly on an integer form (n, s), and within
+DEFAULT.band on float or mixed input (_det_in_band).  On exact input the
+float angles closer than 100 * DEFAULT.angle are ordered exactly, one
+cross-product sign per pair of neighbours (_exact_order): a deep pullback
+puts its own input directions within 1e-15 of each other.
 
 Only rational input is scaled, and it is decided with band 0.  Float and
 mixed float/rational input keep every denominator 1, where every formula
@@ -86,14 +136,15 @@ DegenerateTie, which classify_pair reports as a Degenerate verdict.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from math import gcd, inf, isfinite
 from typing import NamedTuple, Union
 
 from . import _exact
 from ._record import Record
 from .errors import DegenerateTie, NoInvariantDirection
-from .projgeom import angle_gap, cyclically_ordered, norm_angle
-from .sl2core import Mat2, _eigen, check_finite, form_product, integer_scaled, is_pm_identity
+from .projgeom import PI, angle_gap, norm_angle
+from .sl2core import Mat2, _eigen, check_finite, integer_scaled, is_pm_identity
 from .tolerances import DEFAULT
 
 
@@ -265,54 +316,151 @@ def _step_select_traces(s: _Traces, band) -> str:
 
 
 # ---------------------------------------------------------------------------
-# orientation of a free pair
+# the free level: determinants and orientation, read off the input pair
 
 
-def _orientation(A, B, BA, exact: bool) -> int:
-    """Orientation of the free pair given as (matrix, scale) forms, with BA
-    the form of B @ A; scales other than 1 come only with integer matrices,
-    and at scale 1 any matrix is read by _eigen.  exact says whether every
-    entry of the pair is exact.
+def _det_in_band(m: Mat2, s: int, exact: bool) -> bool:
+    """Whether det(m / s) is 1: exactly on exact input, where m is the
+    integer matrix of a form of scale s, and within DEFAULT.band otherwise
+    (s = 1), for the entries read as the rationals they are.
 
-    The four directions u_B, u_BA, s_BA and s_A are the angles of
-    eigen_data's points, with their bits: _eigen's angles of B, B @ A and A,
-    only the four used reduced by norm_angle.  Their least pairwise distance
-    is the least of the four cyclic gaps between them in sorted order, since
-    either arc between two angles that are not adjacent holds a third, and
-    so spans a gap between adjacent ones.  In floats a sorted gap reads 0
-    only for equal angles (a difference of two distinct floats is not 0),
-    where angle_dist of two angles below pi/2 and one ulp apart can round
-    to 0.
-
-    A member with no eigendirection, which hyperbolic traces rule out at
-    det 1 but not on a float pair rounded off SL(2, R), is a named tie.
+    A float determinant fl(fl(ad) - fl(bc)) is within (4u + 7u^2)(|ad| + |bc|)
+    of ad - bc, u = 2^-53: each product rounds once, and once more for each
+    factor converted from an int or a Fraction, and the difference rounds
+    once.  8.9e-16 (|ad| + |bc|) is twice that bound, and the slack covers
+    the rounding of the allowance itself and of |det - 1|, which is exact
+    for det in [0.5, 2] (Sterbenz).  An underflowing product adds at most
+    2^-1075, which the allowance dwarfs wherever |det - 1| is near the band
+    (there |ad| + |bc| >= 1/2).  Where the allowance cannot decide, or a
+    product leaves the float range (inf or NaN fails both tests), the
+    determinant is read exactly, in integers.
     """
-    (m, s), (n, t), (k, r) = A, B, BA
+    if exact:
+        return m.det() == s * s
+    ad, bc = m.a * m.d, m.b * m.c
+    det = ad - bc
+    if type(det) is float:
+        off, allow = abs(det - 1.0), 8.9e-16 * (abs(ad) + abs(bc))
+        if off + allow <= DEFAULT.band:
+            return True
+        if off - allow > DEFAULT.band:
+            return False
+    n, k = integer_scaled(m)
+    tol, den = DEFAULT.band.as_integer_ratio()
+    return abs(n.det() - k * k) * den <= tol * k * k
+
+
+def _det_value(m: Mat2, s: int) -> float:
+    """det(m / s), read exactly (a float entry as the dyadic rational it
+    is) and rounded once; +-inf beyond the float range."""
+    n, k = integer_scaled(m)
+    det = n.det()
     try:
-        uB = norm_angle(_eigen(n.a, n.b, n.c, n.d, t)[0])
-        uBA, sBA, _, _ = _eigen(k.a, k.b, k.c, k.d, r)
-        uBA, sBA = norm_angle(uBA), norm_angle(sBA)
-        sA = norm_angle(_eigen(m.a, m.b, m.c, m.d, s)[1])
-        w, x, y, z = sorted((uB, uBA, sBA, sA))
-        min_gap = min(x - w, y - x, z - y, angle_gap(z, w))
+        return det / (k * k * s * s)
+    except OverflowError:
+        return inf if det > 0 else -inf
+
+
+# the cyclic orders of the labels of u_A, s_B, u_B, s_A (0, 1, 2, 3), each
+# read from any of its points, and the orientation each gives
+_ORIENTATIONS = {order[i:] + order[:i]: sign
+                 for sign, order in ((1, (0, 1, 2, 3)), (-1, (0, 3, 2, 1)))
+                 for i in range(4)}
+
+
+def _orientation(A, B, exact: bool) -> int:
+    """Orientation of the walk's free level, read off the (matrix, scale)
+    forms A, B of the sign-normalized input pair: +1 when u_A, s_B, u_B, s_A
+    occur in this cyclic order on P1, -1 when u_A, s_A, u_B, s_B do (the
+    module docstring proves that the free pair's order of u_B, u_BA, s_BA,
+    s_A gives the same sign).  Scales other than 1 come only with integer
+    matrices, and at scale 1 any matrix is read by _eigen.  exact says
+    whether every entry of the pair is exact.
+
+    The four directions are the angles of eigen_data's points, with their
+    bits: _eigen's angles of A and B, reduced by norm_angle, and sorted.
+    Where every cyclic gap between neighbours exceeds 100 * DEFAULT.angle,
+    or on float input, the sorted order is the order (a gap of 0 is a
+    tie); on exact input the neighbours nearer than that are ordered
+    exactly (_exact_order).  A member with no eigendirection, which
+    hyperbolic traces rule out at det 1 but not on a float pair rounded off
+    SL(2, R), is a named tie.
+    """
+    (m, s), (n, t) = A, B
+    try:
+        uA, sA, _, _ = _eigen(m.a, m.b, m.c, m.d, s)
+        uB, sB, _, _ = _eigen(n.a, n.b, n.c, n.d, t)
     except OverflowError:  # integer forms beyond the float range: exact order
-        min_gap = 0.0
+        return _exact_orientation(m, n)
     except NoInvariantDirection as err:
         raise DegenerateTie(f"free pair: {err}") from None
+    pts = sorted(((norm_angle(uA), 0), (norm_angle(sB), 1),
+                  (norm_angle(uB), 2), (norm_angle(sA), 3)))
+    (w, i), (x, j), (y, k), (z, l) = pts
+    gaps = (x - w, y - x, z - y, angle_gap(z, w))
+    min_gap = min(gaps)
     if min_gap > 100 * DEFAULT.angle or not exact:
         if min_gap == 0.0:
             raise DegenerateTie("free-pair directions coincide")
-        if cyclically_ordered((uB, uBA, sBA, sA)):
-            return +1
-        if cyclically_ordered((uB, sA, sBA, uBA)):
-            return -1
+        order = (i, j, k, l)
+    else:
+        order = _exact_order(pts, gaps, m, n)
+    sign = _ORIENTATIONS.get(order)
+    if sign is None:
         raise DegenerateTie("free-pair direction order is inconsistent")
-    # exact fallback for near-coincident float angles
-    uBA, sBA = _exact.exact_dirs(k)
-    dirs = [_exact.exact_dirs(n)[0], uBA, sBA, _exact.exact_dirs(m)[1]]
-    if _exact.exact_cyclically_ordered(dirs):
+    return sign
+
+
+def _exact_order(pts, gaps, m: Mat2, n: Mat2) -> tuple:
+    """The labels of the sorted (angle, label) points pts of the integer
+    matrices m (A) and n (B) in their exact cyclic order.
+
+    Float angles that are further apart than 100 * DEFAULT.angle are in
+    the right order; nearer ones are ordered by one cross-product sign,
+    from _exact.int_dir's directions of the two.  The points are read from
+    just past their largest gap (at least pi/4), so near points are
+    neighbours on the line read.  Two near directions in [0, pi) whose
+    angles lie on either side of 0 (one near 0, one near pi) are in the
+    reverse order of their angles; both lie near the horizontal, where the
+    upper half-plane vector of a direction has x > 0 short of pi/2 and
+    x < 0 past it, so the exact x components tell the two cases apart.
+    """
+    cut = gaps.index(max(gaps)) + 1
+    line = pts[cut:] + pts[:cut]
+    start = line[0][0]
+    dirs = {}
+
+    def direction(label: int) -> _exact.ExactDir:
+        if label not in dirs:  # u_A, s_B, u_B, s_A
+            dirs[label] = _exact.int_dir(n if label in (1, 2) else m, label in (0, 2))
+        return dirs[label]
+
+    def before(e, f) -> int:
+        """-1 when e comes first on the line, +1 when f does."""
+        (ae, le), (af, lf) = e, f
+        ge, gf = angle_gap(start, ae), angle_gap(start, af)
+        if abs(gf - ge) > 100 * DEFAULT.angle:
+            return -1 if ge < gf else 1
+        de, df = direction(le), direction(lf)
+        later = _exact.compare_dirs(df, de)  # sign of angle(f) - angle(e)
+        if later == 0:
+            raise DegenerateTie("free-pair directions coincide")
+        if not 0.25 * PI < ae < 0.75 * PI and (de.x > 0) != (df.x > 0):
+            later = -later  # on either side of 0
+        return -later
+
+    line.sort(key=cmp_to_key(before))
+    return tuple(label for _, label in line)
+
+
+def _exact_orientation(m: Mat2, n: Mat2) -> int:
+    """_orientation's sign for integer matrices m (A) and n (B) whose
+    directions have no float angles, from their exact directions."""
+    uA, sA = _exact.exact_dirs(m)
+    uB, sB = _exact.exact_dirs(n)
+    if _exact.exact_cyclically_ordered((uA, sB, uB, sA)):
         return +1
-    if _exact.exact_cyclically_ordered([dirs[0], dirs[3], dirs[2], dirs[1]]):
+    if _exact.exact_cyclically_ordered((uA, sA, uB, sB)):
         return -1
     raise DegenerateTie("free-pair direction order is inconsistent")
 
@@ -385,14 +533,13 @@ def _classify(A: Mat2, B: Mat2, exact: bool) -> Classification2:
     while True:
         step = _step_select_traces(s, band)
         if step == "free":
-            # the walked pair, rebuilt by the same products the walk implies
-            Ak, Bk = (A1, a), (B1, b)
-            for sign in fword:
-                if sign == "+":
-                    Bk = form_product(Ak, Bk)
-                else:
-                    Ak = form_product(Bk, Ak)
-            orient = _orientation(Ak, Bk, form_product(Bk, Ak), exact)
+            # the walk's formulas hold on SL(2, R), and so does the
+            # orientation read off the input pair
+            for name, m, scale in (("A", A1, a), ("B", B1, b)):
+                if not _det_in_band(m, scale, exact):
+                    raise DegenerateTie(f"generator {name} determinant is not 1 (band)",
+                                        _det_value(m, scale))
+            orient = _orientation((A1, a), (B1, b), exact)
             return NonPrincipal(fword, sign_pair, orient, len(fword), inv)
         if step == "elliptic":
             wa, wb = fword_substitution(fword)

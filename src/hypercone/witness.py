@@ -451,11 +451,12 @@ def _exact_connection(mats, hit: HeteroclinicHit) -> bool:
     onto the target's stable one, on the entries read exactly.  With n_w the
     integer product of the word w (exact_product; its scale is positive and
     moves no direction) and adj the adjugate, P u(v) = u(n_P n_v adj(n_P)),
-    so _exact.compare_dirs decides the connection in integers."""
-    from ._exact import compare_dirs, exact_dirs
+    so _exact.compare_dirs decides the connection in integers, on the two
+    directions _exact.int_dir reads off the integer matrices."""
+    from ._exact import compare_dirs, int_dir
     n_v, _ = exact_product(mats, hit.source)
     if hit.connector:
         p, _ = exact_product(mats, hit.connector)
         n_v = p @ n_v @ Mat2(p.d, -p.b, -p.c, p.a)
     n_t, _ = exact_product(mats, hit.target)
-    return compare_dirs(exact_dirs(n_v)[0], exact_dirs(n_t)[1]) == 0
+    return compare_dirs(int_dir(n_v, True), int_dir(n_t, False)) == 0

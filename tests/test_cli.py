@@ -390,6 +390,21 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec):
     assert captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("spec, index", [
+    ({"matrices": [[["1e400", "1"], ["0", "1/2"]]], "mode": "rational"}, 0),
+    ({"matrices": [[[2, 1], [1, 1]], [[1e200, 0], [0, 1e200]]]}, 1),
+], ids=["entry-overflow", "det-overflow"])
+def test_a_determinant_beyond_the_float_range_names_its_matrix(tmp_path, capsys, spec, index):
+    # finite entries, a rational 1e400 or floats of 1e200, whose exact
+    # determinant no float holds: refused as input, naming the matrix
+    path = write_spec(tmp_path, spec)
+    code = main(["rate", "--input", path, "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"input error: matrix {index} has a determinant "
+                            "beyond the float range\n")
+
+
 def test_more_matrices_than_letters_is_an_input_error(tmp_path, capsys):
     # a word over 27 symbols could not be rendered in the letters A-Z
     path = write_spec(tmp_path, {"matrices": [[[2, 1], [0, 0.5]]] * 27})

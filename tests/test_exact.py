@@ -3,8 +3,9 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from hypercone import _exact
 from hypercone._exact import (compare_dirs, exact_cyclically_ordered,
-                              exact_dirs, sign_sum)
+                              exact_dirs, int_dir, sign_sum)
 from hypercone.projgeom import angle_dist, cyclically_ordered
 from hypercone.sl2core import Mat2, eigen_data, integer_scaled
 from tests.conftest import exact_canonical_pair
@@ -112,6 +113,21 @@ def test_exact_dirs_of_the_integer_scaled_matrix():
             assert compare_dirs(exact_dirs(k)[1], exact_dirs(m)[1]) == 0
             assert compare_dirs(exact_dirs(k)[0], exact_dirs(m)[1]) != 0
     assert scaled > 50
+
+
+def test_int_dir_reads_an_integer_form_as_it_is(monkeypatch):
+    # the unstable and the stable direction of an integer form's matrix,
+    # whatever its scale, are exact_dirs' of the matrix it stands for, read
+    # without integer_scaled
+    draws = _hyperbolic_draws(200)
+    want = [exact_dirs(m) for m in draws]
+    forms = [integer_scaled(m)[0] for m in draws]
+
+    def refuse(m):
+        raise AssertionError("int_dir re-scaled an integer matrix")
+    monkeypatch.setattr(_exact, "integer_scaled", refuse)
+    for n, (u, s) in zip(forms, want):
+        assert (int_dir(n, True), int_dir(n, False)) == (u, s)
 
 
 def _decimal_dirs(m):

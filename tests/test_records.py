@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from hypercone._exact import ExactDir
 from hypercone.corrdyn import CombMulticone
 from hypercone.multicone import CoreSet, CriterionReport
 from hypercone.projgeom import ArcP1, MultiCone, ProjPoint
@@ -96,6 +97,8 @@ VERDICTS = {
     "EllipticWitness(word='ABA', trace=1.5, iterations=1)": (EllipticWitness,
                                                             ("ABA", 1.5, 1)),
     "Degenerate(reason='tie', value=3.0)": (Degenerate, ("tie", 3.0)),
+    # not a verdict, but built as positionally, many times per exact read
+    "ExactDir(x=1, p=2, q=-3, D=5)": (ExactDir, (1, 2, -3, 5)),
 }
 
 

@@ -10,7 +10,7 @@ from hypercone import twoshift
 from hypercone._exact import exact_cyclically_ordered, exact_dirs
 from hypercone.errors import DegenerateTie
 from hypercone.projgeom import angle_dist, angle_gap, norm_angle
-from hypercone.sl2core import Mat2, eigen_data
+from hypercone.sl2core import Mat2, eigen_data, integer_scaled
 from hypercone.symdyn import eval_string
 from hypercone.tolerances import DEFAULT
 from hypercone.twoshift import (Degenerate, EllipticWitness, NonPrincipal,
@@ -34,9 +34,12 @@ def step_select(A: Mat2, B: Mat2, band: float = 0.0) -> str:
 
 
 def orientation(A: Mat2, B: Mat2) -> int:
-    """+1 when u_B, u_BA, s_BA, s_A occur positively on P1, else -1."""
-    return twoshift._orientation((A, 1), (B, 1), (B @ A, 1),
-                                 A.is_exact() and B.is_exact())
+    """+1 when u_A, s_B, u_B, s_A occur positively on P1, -1 when u_A, s_A,
+    u_B, s_B do: _orientation on the integer forms of an exact pair, as
+    classify_pair passes them, and on a float pair as it is."""
+    if A.is_exact() and B.is_exact():
+        return twoshift._orientation(integer_scaled(A), integer_scaled(B), True)
+    return twoshift._orientation((A, 1), (B, 1), False)
 
 
 def test_trace_steps_printed_examples():
@@ -219,16 +222,62 @@ def test_walk_recovers_fwords_exactly(free_pair_exact):
 
 
 def test_classify_conjugation_invariance(free_pair):
+    # conjugated in floats, the pairs' dyadic determinants run up to 2.6e-9
+    # from 1, past DEFAULT.det but within the free level's DEFAULT.band,
+    # and every pair is decided
     A0, B0 = free_pair
     A, B = apply_fword_inverse(A0, B0, "+-")
     rng = random.Random(13)
     base = classify_pair(A, B)
+    worst = 0
     for _ in range(50):
         r = rand_conj(rng)
-        c = classify_pair(r @ A @ r.inverse(), r @ B @ r.inverse())
+        pair = (r @ A @ r.inverse(), r @ B @ r.inverse())
+        worst = max(worst, *(abs(_exact_det(m) - 1) for m in pair))
+        c = classify_pair(*pair)
         assert isinstance(c, NonPrincipal)
         assert (c.fword, c.sign_pair, c.orientation) == \
             (base.fword, base.sign_pair, base.orientation)
+    assert DEFAULT.det < worst < 3e-9
+
+
+def _below_r_minus(x, y, z) -> bool:
+    """z < r-(x, y) = (xy - sqrt((x^2 - 4)(y^2 - 4)))/2, for x, y > 2, in
+    rationals: xy - 2z > 0 and (xy - 2z)^2 > (x^2 - 4)(y^2 - 4)."""
+    t1 = x * y - 2 * z
+    return t1 > 0 and t1 * t1 > (x * x - 4) * (y * y - 4)
+
+
+def test_the_orientation_proof_anchors(free_pair_exact):
+    # the module docstring's proof: sigma, the sign of the order of u_A,
+    # s_B, u_B, s_A, times the free pair's orientation o (u_B, u_BA, s_BA,
+    # s_A) is constant over F, and sigma of a state times sigma of its
+    # successor is constant over R+ and over R-.  These three exact pairs,
+    # read with exact directions, make each constant +1
+    def sigma(A, B):
+        (uA, sA), (uB, sB) = exact_dirs(A), exact_dirs(B)
+        if exact_cyclically_ordered([uA, sB, uB, sA]):
+            return 1
+        assert exact_cyclically_ordered([uA, sA, uB, sB])
+        return -1
+
+    A, B = free_pair_exact
+    x, y, z = A.trace(), B.trace(), (A @ B).trace()
+    assert x > 2 and y > 2 and z < -2  # F
+    uB, _ = exact_dirs(B)
+    uBA, sBA = exact_dirs(B @ A)
+    _, sA = exact_dirs(A)
+    assert exact_cyclically_ordered([uB, uBA, sBA, sA])  # o = +1
+    assert sigma(A, B) == 1
+    for sign in "+-":
+        P, Q = apply_fword_inverse(A, B, sign)
+        x, y, z = P.trace(), Q.trace(), (P @ Q).trace()
+        assert 2 < (x if sign == "+" else y) < (y if sign == "+" else x)
+        assert 2 < z and _below_r_minus(x, y, z)  # R+ or R-
+        assert (pair_step_plus if sign == "+" else pair_step_minus)(P, Q) == (A, B)
+        assert sigma(P, Q) == 1
+        c = classify_pair(P, Q)
+        assert isinstance(c, NonPrincipal) and (c.fword, c.orientation) == (sign, 1)
 
 
 def test_mirror_orientation(free_pair):
@@ -258,45 +307,90 @@ def test_walk_matches_matrix_walk(free_pair_exact):
     assert traces(A2, B2) == t2
 
 
-def test_orientation_exact_fallback_near_parabolic_product():
+def test_orientation_exact_fallback_near_parabolic_product(monkeypatch):
     # tr AB = -2 - 1e-18: the product's two directions are ~1e-9 apart in
-    # floats, inside the escalation window, so the exact comparator decides
+    # floats, inside the escalation window, so a read of the free pair's
+    # u_B, u_BA, s_BA, s_A needs the exact comparator (the point reference
+    # falls back); the input directions classify_pair reads are far apart,
+    # and their float angles decide without one exact sign
     z = Fraction(-2) - Fraction(1, 10 ** 18)
     gamma = z - 2  # mu = nu = 2
     A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), gamma)
-    assert orientation(A, B) == 1
     D = Mat2(1, 0, 0, -1)
+    assert _point_orientation(A, B) == (1, True)
+    assert _point_orientation(D @ A @ D, D @ B @ D) == (-1, True)
+    signs = []
+    compare = twoshift._exact.compare_dirs
+    monkeypatch.setattr(twoshift._exact, "compare_dirs",
+                        lambda e, f: signs.append(1) or compare(e, f))
+    assert orientation(A, B) == 1
     assert orientation(D @ A @ D, D @ B @ D) == -1
     c = classify_pair(A, B)
     assert isinstance(c, NonPrincipal) and c.orientation == 1
+    assert signs == []
 
 
-def test_orientation_guard_reads_the_gap_across_zero(monkeypatch):
-    # the near-parabolic pair sheared so that B @ A's two directions, 2e-9
-    # either side of angle 0, sit at the two ends of [0, pi): only the
-    # cyclic gap across 0 is below the switch, and the exact fallback
-    # still decides, reading the three matrices' exact directions
-    z = Fraction(-2) - Fraction(1, 10 ** 18)
-    A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), z - 2)
-    (u, _), (s, _) = eigen_data(B @ A)
+def test_orientation_guard_reads_the_gap_across_zero(monkeypatch, free_pair_exact):
+    # fifteen plus pullbacks of the free pair put the input directions u_B
+    # and s_A within 1e-9 of each other; sheared so that they sit within
+    # 2e-9 either side of angle 0, at the two ends of [0, pi), only the
+    # cyclic gap across 0 is below the switch, and one exact cross-product
+    # sign orders the two, mirrored or not
+    fword = "+" * 15
+    A, B = apply_fword_inverse(*free_pair_exact, fword)
+    (u, _), _ = eigen_data(B)
+    _, (s, _) = eigen_data(A)
+    assert angle_dist(u.angle, s.angle) < 1e-9
     P = Mat2(Fraction(1), Fraction(0), -Fraction(math.tan(0.5 * (u.angle + s.angle))),
              Fraction(1))
     A, B = P @ A @ P.inverse(), P @ B @ P.inverse()
-    (u, _), (s, _) = eigen_data(B @ A)
-    assert u.angle > math.pi - 1e-8 and s.angle < 1e-8
-    calls = []
-    exact_dirs = twoshift._exact.exact_dirs
-
-    def spy(m):
-        calls.append(m)
-        return exact_dirs(m)
-    monkeypatch.setattr(twoshift._exact, "exact_dirs", spy)
+    (u, _), _ = eigen_data(B)
+    _, (s, _) = eigen_data(A)
+    assert max(u.angle, s.angle) > math.pi - 2e-9 and min(u.angle, s.angle) < 2e-9
+    signs = []
+    compare = twoshift._exact.compare_dirs
+    monkeypatch.setattr(twoshift._exact, "compare_dirs",
+                        lambda e, f: signs.append(1) or compare(e, f))
     D = Mat2(1, 0, 0, -1)
     for pair, want in (((A, B), 1), ((D @ A @ D, D @ B @ D), -1)):
-        calls.clear()
+        signs.clear()
         c = classify_pair(*pair)
-        assert isinstance(c, NonPrincipal) and c.orientation == want
-        assert len(calls) == 3
+        assert isinstance(c, NonPrincipal) and (c.fword, c.orientation) == (fword, want)
+        assert len(signs) == 1
+
+
+def test_exact_order_sorts_a_cluster_of_three(monkeypatch):
+    # u_A = e1 and B's directions (1, eps), (1, 2 eps): three input
+    # directions within 2 eps, ordered by exact signs alone, as they are,
+    # sheared to straddle angle 0, and mirrored; float angles tie from
+    # eps = 1e-30 on.  The sign is the exact cyclic order's
+    def sigma(A, B):
+        (uA, sA), (uB, sB) = exact_dirs(A), exact_dirs(B)
+        if exact_cyclically_ordered([uA, sB, uB, sA]):
+            return 1
+        assert exact_cyclically_ordered([uA, sA, uB, sB])
+        return -1
+
+    signs = []
+    compare = twoshift._exact.compare_dirs
+    monkeypatch.setattr(twoshift._exact, "compare_dirs",
+                        lambda e, f: signs.append(1) or compare(e, f))
+    A = Mat2(Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2))
+    D = Mat2(1, 0, 0, -1)
+    seen = set()
+    for eps in (Fraction(2, 10 ** 9), Fraction(1, 10 ** 15), Fraction(1, 10 ** 30)):
+        V = Mat2(Fraction(1), Fraction(1), 2 * eps, eps)
+        B = V @ Mat2(Fraction(3), Fraction(0), Fraction(0), Fraction(1, 3)) @ V.inverse()
+        for shear in (0, eps):
+            P = Mat2(Fraction(1), Fraction(0), -shear, Fraction(1))
+            pair = (P @ A @ P.inverse(), P @ B @ P.inverse())
+            for X, Y in (pair, (D @ pair[0] @ D, D @ pair[1] @ D)):
+                want = sigma(X, Y)
+                signs.clear()
+                assert orientation(X, Y) == want
+                assert len(signs) >= 2
+                seen.add(want)
+    assert seen == {1, -1}
 
 
 def test_classify_pair_near_parabolic_does_no_fraction_arithmetic(monkeypatch):
@@ -401,10 +495,10 @@ def _mixed_pairs():
 
 
 def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
-    # a rational A with a float B is walked at scale 1; when it is free at
-    # once (k = 0), A stays a Fraction matrix and BA is mixed, and the
-    # orientation must read the angles of eigen_data's points of exactly
-    # those matrices (_eigen's angles, reduced as eigen_data's points are)
+    # a rational A with a float B is walked at scale 1, so A stays a
+    # Fraction matrix, and the orientation must read the angles of
+    # eigen_data's points of exactly A1 and B1 (_eigen's angles, reduced as
+    # eigen_data's points are)
     calls = []
     eigen = twoshift._eigen
 
@@ -419,7 +513,7 @@ def test_mixed_free_pair_orientation_reads_eigen_data_bits(monkeypatch):
         assert isinstance(c, NonPrincipal) and c.iterations == 0
         A1 = A if A.trace() >= 0 else -A
         B1 = B if B.trace() >= 0 else -B
-        read = [B1, B1 @ A1, A1]
+        read = [A1, B1]
         assert [form for form, _ in calls] == [(m, 1) for m in read]
         assert [got for _, got in calls] == [
             tuple(p.angle for p, _ in eigen_data(m)) for m in read]
@@ -460,44 +554,74 @@ def _point_orientation(A, B):
     return "free-pair direction order is inconsistent", True
 
 
+def _conjugated(pairs, seed: int):
+    """Each pair conjugated by a random determinant-one float matrix."""
+    rng = random.Random(seed)
+    out = []
+    for A, B in pairs:
+        P = rand_conj(rng)
+        Q = P.inverse()
+        out.append((P @ A @ Q, P @ B @ Q))
+    return out
+
+
 def test_orientation_matches_the_point_reference():
-    # classify_pair's orientation of the walked pair and
-    # _orientation read sl2core._eigen; both must give what the
-    # ProjPoints of eigen_data and the point cyclic test give
+    # classify_pair reads the orientation off the input pair A1, B1
+    # (_orientation on sl2core._eigen's angles); it must be what the
+    # ProjPoints of eigen_data and the point cyclic test give on the walked
+    # pair, rebuilt here step by step, and so must the same read of the
+    # walked pair itself, which lies on the free level
     exact = [pair for pair, _, _ in pullback_population(500)]
     z = Fraction(-2) - Fraction(1, 10 ** 18)
     A, B = exact_canonical_pair(Fraction(2), Fraction(2), Fraction(1), z - 2)
     D = Mat2(1, 0, 0, -1)
     near_parabolic = [(A, B), (D @ A @ D, D @ B @ D)]
+    floats = [(A.to_float(), B.to_float()) for A, B in exact]
     populations = {
         "c01": _strict_free_pairs(1000),
         "pullbacks": exact,
-        "pullbacks as floats": [(A.to_float(), B.to_float()) for A, B in exact],
+        "pullbacks mirrored": [(D @ A @ D, D @ B @ D) for A, B in exact],
+        "pullbacks as floats": floats,
+        "pullbacks conjugated in floats": _conjugated(floats, 17),
         "mixed": list(_mixed_pairs()),
         "near-parabolic": near_parabolic,
+        "near-boundary": _near_boundary_pairs(1500),
+        "near-boundary exact": _near_boundary_pairs(300, exact=True),
     }
-    orientations, fallbacks = {}, {}
+    # these populations hold other verdicts too; only the NonPrincipal ones
+    # are compared
+    mixed_verdicts = {"pullbacks conjugated in floats", "near-boundary",
+                      "near-boundary exact"}
+    orientations, fallbacks, compared = {}, {}, {}
     for name, pairs in populations.items():
-        seen, fell_back = set(), 0
+        seen, fell_back, count = set(), 0, 0
         for A, B in pairs:
             c = classify_pair(A, B)
+            if name in mixed_verdicts and not isinstance(c, NonPrincipal):
+                continue
             assert isinstance(c, NonPrincipal), (name, A, B, c)
-            Ak = A if A.trace() >= 0 else -A
-            Bk = B if B.trace() >= 0 else -B
+            A1 = A if A.trace() >= 0 else -A
+            B1 = B if B.trace() >= 0 else -B
+            Ak, Bk = A1, B1
             for sign in c.fword:
                 Ak, Bk = (pair_step_plus if sign == "+" else pair_step_minus)(Ak, Bk)
             want, fallback = _point_orientation(Ak, Bk)
             assert c.orientation == want, (name, A, B)
+            assert orientation(A1, B1) == want, (name, A, B)
             assert orientation(Ak, Bk) == want, (name, A, B)
             seen.add(want)
             fell_back += fallback
-        orientations[name], fallbacks[name] = seen, fell_back
+            count += 1
+        orientations[name], fallbacks[name], compared[name] = seen, fell_back, count
     # both orientations occur where draws are mirrored, and the
     # near-parabolic pairs are decided by the exact fallback alone
     assert orientations["pullbacks"] == orientations["pullbacks as floats"] == {1, -1}
+    assert orientations["pullbacks mirrored"] == {1, -1}
     assert orientations["near-parabolic"] == {1, -1}
     assert fallbacks["near-parabolic"] == 2
     assert orientations["c01"] == {1} and orientations["mixed"] == {1}
+    assert compared["pullbacks conjugated in floats"] > 450
+    assert compared["near-boundary"] > 50 and compared["near-boundary exact"] > 40
 
 
 def test_exact_walk_matches_fraction_replay():
@@ -584,12 +708,20 @@ def _reference_classify(A, B, band):
             if z < -2 + band:
                 if z > -2 - band:
                     raise _RefEscape("tr AB in the band around -2", z)
+                for name, m in (("A", A1), ("B", B1)):
+                    det = _exact_det(m)
+                    if abs(det - 1) > band:
+                        return Degenerate(reason=f"generator {name} determinant is not 1 (band)",
+                                          value=float(det))
                 Ak, Bk = A1, B1
                 for sign in fword:
                     step = pair_step_plus if sign == "+" else pair_step_minus
                     Ak, Bk = step(Ak, Bk)
-                return NonPrincipal(fword=fword, sign_pair=(sa, sb),
-                                    orientation=orientation(Ak, Bk),
+                # the orientation of the walked pair itself, from its points
+                want, _ = _point_orientation(Ak, Bk)
+                if isinstance(want, str):
+                    return Degenerate(reason=want)
+                return NonPrincipal(fword=fword, sign_pair=(sa, sb), orientation=want,
                                     iterations=len(fword), invariant=inv)
             if z < 2 + band:
                 # z = -2 + band (z = -2 at band 0) lies in the band around -2
@@ -743,23 +875,25 @@ def test_an_overflowing_twist_test_is_named():
             twoshift._step_select_traces(_Traces(*state), DEFAULT.band)
 
 
-def test_a_free_level_verdict_reads_three_eigen_routines_and_one_product(monkeypatch):
-    # a NonPrincipal verdict at k = 0 calls the eigen routine for B, B @ A and
-    # A, and builds one product Mat2, the form of B @ A: tr(A1 @ B1) builds
-    # none.  A Principal verdict calls neither.
+def test_a_free_level_verdict_reads_two_eigen_routines_and_no_product(monkeypatch):
+    # a NonPrincipal verdict, after any sign word, calls the eigen routine
+    # on the forms of A1 and B1 only (integer_scaled's on exact input) and
+    # builds no product Mat2: tr(A1 @ B1) builds none, and the walked pair
+    # is not rebuilt.  A Principal verdict calls neither.
     eigen, matmul = twoshift._eigen, Mat2.__matmul__
     calls = []
 
     def counted_eigen(*args):
-        calls.append("eigen")
+        calls.append(("eigen", Mat2(*args[:4]), args[4]))
         return eigen(*args)
 
     def counted_matmul(x, y):
         calls.append("matmul")
         return matmul(x, y)
 
-    free = _strict_free_pairs(40) + [
-        pair for pair, fword, _ in pullback_population(500) if not fword][:20]
+    exact = [pair for pair, _, _ in pullback_population(500)][:120]
+    free = (_strict_free_pairs(40) + exact
+            + [(A.to_float(), B.to_float()) for A, B in exact])
     rng = random.Random(11)
     principal = [(Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1)),
                  (-Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1)),
@@ -770,13 +904,22 @@ def test_a_free_level_verdict_reads_three_eigen_routines_and_one_product(monkeyp
         principal.append((P @ D @ P.inverse(), -(P @ E @ P.inverse())))
     monkeypatch.setattr(twoshift, "_eigen", counted_eigen)
     monkeypatch.setattr(Mat2, "__matmul__", counted_matmul)
-    for pairs, kind, want in ((free, NonPrincipal, ["eigen"] * 3 + ["matmul"]),
-                              (principal, Principal, [])):
-        for A, B in pairs:
-            calls.clear()
-            c = classify_pair(A, B)
-            assert isinstance(c, kind) and getattr(c, "iterations", 0) == 0, c
-            assert sorted(calls) == want, (A, B)
+    words = set()
+    for A, B in free:
+        calls.clear()
+        c = classify_pair(A, B)
+        assert isinstance(c, NonPrincipal), c
+        A1 = A if A.trace() >= 0 else -A
+        B1 = B if B.trace() >= 0 else -B
+        forms = ([integer_scaled(A1), integer_scaled(B1)] if A.is_exact()
+                 else [(A1, 1), (B1, 1)])
+        assert calls == [("eigen", *form) for form in forms], (A, B)
+        words.add(c.fword)
+    assert len(words) > 20 and "" in words and max(map(len, words)) == 6
+    for A, B in principal:
+        calls.clear()
+        assert isinstance(classify_pair(A, B), Principal)
+        assert calls == [], (A, B)
 
 
 class _Graded(float):
@@ -858,9 +1001,95 @@ NO_DIRECTION_PAIRS = (
 )
 
 
+def _exact_det(m: Mat2) -> Fraction:
+    """det m, with each entry read as the rational it is."""
+    a, b, c, d = (Fraction(v) for v in (m.a, m.b, m.c, m.d))
+    return a * d - b * c
+
+
 def test_a_walked_member_without_a_direction_is_degenerate():
+    # the free level reads both determinants before any direction: these
+    # pairs are refused there, naming the first generator off SL(2, R) and
+    # its exact determinant, which the float a*d - b*c misses by up to 3e-5.
+    # The float pairs' other generator is within the band; exact input needs
+    # det 1 exactly, so the exact copy's A (det 1 + 6e-12) is refused first
     exact = tuple(Mat2(*(Fraction(v) for v in (m.a, m.b, m.c, m.d)))
                   for m in NO_DIRECTION_PAIRS[1])
-    for A, B in NO_DIRECTION_PAIRS + (exact,):
+    assert abs(_exact_det(NO_DIRECTION_PAIRS[0][1]) - 1) <= DEFAULT.band
+    assert 0 < abs(_exact_det(NO_DIRECTION_PAIRS[1][0]) - 1) <= DEFAULT.band
+    for (A, B), name in zip(NO_DIRECTION_PAIRS + (exact,), "ABA"):
+        m = A if name == "A" else B
         assert classify_pair(A, B) == Degenerate(
-            "free pair: elliptic matrix has no invariant direction", 0.0)
+            f"generator {name} determinant is not 1 (band)", float(_exact_det(m)))
+    assert abs(NO_DIRECTION_PAIRS[0][0].det() - _exact_det(NO_DIRECTION_PAIRS[0][0])) > 1e-5
+
+
+def test_the_free_level_reads_both_determinants(free_pair_exact):
+    # exact input needs det 1 exactly, read on the integer forms
+    def times(m, k):
+        return Mat2(m.a * k, m.b * k, m.c * k, m.d * k)
+    A, B = free_pair_exact
+    k = 1 + Fraction(1, 10 ** 12)
+    for pair, name in (((times(A, k), B), "A"), ((A, times(B, k)), "B")):
+        assert classify_pair(*pair) == Degenerate(
+            f"generator {name} determinant is not 1 (band)", float(k * k))
+    # float input: within DEFAULT.band of 1 is decided, past it refused
+    F0, G0 = A.to_float(), B.to_float()
+    for off in (5e-8, -5e-8, 2e-7, -2e-7):
+        G = times(G0, math.sqrt(1 + off))
+        c = classify_pair(F0, G)
+        if abs(_exact_det(G) - 1) <= DEFAULT.band:
+            assert isinstance(c, NonPrincipal) and c.orientation == 1
+        else:
+            assert c == Degenerate("generator B determinant is not 1 (band)",
+                                   float(_exact_det(G)))
+    # the float copies of the pullback draws whose dyadic det is past
+    # DEFAULT.det (the CLI gate), 1 - 3.7e-9, are within the band and decided
+    past = 0
+    for (A, B), fword, mirrored in pullback_population(500):
+        A, B = A.to_float(), B.to_float()
+        if max(abs(_exact_det(m) - 1) for m in (A, B)) > DEFAULT.det:
+            past += 1
+            c = classify_pair(A, B)
+            assert isinstance(c, NonPrincipal), c
+            assert (c.fword, c.orientation) == (fword, -1 if mirrored else 1)
+    assert past == 2
+
+
+def _sl2_with_det(rng, scale: float, det: float) -> Mat2:
+    """A float matrix with entries up to the scale and det about det."""
+    while True:
+        a, b, c = (rng.uniform(-scale, scale) for _ in range(3))
+        if abs(a) > 1e-3 * scale:
+            return Mat2(a, b, c, (det + b * c) / a)
+
+
+def test_det_in_band_is_the_exact_band_test(monkeypatch):
+    # the float determinant with its rounding allowance decides where it
+    # can, and the exact read decides the rest: together they are the test
+    # |det - 1| <= DEFAULT.band on the entries read exactly
+    reads = []
+    scaled = twoshift.integer_scaled
+
+    def spy(m):
+        reads.append(m)
+        return scaled(m)
+    monkeypatch.setattr(twoshift, "integer_scaled", spy)
+    rng = random.Random(19)
+    by_float = 0
+    for _ in range(3000):
+        scale = 10 ** rng.uniform(0, 6)
+        det = 1 + rng.choice((1, -1)) * DEFAULT.band * (1 + rng.uniform(-1e-6, 1e-6))
+        m = _sl2_with_det(rng, scale, det)
+        reads.clear()
+        assert twoshift._det_in_band(m, 1, False) == (abs(_exact_det(m) - 1) <= DEFAULT.band)
+        by_float += not reads
+    assert 500 < by_float < 2500
+    # far from the band's edge, small entries never need the exact read
+    reads.clear()
+    assert twoshift._det_in_band(Mat2(2.0, 1.0, 1.0, 1.0), 1, False)
+    assert not twoshift._det_in_band(Mat2(2.0, 1.0, 1.0, 1.0 + 1e-6), 1, False)
+    assert reads == []
+    # an integer form of scale s has det s^2 exactly
+    assert twoshift._det_in_band(Mat2(4, 2, 2, 2), 2, True)
+    assert not twoshift._det_in_band(Mat2(4, 2, 2, 3), 2, True)
